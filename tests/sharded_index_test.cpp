@@ -5,13 +5,21 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "corpus/generators.h"
 #include "index/path_lookup.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
+
+#ifndef KOKO_GOLDEN_DIR
+#error "KOKO_GOLDEN_DIR must be defined (see CMakeLists.txt)"
+#endif
 
 namespace koko {
 namespace {
@@ -366,6 +374,66 @@ TEST(ShardedKokoIndexTest, MmapLoadErrorsAreClean) {
     out.close();
     EXPECT_FALSE(ShardedKokoIndex::Load(path, options).ok()) << bytes;
     EXPECT_FALSE(ShardedKokoIndex::Load(path).ok()) << bytes;
+  }
+  std::remove(path.c_str());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ShardedKokoIndexTest, ImageBytesMatchGolden) {
+  // Pins the on-disk image byte for byte: a fixed, seeded 4-shard wiki
+  // index must save to exactly the recorded size and FNV-1a 64 digest
+  // (tests/golden/index_image.golden), whether it is saved straight from
+  // the build or re-saved after a kCopy or kMap load.
+  std::map<std::string, std::string> golden;
+  {
+    std::ifstream in(std::string(KOKO_GOLDEN_DIR) + "/index_image.golden");
+    ASSERT_TRUE(in.good()) << "tests/golden/index_image.golden missing";
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::string key, value;
+      fields >> key >> value;
+      golden[key] = value;
+    }
+  }
+  ASSERT_EQ(golden.count("bytes"), 1u);
+  ASSERT_EQ(golden.count("fnv64"), 1u);
+
+  Pipeline pipeline;
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      GenerateWikiArticles({.num_articles = 40, .seed = 3}));
+  auto built = ShardedKokoIndex::Build(corpus, 4);
+  const std::string path = ::testing::TempDir() + "/sharded_golden_image.bin";
+  auto expect_golden = [&](const std::string& image, const std::string& what) {
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(image)));
+    EXPECT_EQ(std::to_string(image.size()), golden["bytes"]) << what;
+    EXPECT_EQ(std::string(digest), golden["fnv64"]) << what;
+  };
+  ASSERT_TRUE(built->Save(path).ok());
+  const std::string image = ReadFileBytes(path);
+  expect_golden(image, "build -> Save");
+
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+    const std::string what =
+        mode == LoadMode::kCopy ? "kCopy -> Save" : "kMap -> Save";
+    ShardedKokoIndex::LoadOptions options;
+    options.mode = mode;
+    auto loaded = ShardedKokoIndex::Load(path, options);
+    ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+    const std::string resaved_path = path + ".resaved";
+    ASSERT_TRUE((*loaded)->Save(resaved_path).ok()) << what;
+    const std::string resaved = ReadFileBytes(resaved_path);
+    EXPECT_EQ(resaved, image) << what;
+    expect_golden(resaved, what);
+    std::remove(resaved_path.c_str());
   }
   std::remove(path.c_str());
 }
