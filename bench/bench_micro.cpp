@@ -482,13 +482,12 @@ BENCHMARK(BM_DpliPhaseEndToEnd);
 
 // ---- SIMD block-decode bandwidth -------------------------------------------
 //
-// Raw posting-block decode throughput (sids/sec) per available ISA, for
-// both payload forms (varint gaps and v4 bit-packed gaps). The ISA set is
-// a runtime property, so these are registered dynamically from main() with
-// the ISA in the benchmark name; each run forces its ISA explicitly so a
-// single invocation captures the whole matrix regardless of KOKO_SIMD.
-void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa,
-                             bool packed_form) {
+// Raw posting-block decode throughput (sids/sec) per available ISA. The
+// ISA set is a runtime property, so these are registered dynamically from
+// main() with the ISA in the benchmark name; each run forces its ISA
+// explicitly so a single invocation captures the whole matrix regardless
+// of KOKO_SIMD.
+void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa) {
   Rng rng(23);
   std::vector<uint32_t> ids;
   for (size_t i = 0; i < 200000; ++i) {
@@ -496,14 +495,7 @@ void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa,
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  BlockList list = BlockList::FromSidList(SidList::FromSorted(ids));
-  if (packed_form) {
-    PackedBlockParts parts = PackBlockList(list);
-    list = *BlockList::FromPackedParts(
-        static_cast<uint32_t>(ids.size()), std::move(parts.skip_first),
-        std::move(parts.skip_offset), std::move(parts.skip_width),
-        std::move(parts.payload));
-  }
+  const BlockList list = BlockList::FromSidList(SidList::FromSorted(ids));
   const simd::Isa saved = simd::ActiveIsa();
   simd::SetActiveIsa(isa);
   uint32_t buf[BlockList::kBlockSids];
@@ -522,14 +514,9 @@ void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa,
 
 void RegisterSimdDecodeBenches() {
   for (simd::Isa isa : simd::AvailableIsas()) {
-    for (bool packed_form : {false, true}) {
-      const std::string name =
-          std::string(packed_form ? "BM_BlockDecodePacked/"
-                                  : "BM_BlockDecodeVarint/") +
-          simd::IsaName(isa);
-      benchmark::RegisterBenchmark(name.c_str(), BM_BlockDecodeBandwidth, isa,
-                                   packed_form);
-    }
+    const std::string name =
+        std::string("BM_BlockDecodePacked/") + simd::IsaName(isa);
+    benchmark::RegisterBenchmark(name.c_str(), BM_BlockDecodeBandwidth, isa);
   }
 }
 

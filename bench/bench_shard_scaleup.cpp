@@ -4,9 +4,9 @@
 // acceptance bar is > 1.5x at K=4 on the 4000-article corpus on multi-core
 // hardware), (b) per-phase query time with shard-parallel DPLI + parallel
 // extraction at num_threads = num_shards = K, and (c) index load time —
-// serial vs shard-parallel deserialization from the v2 manifest's byte
-// extents vs zero-copy mmap (LoadMode::kMap), with each loaded index's
-// resident posting bytes.
+// serial vs shard-parallel loads from the manifest's byte extents, owned
+// buffer (LoadMode::kCopy) vs mmap (LoadMode::kMap), with each loaded
+// index's resident posting bytes.
 //
 // argv[1] optionally overrides the article count (default 4000) for quick
 // local runs. Emits BENCH_shard_scaleup.json.
@@ -50,9 +50,9 @@ extract a:Person, b:Str from wiki.article if (
 
 // Save the index, then time the load sweep: serial copy, shard-parallel
 // copy, and shard-parallel zero-copy mmap. Each variant's entry carries a
-// `load_mode` tag and the loaded index's resident posting bytes (owned
-// heap attributable to the sid caches — ~0 for kMap, whose postings alias
-// the page-cache-backed mapping). Returns false on any persistence
+// `load_mode` tag and the loaded index's resident posting bytes (heap
+// attributable to the sid caches — ~0 for kMap, whose postings alias the
+// page-cache-backed mapping). Returns false on any persistence
 // failure so main can fail the (CI) run.
 bool TimeLoad(const ShardedKokoIndex& index, size_t k,
               bench::JsonEmitter* emitter) {

@@ -141,9 +141,10 @@ int main(int argc, char** argv) {
          {"posting_bytes_compressed", static_cast<double>(posting_bytes)},
          {"posting_bytes_decoded_equiv", static_cast<double>(decoded_bytes)},
          {"index_bytes_total", static_cast<double>(index->MemoryUsage())}});
-    // Load-path telemetry: copy vs zero-copy mmap of the same v3 image.
-    // kMap skips the posting-payload copy entirely, so its entry reports
-    // ~0 resident posting bytes (the pages belong to the file mapping).
+    // Load-path telemetry: kCopy vs kMap of the same image. Both alias the
+    // postings in place; kMap's entry reports ~0 resident posting bytes
+    // (the pages belong to the file mapping), kCopy's the posting bytes
+    // of its owned image buffer.
     {
       const std::string image = "bench_table2_scaleup_index.bin";
       if (!index->Save(image).ok()) {

@@ -55,7 +55,8 @@ int main() {
 
   // 4. Persist the index and reopen it zero-copy: LoadMode::kMap mmaps the
   //    image and aliases every posting list into the mapping (load = map +
-  //    validate, no payload copy — LoadMode::kCopy deserializes instead).
+  //    validate, no payload copy — LoadMode::kCopy aliases an owned copy
+  //    of the file instead).
   //    Queries over the mapped index are byte-identical.
   const char* image = "quickstart_index.bin";
   if (!index->Save(image).ok()) return 1;

@@ -264,24 +264,25 @@ Status KokoIndex::RebuildEntityCache() {
 
 void KokoIndex::RebuildSidCaches() {
   // Per-word sid lists. W rows are appended sentence by sentence, so the
-  // sid stream seen by each word is non-decreasing and Append() suffices.
-  word_sids_.clear();
+  // sid stream seen by each word is non-decreasing.
+  std::unordered_map<std::string, BlockListBuilder> words;
   for (uint32_t row = 0; row < w_->NumRows(); ++row) {
-    word_sids_[w_->GetString(row, kWWord)].Append(
+    words[w_->GetString(row, kWWord)].Append(
         static_cast<uint32_t>(w_->GetInt(row, kWSid)));
   }
-
-  for (auto& [word, sids] : word_sids_) sids.ShrinkToFit();
+  word_sids_.clear();
+  word_sids_.reserve(words.size());
+  for (auto& [word, builder] : words) word_sids_.emplace(word, builder.Finish());
 
   // Per-trie-node sid lists: project each node's W-row list (row ids are
   // ascending, hence sid-sorted) onto the sid column once.
   for (Trie* trie : {&pl_trie_, &pos_trie_}) {
     for (TrieNode& node : trie->nodes) {
-      node.sids = BlockList();
+      BlockListBuilder builder;
       for (uint32_t row : node.rows) {
-        node.sids.Append(static_cast<uint32_t>(w_->GetInt(row, kWSid)));
+        builder.Append(static_cast<uint32_t>(w_->GetInt(row, kWSid)));
       }
-      node.sids.ShrinkToFit();
+      node.sids = builder.Finish();
     }
   }
 
@@ -291,16 +292,18 @@ void KokoIndex::RebuildSidCaches() {
 void KokoIndex::RebuildEntitySidCaches() {
   // Per-type entity buckets + sid lists. all_entities_ is in E-row order,
   // which is sid-sorted.
+  std::array<BlockListBuilder, kNumEntityTypes> by_type;
+  BlockListBuilder all;
   for (auto& bucket : entities_by_type_) bucket.clear();
-  for (auto& sids : entity_sids_by_type_) sids = BlockList();
-  all_entity_sids_ = BlockList();
   for (const EntityPosting& p : all_entities_) {
     entities_by_type_[static_cast<size_t>(p.type)].push_back(p);
-    entity_sids_by_type_[static_cast<size_t>(p.type)].Append(p.sid);
-    all_entity_sids_.Append(p.sid);
+    by_type[static_cast<size_t>(p.type)].Append(p.sid);
+    all.Append(p.sid);
   }
-  for (auto& sids : entity_sids_by_type_) sids.ShrinkToFit();
-  all_entity_sids_.ShrinkToFit();
+  for (size_t t = 0; t < kNumEntityTypes; ++t) {
+    entity_sids_by_type_[t] = by_type[t].Finish();
+  }
+  all_entity_sids_ = all.Finish();
 }
 
 // ---- Lookups ------------------------------------------------------------------
@@ -442,17 +445,43 @@ size_t KokoIndex::MemoryUsage() const {
   }
   for (const auto& sids : entity_sids_by_type_) bytes += sids.MemoryUsage();
   bytes += all_entity_sids_.MemoryUsage();
+  if (image_ != nullptr && !image_->mmapped()) bytes += image_span_.size();
   return bytes;
 }
 
 size_t KokoIndex::SidCacheMemoryUsage() const {
-  size_t bytes = all_entity_sids_.MemoryUsage();
-  for (const auto& [word, sids] : word_sids_) bytes += sids.MemoryUsage();
+  // A view into an owned (kCopy) image buffer occupies its encoded bytes
+  // of that heap buffer; a view into an mmap occupies no heap at all.
+  const bool owned_image = image_ != nullptr && !image_->mmapped();
+  auto heap_bytes = [owned_image](const BlockList& list) {
+    if (!owned_image || !list.is_view()) return list.MemoryUsage();
+    return list.bytes().size() + list.skip_first().raw_size() +
+           list.skip_offset().raw_size() + list.skip_width().raw_size();
+  };
+  size_t bytes = heap_bytes(all_entity_sids_);
+  for (const auto& [word, sids] : word_sids_) bytes += heap_bytes(sids);
   for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (const TrieNode& node : trie->nodes) bytes += node.sids.MemoryUsage();
+    for (const TrieNode& node : trie->nodes) bytes += heap_bytes(node.sids);
   }
-  for (const auto& sids : entity_sids_by_type_) bytes += sids.MemoryUsage();
+  for (const auto& sids : entity_sids_by_type_) bytes += heap_bytes(sids);
   return bytes;
+}
+
+Status KokoIndex::CheckSidRange(uint32_t begin, uint32_t end) const {
+  auto inside = [&](const BlockList& list) {
+    return list.empty() ||
+           (list.skip_first()[0] >= begin && list.last_sid() < end);
+  };
+  bool ok = inside(all_entity_sids_);
+  for (const auto& [word, sids] : word_sids_) ok = ok && inside(sids);
+  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
+    for (const TrieNode& node : trie->nodes) ok = ok && inside(node.sids);
+  }
+  for (const auto& sids : entity_sids_by_type_) ok = ok && inside(sids);
+  if (ok) return Status::OK();
+  return Status::ParseError("sid list outside the index's sid range [" +
+                            std::to_string(begin) + ", " +
+                            std::to_string(end) + ")");
 }
 
 size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
@@ -467,185 +496,76 @@ size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
 
 // ---- Persistence ----------------------------------------------------------------
 //
-// File layout (version 4, the current write format):
+// File layout (version 4, the one supported version):
 //   u32 magic "KIDX" | u32 version | catalog (tables W, E, PL, POS) |
 //   word sid lists   | PL-trie node sid lists | POS-trie node sid lists
-// Every sid list is stored in its *packed* block form — u32 count, the
+// Every sid list is stored in its packed block form — u32 count, the
 // skip-first / skip-offset / skip-width tables, then the bit-packed block
 // payloads behind an explicit alignment pad that puts them at a 4-byte
-// file offset (mmap is page-aligned, so file alignment is memory
-// alignment for the SIMD decode kernels). Load is bounds-checked vector
-// reads plus a structural validation walk, and the layout is mmap-ready.
-// Version-3 images (varint-delta blocks), version-2 images (flat
-// varint-delta lists), and legacy catalog-only images (no "KIDX" magic)
-// still load; v2 pays a re-encode into blocks, legacy a full
-// RebuildSidCaches. See docs/INDEX_FORMAT.md.
+// file offset (mmap is page-aligned and the kCopy buffer is heap-aligned,
+// so file alignment is memory alignment for the SIMD decode kernels).
+// Load validates each list's structure and aliases it in place. See
+// docs/INDEX_FORMAT.md.
 
 namespace {
 constexpr uint32_t kIndexMagic = 0x4b494458;  // "KIDX"
-constexpr uint32_t kIndexVersionPacked = 4;
-constexpr uint32_t kIndexVersionBlocks = 3;
-constexpr uint32_t kIndexVersionFlatDeltas = 2;
-
-bool SupportedIndexVersion(uint32_t version) {
-  return version == kIndexVersionPacked || version == kIndexVersionBlocks ||
-         version == kIndexVersionFlatDeltas;
-}
-
-void WriteSidListV2(BinaryWriter* writer, const SidList& list) {
-  writer->WriteU32(static_cast<uint32_t>(list.size()));
-  writer->WriteVector(EncodeDeltas(list));
-}
-
-Result<SidList> ReadSidListV2(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, reader->ReadVector<uint8_t>());
-  KOKO_ASSIGN_OR_RETURN(SidList list, DecodeDeltas(bytes));
-  if (list.size() != count) {
-    return Status::ParseError("sid list delta stream decoded to wrong length");
-  }
-  return list;
-}
+constexpr uint32_t kIndexVersion = 4;
 
 void WriteU32Array(BinaryWriter* writer, const U32View& v) {
   writer->WriteU32(static_cast<uint32_t>(v.size()));
   writer->WriteBytes(v.raw(), v.raw_size());
 }
 
-// u32 length | u8 pad count | pad zeros | payload. The pad puts the
-// payload at a 4-byte absolute file offset (Position() is absolute even
-// inside a sharded image — all shards stream through one writer), so an
-// mmap'ed payload is 4-byte aligned in memory. On a non-seekable sink the
-// pad degrades to 0; the image stays valid, just unaligned (readers use
-// unaligned-tolerant loads — alignment is a performance property).
-void WritePackedPayload(BinaryWriter* writer, const uint8_t* payload,
-                        size_t size) {
-  writer->WriteU32(static_cast<uint32_t>(size));
+// u32 count | skip_first | skip_offset | skip_width | u32 payload length |
+// u8 pad count | pad zeros | payload. The pad puts the payload at a 4-byte
+// absolute file offset (Position() is absolute even inside a sharded
+// image — all shards stream through one writer). On a non-seekable sink
+// the pad degrades to 0; the image stays valid, just unaligned (readers
+// use unaligned-tolerant loads — alignment is a performance property).
+// The lists are written through their borrowed views, so a loaded index
+// re-saves byte-identically.
+void WriteBlockList(BinaryWriter* writer, const BlockList& list) {
+  writer->WriteU32(static_cast<uint32_t>(list.size()));
+  WriteU32Array(writer, list.skip_first());
+  WriteU32Array(writer, list.skip_offset());
+  WriteU32Array(writer, list.skip_width());
+  const MemorySpan payload = list.bytes();
+  writer->WriteU32(static_cast<uint32_t>(payload.size()));
   const int64_t pos = writer->Position();
   const uint8_t pad =
       pos < 0 ? 0 : static_cast<uint8_t>((4 - ((pos + 1) % 4)) % 4);
   writer->WriteU8(pad);
   for (uint8_t i = 0; i < pad; ++i) writer->WriteU8(0);
-  writer->WriteBytes(payload, size);
-}
-
-void WriteBlockList(BinaryWriter* writer, const BlockList& list,
-                    uint32_t version) {
-  if (version == kIndexVersionFlatDeltas) {
-    WriteSidListV2(writer, list.Decode());
-    return;
-  }
-  if (version == kIndexVersionPacked) {
-    if (list.packed()) {
-      // Already the wire form: write the views verbatim (a v4-mapped
-      // index re-saves byte-identically, like v3 lists under v3).
-      writer->WriteU32(static_cast<uint32_t>(list.size()));
-      WriteU32Array(writer, list.skip_first());
-      WriteU32Array(writer, list.skip_offset());
-      WriteU32Array(writer, list.skip_width());
-      const MemorySpan payload = list.bytes();
-      WritePackedPayload(writer, payload.data(), payload.size());
-    } else {
-      const PackedBlockParts parts = PackBlockList(list);
-      writer->WriteU32(static_cast<uint32_t>(list.size()));
-      WriteU32Array(writer, U32View(parts.skip_first));
-      WriteU32Array(writer, U32View(parts.skip_offset));
-      WriteU32Array(writer, U32View(parts.skip_width));
-      WritePackedPayload(writer, parts.payload.data(), parts.payload.size());
-    }
-    return;
-  }
-  // v3: a packed (v4-loaded) list re-encodes into the varint block form.
-  if (list.packed()) {
-    WriteBlockList(writer, BlockList::FromSidList(list.Decode()), version);
-    return;
-  }
-  // The parts are written through their borrowed views, so a mapped index
-  // (whose arrays alias another file) saves identically to an owning one.
-  writer->WriteU32(static_cast<uint32_t>(list.size()));
-  WriteU32Array(writer, list.skip_first());
-  WriteU32Array(writer, list.skip_offset());
-  const MemorySpan payload = list.bytes();
-  writer->WriteU32(static_cast<uint32_t>(payload.size()));
   writer->WriteBytes(payload.data(), payload.size());
 }
 
-Result<BlockList> ReadBlockList(BinaryReader* reader, uint32_t version) {
-  if (version == kIndexVersionFlatDeltas) {
-    KOKO_ASSIGN_OR_RETURN(SidList list, ReadSidListV2(reader));
-    return BlockList::FromSidList(list);
-  }
-  KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_first,
-                        reader->ReadVector<uint32_t>());
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_offset,
-                        reader->ReadVector<uint32_t>());
-  if (version == kIndexVersionPacked) {
-    KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_width,
-                          reader->ReadVector<uint32_t>());
-    KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
-    KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
-    if (pad > 3) {
-      return Status::ParseError("packed block list: bad alignment pad length");
-    }
-    for (uint8_t i = 0; i < pad; ++i) {
-      KOKO_ASSIGN_OR_RETURN(uint8_t zero, reader->ReadU8());
-      if (zero != 0) {
-        return Status::ParseError("packed block list: nonzero alignment pad");
-      }
-    }
-    KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          reader->ReadRawBytes(payload_len));
-    return BlockList::FromPackedParts(count, std::move(skip_first),
-                                      std::move(skip_offset),
-                                      std::move(skip_width),
-                                      std::move(payload));
-  }
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, reader->ReadVector<uint8_t>());
-  return BlockList::FromParts(count, std::move(skip_first),
-                              std::move(skip_offset), std::move(bytes));
-}
-
-// The zero-copy counterpart of ReadBlockList for v3/v4 images: the arrays
-// come back as views into the mapped span (validated by
-// FromMapped/FromMappedPacked, never copied).
-Result<BlockList> ReadBlockListMapped(SpanReader* reader, uint32_t version) {
+// Reads one list as views into the image (validated by FromMappedPacked,
+// never copied).
+Result<BlockList> ReadBlockList(SpanReader* reader) {
   KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
   KOKO_ASSIGN_OR_RETURN(U32View skip_first, reader->ReadU32Array());
   KOKO_ASSIGN_OR_RETURN(U32View skip_offset, reader->ReadU32Array());
-  if (version == kIndexVersionPacked) {
-    KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
-    KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
-    KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
-    if (pad > 3) {
-      return Status::ParseError("packed block list: bad alignment pad length");
-    }
-    KOKO_ASSIGN_OR_RETURN(MemorySpan pad_bytes, reader->ReadRawSpan(pad));
-    for (size_t i = 0; i < pad_bytes.size(); ++i) {
-      if (pad_bytes.data()[i] != 0) {
-        return Status::ParseError("packed block list: nonzero alignment pad");
-      }
-    }
-    KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadRawSpan(payload_len));
-    return BlockList::FromMappedPacked(count, skip_first, skip_offset,
-                                       skip_width, payload);
+  KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
+  KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
+  if (pad > 3) {
+    return Status::ParseError("packed block list: bad alignment pad length");
   }
-  KOKO_ASSIGN_OR_RETURN(MemorySpan bytes, reader->ReadByteArray());
-  return BlockList::FromMapped(count, skip_first, skip_offset, bytes);
+  KOKO_ASSIGN_OR_RETURN(MemorySpan pad_bytes, reader->ReadRawSpan(pad));
+  for (size_t i = 0; i < pad_bytes.size(); ++i) {
+    if (pad_bytes.data()[i] != 0) {
+      return Status::ParseError("packed block list: nonzero alignment pad");
+    }
+  }
+  KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadRawSpan(payload_len));
+  return BlockList::FromMappedPacked(count, skip_first, skip_offset, skip_width,
+                                     payload);
 }
 }  // namespace
 
 Status KokoIndex::Save(BinaryWriter* writer) const {
-  return Save(writer, kIndexVersionPacked);
-}
-
-Status KokoIndex::Save(BinaryWriter* writer, uint32_t version) const {
-  if (!SupportedIndexVersion(version)) {
-    return Status::InvalidArgument("unsupported index image version " +
-                                   std::to_string(version));
-  }
   writer->WriteU32(kIndexMagic);
-  writer->WriteU32(version);
+  writer->WriteU32(kIndexVersion);
   KOKO_RETURN_IF_ERROR(catalog_.Save(writer));
   // Word sid lists, in sorted word order for deterministic images.
   std::vector<const std::pair<const std::string, BlockList>*> words;
@@ -656,13 +576,11 @@ Status KokoIndex::Save(BinaryWriter* writer, uint32_t version) const {
   writer->WriteU32(static_cast<uint32_t>(words.size()));
   for (const auto* entry : words) {
     writer->WriteString(entry->first);
-    WriteBlockList(writer, entry->second, version);
+    WriteBlockList(writer, entry->second);
   }
   for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
     writer->WriteU32(static_cast<uint32_t>(trie->nodes.size()));
-    for (const TrieNode& node : trie->nodes) {
-      WriteBlockList(writer, node.sids, version);
-    }
+    for (const TrieNode& node : trie->nodes) WriteBlockList(writer, node.sids);
   }
   if (!writer->ok()) return Status::IoError("index write failure");
   return Status::OK();
@@ -760,61 +678,35 @@ Status KokoIndex::InitFromCatalog() {
   return Status::OK();
 }
 
-template <typename ReadU32, typename ReadString, typename ReadList>
-Status KokoIndex::LoadSidCacheSections(ReadU32&& read_u32,
-                                       ReadString&& read_string,
-                                       ReadList&& read_list) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t num_words, read_u32());
+Status KokoIndex::LoadSidCacheSections(SpanReader* reader) {
+  KOKO_ASSIGN_OR_RETURN(uint32_t num_words, reader->ReadU32());
   word_sids_.clear();
   // reserve() is an optimization, so cap it: a corrupt word count must
   // fail at the first (remaining-bytes-bounded) read below, not allocate
   // gigabytes of hash buckets first.
   word_sids_.reserve(std::min<uint32_t>(num_words, 1u << 20));
   for (uint32_t i = 0; i < num_words; ++i) {
-    KOKO_ASSIGN_OR_RETURN(std::string word, read_string());
-    KOKO_ASSIGN_OR_RETURN(BlockList sids, read_list());
+    KOKO_ASSIGN_OR_RETURN(std::string word, reader->ReadString());
+    KOKO_ASSIGN_OR_RETURN(BlockList sids, ReadBlockList(reader));
     word_sids_.emplace(std::move(word), std::move(sids));
   }
   for (Trie* trie : {&pl_trie_, &pos_trie_}) {
-    KOKO_ASSIGN_OR_RETURN(uint32_t num_nodes, read_u32());
+    KOKO_ASSIGN_OR_RETURN(uint32_t num_nodes, reader->ReadU32());
     if (num_nodes != trie->nodes.size()) {
       return Status::ParseError("trie sid-cache section has wrong node count");
     }
     for (TrieNode& node : trie->nodes) {
-      KOKO_ASSIGN_OR_RETURN(node.sids, read_list());
+      KOKO_ASSIGN_OR_RETURN(node.sids, ReadBlockList(reader));
     }
   }
   RebuildEntitySidCaches();
-  sid_caches_from_disk_ = true;
   return Status::OK();
-}
-
-Result<std::unique_ptr<KokoIndex>> KokoIndex::Load(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader->ReadU32());
-  if (magic != kIndexMagic) return Status::ParseError("bad index magic");
-  KOKO_ASSIGN_OR_RETURN(uint32_t version, reader->ReadU32());
-  if (!SupportedIndexVersion(version)) {
-    return Status::ParseError("unsupported index version " +
-                              std::to_string(version));
-  }
-  auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-  KOKO_RETURN_IF_ERROR(index->catalog_.Load(reader));
-  KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
-  // Restore the compressed sid caches instead of re-projecting W. A v4/v3
-  // image holds the exact in-memory block layout (validated structurally
-  // by BlockList::FromPackedParts/FromParts); a v2 image holds flat delta
-  // streams that are re-encoded into blocks as they are read.
-  KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(
-      [&] { return reader->ReadU32(); },
-      [&] { return reader->ReadString(); },
-      [&] { return ReadBlockList(reader, version); }));
-  return index;
 }
 
 Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
     std::shared_ptr<MappedFile> file, MemorySpan span) {
   // The catalog (tables, B-tree definitions) is inherently owned data and
-  // parses through the stream reader — directly over the mapping, no
+  // parses through the stream reader — directly over the image, no
   // intermediate buffer. Only the posting sections are aliased.
   SpanStreamBuf stream_buf(span);
   std::istream in(&stream_buf);
@@ -822,69 +714,46 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kIndexMagic) return Status::ParseError("bad index magic");
   KOKO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (!SupportedIndexVersion(version)) {
+  if (version != kIndexVersion) {
     return Status::ParseError("unsupported index version " +
-                              std::to_string(version));
-  }
-  if (version == kIndexVersionFlatDeltas) {
-    // v2 flat-delta lists have no aliasable layout: fall back to the
-    // copying stream loader over the same mapped bytes. The mapping is
-    // released once the copy completes.
-    in.clear();
-    in.seekg(0);
-    return Load(&reader);
+                              std::to_string(version) + " (only version " +
+                              std::to_string(kIndexVersion) +
+                              " is supported)");
   }
   auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
   KOKO_RETURN_IF_ERROR(index->catalog_.Load(&reader));
   KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
   const std::streampos catalog_end = in.tellg();
   if (catalog_end == std::streampos(-1)) {
-    return Status::IoError("cannot locate sid-cache section in mapped image");
+    return Status::IoError("cannot locate sid-cache section in image");
   }
   // Posting sections: validate structure, then alias skip tables and
-  // delta-block payloads straight into the mapping ("validate before
-  // alias" — a corrupt image fails here, never at query time).
-  SpanReader mapped(span, static_cast<size_t>(catalog_end));
-  KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(
-      [&] { return mapped.ReadU32(); },
-      [&] { return mapped.ReadString(); },
-      [&] { return ReadBlockListMapped(&mapped, version); }));
-  index->mapping_ = std::move(file);
+  // block payloads straight into the image ("validate before alias" — a
+  // corrupt image fails here, never at query time).
+  SpanReader postings(span, static_cast<size_t>(catalog_end));
+  KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(&postings));
+  index->image_ = std::move(file);
+  index->image_span_ = span;
   return index;
+}
+
+Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
+                                                  LoadMode mode) {
+  if (mode == LoadMode::kMap) {
+    auto mapped = MappedFile::Open(path);
+    // An mmap that fails (unsupported platform/filesystem) falls back to
+    // the kCopy buffer, so kMap never fails where kCopy would succeed.
+    if (mapped.ok()) return mapped;
+  }
+  return MappedFile::Read(path);
 }
 
 Result<std::unique_ptr<KokoIndex>> KokoIndex::Load(const std::string& path,
                                                    LoadMode mode) {
-  if (mode == LoadMode::kMap) {
-    auto opened = MappedFile::Open(path);
-    // An Open failure (unsupported platform/filesystem) degrades to the
-    // copying loader below, which reports its own error if the file is
-    // genuinely unreadable — kMap never fails where kCopy would succeed.
-    if (opened.ok()) {
-      std::shared_ptr<MappedFile> file = std::move(*opened);
-      const MemorySpan span = file->span();
-      // A legacy catalog-only image has no "KIDX" magic and nothing to
-      // alias; hand it to the copying loader below.
-      SpanReader probe(span);
-      auto magic = probe.ReadU32();
-      if (magic.ok() && *magic == kIndexMagic) {
-        return LoadMapped(std::move(file), span);
-      }
-    }
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  BinaryReader reader(&in);
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-  in.clear();
-  in.seekg(0);
-  if (magic == kIndexMagic) return Load(&reader);
-  // Legacy catalog-only image: rebuild every sid cache from the tables.
-  auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-  KOKO_RETURN_IF_ERROR(index->catalog_.Load(&reader));
-  KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
-  index->RebuildSidCaches();
-  return index;
+  KOKO_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
+                        OpenIndexFile(path, mode));
+  const MemorySpan span = file->span();
+  return LoadMapped(std::move(file), span);
 }
 
 }  // namespace koko

@@ -19,18 +19,21 @@
 
 namespace koko {
 
-/// How Load materialises an index image.
+/// Where Load keeps an index image's bytes. Both modes take one path:
+/// the posting payloads (skip tables + block payloads) are validated and
+/// then aliased in place — no posting byte is copied or decoded.
 ///
-///  * `kCopy` — deserialize into owned memory (the default; works for
-///    every image version).
-///  * `kMap` — mmap the file and, for v4/v3 images, alias every posting
-///    payload (skip tables + block payloads) into the mapping after the
-///    same structural validation the copy path runs. No posting byte is
-///    copied, load time drops to catalog parse + validation, and resident
-///    posting memory is page-cache-backed (shared across processes mapping
-///    the same image). Older images (v2 flat deltas, v1 catalog-only) have
-///    no aliasable layout and transparently fall back to a copying load.
+///  * `kCopy` — read the file into an owned heap buffer (the default).
+///    MemoryUsage() counts the buffer.
+///  * `kMap` — mmap the file read-only. Resident posting memory is
+///    page-cache-backed and shared across processes mapping the same
+///    image. Where mmap fails, the load falls back to the kCopy buffer.
 enum class LoadMode { kCopy, kMap };
+
+/// The bytes of an index file for `mode`: a read-only mapping (kMap, or
+/// an owned copy where mmap fails) or an owned copy (kCopy).
+Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
+                                                  LoadMode mode);
 
 /// \brief KOKO's multi-indexing scheme (paper §3).
 ///
@@ -117,7 +120,7 @@ class KokoIndex {
   // candidate pruning intersects these directly instead of materialising
   // Quintuple postings and projecting out sids per query. The lists stay
   // resident in their block-compressed form (`BlockList`: fixed-size
-  // varint-delta blocks + skip table) and are intersected in place —
+  // bit-packed delta blocks + skip table) and are intersected in place —
   // they are never decoded wholesale.
 
   /// Block-compressed sid list of a surface token; nullptr when absent.
@@ -181,12 +184,15 @@ class KokoIndex {
 
   const Stats& stats() const { return stats_; }
 
-  /// Heap footprint of everything: tables, B-trees, tries, entity cache.
+  /// Heap footprint of everything: tables, B-trees, tries, entity cache,
+  /// and — after a kCopy load — the owned image buffer.
   size_t MemoryUsage() const;
 
   /// Heap footprint of just the columnar sid projections (per-word,
   /// per-trie-node, per-entity-type) — the block-compressed posting
-  /// working set whose size BENCH_table2_scaleup.json tracks.
+  /// working set whose size BENCH_table2_scaleup.json tracks. Lists that
+  /// alias an owned (kCopy) image buffer count their encoded bytes; lists
+  /// that alias an mmap count nothing.
   size_t SidCacheMemoryUsage() const;
 
   /// What the same projections would occupy fully decoded (4 bytes/sid,
@@ -197,41 +203,36 @@ class KokoIndex {
   /// Storage-level view (tables W, E, PL, POS) for tests and tooling.
   const Catalog& catalog() const { return catalog_; }
 
-  /// Persists the index: the relational catalog followed by the columnar
-  /// sid caches in their block-compressed form (v4: per-list skip tables +
-  /// 4-byte-aligned bit-packed block payloads the SIMD kernels decode with
-  /// word-granular loads), so Load restores them with bounds-checked
-  /// vector reads instead of re-projecting the W table.
+  /// Persists the index as one image (format v4, docs/INDEX_FORMAT.md):
+  /// the relational catalog followed by the columnar sid caches, each
+  /// written verbatim in its packed block form with its payload at a
+  /// 4-byte-aligned file offset, so Load aliases them in place.
   Status Save(const std::string& path) const;
+  /// Writes the same image to a stream (one shard's section of a
+  /// ShardedKokoIndex file).
+  Status Save(BinaryWriter* writer) const;
+
   static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path) {
     return Load(path, LoadMode::kCopy);
   }
   static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path,
                                                  LoadMode mode);
 
-  /// Zero-copy load of one v4/v3 image occupying `span` inside `file`'s
-  /// mapping (the whole file, or one shard's extent of a sharded file).
-  /// The returned index holds `file` alive for its lifetime; v2 images
-  /// fall back to a copying parse of the mapped bytes.
+  /// Loads the image occupying `span` inside `file` (the whole file, or
+  /// one shard's extent of a sharded file): parses the catalog, then
+  /// validates and aliases every posting list into `file`. The returned
+  /// index holds `file` alive for its lifetime. Any image version other
+  /// than 4 fails with ParseError.
   static Result<std::unique_ptr<KokoIndex>> LoadMapped(
       std::shared_ptr<MappedFile> file, MemorySpan span);
 
-  /// True when this index's posting payloads alias a file mapping (kMap
-  /// load of a v4/v3 image) rather than owned memory.
-  bool mapped() const { return mapping_ != nullptr; }
+  /// True when this index's posting payloads alias a memory mapping (a
+  /// kMap load whose mmap succeeded).
+  bool mapped() const { return image_ != nullptr && image_->mmapped(); }
 
-  /// Stream-based variants (one shard's section of a ShardedKokoIndex file).
-  /// `version` selects the image format: 4 (current, bit-packed blocks),
-  /// 3 (varint-delta blocks), or 2 (flat varint-delta lists) — writing the
-  /// older versions exists for legacy-load tests; the no-version overload
-  /// writes the current format.
-  Status Save(BinaryWriter* writer) const;
-  Status Save(BinaryWriter* writer, uint32_t version) const;
-  static Result<std::unique_ptr<KokoIndex>> Load(BinaryReader* reader);
-
-  /// True when the last Load restored the word/trie sid caches from their
-  /// delta-encoded on-disk form (rather than rebuilding from the tables).
-  bool sid_caches_from_disk() const { return sid_caches_from_disk_; }
+  /// Fails with ParseError unless every stored sid list lies inside
+  /// [begin, end). O(1) per list: reads each list's first and last sid.
+  Status CheckSidRange(uint32_t begin, uint32_t end) const;
 
  private:
   // Merged dependency-tree trie (one per label type).
@@ -267,19 +268,14 @@ class KokoIndex {
   void ExportClosureTable(const Trie& trie, const std::string& table_name);
   Status RebuildTrieFromClosure(const std::string& table_name, Trie* trie,
                                 int w_node_col);
-  /// Post-catalog-load setup shared by both image formats: resolve W/E,
-  /// rebuild tries from the closure tables, entity cache, stats.
+  /// Post-catalog-load setup: resolve W/E, rebuild tries from the closure
+  /// tables, entity cache, stats.
   Status InitFromCatalog();
-  /// Parses the word/trie sid-cache sections — one protocol shared by the
-  /// stream (copy) and mapped (zero-copy) loaders, abstracted over the
-  /// reader via three callables so the two paths cannot drift apart.
-  /// Defined in koko_index.cpp; instantiated only there.
-  template <typename ReadU32, typename ReadString, typename ReadList>
-  Status LoadSidCacheSections(ReadU32&& read_u32, ReadString&& read_string,
-                              ReadList&& read_list);
+  /// Validates and aliases the word/trie sid-cache sections of an image.
+  Status LoadSidCacheSections(SpanReader* reader);
   Status RebuildEntityCache();
   /// Fills the columnar sid caches (word/entity-type/trie-node lists) from
-  /// the W and E tables; called at the end of Build and legacy Load.
+  /// the W and E tables; called at the end of Build.
   void RebuildSidCaches();
   /// The entity-side subset of RebuildSidCaches (per-type buckets + sid
   /// lists from all_entities_); cheap, so always recomputed on Load.
@@ -296,10 +292,11 @@ class KokoIndex {
   std::array<BlockList, kNumEntityTypes> entity_sids_by_type_;
   BlockList all_entity_sids_;
   Stats stats_;
-  bool sid_caches_from_disk_ = false;
-  /// Keeps the file mapping alive while any BlockList views point into it
-  /// (kMap loads only; shards of one sharded file share a single mapping).
-  std::shared_ptr<MappedFile> mapping_;
+  /// The loaded image every BlockList view points into (null for a built
+  /// index; shards of one sharded file share a single instance), and this
+  /// index's extent within it.
+  std::shared_ptr<MappedFile> image_;
+  MemorySpan image_span_;
 };
 
 }  // namespace koko

@@ -13,13 +13,11 @@ namespace koko {
 
 namespace {
 
-// Manifest v2 records each shard image's byte length next to its sid
-// range, so Load can hand every shard a private reader positioned at its
-// extent and deserialize the shards in parallel. v1 manifests (no extents)
-// still load, sequentially.
+// The manifest (version 2) records each shard image's byte length next to
+// its sid range, so Load can hand every shard its extent of the file and
+// load the shards in parallel.
 constexpr uint32_t kShardedMagic = 0x4b534844;  // "KSHD"
 constexpr uint32_t kShardedVersion = 2;
-constexpr uint32_t kShardedVersionNoExtents = 1;
 
 std::vector<ShardedKokoIndex::ShardRange> MakeRanges(
     const ShardedKokoIndex::Options& options, uint32_t num_sentences) {
@@ -303,15 +301,20 @@ Status ShardedKokoIndex::Save(const std::string& path) const {
 
 Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
     const std::string& path, const LoadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  BinaryReader reader(&in);
+  // One image for all shards; each shard parses and aliases its own
+  // extent of it.
+  KOKO_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> image,
+                        OpenIndexFile(path, options.mode));
+
+  SpanReader reader(image->span());
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kShardedMagic) return Status::ParseError("bad shard manifest magic");
   KOKO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (version != kShardedVersion && version != kShardedVersionNoExtents) {
+  if (version != kShardedVersion) {
     return Status::ParseError("unsupported shard manifest version " +
-                              std::to_string(version));
+                              std::to_string(version) + " (only version " +
+                              std::to_string(kShardedVersion) +
+                              " is supported)");
   }
   KOKO_ASSIGN_OR_RETURN(uint32_t k, reader.ReadU32());
   auto index = std::unique_ptr<ShardedKokoIndex>(new ShardedKokoIndex());
@@ -319,59 +322,31 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
   for (uint32_t i = 0; i < k; ++i) {
     KOKO_ASSIGN_OR_RETURN(uint32_t begin, reader.ReadU32());
     KOKO_ASSIGN_OR_RETURN(uint32_t end, reader.ReadU32());
-    if (begin > end || (i > 0 && begin != index->ranges_.back().end)) {
-      return Status::ParseError("shard manifest ranges not contiguous");
+    const uint32_t expected_begin = i == 0 ? 0 : index->ranges_.back().end;
+    if (begin > end || begin != expected_begin) {
+      return Status::ParseError(
+          "shard manifest ranges not contiguous from sid 0");
     }
     index->ranges_.push_back({begin, end});
-    if (version == kShardedVersion) {
-      KOKO_ASSIGN_OR_RETURN(uint64_t extent, reader.ReadU64());
-      extents.push_back(extent);
+    KOKO_ASSIGN_OR_RETURN(uint64_t extent, reader.ReadU64());
+    extents.push_back(extent);
+  }
+
+  // Each shard's extent, bounds-checked against the image.
+  std::vector<MemorySpan> spans(k);
+  size_t cursor = reader.offset();
+  for (uint32_t i = 0; i < k; ++i) {
+    if (extents[i] > image->size() - cursor) {
+      return Status::ParseError("shard extent past end of file");
     }
+    spans[i] = *image->span().Slice(cursor, static_cast<size_t>(extents[i]));
+    cursor += static_cast<size_t>(extents[i]);
   }
   index->shards_.resize(k);
 
-  if (version == kShardedVersionNoExtents) {
-    // Legacy manifest: no extents, images must be consumed in order.
-    for (uint32_t i = 0; i < k; ++i) {
-      KOKO_ASSIGN_OR_RETURN(std::unique_ptr<KokoIndex> shard,
-                            KokoIndex::Load(&reader));
-      index->shards_[i] = std::move(shard);
-    }
-    return index;
-  }
-
-  // Absolute offset of each shard image, bounds-checked against the file.
-  const std::streampos images_begin = in.tellg();
-  if (images_begin == std::streampos(-1)) {
-    return Status::IoError("cannot locate shard image section");
-  }
-  in.seekg(0, std::ios::end);
-  const std::streampos file_end = in.tellg();
-  std::vector<uint64_t> offsets(k);
-  uint64_t cursor = static_cast<uint64_t>(images_begin);
-  for (uint32_t i = 0; i < k; ++i) {
-    offsets[i] = cursor;
-    if (extents[i] > static_cast<uint64_t>(file_end) - cursor) {
-      return Status::ParseError("shard extent past end of file");
-    }
-    cursor += extents[i];
-  }
-
-  // kMap: one shared read-only mapping of the whole file; each shard
-  // parses (and aliases into) its own extent sub-span. An Open failure
-  // (unsupported platform/filesystem) leaves `mapping` null and the load
-  // degrades to the copying stream path — the file itself is readable,
-  // the manifest above already parsed from it.
-  std::shared_ptr<MappedFile> mapping;
-  if (options.mode == LoadMode::kMap) {
-    auto opened = MappedFile::Open(path);
-    if (opened.ok()) mapping = std::move(*opened);
-  }
-
-  // Shards deserialize independently: each worker opens its own stream
-  // (or slices the shared mapping), seeks to its extent, and fills its
-  // slot. Results are position-independent, so the loaded index is
-  // identical for any worker count.
+  // Shards load independently: workers draw shard ids from an atomic
+  // cursor and fill their own slot. Results are position-independent, so
+  // the loaded index is identical for any worker count.
   const size_t workers = std::min<size_t>(
       options.num_threads == 0 ? k : options.num_threads, k);
   std::atomic<size_t> next{0};
@@ -380,33 +355,15 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
     for (;;) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= k) return;
-      if (mapping != nullptr) {
-        auto span = mapping->span().Slice(offsets[i],
-                                          static_cast<size_t>(extents[i]));
-        if (!span.ok()) {
-          statuses[i] = span.status();
-          continue;
-        }
-        auto shard = KokoIndex::LoadMapped(mapping, *span);
-        if (!shard.ok()) {
-          statuses[i] = shard.status();
-          continue;
-        }
-        index->shards_[i] = std::move(*shard);
-        continue;
-      }
-      std::ifstream shard_in(path, std::ios::binary);
-      if (!shard_in) {
-        statuses[i] = Status::IoError("cannot reopen " + path);
-        continue;
-      }
-      shard_in.seekg(static_cast<std::streamoff>(offsets[i]));
-      BinaryReader shard_reader(&shard_in);
-      auto shard = KokoIndex::Load(&shard_reader);
+      auto shard = KokoIndex::LoadMapped(image, spans[i]);
       if (!shard.ok()) {
         statuses[i] = shard.status();
         continue;
       }
+      // A list outside its shard's range would break the concatenation
+      // invariant every aggregated lookup relies on.
+      statuses[i] = (*shard)->CheckSidRange(index->ranges_[i].begin,
+                                            index->ranges_[i].end);
       index->shards_[i] = std::move(*shard);
     }
   };

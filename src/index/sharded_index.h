@@ -100,11 +100,11 @@ class ShardedKokoIndex {
 
   /// Heap bytes attributable to the shards' columnar sid projections
   /// (sum of KokoIndex::SidCacheMemoryUsage). After a kMap load this is
-  /// ~0: the postings alias the file mapping instead of owned memory.
+  /// ~0: the postings alias the file mapping instead of heap memory.
   size_t SidCacheMemoryUsage() const;
 
   /// True when every shard's posting payloads alias one shared file
-  /// mapping (kMap load of a v2-manifest file with v3 shard images).
+  /// mapping (a kMap load whose mmap succeeded).
   bool mapped() const;
 
   /// One file: shard manifest (count + sid ranges + per-shard image byte
@@ -119,18 +119,16 @@ class ShardedKokoIndex {
     /// Shared pool to run the load on (borrowed; must outlive the call).
     /// nullptr spawns a transient pool when num_threads/shard count > 1.
     ThreadPool* pool = nullptr;
-    /// kMap memory-maps the file once and hands every shard its extent as
-    /// a sub-span of the single shared mapping: shards validate structure
-    /// in parallel and alias their postings in place (no payload copy;
-    /// the mapping outlives the index via shared ownership). v1 manifests
-    /// and non-v3 shard images transparently fall back to copying.
+    /// Where the file's bytes live (see LoadMode): either way the file is
+    /// read or mapped once and every shard aliases its postings in place
+    /// in its extent (the image outlives the index via shared ownership).
     LoadMode mode = LoadMode::kCopy;
   };
 
-  /// Deserializes the shards in parallel (each worker opens its own file
-  /// handle and seeks to its shard's extent from the manifest, or — in
-  /// kMap mode — parses its sub-span of one shared mapping). Legacy v1
-  /// manifests carry no extents and load sequentially.
+  /// Loads the shards in parallel, each from its extent of the one image
+  /// (manifest version 2 only). Rejects manifests whose ranges do not
+  /// partition [0, end) contiguously and shards holding a sid list outside
+  /// their range.
   static Result<std::unique_ptr<ShardedKokoIndex>> Load(const std::string& path) {
     return Load(path, LoadOptions());
   }

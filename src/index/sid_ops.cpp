@@ -203,69 +203,91 @@ SidList Difference(const SidList& a, const SidList& b) {
 
 // ---- BlockList --------------------------------------------------------------
 
-namespace {
-
-void AppendVarint(std::vector<uint8_t>* out, uint32_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<uint8_t>(value | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(value));
-}
-
-}  // namespace
-
-void BlockList::Append(uint32_t sid) {
-  // Views are immutable: build into an owning list. A hard check in every
-  // build — growing size_ while the read API still serves the mapped
-  // views would corrupt block accounting (and overflow DecodeBlock's
-  // stack buffers), and dropping the sid would silently lose postings.
-  // Packed (v4-loaded) lists are equally immutable: their payload is not
-  // the varint stream Append extends.
-  KOKO_CHECK(!viewed_ && !packed_);
+void BlockListBuilder::Append(uint32_t sid) {
   if (size_ > 0) {
-    assert(sid >= last_);
-    if (sid == last_) return;
+    assert(sid >= tail_);
+    if (sid == tail_) return;
   }
-  if (size_ % kBlockSids == 0) {
-    // New block: the first sid lives in the skip table, not the payload.
-    skip_first_.push_back(sid);
-    skip_offset_.push_back(static_cast<uint32_t>(bytes_.size()));
-  } else {
-    AppendVarint(&bytes_, sid - last_);
-  }
-  last_ = sid;
+  open_.push_back(sid);
+  tail_ = sid;
   ++size_;
+  if (open_.size() == BlockList::kBlockSids) PackOpenBlock();
 }
 
-BlockList BlockList::FromSidList(const SidList& list) {
+// Packs the open block: its first sid goes to the skip table, its gaps at
+// the block's minimal bit width LSB-first into a little-endian bitstream,
+// zero-padded to the 4-byte block boundary (word-granular decode loads
+// never cross it).
+void BlockListBuilder::PackOpenBlock() {
+  if (open_.empty()) return;
+  const size_t n = open_.size();
+  parts_.first.push_back(open_[0]);
+  parts_.offset.push_back(static_cast<uint32_t>(parts_.bytes.size()));
+  uint32_t max_gap = 0;
+  for (size_t i = 1; i < n; ++i) {
+    max_gap = std::max(max_gap, open_[i] - open_[i - 1]);
+  }
+  const uint32_t width = static_cast<uint32_t>(std::bit_width(max_gap));
+  parts_.width.push_back(width);
+  uint64_t acc = 0;
+  unsigned acc_bits = 0;
+  for (size_t i = 1; i < n; ++i) {
+    acc |= static_cast<uint64_t>(open_[i] - open_[i - 1]) << acc_bits;
+    acc_bits += width;
+    while (acc_bits >= 8) {
+      parts_.bytes.push_back(static_cast<uint8_t>(acc));
+      acc >>= 8;
+      acc_bits -= 8;
+    }
+  }
+  if (acc_bits > 0) parts_.bytes.push_back(static_cast<uint8_t>(acc));
+  while (parts_.bytes.size() % 4 != 0) parts_.bytes.push_back(0);
+  open_.clear();
+}
+
+BlockList BlockListBuilder::Finish() {
   BlockList out;
-  for (uint32_t sid : list) out.Append(sid);
-  out.ShrinkToFit();
+  if (size_ > 0) {
+    PackOpenBlock();
+    parts_.first.shrink_to_fit();
+    parts_.offset.shrink_to_fit();
+    parts_.width.shrink_to_fit();
+    parts_.bytes.shrink_to_fit();
+    auto storage =
+        std::make_shared<const BlockList::Storage>(std::move(parts_));
+    out.size_ = size_;
+    out.last_ = tail_;
+    out.first_ = U32View(storage->first);
+    out.offset_ = U32View(storage->offset);
+    out.width_ = U32View(storage->width);
+    out.bytes_ = MemorySpan(storage->bytes.data(), storage->bytes.size());
+    out.storage_ = std::move(storage);
+  }
+  *this = BlockListBuilder();
   return out;
 }
 
-void BlockList::ShrinkToFit() {
-  bytes_.shrink_to_fit();
-  skip_first_.shrink_to_fit();
-  skip_offset_.shrink_to_fit();
-  skip_width_.shrink_to_fit();
+BlockList BlockList::FromSidList(const SidList& list) {
+  BlockListBuilder builder;
+  for (uint32_t sid : list) builder.Append(sid);
+  return builder.Finish();
+}
+
+size_t BlockList::MemoryUsage() const {
+  if (storage_ == nullptr) return 0;
+  return storage_->bytes.capacity() +
+         (storage_->first.capacity() + storage_->offset.capacity() +
+          storage_->width.capacity()) *
+             sizeof(uint32_t);
 }
 
 size_t BlockList::DecodeBlock(size_t b, uint32_t* out) const {
   const size_t count = BlockSize(b);
   // Belt and braces over the construction-time validation: a block can
-  // never claim more sids than `out`'s kBlockSids capacity. Catching it
-  // here stops a stack-buffer overflow even if a corrupt list somehow
-  // bypassed FromParts/FromMapped.
+  // never claim more sids than `out`'s kBlockSids capacity.
   KOKO_CHECK(count >= 1 && count <= kBlockSids);
-  const uint8_t* p = bytes().data() + skip_offset()[b];
-  const simd::Kernels& kern = simd::ActiveKernels();
-  if (packed_) {
-    kern.unpack_block(p, skip_width()[b], skip_first()[b], count, out);
-  } else {
-    kern.decode_varint_block(p, skip_first()[b], count, out);
-  }
+  simd::ActiveKernels().unpack_block(bytes_.data() + offset_[b], width_[b],
+                                     first_[b], count, out);
   return count;
 }
 
@@ -284,8 +306,7 @@ bool BlockList::Contains(uint32_t sid) const {
   if (empty()) return false;
   // The candidate block is the one before the first whose first sid
   // exceeds `sid`.
-  const U32View firsts = skip_first();
-  const size_t at = UpperBoundIdx(firsts, 0, firsts.size(), sid);
+  const size_t at = UpperBoundIdx(first_, 0, first_.size(), sid);
   if (at == 0) return false;
   uint32_t buf[kBlockSids];
   const size_t n = DecodeBlock(at - 1, buf);
@@ -294,131 +315,13 @@ bool BlockList::Contains(uint32_t sid) const {
 
 namespace {
 
-// The structural validation walk shared by FromParts (owning) and
-// FromMapped (aliasing): every invariant a corrupt image could violate is
-// checked here, before any byte is trusted at query time. On success
-// `*last_out` holds the final sid of the stream.
-Status ValidateBlockParts(uint32_t count, const U32View& skip_first,
-                          const U32View& skip_offset, const uint8_t* bytes,
-                          size_t num_bytes, uint32_t* last_out) {
-  const size_t nb = skip_first.size();
-  if (skip_offset.size() != nb) {
-    return Status::ParseError("block list: skip table arrays disagree");
-  }
-  const size_t expected_blocks =
-      (static_cast<size_t>(count) + BlockList::kBlockSids - 1) /
-      BlockList::kBlockSids;
-  if (nb != expected_blocks) {
-    return Status::ParseError("block list: wrong block count for sid count");
-  }
-  *last_out = 0;
-  if (count == 0) {
-    if (num_bytes != 0) {
-      return Status::ParseError("block list: empty list with payload bytes");
-    }
-    return Status::OK();
-  }
-  if (skip_offset[0] != 0) {
-    return Status::ParseError("block list: first block offset not zero");
-  }
-  uint32_t prev_last = 0;  // last sid of the previous block
-  for (size_t b = 0; b < nb; ++b) {
-    if (b > 0 && skip_first[b] <= prev_last) {
-      return Status::ParseError("block list: non-monotone sids across blocks");
-    }
-    const size_t begin = skip_offset[b];
-    const size_t end = b + 1 < nb ? skip_offset[b + 1] : num_bytes;
-    if (begin > end || end > num_bytes) {
-      return Status::ParseError("block list: skip offsets out of bounds");
-    }
-    // Walk the payload: the block must hold exactly its sid count in
-    // wellformed, nonzero, non-overflowing gaps and end on its boundary.
-    const size_t in_block = b + 1 < nb ? BlockList::kBlockSids
-                                       : static_cast<size_t>(count) -
-                                             b * BlockList::kBlockSids;
-    // Redundant with the expected_blocks equation above, but stated
-    // explicitly: a block claiming more sids than kBlockSids would
-    // overflow DecodeBlock's stack buffer, so reject it here no matter
-    // how the block arithmetic evolves.
-    if (in_block == 0 || in_block > BlockList::kBlockSids) {
-      return Status::ParseError("block list: block sid count out of range");
-    }
-    uint64_t sid = skip_first[b];
-    size_t at = begin;
-    for (size_t i = 1; i < in_block; ++i) {
-      uint32_t gap = 0;
-      int shift = 0;
-      for (;;) {
-        if (at >= end) {
-          return Status::ParseError("block list: truncated varint");
-        }
-        const uint8_t byte = bytes[at++];
-        if (shift >= 32 || (shift == 28 && (byte & 0x7f) > 0x0f)) {
-          return Status::ParseError("block list: overlong varint");
-        }
-        gap |= static_cast<uint32_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0) break;
-        shift += 7;
-      }
-      if (gap == 0) {
-        return Status::ParseError("block list: zero gap (non-monotone ids)");
-      }
-      sid += gap;
-      if (sid > std::numeric_limits<uint32_t>::max()) {
-        return Status::ParseError("block list: sid overflows uint32");
-      }
-    }
-    if (at != end) {
-      return Status::ParseError("block list: block payload has trailing bytes");
-    }
-    prev_last = static_cast<uint32_t>(sid);
-  }
-  *last_out = prev_last;
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<BlockList> BlockList::FromParts(uint32_t count,
-                                       std::vector<uint32_t> skip_first,
-                                       std::vector<uint32_t> skip_offset,
-                                       std::vector<uint8_t> bytes) {
-  uint32_t last = 0;
-  KOKO_RETURN_IF_ERROR(ValidateBlockParts(count, U32View(skip_first),
-                                          U32View(skip_offset), bytes.data(),
-                                          bytes.size(), &last));
-  BlockList out;
-  out.size_ = count;
-  out.last_ = last;
-  out.skip_first_ = std::move(skip_first);
-  out.skip_offset_ = std::move(skip_offset);
-  out.bytes_ = std::move(bytes);
-  return out;
-}
-
-Result<BlockList> BlockList::FromMapped(uint32_t count, U32View skip_first,
-                                        U32View skip_offset,
-                                        MemorySpan bytes) {
-  uint32_t last = 0;
-  KOKO_RETURN_IF_ERROR(ValidateBlockParts(count, skip_first, skip_offset,
-                                          bytes.data(), bytes.size(), &last));
-  BlockList out;
-  out.size_ = count;
-  out.last_ = last;
-  out.viewed_ = true;
-  out.vfirst_ = skip_first;
-  out.voffset_ = skip_offset;
-  out.vbytes_ = bytes;
-  return out;
-}
-
-namespace {
-
-// ValidateBlockParts' counterpart for the packed (v4) form. The encoding
-// is canonical — minimal per-block width, zero slack bits, zero pad bytes
-// — so any corruption of a structurally-plausible image is detectable
-// here, and reads during validation stay inside the payload because sizes
-// are checked before any gap is extracted.
+// The structural validation walk behind FromMappedPacked: every invariant
+// a corrupt image could violate is checked here, before any byte is
+// trusted at query time. The encoding is canonical — minimal per-block
+// width, zero slack bits, zero pad bytes — so any corruption of a
+// structurally plausible image is detectable, and reads during validation
+// stay inside the payload because sizes are checked before any gap is
+// extracted. On success `*last_out` holds the final sid of the list.
 Status ValidatePackedParts(uint32_t count, const U32View& skip_first,
                            const U32View& skip_offset,
                            const U32View& skip_width, const uint8_t* bytes,
@@ -454,6 +357,9 @@ Status ValidatePackedParts(uint32_t count, const U32View& skip_first,
     const size_t in_block = b + 1 < nb ? BlockList::kBlockSids
                                        : static_cast<size_t>(count) -
                                              b * BlockList::kBlockSids;
+    // Redundant with the block-count equation above, but stated
+    // explicitly: a block claiming more sids than kBlockSids would
+    // overflow DecodeBlock's stack buffer.
     if (in_block == 0 || in_block > BlockList::kBlockSids) {
       return Status::ParseError(
           "packed block list: block sid count out of range");
@@ -527,26 +433,6 @@ Status ValidatePackedParts(uint32_t count, const U32View& skip_first,
 
 }  // namespace
 
-Result<BlockList> BlockList::FromPackedParts(uint32_t count,
-                                             std::vector<uint32_t> skip_first,
-                                             std::vector<uint32_t> skip_offset,
-                                             std::vector<uint32_t> skip_width,
-                                             std::vector<uint8_t> bytes) {
-  uint32_t last = 0;
-  KOKO_RETURN_IF_ERROR(ValidatePackedParts(
-      count, U32View(skip_first), U32View(skip_offset), U32View(skip_width),
-      bytes.data(), bytes.size(), &last));
-  BlockList out;
-  out.size_ = count;
-  out.last_ = last;
-  out.packed_ = true;
-  out.skip_first_ = std::move(skip_first);
-  out.skip_offset_ = std::move(skip_offset);
-  out.skip_width_ = std::move(skip_width);
-  out.bytes_ = std::move(bytes);
-  return out;
-}
-
 Result<BlockList> BlockList::FromMappedPacked(uint32_t count,
                                               U32View skip_first,
                                               U32View skip_offset,
@@ -559,83 +445,24 @@ Result<BlockList> BlockList::FromMappedPacked(uint32_t count,
   BlockList out;
   out.size_ = count;
   out.last_ = last;
-  out.viewed_ = true;
-  out.packed_ = true;
-  out.vfirst_ = skip_first;
-  out.voffset_ = skip_offset;
-  out.vwidth_ = skip_width;
-  out.vbytes_ = bytes;
+  out.first_ = skip_first;
+  out.offset_ = skip_offset;
+  out.width_ = skip_width;
+  out.bytes_ = bytes;
   return out;
 }
 
-PackedBlockParts PackBlockList(const BlockList& list) {
-  PackedBlockParts parts;
-  const size_t nb = list.NumBlocks();
-  parts.skip_first.reserve(nb);
-  parts.skip_offset.reserve(nb);
-  parts.skip_width.reserve(nb);
-  uint32_t buf[BlockList::kBlockSids];
-  for (size_t b = 0; b < nb; ++b) {
-    const size_t n = list.DecodeBlock(b, buf);
-    parts.skip_first.push_back(buf[0]);
-    parts.skip_offset.push_back(static_cast<uint32_t>(parts.payload.size()));
-    uint32_t max_gap = 0;
-    for (size_t i = 1; i < n; ++i) max_gap = std::max(max_gap, buf[i] - buf[i - 1]);
-    const uint32_t width =
-        n > 1 ? static_cast<uint32_t>(std::bit_width(max_gap)) : 0;
-    parts.skip_width.push_back(width);
-    // Gaps go LSB-first into a little-endian bitstream, zero-padded to the
-    // 4-byte block boundary (word-granular decode loads never cross it).
-    uint64_t acc = 0;
-    unsigned acc_bits = 0;
-    for (size_t i = 1; i < n; ++i) {
-      acc |= static_cast<uint64_t>(buf[i] - buf[i - 1]) << acc_bits;
-      acc_bits += width;
-      while (acc_bits >= 8) {
-        parts.payload.push_back(static_cast<uint8_t>(acc));
-        acc >>= 8;
-        acc_bits -= 8;
-      }
-    }
-    if (acc_bits > 0) parts.payload.push_back(static_cast<uint8_t>(acc));
-    while (parts.payload.size() % 4 != 0) parts.payload.push_back(0);
-  }
-  return parts;
-}
-
 bool operator==(const BlockList& a, const BlockList& b) {
-  if (a.size_ != b.size_) return false;
-  if (a.packed_ != b.packed_) {
-    // Cross-form (varint vs packed): both encodings are canonical within
-    // themselves but their bytes differ, so compare the decoded sids
-    // blockwise (block boundaries agree — they are count-derived).
-    const size_t nb = a.NumBlocks();
-    if (b.NumBlocks() != nb) return false;
-    uint32_t abuf[BlockList::kBlockSids], bbuf[BlockList::kBlockSids];
-    for (size_t blk = 0; blk < nb; ++blk) {
-      const size_t an = a.DecodeBlock(blk, abuf);
-      const size_t bn = b.DecodeBlock(blk, bbuf);
-      if (an != bn || !std::equal(abuf, abuf + an, bbuf)) return false;
-    }
-    return true;
-  }
-  const U32View af = a.skip_first(), bf = b.skip_first();
-  const U32View ao = a.skip_offset(), bo = b.skip_offset();
-  const U32View aw = a.skip_width(), bw = b.skip_width();
-  if (af.size() != bf.size() || ao.size() != bo.size() ||
-      aw.size() != bw.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < af.size(); ++i) {
-    if (af[i] != bf[i] || ao[i] != bo[i]) return false;
-  }
-  for (size_t i = 0; i < aw.size(); ++i) {
-    if (aw[i] != bw[i]) return false;
-  }
-  const MemorySpan ab = a.bytes(), bb = b.bytes();
-  return ab.size() == bb.size() &&
-         (ab.size() == 0 ||
-          std::memcmp(ab.data(), bb.data(), ab.size()) == 0);
+  auto same = [](const uint8_t* x, const uint8_t* y, size_t n) {
+    return n == 0 || std::memcmp(x, y, n) == 0;
+  };
+  auto same_u32 = [&](const U32View& x, const U32View& y) {
+    return x.size() == y.size() && same(x.raw(), y.raw(), x.raw_size());
+  };
+  return a.size_ == b.size_ && same_u32(a.first_, b.first_) &&
+         same_u32(a.offset_, b.offset_) && same_u32(a.width_, b.width_) &&
+         a.bytes_.size() == b.bytes_.size() &&
+         same(a.bytes_.data(), b.bytes_.data(), a.bytes_.size());
 }
 
 // ---- In-place compressed intersection ---------------------------------------
@@ -881,53 +708,6 @@ SidList UnionAllBlocks(const std::vector<const BlockList*>& lists) {
   ptrs.reserve(decoded.size());
   for (const SidList& list : decoded) ptrs.push_back(&list);
   return UnionAll(std::move(ptrs));
-}
-
-std::vector<uint8_t> EncodeDeltas(const SidList& list) {
-  std::vector<uint8_t> out;
-  out.reserve(list.size());
-  uint32_t prev = 0;
-  bool first = true;
-  for (uint32_t sid : list) {
-    AppendVarint(&out, first ? sid : sid - prev);
-    first = false;
-    prev = sid;
-  }
-  return out;
-}
-
-Result<SidList> DecodeDeltas(const std::vector<uint8_t>& bytes) {
-  std::vector<uint32_t> ids;
-  uint64_t prev = 0;
-  bool first = true;
-  uint32_t value = 0;
-  int shift = 0;
-  for (uint8_t byte : bytes) {
-    if (shift >= 32 || (shift == 28 && (byte & 0x7f) > 0x0f)) {
-      return Status::ParseError("sid delta stream: overlong varint");
-    }
-    value |= static_cast<uint32_t>(byte & 0x7f) << shift;
-    if (byte & 0x80) {
-      shift += 7;
-      continue;
-    }
-    if (!first && value == 0) {
-      return Status::ParseError("sid delta stream: zero gap (non-monotone ids)");
-    }
-    const uint64_t sid = first ? value : prev + value;
-    if (sid > std::numeric_limits<uint32_t>::max()) {
-      return Status::ParseError("sid delta stream: id overflows uint32");
-    }
-    first = false;
-    prev = sid;
-    ids.push_back(static_cast<uint32_t>(sid));
-    value = 0;
-    shift = 0;
-  }
-  if (shift != 0 || value != 0) {
-    return Status::ParseError("sid delta stream: truncated varint");
-  }
-  return SidList::FromSorted(std::move(ids));
 }
 
 }  // namespace koko

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/mmap_file.h"
@@ -15,9 +16,9 @@ namespace koko {
 ///
 /// The columnar projection of a posting list onto its `sid` column: the unit
 /// DPLI (Algorithm 1) actually operates on. Ids are stored ascending and
-/// unique, which makes the layout delta-friendly (gaps are small
-/// non-negative integers, see EncodeDeltas/DecodeDeltas) and lets set
-/// operations run as ordered merges instead of hash probes.
+/// unique, which makes the layout delta-friendly (gaps are small positive
+/// integers, see BlockList) and lets set operations run as ordered merges
+/// instead of hash probes.
 class SidList {
  public:
   SidList() = default;
@@ -105,109 +106,65 @@ SidList Difference(const SidList& a, const SidList& b);
 
 // ---- Block-compressed posting lists -----------------------------------------
 
-/// \brief A sorted sid list stored as fixed-size varint-delta blocks with a
-/// per-block skip table — the index's *resident* posting representation.
+/// \brief A sorted sid list stored as fixed-size bit-packed delta blocks
+/// with a per-block skip table — the index's one posting representation,
+/// in memory and on disk alike.
 ///
-/// Layout (identical in memory and in the v3 on-disk image, so load is a
-/// bounds-checked vector read rather than a full decode, and a future mmap
-/// path can point straight into the file):
+/// Layout (identical in memory and in the image, so a load aliases it
+/// instead of decoding it):
 ///
 ///   * `skip_first[b]`  — absolute first sid of block b (the skip table's
 ///     search key; a contiguous uint32 array, gallop-friendly).
 ///   * `skip_offset[b]` — byte offset of block b's payload in `bytes`.
+///   * `skip_width[b]`  — bit width of block b's gaps: the minimal width
+///     holding its largest gap, 0 for a single-sid block.
 ///   * `bytes`          — concatenated block payloads. A block's payload is
-///     the LEB128 varint gaps of its 2nd..kth sids from the block's first
-///     sid; the first sid itself lives only in the skip table, so a
-///     single-sid block has an empty payload.
+///     the gaps of its 2nd..kth sids from their predecessors, `skip_width`
+///     bits each, LSB-first in a little-endian bitstream, zero-padded to a
+///     multiple of 4 bytes (so offsets stay 4-byte aligned and the SIMD
+///     kernels of src/util/simd.h decode with word-granular loads). The
+///     first sid lives only in the skip table.
 ///
-/// Every block except the last holds exactly `kBlockSids` sids. Intersection
-/// runs directly over this form: gallop the skip table to the candidate
-/// block, decode at most that one block into a stack buffer (see
-/// `Intersect(SidList, BlockList)` / `Intersect(BlockList, BlockList)`).
-/// Versus the decoded `std::vector<uint32_t>` this stores ~1-2 bytes per sid
-/// instead of 4 plus geometric vector slack.
+/// Every block except the last holds exactly `kBlockSids` sids. The
+/// encoding is canonical — one byte string per sid set — so equality is a
+/// byte compare and any corruption of a structurally plausible image is
+/// detectable by `FromMappedPacked`. Intersection runs directly over this
+/// form: gallop the skip table to the candidate block, decode at most that
+/// one block into a stack buffer (see `Intersect(SidList, BlockList)` /
+/// `Intersect(BlockList, BlockList)`).
 ///
-/// **Payload encodings:** blocks come in two wire forms, decoded behind the
-/// same `DecodeBlock` API (which dispatches to the SIMD kernels of
-/// src/util/simd.h either way):
-///
-///   * *varint* — the build-time and v3-image form described above;
-///   * *packed* (`packed() == true`) — the v4-image form: each block's gaps
-///     are fixed-width bit-packed (per-block minimal width in the
-///     `skip_width` table, gaps LSB-first in a little-endian bitstream,
-///     each block's payload zero-padded to a multiple of 4 bytes), which
-///     vector kernels decode with word-granular loads. Packed lists exist
-///     only by loading a v4 image (`FromPackedParts`/`FromMappedPacked`);
-///     `Append` on one is a programming error.
-///
-/// **Ownership:** a list is either *owning* (skip table + payload live in
-/// its own vectors — the build path and `FromParts`/`FromPackedParts`) or a
-/// *view* (`FromMapped`/`FromMappedPacked`: the arrays alias
-/// externally-owned bytes, typically a `MappedFile` of a v3/v4 image). Both
-/// forms expose the identical read API (`skip_first()`/`skip_offset()`/
-/// `skip_width()`/`bytes()` return borrowed views either way), so every
-/// intersection/lookup kernel runs unchanged over mapped memory. A view's
-/// `MemoryUsage()` is 0 — the pages belong to the mapping. Whoever creates
-/// a view keeps the backing memory alive and immutable for the list's
-/// lifetime (KokoIndex holds its mapping in a shared_ptr).
+/// Lists are immutable. `BlockListBuilder` (and `FromSidList`) packs each
+/// block as it closes; the result owns its arrays in one shared, immutable
+/// allocation, so copies are cheap. `FromMappedPacked` returns a *view*
+/// whose arrays alias externally owned bytes (a loaded image); its
+/// `MemoryUsage()` is 0 and whoever creates it keeps the bytes alive and
+/// unmodified for the list's lifetime (KokoIndex holds the image in a
+/// shared_ptr). Both kinds expose the identical read API.
 class BlockList {
  public:
   /// Sids per block. 128 gaps fit L1 comfortably as a decode buffer and
-  /// amortise the 8-byte skip entry to 0.0625 bytes/sid.
+  /// amortise the 12-byte skip entry to ~0.1 bytes/sid.
   static constexpr size_t kBlockSids = 128;
 
   BlockList() = default;
 
-  /// Build-time append of a non-decreasing id stream; duplicates of the
-  /// current tail are dropped (mirrors SidList::Append).
-  void Append(uint32_t sid);
-
-  /// Compresses an already decoded list.
+  /// Packs an already decoded list.
   static BlockList FromSidList(const SidList& list);
 
-  /// Reassembles a list from its (possibly untrusted) serialized parts,
-  /// validating every structural invariant: skip-table monotonicity and
-  /// bounds, varint wellformedness, per-block sid counts, strictly
-  /// ascending sids across block seams, exact payload consumption. A
-  /// corrupt image must fail here, never at query time.
-  static Result<BlockList> FromParts(uint32_t count,
-                                     std::vector<uint32_t> skip_first,
-                                     std::vector<uint32_t> skip_offset,
-                                     std::vector<uint8_t> bytes);
-
-  /// The zero-copy counterpart of FromParts: the same structural
-  /// validation walk over the same three arrays, but on success the list
-  /// *aliases* the given views instead of owning vectors — no posting byte
-  /// is copied. The backing memory (an mmap'ed v3 image) must stay alive
-  /// and unmodified for the list's lifetime; validation completes before
-  /// any alias is retained, so a corrupt image fails here and never at
-  /// query time ("validate before alias").
-  static Result<BlockList> FromMapped(uint32_t count, U32View skip_first,
-                                      U32View skip_offset, MemorySpan bytes);
-
-  /// Reassembles a list from the *packed* (v4) wire form, validating every
-  /// structural invariant: per-block minimal bit width (<= 32), nonzero
-  /// gaps, no uint32 overflow, 4-byte-aligned offsets, exact payload sizes,
-  /// and zero padding/slack bits (the encoding is canonical, so corruption
-  /// is detectable). Mirrors FromParts.
-  static Result<BlockList> FromPackedParts(uint32_t count,
-                                           std::vector<uint32_t> skip_first,
-                                           std::vector<uint32_t> skip_offset,
-                                           std::vector<uint32_t> skip_width,
-                                           std::vector<uint8_t> bytes);
-
-  /// The zero-copy counterpart of FromPackedParts ("validate before
-  /// alias"), mirroring FromMapped.
+  /// Aliases a list's (possibly untrusted) parts after validating every
+  /// structural invariant: block count for the sid count, skip-table
+  /// monotonicity and bounds, per-block minimal bit width (<= 32), nonzero
+  /// gaps, no uint32 overflow, 4-byte-aligned offsets, exact payload
+  /// sizes, and zero padding/slack bits. Validation completes before any
+  /// alias is retained ("validate before alias"), so a corrupt image fails
+  /// here and never at query time. No posting byte is copied.
   static Result<BlockList> FromMappedPacked(uint32_t count, U32View skip_first,
                                             U32View skip_offset,
                                             U32View skip_width,
                                             MemorySpan bytes);
 
-  /// True when this list is a non-owning view over mapped memory.
-  bool mapped() const { return viewed_; }
-
-  /// True when the payload is the fixed-width bit-packed (v4) form.
-  bool packed() const { return packed_; }
+  /// True when this list aliases external memory (FromMappedPacked).
+  bool is_view() const { return storage_ == nullptr && size_ > 0; }
 
   size_t CountSids() const { return size_; }
   size_t size() const { return size_; }
@@ -217,9 +174,7 @@ class BlockList {
   /// bounds the list's span without decoding, letting intersection clamp
   /// to the overlapping block window.
   uint32_t last_sid() const { return last_; }
-  size_t NumBlocks() const {
-    return viewed_ ? vfirst_.size() : skip_first_.size();
-  }
+  size_t NumBlocks() const { return first_.size(); }
 
   /// Number of sids in block `b` (kBlockSids except possibly the last).
   size_t BlockSize(size_t b) const {
@@ -228,8 +183,7 @@ class BlockList {
 
   /// Decodes block `b` into `out` (capacity >= kBlockSids); returns the
   /// number of sids written. The payload is trusted (validated at
-  /// construction), so this is a tight varint loop with no branching on
-  /// malformed input.
+  /// construction), so this is a straight SIMD unpack.
   size_t DecodeBlock(size_t b, uint32_t* out) const;
 
   /// Fully decodes the list (transient use only — unions, aggregation
@@ -238,77 +192,60 @@ class BlockList {
 
   bool Contains(uint32_t sid) const;
 
-  /// Heap bytes attributable to this list. A mapped view owns nothing —
-  /// its pages belong to the file mapping and the OS page cache — so it
-  /// reports 0; this is exactly the "resident posting bytes" the load
-  /// benches compare between copy and map modes.
-  size_t MemoryUsage() const {
-    return viewed_ ? 0
-                   : bytes_.capacity() + (skip_first_.capacity() +
-                                          skip_offset_.capacity() +
-                                          skip_width_.capacity()) *
-                                             sizeof(uint32_t);
-  }
+  /// Heap bytes owned by this list. A view owns nothing — its bytes belong
+  /// to the image it aliases — so it reports 0.
+  size_t MemoryUsage() const;
 
-  /// Trims capacity slack after a build-time Append stream.
-  void ShrinkToFit();
+  /// Serialization views (the image writes these verbatim). Valid while
+  /// the list (and, for a view, its backing memory) lives.
+  U32View skip_first() const { return first_; }
+  U32View skip_offset() const { return offset_; }
+  U32View skip_width() const { return width_; }
+  MemorySpan bytes() const { return bytes_; }
 
-  // Serialization views (the v3 image writes these verbatim). Borrowed
-  // either from the owned vectors or from the mapping; valid while the
-  // list (and, for a view, its backing memory) lives.
-  U32View skip_first() const {
-    return viewed_ ? vfirst_ : U32View(skip_first_);
-  }
-  U32View skip_offset() const {
-    return viewed_ ? voffset_ : U32View(skip_offset_);
-  }
-  /// Per-block gap bit width (packed lists only; empty for varint lists).
-  U32View skip_width() const {
-    return viewed_ ? vwidth_ : U32View(skip_width_);
-  }
-  MemorySpan bytes() const {
-    return viewed_ ? vbytes_ : MemorySpan(bytes_.data(), bytes_.size());
-  }
-
-  /// Both encoders are canonical (one byte stream per sid set per form), so
-  /// structural equality within one form is a byte compare; across forms
-  /// (varint vs packed) blocks are decoded and compared as sid sets —
-  /// owning, mapped, varint, and packed lists over the same sids are all
-  /// equal.
+  /// Byte equality of the four arrays — the encoding is canonical, so
+  /// owning and view lists over the same sids are equal.
   friend bool operator==(const BlockList& a, const BlockList& b);
 
  private:
+  friend class BlockListBuilder;
+
+  // Owned arrays of a built list; null for a view.
+  struct Storage {
+    std::vector<uint32_t> first;
+    std::vector<uint32_t> offset;
+    std::vector<uint32_t> width;
+    std::vector<uint8_t> bytes;
+  };
+
   uint32_t size_ = 0;
-  uint32_t last_ = 0;  // tail sid of the append stream
-  // Owned storage; empty when viewed_ (the views below alias external
-  // memory — never these vectors, so default copy/move stays correct).
-  std::vector<uint32_t> skip_first_;
-  std::vector<uint32_t> skip_offset_;
-  std::vector<uint32_t> skip_width_;  // packed form only
-  std::vector<uint8_t> bytes_;
-  bool viewed_ = false;
-  bool packed_ = false;
-  U32View vfirst_;
-  U32View voffset_;
-  U32View vwidth_;
-  MemorySpan vbytes_;
+  uint32_t last_ = 0;
+  std::shared_ptr<const Storage> storage_;
+  U32View first_;
+  U32View offset_;
+  U32View width_;
+  MemorySpan bytes_;
 };
 
-/// The packed (v4) wire parts of a BlockList — what `PackBlockList`
-/// produces and `KokoIndex::Save` writes for a v4 image. `skip_first` and
-/// `skip_offset` have the same meaning as the varint form; `skip_width[b]`
-/// is block b's gap bit width and `payload` the concatenated bit-packed
-/// block payloads (each 4-byte padded, offsets 4-byte aligned).
-struct PackedBlockParts {
-  std::vector<uint32_t> skip_first;
-  std::vector<uint32_t> skip_offset;
-  std::vector<uint32_t> skip_width;
-  std::vector<uint8_t> payload;
-};
+/// \brief Build-time writer of a BlockList from a non-decreasing sid
+/// stream: buffers the open block and packs it when it closes.
+class BlockListBuilder {
+ public:
+  /// Appends `sid` (>= the previous one); repeats of the tail are dropped.
+  void Append(uint32_t sid);
 
-/// Re-encodes any BlockList (varint or packed, owning or mapped) into the
-/// canonical packed wire form.
-PackedBlockParts PackBlockList(const BlockList& list);
+  /// Packs the open block and returns the finished list; the builder is
+  /// left empty.
+  BlockList Finish();
+
+ private:
+  void PackOpenBlock();
+
+  BlockList::Storage parts_;
+  std::vector<uint32_t> open_;  // sids of the block not yet packed
+  uint32_t size_ = 0;
+  uint32_t tail_ = 0;  // last appended sid
+};
 
 /// \brief A borrowed sorted sid set: either a decoded `SidList` or a
 /// compressed `BlockList`.
@@ -387,20 +324,6 @@ SidList IntersectAllViews(std::vector<SidSetView> views);
 /// Multi-way union of compressed lists (decodes each list once; the union
 /// itself is the k-way ordered heap merge of UnionAll).
 SidList UnionAllBlocks(const std::vector<const BlockList*>& lists);
-
-// ---- Delta layout helpers ---------------------------------------------------
-
-/// Varint(delta) encoding of a sorted sid list — the flat (blockless)
-/// layout of the v2 image. First id is stored as-is, subsequent ids as
-/// gaps; every value is LEB128 varint encoded.
-std::vector<uint8_t> EncodeDeltas(const SidList& list);
-
-/// Decodes an EncodeDeltas stream, validating it: a truncated stream (ends
-/// mid-varint), an overlong varint (more than 5 bytes, or high bits beyond
-/// 32), a duplicate id (zero gap after the first id), or a sid overflowing
-/// uint32 all fail with ParseError instead of yielding garbage sids — a
-/// corrupt or truncated index image must fail load cleanly.
-Result<SidList> DecodeDeltas(const std::vector<uint8_t>& bytes);
 
 }  // namespace koko
 

@@ -758,6 +758,15 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
       }
     }
   }
+  // The candidate stream is ascending, so its last sid bounds every
+  // corpus_->refs read below: an index that does not match its corpus (or
+  // a tampered image) fails the query instead of reading past the corpus.
+  if (!candidates.empty() && candidates.back() >= corpus_->NumSentences()) {
+    return Status::InvalidArgument(
+        "index holds sid " + std::to_string(candidates.back()) +
+        " but the corpus has only " +
+        std::to_string(corpus_->NumSentences()) + " sentences");
+  }
   result.candidate_sentences = candidates.size();
   result.scanned_candidates = candidates.size();
 

@@ -48,10 +48,10 @@ class BinaryWriter {
   }
 
   /// Absolute write position, or -1 when the stream is not seekable. The
-  /// v4 image uses it to pad packed block payloads to a 4-byte file
-  /// offset (an mmap'ed image is page-aligned, so file alignment is
-  /// memory alignment); on a non-seekable sink the pad degrades to 0 and
-  /// the image stays valid, just unaligned.
+  /// index image uses it to pad packed block payloads to a 4-byte file
+  /// offset (a loaded image is page- or heap-aligned, so file alignment
+  /// is memory alignment); on a non-seekable sink the pad degrades to 0
+  /// and the image stays valid, just unaligned.
   int64_t Position() const {
     const std::streampos pos = out_->tellp();
     return pos == std::streampos(-1) ? -1 : static_cast<int64_t>(pos);
@@ -115,18 +115,6 @@ class BinaryReader {
     std::vector<T> v(*len);
     if (*len > 0 && !ReadRaw(v.data(), v.size() * sizeof(T))) {
       return Fail<std::vector<T>>();
-    }
-    return v;
-  }
-
-  /// `size` raw bytes with no length prefix — the counterpart of
-  /// WriteBytes, for payloads whose length was serialized separately.
-  /// Bounded like ReadVector: a corrupt external length must fail cleanly.
-  Result<std::vector<uint8_t>> ReadRawBytes(size_t size) {
-    if (size > RemainingBytes()) return Fail<std::vector<uint8_t>>();
-    std::vector<uint8_t> v(size);
-    if (size > 0 && !ReadRaw(v.data(), size)) {
-      return Fail<std::vector<uint8_t>>();
     }
     return v;
   }
@@ -215,13 +203,6 @@ class SpanReader {
   Result<uint8_t> ReadU8() {
     if (remaining() < 1) return Eof();
     return span_.data()[pos_++];
-  }
-
-  /// Skips `n` bytes (alignment padding in the v4 image).
-  Status Skip(size_t n) {
-    if (n > remaining()) return Eof();
-    pos_ += n;
-    return Status::OK();
   }
 
   Result<uint32_t> ReadU32() {

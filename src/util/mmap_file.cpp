@@ -1,8 +1,11 @@
 #include "util/mmap_file.h"
 
+#include <filesystem>
+#include <fstream>
+
 #if defined(_WIN32)
 // No mmap on Windows in this tree; Open fails cleanly and callers fall
-// back to the copying load path.
+// back to Read.
 #else
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -52,9 +55,28 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path) {
 #endif
 }
 
+Result<std::shared_ptr<MappedFile>> MappedFile::Read(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IoError("cannot read " + path + ": not a regular file");
+  }
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IoError("cannot size " + path + ": " + ec.message());
+  std::ifstream in(path, std::ios::binary);
+  std::unique_ptr<uint8_t[]> bytes(new uint8_t[static_cast<size_t>(size)]);
+  if (!in.read(reinterpret_cast<char*>(bytes.get()),
+               static_cast<std::streamsize>(size))) {
+    return Status::IoError("cannot read " + path);
+  }
+  auto file = std::shared_ptr<MappedFile>(new MappedFile(
+      path, size > 0 ? bytes.get() : nullptr, static_cast<size_t>(size)));
+  file->owned_ = std::move(bytes);
+  return file;
+}
+
 MappedFile::~MappedFile() {
 #if !defined(_WIN32)
-  if (data_ != nullptr) ::munmap(data_, size_);
+  if (owned_ == nullptr && data_ != nullptr) ::munmap(data_, size_);
 #endif
 }
 

@@ -89,20 +89,27 @@ class U32View {
   size_t size_ = 0;
 };
 
-/// \brief RAII read-only memory mapping of a whole file.
+/// \brief The read-only bytes of a whole file: an RAII memory mapping, or
+/// an owned heap copy behind the same span API.
 ///
-/// The zero-copy index load (`KokoIndex::Load` with `LoadMode::kMap`) maps
-/// the image once and aliases every posting payload into the mapping; the
+/// Every index load (`KokoIndex::Load`, `ShardedKokoIndex::Load`) parses
+/// one of these and aliases every posting payload into its span; the
 /// loaded index holds a `shared_ptr<MappedFile>` so the bytes outlive every
 /// structure pointing at them (shards of one sharded file share a single
-/// mapping). Pages are faulted in lazily by the OS and served from the page
-/// cache, so many worker processes mapping the same image share physical
-/// memory.
+/// instance). A mapping (`Open`) faults pages in lazily and serves them
+/// from the page cache, so many worker processes mapping the same image
+/// share physical memory; an owned copy (`Read`) costs the file's size in
+/// heap but needs no mmap support.
 class MappedFile {
  public:
   /// Maps `path` read-only. Fails with IoError when the file cannot be
   /// opened, stat'ed, or mapped; an empty file maps to an empty span.
   static Result<std::shared_ptr<MappedFile>> Open(const std::string& path);
+
+  /// Reads `path` into an owned heap buffer (aligned for any scalar type,
+  /// so 4-byte-aligned file offsets stay 4-byte aligned in memory). Fails
+  /// with IoError when the file cannot be opened or read.
+  static Result<std::shared_ptr<MappedFile>> Read(const std::string& path);
 
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;
@@ -114,6 +121,9 @@ class MappedFile {
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
 
+  /// True for a memory mapping (`Open`), false for an owned copy (`Read`).
+  bool mmapped() const { return owned_ == nullptr; }
+
  private:
   MappedFile(std::string path, void* data, size_t size)
       : path_(std::move(path)), data_(data), size_(size) {}
@@ -121,6 +131,7 @@ class MappedFile {
   std::string path_;
   void* data_ = nullptr;  // nullptr iff the file is empty
   size_t size_ = 0;
+  std::unique_ptr<uint8_t[]> owned_;  // the heap copy; null for a mapping
 };
 
 }  // namespace koko

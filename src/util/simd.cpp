@@ -18,24 +18,6 @@ namespace simd {
 
 namespace {
 
-void DecodeVarintBlockScalar(const uint8_t* p, uint32_t first, size_t count,
-                             uint32_t* out) {
-  uint32_t sid = first;
-  out[0] = sid;
-  for (size_t i = 1; i < count; ++i) {
-    uint32_t gap = 0;
-    int shift = 0;
-    uint8_t byte;
-    do {
-      byte = *p++;
-      gap |= static_cast<uint32_t>(byte & 0x7f) << shift;
-      shift += 7;
-    } while (byte & 0x80);
-    sid += gap;
-    out[i] = sid;
-  }
-}
-
 void UnpackBlockScalar(const uint8_t* p, uint32_t width, uint32_t first,
                        size_t count, uint32_t* out) {
   uint32_t sid = first;
@@ -65,7 +47,6 @@ size_t IntersectSortedScalar(const uint32_t* a, size_t na, const uint32_t* b,
 }
 
 constexpr Kernels kScalarKernels = {
-    DecodeVarintBlockScalar,
     UnpackBlockScalar,
     IntersectSortedScalar,
 };

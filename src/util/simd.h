@@ -11,8 +11,8 @@ namespace simd {
 
 /// \brief Runtime-dispatched SIMD kernels for the 128-sid posting blocks.
 ///
-/// The hot loops of DPLI — varint gap decode, bit-packed gap decode, and
-/// sorted-set intersection — compile once per instruction set into separate
+/// The hot loops of DPLI — bit-packed gap decode and sorted-set
+/// intersection — compile once per instruction set into separate
 /// translation units (simd_sse.cpp with -msse4.2, simd_avx2.cpp with
 /// -mavx2, simd_neon.cpp on aarch64) plus a portable scalar fallback. The
 /// best ISA the CPU supports is chosen once, at first use, via cpuid; the
@@ -40,14 +40,7 @@ inline constexpr size_t kIntersectOutSlack = 8;
 /// byte-identical output (the differential suite in sid_ops_test.cpp
 /// enforces this across every available ISA).
 struct Kernels {
-  /// Decodes one varint-delta posting block: out[0] = first, then `count-1`
-  /// LEB128-varint gaps read from `p` accumulate into absolute sids.
-  /// The payload must be pre-validated (BlockList "validate before alias");
-  /// `p` may be unaligned and `count` is at most BlockList::kBlockSids.
-  void (*decode_varint_block)(const uint8_t* p, uint32_t first, size_t count,
-                              uint32_t* out);
-
-  /// Decodes one fixed-width bit-packed posting block (the v4 image form):
+  /// Decodes one fixed-width bit-packed posting block (see BlockList):
   /// out[0] = first, then `count-1` gaps of `width` bits each, packed
   /// LSB-first into a little-endian bitstream whose total size is padded to
   /// a multiple of 4 bytes (so word-granular loads never cross the block's
@@ -91,7 +84,7 @@ void SetActiveIsa(Isa isa);
 
 /// Extracts gap `i` from a `width`-bit packed little-endian bitstream.
 /// Shared by the scalar kernels and the structural validator. Requires the
-/// stream to be padded to a multiple of 4 bytes (the v4 block contract):
+/// stream to be padded to a multiple of 4 bytes (the BlockList contract):
 /// the second word is only read when the field actually straddles a word
 /// boundary, which the padding proof guarantees is in bounds.
 inline uint32_t ExtractPackedGap(const uint8_t* p, uint32_t width, size_t i) {

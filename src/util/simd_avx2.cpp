@@ -53,49 +53,6 @@ inline __m256i PrefixSum8(__m256i v) {
   return _mm256_add_epi32(v, carry);
 }
 
-void DecodeVarintBlockAvx2(const uint8_t* p, uint32_t first, size_t count,
-                           uint32_t* out) {
-  uint32_t sid = first;
-  out[0] = sid;
-  size_t i = 1;
-  for (;;) {
-    // 8 pending gaps occupy >= 8 payload bytes, so the 8-byte probe load
-    // stays inside the validated payload. The running sid stays in a
-    // register across iterations (broadcast of the top lane) — the only
-    // loop-carried chain is one add and one permute, so the prefix sums
-    // overlap across iterations instead of serializing through a GPR.
-    if (i + 8 <= count) {
-      __m256i vsid = _mm256_set1_epi32(static_cast<int>(sid));
-      const __m256i seven = _mm256_set1_epi32(7);
-      while (i + 8 <= count) {
-        uint64_t chunk;
-        std::memcpy(&chunk, p, 8);
-        if (chunk & 0x8080808080808080ull) break;
-        const __m256i gaps = _mm256_cvtepu8_epi32(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-        const __m256i sums = _mm256_add_epi32(PrefixSum8(gaps), vsid);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), sums);
-        vsid = _mm256_permutevar8x32_epi32(sums, seven);
-        p += 8;
-        i += 8;
-      }
-      sid = static_cast<uint32_t>(
-          _mm_cvtsi128_si32(_mm256_castsi256_si128(vsid)));
-    }
-    if (i >= count) return;
-    uint32_t gap = 0;
-    int shift = 0;
-    uint8_t byte;
-    do {
-      byte = *p++;
-      gap |= static_cast<uint32_t>(byte & 0x7f) << shift;
-      shift += 7;
-    } while (byte & 0x80);
-    sid += gap;
-    out[i++] = sid;
-  }
-}
-
 // Per-(width, bit-phase) lanes for the 4-wide bit-unpack: a pshufb mask
 // moving each field's four candidate bytes into its dword lane, plus the
 // per-lane residual shift. Valid for widths 1..25 — a field starting at
@@ -250,7 +207,6 @@ size_t IntersectSortedAvx2(const uint32_t* a, size_t na, const uint32_t* b,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    DecodeVarintBlockAvx2,
     UnpackBlockAvx2,
     IntersectSortedAvx2,
 };

@@ -20,40 +20,6 @@ inline uint32x4_t PrefixSum4(uint32x4_t v) {
   return v;
 }
 
-void DecodeVarintBlockNeon(const uint8_t* p, uint32_t first, size_t count,
-                           uint32_t* out) {
-  uint32_t sid = first;
-  out[0] = sid;
-  size_t i = 1;
-  for (;;) {
-    // 4 pending gaps occupy >= 4 payload bytes, so the probe load is safe.
-    while (i + 4 <= count) {
-      uint32_t chunk;
-      std::memcpy(&chunk, p, 4);
-      if (chunk & 0x80808080u) break;
-      const uint8x8_t bytes = vreinterpret_u8_u32(vdup_n_u32(chunk));
-      const uint16x8_t half = vmovl_u8(bytes);
-      const uint32x4_t gaps = vmovl_u16(vget_low_u16(half));
-      const uint32x4_t sums = vaddq_u32(PrefixSum4(gaps), vdupq_n_u32(sid));
-      vst1q_u32(out + i, sums);
-      sid = vgetq_lane_u32(sums, 3);
-      p += 4;
-      i += 4;
-    }
-    if (i >= count) return;
-    uint32_t gap = 0;
-    int shift = 0;
-    uint8_t byte;
-    do {
-      byte = *p++;
-      gap |= static_cast<uint32_t>(byte & 0x7f) << shift;
-      shift += 7;
-    } while (byte & 0x80);
-    sid += gap;
-    out[i++] = sid;
-  }
-}
-
 void UnpackBlockNeon(const uint8_t* p, uint32_t width, uint32_t first,
                      size_t count, uint32_t* out) {
   if (count == 0) return;
@@ -125,7 +91,6 @@ size_t IntersectSortedNeon(const uint32_t* a, size_t na, const uint32_t* b,
 }
 
 constexpr Kernels kNeonKernels = {
-    DecodeVarintBlockNeon,
     UnpackBlockNeon,
     IntersectSortedNeon,
 };

@@ -45,49 +45,6 @@ inline __m128i PrefixSum4(__m128i v) {
   return v;
 }
 
-void DecodeVarintBlockSse(const uint8_t* p, uint32_t first, size_t count,
-                          uint32_t* out) {
-  uint32_t sid = first;
-  out[0] = sid;
-  size_t i = 1;
-  for (;;) {
-    // Fast path: posting gaps are overwhelmingly single-byte (dense sids);
-    // a run of 4 bytes with no continuation bit decodes as 4 gaps via a
-    // byte-widen + prefix sum. Reading 4 payload bytes is safe because 4
-    // pending gaps occupy at least 4 payload bytes.
-    // The running sid stays in a register across fast-path iterations (a
-    // broadcast of the top lane), so consecutive prefix sums overlap
-    // instead of serializing through a GPR extract.
-    if (i + 4 <= count) {
-      __m128i vsid = _mm_set1_epi32(static_cast<int>(sid));
-      while (i + 4 <= count) {
-        uint32_t chunk;
-        std::memcpy(&chunk, p, 4);
-        if (chunk & 0x80808080u) break;
-        __m128i gaps =
-            _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(chunk)));
-        const __m128i sums = _mm_add_epi32(PrefixSum4(gaps), vsid);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), sums);
-        vsid = _mm_shuffle_epi32(sums, 0xff);
-        p += 4;
-        i += 4;
-      }
-      sid = static_cast<uint32_t>(_mm_cvtsi128_si32(vsid));
-    }
-    if (i >= count) return;
-    uint32_t gap = 0;
-    int shift = 0;
-    uint8_t byte;
-    do {
-      byte = *p++;
-      gap |= static_cast<uint32_t>(byte & 0x7f) << shift;
-      shift += 7;
-    } while (byte & 0x80);
-    sid += gap;
-    out[i++] = sid;
-  }
-}
-
 void UnpackBlockSse(const uint8_t* p, uint32_t width, uint32_t first,
                     size_t count, uint32_t* out) {
   if (count == 0) return;
@@ -174,7 +131,6 @@ size_t IntersectSortedSse(const uint32_t* a, size_t na, const uint32_t* b,
 }
 
 constexpr Kernels kSseKernels = {
-    DecodeVarintBlockSse,
     UnpackBlockSse,
     IntersectSortedSse,
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,12 +201,14 @@ TEST(ScoreCacheClearRaceTest, ClearRacesLookupInsertWithoutTornScores) {
   auto score_of = [](uint32_t doc) { return 1.0 + doc * 0.25; };
 
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<uint64_t> verified_hits{0};
   constexpr int kReaders = 3;
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      started.fetch_add(1);
       const std::string value = "cafe";
       uint32_t doc = 0;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -219,7 +222,15 @@ TEST(ScoreCacheClearRaceTest, ClearRacesLookupInsertWithoutTornScores) {
       }
     });
   }
-  for (int wipe = 0; wipe < 50; ++wipe) {
+  // Wipe only once every reader is running — otherwise the wipes can all
+  // finish before any reader starts — and keep wiping until the warm
+  // phases between wipes have verified a hit, bounded by a deadline.
+  while (started.load() < kReaders) std::this_thread::yield();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int wipe = 0; (wipe < 50 || verified_hits.load() == 0) &&
+                     std::chrono::steady_clock::now() < deadline;
+       ++wipe) {
     cache.Clear();
     std::this_thread::yield();
   }

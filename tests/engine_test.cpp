@@ -549,5 +549,30 @@ TEST(EngineTest, ParallelSatisfyingQueryIsDeterministic) {
   ExpectIdenticalResults(*a, *b, "satisfying");
 }
 
+TEST(EngineTest, IndexLargerThanCorpusFailsQuery) {
+  // An index built over a larger corpus than the engine serves holds sids
+  // past the corpus end; the query must fail with an error instead of
+  // reading past the corpus when it loads candidate articles.
+  Pipeline pipeline;
+  AnnotatedCorpus large = pipeline.AnnotateCorpus(
+      GenerateHappyMoments({.num_moments = 80, .seed = 61}));
+  AnnotatedCorpus small = pipeline.AnnotateCorpus(
+      GenerateHappyMoments({.num_moments = 4, .seed = 62}));
+  auto mono = KokoIndex::Build(large);
+  auto sharded = ShardedKokoIndex::Build(large, 3);
+  EmbeddingModel embeddings;
+  const EntityRecognizer* recognizer =
+      &const_cast<const Pipeline&>(pipeline).recognizer();
+  Engine from_mono(&small, mono.get(), &embeddings, recognizer);
+  Engine from_sharded(&small, sharded.get(), &embeddings, recognizer);
+  const char* query =
+      "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
+  for (Engine* engine : {&from_mono, &from_sharded}) {
+    auto result = engine->ExecuteText(query);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace koko

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -221,8 +223,6 @@ TEST(KokoIndexTest, SaveLoadRoundTrip) {
   EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
   EXPECT_EQ((*loaded)->LookupWord("delicious"), index->LookupWord("delicious"));
   EXPECT_EQ((*loaded)->AllEntities().size(), index->AllEntities().size());
-  // The sid caches came from the delta-encoded section, not a rebuild.
-  EXPECT_TRUE((*loaded)->sid_caches_from_disk());
   std::remove(path.c_str());
 }
 
@@ -243,14 +243,16 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_FALSE((*copied)->mapped());
   EXPECT_TRUE((*mapped)->mapped());
-  EXPECT_TRUE((*mapped)->sid_caches_from_disk());
 
   // No posting-payload copy: the mapped index's sid caches attribute ~0
-  // heap bytes (only trie-node rows etc. remain owned), the copied one a
-  // strictly positive amount.
+  // heap bytes (only the entity lists rebuilt at load remain owned), the
+  // copied one its share of the owned image buffer — which MemoryUsage
+  // counts whole.
   EXPECT_GT((*copied)->SidCacheMemoryUsage(), 0u);
   EXPECT_LT((*mapped)->SidCacheMemoryUsage(),
             (*copied)->SidCacheMemoryUsage() / 4);
+  EXPECT_GE((*copied)->MemoryUsage(),
+            (*mapped)->MemoryUsage() + std::filesystem::file_size(path));
 
   // Every word's block list is equal across build / copy / map.
   std::set<std::string> words;
@@ -267,7 +269,8 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
     ASSERT_NE(map, nullptr) << word;
     EXPECT_EQ(*map, *built) << word;
     EXPECT_EQ(*map, *copy) << word;
-    EXPECT_TRUE(map->mapped()) << word;
+    EXPECT_TRUE(map->is_view()) << word;
+    EXPECT_TRUE(copy->is_view()) << word;
     EXPECT_EQ(map->Decode(), copy->Decode()) << word;
     EXPECT_EQ((*mapped)->LookupWord(word), (*copied)->LookupWord(word)) << word;
   }
@@ -293,83 +296,46 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
   std::remove(path.c_str());
 }
 
-TEST(KokoIndexTest, MmapLoadFallsBackOnLegacyImages) {
-  // kMap on a v2 (flat-delta) or v1 (catalog-only) image must still load —
-  // transparently copying, since those layouts cannot be aliased.
+TEST(KokoIndexTest, OnlyVersionFourLoads) {
+  // The image version is a format tag, not a knob: any other version —
+  // and an image without the "KIDX" magic — fails load with ParseError in
+  // both modes, and the error names the one supported version.
   AnnotatedCorpus corpus = PaperCorpus();
   auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_mmap_legacy.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->Save(&writer, /*version=*/2).ok());
+  std::string path = ::testing::TempDir() + "/koko_index_version_test.bin";
+  ASSERT_TRUE(index->Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> image((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  auto write_image = [&](const std::vector<char>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<long>(bytes.size()));
+  };
+  for (uint32_t version : {1u, 2u, 3u, 5u}) {
+    std::vector<char> other = image;
+    std::memcpy(other.data() + 4, &version, sizeof(version));
+    write_image(other);
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      auto loaded = KokoIndex::Load(path, mode);
+      ASSERT_FALSE(loaded.ok()) << version;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << version;
+      EXPECT_NE(loaded.status().ToString().find("version 4"), std::string::npos)
+          << loaded.status().ToString();
+    }
   }
-  auto v2 = KokoIndex::Load(path, LoadMode::kMap);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_FALSE((*v2)->mapped());  // copied, not aliased
-  EXPECT_TRUE((*v2)->sid_caches_from_disk());
-  EXPECT_EQ((*v2)->LookupWord("delicious"), index->LookupWord("delicious"));
+  // A bare catalog (no magic) is not an index image.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(&out);
     ASSERT_TRUE(index->catalog().Save(&writer).ok());
   }
-  auto v1 = KokoIndex::Load(path, LoadMode::kMap);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_FALSE((*v1)->mapped());
-  EXPECT_EQ((*v1)->LookupWord("delicious"), index->LookupWord("delicious"));
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, SaveVersionKnobWritesLoadableV3AndV4) {
-  // The explicit version knob: 4 (current, bit-packed blocks) and 3
-  // (varint blocks) both round-trip through kCopy and kMap, answer
-  // identically, and the no-version overload writes exactly v4.
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 31});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  auto read_all = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  };
-  std::string default_path = ::testing::TempDir() + "/koko_ver_default.bin";
-  ASSERT_TRUE(index->Save(default_path).ok());
-  for (uint32_t version : {3u, 4u}) {
-    std::string path = ::testing::TempDir() + "/koko_ver_" +
-                       std::to_string(version) + ".bin";
-    {
-      std::ofstream out(path, std::ios::binary);
-      BinaryWriter writer(&out);
-      ASSERT_TRUE(index->Save(&writer, version).ok());
-    }
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      auto loaded = KokoIndex::Load(path, mode);
-      ASSERT_TRUE(loaded.ok())
-          << "v" << version << ": " << loaded.status().ToString();
-      EXPECT_EQ((*loaded)->mapped(), mode == LoadMode::kMap) << version;
-      EXPECT_TRUE((*loaded)->sid_caches_from_disk()) << version;
-      const BlockList* sids = (*loaded)->WordSids("happy");
-      ASSERT_NE(sids, nullptr) << version;
-      // v4 images hold packed payloads, v3 varint payloads.
-      EXPECT_EQ(sids->packed(), version == 4) << version;
-      EXPECT_EQ((*loaded)->LookupWord("happy"), index->LookupWord("happy"))
-          << version;
-      PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-      EXPECT_EQ((*loaded)->LookupParseLabelPath(p),
-                index->LookupParseLabelPath(p))
-          << version;
-      EXPECT_EQ((*loaded)->AllEntitySids(), index->AllEntitySids()) << version;
-    }
-    if (version == 4) {
-      EXPECT_EQ(read_all(path), read_all(default_path));  // default is v4
-    } else {
-      EXPECT_NE(read_all(path), read_all(default_path));
-    }
-    std::remove(path.c_str());
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+    auto loaded = KokoIndex::Load(path, mode);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
-  std::remove(default_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(KokoIndexTest, MmapLoadErrorsAreClean) {
@@ -421,25 +387,26 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
     EXPECT_FALSE(mapped.ok()) << "mapped, truncated to " << keep << " bytes";
   }
 
-  // Flip bytes in the trailing half (catalog tail + the v3 block-
-  // compressed sid caches: skip-first / skip-offset arrays and delta-block
-  // payloads). Structural damage — continuation bits, oversized counts
-  // (which used to hang Load on a gigabyte allocation), skip offsets out
-  // of bounds or non-monotone, gap monotonicity, payloads not ending on a
-  // block boundary — must fail cleanly; a flip that happens to decode to
-  // another valid stream of the recorded length is indistinguishable
+  // Flip bytes in the trailing half (catalog tail + the packed sid caches:
+  // skip tables, widths, alignment pads and block payloads). Structural
+  // damage — oversized counts (which used to hang Load on a gigabyte
+  // allocation), skip offsets out of bounds or non-monotone, non-minimal
+  // widths, zero gaps, nonzero slack or pad bits — must fail cleanly; a
+  // flip that happens to yield another valid image is indistinguishable
   // without a checksum, so the guarantee under test is "clean error or a
   // usable index", never a crash, hang, or out-of-bounds read (the suite
-  // runs under ASan in CI). The kMap path runs the same validation before
-  // aliasing anything, so it must agree flip for flip — and a mapped
-  // survivor must never read past its mapping when queried.
+  // runs under ASan in CI). Both load modes take the same validate-then-
+  // alias path, so they must agree flip for flip — and a survivor must
+  // never read past its image when queried.
   for (size_t at = image.size() - image.size() / 2; at < image.size();
        at += 7) {
     std::vector<char> corrupt = image;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
     write_image(corrupt);
+    bool survived[2] = {false, false};
     for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
       auto loaded = KokoIndex::Load(path, mode);
+      survived[mode == LoadMode::kMap] = loaded.ok();
       if (!loaded.ok()) continue;  // clean failure: the desired outcome
       (void)(*loaded)->LookupWord("delicious");
       const BlockList* sids = (*loaded)->WordSids("delicious");
@@ -450,6 +417,7 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
         EXPECT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
       }
     }
+    EXPECT_EQ(survived[0], survived[1]) << "flip at " << at;
   }
   std::remove(path.c_str());
 }
@@ -474,10 +442,9 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   for (const std::string& word : words) {
     const BlockList* sids = index->WordSids(word);
     ASSERT_NE(sids, nullptr) << word;
-    // The flat v2 codec and the block layout must agree on the sid set.
-    SidList decoded = sids->Decode();
-    EXPECT_EQ(*DecodeDeltas(EncodeDeltas(decoded)), decoded) << word;
-    EXPECT_EQ(BlockList::FromSidList(decoded), *sids) << word;
+    // Re-packing the decoded sids reproduces the stored list byte for
+    // byte: the encoding is canonical.
+    EXPECT_EQ(BlockList::FromSidList(sids->Decode()), *sids) << word;
     block_bytes += sids->MemoryUsage();
     raw_bytes += sids->size() * sizeof(uint32_t);
   }
@@ -488,7 +455,6 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   ASSERT_TRUE(index->Save(path).ok());
   auto loaded = KokoIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE((*loaded)->sid_caches_from_disk());
   for (const std::string& word : words) {
     const BlockList* want = index->WordSids(word);
     const BlockList* got = (*loaded)->WordSids(word);
@@ -499,57 +465,6 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
   EXPECT_EQ((*loaded)->PosPathSids(MakePath({{"//", "verb"}})),
             index->PosPathSids(MakePath({{"//", "verb"}})));
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, LegacyV2ImageStillLoads) {
-  // A flat varint-delta (v2) image — what PR-2/PR-3 binaries wrote — must
-  // load into the same index, re-encoded into blocks on the way in.
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 8});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_v2_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->Save(&writer, /*version=*/2).ok());
-  }
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->sid_caches_from_disk());
-  for (const char* word : {"a", "delicious", "ate"}) {
-    const BlockList* want = index->WordSids(word);
-    const BlockList* got = (*loaded)->WordSids(word);
-    ASSERT_EQ(got == nullptr, want == nullptr) << word;
-    if (want != nullptr) EXPECT_EQ(*got, *want) << word;
-  }
-  PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-  EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
-  EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, LegacyCatalogOnlyImageStillLoads) {
-  // A v1 image is a bare catalog (no "KIDX" magic, no sid-cache section);
-  // Load must detect it and rebuild every projection from the tables.
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_v1_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->catalog().Save(&writer).ok());
-  }
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE((*loaded)->sid_caches_from_disk());
-  EXPECT_EQ((*loaded)->LookupWord("delicious"), index->LookupWord("delicious"));
-  const BlockList* want = index->WordSids("ate");
-  const BlockList* got = (*loaded)->WordSids("ate");
-  ASSERT_NE(got, nullptr);
-  ASSERT_NE(want, nullptr);
-  EXPECT_EQ(*got, *want);
   std::remove(path.c_str());
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -179,8 +181,6 @@ TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
   for (size_t i = 0; i < built->num_shards(); ++i) {
     EXPECT_EQ((*loaded)->shard_range(i).begin, built->shard_range(i).begin);
     EXPECT_EQ((*loaded)->shard_range(i).end, built->shard_range(i).end);
-    // Each shard restores its sid caches from the delta-encoded section.
-    EXPECT_TRUE((*loaded)->shard(i).sid_caches_from_disk());
   }
   for (const char* word : {"a", "delicious", "ate"}) {
     EXPECT_EQ((*loaded)->LookupWord(word), built->LookupWord(word)) << word;
@@ -214,7 +214,7 @@ TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
 }
 
 TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
-  // The v2 manifest's byte extents let shards deserialize independently;
+  // The manifest's byte extents let shards load independently;
   // the loaded index must be identical for every worker count and on a
   // caller-shared pool.
   AnnotatedCorpus corpus = MomentsCorpus(80, 75);
@@ -236,9 +236,6 @@ TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
     auto got = ShardedKokoIndex::Load(path, variants[v]);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ((*got)->num_shards(), (*want)->num_shards()) << v;
-    for (size_t i = 0; i < (*want)->num_shards(); ++i) {
-      EXPECT_TRUE((*got)->shard(i).sid_caches_from_disk()) << v;
-    }
     for (const char* word : {"a", "delicious", "ate", "zzz-absent"}) {
       EXPECT_EQ((*got)->LookupWord(word), (*want)->LookupWord(word))
           << "v=" << v << " word=" << word;
@@ -292,7 +289,6 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
           << context;
       for (size_t i = 0; i < k; ++i) {
         EXPECT_TRUE((*got)->shard(i).mapped()) << context;
-        EXPECT_TRUE((*got)->shard(i).sid_caches_from_disk()) << context;
         EXPECT_EQ((*got)->shard_range(i).begin, built->shard_range(i).begin);
         EXPECT_EQ((*got)->shard_range(i).end, built->shard_range(i).end);
       }
@@ -356,6 +352,115 @@ TEST(ShardedKokoIndexTest, CorruptManifestExtentFailsLoadCleanly) {
   map_options.mode = LoadMode::kMap;
   auto mapped = ShardedKokoIndex::Load(path, map_options);
   EXPECT_FALSE(mapped.ok());
+  std::remove(path.c_str());
+}
+
+// Manifest layout: magic | version | shard count, then per shard
+// u32 begin | u32 end | u64 extent.
+constexpr size_t kManifestHeader = 12;
+constexpr size_t kManifestEntry = 16;
+
+std::vector<char> ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteImage(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<long>(bytes.size()));
+}
+
+void PatchU32(std::vector<char>* image, size_t at, uint32_t value) {
+  std::memcpy(image->data() + at, &value, sizeof(value));
+}
+
+TEST(ShardedKokoIndexTest, ManifestRangesMustStartAtZeroAndHoldTheirLists) {
+  AnnotatedCorpus corpus = MomentsCorpus(40, 79);
+  auto built = ShardedKokoIndex::Build(corpus, 2);
+  const uint32_t split = built->shard_range(0).end;
+  ASSERT_GT(split, 2u);
+  std::string path = ::testing::TempDir() + "/sharded_index_ranges_test.bin";
+  ASSERT_TRUE(built->Save(path).ok());
+  const std::vector<char> image = ReadImage(path);
+  auto expect_rejected = [&](const std::vector<char>& bytes,
+                             const std::string& what) {
+    WriteImage(path, bytes);
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      ShardedKokoIndex::LoadOptions options;
+      options.mode = mode;
+      auto loaded = ShardedKokoIndex::Load(path, options);
+      ASSERT_FALSE(loaded.ok()) << what;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << what;
+    }
+  };
+  // First range shifted off sid 0 (still contiguous with the second).
+  {
+    std::vector<char> bad = image;
+    PatchU32(&bad, kManifestHeader, 1);
+    expect_rejected(bad, "first range begins at 1");
+  }
+  // Boundary moved down: shard 0's lists now reach past its range's end.
+  {
+    std::vector<char> bad = image;
+    PatchU32(&bad, kManifestHeader + 4, 1);
+    PatchU32(&bad, kManifestHeader + kManifestEntry, 1);
+    expect_rejected(bad, "boundary moved down");
+  }
+  // Boundary moved up: shard 1's lists now start below its range's begin.
+  {
+    std::vector<char> bad = image;
+    PatchU32(&bad, kManifestHeader + 4, split + 1);
+    PatchU32(&bad, kManifestHeader + kManifestEntry, split + 1);
+    expect_rejected(bad, "boundary moved up");
+  }
+  // The untouched image still loads.
+  WriteImage(path, image);
+  EXPECT_TRUE(ShardedKokoIndex::Load(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ShardedKokoIndexTest, CorruptImageFailsLoadCleanly) {
+  // Byte-flip and truncation sweeps over a whole sharded file, in both
+  // load modes: every damaged variant must load cleanly or fail with an
+  // error — never crash or read outside the image (the suite runs under
+  // ASan in CI) — and the two modes, which share one validate-then-alias
+  // path, must agree.
+  AnnotatedCorpus corpus = MomentsCorpus(12, 80);
+  auto built = ShardedKokoIndex::Build(corpus, 2);
+  std::string path = ::testing::TempDir() + "/sharded_index_sweep_test.bin";
+  ASSERT_TRUE(built->Save(path).ok());
+  const std::vector<char> image = ReadImage(path);
+  auto load_both = [&](const std::string& what) {
+    bool ok[2];
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      ShardedKokoIndex::LoadOptions options;
+      options.mode = mode;
+      auto loaded = ShardedKokoIndex::Load(path, options);
+      ok[mode == LoadMode::kMap] = loaded.ok();
+      if (!loaded.ok()) continue;
+      for (const char* word : {"a", "happy", "zzz-absent"}) {
+        const SidList sids = (*loaded)->WordSids(word);
+        EXPECT_TRUE(std::is_sorted(sids.begin(), sids.end())) << what;
+        (void)(*loaded)->LookupWord(word);
+      }
+      (void)(*loaded)->PlPathSids(DobjPath());
+    }
+    EXPECT_EQ(ok[0], ok[1]) << what;
+    return ok[0];
+  };
+  for (size_t keep : {size_t{0}, size_t{11}, size_t{40}, image.size() / 2,
+                      image.size() - 1}) {
+    WriteImage(path, std::vector<char>(image.begin(),
+                                       image.begin() + static_cast<long>(keep)));
+    EXPECT_FALSE(load_both("truncated to " + std::to_string(keep)));
+  }
+  for (size_t at = 0; at < image.size(); at += 97) {
+    std::vector<char> corrupt = image;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
+    WriteImage(path, corrupt);
+    load_both("flip at " + std::to_string(at));
+  }
   std::remove(path.c_str());
 }
 

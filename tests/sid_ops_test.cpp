@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -192,9 +194,9 @@ TEST(BlockListTest, RoundTripEdgeSizes) {
 }
 
 TEST(BlockListTest, AppendMatchesFromSidListAndDropsRepeats) {
-  BlockList appended;
-  for (uint32_t sid : {1u, 1u, 2u, 2u, 2u, 7u, 7u, 2000000u}) appended.Append(sid);
-  appended.ShrinkToFit();
+  BlockListBuilder builder;
+  for (uint32_t sid : {1u, 1u, 2u, 2u, 2u, 7u, 7u, 2000000u}) builder.Append(sid);
+  BlockList appended = builder.Finish();
   EXPECT_EQ(appended, BlockList::FromSidList(SidList::FromSorted({1, 2, 7, 2000000})));
   EXPECT_EQ(appended.Decode().ids(), (std::vector<uint32_t>{1, 2, 7, 2000000}));
 }
@@ -274,210 +276,13 @@ TEST(BlockListTest, UnionAllBlocks) {
   EXPECT_TRUE(UnionAllBlocks({}).empty());
 }
 
-// FromParts guards the v3 image: every structural invariant violation a
-// byte flip can produce must be rejected, never decoded into garbage sids.
-TEST(BlockListTest, FromPartsValidation) {
-  // The accessors hand out borrowed views; materialise owned vectors so
-  // the test can corrupt individual fields.
-  auto parts_of = [](const BlockList& list) {
-    return std::make_tuple(static_cast<uint32_t>(list.size()),
-                           list.skip_first().ToVector(),
-                           list.skip_offset().ToVector(),
-                           list.bytes().ToVector());
-  };
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 300; ++i) ids.push_back(i * 3);
-  BlockList good = BlockList::FromSidList(SidList::FromSorted(ids));
-  auto [count, skip_first, skip_offset, bytes] = parts_of(good);
-
-  // The untouched parts reassemble to an identical list.
-  auto ok = BlockList::FromParts(count, skip_first, skip_offset, bytes);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(*ok, good);
-
-  // Count inconsistent with the block structure.
-  EXPECT_FALSE(BlockList::FromParts(count + 1, skip_first, skip_offset, bytes).ok());
-  EXPECT_FALSE(BlockList::FromParts(0, skip_first, skip_offset, bytes).ok());
-  // Skip tables of different lengths.
-  {
-    auto f = skip_first;
-    f.pop_back();
-    EXPECT_FALSE(BlockList::FromParts(count, f, skip_offset, bytes).ok());
-  }
-  // Corrupt skip-table entries: non-monotone first sids across blocks.
-  {
-    auto f = skip_first;
-    f[1] = f[0];
-    EXPECT_FALSE(BlockList::FromParts(count, f, skip_offset, bytes).ok());
-  }
-  // Corrupt skip-table entries: offset out of bounds / non-monotone /
-  // first block not at zero.
-  {
-    auto o = skip_offset;
-    o[1] = static_cast<uint32_t>(bytes.size()) + 100;
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, o, bytes).ok());
-    o = skip_offset;
-    o[0] = 1;
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, o, bytes).ok());
-    o = skip_offset;
-    std::swap(o[1], o[2]);
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, o, bytes).ok());
-  }
-  // Payload truncated mid-varint / trailing bytes.
-  {
-    auto p = bytes;
-    p.pop_back();
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, skip_offset, p).ok());
-    p = bytes;
-    p.push_back(0x01);
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, skip_offset, p).ok());
-  }
-  // Zero gap (duplicate sid) inside a block.
-  {
-    auto p = bytes;
-    p[0] = 0x00;
-    EXPECT_FALSE(BlockList::FromParts(count, skip_first, skip_offset, p).ok());
-  }
-  // Empty list: only the all-empty parts are valid.
-  EXPECT_TRUE(BlockList::FromParts(0, {}, {}, {}).ok());
-  EXPECT_FALSE(BlockList::FromParts(0, {}, {}, {0x01}).ok());
-}
-
-TEST(BlockListTest, FromMappedAliasesWithoutCopying) {
-  // A mapped view must behave identically to the owning list it was
-  // serialized from — same equality, same queries — while owning nothing.
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 1000; ++i) ids.push_back(i * 7 + (i % 3));
-  BlockList owned = BlockList::FromSidList(SidList::FromUnsorted(ids));
-  const std::vector<uint32_t> skip_first = owned.skip_first().ToVector();
-  const std::vector<uint32_t> skip_offset = owned.skip_offset().ToVector();
-  const std::vector<uint8_t> payload = owned.bytes().ToVector();
-
-  auto mapped = BlockList::FromMapped(
-      static_cast<uint32_t>(owned.size()), U32View(skip_first),
-      U32View(skip_offset), MemorySpan(payload.data(), payload.size()));
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(owned.mapped());
-  EXPECT_EQ(*mapped, owned);
-  EXPECT_EQ(mapped->MemoryUsage(), 0u);  // the backing memory is borrowed
-  EXPECT_GT(owned.MemoryUsage(), 0u);
-  // The view aliases, it does not copy.
-  EXPECT_EQ(mapped->bytes().data(), payload.data());
-  EXPECT_EQ(mapped->Decode(), owned.Decode());
-  for (uint32_t probe : {0u, 7u, 8u, 3500u, 6993u, 100000u}) {
-    EXPECT_EQ(mapped->Contains(probe), owned.Contains(probe)) << probe;
-  }
-  // Kernels run unchanged over the view: intersect it against decoded and
-  // compressed inputs.
-  SidList half = SidList::FromUnsorted(
-      std::vector<uint32_t>(ids.begin(), ids.begin() + 500));
-  EXPECT_EQ(Intersect(half, *mapped), Intersect(half, owned));
-  EXPECT_EQ(Intersect(*mapped, owned), owned.Decode());
-
-  // The mapped arrays also start at deliberately unaligned addresses in a
-  // real image (strings precede them); simulate that by re-basing the
-  // views one byte into a shifted buffer.
-  std::vector<uint8_t> shifted(1 + skip_first.size() * sizeof(uint32_t));
-  std::memcpy(shifted.data() + 1, skip_first.data(),
-              skip_first.size() * sizeof(uint32_t));
-  U32View unaligned(shifted.data() + 1, skip_first.size());
-  auto remapped = BlockList::FromMapped(
-      static_cast<uint32_t>(owned.size()), unaligned, U32View(skip_offset),
-      MemorySpan(payload.data(), payload.size()));
-  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
-  EXPECT_EQ(*remapped, owned);
-}
-
-TEST(BlockListTest, FromMappedRejectsCorruptParts) {
-  // Every corruption FromParts rejects must fail FromMapped identically —
-  // nothing may be aliased out of a structurally unsound image.
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 300; ++i) ids.push_back(i * 3);
-  BlockList good = BlockList::FromSidList(SidList::FromSorted(ids));
-  const uint32_t count = static_cast<uint32_t>(good.size());
-  std::vector<uint32_t> skip_first = good.skip_first().ToVector();
-  std::vector<uint32_t> skip_offset = good.skip_offset().ToVector();
-  std::vector<uint8_t> payload = good.bytes().ToVector();
-  auto map_with = [&](uint32_t n, const std::vector<uint32_t>& f,
-                      const std::vector<uint32_t>& o,
-                      const std::vector<uint8_t>& p) {
-    return BlockList::FromMapped(n, U32View(f), U32View(o),
-                                 MemorySpan(p.data(), p.size()));
-  };
-  ASSERT_TRUE(map_with(count, skip_first, skip_offset, payload).ok());
-
-  EXPECT_FALSE(map_with(count + 1, skip_first, skip_offset, payload).ok());
-  EXPECT_FALSE(map_with(0, skip_first, skip_offset, payload).ok());
-  {
-    auto f = skip_first;
-    f.pop_back();
-    EXPECT_FALSE(map_with(count, f, skip_offset, payload).ok());
-    f = skip_first;
-    f[1] = f[0];  // non-monotone across blocks
-    EXPECT_FALSE(map_with(count, f, skip_offset, payload).ok());
-  }
-  {
-    auto o = skip_offset;
-    o[1] = static_cast<uint32_t>(payload.size()) + 100;  // out of bounds
-    EXPECT_FALSE(map_with(count, skip_first, o, payload).ok());
-    o = skip_offset;
-    o[0] = 1;  // first block not at zero
-    EXPECT_FALSE(map_with(count, skip_first, o, payload).ok());
-    o = skip_offset;
-    std::swap(o[1], o[2]);  // non-monotone offsets
-    EXPECT_FALSE(map_with(count, skip_first, o, payload).ok());
-  }
-  {
-    auto p = payload;
-    p.pop_back();  // truncated mid-varint
-    EXPECT_FALSE(map_with(count, skip_first, skip_offset, p).ok());
-    p = payload;
-    p.push_back(0x01);  // trailing bytes
-    EXPECT_FALSE(map_with(count, skip_first, skip_offset, p).ok());
-    p = payload;
-    p[0] = 0x00;  // zero gap
-    EXPECT_FALSE(map_with(count, skip_first, skip_offset, p).ok());
-  }
-  // Overflow / overlong varints, mirrored from the FromParts suite.
-  std::vector<uint32_t> one_first = {0xfffffff0u};
-  std::vector<uint32_t> one_offset = {0};
-  std::vector<uint8_t> gap_overflow = {0xff, 0xff, 0xff, 0xff, 0x0f};
-  EXPECT_FALSE(map_with(2, one_first, one_offset, gap_overflow).ok());
-  std::vector<uint8_t> overlong = {0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
-  std::vector<uint32_t> zero_first = {0};
-  EXPECT_FALSE(map_with(2, zero_first, one_offset, overlong).ok());
-  // Empty list: only the all-empty parts are valid.
-  EXPECT_TRUE(BlockList::FromMapped(0, {}, {}, {}).ok());
-  std::vector<uint8_t> stray = {0x01};
-  EXPECT_FALSE(BlockList::FromMapped(0, {}, {},
-                                     MemorySpan(stray.data(), stray.size()))
-                   .ok());
-}
-
-TEST(BlockListTest, FromPartsRejectsOverflowAndOverlongVarints) {
-  // A single block of two sids whose gap pushes past uint32.
-  std::vector<uint32_t> first = {0xfffffff0u};
-  std::vector<uint32_t> offsets = {0};
-  std::vector<uint8_t> gap_overflow = {0xff, 0xff, 0xff, 0xff, 0x0f};  // +2^32-1
-  EXPECT_FALSE(BlockList::FromParts(2, first, offsets, gap_overflow).ok());
-  // Overlong varint (six continuation bytes).
-  std::vector<uint8_t> overlong = {0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
-  EXPECT_FALSE(BlockList::FromParts(2, {0}, offsets, overlong).ok());
-  // The canonical maximum still validates: 0 then +0xffffffff.
-  std::vector<uint8_t> max_gap = {0xff, 0xff, 0xff, 0xff, 0x0f};
-  auto max_ok = BlockList::FromParts(2, {0}, offsets, max_gap);
-  ASSERT_TRUE(max_ok.ok()) << max_ok.status().ToString();
-  EXPECT_EQ(max_ok->Decode().ids(), (std::vector<uint32_t>{0, 0xffffffffu}));
-}
-
 // ---------------------------------------------------------------------------
-// Packed (v4) form: round trips, canonical-encoding corruption rejection.
+// Packed form: round trips, canonical-encoding corruption rejection.
 // ---------------------------------------------------------------------------
 
 // Gap patterns the packed and SIMD paths must all handle: dense runs
-// (1-bit gaps), sparse lists (wide gaps), adversarial mixes that defeat
-// the varint fast path mid-block, and block-boundary sizes.
+// (1-bit gaps), sparse lists (wide gaps), mixes whose block widths are
+// set by one rare wide gap, and block-boundary sizes.
 std::vector<std::vector<uint32_t>> PatternLists() {
   std::vector<std::vector<uint32_t>> lists;
   lists.push_back({});                            // empty
@@ -488,8 +293,8 @@ std::vector<std::vector<uint32_t>> PatternLists() {
     for (uint32_t i = 0; i < n; ++i) {
       dense.push_back(1000 + i);
       sparse.push_back(i * 3000017u);
-      // Alternating 1-byte and multi-byte varint gaps: breaks the SIMD
-      // all-single-byte probe inside a block, not just at its edges.
+      // Mostly narrow gaps with a wide one every third sid: the block
+      // width is set by the rare wide gap.
       mixed.push_back(mixed.empty() ? 7u
                                     : mixed.back() + (i % 3 == 0 ? 300000u
                                                      : i % 3 == 1 ? 1u
@@ -513,34 +318,84 @@ std::vector<std::vector<uint32_t>> PatternLists() {
   return lists;
 }
 
-TEST(BlockListTest, PackedRoundTripMatchesVarintForm) {
+// A list's packed parts as owned vectors, so tests can corrupt fields.
+struct PackedParts {
+  uint32_t count = 0;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> offset;
+  std::vector<uint32_t> width;
+  std::vector<uint8_t> payload;
+};
+
+PackedParts PartsOf(const BlockList& list) {
+  return {static_cast<uint32_t>(list.size()), list.skip_first().ToVector(),
+          list.skip_offset().ToVector(), list.skip_width().ToVector(),
+          list.bytes().ToVector()};
+}
+
+// Lays `parts` out in `arena`, every array starting `shift` bytes past a
+// 4-byte boundary (0: aligned; 1: the unaligned bases an image can hand
+// out), with the payload last so the arena ends exactly where it does, and
+// validates-and-aliases them through FromMappedPacked. The arena must
+// outlive the returned list.
+Result<BlockList> MapParts(const PackedParts& parts, size_t shift,
+                           std::vector<uint8_t>* arena) {
+  const void* src[4] = {parts.first.data(), parts.offset.data(),
+                        parts.width.data(), parts.payload.data()};
+  const size_t size[4] = {parts.first.size() * sizeof(uint32_t),
+                          parts.offset.size() * sizeof(uint32_t),
+                          parts.width.size() * sizeof(uint32_t),
+                          parts.payload.size()};
+  size_t at[4];
+  size_t cursor = 0;
+  for (int i = 0; i < 4; ++i) {
+    at[i] = cursor + shift;
+    cursor = (at[i] + size[i] + 3) & ~size_t{3};
+  }
+  arena->assign(at[3] + size[3], 0);
+  for (int i = 0; i < 4; ++i) {
+    if (size[i] > 0) std::memcpy(arena->data() + at[i], src[i], size[i]);
+  }
+  const uint8_t* base = arena->data();
+  return BlockList::FromMappedPacked(
+      parts.count, U32View(base + at[0], parts.first.size()),
+      U32View(base + at[1], parts.offset.size()),
+      U32View(base + at[2], parts.width.size()),
+      MemorySpan(base + at[3], parts.payload.size()));
+}
+
+TEST(BlockListTest, PackedEncodingIsCanonicalAndRoundTrips) {
   for (const auto& ids : PatternLists()) {
-    BlockList varint = BlockList::FromSidList(SidList::FromSorted(ids));
-    PackedBlockParts parts = PackBlockList(varint);
-    auto packed = BlockList::FromPackedParts(
-        static_cast<uint32_t>(varint.size()), parts.skip_first,
-        parts.skip_offset, parts.skip_width, parts.payload);
-    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-    EXPECT_TRUE(packed->packed());
-    EXPECT_FALSE(varint.packed());
-    // Cross-form equality decodes blockwise; both directions.
-    EXPECT_EQ(*packed, varint);
-    EXPECT_EQ(varint, *packed);
-    EXPECT_EQ(packed->Decode().ids(), ids);
-    // Re-packing a packed list is the identity: the encoding is canonical.
-    PackedBlockParts again = PackBlockList(*packed);
-    EXPECT_EQ(again.skip_width, parts.skip_width);
-    EXPECT_EQ(again.payload, parts.payload);
-    // Every block payload starts 4-byte aligned and the widths are minimal.
-    for (size_t b = 0; b < parts.skip_offset.size(); ++b) {
-      EXPECT_EQ(parts.skip_offset[b] % 4, 0u) << b;
-      EXPECT_LE(parts.skip_width[b], 32u) << b;
+    BlockList built = BlockList::FromSidList(SidList::FromSorted(ids));
+    EXPECT_FALSE(built.is_view());
+    EXPECT_EQ(built.Decode().ids(), ids);
+    const PackedParts parts = PartsOf(built);
+    // Every block payload starts 4-byte aligned and its width is the
+    // minimal one holding the block's largest gap.
+    uint32_t buf[BlockList::kBlockSids];
+    for (size_t b = 0; b < built.NumBlocks(); ++b) {
+      EXPECT_EQ(parts.offset[b] % 4, 0u) << b;
+      const size_t n = built.DecodeBlock(b, buf);
+      uint32_t max_gap = 0;
+      for (size_t i = 1; i < n; ++i) {
+        max_gap = std::max(max_gap, buf[i] - buf[i - 1]);
+      }
+      EXPECT_EQ(parts.width[b], static_cast<uint32_t>(std::bit_width(max_gap)))
+          << b;
     }
-    // Queries agree across forms, including the packed gallop path.
+    // The built parts pass the image validator, and the view equals the
+    // built list byte for byte.
+    std::vector<uint8_t> arena;
+    auto view = MapParts(parts, 0, &arena);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(*view, built);
+    EXPECT_EQ(view->last_sid(), built.last_sid());
     for (uint32_t probe : {0u, 7u, 1000u, 3000017u, 0xffffffffu}) {
-      EXPECT_EQ(packed->Contains(probe), varint.Contains(probe)) << probe;
+      EXPECT_EQ(view->Contains(probe),
+                std::binary_search(ids.begin(), ids.end(), probe))
+          << probe;
     }
-    EXPECT_EQ(Intersect(*packed, varint), varint.Decode());
+    EXPECT_EQ(Intersect(*view, built).ids(), ids);
   }
 }
 
@@ -548,204 +403,134 @@ TEST(BlockListTest, FromMappedPackedAliasesWithoutCopying) {
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < 1000; ++i) ids.push_back(i * 7 + (i % 3));
   BlockList owned = BlockList::FromSidList(SidList::FromUnsorted(ids));
-  PackedBlockParts parts = PackBlockList(owned);
-  const uint32_t count = static_cast<uint32_t>(owned.size());
+  const PackedParts parts = PartsOf(owned);
 
   auto mapped = BlockList::FromMappedPacked(
-      count, U32View(parts.skip_first), U32View(parts.skip_offset),
-      U32View(parts.skip_width),
+      parts.count, U32View(parts.first), U32View(parts.offset),
+      U32View(parts.width),
       MemorySpan(parts.payload.data(), parts.payload.size()));
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_TRUE(mapped->packed());
+  EXPECT_TRUE(mapped->is_view());
   EXPECT_EQ(mapped->MemoryUsage(), 0u);
   EXPECT_EQ(mapped->bytes().data(), parts.payload.data());  // aliases
   EXPECT_EQ(*mapped, owned);
   EXPECT_EQ(mapped->Decode(), owned.Decode());
 
   // A real image may hand the view unaligned base addresses (the payload
-  // itself is file-aligned, but the skip arrays follow strings): re-base
-  // the width table one byte into a shifted buffer.
-  std::vector<uint8_t> shifted(1 + parts.skip_width.size() * sizeof(uint32_t));
-  std::memcpy(shifted.data() + 1, parts.skip_width.data(),
-              parts.skip_width.size() * sizeof(uint32_t));
-  auto remapped = BlockList::FromMappedPacked(
-      count, U32View(parts.skip_first), U32View(parts.skip_offset),
-      U32View(shifted.data() + 1, parts.skip_width.size()),
-      MemorySpan(parts.payload.data(), parts.payload.size()));
+  // itself is file-aligned, but the skip arrays follow strings).
+  std::vector<uint8_t> arena;
+  auto remapped = MapParts(parts, 1, &arena);
   ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
   EXPECT_EQ(*remapped, owned);
 }
 
-TEST(BlockListTest, FromPackedPartsValidation) {
+// FromMappedPacked is the one validator every image list passes through:
+// every structural invariant violation a byte flip can produce must be
+// rejected, never decoded into garbage sids — whether the parts sit at
+// aligned or unaligned addresses.
+TEST(BlockListTest, FromMappedPackedRejectsCorruptParts) {
   std::vector<uint32_t> ids;
   for (uint32_t i = 0; i < 300; ++i) ids.push_back(i * 3);
-  BlockList good = BlockList::FromSidList(SidList::FromSorted(ids));
-  PackedBlockParts parts = PackBlockList(good);
-  const uint32_t count = static_cast<uint32_t>(good.size());
-  auto make = [&](uint32_t n, const std::vector<uint32_t>& f,
-                  const std::vector<uint32_t>& o,
-                  const std::vector<uint32_t>& w,
-                  const std::vector<uint8_t>& p) {
-    return BlockList::FromPackedParts(n, f, o, w, p);
+  const PackedParts good = PartsOf(BlockList::FromSidList(SidList::FromSorted(ids)));
+  struct Case {
+    std::string name;
+    PackedParts parts;
+    bool valid;
   };
-  ASSERT_TRUE(make(count, parts.skip_first, parts.skip_offset,
-                   parts.skip_width, parts.payload)
-                  .ok());
-
+  std::vector<Case> cases;
+  auto corrupt = [&](const std::string& name,
+                     const std::function<void(PackedParts*)>& edit) {
+    PackedParts parts = good;
+    edit(&parts);
+    cases.push_back({name, std::move(parts), false});
+  };
+  cases.push_back({"good", good, true});
   // Count / skip-table shape mismatches.
-  EXPECT_FALSE(make(count + 1, parts.skip_first, parts.skip_offset,
-                    parts.skip_width, parts.payload)
-                   .ok());
-  EXPECT_FALSE(make(0, parts.skip_first, parts.skip_offset, parts.skip_width,
-                    parts.payload)
-                   .ok());
-  {
-    auto w = parts.skip_width;
-    w.pop_back();  // width table disagrees with the other skip arrays
-    EXPECT_FALSE(make(count, parts.skip_first, parts.skip_offset, w,
-                      parts.payload)
-                     .ok());
-    w = parts.skip_width;
-    w[0] = 33;  // width beyond uint32
-    EXPECT_FALSE(make(count, parts.skip_first, parts.skip_offset, w,
-                      parts.payload)
-                     .ok());
-    w = parts.skip_width;
-    w[0] += 1;  // non-minimal (and payload size no longer matches)
-    EXPECT_FALSE(make(count, parts.skip_first, parts.skip_offset, w,
-                      parts.payload)
-                     .ok());
+  corrupt("count+1", [](PackedParts* p) { ++p->count; });
+  corrupt("count 0", [](PackedParts* p) { p->count = 0; });
+  corrupt("short width table", [](PackedParts* p) { p->width.pop_back(); });
+  corrupt("width 33", [](PackedParts* p) { p->width[0] = 33; });
+  corrupt("width not minimal", [](PackedParts* p) { p->width[0] += 1; });
+  corrupt("non-monotone blocks", [](PackedParts* p) { p->first[1] = p->first[0]; });
+  corrupt("first offset not zero", [](PackedParts* p) { p->offset[0] = 4; });
+  corrupt("unaligned offset", [](PackedParts* p) { p->offset[1] += 2; });
+  corrupt("offset out of bounds", [](PackedParts* p) {
+    p->offset[1] = static_cast<uint32_t>(p->payload.size()) + 4;
+  });
+  // Every truncation of the payload is rejected (sizes are exact), and so
+  // are trailing bytes, even zero ones.
+  for (size_t cut = 1; cut <= 8 && cut <= good.payload.size(); ++cut) {
+    corrupt("payload cut " + std::to_string(cut),
+            [cut](PackedParts* p) { p->payload.resize(p->payload.size() - cut); });
   }
-  {
-    auto f = parts.skip_first;
-    f[1] = f[0];  // non-monotone across blocks
-    EXPECT_FALSE(make(count, f, parts.skip_offset, parts.skip_width,
-                      parts.payload)
-                     .ok());
-  }
-  {
-    auto o = parts.skip_offset;
-    o[0] = 4;  // first block not at zero
-    EXPECT_FALSE(make(count, parts.skip_first, o, parts.skip_width,
-                      parts.payload)
-                     .ok());
-    o = parts.skip_offset;
-    o[1] += 2;  // unaligned / wrong block size
-    EXPECT_FALSE(make(count, parts.skip_first, o, parts.skip_width,
-                      parts.payload)
-                     .ok());
-    o = parts.skip_offset;
-    o[1] = static_cast<uint32_t>(parts.payload.size()) + 4;  // out of bounds
-    EXPECT_FALSE(make(count, parts.skip_first, o, parts.skip_width,
-                      parts.payload)
-                     .ok());
-  }
-  // Every truncation of the payload is rejected (sizes are exact).
-  for (size_t cut = 1; cut <= 8 && cut <= parts.payload.size(); ++cut) {
-    std::vector<uint8_t> p(parts.payload.begin(), parts.payload.end() - cut);
-    EXPECT_FALSE(make(count, parts.skip_first, parts.skip_offset,
-                      parts.skip_width, p)
-                     .ok())
-        << cut;
-  }
-  {
-    auto p = parts.payload;
-    p.push_back(0);  // trailing bytes, even zero ones
-    EXPECT_FALSE(make(count, parts.skip_first, parts.skip_offset,
-                      parts.skip_width, p)
-                     .ok());
-  }
+  corrupt("trailing zero byte", [](PackedParts* p) { p->payload.push_back(0); });
+  corrupt("pad/slack bit", [](PackedParts* p) { p->payload.back() ^= 0x80; });
 
   // Hand-crafted single-block cases pinning the canonical-form rules.
+  auto single = [&](const std::string& name, uint32_t count,
+                    std::vector<uint32_t> first, std::vector<uint32_t> width,
+                    std::vector<uint8_t> payload, bool valid) {
+    std::vector<uint32_t> offset(first.size(), 0);
+    cases.push_back({name,
+                     {count, std::move(first), std::move(offset),
+                      std::move(width), std::move(payload)},
+                     valid});
+  };
   // Two sids {0, 1}: gap 1, width 1, one payload word.
-  EXPECT_TRUE(make(2, {0}, {0}, {1}, {0x01, 0, 0, 0}).ok());
-  // Zero gap encodes a duplicate sid.
-  EXPECT_FALSE(make(2, {0}, {0}, {1}, {0x00, 0, 0, 0}).ok());
-  // Nonzero slack bits past the last gap.
-  EXPECT_FALSE(make(2, {0}, {0}, {1}, {0x03, 0, 0, 0}).ok());
-  // Nonzero alignment pad byte.
-  EXPECT_FALSE(make(2, {0}, {0}, {1}, {0x01, 0, 0, 1}).ok());
-  // Width 2 for a gap of 1 is not minimal (same payload size, so this
-  // isolates the minimal-width rule).
-  EXPECT_FALSE(make(2, {0}, {0}, {2}, {0x01, 0, 0, 0}).ok());
+  single("gap 1", 2, {0}, {1}, {0x01, 0, 0, 0}, true);
+  single("zero gap", 2, {0}, {1}, {0x00, 0, 0, 0}, false);
+  single("slack bits", 2, {0}, {1}, {0x03, 0, 0, 0}, false);
+  single("pad byte", 2, {0}, {1}, {0x01, 0, 0, 1}, false);
+  // Same payload size, so this isolates the minimal-width rule.
+  single("width 2 for gap 1", 2, {0}, {2}, {0x01, 0, 0, 0}, false);
   // A single-sid block must have width 0 and no payload.
-  EXPECT_TRUE(make(1, {9}, {0}, {0}, {}).ok());
-  EXPECT_FALSE(make(1, {9}, {0}, {1}, {0, 0, 0, 0}).ok());
-  // Gap pushing past uint32: 0xfffffff0 + 0xff overflows.
-  EXPECT_FALSE(make(2, {0xfffffff0u}, {0}, {8}, {0xff, 0, 0, 0}).ok());
-  // The canonical maximum still validates: 0 then +0xffffffff (width 32,
-  // exactly one unpadded word).
-  auto max_ok = make(2, {0}, {0}, {32}, {0xff, 0xff, 0xff, 0xff});
-  ASSERT_TRUE(max_ok.ok()) << max_ok.status().ToString();
-  EXPECT_EQ(max_ok->Decode().ids(), (std::vector<uint32_t>{0, 0xffffffffu}));
+  single("single sid", 1, {9}, {0}, {}, true);
+  single("single sid with width", 1, {9}, {1}, {0, 0, 0, 0}, false);
+  // 0xfffffff0 + 0xff overflows uint32.
+  single("overflow", 2, {0xfffffff0u}, {8}, {0xff, 0, 0, 0}, false);
+  // The canonical maximum: 0 then +0xffffffff (width 32, one word).
+  single("max gap", 2, {0}, {32}, {0xff, 0xff, 0xff, 0xff}, true);
   // Empty list: only the all-empty parts are valid.
-  EXPECT_TRUE(make(0, {}, {}, {}, {}).ok());
-  EXPECT_FALSE(make(0, {}, {}, {}, {0}).ok());
+  cases.push_back({"empty", {}, true});
+  cases.push_back({"empty with payload", {0, {}, {}, {}, {0}}, false});
+
+  for (size_t shift : {size_t{0}, size_t{1}}) {
+    for (const Case& c : cases) {
+      std::vector<uint8_t> arena;
+      auto list = MapParts(c.parts, shift, &arena);
+      EXPECT_EQ(list.ok(), c.valid) << c.name << " shift=" << shift;
+      if (list.ok()) {
+        // A survivor decodes in bounds to a strictly ascending list.
+        const SidList decoded = list->Decode();
+        EXPECT_EQ(decoded.size(), c.parts.count) << c.name;
+        EXPECT_TRUE(std::adjacent_find(decoded.begin(), decoded.end(),
+                                       std::greater_equal<uint32_t>()) ==
+                    decoded.end())
+            << c.name;
+      }
+    }
+  }
+  std::vector<uint8_t> arena;
+  auto max_gap = MapParts({2, {0}, {0}, {32}, {0xff, 0xff, 0xff, 0xff}}, 1,
+                          &arena);
+  ASSERT_TRUE(max_gap.ok());
+  EXPECT_EQ(max_gap->Decode().ids(), (std::vector<uint32_t>{0, 0xffffffffu}));
 }
 
 TEST(BlockListTest, RejectsBlockClaimingMoreThanBlockSids) {
   // A count implying more sids than kBlockSids in one block would overflow
-  // DecodeBlock's stack buffer; both forms must reject it at validation,
-  // whatever the payload claims.
-  std::vector<uint8_t> gaps129(129, 0x01);  // 129 one-byte varint gaps
-  EXPECT_FALSE(BlockList::FromParts(130, {0}, {0}, gaps129).ok());
-  EXPECT_FALSE(
-      BlockList::FromPackedParts(130, {0}, {0}, {1}, {0xff, 0xff, 0, 0}).ok());
+  // DecodeBlock's stack buffer; validation must reject it whatever the
+  // payload claims.
+  std::vector<uint8_t> arena;
+  EXPECT_FALSE(MapParts({130, {0}, {0}, {1}, {0xff, 0xff, 0, 0}}, 0, &arena).ok());
   // kBlockSids exactly still fits.
-  std::vector<uint8_t> gaps127(127, 0x01);
-  auto full = BlockList::FromParts(128, {0}, {0}, gaps127);
+  std::vector<uint32_t> ids(BlockList::kBlockSids);
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  auto full = MapParts(PartsOf(BlockList::FromSidList(SidList::FromSorted(ids))),
+                       0, &arena);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(full->Decode().size(), 128u);
-}
-
-TEST(BlockListTest, FromMappedPackedRejectsCorruptParts) {
-  // Every corruption FromPackedParts rejects must fail FromMappedPacked
-  // identically — nothing is aliased out of a structurally unsound image.
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 300; ++i) ids.push_back(i * 3);
-  PackedBlockParts parts =
-      PackBlockList(BlockList::FromSidList(SidList::FromSorted(ids)));
-  const uint32_t count = 300;
-  auto map_with = [&](uint32_t n, const std::vector<uint32_t>& f,
-                      const std::vector<uint32_t>& o,
-                      const std::vector<uint32_t>& w,
-                      const std::vector<uint8_t>& p) {
-    return BlockList::FromMappedPacked(n, U32View(f), U32View(o), U32View(w),
-                                       MemorySpan(p.data(), p.size()));
-  };
-  ASSERT_TRUE(map_with(count, parts.skip_first, parts.skip_offset,
-                       parts.skip_width, parts.payload)
-                  .ok());
-  EXPECT_FALSE(map_with(count + 1, parts.skip_first, parts.skip_offset,
-                        parts.skip_width, parts.payload)
-                   .ok());
-  {
-    auto w = parts.skip_width;
-    w[0] = 33;
-    EXPECT_FALSE(map_with(count, parts.skip_first, parts.skip_offset, w,
-                          parts.payload)
-                     .ok());
-  }
-  {
-    auto p = parts.payload;
-    p.pop_back();
-    EXPECT_FALSE(map_with(count, parts.skip_first, parts.skip_offset,
-                          parts.skip_width, p)
-                     .ok());
-    p = parts.payload;
-    p.back() ^= 0x80;  // flip a pad/slack bit
-    EXPECT_FALSE(map_with(count, parts.skip_first, parts.skip_offset,
-                          parts.skip_width, p)
-                     .ok());
-  }
-  {
-    auto f = parts.skip_first;
-    f[1] = f[0];
-    EXPECT_FALSE(map_with(count, f, parts.skip_offset, parts.skip_width,
-                          parts.payload)
-                     .ok());
-  }
+  EXPECT_EQ(full->NumBlocks(), 1u);
+  EXPECT_EQ(full->Decode().ids(), ids);
 }
 
 // ---------------------------------------------------------------------------
@@ -780,38 +565,21 @@ TEST(SimdTest, ScalarAlwaysAvailableAndNamed) {
 }
 
 TEST(SimdTest, DifferentialDecodeAcrossIsas) {
-  // Decode every pattern list under every available ISA, in both payload
-  // forms, from owned and byte-shifted (unaligned) mapped parts; all must
-  // match the scalar decode exactly.
-  const auto lists = PatternLists();
+  // Decode every pattern list under every available ISA, from the built
+  // list and from byte-shifted (unaligned) image views; all must match the
+  // scalar decode exactly.
   for (const auto& ids : PatternLists()) {
-    BlockList varint = BlockList::FromSidList(SidList::FromSorted(ids));
-    PackedBlockParts pp = PackBlockList(varint);
-    const uint32_t n = static_cast<uint32_t>(varint.size());
-    auto packed = BlockList::FromPackedParts(n, pp.skip_first, pp.skip_offset,
-                                             pp.skip_width, pp.payload);
-    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-    // Unaligned mapped variants: payload re-based one byte into a shifted
-    // buffer, mimicking kMap aliases whose spans are not naturally aligned.
-    std::vector<uint8_t> vshift(1 + varint.bytes().size());
-    if (!varint.bytes().empty()) {
-      std::memcpy(vshift.data() + 1, varint.bytes().data(),
-                  varint.bytes().size());
-    }
-    const std::vector<uint32_t> vfirst = varint.skip_first().ToVector();
-    const std::vector<uint32_t> voffset = varint.skip_offset().ToVector();
-    auto vmapped = BlockList::FromMapped(
-        n, U32View(vfirst), U32View(voffset),
-        MemorySpan(vshift.data() + 1, varint.bytes().size()));
-    ASSERT_TRUE(vmapped.ok()) << vmapped.status().ToString();
+    BlockList built = BlockList::FromSidList(SidList::FromSorted(ids));
+    std::vector<uint8_t> arena;
+    auto unaligned = MapParts(PartsOf(built), 1, &arena);
+    ASSERT_TRUE(unaligned.ok()) << unaligned.status().ToString();
 
     std::vector<std::vector<uint32_t>> scalar_decodes;
     for (simd::Isa isa : simd::AvailableIsas()) {
       ScopedIsa guard(isa);
       std::vector<std::vector<uint32_t>> decodes;
-      decodes.push_back(varint.Decode().ids());
-      decodes.push_back(packed->Decode().ids());
-      decodes.push_back(vmapped->Decode().ids());
+      decodes.push_back(built.Decode().ids());
+      decodes.push_back(unaligned->Decode().ids());
       if (isa == simd::Isa::kScalar) {
         for (const auto& d : decodes) EXPECT_EQ(d, ids);
         scalar_decodes = std::move(decodes);
@@ -896,76 +664,6 @@ TEST(SimdTest, IntersectKernelEdgeCases) {
               0u)
         << simd::IsaName(isa);
   }
-}
-
-TEST(DeltaCodecTest, RoundTrip) {
-  Rng rng(7);
-  for (int round = 0; round < 20; ++round) {
-    SidList list = RandomList(&rng, rng.Next() % 500, 1u << 20);
-    SidList decoded = *DecodeDeltas(EncodeDeltas(list));
-    EXPECT_EQ(decoded.ids(), list.ids());
-  }
-  EXPECT_TRUE(DecodeDeltas(EncodeDeltas(SidList()))->empty());
-  // Dense lists encode to ~1 byte per sid.
-  std::vector<uint32_t> dense;
-  for (uint32_t i = 1000000; i < 1001000; ++i) dense.push_back(i);
-  SidList dense_list = SidList::FromSorted(dense);
-  EXPECT_LE(EncodeDeltas(dense_list).size(), 999u + 5u);
-}
-
-// A corrupt or truncated v2 index image must fail load cleanly rather than
-// decode to garbage sids; these are the codec-level regression cases.
-TEST(DeltaCodecTest, TruncatedStreamRejected) {
-  // A stream whose final byte still has the continuation bit set ends
-  // mid-varint.
-  EXPECT_FALSE(DecodeDeltas({0x85}).ok());
-  EXPECT_EQ(DecodeDeltas({0x85}).status().code(), StatusCode::kParseError);
-  // Every truncation of a valid stream either errors or decodes to a
-  // shorter, still-monotone prefix — never to garbage ids.
-  SidList list = SidList::FromSorted({5, 300, 70000, 70001});
-  std::vector<uint8_t> bytes = EncodeDeltas(list);
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<uint8_t> prefix(bytes.begin(),
-                                bytes.begin() + static_cast<long>(cut));
-    auto decoded = DecodeDeltas(prefix);
-    if (!decoded.ok()) {
-      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << cut;
-      continue;
-    }
-    ASSERT_LE(decoded->size(), list.size()) << cut;
-    for (size_t i = 0; i < decoded->size(); ++i) {
-      EXPECT_EQ((*decoded)[i], list[i]) << cut;
-    }
-  }
-}
-
-TEST(DeltaCodecTest, OverlongVarintRejected) {
-  // Six continuation bytes exceed the 5-byte LEB128 maximum for uint32.
-  EXPECT_FALSE(DecodeDeltas({0xff, 0xff, 0xff, 0xff, 0xff, 0x01}).ok());
-  // Five bytes, but the last carries bits beyond 2^32.
-  EXPECT_FALSE(DecodeDeltas({0xff, 0xff, 0xff, 0xff, 0x7f}).ok());
-  // The canonical 5-byte maximum (0xffffffff) still decodes.
-  auto max_value = DecodeDeltas({0xff, 0xff, 0xff, 0xff, 0x0f});
-  ASSERT_TRUE(max_value.ok()) << max_value.status().ToString();
-  EXPECT_EQ(max_value->ids(), (std::vector<uint32_t>{0xffffffffu}));
-}
-
-TEST(DeltaCodecTest, NonMonotoneGapsRejected) {
-  // 7 followed by a zero gap encodes a duplicate id; a valid encoder never
-  // emits it, and accepting it would silently violate SidList's sorted-
-  // unique invariant.
-  EXPECT_FALSE(DecodeDeltas({0x07, 0x00}).ok());
-  // A zero *first* id is legal (sid 0 exists).
-  auto zero_first = DecodeDeltas({0x00, 0x01});
-  ASSERT_TRUE(zero_first.ok());
-  EXPECT_EQ(zero_first->ids(), (std::vector<uint32_t>{0, 1}));
-}
-
-TEST(DeltaCodecTest, SidOverflowRejected) {
-  // 0xffffffff followed by a gap of 1 would wrap past uint32.
-  std::vector<uint8_t> bytes = EncodeDeltas(SidList::FromSorted({0xffffffffu}));
-  bytes.push_back(0x01);
-  EXPECT_FALSE(DecodeDeltas(bytes).ok());
 }
 
 }  // namespace

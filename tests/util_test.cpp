@@ -352,6 +352,40 @@ TEST(MappedFileTest, OpenFailuresAreCleanErrors) {
   std::remove(path.c_str());
 }
 
+TEST(MappedFileTest, ReadCopiesIntoAnOwnedBuffer) {
+  // Read is Open's heap-copy twin: same span API and contents, but the
+  // bytes are an owned buffer (mmapped() false) that survives any later
+  // change to the file.
+  const std::string path = ::testing::TempDir() + "/read_util_test.bin";
+  const std::string payload = "owned bytes";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(payload.data(), static_cast<long>(payload.size()));
+  }
+  auto mapped = MappedFile::Open(path);
+  auto owned = MappedFile::Read(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  EXPECT_TRUE((*mapped)->mmapped());
+  EXPECT_FALSE((*owned)->mmapped());
+  EXPECT_EQ((*owned)->path(), path);
+  { std::ofstream truncate(path, std::ios::binary | std::ios::trunc); }
+  const MemorySpan span = (*owned)->span();
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(span.data()),
+                        span.size()),
+            payload);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(span.data()) % alignof(uint32_t), 0u);
+  // Failures are clean errors; an empty file reads to an empty span.
+  auto empty = MappedFile::Read(path);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE((*empty)->span().empty());
+  std::remove(path.c_str());
+  auto missing = MappedFile::Read(path);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+  EXPECT_FALSE(MappedFile::Read(::testing::TempDir()).ok());
+}
+
 TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
   // Build a little stream with BinaryWriter, then parse it back with
   // SpanReader and check the array reads alias instead of copying.
