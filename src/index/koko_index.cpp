@@ -257,6 +257,11 @@ Status KokoIndex::RebuildEntityCache() {
       return Status::ParseError("E table entity type out of range");
     }
     p.type = static_cast<EntityType>(type);
+    // The entity sid lists are built from this order, which must be the
+    // sid-sorted order Build writes.
+    if (!all_entities_.empty() && p.sid < all_entities_.back().sid) {
+      return Status::ParseError("E table rows not in sid order");
+    }
     all_entities_.push_back(p);
   }
   return Status::OK();
@@ -449,48 +454,46 @@ size_t KokoIndex::MemoryUsage() const {
   return bytes;
 }
 
+template <typename Fn>
+void KokoIndex::ForEachSidList(Fn&& fn) const {
+  fn(all_entity_sids_);
+  for (const auto& [word, sids] : word_sids_) fn(sids);
+  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
+    for (const TrieNode& node : trie->nodes) fn(node.sids);
+  }
+  for (const auto& sids : entity_sids_by_type_) fn(sids);
+}
+
 size_t KokoIndex::SidCacheMemoryUsage() const {
   // A view into an owned (kCopy) image buffer occupies its encoded bytes
   // of that heap buffer; a view into an mmap occupies no heap at all.
   const bool owned_image = image_ != nullptr && !image_->mmapped();
-  auto heap_bytes = [owned_image](const BlockList& list) {
-    if (!owned_image || !list.is_view()) return list.MemoryUsage();
-    return list.bytes().size() + list.skip_first().raw_size() +
-           list.skip_offset().raw_size() + list.skip_width().raw_size();
-  };
-  size_t bytes = heap_bytes(all_entity_sids_);
-  for (const auto& [word, sids] : word_sids_) bytes += heap_bytes(sids);
-  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (const TrieNode& node : trie->nodes) bytes += heap_bytes(node.sids);
-  }
-  for (const auto& sids : entity_sids_by_type_) bytes += heap_bytes(sids);
+  size_t bytes = 0;
+  ForEachSidList([&](const BlockList& list) {
+    bytes += owned_image && list.is_view()
+                 ? list.bytes().size() + list.skip_first().raw_size() +
+                       list.skip_offset().raw_size() +
+                       list.skip_width().raw_size()
+                 : list.MemoryUsage();
+  });
   return bytes;
 }
 
 Status KokoIndex::CheckSidRange(uint32_t begin, uint32_t end) const {
-  auto inside = [&](const BlockList& list) {
-    return list.empty() ||
-           (list.skip_first()[0] >= begin && list.last_sid() < end);
-  };
-  bool ok = inside(all_entity_sids_);
-  for (const auto& [word, sids] : word_sids_) ok = ok && inside(sids);
-  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (const TrieNode& node : trie->nodes) ok = ok && inside(node.sids);
-  }
-  for (const auto& sids : entity_sids_by_type_) ok = ok && inside(sids);
-  if (ok) return Status::OK();
+  bool inside = true;
+  ForEachSidList([&](const BlockList& list) {
+    inside = inside && (list.empty() || (list.skip_first()[0] >= begin &&
+                                         list.last_sid() < end));
+  });
+  if (inside) return Status::OK();
   return Status::ParseError("sid list outside the index's sid range [" +
                             std::to_string(begin) + ", " +
                             std::to_string(end) + ")");
 }
 
 size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
-  size_t sids = all_entity_sids_.CountSids();
-  for (const auto& [word, list] : word_sids_) sids += list.CountSids();
-  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (const TrieNode& node : trie->nodes) sids += node.sids.CountSids();
-  }
-  for (const auto& list : entity_sids_by_type_) sids += list.CountSids();
+  size_t sids = 0;
+  ForEachSidList([&](const BlockList& list) { sids += list.CountSids(); });
   return sids * sizeof(uint32_t);
 }
 
@@ -566,7 +569,7 @@ Result<BlockList> ReadBlockList(SpanReader* reader) {
 Status KokoIndex::Save(BinaryWriter* writer) const {
   writer->WriteU32(kIndexMagic);
   writer->WriteU32(kIndexVersion);
-  KOKO_RETURN_IF_ERROR(catalog_.Save(writer));
+  KOKO_RETURN_IF_ERROR(catalog_.Serialize(writer));
   // Word sid lists, in sorted word order for deterministic images.
   std::vector<const std::pair<const std::string, BlockList>*> words;
   words.reserve(word_sids_.size());
@@ -721,7 +724,7 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
                               " is supported)");
   }
   auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-  KOKO_RETURN_IF_ERROR(index->catalog_.Load(&reader));
+  KOKO_RETURN_IF_ERROR(index->catalog_.Deserialize(&reader));
   KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
   const std::streampos catalog_end = in.tellg();
   if (catalog_end == std::streampos(-1)) {

@@ -273,6 +273,10 @@ class KokoIndex {
   Status InitFromCatalog();
   /// Validates and aliases the word/trie sid-cache sections of an image.
   Status LoadSidCacheSections(SpanReader* reader);
+  /// Calls `fn(const BlockList&)` on every stored sid list. Defined in
+  /// koko_index.cpp; instantiated only there.
+  template <typename Fn>
+  void ForEachSidList(Fn&& fn) const;
   Status RebuildEntityCache();
   /// Fills the columnar sid caches (word/entity-type/trie-node lists) from
   /// the W and E tables; called at the end of Build.

@@ -150,10 +150,10 @@ class BinaryReader {
 
 /// \brief Seekable read-only std::streambuf over a MemorySpan.
 ///
-/// Lets the stream-based deserializers (Catalog::Load and friends) parse a
-/// memory-mapped image without an intermediate copy of the stream itself:
-/// an `std::istream` constructed over this buffer reads straight from the
-/// mapping. Supports seeking so BinaryReader's remaining-bytes bound works.
+/// Lets the stream-based deserializers (Catalog::Deserialize and friends)
+/// parse a memory-mapped image without an intermediate copy of the stream
+/// itself: an `std::istream` constructed over this buffer reads straight
+/// from the mapping. Supports seeking so BinaryReader's remaining-bytes bound works.
 class SpanStreamBuf : public std::streambuf {
  public:
   explicit SpanStreamBuf(MemorySpan span) {
@@ -238,12 +238,6 @@ class SpanReader {
     U32View view(span_.data() + pos_, count);
     pos_ += static_cast<size_t>(bytes);
     return view;
-  }
-
-  /// u32 count, then `count` raw bytes, returned as a view.
-  Result<MemorySpan> ReadByteArray() {
-    KOKO_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
-    return ReadRawSpan(count);
   }
 
   /// `count` raw bytes with no length prefix, returned as a view — for

@@ -248,7 +248,7 @@ size_t Catalog::MemoryUsage() const {
   return bytes;
 }
 
-Status Catalog::Save(BinaryWriter* writer) const {
+Status Catalog::Serialize(BinaryWriter* writer) const {
   writer->WriteU32(0x4b4f4b4f);  // "KOKO"
   writer->WriteU32(static_cast<uint32_t>(tables_.size()));
   for (const auto& [_, table] : tables_) table->Serialize(writer);
@@ -256,7 +256,7 @@ Status Catalog::Save(BinaryWriter* writer) const {
   return Status::OK();
 }
 
-Status Catalog::Load(BinaryReader* reader) {
+Status Catalog::Deserialize(BinaryReader* reader) {
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader->ReadU32());
   if (magic != 0x4b4f4b4f) return Status::ParseError("bad catalog magic");
   KOKO_ASSIGN_OR_RETURN(uint32_t num_tables, reader->ReadU32());
@@ -274,7 +274,7 @@ Status Catalog::SaveToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   BinaryWriter writer(&out);
-  KOKO_RETURN_IF_ERROR(Save(&writer));
+  KOKO_RETURN_IF_ERROR(Serialize(&writer));
   if (!writer.ok()) return Status::IoError("write failure on " + path);
   return Status::OK();
 }
@@ -283,7 +283,7 @@ Status Catalog::LoadFromFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
   BinaryReader reader(&in);
-  return Load(&reader);
+  return Deserialize(&reader);
 }
 
 }  // namespace koko

@@ -114,8 +114,8 @@ class Catalog {
   /// Stream-based variants, so a catalog can be embedded as one section of
   /// a larger file (e.g. the KokoIndex image with its compressed sid
   /// caches, or one shard of a ShardedKokoIndex).
-  Status Save(BinaryWriter* writer) const;
-  Status Load(BinaryReader* reader);
+  Status Serialize(BinaryWriter* writer) const;
+  Status Deserialize(BinaryReader* reader);
 
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <sstream>
 
 #include "corpus/generators.h"
 #include "index/path_lookup.h"
@@ -328,7 +329,65 @@ TEST(KokoIndexTest, OnlyVersionFourLoads) {
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(&out);
-    ASSERT_TRUE(index->catalog().Save(&writer).ok());
+    ASSERT_TRUE(index->catalog().Serialize(&writer).ok());
+  }
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+    auto loaded = KokoIndex::Load(path, mode);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(KokoIndexTest, EntityRowsOutOfSidOrderFailLoad) {
+  // The entity sid lists are rebuilt at load from the image's E table, in
+  // row order; rows out of sid order would yield non-monotone lists, so
+  // load rejects them. The image is rewritten with E's rows reversed
+  // (same byte length, so the posting sections behind it stay valid).
+  AnnotatedCorpus corpus = PaperCorpus();
+  auto index = KokoIndex::Build(corpus);
+  std::string path = ::testing::TempDir() + "/koko_index_erows_test.bin";
+  ASSERT_TRUE(index->Save(path).ok());
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::istringstream catalog_in(image.substr(8));
+  BinaryReader reader(&catalog_in);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Deserialize(&reader).ok());
+  const size_t catalog_end = 8 + static_cast<size_t>(catalog_in.tellg());
+
+  const Table* e = catalog.GetTable("E");
+  const std::vector<ColumnSpec> schema = e->schema();
+  std::vector<std::vector<Cell>> rows;
+  for (uint32_t row = 0; row < e->NumRows(); ++row) {
+    std::vector<Cell> cells;
+    for (uint32_t col = 0; col < schema.size(); ++col) {
+      if (schema[col].type == ColumnType::kString) {
+        cells.emplace_back(e->GetString(row, col));
+      } else {
+        cells.emplace_back(e->GetInt(row, col));
+      }
+    }
+    rows.push_back(std::move(cells));
+  }
+  ASSERT_NE(std::get<int64_t>(rows.front()[1]),
+            std::get<int64_t>(rows.back()[1]));
+  Table* reversed = catalog.CreateTable("E", schema);
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+    ASSERT_TRUE(reversed->AppendRow(*it).ok());
+  }
+  ASSERT_TRUE(reversed->CreateIndex("e_entity", {"entity"}).ok());
+  std::ostringstream catalog_out(std::ios::binary);
+  BinaryWriter writer(&catalog_out);
+  ASSERT_TRUE(catalog.Serialize(&writer).ok());
+  ASSERT_EQ(catalog_out.str().size(), catalog_end - 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << image.substr(0, 8) << catalog_out.str() << image.substr(catalog_end);
   }
   for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
     auto loaded = KokoIndex::Load(path, mode);

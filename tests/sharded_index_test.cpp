@@ -483,12 +483,6 @@ TEST(ShardedKokoIndexTest, MmapLoadErrorsAreClean) {
   std::remove(path.c_str());
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 TEST(ShardedKokoIndexTest, ImageBytesMatchGolden) {
   // Pins the on-disk image byte for byte: a fixed, seeded 4-shard wiki
   // index must save to exactly the recorded size and FNV-1a 64 digest
@@ -515,15 +509,17 @@ TEST(ShardedKokoIndexTest, ImageBytesMatchGolden) {
       GenerateWikiArticles({.num_articles = 40, .seed = 3}));
   auto built = ShardedKokoIndex::Build(corpus, 4);
   const std::string path = ::testing::TempDir() + "/sharded_golden_image.bin";
-  auto expect_golden = [&](const std::string& image, const std::string& what) {
+  auto expect_golden = [&](const std::vector<char>& image,
+                           const std::string& what) {
     char digest[17];
     std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(Fnv1a64(image)));
+                  static_cast<unsigned long long>(Fnv1a64(
+                      std::string_view(image.data(), image.size()))));
     EXPECT_EQ(std::to_string(image.size()), golden["bytes"]) << what;
     EXPECT_EQ(std::string(digest), golden["fnv64"]) << what;
   };
   ASSERT_TRUE(built->Save(path).ok());
-  const std::string image = ReadFileBytes(path);
+  const std::vector<char> image = ReadImage(path);
   expect_golden(image, "build -> Save");
 
   for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
@@ -535,7 +531,7 @@ TEST(ShardedKokoIndexTest, ImageBytesMatchGolden) {
     ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
     const std::string resaved_path = path + ".resaved";
     ASSERT_TRUE((*loaded)->Save(resaved_path).ok()) << what;
-    const std::string resaved = ReadFileBytes(resaved_path);
+    const std::vector<char> resaved = ReadImage(resaved_path);
     EXPECT_EQ(resaved, image) << what;
     expect_golden(resaved, what);
     std::remove(resaved_path.c_str());

@@ -414,7 +414,9 @@ TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
   EXPECT_EQ(view->ToVector(), u32s);
   EXPECT_GE(view->raw(), span.data());  // a view into the span, not a copy
   EXPECT_LT(view->raw(), span.data() + span.size());
-  auto bytes = reader.ReadByteArray();
+  auto count = reader.ReadU32();
+  ASSERT_TRUE(count.ok());
+  auto bytes = reader.ReadRawSpan(*count);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(bytes->ToVector(), raw);
   auto b = reader.ReadU64();
@@ -436,7 +438,7 @@ TEST(SpanReaderTest, CorruptLengthPrefixesRejected) {
   EXPECT_FALSE(reader.ReadU32Array().ok());
   SpanReader again(MemorySpan(
       reinterpret_cast<const uint8_t*>(image.data()), image.size()));
-  EXPECT_FALSE(again.ReadByteArray().ok());
+  EXPECT_FALSE(again.ReadRawSpan(1000000).ok());
   SpanReader str_reader(MemorySpan(
       reinterpret_cast<const uint8_t*>(image.data()), image.size()));
   EXPECT_FALSE(str_reader.ReadString().ok());
