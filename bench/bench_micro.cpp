@@ -4,7 +4,6 @@
 // These back the DESIGN.md ablation notes rather than a specific figure.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <unordered_set>
 
 #include "bench_util.h"
@@ -13,7 +12,6 @@
 #include "index/path_lookup.h"
 #include "index/sid_ops.h"
 #include "koko/engine.h"
-#include "koko/planner.h"
 #include "nlp/pipeline.h"
 #include "regex/regex.h"
 #include "storage/btree.h"
@@ -269,24 +267,17 @@ void BM_SidIntersectBlockFullDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SidIntersectBlockFullDecode)->Arg(1)->Arg(10)->Arg(100);
 
-// ---- Skew sweep: per-clause representation choice ---------------------------
+// ---- Skew sweep: in-place intersection ---------------------------------------
 //
-// The planner's central calibration question: when the accumulator is a
-// small decoded list and the next clause is a resident BlockList `ratio`
-// times larger, is it cheaper to walk the blocks in place (skip-table
-// gallop, decode at most one block per probe run) or to decode the whole
-// BlockList once and gallop over the flat array? The sweep covers 1:1
-// through 1:1000; CalibrateSkewCrossover() below distills it into the
-// [min_ratio, max_ratio) decode+gallop band that PlannerOptions defaults
-// to, and BM_SkewIntersectPlanned shows the cost model picking a kernel
-// within noise of the better one at every point.
+// DPLI's central kernel shape: a small decoded accumulator against a
+// resident BlockList `ratio` times larger, walked in place (skip-table
+// gallop, decode at most one block per probe run), 1:1 through 1:1000.
 
 void BM_SkewIntersectInPlace(benchmark::State& state) {
   auto [small, large] = SkewedLists(static_cast<size_t>(state.range(0)));
   BlockList large_blocks = BlockList::FromSidList(large);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IntersectWithRep(small, large_blocks, IntersectRep::kBlockInPlace));
+    benchmark::DoNotOptimize(Intersect(small, large_blocks));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(small.size() + large.size()));
@@ -294,46 +285,13 @@ void BM_SkewIntersectInPlace(benchmark::State& state) {
 BENCHMARK(BM_SkewIntersectInPlace)
     ->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1000);
 
-void BM_SkewIntersectDecodeGallop(benchmark::State& state) {
-  auto [small, large] = SkewedLists(static_cast<size_t>(state.range(0)));
-  BlockList large_blocks = BlockList::FromSidList(large);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectWithRep(small, large_blocks,
-                                              IntersectRep::kDecodeThenGallop));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(small.size() + large.size()));
-}
-BENCHMARK(BM_SkewIntersectDecodeGallop)
-    ->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1000);
-
-// The planner's pick at each skew: ChooseIntersectRep with the default
-// thresholds, fed the same estimates it would read from the skip tables.
-// Acceptance: within ~10% of whichever dedicated kernel wins at 1:1 and at
-// 1:100+ (the JSON snapshot makes the comparison auditable).
-void BM_SkewIntersectPlanned(benchmark::State& state) {
-  auto [small, large] = SkewedLists(static_cast<size_t>(state.range(0)));
-  BlockList large_blocks = BlockList::FromSidList(large);
-  const IntersectRep rep = ChooseIntersectRep(
-      small.size(), StatsOf(large_blocks).sids, PlannerOptions());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectWithRep(small, large_blocks, rep));
-  }
-  state.counters["picked_decode_gallop"] = benchmark::Counter(
-      rep == IntersectRep::kDecodeThenGallop ? 1.0 : 0.0);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(small.size() + large.size()));
-}
-BENCHMARK(BM_SkewIntersectPlanned)
-    ->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1000);
-
 // ---- Streaming top-k: early termination vs full-evaluate-then-truncate ------
 
 const char* kBroadQuery = R"(
     extract b:Str from "moments" if ( /ROOT:{ a = //verb, b = a/dobj }))";
 
-// The legacy truncation semantics: every DPLI candidate is loaded and
-// evaluated, rows are cut to max_rows only at the end.
+// The truncation baseline: one chunk over every DPLI candidate, so every
+// candidate document loads up front and rows are cut to max_rows there.
 void BM_EngineMaxRowsFullTruncate(benchmark::State& state) {
   const AnnotatedCorpus& corpus = SharedCorpus();
   const KokoIndex& index = SharedIndex();
@@ -542,48 +500,6 @@ void BM_AnnotateSentence(benchmark::State& state) {
 BENCHMARK(BM_AnnotateSentence);
 
 }  // namespace
-
-// Direct timing sweep (min-of-reps, no google-benchmark overhead) of the two
-// compressed-vs-decoded intersection kernels across 1:1 .. 1:1000 skew.
-// Records the measured decode+gallop win band into BENCH_micro.json meta as
-// `skew_crossover_min_ratio` / `skew_crossover_max_ratio` — the figures the
-// PlannerOptions defaults are calibrated against (docs/QUERY_PLANNING.md).
-void CalibrateSkewCrossover(bench::JsonEmitter* emitter) {
-  using Clock = std::chrono::steady_clock;
-  const size_t kRatios[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000};
-  auto time_kernel = [](const SidList& small, const BlockList& blocks,
-                        IntersectRep rep) {
-    double best = 1e99;
-    for (int rep_i = 0; rep_i < 5; ++rep_i) {
-      const auto t0 = Clock::now();
-      benchmark::DoNotOptimize(IntersectWithRep(small, blocks, rep));
-      const auto t1 = Clock::now();
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-  };
-  size_t min_win = 0, max_win = 0;  // 0 = decode+gallop never won.
-  for (size_t ratio : kRatios) {
-    auto [small, large] = SkewedLists(ratio);
-    BlockList large_blocks = BlockList::FromSidList(large);
-    const double in_place =
-        time_kernel(small, large_blocks, IntersectRep::kBlockInPlace);
-    const double decode =
-        time_kernel(small, large_blocks, IntersectRep::kDecodeThenGallop);
-    if (decode < in_place) {
-      if (min_win == 0) min_win = ratio;
-      max_win = ratio;
-    }
-  }
-  emitter->SetMeta("skew_crossover_min_ratio", static_cast<double>(min_win));
-  emitter->SetMeta("skew_crossover_max_ratio", static_cast<double>(max_win));
-  PlannerOptions defaults;
-  emitter->SetMeta("planner_decode_gallop_min_ratio",
-                   static_cast<double>(defaults.decode_gallop_min_ratio));
-  emitter->SetMeta("planner_decode_gallop_max_ratio",
-                   static_cast<double>(defaults.decode_gallop_max_ratio));
-}
-
 }  // namespace koko
 
 namespace {
@@ -639,7 +555,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   emitter.SetMeta("corpus_sentences",
                   static_cast<double>(koko::SharedCorpus().NumSentences()));
-  koko::CalibrateSkewCrossover(&emitter);
   if (!emitter.WriteFile()) {
     std::fprintf(stderr, "failed to write BENCH_micro.json\n");
   }

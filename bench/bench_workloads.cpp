@@ -93,10 +93,6 @@ void EmitPhase(bench::JsonEmitter* emitter, const char* arrival,
          {"candidate_sentences",
           static_cast<double>(cls.candidate_sentences)},
          {"planned_queries", static_cast<double>(cls.planned_queries)},
-         {"atoms_block_inplace",
-          static_cast<double>(cls.atoms_block_inplace)},
-         {"atoms_decode_gallop",
-          static_cast<double>(cls.atoms_decode_gallop)},
          {"semi_join_paths", static_cast<double>(cls.semi_join_paths)},
          {"quintuple_paths", static_cast<double>(cls.quintuple_paths)},
          {"score_cache_hits", static_cast<double>(cls.score_cache_hits)},

@@ -594,15 +594,6 @@ SidList Intersect(const SidList& a, const BlockList& b) {
 
 SidList Intersect(const BlockList& a, const SidList& b) { return Intersect(b, a); }
 
-SidList IntersectWithRep(const SidList& a, const BlockList& b,
-                         IntersectRep rep) {
-  if (rep == IntersectRep::kDecodeThenGallop) {
-    if (a.empty() || b.empty()) return SidList();
-    return Intersect(a, b.Decode());
-  }
-  return Intersect(a, b);
-}
-
 BlockListStats StatsOf(const BlockList& list) {
   BlockListStats stats;
   stats.sids = list.size();
@@ -667,6 +658,15 @@ SidList Intersect(const BlockList& a, const BlockList& b) {
   return SidList::FromSorted(std::move(out));
 }
 
+SidList Intersect(SidSetView a, SidSetView b) {
+  if (a.list() != nullptr) {
+    return b.list() != nullptr ? Intersect(*a.list(), *b.list())
+                               : Intersect(*a.list(), *b.blocks());
+  }
+  return b.list() != nullptr ? Intersect(*b.list(), *a.blocks())
+                             : Intersect(*a.blocks(), *b.blocks());
+}
+
 SidList IntersectAllViews(std::vector<SidSetView> views) {
   if (views.empty()) return SidList();
   std::sort(views.begin(), views.end(),
@@ -674,28 +674,17 @@ SidList IntersectAllViews(std::vector<SidSetView> views) {
               return x.size() < y.size();
             });
   if (views[0].empty()) return SidList();
-  // Seed the accumulator from the smallest view(s) without a wholesale
-  // decode where possible: two compressed views seed via the in-place
-  // block-x-block kernel (bounding the decoded accumulator by their
-  // intersection), a single compressed view only decodes when it is the
-  // sole input. Every later pass intersects against the views' native
-  // forms.
-  SidList current;
-  size_t next = 1;
-  if (views[0].list() != nullptr) {
-    current = *views[0].list();
-  } else if (views.size() == 1) {
-    current = views[0].blocks()->Decode();
-  } else if (views[1].list() != nullptr) {
-    current = Intersect(*views[1].list(), *views[0].blocks());
-    next = 2;
-  } else {
-    current = Intersect(*views[0].blocks(), *views[1].blocks());
-    next = 2;
+  // A single compressed view only decodes when it is the sole input; with
+  // two or more, the two smallest seed the accumulator through the
+  // in-place kernels (bounding it by their intersection), and every later
+  // pass intersects against the views' native forms.
+  if (views.size() == 1) {
+    return views[0].list() != nullptr ? *views[0].list()
+                                      : views[0].blocks()->Decode();
   }
-  for (size_t i = next; i < views.size() && !current.empty(); ++i) {
-    current = views[i].list() != nullptr ? Intersect(current, *views[i].list())
-                                         : Intersect(current, *views[i].blocks());
+  SidList current = Intersect(views[0], views[1]);
+  for (size_t i = 2; i < views.size() && !current.empty(); ++i) {
+    current = Intersect(&current, views[i]);
   }
   return current;
 }

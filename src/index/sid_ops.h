@@ -280,29 +280,11 @@ SidList Intersect(const SidList& a, const BlockList& b);
 SidList Intersect(const BlockList& a, const SidList& b);
 SidList Intersect(const BlockList& a, const BlockList& b);
 
-/// How a decoded-list x compressed-list intersection executes. The two
-/// strategies are result-identical (both equal Intersect over the decoded
-/// lists); they differ only in cost shape, which crosses over with the size
-/// skew between the sides — the planner (koko/planner.h) picks per clause
-/// pair from the skew crossover measured by bench_micro's skew sweep.
-enum class IntersectRep : uint8_t {
-  /// Run Intersect(a, b) directly over the compressed form: blockwise
-  /// bulk-decode merge at comparable sizes, per-key skip-gallop cursor at
-  /// skew (at most one block decoded per probe; blocks the keys skip over
-  /// are never decoded).
-  kBlockInPlace,
-  /// Decode the compressed side once (sequential bulk SIMD decode), then
-  /// intersect the two plain arrays. Wins in the mid-skew band where the
-  /// probe keys touch most blocks anyway: one streaming decode beats
-  /// per-key block bookkeeping, while at extreme skew the cursor's skipped
-  /// blocks win again.
-  kDecodeThenGallop,
-};
-
-/// Intersect with the representation forced — the planner's execution
-/// primitive. Result equals Intersect(a, b) for either rep.
-SidList IntersectWithRep(const SidList& a, const BlockList& b,
-                         IntersectRep rep);
+/// Two-view intersection dispatched on the views' forms: decoded x decoded
+/// merges the arrays, any compressed side runs the in-place kernels above.
+/// The one intersection step of DPLI — IntersectAllViews and the planner's
+/// executor both go through it.
+SidList Intersect(SidSetView a, SidSetView b);
 
 /// Per-list statistics derivable from a BlockList's skip/width tables with
 /// no payload decode — the planner's cost-model inputs (all O(1) reads).

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "index/path_lookup.h"
 #include "index/sid_ops.h"
 #include "koko/parser.h"
 #include "regex/regex.h"
@@ -535,59 +533,6 @@ class SentenceEvaluator {
   std::vector<char> skipped_;
 };
 
-// ---- DPLI candidate collection ---------------------------------------------
-
-// Candidate sids of one (shard) index: every prunable atom of the compiled
-// query contributes one sorted sid list, intersected smallest-first.
-// `pruned` is a property of the query alone (which atoms can consult an
-// index), so it is identical across shards of one corpus; when false the
-// caller degrades to the full sid range. An atom whose list is empty proves
-// the (shard's) answer empty, short-circuiting with an empty list.
-struct CandidateResult {
-  bool pruned = false;
-  SidList sids;
-};
-
-CandidateResult CollectCandidates(const KokoIndex& index,
-                                  const CompiledQuery& cq) {
-  CandidateResult result;
-  std::deque<SidList> owned;  // stable storage for per-query lists
-  std::vector<SidSetView> sets;
-  for (int dom : cq.DominantPathVars()) {
-    PathSidLookupResult lookup =
-        KokoPathSidLookup(index, cq.vars[static_cast<size_t>(dom)].abs_path);
-    if (lookup.unconstrained) continue;
-    result.pruned = true;
-    if (lookup.sids.empty()) return result;
-    owned.push_back(std::move(lookup.sids));
-    sets.push_back(&owned.back());
-  }
-  for (const CompiledVar& v : cq.vars) {
-    if (v.kind == CompiledVar::Kind::kEntity) {
-      // The stored per-type projections stay block compressed; the
-      // intersection below runs over them in place.
-      sets.push_back(v.etype ? &index.EntityTypeSids(*v.etype)
-                             : &index.AllEntitySids());
-      result.pruned = true;
-    } else if (v.kind == CompiledVar::Kind::kLiteral) {
-      // A literal prunes to sentences containing all of its words:
-      // intersect the precomputed per-word lists, smallest first.
-      result.pruned = true;
-      std::vector<SidSetView> word_lists;
-      for (const std::string& word : v.literal) {
-        const BlockList* sids = index.WordSids(word);
-        if (sids == nullptr) return result;  // word absent from this index
-        word_lists.push_back(sids);
-      }
-      owned.push_back(IntersectAllViews(std::move(word_lists)));
-      if (owned.back().empty()) return result;
-      sets.push_back(&owned.back());
-    }
-  }
-  if (result.pruned) result.sids = IntersectAllViews(std::move(sets));
-  return result;
-}
-
 }  // namespace
 
 // ---- Engine ------------------------------------------------------------------
@@ -681,28 +626,28 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   std::vector<uint32_t> candidates;
   {
     ScopedPhase phase(&result.phases, "DPLI");
-    // Planner dispatch: cost-based atom ordering + per-clause representation
-    // (koko/planner.h) against one (shard) index. The candidate set is
-    // byte-identical to the legacy fixed-order CollectCandidates — plans
-    // change cost, not results. `salt` keys the plan cache per target index
-    // (the shard ordinal); shard 0's plan is surfaced in the result.
-    auto collect = [&](const KokoIndex& index,
-                       uint64_t salt) -> CandidateResult {
-      if (!options.use_planner) return CollectCandidates(index, cq);
-      std::shared_ptr<const QueryPlan> plan = GetOrBuildPlan(
-          index, cq, options.planner, options.plan_cache, salt);
+    // One executor (koko/planner.h) against one (shard) index. The planner
+    // orders atoms by estimated selectivity; with use_planner off the same
+    // plan runs in compile order and bypasses the plan cache. The candidate
+    // set is identical either way — plans change cost, not results. `salt`
+    // keys the plan cache per target index (the shard ordinal); shard 0's
+    // cost-ordered plan is surfaced in the result.
+    auto collect = [&](const KokoIndex& index, uint64_t salt) {
+      std::shared_ptr<const QueryPlan> plan =
+          options.use_planner
+              ? GetOrBuildPlan(index, cq, PlannerOptions(), options.plan_cache,
+                               salt)
+              : BuildQueryPlan(index, cq, PlannerOptions(),
+                               /*order_by_cost=*/false);
       PlannedCandidates planned = CollectPlannedCandidates(index, cq, *plan);
-      if (salt == 0) result.plan = std::move(plan);
-      CandidateResult collected;
-      collected.pruned = planned.pruned;
-      collected.sids = std::move(planned.sids);
-      return collected;
+      if (salt == 0 && options.use_planner) result.plan = std::move(plan);
+      return planned;
     };
     if (!options.use_index) {
       candidates.resize(corpus_->NumSentences());
       for (uint32_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
     } else if (sharded_ == nullptr) {
-      CandidateResult collected = collect(*index_, 0);
+      PlannedCandidates collected = collect(*index_, 0);
       if (collected.pruned) {
         candidates = collected.sids.TakeIds();
       } else {
@@ -725,10 +670,10 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
         std::vector<uint32_t>& out = group_candidates[g];
         for (size_t s = g * k / groups; s < (g + 1) * k / groups; ++s) {
           // Per-shard plans (salt = shard ordinal): shard statistics differ,
-          // so the atom order and representations may too. Only shard 0
-          // (always in group 0) writes result.plan — a single writer whose
-          // store the ParallelFor join orders before the read below.
-          CandidateResult collected = collect(sharded_->shard(s), s);
+          // so the atom order may too. Only shard 0 (always in group 0)
+          // writes result.plan — a single writer whose store the
+          // ParallelFor join orders before the read below.
+          PlannedCandidates collected = collect(sharded_->shard(s), s);
           if (collected.pruned) {
             std::vector<uint32_t> ids = collected.sids.TakeIds();
             out.insert(out.end(), ids.begin(), ids.end());
@@ -772,9 +717,9 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
 
   // ---- LoadArticle: materialise candidate documents ----
   //
-  // Incremental: the streaming path loads each candidate chunk's documents
-  // as the scan reaches it (documents behind an early-terminated tail are
-  // never deserialised); the full path loads everything up front.
+  // Incremental: each candidate chunk's documents load as the scan reaches
+  // it (documents behind an early-terminated tail are never deserialised);
+  // a full evaluation is one chunk, so it loads everything up front.
   std::map<uint32_t, Document> loaded;
   auto load_docs = [&](size_t begin, size_t end) {
     ScopedPhase phase(&result.phases, "LoadArticle");
@@ -796,8 +741,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   };
 
   // ---- Aggregate machinery: satisfying / excluding over whole documents.
-  // Hoisted above extraction so the streaming path can finalise rows
-  // incrementally per chunk; the full path applies it in one final pass.
+  // Hoisted above extraction so rows finalise per chunk.
   Aggregator::Options agg_options;
   agg_options.use_descriptors = options.use_descriptors;
   Aggregator aggregator(embeddings_, recognizer_, agg_options);
@@ -863,8 +807,8 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
 
   // Applies the aggregate filters to one pending row; survivors append to
   // result.rows and stream to the sink immediately. Rows arrive here in
-  // ascending-sid order (both paths preserve it), so sink delivery order
-  // always equals result.rows order.
+  // ascending-sid order, so sink delivery order always equals result.rows
+  // order.
   auto finalize_row = [&](PendingRow& row) {
     bool keep = true;
     std::vector<double> scores;
@@ -930,51 +874,78 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     PhaseStats phases;
   };
 
-  // Streaming execution kicks in when a sink wants rows as they appear, or
-  // when a finite row budget allows the candidate scan to stop early.
-  const bool streaming =
+  // ---- One extract loop: load / extract / aggregate in candidate-ordered
+  // chunks, emitting rows to the sink as each chunk finalises and stopping
+  // the scan once the row budget is provably satisfied (the budget counts
+  // pending rows — the stream max_rows truncates — so a full budget admits
+  // no further row anywhere). Chunks only pay off when a sink wants rows as
+  // they appear or a finite budget with early termination may stop the scan;
+  // otherwise the whole candidate stream is one chunk: one document load,
+  // one parallel fan-out, one aggregate pass. Rows are byte-identical for
+  // every (num_shards, num_threads, max_rows, chunking): chunks partition
+  // the same ascending-sid candidate stream, per-chunk budgets subtract rows
+  // already committed, and the per-chunk merge re-applies the cap exactly
+  // where the sequential scan would stop. Works across shard groups
+  // unchanged — DPLI already merged the groups' candidates into one
+  // ascending stream, and the cut point is a property of that stream alone.
+  const bool chunked =
       options.sink != nullptr ||
       (options.early_terminate &&
        options.max_rows != std::numeric_limits<size_t>::max());
-
-  if (!streaming) {
-    // ---- Full pipeline: load everything, extract everything, aggregate
-    // at the end. With a finite max_rows this is evaluate-then-truncate —
-    // the baseline streaming is benchmarked against.
-    load_docs(0, candidates.size());
-    std::vector<PendingRow> pending;
+  const size_t chunk_size =
+      chunked ? std::max<size_t>(8 * std::max<size_t>(parallelism, 1), 32)
+              : std::max<size_t>(candidates.size(), 1);
+  size_t committed = 0;  // pending rows produced by finished chunks
+  size_t scanned = 0;    // candidates drawn before the budget closed
+  bool full = false;
+  size_t next = 0;
+  do {
+    const size_t chunk_end = std::min(candidates.size(), next + chunk_size);
+    // Rows this chunk may still produce. A single candidate can contribute
+    // at most budget_left rows to the truncated stream, so it also serves
+    // as the per-candidate evaluation budget below.
+    const size_t budget_left =
+        options.max_rows > committed ? options.max_rows - committed : 0;
+    load_docs(next, chunk_end);
+    std::vector<PendingRow> chunk_pending;
     {
       ScopedPhase phase(&result.phases, "extract");
-      const size_t num_workers = std::min(parallelism, candidates.size());
+      const size_t num_workers = std::min(parallelism, chunk_end - next);
       if (num_workers <= 1) {
-        // Sequential: rows accumulate directly into `pending`, so the budget
-        // check spans sentences and stops the scan exactly at max_rows.
-        for (uint32_t sid : candidates) {
-          if (!evaluate(sid, options.max_rows, &result.phases, &pending)) break;
+        // Sequential: rows accumulate directly into the chunk, so the
+        // budget check spans sentences and stops the scan exactly there.
+        for (size_t i = next; i < chunk_end; ++i) {
+          scanned = i + 1;
+          if (!evaluate(candidates[i], budget_left, &result.phases,
+                        &chunk_pending)) {
+            full = true;
+            break;
+          }
         }
       } else {
-        // Parallel: workers draw candidates from an atomic cursor (ascending,
-        // no stealing) and append each sentence's rows — capped at max_rows,
-        // the most any sentence can contribute — to their own buffer.
-        // Exactly num_workers slots — a wide serving pool doesn't enqueue
-        // no-op closures for a section with little work.
+        // Parallel: workers draw candidates from an atomic cursor
+        // (ascending, no stealing) into their own buffers — exactly
+        // num_workers slots, so a wide serving pool doesn't enqueue no-op
+        // closures for a chunk with little work.
         std::vector<WorkerOutput> outputs(num_workers);
-        std::atomic<size_t> cursor{0};
+        std::atomic<size_t> cursor{next};
         shared_pool().ParallelFor(num_workers, [&](size_t w) {
           WorkerOutput& out = outputs[w];
           for (;;) {
             size_t idx = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= candidates.size()) return;
+            if (idx >= chunk_end) return;
             std::vector<PendingRow> rows;
-            evaluate(candidates[idx], options.max_rows, &out.phases, &rows);
-            if (!rows.empty()) out.per_candidate.push_back({idx, std::move(rows)});
+            evaluate(candidates[idx], budget_left, &out.phases, &rows);
+            if (!rows.empty()) {
+              out.per_candidate.push_back({idx, std::move(rows)});
+            }
           }
         });
+        scanned = chunk_end;
         // Deterministic sid-ordered merge: each worker drew ascending
         // candidate indices, so its buffer is sorted; k-way merge by index
-        // and re-apply the global cap where the sequential scan would stop.
+        // and re-apply the cap where the sequential scan would stop.
         std::vector<size_t> heads(num_workers, 0);
-        bool full = false;
         while (!full) {
           size_t best_w = num_workers;
           size_t best_idx = std::numeric_limits<size_t>::max();
@@ -988,11 +959,14 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
           if (best_w == num_workers) break;
           for (PendingRow& row :
                outputs[best_w].per_candidate[heads[best_w]].second) {
-            pending.push_back(std::move(row));
+            chunk_pending.push_back(std::move(row));
             // Push-then-check mirrors the sequential emit exactly (a
             // max_rows of 0 still admits the first row).
-            if (pending.size() >= options.max_rows) {
+            if (chunk_pending.size() >= budget_left) {
               full = true;
+              // Report the sequential scan's stop point, not the chunk's
+              // speculative tail, so the count is thread-count-invariant.
+              scanned = std::min(scanned, best_idx + 1);
               break;
             }
           }
@@ -1007,103 +981,15 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     }
     {
       ScopedPhase phase(&result.phases, "satisfying");
-      for (PendingRow& row : pending) finalize_row(row);
+      for (PendingRow& row : chunk_pending) finalize_row(row);
     }
-  } else {
-    // ---- Streaming: load / extract / aggregate in candidate-ordered
-    // chunks, emitting rows to the sink as each chunk finalises and
-    // stopping the scan once the row budget is provably satisfied (the
-    // budget counts pending rows — the stream max_rows truncates — so a
-    // full budget admits no further row anywhere). Byte-identical to the
-    // full pipeline for every (num_shards, num_threads, max_rows): chunks
-    // partition the same ascending-sid candidate stream, per-chunk budgets
-    // subtract rows already committed, and the per-chunk merge re-applies
-    // the cap exactly where the sequential scan would stop. Works across
-    // shard groups unchanged — DPLI already merged the groups' candidates
-    // into one ascending stream, and the cut point is a property of that
-    // stream alone.
-    const size_t chunk_size =
-        std::max<size_t>(8 * std::max<size_t>(parallelism, 1), 32);
-    size_t committed = 0;  // pending rows produced by finished chunks
-    size_t scanned = 0;    // candidates drawn before the budget closed
-    bool full = false;
-    for (size_t next = 0; next < candidates.size() && !full;) {
-      const size_t chunk_end = std::min(candidates.size(), next + chunk_size);
-      // Rows this chunk may still produce. A single candidate can
-      // contribute at most budget_left rows to the truncated stream, so it
-      // also serves as the per-candidate evaluation budget below.
-      const size_t budget_left =
-          options.max_rows > committed ? options.max_rows - committed : 0;
-      load_docs(next, chunk_end);
-      std::vector<PendingRow> chunk_pending;
-      {
-        ScopedPhase phase(&result.phases, "extract");
-        const size_t num_workers = std::min(parallelism, chunk_end - next);
-        if (num_workers <= 1) {
-          for (size_t i = next; i < chunk_end; ++i) {
-            scanned = i + 1;
-            if (!evaluate(candidates[i], budget_left, &result.phases,
-                          &chunk_pending)) {
-              full = true;
-              break;
-            }
-          }
-        } else {
-          std::vector<WorkerOutput> outputs(num_workers);
-          std::atomic<size_t> cursor{next};
-          shared_pool().ParallelFor(num_workers, [&](size_t w) {
-            WorkerOutput& out = outputs[w];
-            for (;;) {
-              size_t idx = cursor.fetch_add(1, std::memory_order_relaxed);
-              if (idx >= chunk_end) return;
-              std::vector<PendingRow> rows;
-              evaluate(candidates[idx], budget_left, &out.phases, &rows);
-              if (!rows.empty()) {
-                out.per_candidate.push_back({idx, std::move(rows)});
-              }
-            }
-          });
-          scanned = chunk_end;
-          std::vector<size_t> heads(num_workers, 0);
-          while (!full) {
-            size_t best_w = num_workers;
-            size_t best_idx = std::numeric_limits<size_t>::max();
-            for (size_t w = 0; w < num_workers; ++w) {
-              if (heads[w] < outputs[w].per_candidate.size() &&
-                  outputs[w].per_candidate[heads[w]].first < best_idx) {
-                best_idx = outputs[w].per_candidate[heads[w]].first;
-                best_w = w;
-              }
-            }
-            if (best_w == num_workers) break;
-            for (PendingRow& row :
-                 outputs[best_w].per_candidate[heads[best_w]].second) {
-              chunk_pending.push_back(std::move(row));
-              if (chunk_pending.size() >= budget_left) {
-                full = true;
-                // Report the sequential scan's stop point, not the chunk's
-                // speculative tail, so the count is thread-count-invariant.
-                scanned = std::min(scanned, best_idx + 1);
-                break;
-              }
-            }
-            ++heads[best_w];
-          }
-          for (const WorkerOutput& out : outputs) {
-            for (const auto& [name, seconds] : out.phases.all()) {
-              result.phases.Add(name, seconds);
-            }
-          }
-        }
-      }
-      {
-        ScopedPhase phase(&result.phases, "satisfying");
-        for (PendingRow& row : chunk_pending) finalize_row(row);
-      }
-      committed += chunk_pending.size();
-      if (committed >= options.max_rows) full = true;
-      next = chunk_end;
-    }
+    committed += chunk_pending.size();
+    if (committed >= options.max_rows) full = true;
+    next = chunk_end;
+  } while (next < candidates.size() && !full);
+  // Without early termination the run reports the full-evaluation contract
+  // (every candidate counted as scanned) whatever the cut point was.
+  if (options.early_terminate) {
     result.scanned_candidates = scanned;
     result.early_terminated = scanned < candidates.size();
   }

@@ -57,9 +57,10 @@ struct QueryResult {
   /// pruning property, identical with or without early termination).
   size_t scanned_candidates = 0;
   bool early_terminated = false;
-  /// The query plan executed (planner-enabled runs against an index;
-  /// shard 0's plan when sharded). Null when the planner was off or the
-  /// query bypassed the index. See koko/explain.h's ExplainPlan.
+  /// The cost-ordered query plan executed (planner-enabled runs against an
+  /// index; shard 0's plan when sharded). Null when the planner was off
+  /// (the compile-order plan is not surfaced) or the query bypassed the
+  /// index. See koko/explain.h's ExplainPlan.
   std::shared_ptr<const QueryPlan> plan;
 };
 
@@ -120,17 +121,13 @@ struct EngineOptions {
   /// heterogeneous option sets against one corpus. Never share a cache
   /// across different corpora.
   ScoreCache* score_cache = nullptr;
-  /// Cost-based clause planning for the DPLI phase (koko/planner.h): order
-  /// clause intersections by estimated selectivity, pick the per-clause-pair
-  /// representation (in-place block intersect vs decode-then-gallop) from
-  /// the measured skew crossover, and decide sid-semi-join vs quintuple
-  /// fallback per cross-index path. Candidate sets are **byte-identical**
-  /// with the planner on or off — plans change cost, never results — so
-  /// this defaults on; `false` forces the legacy fixed-order pipeline (the
-  /// parity baseline).
+  /// Cost-based clause ordering for the DPLI phase (koko/planner.h): run
+  /// the clause intersections in ascending estimated selectivity and decide
+  /// sid-semi-join vs quintuple fallback per cross-index path. `false` runs
+  /// the same plan through the same executor in compile order, bypassing
+  /// `plan_cache` (the parity arm). Candidate sets are **byte-identical**
+  /// either way — plan order changes cost, never results.
   bool use_planner = true;
-  /// Cost-model thresholds (calibrated by bench_micro's skew sweep).
-  PlannerOptions planner;
   /// Cross-query compiled-plan cache keyed by clause fingerprint (borrowed,
   /// thread-safe; must outlive the call). Null — the default — rebuilds the
   /// (cheap, statistics-only) plan per query. QueryService owns one and
@@ -149,7 +146,8 @@ struct EngineOptions {
   /// to the full run for every (num_shards, num_threads, max_rows): the
   /// budget cuts the same ascending-sid row stream at the same point; only
   /// `scanned_candidates`/`early_terminated` reveal the saving. `false`
-  /// restores full evaluation followed by truncation (the bench baseline).
+  /// evaluates without a sink as one full chunk cut at `max_rows` (the
+  /// bench baseline) and always reports every candidate as scanned.
   bool early_terminate = true;
 };
 
@@ -167,10 +165,12 @@ struct EngineOptions {
 /// per-entity-type / per-trie-node projections where possible
 /// (`KokoPathSidLookup`, `KokoIndex::WordSids`, `KokoIndex::EntityTypeSids`).
 /// Stored projections stay block compressed (`BlockList`) and per-query
-/// lists are decoded (`SidList`); the mix is intersected smallest-first
-/// with a galloping ordered merge that runs directly over the compressed
-/// blocks (`IntersectAllViews`) — the result is the candidate set in ascending
-/// sid order. The candidate set is *complete* (a superset of all answer
+/// lists are decoded (`SidList`). One executor (`CollectPlannedCandidates`)
+/// intersects the atoms in plan order — ascending estimated selectivity, or
+/// compile order with `use_planner` off — with one in-place kernel that
+/// gallops over the compressed blocks (`Intersect(SidSetView, SidSetView)`);
+/// the result is the candidate set in ascending sid order. The candidate
+/// set is *complete* (a superset of all answer
 /// sentences — pruning never loses answers) but may be unsound (§4.2.2);
 /// the extract phase re-validates every candidate. An unconstrained query
 /// (no prunable atom, or `use_index = false`) degrades to all sentences.

@@ -56,9 +56,6 @@ std::string ExplainPlan(const QueryPlan& plan) {
     out += "  " + std::to_string(i + 1) + ". " + atom.label + "  est=" +
            std::to_string(atom.estimate) + (atom.exact ? "" : " (upper bound)");
     if (atom.block_backed) {
-      out += std::string("  rep=") + (atom.rep == IntersectRep::kBlockInPlace
-                                          ? "in-place"
-                                          : "decode+gallop");
       out += "  blocks=" + std::to_string(atom.stats.blocks) +
              " avg-gap=" + FormatDouble(atom.stats.avg_gap, 1);
     }
@@ -69,10 +66,7 @@ std::string ExplainPlan(const QueryPlan& plan) {
     out += "\n";
   }
   out += "  fingerprint=" + std::to_string(plan.fingerprint) +
-         "  thresholds: decode+gallop ratio in [" +
-         std::to_string(plan.options.decode_gallop_min_ratio) + ", " +
-         std::to_string(plan.options.decode_gallop_max_ratio) +
-         "), semi-join <= " +
+         "  thresholds: semi-join <= " +
          FormatDouble(plan.options.semi_join_max_fraction, 2) + " of corpus\n";
   return out;
 }

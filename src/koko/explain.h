@@ -60,9 +60,8 @@ std::string SatConditionToString(const SatCondition& cond);
 /// \brief EXPLAIN of a compiled query plan (koko/planner.h).
 ///
 /// One line per atom in execution order: kind + label, estimated
-/// selectivity (with exact/upper-bound marker), and the per-clause choices
-/// — intersection representation for compressed atoms (`in-place` vs
-/// `decode+gallop`) and `semi-join`/`quintuple` for cross-index paths.
+/// selectivity (with exact/upper-bound marker), skip-table statistics for
+/// compressed atoms, and `semi-join`/`quintuple` for cross-index paths.
 /// Ends with the plan fingerprint and the thresholds it was built with.
 std::string ExplainPlan(const QueryPlan& plan);
 

@@ -35,12 +35,10 @@ PathShape ShapeOf(const PathQuery& path) {
 }
 
 uint64_t OptionsFingerprint(const PlannerOptions& options) {
-  uint64_t h = Mix64(options.decode_gallop_min_ratio);
-  h = HashCombine(h, Mix64(options.decode_gallop_max_ratio));
   uint64_t frac_bits = 0;
   static_assert(sizeof(frac_bits) == sizeof(options.semi_join_max_fraction));
   std::memcpy(&frac_bits, &options.semi_join_max_fraction, sizeof(frac_bits));
-  return HashCombine(h, Mix64(frac_bits));
+  return Mix64(frac_bits);
 }
 
 std::string QuoteWords(const std::vector<std::string>& words) {
@@ -79,31 +77,16 @@ uint64_t PlanFingerprint(const CompiledQuery& cq) {
   return h;
 }
 
-IntersectRep ChooseIntersectRep(uint64_t list_estimate,
-                                uint64_t block_estimate,
-                                const PlannerOptions& options) {
-  // A compressed side no larger than the accumulator: the in-place kernel
-  // is already the bulk-decode merge (or walks the block side as the
-  // smaller), so there is nothing for a wholesale decode to win.
-  if (block_estimate <= list_estimate) return IntersectRep::kBlockInPlace;
-  const uint64_t ratio =
-      block_estimate / std::max<uint64_t>(list_estimate, 1);
-  if (ratio >= options.decode_gallop_min_ratio &&
-      ratio < options.decode_gallop_max_ratio) {
-    return IntersectRep::kDecodeThenGallop;
-  }
-  return IntersectRep::kBlockInPlace;
-}
-
 std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
                                                 const CompiledQuery& cq,
-                                                const PlannerOptions& options) {
+                                                const PlannerOptions& options,
+                                                bool order_by_cost) {
   auto plan = std::make_shared<QueryPlan>();
   plan->fingerprint = PlanFingerprint(cq);
   plan->index_sentences = index.stats().num_sentences;
   plan->options = options;
 
-  // ---- Classify + estimate, mirroring CollectCandidates' atom set ----
+  // ---- Classify + estimate, in compile order ----
   for (int dom : cq.DominantPathVars()) {
     const PathQuery& path = cq.vars[static_cast<size_t>(dom)].abs_path;
     PathShape shape = ShapeOf(path);
@@ -193,28 +176,14 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
     }
   }
   plan->pruned = !plan->atoms.empty();
-  if (!plan->pruned) return plan;
 
   // ---- Order: ascending estimated selectivity (stable, so equal
   // estimates keep compile order and plans stay deterministic) ----
-  std::stable_sort(plan->atoms.begin(), plan->atoms.end(),
-                   [](const PlannedAtom& a, const PlannedAtom& b) {
-                     return a.estimate < b.estimate;
-                   });
-
-  // ---- Per-pair representation: the accumulator after step 0 is bounded
-  // by the smallest estimate, so every later compressed atom is costed
-  // against it. Atom 0's rep only matters when it stays a deferred block
-  // meeting a decoded atom 1 — there the block is the smaller side.
-  const uint64_t acc_estimate = plan->atoms[0].estimate;
-  for (size_t i = 0; i < plan->atoms.size(); ++i) {
-    PlannedAtom& atom = plan->atoms[i];
-    if (!atom.block_backed) continue;
-    atom.rep = i == 0 ? ChooseIntersectRep(
-                            plan->atoms.size() > 1 ? plan->atoms[1].estimate
-                                                   : atom.estimate,
-                            atom.estimate, options)
-                      : ChooseIntersectRep(acc_estimate, atom.estimate, options);
+  if (order_by_cost) {
+    std::stable_sort(plan->atoms.begin(), plan->atoms.end(),
+                     [](const PlannedAtom& a, const PlannedAtom& b) {
+                       return a.estimate < b.estimate;
+                     });
   }
   return plan;
 }
@@ -226,17 +195,16 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
   result.pruned = plan.pruned;
   if (!plan.pruned) return result;
 
+  // Accumulator: the first atom's own view, held un-decoded until a second
+  // atom fixes the join (block x block stays fully in place); from then on
+  // the decoded intersection so far.
+  SidList first_list;  // storage when the first atom is a per-query list
   SidList acc;
-  bool have_list = false;  // acc holds the decoded accumulator
-  // Step-0 compressed atom: held un-decoded until the second source fixes
-  // the cheapest join (block x block stays fully in place).
-  const BlockList* pending_block = nullptr;
-  IntersectRep pending_rep = IntersectRep::kBlockInPlace;
-
+  SidSetView current;
+  bool seeded = false;
   for (const PlannedAtom& atom : plan.atoms) {
     SidList src;
-    bool src_is_list = false;
-    const BlockList* src_block = nullptr;
+    SidSetView view;
     switch (atom.kind) {
       case PlannedAtom::Kind::kPath: {
         PathSidLookupResult lookup = KokoPathSidLookup(
@@ -244,20 +212,20 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
             atom.use_semi_join);
         if (lookup.unconstrained) continue;  // planner never emits these
         src = std::move(lookup.sids);
-        src_is_list = true;
+        view = &src;
         break;
       }
       case PlannedAtom::Kind::kEntity: {
         const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
-        src_block =
+        view =
             v.etype ? &index.EntityTypeSids(*v.etype) : &index.AllEntitySids();
         break;
       }
       case PlannedAtom::Kind::kLiteral: {
         const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
         if (v.literal.size() == 1) {
-          src_block = index.WordSids(v.literal[0]);
-          if (src_block == nullptr) return result;  // absent -> empty answer
+          view = index.WordSids(v.literal[0]);
+          if (view.blocks() == nullptr) return result;  // absent -> empty
         } else {
           std::vector<SidSetView> word_lists;
           for (const std::string& word : v.literal) {
@@ -266,44 +234,32 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
             word_lists.push_back(sids);
           }
           src = IntersectAllViews(std::move(word_lists));
-          src_is_list = true;
+          view = &src;
         }
         break;
       }
     }
 
-    if (src_is_list) {
-      if (pending_block != nullptr) {
-        acc = IntersectWithRep(src, *pending_block, pending_rep);
-        pending_block = nullptr;
-        have_list = true;
-      } else if (have_list) {
-        acc = Intersect(acc, src);
-      } else {
-        acc = std::move(src);
-        have_list = true;
+    if (!seeded) {
+      if (view.list() != nullptr) {
+        first_list = std::move(src);
+        view = &first_list;
       }
+      current = view;
+      seeded = true;
     } else {
-      if (pending_block != nullptr) {
-        acc = Intersect(*pending_block, *src_block);
-        pending_block = nullptr;
-        have_list = true;
-      } else if (have_list) {
-        acc = IntersectWithRep(acc, *src_block, atom.rep);
-      } else {
-        pending_block = src_block;
-        pending_rep = atom.rep;
-      }
+      acc = Intersect(current, view);
+      current = &acc;
     }
     // Short-circuit: an empty accumulator proves the (shard's) answer
     // empty — the remaining (larger) atoms are never materialised.
-    if (have_list && acc.empty()) return result;
-    if (pending_block != nullptr && pending_block->empty()) return result;
+    if (current.empty()) return result;
   }
-  if (pending_block != nullptr) {
-    // Single-source plan over a stored compressed list: the candidate set
-    // is the list itself.
-    acc = pending_block->Decode();
+  // A single-source plan's candidate set is the atom's list itself.
+  if (current.blocks() != nullptr) {
+    acc = current.blocks()->Decode();
+  } else if (current.list() == &first_list) {
+    acc = std::move(first_list);
   }
   result.sids = std::move(acc);
   return result;

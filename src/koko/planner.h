@@ -15,26 +15,10 @@
 
 namespace koko {
 
-/// Cost-model thresholds. The defaults are *measured* constants, calibrated
-/// by bench_micro's skew sweep (BM_SkewIntersect*; the crossover lands in
-/// BENCH_micro.json meta) — see docs/QUERY_PLANNING.md for the methodology.
-/// Every value only changes *how* an intersection or path lookup executes,
-/// never its result, so any setting preserves the parity contract.
+/// Cost-model thresholds. Every value only changes *how* a path lookup
+/// executes, never its result, so any setting preserves the parity
+/// contract — see docs/QUERY_PLANNING.md.
 struct PlannerOptions {
-  /// Skew band [min, max) — ratio of the compressed side's estimated size
-  /// to the decoded accumulator's — in which the planner picks
-  /// IntersectRep::kDecodeThenGallop over the in-place block kernel.
-  /// Calibration (bench_micro's BM_SkewIntersect* sweep, 1:1 through
-  /// 1:1000) measured the SIMD in-place cursor winning at every skew on
-  /// both the native and the pinned-scalar dispatch arm — full decode
-  /// touches every block of the large side, while the skip-gallop cursor
-  /// decodes only the blocks probe keys land in — so the default band is
-  /// *empty* (min == max: always in-place). BENCH_micro.json meta records
-  /// the measured `skew_crossover_{min,max}_ratio` per run; set min < max
-  /// to re-enable decode+gallop in that band on hardware where the decoded
-  /// gallop wins (e.g. no vector units and cold skip tables).
-  size_t decode_gallop_min_ratio = 0;
-  size_t decode_gallop_max_ratio = 0;
   /// Cross-index path lookups run the sid semi-join only while the
   /// smallest index projection is estimated below this fraction of the
   /// (shard) corpus; a projection that covers nearly every sentence cannot
@@ -61,9 +45,6 @@ struct PlannedAtom {
   bool block_backed = false;
   /// Skip-table statistics of the backing list (block-backed atoms only).
   BlockListStats stats;
-  /// How this atom's list joins the accumulator when exactly one side is
-  /// compressed (chosen from the measured skew crossover).
-  IntersectRep rep = IntersectRep::kBlockInPlace;
   /// kPath only: the path needs cross-index quintuple joins (vs a pure
   /// trie-projection union).
   bool cross_index = false;
@@ -75,10 +56,10 @@ struct PlannedAtom {
 
 /// A compiled execution plan for DPLI candidate collection against one
 /// (shard) index: atoms in execution order (ascending estimated
-/// selectivity), each annotated with its representation and semi-join
-/// choices. Executing a plan (CollectPlannedCandidates) yields exactly the
-/// candidate set of the unplanned pipeline — plans change cost, not
-/// results.
+/// selectivity, or compile order for the fixed-order plan), each annotated
+/// with its statistics and semi-join choice. Executing a plan
+/// (CollectPlannedCandidates) yields the same candidate set in either
+/// order — plans change cost, not results.
 struct QueryPlan {
   /// False when the query has no prunable atom (the engine degrades to the
   /// full sid range, as without a planner).
@@ -99,22 +80,16 @@ struct QueryPlan {
 /// same index, which is what makes plans cacheable across queries.
 uint64_t PlanFingerprint(const CompiledQuery& cq);
 
-/// Representation choice for intersecting a decoded accumulator
-/// (estimated `list_estimate` sids) with a compressed list (estimated
-/// `block_estimate` sids): kDecodeThenGallop inside the measured skew
-/// band when the compressed side is the larger, kBlockInPlace otherwise.
-IntersectRep ChooseIntersectRep(uint64_t list_estimate,
-                                uint64_t block_estimate,
-                                const PlannerOptions& options);
-
 /// Builds a plan from per-list statistics (list lengths, block counts,
 /// skip-table bounds — all O(1) reads, no posting decoded): classifies the
-/// prunable atoms, estimates each one's selectivity, orders them
-/// ascending, and fixes the per-clause representation and semi-join
-/// choices.
+/// prunable atoms, estimates each one's selectivity, fixes the semi-join
+/// choices and, when `order_by_cost`, orders the atoms by ascending
+/// estimate. `order_by_cost = false` keeps compile order — the fixed-order
+/// plan the engine runs with EngineOptions::use_planner off.
 std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
                                                 const CompiledQuery& cq,
-                                                const PlannerOptions& options);
+                                                const PlannerOptions& options,
+                                                bool order_by_cost = true);
 
 /// Candidate sids produced by executing `plan` against `index`. `pruned`
 /// mirrors QueryPlan::pruned (false -> caller degrades to the full range).
@@ -123,11 +98,11 @@ struct PlannedCandidates {
   SidList sids;
 };
 
-/// Executes a plan: materialises atom views lazily in plan order and
-/// intersects them with the planned representations, short-circuiting on
-/// an empty accumulator — an empty early atom skips the remaining
-/// (typically most expensive) lookups entirely. The resulting sid set is
-/// byte-identical to the unplanned CollectCandidates pipeline.
+/// Executes a plan — the one DPLI executor: materialises atom views lazily
+/// in plan order and intersects each into the accumulator, short-circuiting
+/// on an empty accumulator — an empty early atom skips the remaining
+/// (typically most expensive) lookups entirely. The resulting sid set does
+/// not depend on the plan's atom order.
 PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
                                            const CompiledQuery& cq,
                                            const QueryPlan& plan);

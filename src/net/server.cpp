@@ -170,8 +170,10 @@ void KokoServer::ServeConnection(Conn* conn) {
     }
     if (!HandleRequest(conn, *request)) break;
   }
-  conn->socket.Close();
+  // Close under mu_: Stop() calls Unblock() on this socket while holding
+  // it, so the descriptor never changes under a concurrent shutdown.
   MutexLock lock(mu_);
+  conn->socket.Close();
   conn->done = true;
 }
 

@@ -34,8 +34,6 @@ struct SlotRecord {
   uint64_t scanned_candidates = 0;
   uint64_t candidate_sentences = 0;
   bool planned = false;
-  uint64_t atoms_block_inplace = 0;
-  uint64_t atoms_decode_gallop = 0;
   uint64_t semi_join_paths = 0;
   uint64_t quintuple_paths = 0;
   double latency_ms = 0;
@@ -81,11 +79,6 @@ void RunSlot(const ReplayTarget& target, size_t query_index,
   if (result->plan != nullptr) {
     record->planned = true;
     for (const PlannedAtom& atom : result->plan->atoms) {
-      if (atom.rep == IntersectRep::kBlockInPlace) {
-        ++record->atoms_block_inplace;
-      } else {
-        ++record->atoms_decode_gallop;
-      }
       if (atom.kind == PlannedAtom::Kind::kPath && atom.cross_index) {
         if (atom.use_semi_join) {
           ++record->semi_join_paths;
@@ -183,8 +176,6 @@ PhaseReport RunPhase(const std::string& phase_name,
     cls.scanned_candidates += record.scanned_candidates;
     cls.candidate_sentences += record.candidate_sentences;
     if (record.planned) ++cls.planned_queries;
-    cls.atoms_block_inplace += record.atoms_block_inplace;
-    cls.atoms_decode_gallop += record.atoms_decode_gallop;
     cls.semi_join_paths += record.semi_join_paths;
     cls.quintuple_paths += record.quintuple_paths;
     latencies[slot.target].push_back(record.latency_ms);

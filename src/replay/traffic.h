@@ -70,12 +70,10 @@ struct ClassReport {
   size_t early_terminated = 0;
   uint64_t scanned_candidates = 0;
   uint64_t candidate_sentences = 0;
-  /// Planner representation choices, summed over the executed plans'
-  /// atoms (shard 0's plan per query; zero when the planner was off or a
-  /// query bypassed the index).
+  /// Planner choices, summed over the executed plans' atoms (shard 0's
+  /// plan per query; zero when the planner was off or a query bypassed
+  /// the index).
   size_t planned_queries = 0;
-  uint64_t atoms_block_inplace = 0;
-  uint64_t atoms_decode_gallop = 0;
   uint64_t semi_join_paths = 0;
   uint64_t quintuple_paths = 0;
   /// Service cache deltas over this phase (end minus start counters).

@@ -229,7 +229,7 @@ class QueryService {
     uint64_t peak_inflight = 0;
     uint64_t peak_waiting = 0;
     /// Cross-query cache effectiveness (cumulative since construction) —
-    /// the figures BENCH_serve.json records per workload.
+    /// the figures BENCH_workloads.json records per replay class.
     ScoreCache::Stats score_cache;
     PlanCache::Stats plan_cache;
   };

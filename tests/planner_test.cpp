@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
+#include <algorithm>
 
 #include "corpus/generators.h"
 #include "corpus/query_gen.h"
@@ -38,51 +38,7 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-// ---- Representation-choice unit tests ---------------------------------------
-
-TEST(PlannerTest, ChooseIntersectRepBoundaries) {
-  PlannerOptions opts;
-  opts.decode_gallop_min_ratio = 16;
-  opts.decode_gallop_max_ratio = 4096;
-  // Compressed side no larger than the list side: always in-place.
-  EXPECT_EQ(ChooseIntersectRep(100, 100, opts), IntersectRep::kBlockInPlace);
-  EXPECT_EQ(ChooseIntersectRep(100, 50, opts), IntersectRep::kBlockInPlace);
-  // Below the band: in-place.
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 15, opts),
-            IntersectRep::kBlockInPlace);
-  // Inside [min, max): decode-then-gallop.
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 16, opts),
-            IntersectRep::kDecodeThenGallop);
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 4095, opts),
-            IntersectRep::kDecodeThenGallop);
-  // At or above max: back to in-place (skipped blocks win at extreme skew).
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 4096, opts),
-            IntersectRep::kBlockInPlace);
-  // Empty accumulator estimate never divides by zero.
-  EXPECT_EQ(ChooseIntersectRep(0, 17, opts), IntersectRep::kDecodeThenGallop);
-}
-
-TEST(PlannerTest, IntersectWithRepMatchesIntersect) {
-  std::mt19937 rng(7);
-  for (size_t small_n : {0u, 1u, 57u, 400u}) {
-    for (size_t ratio : {1u, 8u, 64u, 700u}) {
-      const size_t big_n = std::max<size_t>(small_n * ratio, 1);
-      std::uniform_int_distribution<uint32_t> dist(
-          0, static_cast<uint32_t>(big_n * 9));
-      std::vector<uint32_t> a_ids, b_ids;
-      for (size_t i = 0; i < small_n; ++i) a_ids.push_back(dist(rng));
-      for (size_t i = 0; i < big_n; ++i) b_ids.push_back(dist(rng));
-      SidList a = SidList::FromUnsorted(std::move(a_ids));
-      BlockList b =
-          BlockList::FromSidList(SidList::FromUnsorted(std::move(b_ids)));
-      SidList want = Intersect(a, b);
-      EXPECT_EQ(IntersectWithRep(a, b, IntersectRep::kBlockInPlace), want)
-          << small_n << "x" << ratio;
-      EXPECT_EQ(IntersectWithRep(a, b, IntersectRep::kDecodeThenGallop), want)
-          << small_n << "x" << ratio;
-    }
-  }
-}
+// ---- Plan statistics --------------------------------------------------------
 
 TEST(PlannerTest, StatsOfReadsSkipTable) {
   SidList list = SidList::FromSorted({5, 10, 200, 1000, 4005});
@@ -159,18 +115,75 @@ TEST(PlannerTest, PlanOrdersAtomsBySelectivity) {
   EXPECT_EQ(plan->fingerprint, PlanFingerprint(*cq));
   EXPECT_EQ(plan->index_sentences, index->stats().num_sentences);
 
-  // Executing the plan reproduces the sid set the engine's DPLI would
-  // produce: compare against the full pipeline's candidate count.
-  PlannedCandidates planned = CollectPlannedCandidates(*index, *cq, *plan);
-  EXPECT_TRUE(planned.pruned);
-  EmbeddingModel embeddings;
-  Engine engine(&corpus, index.get(), &embeddings,
-                &const_cast<const Pipeline&>(pipeline).recognizer());
-  EngineOptions legacy;
-  legacy.use_planner = false;
-  auto result = engine.Execute(*query, legacy);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(planned.sids.size(), result->candidate_sentences);
+  // The compile-order plan holds the same atoms; the cost order is exactly
+  // its stable sort by estimate.
+  auto fixed = BuildQueryPlan(*index, *cq, PlannerOptions(),
+                              /*order_by_cost=*/false);
+  std::vector<PlannedAtom> sorted = fixed->atoms;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const PlannedAtom& a, const PlannedAtom& b) {
+                     return a.estimate < b.estimate;
+                   });
+  ASSERT_EQ(sorted.size(), plan->atoms.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(sorted[i].var, plan->atoms[i].var) << "atom " << i;
+  }
+}
+
+// Cost order must change only the cost of DPLI: the fixed-order and the
+// cost-ordered plans yield the same candidate sids, element for element,
+// on a monolithic index and on every shard of a sharded one.
+TEST(PlannerTest, FixedAndCostOrderCandidatesMatch) {
+  Pipeline pipeline;
+  auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 62});
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
+  auto mono = KokoIndex::Build(corpus);
+  auto sharded = ShardedKokoIndex::Build(corpus, 4);
+  std::vector<const KokoIndex*> targets = {mono.get()};
+  for (size_t s = 0; s < sharded->num_shards(); ++s) {
+    targets.push_back(&sharded->shard(s));
+  }
+
+  std::vector<std::pair<std::string, Query>> queries;
+  for (const char* text : {
+           R"(extract e:Entity, b:Str from "t" if (
+                /ROOT:{ a = //verb, b = a/dobj, c = b//"happy" }
+                (b) in (e)))",
+           R"(extract b:Str from "t" if ( /ROOT:{ a = //verb, b = a/dobj }))"}) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    queries.emplace_back(text, std::move(*query));
+  }
+  for (auto& bench : GenerateSyntheticSpanBenchmark(
+           corpus, {.queries_per_setting = 2, .seed = 65})) {
+    queries.emplace_back(bench.name, std::move(bench.query));
+  }
+  size_t pruned_runs = 0;
+  size_t reordered_runs = 0;
+  for (const auto& [name, query] : queries) {
+    auto cq = CompileQuery(query);
+    ASSERT_TRUE(cq.ok()) << name;
+    for (size_t t = 0; t < targets.size(); ++t) {
+      const KokoIndex& index = *targets[t];
+      auto cost = BuildQueryPlan(index, *cq, PlannerOptions());
+      auto fixed = BuildQueryPlan(index, *cq, PlannerOptions(),
+                                  /*order_by_cost=*/false);
+      PlannedCandidates want = CollectPlannedCandidates(index, *cq, *fixed);
+      PlannedCandidates got = CollectPlannedCandidates(index, *cq, *cost);
+      EXPECT_EQ(want.pruned, got.pruned) << name << " target " << t;
+      EXPECT_EQ(want.sids, got.sids) << name << " target " << t;
+      if (want.pruned) ++pruned_runs;
+      for (size_t i = 0; i < fixed->atoms.size(); ++i) {
+        if (fixed->atoms[i].var != cost->atoms[i].var) {
+          ++reordered_runs;
+          break;
+        }
+      }
+    }
+  }
+  // The two arms really ran different orders somewhere.
+  EXPECT_GT(pruned_runs, 0u);
+  EXPECT_GT(reordered_runs, 0u);
 }
 
 TEST(PlannerTest, PlanFingerprintDistinguishesClauseContent) {
@@ -214,7 +227,7 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   GetOrBuildPlan(*index, *cq, opts, &cache, 1);
   EXPECT_EQ(cache.stats().misses, 2u);
   PlannerOptions other = opts;
-  other.decode_gallop_min_ratio += 1;
+  other.semi_join_max_fraction /= 2;
   GetOrBuildPlan(*index, *cq, other, &cache, 0);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.size(), 3u);
@@ -365,23 +378,43 @@ TEST(PlannerTest, EarlyTerminationSkipsTailCandidates) {
   // must stop early, far before the last candidate.
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  EngineOptions options;
-  options.max_rows = 5;
-  auto result = engine.ExecuteText(query, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->early_terminated);
-  EXPECT_LT(result->scanned_candidates, result->candidate_sentences);
-  EXPECT_GT(result->scanned_candidates, 0u);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (bool with_sink : {false, true}) {
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  (with_sink ? " sink" : "");
+      std::vector<ResultRow> streamed;
+      RowSink sink = [&](const ResultRow& row) { streamed.push_back(row); };
+      EngineOptions options;
+      options.max_rows = 5;
+      options.num_threads = threads;
+      if (with_sink) options.sink = &sink;
+      auto result = engine.ExecuteText(query, options);
+      ASSERT_TRUE(result.ok()) << context;
+      EXPECT_TRUE(result->early_terminated) << context;
+      EXPECT_LT(result->scanned_candidates, result->candidate_sentences)
+          << context;
+      EXPECT_GT(result->scanned_candidates, 0u) << context;
+      if (with_sink) {
+        EXPECT_EQ(streamed.size(), result->rows.size()) << context;
+      }
 
-  // The full-then-truncate baseline returns the same rows while scanning
-  // everything.
-  EngineOptions baseline = options;
-  baseline.early_terminate = false;
-  auto full = engine.ExecuteText(query, baseline);
-  ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full->early_terminated);
-  EXPECT_EQ(full->scanned_candidates, full->candidate_sentences);
-  ExpectIdenticalResults(*full, *result, "early-termination parity");
+      // The full-then-truncate baseline returns the same rows and reports
+      // every candidate as scanned, whatever the thread count or sink.
+      streamed.clear();
+      EngineOptions baseline = options;
+      baseline.early_terminate = false;
+      auto full = engine.ExecuteText(query, baseline);
+      ASSERT_TRUE(full.ok()) << context;
+      EXPECT_FALSE(full->early_terminated) << context;
+      EXPECT_EQ(full->scanned_candidates, full->candidate_sentences)
+          << context;
+      ExpectIdenticalResults(*full, *result, "early-termination parity " +
+                                                 context);
+      if (with_sink) {
+        EXPECT_EQ(streamed.size(), full->rows.size()) << context;
+      }
+    }
+  }
 }
 
 // ---- EXPLAIN ----------------------------------------------------------------
@@ -405,7 +438,7 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   const std::string plan_text = ExplainPlan(*result->plan);
   EXPECT_NE(plan_text.find("clause"), std::string::npos);
   EXPECT_NE(plan_text.find("entity"), std::string::npos);
-  EXPECT_NE(plan_text.find("rep="), std::string::npos);
+  EXPECT_NE(plan_text.find("blocks="), std::string::npos);
   const std::string exec_text = ExplainExecution(*result);
   EXPECT_NE(exec_text.find("candidate"), std::string::npos);
   if (result->early_terminated) {

@@ -242,6 +242,13 @@ TEST(BlockListTest, InPlaceIntersectMatchesDecoded) {
     EXPECT_EQ(Intersect(ab, b), want) << round;      // blocks x decoded
     EXPECT_EQ(Intersect(ab, bb), want) << round;     // blocks x blocks
     EXPECT_EQ(Intersect(bb, ab), want) << round;
+    // The two-view dispatch reaches the same kernels for every form pair.
+    for (SidSetView x : {SidSetView(&a), SidSetView(&ab)}) {
+      for (SidSetView y : {SidSetView(&b), SidSetView(&bb)}) {
+        EXPECT_EQ(Intersect(x, y), want) << round;
+        EXPECT_EQ(Intersect(y, x), want) << round;
+      }
+    }
   }
   // Degenerate shapes.
   BlockList empty;
