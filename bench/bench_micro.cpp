@@ -138,10 +138,9 @@ BENCHMARK(BM_DecomposedPathLookup);
 // ---- Sid projection of a cross-index path -----------------------------------
 //
 // DPLI only needs the *sids* of a path's matches. The old fallback
-// materialised the full quintuple join and projected it; the semi-join
-// kernel intersects the per-index sid projections (PL path sids, POS path
-// sids, per-word sid lists) first and uses the intersection to prune every
-// posting list before the joins.
+// materialised the full quintuple join and projected it; the sid lookup
+// narrows every posting fetch to the path's word lists first, and to the
+// running candidate set when DPLI passes one.
 
 // Old fallback, verbatim: full quintuple join, then project the sids.
 void BM_PathSidFallbackQuintuple(benchmark::State& state) {
@@ -156,16 +155,51 @@ void BM_PathSidFallbackQuintuple(benchmark::State& state) {
 }
 BENCHMARK(BM_PathSidFallbackQuintuple);
 
-// New fallback: sid-level semi-join before any quintuple materialises.
+// The sid lookup: the word list narrows every posting fetch before any
+// quintuple materialises.
 void BM_PathSidSemiJoin(benchmark::State& state) {
   const KokoIndex& index = SharedIndex();
   PathQuery path = CrossIndexPath();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KokoPathSidLookup(index, path));
+    benchmark::DoNotOptimize(KokoPathSidLookup(index, path, nullptr));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PathSidSemiJoin);
+
+// A broad word-free path (//verb/nsubj matches most sentences) looked up
+// with a small running candidate set as filter, as DPLI runs every path
+// atom after the first. Arg 0 runs it unfiltered, Arg 1 with one sid in
+// 64 as the filter.
+void BM_PathSidLookupFiltered(benchmark::State& state) {
+  const KokoIndex& index = SharedIndex();
+  PathQuery path;
+  PathStep verb;
+  verb.axis = PathStep::Axis::kDescendant;
+  verb.constraint.pos = PosTag::kVerb;
+  PathStep nsubj;
+  nsubj.axis = PathStep::Axis::kChild;
+  nsubj.constraint.dep = DepLabel::kNsubj;
+  path.steps = {verb, nsubj};
+  std::vector<uint32_t> ids;
+  ids.reserve(index.stats().num_sentences / 64 + 1);
+  for (uint32_t sid = 0; sid < index.stats().num_sentences; sid += 64) {
+    ids.push_back(sid);
+  }
+  const SidList filter = SidList::FromSorted(std::move(ids));
+  const SidList* arg = state.range(0) == 0 ? nullptr : &filter;
+  size_t sids = 0;
+  for (auto _ : state) {
+    PathSidLookupResult result = KokoPathSidLookup(index, path, arg);
+    sids = result.sids.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["filter"] = benchmark::Counter(
+      static_cast<double>(arg == nullptr ? 0 : filter.size()));
+  state.counters["sids"] = benchmark::Counter(static_cast<double>(sids));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PathSidLookupFiltered)->Arg(0)->Arg(1);
 
 // ---- DPLI intersection kernels ---------------------------------------------
 //
@@ -393,7 +427,7 @@ void BM_DpliPhaseGalloping(benchmark::State& state) {
   const KokoIndex& index = SharedIndex();
   PathQuery path = DobjAmodPath();
   for (auto _ : state) {
-    SidList path_sids = KokoPathSidLookup(index, path).sids;
+    SidList path_sids = KokoPathSidLookup(index, path, nullptr).sids;
     const BlockList* words = index.WordSids("delicious");
     BlockList empty;
     std::vector<uint32_t> candidates =

@@ -93,8 +93,7 @@ void EmitPhase(bench::JsonEmitter* emitter, const char* arrival,
          {"candidate_sentences",
           static_cast<double>(cls.candidate_sentences)},
          {"planned_queries", static_cast<double>(cls.planned_queries)},
-         {"semi_join_paths", static_cast<double>(cls.semi_join_paths)},
-         {"quintuple_paths", static_cast<double>(cls.quintuple_paths)},
+         {"filtered_paths", static_cast<double>(cls.filtered_paths)},
          {"score_cache_hits", static_cast<double>(cls.score_cache_hits)},
          {"score_cache_misses",
           static_cast<double>(cls.score_cache_misses)},

@@ -1,8 +1,8 @@
 // EXPLAIN: inspect the cost-based query plan and the streaming top-k
 // execution. Builds a synthetic HappyDB-style corpus, runs one query with a
 // row budget, and prints (1) the compiled plan — clause order by estimated
-// selectivity, per-clause intersection representation, semi-join vs
-// quintuple fallback — and (2) the execution figures: candidates after
+// selectivity, each clause's estimate next to the accumulator size it
+// actually left — and (2) the execution figures: candidates after
 // DPLI, candidates scanned, and where early termination cut the scan. Also
 // demonstrates the streaming sink: rows arrive while later candidates are
 // still unevaluated.

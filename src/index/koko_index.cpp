@@ -323,19 +323,54 @@ Quintuple KokoIndex::RowToQuintuple(uint32_t row) const {
   return q;
 }
 
+uint32_t KokoIndex::RowSid(uint32_t row) const {
+  return static_cast<uint32_t>(w_->GetInt(row, kWSid));
+}
+
+void KokoIndex::AppendRows(const std::vector<uint32_t>& rows,
+                           const SidList* sid_filter, PostingList* out) const {
+  if (sid_filter == nullptr) {
+    for (uint32_t row : rows) out->push_back(RowToQuintuple(row));
+    return;
+  }
+  const size_t n = rows.size();
+  const size_t m = sid_filter->size();
+  size_t r = 0;
+  size_t f = 0;
+  while (r < n) {
+    const uint32_t sid = RowSid(rows[r]);
+    f = GallopTo(sid_filter->data(), m, f, sid);
+    if (f == m) return;
+    const uint32_t want = (*sid_filter)[f];
+    if (want == sid) {
+      out->push_back(RowToQuintuple(rows[r]));
+      ++r;
+      continue;
+    }
+    // Gallop the rows to the first one at or past the filter's next sid.
+    size_t lo = r;
+    size_t step = 1;
+    while (lo + step < n && RowSid(rows[lo + step]) < want) {
+      lo += step;
+      step *= 2;
+    }
+    const auto first = rows.begin() + static_cast<std::ptrdiff_t>(lo + 1);
+    const auto last =
+        rows.begin() + static_cast<std::ptrdiff_t>(std::min(n, lo + step));
+    r = static_cast<size_t>(
+        std::partition_point(first, last,
+                             [&](uint32_t row) { return RowSid(row) < want; }) -
+        rows.begin());
+  }
+}
+
 PostingList KokoIndex::LookupWord(std::string_view token,
                                   const SidList* sid_filter) const {
   auto rows = w_->IndexLookup("w_word", {std::string(token)});
   KOKO_CHECK(rows.ok());
   PostingList out;
-  out.reserve(rows->size());
-  for (uint32_t row : *rows) {
-    if (sid_filter != nullptr &&
-        !sid_filter->Contains(static_cast<uint32_t>(w_->GetInt(row, kWSid)))) {
-      continue;
-    }
-    out.push_back(RowToQuintuple(row));
-  }
+  out.reserve(sid_filter == nullptr ? rows->size() : 0);
+  AppendRows(*rows, sid_filter, &out);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -359,24 +394,12 @@ size_t KokoIndex::CountWordSids(std::string_view token) const {
   return sids == nullptr ? 0 : sids->CountSids();
 }
 
-// A node's rows are ascending (hence sid-sorted), so the semi-join filter
-// advances with one galloping cursor per node rather than a binary search
-// per row; rows outside the filter never materialise a quintuple.
 void KokoIndex::AppendTrieRows(const Trie& trie,
                                const std::vector<uint32_t>& nodes,
                                const SidList* sid_filter,
                                PostingList* out) const {
   for (uint32_t node : nodes) {
-    size_t cursor = 0;
-    for (uint32_t row : trie.nodes[node].rows) {
-      if (sid_filter != nullptr) {
-        uint32_t sid = static_cast<uint32_t>(w_->GetInt(row, kWSid));
-        cursor = GallopTo(sid_filter->data(), sid_filter->size(), cursor, sid);
-        if (cursor == sid_filter->size()) break;  // rows are sid-sorted
-        if ((*sid_filter)[cursor] != sid) continue;
-      }
-      out->push_back(RowToQuintuple(row));
-    }
+    AppendRows(trie.nodes[node].rows, sid_filter, out);
   }
 }
 
@@ -398,20 +421,40 @@ PostingList KokoIndex::LookupPosPath(const PathQuery& path,
   return out;
 }
 
-SidList KokoIndex::PlPathSids(const PathQuery& path) const {
-  std::vector<uint32_t> nodes = pl_trie_.Match(path, /*use_pos=*/false);
-  std::vector<const BlockList*> lists;
-  lists.reserve(nodes.size());
-  for (uint32_t node : nodes) lists.push_back(&pl_trie_.nodes[node].sids);
-  return UnionAllBlocks(lists);
+SidList KokoIndex::TriePathSids(const Trie& trie, const PathQuery& path,
+                                bool use_pos, const SidList* sid_filter) const {
+  const std::vector<uint32_t> nodes = trie.Match(path, use_pos);
+  if (sid_filter == nullptr) {
+    std::vector<const BlockList*> lists;
+    lists.reserve(nodes.size());
+    for (uint32_t node : nodes) lists.push_back(&trie.nodes[node].sids);
+    return UnionAllBlocks(lists);
+  }
+  // Intersect each node's stored list with the filter in place and merge
+  // only the hits. A node whose sid span holds no filter sid is skipped
+  // after one gallop, without touching its blocks.
+  const SidList& filter = *sid_filter;
+  std::vector<uint32_t> hits;
+  for (uint32_t node : nodes) {
+    const BlockList& sids = trie.nodes[node].sids;
+    if (sids.empty()) continue;
+    const size_t lo =
+        GallopTo(filter.data(), filter.size(), 0, sids.skip_first()[0]);
+    if (lo == filter.size() || filter[lo] > sids.last_sid()) continue;
+    const SidList part = Intersect(filter, sids);
+    hits.insert(hits.end(), part.begin(), part.end());
+  }
+  return SidList::FromUnsorted(std::move(hits));
 }
 
-SidList KokoIndex::PosPathSids(const PathQuery& path) const {
-  std::vector<uint32_t> nodes = pos_trie_.Match(path, /*use_pos=*/true);
-  std::vector<const BlockList*> lists;
-  lists.reserve(nodes.size());
-  for (uint32_t node : nodes) lists.push_back(&pos_trie_.nodes[node].sids);
-  return UnionAllBlocks(lists);
+SidList KokoIndex::PlPathSids(const PathQuery& path,
+                              const SidList* sid_filter) const {
+  return TriePathSids(pl_trie_, path, /*use_pos=*/false, sid_filter);
+}
+
+SidList KokoIndex::PosPathSids(const PathQuery& path,
+                               const SidList* sid_filter) const {
+  return TriePathSids(pos_trie_, path, /*use_pos=*/true, sid_filter);
 }
 
 size_t KokoIndex::EstimatePlPathSids(const PathQuery& path) const {
@@ -541,6 +584,36 @@ void WriteBlockList(BinaryWriter* writer, const BlockList& list) {
   for (uint8_t i = 0; i < pad; ++i) writer->WriteU8(0);
   writer->WriteBytes(payload.data(), payload.size());
 }
+
+// Streams the catalog out of an image and releases the pages behind the
+// read cursor as the parse moves on. The parsed tables own their data, so
+// a mapped image's catalog bytes are never read again; releasing them
+// keeps a load from holding the whole catalog resident next to its parsed
+// copy (the catalog is most of an image).
+class CatalogStreamBuf : public SpanStreamBuf {
+ public:
+  CatalogStreamBuf(const MappedFile* file, MemorySpan span)
+      : SpanStreamBuf(span), file_(file), released_(eback()) {}
+
+  void ReleaseConsumed() {
+    if (gptr() <= released_) return;
+    file_->Release(MemorySpan(reinterpret_cast<const uint8_t*>(released_),
+                              static_cast<size_t>(gptr() - released_)));
+    released_ = gptr();
+  }
+
+ protected:
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    const std::streamsize got = SpanStreamBuf::xsgetn(s, n);
+    if (gptr() - released_ >= kReleaseStride) ReleaseConsumed();
+    return got;
+  }
+
+ private:
+  static constexpr std::ptrdiff_t kReleaseStride = 64 << 10;
+  const MappedFile* file_;
+  char* released_;  // bytes before this are released
+};
 
 // Reads one list as views into the image (validated by FromMappedPacked,
 // never copied).
@@ -703,6 +776,14 @@ Status KokoIndex::LoadSidCacheSections(SpanReader* reader) {
     }
   }
   RebuildEntitySidCaches();
+  // The image stores no sentence count. Build counts the sentences with at
+  // least one token, and each such sentence's root token sits on a depth-1
+  // PL-trie node, so the union of those nodes' sid lists recovers it.
+  std::vector<const BlockList*> roots;
+  for (const auto& [label, child] : pl_trie_.nodes[0].children) {
+    roots.push_back(&pl_trie_.nodes[child].sids);
+  }
+  stats_.num_sentences = UnionAllBlocks(roots).size();
   return Status::OK();
 }
 
@@ -710,8 +791,9 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
     std::shared_ptr<MappedFile> file, MemorySpan span) {
   // The catalog (tables, B-tree definitions) is inherently owned data and
   // parses through the stream reader — directly over the image, no
-  // intermediate buffer. Only the posting sections are aliased.
-  SpanStreamBuf stream_buf(span);
+  // intermediate buffer, releasing the parsed pages as it goes. Only the
+  // posting sections are aliased.
+  CatalogStreamBuf stream_buf(file.get(), span);
   std::istream in(&stream_buf);
   BinaryReader reader(&in);
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
@@ -730,6 +812,7 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
   if (catalog_end == std::streampos(-1)) {
     return Status::IoError("cannot locate sid-cache section in image");
   }
+  stream_buf.ReleaseConsumed();
   // Posting sections: validate structure, then alias skip tables and
   // block payloads straight into the image ("validate before alias" — a
   // corrupt image fails here, never at query time).

@@ -93,8 +93,9 @@ class KokoIndex {
 
   /// Posting list of a surface token (exact match), §3.1 word index.
   /// `sid_filter`, when non-null, drops rows whose sid is not in it
-  /// *before* materialising quintuples (the semi-join push-down used by
-  /// KokoPathLookup's cross-index fallback).
+  /// *before* materialising quintuples (the filter push-down of
+  /// KokoPathLookup's cross-index joins); rows between filter sids are
+  /// skipped by galloping, never visited.
   PostingList LookupWord(std::string_view token) const {
     return LookupWord(token, nullptr);
   }
@@ -139,11 +140,20 @@ class KokoIndex {
 
   /// Union of the per-node sid lists of all PL-trie nodes matched by
   /// `path` — the sid projection of LookupParseLabelPath without building
-  /// its posting list.
-  SidList PlPathSids(const PathQuery& path) const;
+  /// its posting list. With a `sid_filter` the result is that union
+  /// intersected with the filter: each matched node's stored list is
+  /// intersected with the filter in place and only the hits are merged,
+  /// so no node list is decoded wholesale.
+  SidList PlPathSids(const PathQuery& path) const {
+    return PlPathSids(path, nullptr);
+  }
+  SidList PlPathSids(const PathQuery& path, const SidList* sid_filter) const;
 
   /// Same over the POS trie.
-  SidList PosPathSids(const PathQuery& path) const;
+  SidList PosPathSids(const PathQuery& path) const {
+    return PosPathSids(path, nullptr);
+  }
+  SidList PosPathSids(const PathQuery& path, const SidList* sid_filter) const;
 
   /// Upper-bound estimate of |PlPathSids(path)|: the sum of the matched
   /// trie nodes' stored sid-list lengths (the union can only be smaller,
@@ -161,7 +171,7 @@ class KokoIndex {
   /// constraints must only use parse labels or wildcards (the output of
   /// DPLI's path decomposition). The `sid_filter` overloads skip rows
   /// outside the filter before quintuple materialisation and the final
-  /// sort.
+  /// sort, galloping over the rows between filter sids.
   PostingList LookupParseLabelPath(const PathQuery& path) const {
     return LookupParseLabelPath(path, nullptr);
   }
@@ -260,11 +270,21 @@ class KokoIndex {
   KokoIndex() = default;
 
   Quintuple RowToQuintuple(uint32_t row) const;
-  /// Materialises the matched trie nodes' rows into `out` (unsorted),
-  /// skipping rows whose sid is outside `sid_filter` (when non-null)
-  /// before any quintuple is built.
+  uint32_t RowSid(uint32_t row) const;
+  /// Appends to `out` the quintuples of `rows` (ascending W row ids, hence
+  /// sid-sorted) whose sid is in `sid_filter`, or of every row when it is
+  /// null. Filtered, it leapfrogs the two sorted sequences: each side
+  /// gallops to the other's current sid, so a small filter against a long
+  /// row list costs O(|filter| log |rows|).
+  void AppendRows(const std::vector<uint32_t>& rows, const SidList* sid_filter,
+                  PostingList* out) const;
+  /// Materialises the matched trie nodes' rows into `out` (unsorted)
+  /// through AppendRows.
   void AppendTrieRows(const Trie& trie, const std::vector<uint32_t>& nodes,
                       const SidList* sid_filter, PostingList* out) const;
+  /// PlPathSids/PosPathSids over `trie`.
+  SidList TriePathSids(const Trie& trie, const PathQuery& path, bool use_pos,
+                       const SidList* sid_filter) const;
   void ExportClosureTable(const Trie& trie, const std::string& table_name);
   Status RebuildTrieFromClosure(const std::string& table_name, Trie* trie,
                                 int w_node_col);

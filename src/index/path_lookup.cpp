@@ -203,7 +203,7 @@ PathLookupResult KokoPathLookup(const KokoIndex& index, const PathQuery& path,
 
 PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
                                       const PathQuery& path,
-                                      bool use_semi_join) {
+                                      const SidList* filter) {
   PathSidLookupResult result;
   if (path.empty()) {
     result.unconstrained = true;
@@ -213,62 +213,41 @@ PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
   // yields the identical sid set.
   bool has_pl = false;
   bool has_pos = false;
-  bool has_word = false;
+  std::vector<const BlockList*> word_lists;
   for (const PathStep& step : path.steps) {
     if (step.constraint.dep) has_pl = true;
     if (step.constraint.pos) has_pos = true;
-    if (step.constraint.word) has_word = true;
+    if (step.constraint.word) {
+      const BlockList* sids = index.WordSids(*step.constraint.word);
+      if (sids == nullptr) return result;  // word absent -> empty answer
+      word_lists.push_back(sids);
+    }
   }
-  if (!has_pl && !has_pos && !has_word) {
+  if (!has_pl && !has_pos && word_lists.empty()) {
     result.unconstrained = true;
     return result;
   }
-  if (has_pl && !has_pos && !has_word) {
-    result.sids = index.PlPathSids(ProjectParseLabelPath(path));
-    return result;
-  }
-  if (has_pos && !has_pl && !has_word) {
-    result.sids = index.PosPathSids(ProjectPosPath(path));
+  if (filter != nullptr && filter->empty()) return result;
+  if (word_lists.empty() && !(has_pl && has_pos)) {
+    result.sids = has_pl ? index.PlPathSids(ProjectParseLabelPath(path), filter)
+                         : index.PosPathSids(ProjectPosPath(path), filter);
     return result;
   }
   // Cross-index joins (or word-path depth filters) operate on quintuples.
-  if (!use_semi_join) {
-    // Quintuple fallback without the sid-level pre-filter: correct (the
-    // §4.2.2 joins are self-contained) and cheaper when the projections
-    // barely prune — the plan choice the planner makes per query.
-    PathLookupResult full = KokoPathLookup(index, path);
-    result.unconstrained = full.unconstrained;
-    result.sids = SidList::FromSorted(SidsOfPostings(full.postings));
-    return result;
+  // Filter them with what is already known: the caller's filter narrowed by
+  // every word's stored list, intersected in place. An empty filter proves
+  // the answer empty with no quintuple materialised; without a filter and
+  // without words the joins run unfiltered.
+  SidList narrowed;
+  const SidList* sid_filter = filter;
+  if (!word_lists.empty()) {
+    std::vector<SidSetView> views(word_lists.begin(), word_lists.end());
+    if (filter != nullptr) views.push_back(filter);
+    narrowed = IntersectAllViews(std::move(views));
+    if (narrowed.empty()) return result;
+    sid_filter = &narrowed;
   }
-  // Sid-level semi-join first: the answer's sids lie in the intersection
-  // of every consulted index's sid projection (PL path, POS path, each
-  // word's list), which is cheap to compute from the precomputed lists.
-  // An empty intersection proves the answer empty with no quintuple ever
-  // materialised; otherwise it becomes the sid filter that prunes every
-  // posting list before the §4.2.2 joins.
-  std::vector<SidList> owned;
-  owned.reserve(2);
-  std::vector<SidSetView> projections;
-  if (has_pl) {
-    owned.push_back(index.PlPathSids(ProjectParseLabelPath(path)));
-  }
-  if (has_pos) {
-    owned.push_back(index.PosPathSids(ProjectPosPath(path)));
-  }
-  for (const PathStep& step : path.steps) {
-    if (!step.constraint.word) continue;
-    // Per-word projections stay block compressed; the semi-join
-    // intersects them in place alongside the decoded path projections.
-    const BlockList* word_sids = index.WordSids(*step.constraint.word);
-    if (word_sids == nullptr) return result;  // word absent -> empty answer
-    projections.push_back(word_sids);
-  }
-  for (const SidList& list : owned) projections.push_back(&list);
-  SidList semi = IntersectAllViews(std::move(projections));
-  if (semi.empty()) return result;
-  PathLookupResult full = KokoPathLookup(index, path, &semi);
-  result.unconstrained = full.unconstrained;
+  PathLookupResult full = KokoPathLookup(index, path, sid_filter);
   result.sids = SidList::FromSorted(SidsOfPostings(full.postings));
   return result;
 }

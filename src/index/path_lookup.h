@@ -32,10 +32,11 @@ struct PathLookupResult {
 /// between consecutive words (Example 4.4), and the three results are
 /// joined on token identity / ancestorship exactly as §4.2.2 describes.
 ///
-/// `sid_filter`, when non-null, must be a superset of the answer's sids
-/// (e.g. the semi-join of the per-index sid projections); every fetched
-/// posting list is restricted to it before joining, which shrinks the
-/// quintuple joins without changing the final result.
+/// `sid_filter`, when non-null, restricts the answer to its sentences:
+/// every fetched posting list is restricted to it before joining. The
+/// joins never cross sentences, so the result is exactly the unfiltered
+/// answer's postings whose sid is in the filter — a filter that is a
+/// superset of the answer's sids leaves it unchanged.
 PathLookupResult KokoPathLookup(const KokoIndex& index, const PathQuery& path,
                                 const SidList* sid_filter = nullptr);
 
@@ -49,25 +50,25 @@ struct PathSidLookupResult {
 /// \brief Columnar variant of KokoPathLookup for candidate pruning.
 ///
 /// Produces exactly the sorted set `{q.sid : q in KokoPathLookup(path)}`
-/// without materialising the quintuples when a single index constrains the
-/// path: a PL-only (or POS-only) path resolves to the union of the matched
-/// trie nodes' precomputed sid lists. Paths needing cross-index joins fall
-/// back to the quintuple-level lookup and project its (sid-sorted) result
-/// with one linear dedup scan.
+/// intersected with `*filter` when a filter is given — DPLI (Algorithm 1)
+/// passes its running candidate set, so a later atom only ever looks at
+/// sentences that can still match:
 ///
-/// `use_semi_join` governs the cross-index fallback only (single-index
-/// paths never build quintuples either way). When true — the default — the
-/// per-index sid projections are intersected first and the result filters
-/// every posting fetch (an empty intersection proves the answer empty with
-/// no quintuple materialised). When false the quintuple joins run
-/// unfiltered — cheaper when the projections barely prune (their
-/// intersection is ≈ the shard), because it skips materialising the big
-/// projections and their intersection. The planner (koko/planner.h)
-/// decides per query from the projection-size estimates; the sid set
-/// returned is identical either way.
+///  * A PL-only (or POS-only) path never builds quintuples: it unions the
+///    matched trie nodes' precomputed sid lists, or with a filter
+///    intersects each node's list with the filter and unions the hits.
+///  * A cross-index path (or one with words) runs the §4.2.2 quintuple
+///    joins with every posting fetch restricted to the filter narrowed by
+///    each word's stored sid list (the sid semi-join), then projects the
+///    sid-sorted result with one linear dedup scan. No PL/POS trie-union
+///    projection is ever built as a filter. Without a filter and without
+///    words the joins run unfiltered.
+///
+/// An absent word or an empty filter proves the answer empty before any
+/// posting is fetched.
 PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
                                       const PathQuery& path,
-                                      bool use_semi_join = true);
+                                      const SidList* filter);
 
 /// Extracts the parse-label / POS-tag projection of `path` (non-matching
 /// constraints become wildcards). Returns an empty optional when the

@@ -640,7 +640,10 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
               : BuildQueryPlan(index, cq, PlannerOptions(),
                                /*order_by_cost=*/false);
       PlannedCandidates planned = CollectPlannedCandidates(index, cq, *plan);
-      if (salt == 0 && options.use_planner) result.plan = std::move(plan);
+      if (salt == 0 && options.use_planner) {
+        result.plan = std::move(plan);
+        result.plan_actuals = planned.atom_sizes;
+      }
       return planned;
     };
     if (!options.use_index) {

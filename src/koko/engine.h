@@ -62,6 +62,10 @@ struct QueryResult {
   /// (the compile-order plan is not surfaced) or the query bypassed the
   /// index. See koko/explain.h's ExplainPlan.
   std::shared_ptr<const QueryPlan> plan;
+  /// DPLI's accumulator size after each executed atom of `plan`, in plan
+  /// order (PlannedCandidates::atom_sizes of the same shard); shorter than
+  /// `plan->atoms` when an empty accumulator short-circuited the rest.
+  std::vector<uint64_t> plan_actuals;
 };
 
 struct EngineOptions {
@@ -122,8 +126,7 @@ struct EngineOptions {
   /// across different corpora.
   ScoreCache* score_cache = nullptr;
   /// Cost-based clause ordering for the DPLI phase (koko/planner.h): run
-  /// the clause intersections in ascending estimated selectivity and decide
-  /// sid-semi-join vs quintuple fallback per cross-index path. `false` runs
+  /// the clause intersections in ascending estimated selectivity. `false` runs
   /// the same plan through the same executor in compile order, bypassing
   /// `plan_cache` (the parity arm). Candidate sets are **byte-identical**
   /// either way — plan order changes cost, never results.
@@ -169,7 +172,9 @@ struct EngineOptions {
 /// intersects the atoms in plan order — ascending estimated selectivity, or
 /// compile order with `use_planner` off — with one in-place kernel that
 /// gallops over the compressed blocks (`Intersect(SidSetView, SidSetView)`);
-/// the result is the candidate set in ascending sid order. The candidate
+/// every path atom after the first is evaluated only over the running
+/// candidate set, which it receives as its lookup filter. The result is
+/// the candidate set in ascending sid order. The candidate
 /// set is *complete* (a superset of all answer
 /// sentences — pruning never loses answers) but may be unsound (§4.2.2);
 /// the extract phase re-validates every candidate. An unconstrained query

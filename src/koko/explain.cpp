@@ -44,7 +44,13 @@ std::string ClauseExplanation::ToString() const {
   return out;
 }
 
-std::string ExplainPlan(const QueryPlan& plan) {
+namespace {
+
+// One line per atom; with `actuals`, each executed atom also shows the
+// accumulator size after its intersect and each short-circuited atom says
+// it never ran.
+std::string RenderPlan(const QueryPlan& plan,
+                       const std::vector<uint64_t>* actuals) {
   if (!plan.pruned) {
     return "plan: unpruned (no prunable clause; full sentence scan)\n";
   }
@@ -55,25 +61,30 @@ std::string ExplainPlan(const QueryPlan& plan) {
     const PlannedAtom& atom = plan.atoms[i];
     out += "  " + std::to_string(i + 1) + ". " + atom.label + "  est=" +
            std::to_string(atom.estimate) + (atom.exact ? "" : " (upper bound)");
+    if (actuals != nullptr) {
+      out += i < actuals->size() ? "  actual=" + std::to_string((*actuals)[i])
+                                 : "  actual=skipped";
+    }
     if (atom.block_backed) {
       out += "  blocks=" + std::to_string(atom.stats.blocks) +
              " avg-gap=" + FormatDouble(atom.stats.avg_gap, 1);
     }
-    if (atom.kind == PlannedAtom::Kind::kPath && atom.cross_index) {
-      out += atom.use_semi_join ? "  cross-index: semi-join"
-                                : "  cross-index: quintuple fallback";
-    }
     out += "\n";
   }
-  out += "  fingerprint=" + std::to_string(plan.fingerprint) +
-         "  thresholds: semi-join <= " +
-         FormatDouble(plan.options.semi_join_max_fraction, 2) + " of corpus\n";
+  out += "  fingerprint=" + std::to_string(plan.fingerprint) + "\n";
   return out;
 }
 
+}  // namespace
+
+std::string ExplainPlan(const QueryPlan& plan) {
+  return RenderPlan(plan, nullptr);
+}
+
 std::string ExplainExecution(const QueryResult& result) {
-  std::string out =
-      result.plan != nullptr ? ExplainPlan(*result.plan) : "plan: none\n";
+  std::string out = result.plan != nullptr
+                        ? RenderPlan(*result.plan, &result.plan_actuals)
+                        : "plan: none\n";
   out += "execution: " + std::to_string(result.candidate_sentences) +
          " candidate(s) after DPLI, " +
          std::to_string(result.scanned_candidates) + " scanned";

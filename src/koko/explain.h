@@ -60,15 +60,17 @@ std::string SatConditionToString(const SatCondition& cond);
 /// \brief EXPLAIN of a compiled query plan (koko/planner.h).
 ///
 /// One line per atom in execution order: kind + label, estimated
-/// selectivity (with exact/upper-bound marker), skip-table statistics for
-/// compressed atoms, and `semi-join`/`quintuple` for cross-index paths.
-/// Ends with the plan fingerprint and the thresholds it was built with.
+/// selectivity (with exact/upper-bound marker) and skip-table statistics
+/// for compressed atoms. Ends with the plan fingerprint.
 std::string ExplainPlan(const QueryPlan& plan);
 
-/// \brief EXPLAIN of an executed query: the plan (when one ran) plus the
-/// execution's pruning and early-termination figures — candidates after
-/// DPLI, candidates actually scanned, and whether/where streaming top-k
-/// cut the scan short.
+/// \brief EXPLAIN of an executed query: the plan (when one ran) with each
+/// atom's `est=` next to its `actual=` accumulator size after its
+/// intersect (`actual=skipped` for atoms an empty accumulator
+/// short-circuited), plus the execution's pruning and early-termination
+/// figures — candidates after DPLI, candidates actually scanned, and
+/// whether/where streaming top-k cut the scan short. When sharded, the
+/// plan and actuals are shard 0's.
 std::string ExplainExecution(const QueryResult& result);
 
 }  // namespace koko

@@ -1,7 +1,6 @@
 #include "koko/planner.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "index/path_lookup.h"
@@ -32,13 +31,6 @@ PathShape ShapeOf(const PathQuery& path) {
   }
   shape.unconstrained = !shape.has_pl && !shape.has_pos && shape.words.empty();
   return shape;
-}
-
-uint64_t OptionsFingerprint(const PlannerOptions& options) {
-  uint64_t frac_bits = 0;
-  static_assert(sizeof(frac_bits) == sizeof(options.semi_join_max_fraction));
-  std::memcpy(&frac_bits, &options.semi_join_max_fraction, sizeof(frac_bits));
-  return Mix64(frac_bits);
 }
 
 std::string QuoteWords(const std::vector<std::string>& words) {
@@ -77,14 +69,12 @@ uint64_t PlanFingerprint(const CompiledQuery& cq) {
   return h;
 }
 
-std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
-                                                const CompiledQuery& cq,
-                                                const PlannerOptions& options,
-                                                bool order_by_cost) {
+std::shared_ptr<const QueryPlan> BuildQueryPlan(
+    const KokoIndex& index, const CompiledQuery& cq,
+    const PlannerOptions& /*options*/, bool order_by_cost) {
   auto plan = std::make_shared<QueryPlan>();
   plan->fingerprint = PlanFingerprint(cq);
   plan->index_sentences = index.stats().num_sentences;
-  plan->options = options;
 
   // ---- Classify + estimate, in compile order ----
   for (int dom : cq.DominantPathVars()) {
@@ -95,10 +85,7 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
     atom.kind = PlannedAtom::Kind::kPath;
     atom.var = dom;
     atom.label = "path " + path.ToString();
-    const int indices_used = (shape.has_pl ? 1 : 0) + (shape.has_pos ? 1 : 0) +
-                             (shape.words.empty() ? 0 : 1);
-    atom.cross_index = indices_used > 1 || !shape.words.empty();
-    if (!atom.cross_index) {
+    if (shape.words.empty() && !(shape.has_pl && shape.has_pos)) {
       // Single hierarchy index: the lookup is a trie-node sid union; its
       // size is bounded by the sum of the matched nodes' list lengths.
       atom.estimate = shape.has_pl ? index.EstimatePlPathSids(
@@ -126,12 +113,6 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
       }
       atom.estimate = word_absent ? 0 : min_proj;
       atom.exact = word_absent;
-      // Semi-join only while the best projection can actually prune the
-      // quintuple joins; near the corpus size it is pure overhead.
-      atom.use_semi_join =
-          static_cast<double>(atom.estimate) <=
-          options.semi_join_max_fraction *
-              static_cast<double>(std::max<size_t>(plan->index_sentences, 1));
     }
     plan->atoms.push_back(std::move(atom));
   }
@@ -194,73 +175,71 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
   PlannedCandidates result;
   result.pruned = plan.pruned;
   if (!plan.pruned) return result;
+  result.atom_sizes.reserve(plan.atoms.size());
 
-  // Accumulator: the first atom's own view, held un-decoded until a second
-  // atom fixes the join (block x block stays fully in place); from then on
-  // the decoded intersection so far.
-  SidList first_list;  // storage when the first atom is a per-query list
+  // Accumulator: a stored first atom's own view, kept un-decoded (its
+  // intersection with another stored list runs fully in place); after
+  // that, the decoded candidate set so far, held in `acc`.
   SidList acc;
   SidSetView current;
   bool seeded = false;
   for (const PlannedAtom& atom : plan.atoms) {
-    SidList src;
-    SidSetView view;
-    switch (atom.kind) {
-      case PlannedAtom::Kind::kPath: {
-        PathSidLookupResult lookup = KokoPathSidLookup(
-            index, cq.vars[static_cast<size_t>(atom.var)].abs_path,
-            atom.use_semi_join);
-        if (lookup.unconstrained) continue;  // planner never emits these
-        src = std::move(lookup.sids);
-        view = &src;
-        break;
+    if (atom.kind == PlannedAtom::Kind::kPath) {
+      // Filter with what we already have: the lookup sees the accumulator
+      // (decoded once if it is still a stored list) and returns its
+      // intersection with the path's sids — the next accumulator.
+      if (seeded && current.blocks() != nullptr) {
+        acc = current.blocks()->Decode();
+        current = &acc;
       }
-      case PlannedAtom::Kind::kEntity: {
-        const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
+      PathSidLookupResult lookup = KokoPathSidLookup(
+          index, cq.vars[static_cast<size_t>(atom.var)].abs_path,
+          seeded ? current.list() : nullptr);
+      if (lookup.unconstrained) continue;  // planner never emits these
+      acc = std::move(lookup.sids);
+      current = &acc;
+    } else {
+      SidList src;
+      SidSetView view;
+      const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
+      if (atom.kind == PlannedAtom::Kind::kEntity) {
         view =
             v.etype ? &index.EntityTypeSids(*v.etype) : &index.AllEntitySids();
-        break;
-      }
-      case PlannedAtom::Kind::kLiteral: {
-        const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
-        if (v.literal.size() == 1) {
-          view = index.WordSids(v.literal[0]);
-          if (view.blocks() == nullptr) return result;  // absent -> empty
-        } else {
-          std::vector<SidSetView> word_lists;
-          for (const std::string& word : v.literal) {
-            const BlockList* sids = index.WordSids(word);
-            if (sids == nullptr) return result;
-            word_lists.push_back(sids);
+      } else if (v.literal.size() == 1) {
+        view = index.WordSids(v.literal[0]);
+        if (view.blocks() == nullptr) view = &src;  // absent -> empty
+      } else {
+        std::vector<SidSetView> word_lists;
+        for (const std::string& word : v.literal) {
+          const BlockList* sids = index.WordSids(word);
+          if (sids == nullptr) {
+            word_lists.clear();  // absent -> empty
+            break;
           }
-          src = IntersectAllViews(std::move(word_lists));
-          view = &src;
+          word_lists.push_back(sids);
         }
-        break;
+        src = IntersectAllViews(std::move(word_lists));
+        view = &src;
+      }
+      if (!seeded) {
+        if (view.list() != nullptr) {
+          acc = std::move(src);
+          view = &acc;
+        }
+        current = view;
+      } else {
+        acc = Intersect(current, view);
+        current = &acc;
       }
     }
-
-    if (!seeded) {
-      if (view.list() != nullptr) {
-        first_list = std::move(src);
-        view = &first_list;
-      }
-      current = view;
-      seeded = true;
-    } else {
-      acc = Intersect(current, view);
-      current = &acc;
-    }
+    seeded = true;
+    result.atom_sizes.push_back(current.size());
     // Short-circuit: an empty accumulator proves the (shard's) answer
     // empty — the remaining (larger) atoms are never materialised.
     if (current.empty()) return result;
   }
-  // A single-source plan's candidate set is the atom's list itself.
-  if (current.blocks() != nullptr) {
-    acc = current.blocks()->Decode();
-  } else if (current.list() == &first_list) {
-    acc = std::move(first_list);
-  }
+  // A single stored-list plan's candidate set is the list itself.
+  if (current.blocks() != nullptr) acc = current.blocks()->Decode();
   result.sids = std::move(acc);
   return result;
 }
@@ -313,9 +292,7 @@ std::shared_ptr<const QueryPlan> GetOrBuildPlan(const KokoIndex& index,
                                                 uint64_t salt) {
   if (cache == nullptr) return BuildQueryPlan(index, cq, options);
   const uint64_t key =
-      HashCombine(HashCombine(PlanFingerprint(cq),
-                              Mix64(salt ^ 0xcbf29ce484222325ULL)),
-                  OptionsFingerprint(options));
+      HashCombine(PlanFingerprint(cq), Mix64(salt ^ 0xcbf29ce484222325ULL));
   if (auto hit = cache->Lookup(key)) return hit;
   auto plan = BuildQueryPlan(index, cq, options);
   cache->Insert(key, plan);

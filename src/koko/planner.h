@@ -15,20 +15,15 @@
 
 namespace koko {
 
-/// Cost-model thresholds. Every value only changes *how* a path lookup
-/// executes, never its result, so any setting preserves the parity
-/// contract — see docs/QUERY_PLANNING.md.
-struct PlannerOptions {
-  /// Cross-index path lookups run the sid semi-join only while the
-  /// smallest index projection is estimated below this fraction of the
-  /// (shard) corpus; a projection that covers nearly every sentence cannot
-  /// prune, so the plan falls straight back to the quintuple joins and
-  /// saves materialising the projections and their intersection.
-  double semi_join_max_fraction = 0.5;
-};
+/// Planner settings. Empty: a plan holds no strategy choice, because every
+/// path atom filters with the running candidate set (see
+/// docs/QUERY_PLANNING.md). The type stays in the BuildQueryPlan and
+/// GetOrBuildPlan signatures, which the engine and the benchmark harness
+/// call with `PlannerOptions()`.
+struct PlannerOptions {};
 
 /// One prunable atom of a compiled query, annotated with the statistics
-/// and per-clause choices the planner derived for it.
+/// the planner derived for it.
 struct PlannedAtom {
   enum class Kind : uint8_t { kPath, kEntity, kLiteral };
   Kind kind = Kind::kEntity;
@@ -45,11 +40,6 @@ struct PlannedAtom {
   bool block_backed = false;
   /// Skip-table statistics of the backing list (block-backed atoms only).
   BlockListStats stats;
-  /// kPath only: the path needs cross-index quintuple joins (vs a pure
-  /// trie-projection union).
-  bool cross_index = false;
-  /// kPath && cross_index only: run the sid semi-join before the joins.
-  bool use_semi_join = true;
   /// Human-readable atom description for EXPLAIN.
   std::string label;
 };
@@ -57,9 +47,9 @@ struct PlannedAtom {
 /// A compiled execution plan for DPLI candidate collection against one
 /// (shard) index: atoms in execution order (ascending estimated
 /// selectivity, or compile order for the fixed-order plan), each annotated
-/// with its statistics and semi-join choice. Executing a plan
-/// (CollectPlannedCandidates) yields the same candidate set in either
-/// order — plans change cost, not results.
+/// with its statistics. Executing a plan (CollectPlannedCandidates) yields
+/// the same candidate set in either order — plans change cost, not
+/// results.
 struct QueryPlan {
   /// False when the query has no prunable atom (the engine degrades to the
   /// full sid range, as without a planner).
@@ -67,11 +57,8 @@ struct QueryPlan {
   std::vector<PlannedAtom> atoms;
   /// Structure fingerprint of the prunable clauses (PlanFingerprint).
   uint64_t fingerprint = 0;
-  /// Sentences in the planned-against (shard) index — the denominator of
-  /// the selectivity and semi-join decisions.
+  /// Sentences in the planned-against (shard) index (for EXPLAIN).
   size_t index_sentences = 0;
-  /// Thresholds the plan was built with (for EXPLAIN).
-  PlannerOptions options;
 };
 
 /// Content fingerprint of a query's prunable clause structure: every
@@ -82,10 +69,10 @@ uint64_t PlanFingerprint(const CompiledQuery& cq);
 
 /// Builds a plan from per-list statistics (list lengths, block counts,
 /// skip-table bounds — all O(1) reads, no posting decoded): classifies the
-/// prunable atoms, estimates each one's selectivity, fixes the semi-join
-/// choices and, when `order_by_cost`, orders the atoms by ascending
-/// estimate. `order_by_cost = false` keeps compile order — the fixed-order
-/// plan the engine runs with EngineOptions::use_planner off.
+/// prunable atoms, estimates each one's selectivity and, when
+/// `order_by_cost`, orders the atoms by ascending estimate.
+/// `order_by_cost = false` keeps compile order — the fixed-order plan the
+/// engine runs with EngineOptions::use_planner off.
 std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
                                                 const CompiledQuery& cq,
                                                 const PlannerOptions& options,
@@ -96,13 +83,21 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
 struct PlannedCandidates {
   bool pruned = false;
   SidList sids;
+  /// Accumulator size after each executed atom, in plan order — the actual
+  /// EXPLAIN prints next to the atom's estimate. Shorter than the plan's
+  /// atoms when an empty accumulator short-circuited the rest.
+  std::vector<uint64_t> atom_sizes;
 };
 
 /// Executes a plan — the one DPLI executor: materialises atom views lazily
 /// in plan order and intersects each into the accumulator, short-circuiting
 /// on an empty accumulator — an empty early atom skips the remaining
-/// (typically most expensive) lookups entirely. The resulting sid set does
-/// not depend on the plan's atom order.
+/// (typically most expensive) lookups entirely. Every path atom after the
+/// first filters with what the executor already has: it receives the
+/// accumulator (a block-backed one decoded once) as its
+/// KokoPathSidLookup filter, so its lookup only touches sentences still in
+/// the running candidate set and its result is the next accumulator. The
+/// resulting sid set does not depend on the plan's atom order.
 PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
                                            const CompiledQuery& cq,
                                            const QueryPlan& plan);
@@ -114,10 +109,10 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
 /// rebuild the same plan per query per shard; a PlanCache shared through
 /// `EngineOptions::plan_cache` (QueryService owns one) makes the repeat
 /// cost one hash lookup. Keys must incorporate the target (shard) index's
-/// identity — GetOrBuildPlan mixes the shard ordinal and the planner
-/// thresholds into the clause fingerprint — and, like the score cache, a
-/// plan cache must never be shared across different corpora; Clear() it
-/// when the index is rebuilt or reloaded.
+/// identity — GetOrBuildPlan mixes the shard ordinal into the clause
+/// fingerprint — and, like the score cache, a plan cache must never be
+/// shared across different corpora; Clear() it when the index is rebuilt
+/// or reloaded.
 ///
 /// Thread-safe; plans are immutable once published (shared_ptr<const>),
 /// so concurrent queries share them without copying.
@@ -151,7 +146,7 @@ class PlanCache {
   mutable std::atomic<uint64_t> misses_{0};
 };
 
-/// Cache-aware plan fetch: looks up (fingerprint, salt, thresholds) in
+/// Cache-aware plan fetch: looks up (fingerprint, salt) in
 /// `cache` when non-null, building and inserting on a miss. `salt`
 /// distinguishes plan targets sharing one cache — the engine passes the
 /// shard ordinal, so per-shard statistics get per-shard plans.

@@ -34,8 +34,7 @@ struct SlotRecord {
   uint64_t scanned_candidates = 0;
   uint64_t candidate_sentences = 0;
   bool planned = false;
-  uint64_t semi_join_paths = 0;
-  uint64_t quintuple_paths = 0;
+  uint64_t filtered_paths = 0;
   double latency_ms = 0;
 };
 
@@ -78,14 +77,9 @@ void RunSlot(const ReplayTarget& target, size_t query_index,
   record->candidate_sentences = result->candidate_sentences;
   if (result->plan != nullptr) {
     record->planned = true;
-    for (const PlannedAtom& atom : result->plan->atoms) {
-      if (atom.kind == PlannedAtom::Kind::kPath && atom.cross_index) {
-        if (atom.use_semi_join) {
-          ++record->semi_join_paths;
-        } else {
-          ++record->quintuple_paths;
-        }
-      }
+    const std::vector<PlannedAtom>& atoms = result->plan->atoms;
+    for (size_t i = 1; i < result->plan_actuals.size(); ++i) {
+      if (atoms[i].kind == PlannedAtom::Kind::kPath) ++record->filtered_paths;
     }
   }
   if (!target.expected_digests.empty()) {
@@ -176,8 +170,7 @@ PhaseReport RunPhase(const std::string& phase_name,
     cls.scanned_candidates += record.scanned_candidates;
     cls.candidate_sentences += record.candidate_sentences;
     if (record.planned) ++cls.planned_queries;
-    cls.semi_join_paths += record.semi_join_paths;
-    cls.quintuple_paths += record.quintuple_paths;
+    cls.filtered_paths += record.filtered_paths;
     latencies[slot.target].push_back(record.latency_ms);
   }
   for (size_t t = 0; t < targets.size(); ++t) {

@@ -70,12 +70,12 @@ struct ClassReport {
   size_t early_terminated = 0;
   uint64_t scanned_candidates = 0;
   uint64_t candidate_sentences = 0;
-  /// Planner choices, summed over the executed plans' atoms (shard 0's
-  /// plan per query; zero when the planner was off or a query bypassed
-  /// the index).
+  /// Queries that surfaced a plan, and their path atoms that ran with an
+  /// accumulator as filter (every executed path atom after the first),
+  /// summed over shard 0's plan per query; zero when the planner was off
+  /// or a query bypassed the index.
   size_t planned_queries = 0;
-  uint64_t semi_join_paths = 0;
-  uint64_t quintuple_paths = 0;
+  uint64_t filtered_paths = 0;
   /// Service cache deltas over this phase (end minus start counters).
   uint64_t score_cache_hits = 0;
   uint64_t score_cache_misses = 0;

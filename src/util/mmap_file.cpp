@@ -74,6 +74,25 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Read(const std::string& path) {
   return file;
 }
 
+void MappedFile::Release(MemorySpan bytes) const {
+#if !defined(_WIN32)
+  if (!mmapped() || bytes.empty()) return;
+  // Only pages wholly inside `bytes`: a page it shares with a neighbour
+  // stays resident.
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<uintptr_t>(bytes.data());
+  const uintptr_t begin = (first + page - 1) / page * page;
+  const uintptr_t end = (first + bytes.size()) / page * page;
+  if (end > begin) {
+    // Advisory: a failure only leaves the pages resident.
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_DONTNEED);
+  }
+#else
+  (void)bytes;
+#endif
+}
+
 MappedFile::~MappedFile() {
 #if !defined(_WIN32)
   if (owned_ == nullptr && data_ != nullptr) ::munmap(data_, size_);

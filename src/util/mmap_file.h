@@ -124,6 +124,12 @@ class MappedFile {
   /// True for a memory mapping (`Open`), false for an owned copy (`Read`).
   bool mmapped() const { return owned_ == nullptr; }
 
+  /// Drops this process's resident copy of the whole pages inside `bytes`
+  /// (a subrange of span()) — for bytes already parsed into owned
+  /// structures. The bytes stay valid: a later read faults them back in
+  /// from the file. No-op for an owned copy.
+  void Release(MemorySpan bytes) const;
+
  private:
   MappedFile(std::string path, void* data, size_t size)
       : path_(std::move(path)), data_(data), size_(size) {}

@@ -20,7 +20,7 @@ namespace simd {
 /// choice for testing and differential runs. Call sites go through
 /// `ActiveKernels()`, so `BlockList::DecodeBlock`, the skip-gallop
 /// candidate step, `IntersectAllViews`, and the `KokoPathSidLookup`
-/// semi-joins all pick up vector kernels with zero call-site changes.
+/// filters all pick up vector kernels with zero call-site changes.
 
 enum class Isa {
   kScalar = 0,

@@ -217,8 +217,12 @@ TEST(KokoIndexTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(index->Save(path).ok());
   auto loaded = KokoIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ((*loaded)->stats().num_sentences, index->stats().num_sentences);
   EXPECT_EQ((*loaded)->stats().num_tokens, index->stats().num_tokens);
+  EXPECT_EQ((*loaded)->stats().num_entities, index->stats().num_entities);
   EXPECT_EQ((*loaded)->stats().pl_trie_nodes, index->stats().pl_trie_nodes);
+  EXPECT_EQ((*loaded)->stats().pos_trie_nodes, index->stats().pos_trie_nodes);
+  EXPECT_GT((*loaded)->stats().num_sentences, 0u);
   // Lookups agree after reload.
   PathQuery p = MakePath({{"/", "root"}, {"/", "dobj"}, {"/", "nn"}});
   EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
@@ -607,9 +611,9 @@ TEST(PathLookupTest, CompletenessProperty) {
 }
 
 TEST(PathLookupTest, SidSemiJoinMatchesQuintupleProjection) {
-  // The cross-index fallback now semi-joins the per-index sid projections
-  // before materialising quintuples; its sid set must stay exactly the
-  // projection of the unfiltered quintuple-level lookup.
+  // Without a filter, the sid lookup narrows the cross-index joins to the
+  // path's word lists; its sid set must stay exactly the projection of the
+  // unfiltered quintuple-level lookup.
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 60, .seed = 22});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
@@ -623,7 +627,7 @@ TEST(PathLookupTest, SidSemiJoinMatchesQuintupleProjection) {
       MakePath({{"//", "verb"}, {"//", "zzz-absent"}}),   // absent word
   };
   for (const PathQuery& path : paths) {
-    PathSidLookupResult fast = KokoPathSidLookup(*index, path);
+    PathSidLookupResult fast = KokoPathSidLookup(*index, path, nullptr);
     PathLookupResult full = KokoPathLookup(*index, path);
     ASSERT_EQ(fast.unconstrained, full.unconstrained) << path.ToString();
     EXPECT_EQ(fast.sids, SidList::FromSorted(SidsOfPostings(full.postings)))
@@ -632,9 +636,10 @@ TEST(PathLookupTest, SidSemiJoinMatchesQuintupleProjection) {
 }
 
 TEST(PathLookupTest, SidFilteredLookupsMatchUnfiltered) {
-  // The semi-join push-down (LookupWord/LookupParseLabelPath/LookupPosPath
-  // with a sid filter) must keep exactly the postings whose sid is in the
-  // filter, including a filter that drops everything.
+  // The filter push-down (LookupWord/LookupParseLabelPath/LookupPosPath
+  // and PlPathSids/PosPathSids with a sid filter) must keep exactly the
+  // postings (sids) whose sid is in the filter, including a filter that
+  // drops everything.
   AnnotatedCorpus corpus = PaperCorpus();
   auto index = KokoIndex::Build(corpus);
   SidList only_second = SidList::FromSorted({1});
@@ -657,6 +662,12 @@ TEST(PathLookupTest, SidFilteredLookupsMatchUnfiltered) {
   }
   EXPECT_EQ(pos_filtered, pos_want);
   EXPECT_TRUE(index->LookupPosPath(verbs, &none).empty());
+  EXPECT_EQ(index->PosPathSids(verbs, &only_second),
+            Intersect(index->PosPathSids(verbs), only_second));
+  EXPECT_TRUE(index->PosPathSids(verbs, &none).empty());
+  PathQuery roots = MakePath({{"/", "root"}});
+  EXPECT_EQ(index->PlPathSids(roots, &only_second), only_second);
+  EXPECT_TRUE(index->PlPathSids(roots, &none).empty());
 }
 
 TEST(PathLookupTest, AbsentPathShortCircuits) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "corpus/generators.h"
 #include "corpus/query_gen.h"
@@ -20,7 +21,9 @@
 #include "koko/explain.h"
 #include "koko/parser.h"
 #include "nlp/pipeline.h"
+#include "replay/workloads.h"
 #include "serve/query_service.h"
+#include "util/rng.h"
 
 namespace koko {
 namespace {
@@ -51,43 +54,95 @@ TEST(PlannerTest, StatsOfReadsSkipTable) {
   EXPECT_EQ(StatsOf(BlockList()).sids, 0u);
 }
 
-// ---- Semi-join decision parity ----------------------------------------------
+// ---- Filtered path lookup -------------------------------------------------
 
-TEST(PlannerTest, PathSidLookupSemiJoinOnOffParity) {
+// Filters a path lookup is run with: empty, a singleton, every sid of the
+// index's range, and seeded random subsets of it.
+std::vector<SidList> LookupFilters(uint32_t begin, uint32_t end,
+                                   uint64_t seed) {
+  std::vector<SidList> filters;
+  filters.emplace_back();
+  std::vector<uint32_t> all;
+  all.reserve(end - begin);
+  for (uint32_t sid = begin; sid < end; ++sid) all.push_back(sid);
+  if (!all.empty()) {
+    filters.push_back(SidList::FromSorted({all[all.size() / 2]}));
+  }
+  filters.push_back(SidList::FromSorted(all));
+  Rng rng(seed);
+  for (double keep : {0.02, 0.2, 0.7}) {
+    std::vector<uint32_t> subset;
+    for (uint32_t sid : all) {
+      if (rng.UniformDouble() < keep) subset.push_back(sid);
+    }
+    filters.push_back(SidList::FromSorted(std::move(subset)));
+  }
+  return filters;
+}
+
+// The filtered-lookup contract DPLI relies on when it passes its running
+// candidate set: KokoPathSidLookup(path, &f) equals the unfiltered lookup
+// intersected with f, for every dominant path of the six replay workloads,
+// on a monolithic index and on every shard of a 4-shard mapped index.
+TEST(PlannerTest, FilteredPathSidLookupIsIntersection) {
   Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 61});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto workloads =
+      replay::BuildAllWorkloads(pipeline, replay::WorkloadOptions());
+  ASSERT_TRUE(workloads.ok()) << workloads.status().ToString();
+  size_t checked_paths = 0;
+  size_t nonempty_hits = 0;
+  for (const replay::Workload& workload : *workloads) {
+    auto mono = KokoIndex::Build(workload.corpus);
+    auto built = ShardedKokoIndex::Build(workload.corpus, 4);
+    const std::string path =
+        ::testing::TempDir() + "/planner_filter_" + workload.name + ".idx";
+    ASSERT_TRUE(built->Save(path).ok());
+    ShardedKokoIndex::LoadOptions map_load;
+    map_load.mode = LoadMode::kMap;
+    auto mapped = ShardedKokoIndex::Load(path, map_load);
+    std::remove(path.c_str());
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  // Word-constrained paths take the cross-index quintuple route, where the
-  // semi-join is optional; both settings must produce the same sid set.
-  std::vector<PathQuery> paths;
-  {
-    PathQuery word_only;
-    PathStep step;
-    step.axis = PathStep::Axis::kDescendant;
-    step.constraint.word = "happy";
-    word_only.steps.push_back(step);
-    paths.push_back(word_only);
+    struct Target {
+      const KokoIndex* index;
+      uint32_t begin;
+      uint32_t end;
+    };
+    std::vector<Target> targets = {
+        {mono.get(), 0, static_cast<uint32_t>(workload.corpus.NumSentences())}};
+    for (size_t s = 0; s < (*mapped)->num_shards(); ++s) {
+      targets.push_back({&(*mapped)->shard(s), (*mapped)->shard_range(s).begin,
+                         (*mapped)->shard_range(s).end});
+    }
+    for (const replay::WorkloadQuery& query : workload.queries) {
+      auto cq = CompileQuery(query.query);
+      ASSERT_TRUE(cq.ok()) << workload.name << "/" << query.name;
+      for (int dom : cq->DominantPathVars()) {
+        const PathQuery& abs = cq->vars[static_cast<size_t>(dom)].abs_path;
+        for (size_t t = 0; t < targets.size(); ++t) {
+          const Target& target = targets[t];
+          const std::string context = workload.name + "/" + query.name + " " +
+                                      abs.ToString() + " target " +
+                                      std::to_string(t);
+          const PathSidLookupResult unfiltered =
+              KokoPathSidLookup(*target.index, abs, nullptr);
+          for (const SidList& filter :
+               LookupFilters(target.begin, target.end, 97 + t)) {
+            const PathSidLookupResult got =
+                KokoPathSidLookup(*target.index, abs, &filter);
+            ASSERT_EQ(got.unconstrained, unfiltered.unconstrained) << context;
+            if (got.unconstrained) continue;
+            EXPECT_EQ(got.sids, Intersect(unfiltered.sids, filter))
+                << context << " |filter|=" << filter.size();
+            if (!got.sids.empty()) ++nonempty_hits;
+          }
+          ++checked_paths;
+        }
+      }
+    }
   }
-  {
-    PathQuery mixed;
-    PathStep verb;
-    verb.axis = PathStep::Axis::kDescendant;
-    verb.constraint.pos = PosTag::kVerb;
-    mixed.steps.push_back(verb);
-    PathStep obj;
-    obj.axis = PathStep::Axis::kChild;
-    obj.constraint.dep = DepLabel::kDobj;
-    mixed.steps.push_back(obj);
-    paths.push_back(mixed);
-  }
-  for (size_t i = 0; i < paths.size(); ++i) {
-    PathSidLookupResult with = KokoPathSidLookup(*index, paths[i], true);
-    PathSidLookupResult without = KokoPathSidLookup(*index, paths[i], false);
-    EXPECT_EQ(with.unconstrained, without.unconstrained) << "path " << i;
-    EXPECT_EQ(with.sids, without.sids) << "path " << i;
-  }
+  EXPECT_GT(checked_paths, 0u);
+  EXPECT_GT(nonempty_hits, 0u);
 }
 
 // ---- Plan construction ------------------------------------------------------
@@ -223,14 +278,15 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   EXPECT_EQ(second.get(), first.get());  // shared, not rebuilt
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // A different shard salt or different thresholds is a different plan key.
+  // Every shard salt is a different plan key.
   GetOrBuildPlan(*index, *cq, opts, &cache, 1);
   EXPECT_EQ(cache.stats().misses, 2u);
-  PlannerOptions other = opts;
-  other.semi_join_max_fraction /= 2;
-  GetOrBuildPlan(*index, *cq, other, &cache, 0);
+  auto third = GetOrBuildPlan(*index, *cq, opts, &cache, 2);
+  EXPECT_NE(third.get(), first.get());
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.size(), 3u);
+  GetOrBuildPlan(*index, *cq, opts, &cache, 1);
+  EXPECT_EQ(cache.stats().hits, 2u);
 
   // Clear() invalidates every plan and resets the counters.
   cache.Clear();
@@ -439,11 +495,40 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   EXPECT_NE(plan_text.find("clause"), std::string::npos);
   EXPECT_NE(plan_text.find("entity"), std::string::npos);
   EXPECT_NE(plan_text.find("blocks="), std::string::npos);
+  EXPECT_EQ(plan_text.find("actual="), std::string::npos);
   const std::string exec_text = ExplainExecution(*result);
   EXPECT_NE(exec_text.find("candidate"), std::string::npos);
   if (result->early_terminated) {
     EXPECT_NE(exec_text.find("early termination"), std::string::npos);
   }
+
+  // Actuals: one accumulator size per executed atom, never above the
+  // atom's estimate (an upper bound on its own list), never growing, and
+  // ending at the candidate count.
+  const std::vector<PlannedAtom>& atoms = result->plan->atoms;
+  const std::vector<uint64_t>& actuals = result->plan_actuals;
+  ASSERT_EQ(actuals.size(), atoms.size());
+  for (size_t i = 0; i < actuals.size(); ++i) {
+    EXPECT_LE(actuals[i], atoms[i].estimate) << "atom " << i;
+    if (i > 0) EXPECT_LE(actuals[i], actuals[i - 1]) << "atom " << i;
+    EXPECT_NE(exec_text.find("est=" + std::to_string(atoms[i].estimate)),
+              std::string::npos);
+    EXPECT_NE(exec_text.find("actual=" + std::to_string(actuals[i])),
+              std::string::npos);
+  }
+  EXPECT_EQ(actuals.back(), result->candidate_sentences);
+
+  // An absent literal short-circuits: the atoms after it report skipped.
+  auto empty = engine.ExecuteText(R"(
+      extract e:Entity, b:Str from "t" if (
+        /ROOT:{ a = //verb, b = a/dobj, c = b//"zzz-absent" }
+        (b) in (e)))");
+  ASSERT_TRUE(empty.ok());
+  ASSERT_NE(empty->plan, nullptr);
+  ASSERT_EQ(empty->plan_actuals.size(), 1u);
+  EXPECT_EQ(empty->plan_actuals[0], 0u);
+  EXPECT_NE(ExplainExecution(*empty).find("actual=skipped"),
+            std::string::npos);
 }
 
 // ---- QueryService integration -----------------------------------------------

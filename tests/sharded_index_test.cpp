@@ -313,6 +313,46 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
   }
 }
 
+TEST(ShardedKokoIndexTest, LoadedShardStatsMatchBuild) {
+  // Every loaded shard reports the built shard's statistics under both
+  // load modes. num_sentences is not stored in the image: the loader
+  // recovers it from the PL trie, and the planner and EXPLAIN read it.
+  AnnotatedCorpus corpus = MomentsCorpus(80, 79);
+  const uint32_t n = static_cast<uint32_t>(corpus.NumSentences());
+  ShardedKokoIndex::Options uneven;
+  uneven.boundaries = {0, 3, 3, n - 1, n};  // includes an empty shard
+  std::vector<std::unique_ptr<ShardedKokoIndex>> builds;
+  builds.push_back(ShardedKokoIndex::Build(corpus, 4));
+  builds.push_back(ShardedKokoIndex::Build(corpus, uneven));
+  for (size_t b = 0; b < builds.size(); ++b) {
+    const ShardedKokoIndex& built = *builds[b];
+    std::string path = ::testing::TempDir() + "/sharded_index_stats_" +
+                       std::to_string(b) + ".bin";
+    ASSERT_TRUE(built.Save(path).ok());
+    for (LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
+      ShardedKokoIndex::LoadOptions options;
+      options.mode = mode;
+      auto loaded = ShardedKokoIndex::Load(path, options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_EQ((*loaded)->num_shards(), built.num_shards());
+      for (size_t i = 0; i < built.num_shards(); ++i) {
+        const std::string context =
+            "build " + std::to_string(b) + " shard " + std::to_string(i) +
+            (mode == LoadMode::kMap ? " kMap" : " kCopy");
+        const KokoIndex::Stats& want = built.shard(i).stats();
+        const KokoIndex::Stats& got = (*loaded)->shard(i).stats();
+        EXPECT_EQ(got.num_sentences, want.num_sentences) << context;
+        EXPECT_EQ(got.num_tokens, want.num_tokens) << context;
+        EXPECT_EQ(got.num_entities, want.num_entities) << context;
+        EXPECT_EQ(got.pl_trie_nodes, want.pl_trie_nodes) << context;
+        EXPECT_EQ(got.pos_trie_nodes, want.pos_trie_nodes) << context;
+      }
+      EXPECT_EQ((*loaded)->stats().num_sentences, built.stats().num_sentences);
+    }
+    std::remove(path.c_str());
+  }
+}
+
 TEST(ShardedKokoIndexTest, MmapLoadOutlivesFileRemoval) {
   // POSIX mapping semantics the zero-copy path relies on: once mapped,
   // the pages stay valid even after the file is unlinked — the index must
