@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <set>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -59,9 +59,17 @@ std::string BindingText(const Sentence& s, const Binding& b) {
 
 class SentenceEvaluator {
  public:
+  // `elastic_regex[v]` is elastic variable v's compiled regex (null when it
+  // has none or its pattern does not compile).
   SentenceEvaluator(const CompiledQuery& cq, const Sentence& s,
-                    const EngineOptions& opts, PhaseStats* phases)
-      : cq_(cq), s_(s), opts_(opts), phases_(phases) {}
+                    const EngineOptions& opts,
+                    const std::vector<const Regex*>& elastic_regex,
+                    PhaseStats* phases)
+      : cq_(cq),
+        s_(s),
+        opts_(opts),
+        elastic_regex_(elastic_regex),
+        phases_(phases) {}
 
   // Enumerates all assignments; invokes `emit` with the bindings vector.
   // Returns false when the row limit was hit.
@@ -263,7 +271,7 @@ class SentenceEvaluator {
         for (int begin = 0; begin < n; ++begin) {
           for (int len = min_len; len <= max_len && begin + len <= n; ++len) {
             Binding b{begin, begin + len - 1, -1};
-            if (!ElasticOk(v.elastic, b)) continue;
+            if (!ElasticOk(var, b)) continue;
             if (!Assign(var, b)) {
               Unassign(var);
               continue;
@@ -295,7 +303,8 @@ class SentenceEvaluator {
     return true;
   }
 
-  bool ElasticOk(const ElasticSpec& spec, const Binding& b) const {
+  bool ElasticOk(size_t var, const Binding& b) const {
+    const ElasticSpec& spec = cq_.vars[var].elastic;
     int len = b.empty_span() ? 0 : b.length();
     if (len < spec.min_tokens || len > spec.max_tokens) return false;
     if (spec.etype || spec.any_entity) {
@@ -310,9 +319,9 @@ class SentenceEvaluator {
       if (!found) return false;
     }
     if (spec.regex) {
-      auto re = Regex::Compile(*spec.regex);
-      if (!re.ok()) return false;
-      if (!re->FullMatch(BindingText(s_, b))) return false;
+      // A pattern that does not compile binds nothing.
+      const Regex* re = elastic_regex_[var];
+      if (re == nullptr || !re->FullMatch(BindingText(s_, b))) return false;
     }
     return true;
   }
@@ -446,7 +455,7 @@ class SentenceEvaluator {
         int max_len = std::min(av.elastic.max_tokens, gap_len);
         for (int len = av.elastic.min_tokens; len <= max_len; ++len) {
           Binding b{lo, lo + len - 1, -1};
-          if (!ElasticOk(av.elastic, b)) continue;
+          if (!ElasticOk(atom_var, b)) continue;
           if (!Assign(atom_var, b)) {
             Unassign(atom_var);
             continue;
@@ -509,7 +518,7 @@ class SentenceEvaluator {
       for (int len = av.elastic.min_tokens; len <= max_len && begin + len <= n;
            ++len) {
         Binding b{begin, begin + len - 1, -1};
-        if (!ElasticOk(av.elastic, b)) continue;
+        if (!ElasticOk(atom_var, b)) continue;
         if (!Assign(atom_var, b)) {
           Unassign(atom_var);
           continue;
@@ -525,6 +534,7 @@ class SentenceEvaluator {
   const CompiledQuery& cq_;
   const Sentence& s_;
   const EngineOptions& opts_;
+  const std::vector<const Regex*>& elastic_regex_;
   PhaseStats* phases_;
   const std::function<bool(const std::vector<Binding>&)>* emit_ = nullptr;
   std::vector<std::vector<Binding>> domains_;
@@ -718,23 +728,28 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   result.candidate_sentences = candidates.size();
   result.scanned_candidates = candidates.size();
 
-  // ---- LoadArticle: materialise candidate documents ----
+  // ---- LoadArticle: resolve candidate documents ----
   //
-  // Incremental: each candidate chunk's documents load as the scan reaches
-  // it (documents behind an early-terminated tail are never deserialised);
-  // a full evaluation is one chunk, so it loads everything up front.
+  // A resident corpus is borrowed: `document` reads corpus_->docs in place
+  // and LoadArticle has nothing to fetch. With a document store (the
+  // paper's DBMS-backed mode) each candidate chunk's articles are
+  // deserialised as the scan reaches it, so articles behind an
+  // early-terminated tail never are; a full evaluation is one chunk. The
+  // candidate stream ascends and a document's sentences are contiguous, so
+  // doc ids ascend across chunks too and only a repeat of the last loaded
+  // doc needs skipping.
   std::map<uint32_t, Document> loaded;
   auto load_docs = [&](size_t begin, size_t end) {
     ScopedPhase phase(&result.phases, "LoadArticle");
-    std::set<uint32_t> doc_ids;
+    if (store_ == nullptr) return;
     for (size_t i = begin; i < end; ++i) {
-      doc_ids.insert(corpus_->refs[candidates[i]].doc);
+      const uint32_t doc = corpus_->refs[candidates[i]].doc;
+      if (!loaded.empty() && loaded.rbegin()->first == doc) continue;
+      loaded.emplace_hint(loaded.end(), doc, store_->LoadDocument(doc));
     }
-    for (uint32_t doc : doc_ids) {
-      if (loaded.count(doc) > 0) continue;
-      loaded.emplace(doc, store_ != nullptr ? store_->LoadDocument(doc)
-                                            : corpus_->docs[doc]);
-    }
+  };
+  auto document = [&](uint32_t doc) -> const Document& {
+    return store_ == nullptr ? corpus_->docs[doc] : loaded.at(doc);
   };
 
   struct PendingRow {
@@ -790,7 +805,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
         return *hit;
       }
     }
-    double s = aggregator.Score(loaded.at(doc), value,
+    double s = aggregator.Score(document(doc), value,
                                 cq.satisfying[clause_idx]);
     if (options.score_cache != nullptr) {
       options.score_cache->Insert(clause_keys[clause_idx], doc, value, s);
@@ -828,7 +843,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     if (keep) {
       for (const SatCondition& cond : cq.excluding) {
         const std::string& value = row.tracked_values[tracked_pos(cond.var)];
-        if (aggregator.Excluded(loaded.at(row.doc), value, cond)) {
+        if (aggregator.Excluded(document(row.doc), value, cond)) {
           keep = false;
           break;
         }
@@ -848,15 +863,30 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
 
   // ---- GSP + extract: per-sentence evaluation ----
 
+  // Each distinct elastic-span regex compiles once per query; a pattern
+  // that does not compile stays null and its span binds nothing.
+  std::map<std::string, std::optional<Regex>> regexes;
+  std::vector<const Regex*> elastic_regex(cq.vars.size(), nullptr);
+  for (size_t v = 0; v < cq.vars.size(); ++v) {
+    const std::optional<std::string>& pattern = cq.vars[v].elastic.regex;
+    if (cq.vars[v].kind != CompiledVar::Kind::kElastic || !pattern) continue;
+    auto [it, fresh] = regexes.try_emplace(*pattern);
+    if (fresh) {
+      auto re = Regex::Compile(*pattern);
+      if (re.ok()) it->second.emplace(std::move(*re));
+    }
+    if (it->second) elastic_regex[v] = &*it->second;
+  }
+
   // Evaluates one candidate sentence, appending its (deduplicated) rows
   // to *out until out holds `budget` rows. Returns false when the budget
   // was hit. Safe to call concurrently with distinct `phases`/`out`.
   auto evaluate = [&](uint32_t sid, size_t budget, PhaseStats* phases,
                       std::vector<PendingRow>* out) {
     const SentenceRef& ref = corpus_->refs[sid];
-    const Sentence& s = loaded.at(ref.doc).sentences[ref.sent];
+    const Sentence& s = document(ref.doc).sentences[ref.sent];
     std::unordered_set<std::vector<std::string>, ValuesHash> seen;
-    SentenceEvaluator evaluator(cq, s, options, phases);
+    SentenceEvaluator evaluator(cq, s, options, elastic_regex, phases);
     return evaluator.Run([&](const std::vector<Binding>& assignment) {
       std::vector<std::string> values;
       values.reserve(tracked.size());

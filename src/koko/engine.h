@@ -45,7 +45,10 @@ struct QueryResult {
   std::vector<std::string> output_names;
   std::vector<ResultRow> rows;
   /// Wall time per phase: Normalize, DPLI, LoadArticle, GSP, extract,
-  /// satisfying — the Table 2 breakdown.
+  /// satisfying — the Table 2 breakdown. LoadArticle is near zero over a
+  /// resident corpus, whose documents are borrowed in place; with a
+  /// document store it is the per-article deserialisation the paper's
+  /// DBMS-backed engine pays.
   PhaseStats phases;
   size_t candidate_sentences = 0;
   /// Candidates the extract scan drew before the row budget provably
@@ -194,8 +197,10 @@ class Engine {
   Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* sharded,
          const EmbeddingModel* embeddings, const EntityRecognizer* recognizer);
 
-  /// Optional: serve LoadArticle from a serialized document store (paying
-  /// per-article deserialisation, as the paper's DBMS-backed engine does).
+  /// Optional: serve LoadArticle from a serialized document store. Without
+  /// one, queries borrow the resident corpus's documents (no copy); with
+  /// one, every candidate article is deserialised into a query-owned copy,
+  /// as the paper's DBMS-backed engine does. Rows are identical either way.
   void set_document_store(const DocumentStore* store) { store_ = store; }
 
   /// Registers a domain ontology set used by descriptor expansion.

@@ -9,6 +9,8 @@
 #include "index/koko_index.h"
 #include "index/sharded_index.h"
 #include "nlp/pipeline.h"
+#include "replay/workloads.h"
+#include "storage/doc_store.h"
 
 namespace koko {
 namespace {
@@ -94,6 +96,42 @@ TEST(EngineTest, ElasticBoundsRespected) {
         /ROOT:{ v = //verb, x = "Anna" + ^[max=4] + v }))");
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ(wide->rows.size(), 1u);
+}
+
+TEST(EngineTest, ElasticRegexFiltersSpans) {
+  World w({{"d", "Anna quickly and quietly ate a pie."}});
+  auto rows = [&](const char* query, bool use_gsp) {
+    EngineOptions options;
+    options.use_gsp = use_gsp;
+    auto result = w.engine->ExecuteText(query, options);
+    EXPECT_TRUE(result.ok()) << query;
+    std::vector<std::string> values;
+    if (result.ok()) {
+      for (const ResultRow& row : result->rows) values.push_back(row.values[0]);
+    }
+    return values;
+  };
+  const std::vector<std::string> whole = {"Anna quickly and quietly ate a pie"};
+  for (bool use_gsp : {true, false}) {
+    EXPECT_EQ(rows(R"(extract x:Str from "t" if (/ROOT:{ v = //verb,
+        x = "Anna" + ^[regex="q[a-z]* and q[a-z]*"] + v + ^ + "pie" }))",
+                   use_gsp),
+              whole);
+    EXPECT_TRUE(rows(R"(extract x:Str from "t" if (/ROOT:{ v = //verb,
+        x = "Anna" + ^[regex="slowly"] + v }))",
+                     use_gsp)
+                    .empty());
+    // Two elastics with one pattern: each span is matched on its own.
+    EXPECT_EQ(rows(R"(extract x:Str from "t" if (/ROOT:{ v = //verb,
+        x = "Anna" + ^[regex="[a-z ]+"] + v + ^[regex="[a-z ]+"] + "pie" }))",
+                   use_gsp),
+              whole);
+    // A pattern that does not compile binds nothing; it is not an error.
+    EXPECT_TRUE(rows(R"(extract x:Str from "t" if (/ROOT:{ v = //verb,
+        x = "Anna" + ^[regex="(quickly"] + v }))",
+                     use_gsp)
+                    .empty());
+  }
 }
 
 TEST(EngineTest, EqConstraint) {
@@ -223,38 +261,76 @@ TEST(EngineTest, MaxRowsLimit) {
   EXPECT_LE(result->rows.size(), 5u);
 }
 
-TEST(EngineTest, DocumentStoreProducesSameRows) {
-  Pipeline pipeline;
-  auto docs = GenerateWikiArticles({.num_articles = 25, .seed = 37});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  DocumentStore store = DocumentStore::FromCorpus(corpus);
-  EmbeddingModel embeddings;
-  Engine engine(&corpus, index.get(), &embeddings,
-                &const_cast<const Pipeline&>(pipeline).recognizer());
-  const char* query =
-      "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  auto direct = engine.ExecuteText(query);
-  engine.set_document_store(&store);
-  auto via_store = engine.ExecuteText(query);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_store.ok());
-  ASSERT_EQ(direct->rows.size(), via_store->rows.size());
-  for (size_t i = 0; i < direct->rows.size(); ++i) {
-    EXPECT_EQ(direct->rows[i].values, via_store->rows[i].values);
-  }
-}
-
 // Asserts that every field of every row (and the row order) is identical.
 void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
                             const std::string& context) {
   ASSERT_EQ(a.rows.size(), b.rows.size()) << context;
   EXPECT_EQ(a.candidate_sentences, b.candidate_sentences) << context;
+  EXPECT_EQ(a.scanned_candidates, b.scanned_candidates) << context;
   for (size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].doc, b.rows[i].doc) << context << " row " << i;
     EXPECT_EQ(a.rows[i].sid, b.rows[i].sid) << context << " row " << i;
     EXPECT_EQ(a.rows[i].values, b.rows[i].values) << context << " row " << i;
     EXPECT_EQ(a.rows[i].scores, b.rows[i].scores) << context << " row " << i;
+  }
+}
+
+// A resident corpus is borrowed; a document store deserialises a
+// query-owned copy of every candidate article. Both must give identical
+// results for every query of every replay workload class (including the
+// satisfying/excluding classes), serial and parallel, over a monolithic and
+// a sharded index, for a full evaluation and for streamed top-k.
+TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
+  Pipeline pipeline;
+  auto workloads =
+      replay::BuildAllWorkloads(pipeline, replay::WorkloadOptions());
+  ASSERT_TRUE(workloads.ok()) << workloads.status().ToString();
+  EmbeddingModel embeddings;
+  const EntityRecognizer* recognizer =
+      &const_cast<const Pipeline&>(pipeline).recognizer();
+  const RowSink sink = [](const ResultRow&) {};
+  for (const replay::Workload& workload : *workloads) {
+    auto mono = KokoIndex::Build(workload.corpus);
+    auto sharded = ShardedKokoIndex::Build(workload.corpus, 4);
+    const DocumentStore store = DocumentStore::FromCorpus(workload.corpus);
+    Engine resident_mono(&workload.corpus, mono.get(), &embeddings, recognizer);
+    Engine stored_mono(&workload.corpus, mono.get(), &embeddings, recognizer);
+    Engine resident_sharded(&workload.corpus, sharded.get(), &embeddings,
+                            recognizer);
+    Engine stored_sharded(&workload.corpus, sharded.get(), &embeddings,
+                          recognizer);
+    stored_mono.set_document_store(&store);
+    stored_sharded.set_document_store(&store);
+    const struct {
+      const char* name;
+      const Engine* resident;
+      const Engine* stored;
+    } indexes[] = {{"mono", &resident_mono, &stored_mono},
+                   {"sharded4", &resident_sharded, &stored_sharded}};
+    for (const replay::WorkloadQuery& query : workload.queries) {
+      for (size_t threads : {1, 4}) {
+        for (bool top_k : {false, true}) {
+          EngineOptions options;
+          options.num_threads = threads;
+          if (top_k) {
+            options.sink = &sink;
+            options.max_rows = 10;
+            options.early_terminate = true;
+          }
+          for (const auto& index : indexes) {
+            const std::string context =
+                workload.name + "/" + query.name + " " + index.name +
+                " threads=" + std::to_string(threads) +
+                (top_k ? " top10" : " full");
+            auto want = index.resident->Execute(query.query, options);
+            auto got = index.stored->Execute(query.query, options);
+            ASSERT_TRUE(want.ok()) << context;
+            ASSERT_TRUE(got.ok()) << context;
+            ExpectIdenticalResults(*want, *got, context);
+          }
+        }
+      }
+    }
   }
 }
 
