@@ -271,7 +271,6 @@ int main(int argc, char** argv) {
     EngineOptions reference;
     reference.use_planner = false;
     reference.early_terminate = false;
-    reference.num_threads = 1;
     for (const replay::WorkloadQuery& query : served.workload.queries) {
       auto result = served.engine->Execute(query.query, reference);
       if (!result.ok()) {

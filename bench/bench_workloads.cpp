@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
     EngineOptions reference;
     reference.use_planner = false;
     reference.early_terminate = false;
-    reference.num_threads = 1;
     for (const replay::WorkloadQuery& query : unit.workload.queries) {
       auto result = unit.engine->Execute(query.query, reference);
       if (!result.ok()) {

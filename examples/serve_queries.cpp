@@ -3,7 +3,8 @@
 // heavy-traffic serving:
 //
 //   * admission queue (max_inflight / max_queue back-pressure),
-//   * one shared thread pool for every query's parallel sections,
+//   * one query, one thread: each `Run` executes on its client's thread,
+//     so concurrency comes from the clients, not from splitting a query,
 //   * the persistent score cache warming across repeated queries,
 //   * serving off a zero-copy (mmap) index load — the production startup
 //     path: workers map the shipped image instead of deserializing it.
@@ -57,11 +58,12 @@ int main(int argc, char** argv) {
   Engine engine(&corpus, index, &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
 
-  // The service owns the shared pool and the persistent score cache. At
-  // most 4 queries execute at once; the 9th waiting client would be
-  // rejected with Unavailable instead of piling up.
+  // The service owns the persistent score and plan caches. At most 4
+  // queries execute at once; the 9th waiting client would be rejected with
+  // Unavailable instead of piling up. Clients call Run on their own
+  // threads, so the one pool worker (it runs Submit()-ed queries) idles.
   QueryService::Options options;
-  options.num_threads = 4;
+  options.num_threads = 1;
   options.max_inflight = 4;
   options.max_queue = 8;
   QueryService service(&engine, options, index->num_shards());

@@ -42,7 +42,7 @@ class KokoTreeIndex : public TreeIndex {
 /// so the per-path DPLI lookup and the per-path intersection both run
 /// shard-locally and the shard results concatenate in shard order into the
 /// globally sorted candidate list — the same distribution identity the
-/// engine's shard-parallel DPLI relies on. Candidates are element-for-
+/// engine's per-shard DPLI relies on. Candidates are element-for-
 /// element identical to KokoTreeIndex over the monolithic build; the §6.2
 /// figures exercise what production serves.
 class ShardedKokoTreeIndex : public TreeIndex {

@@ -60,26 +60,19 @@ std::unique_ptr<ShardedKokoIndex> ShardedKokoIndex::Build(
                                            index->ranges_[i].end);
     }
   } else {
-    // Shards are independent: workers draw shard ids from an atomic cursor
-    // and build into their own slot, so the result is identical to the
-    // sequential build regardless of scheduling — on a caller-shared pool
-    // (options.pool, interleaving with other fork/join sections) or a
-    // transient build-only pool.
+    // Shards are independent: workers of a transient build-only pool draw
+    // shard ids from an atomic cursor and build into their own slot, so the
+    // result is identical to the sequential build regardless of scheduling.
     std::atomic<size_t> cursor{0};
-    auto build_shards = [&](size_t) {
+    ThreadPool pool(workers);
+    pool.Dispatch([&](size_t) {
       for (;;) {
         size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= k) return;
         index->shards_[i] = KokoIndex::Build(corpus, index->ranges_[i].begin,
                                              index->ranges_[i].end);
       }
-    };
-    if (options.pool != nullptr) {
-      options.pool->ParallelFor(workers, build_shards);
-    } else {
-      ThreadPool pool(workers);
-      pool.Dispatch(build_shards);
-    }
+    });
   }
   index->build_seconds_ = timer.ElapsedSeconds();
   return index;
@@ -369,8 +362,6 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
   };
   if (workers <= 1) {
     load_shards(0);
-  } else if (options.pool != nullptr) {
-    options.pool->ParallelFor(workers, load_shards);
   } else {
     ThreadPool pool(workers);
     pool.Dispatch(load_shards);

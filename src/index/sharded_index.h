@@ -10,8 +10,6 @@
 
 namespace koko {
 
-class ThreadPool;
-
 /// \brief K independent KokoIndex shards over contiguous sid ranges.
 ///
 /// The corpus's global sentence numbering is partitioned into K contiguous
@@ -23,10 +21,9 @@ class ThreadPool;
 /// intersection distributes over a partition by sid range, so
 /// ∩_atoms L_atom = ⊔_shards ∩_atoms L_atom|shard.
 ///
-/// Shards build in parallel on a ThreadPool and execute queries
-/// independently (see Engine's shard-parallel DPLI), which is the paper's
-/// Table 2 scale-up story pushed past one core: build time and the
-/// per-query DPLI phase scale with min(K, hardware threads).
+/// Shards build and load in parallel on a transient ThreadPool, so build
+/// and load time scale with min(K, hardware threads). A query runs DPLI
+/// shard by shard on its own thread (see Engine's sharded constructor).
 class ShardedKokoIndex {
  public:
   struct Options {
@@ -39,12 +36,6 @@ class ShardedKokoIndex {
     /// ending at NumSentences()). Overrides num_shards when non-empty —
     /// lets callers align shards to document groups or test uneven splits.
     std::vector<uint32_t> boundaries;
-    /// Shared thread pool for the parallel shard build (borrowed; must
-    /// outlive the call). nullptr — the default — spawns a transient
-    /// build-only pool. A server rebuilding shards online passes its
-    /// serving pool so the rebuild interleaves with query fork/join
-    /// sections instead of spawning a competing thread set.
-    ThreadPool* pool = nullptr;
   };
 
   struct ShardRange {
@@ -114,11 +105,9 @@ class ShardedKokoIndex {
   Status Save(const std::string& path) const;
 
   struct LoadOptions {
-    /// Workers for the parallel shard load; 0 = one per shard, 1 = serial.
+    /// Workers for the parallel shard load, on a transient pool; 0 = one
+    /// per shard, 1 = serial.
     size_t num_threads = 0;
-    /// Shared pool to run the load on (borrowed; must outlive the call).
-    /// nullptr spawns a transient pool when num_threads/shard count > 1.
-    ThreadPool* pool = nullptr;
     /// Where the file's bytes live (see LoadMode): either way the file is
     /// read or mapped once and every shard aliases its postings in place
     /// in its extent (the image outlives the index via shared ownership).

@@ -1,7 +1,6 @@
 #include "koko/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 #include "regex/regex.h"
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace koko {
 
@@ -603,30 +601,6 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   for (const auto& clause : cq.satisfying) track(clause.var);
   for (const auto& cond : cq.excluding) track(cond.var);
 
-  // One pool serves every parallel section of this query (shard-parallel
-  // DPLI and the extract fan-out). A caller-provided pool (options.pool) is
-  // shared as-is — concurrent queries multiplex their fork/join sections
-  // onto it; otherwise a private pool is created lazily on first use so
-  // serial queries never spawn threads. Sections that need fewer workers
-  // than the pool holds just let the extras drain their cursor immediately.
-  std::unique_ptr<ThreadPool> owned_pool;
-  auto shared_pool = [&]() -> ThreadPool& {
-    if (options.pool != nullptr) return *options.pool;
-    if (owned_pool == nullptr) {
-      owned_pool = std::make_unique<ThreadPool>(options.num_threads);
-    }
-    return *owned_pool;
-  };
-  // Parallel-section width: a caller-shared pool defines it (passing a pool
-  // while leaving num_threads at its default must not silently serialize);
-  // otherwise num_threads does. Sections are further clamped to the work
-  // they actually have, so a wide serving pool doesn't cost idle slot
-  // closures on small queries.
-  const size_t parallelism = options.pool != nullptr
-                                 ? std::max(options.pool->num_workers(),
-                                            options.num_threads)
-                                 : options.num_threads;
-
   // ---- DPLI: prune to candidate sentences (Algorithm 1) ----
   //
   // Columnar: every prunable atom contributes one sorted sid list — served
@@ -668,51 +642,23 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
         for (uint32_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
       }
     } else {
-      // Shard-parallel DPLI: the K shards are split into `groups`
-      // contiguous groups; each group task intersects its shards' local
-      // sid lists independently on the thread pool. Because shards
-      // partition the corpus by contiguous sid range, intersection
-      // distributes over the partition, and concatenating per-shard
-      // candidate lists in shard order reproduces the monolithic
-      // candidate stream exactly — for every (num_shards, num_threads).
-      const size_t k = sharded_->num_shards();
-      const size_t groups = std::max<size_t>(
-          1, std::min(options.num_shards == 0 ? k : options.num_shards, k));
-      std::vector<std::vector<uint32_t>> group_candidates(groups);
-      auto run_group = [&](size_t g) {
-        std::vector<uint32_t>& out = group_candidates[g];
-        for (size_t s = g * k / groups; s < (g + 1) * k / groups; ++s) {
-          // Per-shard plans (salt = shard ordinal): shard statistics differ,
-          // so the atom order may too. Only shard 0 (always in group 0)
-          // writes result.plan — a single writer whose store the
-          // ParallelFor join orders before the read below.
-          PlannedCandidates collected = collect(sharded_->shard(s), s);
-          if (collected.pruned) {
-            std::vector<uint32_t> ids = collected.sids.TakeIds();
-            out.insert(out.end(), ids.begin(), ids.end());
-          } else {
-            const ShardedKokoIndex::ShardRange& range = sharded_->shard_range(s);
-            for (uint32_t sid = range.begin; sid < range.end; ++sid) {
-              out.push_back(sid);
-            }
+      // Per-shard DPLI: shards partition the corpus by contiguous sid
+      // range, so intersection distributes over the partition and
+      // appending each shard's candidates in shard order reproduces the
+      // monolithic candidate stream exactly. Each shard gets its own plan
+      // (salt = shard ordinal): shard statistics differ, so the atom order
+      // may too.
+      for (size_t s = 0; s < sharded_->num_shards(); ++s) {
+        PlannedCandidates collected = collect(sharded_->shard(s), s);
+        if (collected.pruned) {
+          std::vector<uint32_t> ids = collected.sids.TakeIds();
+          candidates.insert(candidates.end(), ids.begin(), ids.end());
+        } else {
+          const ShardedKokoIndex::ShardRange& range = sharded_->shard_range(s);
+          for (uint32_t sid = range.begin; sid < range.end; ++sid) {
+            candidates.push_back(sid);
           }
         }
-      };
-      const size_t dpli_workers = std::min(parallelism, groups);
-      if (dpli_workers <= 1) {
-        for (size_t g = 0; g < groups; ++g) run_group(g);
-      } else {
-        std::atomic<size_t> cursor{0};
-        shared_pool().ParallelFor(dpli_workers, [&](size_t) {
-          for (;;) {
-            size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (g >= groups) return;
-            run_group(g);
-          }
-        });
-      }
-      for (const std::vector<uint32_t>& part : group_candidates) {
-        candidates.insert(candidates.end(), part.begin(), part.end());
       }
     }
   }
@@ -880,13 +826,13 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
 
   // Evaluates one candidate sentence, appending its (deduplicated) rows
   // to *out until out holds `budget` rows. Returns false when the budget
-  // was hit. Safe to call concurrently with distinct `phases`/`out`.
-  auto evaluate = [&](uint32_t sid, size_t budget, PhaseStats* phases,
+  // was hit.
+  auto evaluate = [&](uint32_t sid, size_t budget,
                       std::vector<PendingRow>* out) {
     const SentenceRef& ref = corpus_->refs[sid];
     const Sentence& s = document(ref.doc).sentences[ref.sent];
     std::unordered_set<std::vector<std::string>, ValuesHash> seen;
-    SentenceEvaluator evaluator(cq, s, options, elastic_regex, phases);
+    SentenceEvaluator evaluator(cq, s, options, elastic_regex, &result.phases);
     return evaluator.Run([&](const std::vector<Binding>& assignment) {
       std::vector<std::string> values;
       values.reserve(tracked.size());
@@ -899,14 +845,6 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     });
   };
 
-  // Per-worker extraction buffer: rows of the candidates one worker drew
-  // (ascending draw order), merged back deterministically by candidate
-  // index.
-  struct WorkerOutput {
-    std::vector<std::pair<size_t, std::vector<PendingRow>>> per_candidate;
-    PhaseStats phases;
-  };
-
   // ---- One extract loop: load / extract / aggregate in candidate-ordered
   // chunks, emitting rows to the sink as each chunk finalises and stopping
   // the scan once the row budget is provably satisfied (the budget counts
@@ -914,20 +852,18 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // no further row anywhere). Chunks only pay off when a sink wants rows as
   // they appear or a finite budget with early termination may stop the scan;
   // otherwise the whole candidate stream is one chunk: one document load,
-  // one parallel fan-out, one aggregate pass. Rows are byte-identical for
-  // every (num_shards, num_threads, max_rows, chunking): chunks partition
-  // the same ascending-sid candidate stream, per-chunk budgets subtract rows
-  // already committed, and the per-chunk merge re-applies the cap exactly
-  // where the sequential scan would stop. Works across shard groups
-  // unchanged — DPLI already merged the groups' candidates into one
-  // ascending stream, and the cut point is a property of that stream alone.
+  // one extract pass, one aggregate pass. Rows are byte-identical for every
+  // (max_rows, chunking): chunks partition the same ascending-sid candidate
+  // stream and per-chunk budgets subtract rows already committed, so the
+  // scan stops exactly where an unchunked one would.
   const bool chunked =
       options.sink != nullptr ||
       (options.early_terminate &&
        options.max_rows != std::numeric_limits<size_t>::max());
+  // A streaming chunk is 32 candidates: few enough that the first rows
+  // reach the sink early, enough to amortise the per-chunk phase timers.
   const size_t chunk_size =
-      chunked ? std::max<size_t>(8 * std::max<size_t>(parallelism, 1), 32)
-              : std::max<size_t>(candidates.size(), 1);
+      chunked ? 32 : std::max<size_t>(candidates.size(), 1);
   size_t committed = 0;  // pending rows produced by finished chunks
   size_t scanned = 0;    // candidates drawn before the budget closed
   bool full = false;
@@ -943,72 +879,13 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     std::vector<PendingRow> chunk_pending;
     {
       ScopedPhase phase(&result.phases, "extract");
-      const size_t num_workers = std::min(parallelism, chunk_end - next);
-      if (num_workers <= 1) {
-        // Sequential: rows accumulate directly into the chunk, so the
-        // budget check spans sentences and stops the scan exactly there.
-        for (size_t i = next; i < chunk_end; ++i) {
-          scanned = i + 1;
-          if (!evaluate(candidates[i], budget_left, &result.phases,
-                        &chunk_pending)) {
-            full = true;
-            break;
-          }
-        }
-      } else {
-        // Parallel: workers draw candidates from an atomic cursor
-        // (ascending, no stealing) into their own buffers — exactly
-        // num_workers slots, so a wide serving pool doesn't enqueue no-op
-        // closures for a chunk with little work.
-        std::vector<WorkerOutput> outputs(num_workers);
-        std::atomic<size_t> cursor{next};
-        shared_pool().ParallelFor(num_workers, [&](size_t w) {
-          WorkerOutput& out = outputs[w];
-          for (;;) {
-            size_t idx = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (idx >= chunk_end) return;
-            std::vector<PendingRow> rows;
-            evaluate(candidates[idx], budget_left, &out.phases, &rows);
-            if (!rows.empty()) {
-              out.per_candidate.push_back({idx, std::move(rows)});
-            }
-          }
-        });
-        scanned = chunk_end;
-        // Deterministic sid-ordered merge: each worker drew ascending
-        // candidate indices, so its buffer is sorted; k-way merge by index
-        // and re-apply the cap where the sequential scan would stop.
-        std::vector<size_t> heads(num_workers, 0);
-        while (!full) {
-          size_t best_w = num_workers;
-          size_t best_idx = std::numeric_limits<size_t>::max();
-          for (size_t w = 0; w < num_workers; ++w) {
-            if (heads[w] < outputs[w].per_candidate.size() &&
-                outputs[w].per_candidate[heads[w]].first < best_idx) {
-              best_idx = outputs[w].per_candidate[heads[w]].first;
-              best_w = w;
-            }
-          }
-          if (best_w == num_workers) break;
-          for (PendingRow& row :
-               outputs[best_w].per_candidate[heads[best_w]].second) {
-            chunk_pending.push_back(std::move(row));
-            // Push-then-check mirrors the sequential emit exactly (a
-            // max_rows of 0 still admits the first row).
-            if (chunk_pending.size() >= budget_left) {
-              full = true;
-              // Report the sequential scan's stop point, not the chunk's
-              // speculative tail, so the count is thread-count-invariant.
-              scanned = std::min(scanned, best_idx + 1);
-              break;
-            }
-          }
-          ++heads[best_w];
-        }
-        for (const WorkerOutput& out : outputs) {
-          for (const auto& [name, seconds] : out.phases.all()) {
-            result.phases.Add(name, seconds);
-          }
+      // Rows accumulate directly into the chunk, so the budget check spans
+      // sentences and stops the scan exactly there.
+      for (size_t i = next; i < chunk_end; ++i) {
+        scanned = i + 1;
+        if (!evaluate(candidates[i], budget_left, &chunk_pending)) {
+          full = true;
+          break;
         }
       }
     }

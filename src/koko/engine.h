@@ -22,8 +22,6 @@
 
 namespace koko {
 
-class ThreadPool;
-
 /// One result tuple. `values` holds one string per output column;
 /// `scores` holds the aggregated evidence score per satisfying clause
 /// (empty when the query has none).
@@ -45,19 +43,20 @@ struct QueryResult {
   std::vector<std::string> output_names;
   std::vector<ResultRow> rows;
   /// Wall time per phase: Normalize, DPLI, LoadArticle, GSP, extract,
-  /// satisfying — the Table 2 breakdown. LoadArticle is near zero over a
-  /// resident corpus, whose documents are borrowed in place; with a
+  /// satisfying — the Table 2 breakdown. GSP is a sub-phase of extract
+  /// (skip plans are generated per sentence inside the extract scan), so
+  /// `phases.Total()` sums only the other five. LoadArticle is near zero
+  /// over a resident corpus, whose documents are borrowed in place; with a
   /// document store it is the per-article deserialisation the paper's
   /// DBMS-backed engine pays.
   PhaseStats phases;
   size_t candidate_sentences = 0;
   /// Candidates the extract scan drew before the row budget provably
-  /// closed (the sequential stop point — thread-count-invariant; parallel
-  /// chunks may speculatively evaluate a few more). Equals
-  /// `candidate_sentences` unless streaming top-k stopped early, in which
-  /// case `early_terminated` is set and the tail candidates were never
-  /// loaded or evaluated (DPLI still counted them — the candidate set is a
-  /// pruning property, identical with or without early termination).
+  /// closed. Equals `candidate_sentences` unless streaming top-k stopped
+  /// early, in which case `early_terminated` is set and the tail candidates
+  /// were never loaded or evaluated (DPLI still counted them — the
+  /// candidate set is a pruning property, identical with or without early
+  /// termination).
   size_t scanned_candidates = 0;
   bool early_terminated = false;
   /// The cost-ordered query plan executed (planner-enabled runs against an
@@ -84,40 +83,10 @@ struct EngineOptions {
   bool use_descriptors = true;
   /// Safety valve for adversarial queries.
   size_t max_rows = std::numeric_limits<size_t>::max();
-  /// Workers for the per-sentence extract phase. 1 (the default) runs the
-  /// sequential evaluator unchanged; N > 1 fans candidate sentences out to
-  /// a fixed thread pool. Results are **byte-identical** for every N: each
-  /// worker appends rows for the sentences it drew (in draw order) into its
-  /// own buffer, buffers are merged back in ascending-sid order, and
-  /// `max_rows` truncation is applied to the merged stream exactly where
-  /// the sequential evaluator would have stopped.
+  /// Inert: every query runs on its caller's thread, whatever this holds.
+  /// Kept only so existing callers that set it still compile; concurrency
+  /// comes from running many queries at once (serve/query_service.h).
   size_t num_threads = 1;
-  /// Shard-group fan-out of the DPLI phase when the engine is constructed
-  /// over a ShardedKokoIndex: the index's K shards are split into this many
-  /// contiguous groups, and each group intersects its shards' local
-  /// SidLists as one task on the thread pool (DPLI workers =
-  /// min(num_threads, groups)). 0 (the default) runs one group per shard.
-  /// Ignored with a monolithic index. Results are **byte-identical** for
-  /// every (num_shards, num_threads) combination: per-shard candidate
-  /// lists concatenate in shard order, which *is* ascending global sid
-  /// order, so the downstream phases see exactly the monolithic stream.
-  size_t num_shards = 0;
-  /// Shared thread pool for this query's parallel sections (borrowed; must
-  /// outlive the call). When null — the default — the engine lazily creates
-  /// a private `num_threads`-worker pool per query, which reproduces the
-  /// one-pool-per-query fork/join behaviour. A non-null pool may be shared
-  /// by **many concurrent queries**: each parallel section is a
-  /// `ThreadPool::ParallelFor` fork/join whose slots interleave with other
-  /// queries' slots on the shared workers (the calling thread participates,
-  /// so a section always completes even on a saturated pool). Slot ids are
-  /// task indices, not thread identities, so results stay byte-identical to
-  /// serial execution regardless of pool size or contention. Passing a
-  /// pool is sufficient to parallelize: the section width becomes
-  /// max(pool->num_workers(), num_threads), so the num_threads default of
-  /// 1 does not silently serialize a pooled query. This is how
-  /// QueryService (serve/query_service.h) multiplexes admitted queries onto
-  /// one pool instead of spawning per-query thread sets.
-  ThreadPool* pool = nullptr;
   /// Cross-query (doc, clause, value) score cache for the aggregate phase
   /// (borrowed, thread-safe; must outlive the call). When null — the
   /// default — the engine uses a query-local cache, rebuilding warm state
@@ -149,8 +118,8 @@ struct EngineOptions {
   /// Streaming top-k early termination: with a finite `max_rows`, stop
   /// drawing candidates once the row budget is provably satisfied — the
   /// tail candidates are never loaded or evaluated. Rows are byte-identical
-  /// to the full run for every (num_shards, num_threads, max_rows): the
-  /// budget cuts the same ascending-sid row stream at the same point; only
+  /// to the full run for every `max_rows`: the budget cuts the same
+  /// ascending-sid row stream at the same point; only
   /// `scanned_candidates`/`early_terminated` reveal the saving. `false`
   /// evaluates without a sink as one full chunk cut at `max_rows` (the
   /// bench baseline) and always reports every candidate as scanned.
@@ -190,10 +159,10 @@ class Engine {
   Engine(const AnnotatedCorpus* corpus, const KokoIndex* index,
          const EmbeddingModel* embeddings, const EntityRecognizer* recognizer);
 
-  /// Sharded variant: DPLI runs per shard (fanned out per
-  /// EngineOptions::num_shards / num_threads) and candidates merge in
-  /// ascending-sid order, so every query returns byte-identical results to
-  /// the monolithic engine over the same corpus.
+  /// Sharded variant: DPLI runs shard by shard and each shard's candidates
+  /// append in shard order, which is ascending sid order, so every query
+  /// returns byte-identical results to the monolithic engine over the same
+  /// corpus.
   Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* sharded,
          const EmbeddingModel* embeddings, const EntityRecognizer* recognizer);
 

@@ -20,9 +20,8 @@ namespace net {
 /// QueryService.
 ///
 /// Layering is strict: KokoServer owns sockets and frames, QueryService
-/// owns everything else — admission control, the shared thread pool, the
-/// persistent score/plan caches, and the engine over the (typically
-/// mmap'd) index. Every connection therefore shares the same caches and
+/// owns everything else — admission control, the persistent score/plan
+/// caches, and the engine over the (typically mmap'd) index. Every connection therefore shares the same caches and
 /// the same admission bounds as in-process callers, and the wire adds no
 /// execution semantics of its own: a served response is byte-identical to
 /// `QueryService::Run` for the same request (the golden-digest contract,
@@ -30,9 +29,9 @@ namespace net {
 ///
 /// **Threading.** One acceptor thread plus one thread per live connection
 /// (connections are long-lived and request-per-frame, so the per-thread
-/// cost is a blocked read; query parallelism happens inside the service's
-/// pool, not here). Finished connection threads are reaped on the next
-/// accept.
+/// cost is a blocked read). Queries execute on connection threads through
+/// `QueryService::Run` — a batch's on its leader's. Finished connection
+/// threads are reaped on the next accept.
 ///
 /// **Batch admission.** Concurrently-arriving requests whose execution
 /// fingerprints match (canonical query text + row cap + planner toggle —

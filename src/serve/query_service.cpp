@@ -40,10 +40,8 @@ Result<QueryResult> QueryService::Run(const Query& query,
     return Status::Unavailable("admission queue full (max_queue waiters)");
   }
   EngineOptions options = options_.engine;
-  options.pool = pool_.get();
   options.score_cache = score_cache_.get();
   options.plan_cache = plan_cache_.get();
-  options.num_threads = pool_->num_workers();
   if (overrides.max_rows.has_value()) options.max_rows = *overrides.max_rows;
   if (overrides.use_planner.has_value()) {
     options.use_planner = *overrides.use_planner;

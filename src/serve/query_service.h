@@ -162,13 +162,10 @@ class AdmissionQueue {
 ///  * **Admission queue.** At most `max_inflight` queries execute at once;
 ///    further callers wait FIFO, and beyond `max_queue` waiters new calls
 ///    are rejected with `Unavailable` (back-pressure instead of pile-up).
-///  * **One shared ThreadPool.** Every admitted query runs its parallel
-///    sections (shard-parallel DPLI, the extract fan-out) as fork/join
-///    slots on the service's pool via `EngineOptions::pool`, replacing the
-///    one-pool-per-query model — thread count is a property of the server,
-///    not of the query. Queries execute on their caller's thread (or a pool
-///    worker for `Submit`), which always participates in its own sections,
-///    so a saturated pool delays queries but never deadlocks them.
+///  * **One query, one thread.** Every admitted query runs start to finish
+///    on one thread: the caller's for `Run`, a worker of the service's
+///    pool for `Submit`. Throughput comes from running many queries at
+///    once, not from splitting one across threads.
 ///  * **Persistent per-shard score caches.** One `ScoreCache` (lock-striped
 ///    into cache shards) survives across queries via
 ///    `EngineOptions::score_cache`, so repeated workloads hit warm
@@ -185,11 +182,10 @@ class AdmissionQueue {
 ///    concurrency, with rows still byte-identical to the batch path.
 ///
 /// **Determinism contract:** for any query, `Run` returns byte-identical
-/// rows (docs, sids, values, scores) to a serial single-query
-/// `Engine::Execute`, for every (index shard count, num_shards,
-/// num_threads, max_inflight, concurrent client count) combination. The
-/// engine's parallel sections are deterministic by construction and score
-/// caching is value-preserving, so concurrency changes only scheduling,
+/// rows (docs, sids, values, scores) to a single-query `Engine::Execute`,
+/// for every (index shard count, max_inflight, concurrent client count)
+/// combination. Each query runs alone on its thread and score and plan
+/// caching are value-preserving, so concurrency changes only scheduling,
 /// never results.
 ///
 /// Thread-safety: all public methods may be called from any number of
@@ -205,7 +201,8 @@ class AdmissionQueue {
 class QueryService {
  public:
   struct Options {
-    /// Workers in the shared pool (0 = one per hardware thread).
+    /// Workers that run `Submit()`-ed queries (0 = one per hardware
+    /// thread). `Run` executes on its caller's thread and uses none.
     size_t num_threads = 0;
     /// Queries executing at once; further callers wait FIFO. Min 1.
     size_t max_inflight = 4;
@@ -215,10 +212,10 @@ class QueryService {
     /// Lock stripes (shards) of the persistent score cache. 0 = pick from
     /// the engine's index shard count (min 16).
     size_t cache_shards = 0;
-    /// Per-query execution defaults. `pool`, `score_cache`, and
-    /// `num_threads` are overridden by the service; the rest (use_gsp,
-    /// use_index, use_descriptors, max_rows, num_shards) apply to every
-    /// query run through the service.
+    /// Per-query execution defaults. The service sets `score_cache` and
+    /// `plan_cache`, and a `Run` sink replaces `sink`; the rest (use_gsp,
+    /// use_index, use_descriptors, use_planner, max_rows, early_terminate)
+    /// apply to every query run through the service.
     EngineOptions engine;
   };
 
@@ -237,8 +234,8 @@ class QueryService {
   /// Per-request option overrides, applied on top of `Options::engine` for
   /// one Run call. This is the wire front end's hook (src/net/server.cpp):
   /// a network request carries its own row cap and planner toggle, while
-  /// everything structural (pool, caches, thread counts) stays
-  /// service-owned. Unset fields inherit the service defaults.
+  /// everything structural (caches, workers) stays service-owned. Unset
+  /// fields inherit the service defaults.
   struct RunOverrides {
     std::optional<size_t> max_rows;
     std::optional<bool> use_planner;
@@ -250,9 +247,9 @@ class QueryService {
   QueryService(const Engine* engine, const Options& options,
                size_t index_shards = 0);
 
-  /// Blocks for admission, executes on the calling thread (parallel
-  /// sections on the shared pool), returns the query's result. Rejects
-  /// with Unavailable when `max_queue` callers are already waiting.
+  /// Blocks for admission, executes on the calling thread, returns the
+  /// query's result. Rejects with Unavailable when `max_queue` callers are
+  /// already waiting.
   Result<QueryResult> Run(std::string_view query_text);
   Result<QueryResult> Run(const Query& query);
 
@@ -281,7 +278,6 @@ class QueryService {
   const ScoreCache& score_cache() const { return *score_cache_; }
   PlanCache& plan_cache() { return *plan_cache_; }
   const PlanCache& plan_cache() const { return *plan_cache_; }
-  ThreadPool& pool() { return *pool_; }
   /// Exposed for load-shedding introspection and deterministic tests.
   AdmissionQueue& admission() { return admission_; }
   const AdmissionQueue& admission() const { return admission_; }

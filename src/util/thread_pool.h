@@ -17,14 +17,13 @@ namespace koko {
 ///
 /// Two layers of API:
 ///
-///  * `Submit(task)` — enqueue one fire-and-forget task (FIFO). The engine's
-///    serving layer uses this for whole-query execution.
+///  * `Submit(task)` — enqueue one fire-and-forget task (FIFO). The serving
+///    layer (QueryService::Submit) uses this for whole-query execution.
 ///  * `ParallelFor(n, fn)` / `Dispatch(fn)` — a fork/join section: `fn(slot)`
 ///    runs exactly once for every slot in `[0, n)` and the call returns when
-///    all slots have finished. **Safe to call from any number of threads
-///    concurrently**: every call owns its own job state, so many queries can
-///    share one pool (the admission-queue serving model) instead of each
-///    spawning a private fork/join section. The calling thread participates
+///    all slots have finished (parallel shard build and load use it).
+///    **Safe to call from any number of threads concurrently**: every call
+///    owns its own job state. The calling thread participates
 ///    in its own section, so a section always completes even when every
 ///    worker is busy with other sections or with the caller's own enqueued
 ///    query tasks — which also makes it safe to open a section from *inside*

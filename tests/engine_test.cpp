@@ -245,6 +245,37 @@ TEST(EngineTest, PhaseStatsPopulated) {
   EXPECT_TRUE(phases.count("extract"));
 }
 
+// GSP runs inside the extract scan, so it is a sub-phase: a query's total
+// is the sum of its five top-level phases and does not count GSP twice.
+TEST(EngineTest, PhaseTotalSumsTopLevelPhases) {
+  Pipeline pipeline;
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      GenerateHappyMoments({.num_moments = 100, .seed = 37}));
+  auto index = KokoIndex::Build(corpus);
+  EmbeddingModel embeddings;
+  Engine engine(&corpus, index.get(), &embeddings,
+                &const_cast<const Pipeline&>(pipeline).recognizer());
+  const RowSink sink = [](const ResultRow&) {};
+  for (bool streamed : {false, true}) {
+    EngineOptions options;
+    if (streamed) options.sink = &sink;
+    auto result = engine.ExecuteText(
+        "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })",
+        options);
+    ASSERT_TRUE(result.ok());
+    const PhaseStats& phases = result->phases;
+    ASSERT_GT(phases.Get("GSP"), 0.0);
+    EXPECT_LE(phases.Get("GSP"), phases.Get("extract"));
+    double top_level = 0;
+    for (const char* name :
+         {"Normalize", "DPLI", "LoadArticle", "extract", "satisfying"}) {
+      top_level += phases.Get(name);
+    }
+    EXPECT_NEAR(phases.Total(), top_level, 1e-12)
+        << (streamed ? "streamed" : "full");
+  }
+}
+
 TEST(EngineTest, MaxRowsLimit) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 36});
@@ -278,8 +309,8 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
 // A resident corpus is borrowed; a document store deserialises a
 // query-owned copy of every candidate article. Both must give identical
 // results for every query of every replay workload class (including the
-// satisfying/excluding classes), serial and parallel, over a monolithic and
-// a sharded index, for a full evaluation and for streamed top-k.
+// satisfying/excluding classes), over a monolithic and a sharded index, for
+// a full evaluation and for streamed top-k.
 TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
   Pipeline pipeline;
   auto workloads =
@@ -308,82 +339,25 @@ TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
     } indexes[] = {{"mono", &resident_mono, &stored_mono},
                    {"sharded4", &resident_sharded, &stored_sharded}};
     for (const replay::WorkloadQuery& query : workload.queries) {
-      for (size_t threads : {1, 4}) {
-        for (bool top_k : {false, true}) {
-          EngineOptions options;
-          options.num_threads = threads;
-          if (top_k) {
-            options.sink = &sink;
-            options.max_rows = 10;
-            options.early_terminate = true;
-          }
-          for (const auto& index : indexes) {
-            const std::string context =
-                workload.name + "/" + query.name + " " + index.name +
-                " threads=" + std::to_string(threads) +
-                (top_k ? " top10" : " full");
-            auto want = index.resident->Execute(query.query, options);
-            auto got = index.stored->Execute(query.query, options);
-            ASSERT_TRUE(want.ok()) << context;
-            ASSERT_TRUE(got.ok()) << context;
-            ExpectIdenticalResults(*want, *got, context);
-          }
+      for (bool top_k : {false, true}) {
+        EngineOptions options;
+        if (top_k) {
+          options.sink = &sink;
+          options.max_rows = 10;
+          options.early_terminate = true;
+        }
+        for (const auto& index : indexes) {
+          const std::string context = workload.name + "/" + query.name + " " +
+                                      index.name +
+                                      (top_k ? " top10" : " full");
+          auto want = index.resident->Execute(query.query, options);
+          auto got = index.stored->Execute(query.query, options);
+          ASSERT_TRUE(want.ok()) << context;
+          ASSERT_TRUE(got.ok()) << context;
+          ExpectIdenticalResults(*want, *got, context);
         }
       }
     }
-  }
-}
-
-TEST(EngineTest, ParallelExtractionIsDeterministic) {
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 41});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  EmbeddingModel embeddings;
-  Engine engine(&corpus, index.get(), &embeddings,
-                &const_cast<const Pipeline&>(pipeline).recognizer());
-  auto queries = GenerateSyntheticSpanBenchmark(
-      corpus, {.queries_per_setting = 4, .seed = 42});
-  ASSERT_FALSE(queries.empty());
-  for (const auto& bench : queries) {
-    EngineOptions serial;
-    serial.max_rows = 50000;
-    serial.num_threads = 1;
-    EngineOptions parallel = serial;
-    parallel.num_threads = 4;
-    auto a = engine.Execute(bench.query, serial);
-    auto b = engine.Execute(bench.query, parallel);
-    ASSERT_TRUE(a.ok()) << bench.name;
-    ASSERT_TRUE(b.ok()) << bench.name;
-    ExpectIdenticalResults(*a, *b, bench.name);
-  }
-}
-
-TEST(EngineTest, ParallelMaxRowsTruncationIsDeterministic) {
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 43});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  EmbeddingModel embeddings;
-  Engine engine(&corpus, index.get(), &embeddings,
-                &const_cast<const Pipeline&>(pipeline).recognizer());
-  const char* query =
-      "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  // A cap small enough to land mid-corpus (and mid-sentence for some value):
-  // serial stops scanning early, parallel must truncate to the same prefix.
-  for (size_t cap : {0u, 1u, 7u, 23u, 50u}) {
-    EngineOptions serial;
-    serial.max_rows = cap;
-    EngineOptions parallel = serial;
-    parallel.num_threads = 4;
-    auto a = engine.ExecuteText(query, serial);
-    auto b = engine.ExecuteText(query, parallel);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    // The emit protocol is push-then-check, so a cap of 0 still admits the
-    // first row; every cap >= 1 is exact.
-    EXPECT_LE(a->rows.size(), std::max<size_t>(cap, 1));
-    ExpectIdenticalResults(*a, *b, "cap=" + std::to_string(cap));
   }
 }
 
@@ -391,9 +365,8 @@ TEST(EngineTest, ParallelMaxRowsTruncationIsDeterministic) {
 //
 // For every query, the engine over a ShardedKokoIndex must return results
 // byte-identical to the monolithic engine — same rows, same order, same
-// candidate count — for every (num_shards, num_threads) combination,
-// because per-shard DPLI candidate lists concatenate in ascending global
-// sid order.
+// candidate count — for every shard count, because per-shard DPLI
+// candidate lists concatenate in ascending global sid order.
 
 TEST(EngineTest, ShardedEngineMatchesMonolithic) {
   Pipeline pipeline;
@@ -415,26 +388,10 @@ TEST(EngineTest, ShardedEngineMatchesMonolithic) {
     for (const auto& bench : queries) {
       auto want = mono.Execute(bench.query, base);
       ASSERT_TRUE(want.ok()) << bench.name;
-      // Sweep (num_shards groups) x (num_threads): serial, shard-parallel,
-      // and a group count that forces several shards into one DPLI task.
-      struct Config {
-        size_t num_shards;
-        size_t num_threads;
-      };
-      for (const Config& config :
-           {Config{0, 1}, Config{0, 4}, Config{2, 4}}) {
-        EngineOptions options = base;
-        options.num_shards = config.num_shards;
-        options.num_threads = config.num_threads;
-        auto got = sharded.Execute(bench.query, options);
-        ASSERT_TRUE(got.ok()) << bench.name;
-        ExpectIdenticalResults(*want, *got,
-                               bench.name + " K=" + std::to_string(k) +
-                                   " groups=" +
-                                   std::to_string(config.num_shards) +
-                                   " threads=" +
-                                   std::to_string(config.num_threads));
-      }
+      auto got = sharded.Execute(bench.query, base);
+      ASSERT_TRUE(got.ok()) << bench.name;
+      ExpectIdenticalResults(*want, *got,
+                             bench.name + " K=" + std::to_string(k));
     }
   }
 }
@@ -459,14 +416,9 @@ TEST(EngineTest, ShardedEngineUnevenBoundaries) {
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
   auto want = mono.ExecuteText(query);
   ASSERT_TRUE(want.ok());
-  for (size_t threads : {1u, 4u}) {
-    EngineOptions engine_options;
-    engine_options.num_threads = threads;
-    auto got = sharded.ExecuteText(query, engine_options);
-    ASSERT_TRUE(got.ok());
-    ExpectIdenticalResults(*want, *got,
-                           "uneven threads=" + std::to_string(threads));
-  }
+  auto got = sharded.ExecuteText(query);
+  ASSERT_TRUE(got.ok());
+  ExpectIdenticalResults(*want, *got, "uneven");
 }
 
 TEST(EngineTest, ShardedMaxRowsTruncationIsDeterministic) {
@@ -483,27 +435,24 @@ TEST(EngineTest, ShardedMaxRowsTruncationIsDeterministic) {
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
   for (size_t cap : {0u, 1u, 7u, 23u, 50u}) {
-    EngineOptions serial;
-    serial.max_rows = cap;
-    auto want = mono.ExecuteText(query, serial);
+    EngineOptions options;
+    options.max_rows = cap;
+    auto want = mono.ExecuteText(query, options);
     ASSERT_TRUE(want.ok());
-    for (size_t threads : {1u, 4u}) {
-      EngineOptions options = serial;
-      options.num_threads = threads;
-      auto got = sharded.ExecuteText(query, options);
-      ASSERT_TRUE(got.ok());
-      ExpectIdenticalResults(*want, *got,
-                             "cap=" + std::to_string(cap) +
-                                 " threads=" + std::to_string(threads));
-    }
+    // The emit protocol is push-then-check, so a cap of 0 still admits the
+    // first row; every cap >= 1 is exact.
+    EXPECT_LE(want->rows.size(), std::max<size_t>(cap, 1));
+    auto got = sharded.ExecuteText(query, options);
+    ASSERT_TRUE(got.ok());
+    ExpectIdenticalResults(*want, *got, "cap=" + std::to_string(cap));
   }
 }
 
-TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShardsAndThreads) {
+TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShards) {
   // End-to-end parity for LoadMode::kMap: an engine over a mapped index
-  // (monolithic and sharded) returns byte-identical rows to the serial
-  // engine over the built index, for every (K, num_shards, num_threads)
-  // combination, including max_rows truncation.
+  // (monolithic and sharded) returns byte-identical rows to the engine
+  // over the built index, for every shard count K, including max_rows
+  // truncation.
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 56});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
@@ -524,23 +473,17 @@ TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShardsAndThreads) {
   Engine mono_engine(&corpus, mono_mapped->get(), &embeddings, &recognizer);
 
   for (size_t cap : {0u, 1u, 9u, 50000u}) {
-    EngineOptions serial;
-    serial.max_rows = cap;
-    auto want = reference.ExecuteText(query, serial);
+    EngineOptions options;
+    options.max_rows = cap;
+    auto want = reference.ExecuteText(query, options);
     ASSERT_TRUE(want.ok());
-    for (size_t threads : {1u, 4u}) {
-      EngineOptions options = serial;
-      options.num_threads = threads;
-      auto got = mono_engine.ExecuteText(query, options);
-      ASSERT_TRUE(got.ok());
-      ExpectIdenticalResults(*want, *got,
-                             "mono cap=" + std::to_string(cap) +
-                                 " threads=" + std::to_string(threads));
-    }
+    auto got = mono_engine.ExecuteText(query, options);
+    ASSERT_TRUE(got.ok());
+    ExpectIdenticalResults(*want, *got, "mono cap=" + std::to_string(cap));
   }
   std::remove(mono_path.c_str());
 
-  // Sharded mapped index: sweep shard count x group fan-out x threads.
+  // Sharded mapped index: sweep the shard count.
   for (size_t k : {1u, 2u, 4u}) {
     auto sharded_built = ShardedKokoIndex::Build(corpus, k);
     std::string path = ::testing::TempDir() + "/engine_mmap_sharded_" +
@@ -553,27 +496,15 @@ TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShardsAndThreads) {
     ASSERT_TRUE((*mapped)->mapped());
     Engine sharded(&corpus, mapped->get(), &embeddings, &recognizer);
     for (size_t cap : {0u, 7u, 50000u}) {
-      EngineOptions serial;
-      serial.max_rows = cap;
-      auto want = reference.ExecuteText(query, serial);
+      EngineOptions options;
+      options.max_rows = cap;
+      auto want = reference.ExecuteText(query, options);
       ASSERT_TRUE(want.ok());
-      struct Config {
-        size_t num_shards;
-        size_t num_threads;
-      };
-      for (const Config& config :
-           {Config{0, 1}, Config{0, 4}, Config{2, 4}}) {
-        EngineOptions options = serial;
-        options.num_shards = config.num_shards;
-        options.num_threads = config.num_threads;
-        auto got = sharded.ExecuteText(query, options);
-        ASSERT_TRUE(got.ok());
-        ExpectIdenticalResults(
-            *want, *got,
-            "mapped K=" + std::to_string(k) + " cap=" + std::to_string(cap) +
-                " groups=" + std::to_string(config.num_shards) +
-                " threads=" + std::to_string(config.num_threads));
-      }
+      auto got = sharded.ExecuteText(query, options);
+      ASSERT_TRUE(got.ok());
+      ExpectIdenticalResults(*want, *got,
+                             "mapped K=" + std::to_string(k) +
+                                 " cap=" + std::to_string(cap));
     }
     std::remove(path.c_str());
   }
@@ -595,34 +526,9 @@ TEST(EngineTest, ShardedSatisfyingQueryMatchesMonolithic) {
       satisfying x (str(x) contains "a" {1}) with threshold 0.5)";
   auto want = mono.ExecuteText(query);
   ASSERT_TRUE(want.ok());
-  EngineOptions options;
-  options.num_threads = 4;
-  auto got = sharded.ExecuteText(query, options);
+  auto got = sharded.ExecuteText(query);
   ASSERT_TRUE(got.ok());
   ExpectIdenticalResults(*want, *got, "sharded satisfying");
-}
-
-TEST(EngineTest, ParallelSatisfyingQueryIsDeterministic) {
-  // Satisfying/excluding clauses ride on the extract rows; the whole
-  // pipeline must stay byte-identical under parallel extraction.
-  Pipeline pipeline;
-  auto docs = GenerateWikiArticles({.num_articles = 30, .seed = 44});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  EmbeddingModel embeddings;
-  Engine engine(&corpus, index.get(), &embeddings,
-                &const_cast<const Pipeline&>(pipeline).recognizer());
-  const char* query = R"(
-      extract x:Entity from "t" if ()
-      satisfying x (str(x) contains "a" {1}) with threshold 0.5)";
-  EngineOptions serial;
-  EngineOptions parallel;
-  parallel.num_threads = 4;
-  auto a = engine.ExecuteText(query, serial);
-  auto b = engine.ExecuteText(query, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectIdenticalResults(*a, *b, "satisfying");
 }
 
 TEST(EngineTest, IndexLargerThanCorpusFailsQuery) {

@@ -118,7 +118,6 @@ TEST(MultiProcessServeTest, TwoProcessesOneImageIdenticalRowsSharedPostings) {
   EngineOptions reference_options;
   reference_options.use_planner = false;
   reference_options.early_terminate = false;
-  reference_options.num_threads = 1;
   std::vector<std::string> expected_digests;
   std::vector<size_t> expected_rows;
   for (const replay::WorkloadQuery& query : workload.queries) {

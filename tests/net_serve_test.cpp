@@ -136,7 +136,6 @@ const World& GetWorld() {
         EngineOptions capped;
         capped.use_planner = false;
         capped.early_terminate = false;
-        capped.num_threads = 1;
         capped.max_rows = kTopK;
         auto result = served.engine->Execute(query.query, capped);
         if (!result.ok()) std::abort();

@@ -297,7 +297,7 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-// ---- Engine parity: planner x streaming x sharding x threads x caps ---------
+// ---- Engine parity: planner x streaming x sharding x caps ------------------
 
 TEST(PlannerTest, PlannerAndStreamingParityMonolithic) {
   Pipeline pipeline;
@@ -319,29 +319,25 @@ TEST(PlannerTest, PlannerAndStreamingParityMonolithic) {
     auto want = engine.Execute(bench.query, naive);
     ASSERT_TRUE(want.ok()) << bench.name;
     for (size_t cap : {size_t{0}, size_t{1}, size_t{7}, size_t{23}, kUnlimited}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        EngineOptions naive_capped = naive;
-        naive_capped.max_rows = cap;
-        auto truncate = engine.Execute(bench.query, naive_capped);
-        ASSERT_TRUE(truncate.ok());
-        EngineOptions planned;
-        planned.max_rows = cap;
-        planned.num_threads = threads;
-        auto got = engine.Execute(bench.query, planned);
-        ASSERT_TRUE(got.ok());
-        ExpectIdenticalResults(*truncate, *got,
-                               bench.name + " cap=" + std::to_string(cap) +
-                                   " threads=" + std::to_string(threads));
-        EXPECT_LE(got->scanned_candidates, got->candidate_sentences);
-        if (cap != kUnlimited) {
-          EXPECT_EQ(got->early_terminated,
-                    got->scanned_candidates < got->candidate_sentences);
-        } else {
-          EXPECT_FALSE(got->early_terminated);
-        }
-        if (got->candidate_sentences > 0) {
-          EXPECT_NE(got->plan, nullptr);
-        }
+      EngineOptions naive_capped = naive;
+      naive_capped.max_rows = cap;
+      auto truncate = engine.Execute(bench.query, naive_capped);
+      ASSERT_TRUE(truncate.ok());
+      EngineOptions planned;
+      planned.max_rows = cap;
+      auto got = engine.Execute(bench.query, planned);
+      ASSERT_TRUE(got.ok());
+      ExpectIdenticalResults(*truncate, *got,
+                             bench.name + " cap=" + std::to_string(cap));
+      EXPECT_LE(got->scanned_candidates, got->candidate_sentences);
+      if (cap != kUnlimited) {
+        EXPECT_EQ(got->early_terminated,
+                  got->scanned_candidates < got->candidate_sentences);
+      } else {
+        EXPECT_FALSE(got->early_terminated);
+      }
+      if (got->candidate_sentences > 0) {
+        EXPECT_NE(got->plan, nullptr);
       }
     }
   }
@@ -375,8 +371,6 @@ TEST(PlannerTest, PlannerAndStreamingParitySharded) {
         ASSERT_TRUE(want.ok()) << bench.name;
         EngineOptions planned;
         planned.max_rows = cap;
-        planned.num_threads = 4;
-        planned.num_shards = 2;
         planned.plan_cache = &cache;
         auto got = shard_engine.Execute(bench.query, planned);
         ASSERT_TRUE(got.ok()) << bench.name;
@@ -434,41 +428,36 @@ TEST(PlannerTest, EarlyTerminationSkipsTailCandidates) {
   // must stop early, far before the last candidate.
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (bool with_sink : {false, true}) {
-      const std::string context = "threads=" + std::to_string(threads) +
-                                  (with_sink ? " sink" : "");
-      std::vector<ResultRow> streamed;
-      RowSink sink = [&](const ResultRow& row) { streamed.push_back(row); };
-      EngineOptions options;
-      options.max_rows = 5;
-      options.num_threads = threads;
-      if (with_sink) options.sink = &sink;
-      auto result = engine.ExecuteText(query, options);
-      ASSERT_TRUE(result.ok()) << context;
-      EXPECT_TRUE(result->early_terminated) << context;
-      EXPECT_LT(result->scanned_candidates, result->candidate_sentences)
-          << context;
-      EXPECT_GT(result->scanned_candidates, 0u) << context;
-      if (with_sink) {
-        EXPECT_EQ(streamed.size(), result->rows.size()) << context;
-      }
+  for (bool with_sink : {false, true}) {
+    const std::string context = with_sink ? "sink" : "no sink";
+    std::vector<ResultRow> streamed;
+    RowSink sink = [&](const ResultRow& row) { streamed.push_back(row); };
+    EngineOptions options;
+    options.max_rows = 5;
+    if (with_sink) options.sink = &sink;
+    auto result = engine.ExecuteText(query, options);
+    ASSERT_TRUE(result.ok()) << context;
+    EXPECT_TRUE(result->early_terminated) << context;
+    EXPECT_LT(result->scanned_candidates, result->candidate_sentences)
+        << context;
+    EXPECT_GT(result->scanned_candidates, 0u) << context;
+    if (with_sink) {
+      EXPECT_EQ(streamed.size(), result->rows.size()) << context;
+    }
 
-      // The full-then-truncate baseline returns the same rows and reports
-      // every candidate as scanned, whatever the thread count or sink.
-      streamed.clear();
-      EngineOptions baseline = options;
-      baseline.early_terminate = false;
-      auto full = engine.ExecuteText(query, baseline);
-      ASSERT_TRUE(full.ok()) << context;
-      EXPECT_FALSE(full->early_terminated) << context;
-      EXPECT_EQ(full->scanned_candidates, full->candidate_sentences)
-          << context;
-      ExpectIdenticalResults(*full, *result, "early-termination parity " +
-                                                 context);
-      if (with_sink) {
-        EXPECT_EQ(streamed.size(), full->rows.size()) << context;
-      }
+    // The full-then-truncate baseline returns the same rows and reports
+    // every candidate as scanned, with or without a sink.
+    streamed.clear();
+    EngineOptions baseline = options;
+    baseline.early_terminate = false;
+    auto full = engine.ExecuteText(query, baseline);
+    ASSERT_TRUE(full.ok()) << context;
+    EXPECT_FALSE(full->early_terminated) << context;
+    EXPECT_EQ(full->scanned_candidates, full->candidate_sentences) << context;
+    ExpectIdenticalResults(*full, *result,
+                           "early-termination parity " + context);
+    if (with_sink) {
+      EXPECT_EQ(streamed.size(), full->rows.size()) << context;
     }
   }
 }

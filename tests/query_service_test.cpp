@@ -68,14 +68,13 @@ std::vector<std::string> MixedWorkload() {
 }
 
 // The acceptance bar: M concurrent clients hammering one QueryService get
-// byte-identical rows to serial single-query execution, for every
-// (index shard count, num_shards groups, num_threads) combination.
+// byte-identical rows to serial single-query execution, for every index
+// shard count.
 TEST(QueryServiceTest, ConcurrentClientsMatchSerialByteForByte) {
   const std::vector<std::string> workload = MixedWorkload();
   for (size_t k : {1u, 3u}) {
     ServeWorld world(k);
-    // Serial single-query reference: monolithic index, one thread, no
-    // shared caches.
+    // Serial single-query reference: monolithic index, no shared caches.
     std::vector<QueryResult> expected;
     for (const std::string& query : workload) {
       EngineOptions serial;
@@ -84,60 +83,56 @@ TEST(QueryServiceTest, ConcurrentClientsMatchSerialByteForByte) {
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       expected.push_back(std::move(*want));
     }
-    for (size_t groups : {0u, 2u}) {
-      QueryService::Options options;
-      options.num_threads = 3;
-      options.max_inflight = 3;
-      options.engine.max_rows = 20000;
-      options.engine.num_shards = groups;
-      QueryService service(world.sharded.get(), options,
-                           world.sharded_index->num_shards());
+    QueryService::Options options;
+    options.num_threads = 3;
+    options.max_inflight = 3;
+    options.engine.max_rows = 20000;
+    QueryService service(world.sharded.get(), options,
+                         world.sharded_index->num_shards());
 
-      constexpr size_t kClients = 4;
-      constexpr size_t kRounds = 2;  // round 2 runs against warm caches
-      // Each client runs the whole workload; results are collected per
-      // client and compared on the main thread (gtest assertions are not
-      // thread-safe).
-      std::vector<std::vector<Result<QueryResult>>> got(kClients);
-      std::vector<std::thread> clients;
-      for (size_t c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-          for (size_t round = 0; round < kRounds; ++round) {
-            for (const std::string& query : workload) {
-              got[c].push_back(service.Run(query));
-            }
+    constexpr size_t kClients = 4;
+    constexpr size_t kRounds = 2;  // round 2 runs against warm caches
+    // Each client runs the whole workload; results are collected per
+    // client and compared on the main thread (gtest assertions are not
+    // thread-safe).
+    std::vector<std::vector<Result<QueryResult>>> got(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t round = 0; round < kRounds; ++round) {
+          for (const std::string& query : workload) {
+            got[c].push_back(service.Run(query));
           }
-        });
-      }
-      for (std::thread& t : clients) t.join();
-
-      for (size_t c = 0; c < kClients; ++c) {
-        ASSERT_EQ(got[c].size(), kRounds * workload.size());
-        for (size_t i = 0; i < got[c].size(); ++i) {
-          const size_t q = i % workload.size();
-          ASSERT_TRUE(got[c][i].ok()) << got[c][i].status().ToString();
-          ExpectIdenticalResults(
-              expected[q], *got[c][i],
-              "K=" + std::to_string(k) + " groups=" + std::to_string(groups) +
-                  " client=" + std::to_string(c) + " call=" +
-                  std::to_string(i));
         }
-      }
-      QueryService::Stats stats = service.stats();
-      EXPECT_EQ(stats.admitted, kClients * kRounds * workload.size());
-      EXPECT_EQ(stats.completed, stats.admitted);
-      EXPECT_EQ(stats.rejected, 0u);
-      EXPECT_LE(stats.peak_inflight, options.max_inflight);
+      });
     }
+    for (std::thread& t : clients) t.join();
+
+    for (size_t c = 0; c < kClients; ++c) {
+      ASSERT_EQ(got[c].size(), kRounds * workload.size());
+      for (size_t i = 0; i < got[c].size(); ++i) {
+        const size_t q = i % workload.size();
+        ASSERT_TRUE(got[c][i].ok()) << got[c][i].status().ToString();
+        ExpectIdenticalResults(expected[q], *got[c][i],
+                               "K=" + std::to_string(k) + " client=" +
+                                   std::to_string(c) + " call=" +
+                                   std::to_string(i));
+      }
+    }
+    QueryService::Stats stats = service.stats();
+    EXPECT_EQ(stats.admitted, kClients * kRounds * workload.size());
+    EXPECT_EQ(stats.completed, stats.admitted);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_LE(stats.peak_inflight, options.max_inflight);
   }
 }
 
 TEST(QueryServiceTest, ConcurrentClientsOverMappedIndexMatchSerial) {
   // Lifetime + concurrency over the zero-copy load: many clients hammer a
-  // QueryService whose engine reads a kMap-loaded sharded index. Every
-  // query's parallel section (shard-parallel DPLI, extract fan-out) runs
-  // over the shared mapping concurrently; results must stay byte-identical
-  // to serial execution over the built index. Runs under TSan in CI —
+  // QueryService whose engine reads a kMap-loaded sharded index. Queries
+  // on different client threads read the shared mapping concurrently;
+  // results must stay byte-identical to serial execution over the built
+  // index. Runs under TSan in CI —
   // mapped postings are immutable shared state, so there is nothing to
   // race on.
   ServeWorld world(/*shards=*/3, /*moments=*/100, /*seed=*/73);

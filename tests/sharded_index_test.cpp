@@ -3,21 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "corpus/generators.h"
 #include "index/path_lookup.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 #ifndef KOKO_GOLDEN_DIR
 #error "KOKO_GOLDEN_DIR must be defined (see CMakeLists.txt)"
@@ -138,38 +135,6 @@ TEST(ShardedKokoIndexTest, ParallelBuildMatchesSequentialBuild) {
   EXPECT_EQ(a->AllEntities(), b->AllEntities());
 }
 
-TEST(ShardedKokoIndexTest, BuildOnSharedPoolMatchesDefault) {
-  // A server rebuilding shards online passes its serving pool; the result
-  // must be identical to a build on a transient pool, even while other
-  // fork/join sections share the workers.
-  AnnotatedCorpus corpus = MomentsCorpus(80, 74);
-  ShardedKokoIndex::Options defaults;
-  defaults.num_shards = 4;
-  auto want = ShardedKokoIndex::Build(corpus, defaults);
-
-  ThreadPool pool(3);
-  std::atomic<int> noise{0};
-  std::thread competing([&] {
-    for (int i = 0; i < 20; ++i) {
-      pool.ParallelFor(8, [&](size_t) { noise.fetch_add(1); });
-    }
-  });
-  ShardedKokoIndex::Options shared;
-  shared.num_shards = 4;
-  shared.build_threads = 3;
-  shared.pool = &pool;
-  auto got = ShardedKokoIndex::Build(corpus, shared);
-  competing.join();
-
-  EXPECT_EQ(noise.load(), 20 * 8);
-  for (const char* word : {"a", "delicious", "ate"}) {
-    EXPECT_EQ(want->LookupWord(word), got->LookupWord(word)) << word;
-  }
-  PathQuery path = DobjPath();
-  EXPECT_EQ(want->LookupParseLabelPath(path), got->LookupParseLabelPath(path));
-  EXPECT_EQ(want->AllEntities(), got->AllEntities());
-}
-
 TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
   AnnotatedCorpus corpus = MomentsCorpus(60, 74);
   auto built = ShardedKokoIndex::Build(corpus, 3);
@@ -215,8 +180,7 @@ TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
 
 TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
   // The manifest's byte extents let shards load independently;
-  // the loaded index must be identical for every worker count and on a
-  // caller-shared pool.
+  // the loaded index must be identical for every worker count.
   AnnotatedCorpus corpus = MomentsCorpus(80, 75);
   auto built = ShardedKokoIndex::Build(corpus, 4);
   std::string path = ::testing::TempDir() + "/sharded_index_parload_test.bin";
@@ -227,11 +191,9 @@ TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
   auto want = ShardedKokoIndex::Load(path, serial);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  ThreadPool pool(3);
-  std::vector<ShardedKokoIndex::LoadOptions> variants(3);
-  variants[0].num_threads = 0;  // one worker per shard, transient pool
+  std::vector<ShardedKokoIndex::LoadOptions> variants(2);
+  variants[0].num_threads = 0;  // one worker per shard
   variants[1].num_threads = 2;
-  variants[2].pool = &pool;  // shared serving pool
   for (size_t v = 0; v < variants.size(); ++v) {
     auto got = ShardedKokoIndex::Load(path, variants[v]);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -270,11 +232,9 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
     EXPECT_FALSE((*want)->mapped());
     EXPECT_GT((*want)->SidCacheMemoryUsage(), 0u);
 
-    ThreadPool pool(3);
-    std::vector<ShardedKokoIndex::LoadOptions> variants(3);
+    std::vector<ShardedKokoIndex::LoadOptions> variants(2);
     variants[0].num_threads = 1;
     variants[1].num_threads = 0;  // one worker per shard
-    variants[2].pool = &pool;     // shared serving pool
     for (size_t v = 0; v < variants.size(); ++v) {
       variants[v].mode = LoadMode::kMap;
       auto got = ShardedKokoIndex::Load(path, variants[v]);

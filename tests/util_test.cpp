@@ -203,6 +203,20 @@ TEST(TimerTest, ScopedPhaseCharges) {
   EXPECT_GT(stats.Get("x"), 0.0);
 }
 
+TEST(TimerTest, NestedScopedPhaseIsNotCountedTwice) {
+  PhaseStats stats;
+  {
+    ScopedPhase outer(&stats, "outer");
+    ScopedPhase inner(&stats, "inner");
+    volatile unsigned sink = 0;
+    for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
+  }
+  stats.Add("added", 1.0);
+  EXPECT_GT(stats.Get("inner"), 0.0);
+  EXPECT_LE(stats.Get("inner"), stats.Get("outer"));
+  EXPECT_DOUBLE_EQ(stats.Total(), stats.Get("outer") + 1.0);
+}
+
 TEST(TimerTest, WallTimerMonotone) {
   WallTimer t;
   double a = t.ElapsedSeconds();

@@ -33,11 +33,10 @@ EngineOptions ReferenceOptions() {
   EngineOptions options;
   options.use_planner = false;
   options.early_terminate = false;
-  options.num_threads = 1;
   return options;
 }
 
-TEST(WorkloadFuzzTest, PlannerParityAcrossShardsThreadsAndCaps) {
+TEST(WorkloadFuzzTest, PlannerParityAcrossShardsAndCaps) {
   Pipeline pipeline;
   EmbeddingModel embeddings;
   const uint64_t seed = FuzzSeed();
@@ -62,18 +61,13 @@ TEST(WorkloadFuzzTest, PlannerParityAcrossShardsThreadsAndCaps) {
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       const uint64_t want = replay::RowDigest(*reference);
 
-      // Planner on, serial and parallel: full row parity.
-      for (size_t num_threads : {1u, 3u}) {
-        EngineOptions planned;
-        planned.use_planner = true;
-        planned.early_terminate = false;
-        planned.num_threads = num_threads;
-        auto result = engine.Execute(query.query, planned);
-        ASSERT_TRUE(result.ok())
-            << "t=" << num_threads << ": " << result.status().ToString();
-        EXPECT_EQ(replay::RowDigest(*result), want)
-            << "planner-on rows diverged at num_threads=" << num_threads;
-      }
+      // Planner on: full row parity.
+      EngineOptions planned;
+      planned.use_planner = true;
+      planned.early_terminate = false;
+      auto full = engine.Execute(query.query, planned);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_EQ(replay::RowDigest(*full), want) << "planner-on rows diverged";
 
       // Planner on with a streaming row cap vs the planner-off
       // evaluate-then-truncate baseline at the same cap: early

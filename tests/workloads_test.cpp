@@ -92,7 +92,6 @@ EngineOptions ReferenceOptions() {
   EngineOptions options;
   options.use_planner = false;
   options.early_terminate = false;
-  options.num_threads = 1;
   return options;
 }
 
@@ -220,23 +219,18 @@ TEST(WorkloadGoldenTest, ReferenceMatchesGoldenFile) {
 struct OptionArm {
   const char* name;
   bool use_planner;
-  size_t num_threads;
-  size_t num_shards;  // execution shard groups (0 = engine default)
-  size_t max_rows;    // 0 = unlimited
+  size_t max_rows;  // 0 = unlimited
 };
 
 const OptionArm kOptionArms[] = {
-    {"planner_off_t1", false, 1, 0, 0},
-    {"planner_on_t1", true, 1, 0, 0},
-    {"planner_on_t3_g2", true, 3, 2, 0},
-    {"planner_on_topk", true, 3, 0, kTopK},
+    {"planner_off", false, 0},
+    {"planner_on", true, 0},
+    {"planner_on_topk", true, kTopK},
 };
 
 EngineOptions ArmOptions(const OptionArm& arm) {
   EngineOptions options;
   options.use_planner = arm.use_planner;
-  options.num_threads = arm.num_threads;
-  options.num_shards = arm.num_shards;
   if (arm.max_rows != 0) {
     options.max_rows = arm.max_rows;
     options.early_terminate = true;
@@ -318,10 +312,9 @@ TEST(WorkloadParityTest, EverySimdIsaMatchesReference) {
       const replay::Workload& workload = world.workloads[wi];
       Engine engine(&workload.corpus, world.variants[wi].sharded_map.get(),
                     &world.embeddings, world.recognizer());
-      EngineOptions options;
-      options.num_threads = 2;
       for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
-        auto result = engine.Execute(workload.queries[qi].query, options);
+        auto result =
+            engine.Execute(workload.queries[qi].query, EngineOptions());
         ASSERT_TRUE(result.ok()) << world.reference[wi][qi].key;
         EXPECT_EQ(replay::RowDigest(*result), world.reference[wi][qi].digest)
             << "isa=" << static_cast<int>(isa) << " "
