@@ -75,6 +75,7 @@ bool TimeLoad(const ShardedKokoIndex& index, size_t k,
   };
   double seconds[3] = {0, 0, 0};
   size_t resident[3] = {0, 0, 0};
+  size_t index_bytes[3] = {0, 0, 0};
   bool ok = true;
   for (size_t v = 0; v < 3; ++v) {
     ShardedKokoIndex::LoadOptions options;
@@ -90,6 +91,7 @@ bool TimeLoad(const ShardedKokoIndex& index, size_t k,
       continue;
     }
     resident[v] = (*loaded)->SidCacheMemoryUsage();
+    index_bytes[v] = (*loaded)->MemoryUsage();
     if (variants[v].mode == LoadMode::kMap && !(*loaded)->mapped()) {
       std::printf("  load (%s) did not map at K=%zu\n", variants[v].name, k);
       ok = false;
@@ -99,7 +101,8 @@ bool TimeLoad(const ShardedKokoIndex& index, size_t k,
         {{"load_mode", variants[v].load_mode}},
         {{"shards", static_cast<double>(k)},
          {"load_s", seconds[v]},
-         {"resident_posting_bytes", static_cast<double>(resident[v])}});
+         {"resident_posting_bytes", static_cast<double>(resident[v])},
+         {"resident_index_bytes", static_cast<double>(index_bytes[v])}});
   }
   std::remove(path.c_str());
   if (!ok) return false;
@@ -107,10 +110,13 @@ bool TimeLoad(const ShardedKokoIndex& index, size_t k,
   const double map_speedup = seconds[2] > 0 ? seconds[1] / seconds[2] : 0;
   std::printf(
       "  load: serial=%.3fs parallel=%.3fs (%.2fx) mmap=%.3fs (%.2fx vs "
-      "parallel copy); resident postings %.1f MiB copy vs %.1f MiB map\n",
+      "parallel copy); resident postings %.1f MiB copy vs %.1f MiB map; "
+      "index heap %.1f MiB copy vs %.1f MiB map\n",
       seconds[0], seconds[1], parallel_speedup, seconds[2], map_speedup,
       static_cast<double>(resident[1]) / (1024.0 * 1024.0),
-      static_cast<double>(resident[2]) / (1024.0 * 1024.0));
+      static_cast<double>(resident[2]) / (1024.0 * 1024.0),
+      static_cast<double>(index_bytes[1]) / (1024.0 * 1024.0),
+      static_cast<double>(index_bytes[2]) / (1024.0 * 1024.0));
   // Summary entry keeps the PR-4 keys so existing consumers of the
   // artifact continue to parse, plus the map-vs-copy comparison.
   emitter->AddEntry("load/K=" + std::to_string(k),

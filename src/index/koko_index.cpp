@@ -1,7 +1,10 @@
 #include "index/koko_index.h"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -13,49 +16,227 @@ namespace {
 
 constexpr uint32_t kNoNode = static_cast<uint32_t>(-1);
 
-// Column positions in W.
-enum WCol : uint32_t {
-  kWWord = 0,
-  kWSid,
-  kWTid,
-  kWLeft,
-  kWRight,
-  kWDepth,
-  kWPlid,
-  kWPosid,
+// ---- Image layout -----------------------------------------------------------
+//
+// Format version 5, the one supported version (docs/INDEX_FORMAT.md):
+//   u32 magic "KIDX" | u32 version | u32 num_sentences |
+//   W columns: sid, tid, left, right, depth | E columns: sid, left, right,
+//   type | word dictionary + one sid list per word | entity-text
+//   dictionary | all-entity sid list + one sid list per entity type |
+//   PL trie | POS trie
+// Every item is a whole number of u32 words: arrays are u32-count-prefixed,
+// byte blobs (dictionary keys, block payloads) are length-prefixed and
+// zero-padded to 4 bytes. An image therefore starts every array at a 4-byte
+// offset from its own start, and sharded files place images at 4-byte file
+// offsets, so an mmap or owned buffer serves every array aligned. Load
+// validates every section and then aliases it in place.
+
+constexpr uint32_t kIndexMagic = 0x4b494458;  // "KIDX"
+constexpr uint32_t kIndexVersion = 5;
+
+// Assembles an image in memory, one u32 word at a time.
+class ImageWriter {
+ public:
+  void U32(uint32_t v) { words_.push_back(v); }
+  void Array(U32View v) {
+    U32(static_cast<uint32_t>(v.size()));
+    Raw(v.raw(), v.raw_size());
+  }
+  void Array(const std::vector<uint32_t>& v) { Array(U32View(v)); }
+  void PaddedBytes(const void* data, size_t size) {
+    U32(static_cast<uint32_t>(size));
+    Raw(data, size);
+  }
+  // count | skip_first | skip_offset | skip_width | payload: a BlockList's
+  // arrays verbatim, so loading aliases them.
+  void List(const BlockList& list) {
+    U32(static_cast<uint32_t>(list.size()));
+    Array(list.skip_first());
+    Array(list.skip_offset());
+    Array(list.skip_width());
+    PaddedBytes(list.bytes().data(), list.bytes().size());
+  }
+  std::vector<uint32_t> Take() { return std::move(words_); }
+
+ private:
+  void Raw(const void* data, size_t size) {
+    const size_t at = words_.size();
+    words_.resize(at + (size + 3) / 4, 0);
+    if (size > 0) std::memcpy(words_.data() + at, data, size);
+  }
+  std::vector<uint32_t> words_;
 };
 
-// Column positions in E.
-enum ECol : uint32_t { kEEntity = 0, kESid, kELeft, kERight, kEType };
+// Key -> ascending row ids, in key order: a dictionary section in the
+// making.
+using RowsByKey = std::map<std::string, std::vector<uint32_t>>;
+
+// key_offsets | keys | row_offsets | rows.
+void WriteDictionary(const RowsByKey& entries, ImageWriter* out) {
+  std::vector<uint32_t> key_offsets = {0};
+  std::vector<uint32_t> row_offsets = {0};
+  std::vector<uint32_t> rows;
+  std::string keys;
+  for (const auto& [key, key_rows] : entries) {
+    keys += key;
+    key_offsets.push_back(static_cast<uint32_t>(keys.size()));
+    rows.insert(rows.end(), key_rows.begin(), key_rows.end());
+    row_offsets.push_back(static_cast<uint32_t>(rows.size()));
+  }
+  out->Array(key_offsets);
+  out->PaddedBytes(keys.data(), keys.size());
+  out->Array(row_offsets);
+  out->Array(rows);
+}
+
+// The sid list of ascending W rows.
+BlockList SidsOfRows(const std::vector<uint32_t>& rows,
+                     const std::vector<uint32_t>& w_sid) {
+  BlockListBuilder builder;
+  for (uint32_t row : rows) builder.Append(w_sid[row]);
+  return builder.Finish();
+}
+
+// A hierarchy trie under construction: nodes in creation order, node 0 the
+// dummy root.
+struct TrieBuilder {
+  std::vector<uint32_t> parent = {0};
+  std::vector<uint32_t> label = {0};
+  std::vector<uint32_t> depth = {0};
+  std::vector<std::vector<uint32_t>> rows = {{}};
+  std::map<std::pair<uint32_t, uint32_t>, uint32_t> child;  // (parent, label)
+
+  uint32_t Child(uint32_t of, uint32_t with_label) {
+    const auto [it, added] = child.try_emplace(
+        {of, with_label}, static_cast<uint32_t>(parent.size()));
+    if (added) {
+      parent.push_back(of);
+      label.push_back(with_label);
+      depth.push_back(depth[of] + 1);
+      rows.emplace_back();
+    }
+    return it->second;
+  }
+
+  // parent | label | depth | row_offsets | rows | one sid list per node.
+  void Write(const std::vector<uint32_t>& w_sid, ImageWriter* out) const {
+    std::vector<uint32_t> row_offsets = {0};
+    std::vector<uint32_t> flat;
+    for (const auto& node_rows : rows) {
+      flat.insert(flat.end(), node_rows.begin(), node_rows.end());
+      row_offsets.push_back(static_cast<uint32_t>(flat.size()));
+    }
+    out->Array(parent);
+    out->Array(label);
+    out->Array(depth);
+    out->Array(row_offsets);
+    out->Array(flat);
+    for (const auto& node_rows : rows) out->List(SidsOfRows(node_rows, w_sid));
+  }
+};
+
+// ---- Validation -------------------------------------------------------------
+
+// Reads one list as views into the image (validated by FromMappedPacked,
+// never copied).
+Result<BlockList> ReadBlockList(SpanReader* reader) {
+  KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
+  KOKO_ASSIGN_OR_RETURN(U32View skip_first, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(U32View skip_offset, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadPaddedBytes());
+  return BlockList::FromMappedPacked(count, skip_first, skip_offset, skip_width,
+                                     payload);
+}
+
+Status Corrupt(const std::string& what) {
+  return Status::ParseError("index image: " + what);
+}
+
+// Reads `columns.size()` arrays of one common length.
+Status ReadColumns(SpanReader* reader, std::initializer_list<U32View*> columns,
+                   const char* table) {
+  for (U32View* column : columns) {
+    KOKO_ASSIGN_OR_RETURN(*column, reader->ReadU32Array());
+    if (column->size() != (*columns.begin())->size()) {
+      return Corrupt(std::string(table) + " columns differ in length");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckSidOrder(U32View sids, const char* table) {
+  for (size_t i = 1; i < sids.size(); ++i) {
+    if (sids[i] < sids[i - 1]) {
+      return Corrupt(std::string(table) + " rows not in sid order");
+    }
+  }
+  return Status::OK();
+}
+
+// A CSR offset array over a column of `column_size` entries: starts at 0,
+// never decreases, ends at the column's end.
+Status CheckOffsets(U32View offsets, size_t column_size, const char* what) {
+  if (offsets.empty() || offsets[0] != 0) {
+    return Corrupt(std::string(what) + " offsets do not start at 0");
+  }
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    if (offsets[i] < offsets[i - 1]) {
+      return Corrupt(std::string(what) + " offsets decrease");
+    }
+  }
+  if (offsets[offsets.size() - 1] != column_size) {
+    return Corrupt(std::string(what) + " offsets do not end at the column end");
+  }
+  return Status::OK();
+}
+
+// Every CSR slice of `rows` strictly ascending and below `num_rows`.
+Status CheckRowLists(U32View offsets, U32View rows, size_t num_rows,
+                     const char* what) {
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    for (size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
+      if (rows[j] >= num_rows) {
+        return Corrupt(std::string(what) + " row id out of range");
+      }
+      if (j > offsets[i] && rows[j] <= rows[j - 1]) {
+        return Corrupt(std::string(what) + " row list not ascending");
+      }
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
-// ---- Trie -------------------------------------------------------------------
+// ---- Dictionary / Trie ------------------------------------------------------
 
-uint32_t KokoIndex::Trie::FindChild(uint32_t parent, Symbol label) const {
-  const auto& kids = nodes[parent].children;
-  auto it = std::lower_bound(
-      kids.begin(), kids.end(), label,
-      [](const std::pair<Symbol, uint32_t>& a, Symbol l) { return a.first < l; });
-  if (it != kids.end() && it->first == label) return it->second;
-  return kNoNode;
+std::string_view KokoIndex::Dictionary::Key(size_t i) const {
+  return std::string_view(reinterpret_cast<const char*>(keys.data()) +
+                              key_offsets[i],
+                          key_offsets[i + 1] - key_offsets[i]);
 }
 
-uint32_t KokoIndex::Trie::GetOrAddChild(uint32_t parent, Symbol label) {
-  uint32_t existing = FindChild(parent, label);
-  if (existing != kNoNode) return existing;
-  uint32_t id = static_cast<uint32_t>(nodes.size());
-  TrieNode node;
-  node.label = label;
-  node.parent = static_cast<int32_t>(parent);
-  node.depth = nodes[parent].depth + 1;
-  nodes.push_back(std::move(node));
-  auto& kids = nodes[parent].children;
-  auto it = std::lower_bound(
-      kids.begin(), kids.end(), label,
-      [](const std::pair<Symbol, uint32_t>& a, Symbol l) { return a.first < l; });
-  kids.insert(it, {label, id});
-  return id;
+size_t KokoIndex::Dictionary::Find(std::string_view key) const {
+  size_t lo = 0;
+  size_t hi = size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (Key(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < size() && Key(lo) == key ? lo : size();
+}
+
+uint32_t KokoIndex::Trie::FindChild(uint32_t node, uint32_t want) const {
+  const std::span<const uint32_t> kids = Children(node);
+  const auto it = std::lower_bound(
+      kids.begin(), kids.end(), want,
+      [&](uint32_t c, uint32_t l) { return label[c] < l; });
+  return it != kids.end() && label[*it] == want ? *it : kNoNode;
 }
 
 std::vector<uint32_t> KokoIndex::Trie::Match(const PathQuery& path,
@@ -63,24 +244,15 @@ std::vector<uint32_t> KokoIndex::Trie::Match(const PathQuery& path,
   std::vector<uint32_t> current = {0};  // dummy root
   std::vector<char> seen;
   for (const PathStep& step : path.steps) {
-    // Resolve the step's label for this trie; unconstrained -> wildcard.
-    bool wildcard;
-    Symbol label = kInvalidSymbol;
-    if (use_pos) {
-      wildcard = !step.constraint.pos.has_value();
-      if (!wildcard) {
-        label = labels.Find(PosTagName(*step.constraint.pos));
-        if (label == kInvalidSymbol) return {};
-      }
-    } else {
-      wildcard = !step.constraint.dep.has_value();
-      if (!wildcard) {
-        label = labels.Find(DepLabelName(*step.constraint.dep));
-        if (label == kInvalidSymbol) return {};
-      }
+    // The step's label id for this trie; unconstrained -> wildcard.
+    std::optional<uint32_t> want;
+    if (use_pos && step.constraint.pos.has_value()) {
+      want = static_cast<uint32_t>(*step.constraint.pos);
+    } else if (!use_pos && step.constraint.dep.has_value()) {
+      want = static_cast<uint32_t>(*step.constraint.dep);
     }
     std::vector<uint32_t> next;
-    seen.assign(nodes.size(), 0);
+    seen.assign(size(), 0);
     auto add = [&](uint32_t id) {
       if (!seen[id]) {
         seen[id] = 1;
@@ -89,22 +261,23 @@ std::vector<uint32_t> KokoIndex::Trie::Match(const PathQuery& path,
     };
     for (uint32_t node : current) {
       if (step.axis == PathStep::Axis::kChild) {
-        if (wildcard) {
-          for (const auto& [_, child] : nodes[node].children) add(child);
-        } else {
-          uint32_t child = FindChild(node, label);
-          if (child != kNoNode) add(child);
+        if (!want.has_value()) {
+          for (uint32_t child : Children(node)) add(child);
+        } else if (const uint32_t child = FindChild(node, *want);
+                   child != kNoNode) {
+          add(child);
         }
-      } else {
-        // Descendant axis: DFS below `node`.
-        std::vector<uint32_t> stack;
-        for (const auto& [_, child] : nodes[node].children) stack.push_back(child);
-        while (!stack.empty()) {
-          uint32_t t = stack.back();
-          stack.pop_back();
-          if (wildcard || nodes[t].label == label) add(t);
-          for (const auto& [_, child] : nodes[t].children) stack.push_back(child);
-        }
+        continue;
+      }
+      // Descendant axis: DFS below `node`.
+      const std::span<const uint32_t> kids = Children(node);
+      std::vector<uint32_t> stack(kids.begin(), kids.end());
+      while (!stack.empty()) {
+        const uint32_t t = stack.back();
+        stack.pop_back();
+        if (!want.has_value() || label[t] == *want) add(t);
+        const std::span<const uint32_t> below = Children(t);
+        stack.insert(stack.end(), below.begin(), below.end());
       }
     }
     current = std::move(next);
@@ -115,17 +288,11 @@ std::vector<uint32_t> KokoIndex::Trie::Match(const PathQuery& path,
 }
 
 size_t KokoIndex::Trie::MemoryUsage() const {
-  size_t bytes = nodes.capacity() * sizeof(TrieNode);
-  for (const auto& n : nodes) {
-    bytes += n.children.capacity() * sizeof(std::pair<Symbol, uint32_t>);
-    bytes += n.rows.capacity() * sizeof(uint32_t);
-    bytes += n.sids.MemoryUsage();
-  }
-  bytes += labels.MemoryUsage();
-  return bytes;
+  return sids.capacity() * sizeof(BlockList) +
+         (child_offsets.capacity() + children.capacity()) * sizeof(uint32_t);
 }
 
-// ---- Build -------------------------------------------------------------------
+// ---- Build ------------------------------------------------------------------
 
 std::unique_ptr<KokoIndex> KokoIndex::Build(const AnnotatedCorpus& corpus) {
   return Build(corpus, 0, static_cast<uint32_t>(corpus.NumSentences()));
@@ -135,32 +302,19 @@ std::unique_ptr<KokoIndex> KokoIndex::Build(const AnnotatedCorpus& corpus,
                                             uint32_t sid_begin,
                                             uint32_t sid_end) {
   WallTimer timer;
-  auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-
-  index->w_ = index->catalog_.CreateTable(
-      "W", {{"word", ColumnType::kString},
-            {"x", ColumnType::kInt64},
-            {"y", ColumnType::kInt64},
-            {"u", ColumnType::kInt64},
-            {"v", ColumnType::kInt64},
-            {"d", ColumnType::kInt64},
-            {"plid", ColumnType::kInt64},
-            {"posid", ColumnType::kInt64}});
-  index->e_ = index->catalog_.CreateTable(
-      "E", {{"entity", ColumnType::kString},
-            {"x", ColumnType::kInt64},
-            {"u", ColumnType::kInt64},
-            {"v", ColumnType::kInt64},
-            {"etype", ColumnType::kInt64}});
-
-  Trie& pl = index->pl_trie_;
-  Trie& pos = index->pos_trie_;
+  std::vector<uint32_t> w_sid, w_tid, w_left, w_right, w_depth;
+  std::vector<uint32_t> e_sid, e_left, e_right, e_type;
+  RowsByKey word_rows;
+  RowsByKey text_rows;
+  TrieBuilder pl;
+  TrieBuilder pos;
+  uint32_t num_sentences = 0;
 
   for (uint32_t sid = sid_begin; sid < sid_end; ++sid) {
     const Sentence& s = corpus.sentence(sid);
     const int n = s.size();
     if (n == 0) continue;
-    ++index->stats_.num_sentences;
+    ++num_sentences;
 
     // Trie node per token: walk top-down so parents resolve first.
     std::vector<uint32_t> pl_node(n, 0);
@@ -173,167 +327,87 @@ std::unique_ptr<KokoIndex> KokoIndex::Build(const AnnotatedCorpus& corpus,
       for (int child : s.children[order[k]]) order.push_back(child);
     }
     for (int t : order) {
-      uint32_t pl_parent = s.tokens[t].head < 0 ? 0 : pl_node[s.tokens[t].head];
-      uint32_t pos_parent = s.tokens[t].head < 0 ? 0 : pos_node[s.tokens[t].head];
-      pl_node[t] = pl.GetOrAddChild(pl_parent,
-                                    pl.labels.Intern(DepLabelName(s.tokens[t].label)));
-      pos_node[t] = pos.GetOrAddChild(
-          pos_parent, pos.labels.Intern(PosTagName(s.tokens[t].pos)));
+      const int head = s.tokens[t].head;
+      pl_node[t] = pl.Child(head < 0 ? 0 : pl_node[head],
+                            static_cast<uint32_t>(s.tokens[t].label));
+      pos_node[t] = pos.Child(head < 0 ? 0 : pos_node[head],
+                              static_cast<uint32_t>(s.tokens[t].pos));
     }
 
     for (int t = 0; t < n; ++t) {
-      uint32_t row = static_cast<uint32_t>(index->w_->NumRows());
-      KOKO_CHECK_OK(index->w_->AppendRow(
-          {s.tokens[t].text, static_cast<int64_t>(sid), static_cast<int64_t>(t),
-           static_cast<int64_t>(s.subtree_left[t]),
-           static_cast<int64_t>(s.subtree_right[t]),
-           static_cast<int64_t>(s.depth[t]), static_cast<int64_t>(pl_node[t]),
-           static_cast<int64_t>(pos_node[t])}));
-      pl.nodes[pl_node[t]].rows.push_back(row);
-      pos.nodes[pos_node[t]].rows.push_back(row);
-      ++index->stats_.num_tokens;
+      const auto row = static_cast<uint32_t>(w_sid.size());
+      w_sid.push_back(sid);
+      w_tid.push_back(static_cast<uint32_t>(t));
+      w_left.push_back(static_cast<uint32_t>(s.subtree_left[t]));
+      w_right.push_back(static_cast<uint32_t>(s.subtree_right[t]));
+      w_depth.push_back(static_cast<uint32_t>(s.depth[t]));
+      word_rows[s.tokens[t].text].push_back(row);
+      pl.rows[pl_node[t]].push_back(row);
+      pos.rows[pos_node[t]].push_back(row);
     }
 
     for (const Entity& ent : s.entities) {
-      KOKO_CHECK_OK(index->e_->AppendRow(
-          {s.SpanText(ent.begin, ent.end), static_cast<int64_t>(sid),
-           static_cast<int64_t>(ent.begin), static_cast<int64_t>(ent.end),
-           static_cast<int64_t>(ent.type)}));
-      ++index->stats_.num_entities;
+      text_rows[s.SpanText(ent.begin, ent.end)].push_back(
+          static_cast<uint32_t>(e_sid.size()));
+      e_sid.push_back(sid);
+      e_left.push_back(static_cast<uint32_t>(ent.begin));
+      e_right.push_back(static_cast<uint32_t>(ent.end));
+      e_type.push_back(static_cast<uint32_t>(ent.type));
     }
   }
 
-  KOKO_CHECK_OK(index->w_->CreateIndex("w_word", {"word"}));
-  KOKO_CHECK_OK(index->e_->CreateIndex("e_entity", {"entity"}));
-
-  index->ExportClosureTable(pl, "PL");
-  index->ExportClosureTable(pos, "POS");
-  KOKO_CHECK_OK(index->RebuildEntityCache());
-  index->RebuildSidCaches();
-
-  index->stats_.pl_trie_nodes = pl.nodes.size() - 1;
-  index->stats_.pos_trie_nodes = pos.nodes.size() - 1;
-  index->stats_.build_seconds = timer.ElapsedSeconds();
-  return index;
-}
-
-void KokoIndex::ExportClosureTable(const Trie& trie, const std::string& table_name) {
-  Table* t = catalog_.CreateTable(
-      table_name, {{"id", ColumnType::kInt64},
-                   {"label", ColumnType::kString},
-                   {"depth", ColumnType::kInt64},
-                   {"aid", ColumnType::kInt64},
-                   {"alabel", ColumnType::kString},
-                   {"adepth", ColumnType::kInt64}});
-  // Closure rows: every (node, ancestor-or-self) pair, excluding the dummy.
-  for (uint32_t id = 1; id < trie.nodes.size(); ++id) {
-    const std::string& label = trie.labels.Lookup(trie.nodes[id].label);
-    int32_t anc = static_cast<int32_t>(id);
-    while (anc > 0) {
-      const TrieNode& a = trie.nodes[static_cast<uint32_t>(anc)];
-      KOKO_CHECK_OK(t->AppendRow({static_cast<int64_t>(id), label,
-                                  static_cast<int64_t>(trie.nodes[id].depth),
-                                  static_cast<int64_t>(anc),
-                                  trie.labels.Lookup(a.label),
-                                  static_cast<int64_t>(a.depth)}));
-      anc = a.parent;
-    }
+  ImageWriter out;
+  out.U32(kIndexMagic);
+  out.U32(kIndexVersion);
+  out.U32(num_sentences);
+  for (const auto* column : {&w_sid, &w_tid, &w_left, &w_right, &w_depth}) {
+    out.Array(*column);
   }
-  KOKO_CHECK_OK(t->CreateIndex(table_name + "_label", {"label"}));
-}
-
-Status KokoIndex::RebuildEntityCache() {
-  all_entities_.clear();
-  all_entities_.reserve(e_->NumRows());
-  for (uint32_t row = 0; row < e_->NumRows(); ++row) {
-    EntityPosting p;
-    p.sid = static_cast<uint32_t>(e_->GetInt(row, kESid));
-    p.left = static_cast<uint32_t>(e_->GetInt(row, kELeft));
-    p.right = static_cast<uint32_t>(e_->GetInt(row, kERight));
-    const int64_t type = e_->GetInt(row, kEType);
-    // Catalog values may come from a corrupt image; an out-of-range type
-    // would index past the per-type bucket arrays.
-    if (type < 0 || type >= kNumEntityTypes) {
-      return Status::ParseError("E table entity type out of range");
-    }
-    p.type = static_cast<EntityType>(type);
-    // The entity sid lists are built from this order, which must be the
-    // sid-sorted order Build writes.
-    if (!all_entities_.empty() && p.sid < all_entities_.back().sid) {
-      return Status::ParseError("E table rows not in sid order");
-    }
-    all_entities_.push_back(p);
+  for (const auto* column : {&e_sid, &e_left, &e_right, &e_type}) {
+    out.Array(*column);
   }
-  return Status::OK();
-}
-
-void KokoIndex::RebuildSidCaches() {
-  // Per-word sid lists. W rows are appended sentence by sentence, so the
-  // sid stream seen by each word is non-decreasing.
-  std::unordered_map<std::string, BlockListBuilder> words;
-  for (uint32_t row = 0; row < w_->NumRows(); ++row) {
-    words[w_->GetString(row, kWWord)].Append(
-        static_cast<uint32_t>(w_->GetInt(row, kWSid)));
-  }
-  word_sids_.clear();
-  word_sids_.reserve(words.size());
-  for (auto& [word, builder] : words) word_sids_.emplace(word, builder.Finish());
-
-  // Per-trie-node sid lists: project each node's W-row list (row ids are
-  // ascending, hence sid-sorted) onto the sid column once.
-  for (Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (TrieNode& node : trie->nodes) {
-      BlockListBuilder builder;
-      for (uint32_t row : node.rows) {
-        builder.Append(static_cast<uint32_t>(w_->GetInt(row, kWSid)));
-      }
-      node.sids = builder.Finish();
-    }
-  }
-
-  RebuildEntitySidCaches();
-}
-
-void KokoIndex::RebuildEntitySidCaches() {
-  // Per-type entity buckets + sid lists. all_entities_ is in E-row order,
-  // which is sid-sorted.
+  WriteDictionary(word_rows, &out);
+  for (const auto& [word, rows] : word_rows) out.List(SidsOfRows(rows, w_sid));
+  WriteDictionary(text_rows, &out);
   std::array<BlockListBuilder, kNumEntityTypes> by_type;
   BlockListBuilder all;
-  for (auto& bucket : entities_by_type_) bucket.clear();
-  for (const EntityPosting& p : all_entities_) {
-    entities_by_type_[static_cast<size_t>(p.type)].push_back(p);
-    by_type[static_cast<size_t>(p.type)].Append(p.sid);
-    all.Append(p.sid);
+  for (size_t row = 0; row < e_sid.size(); ++row) {
+    by_type[e_type[row]].Append(e_sid[row]);
+    all.Append(e_sid[row]);
   }
-  for (size_t t = 0; t < kNumEntityTypes; ++t) {
-    entity_sids_by_type_[t] = by_type[t].Finish();
-  }
-  all_entity_sids_ = all.Finish();
+  out.List(all.Finish());
+  for (BlockListBuilder& builder : by_type) out.List(builder.Finish());
+  pl.Write(w_sid, &out);
+  pos.Write(w_sid, &out);
+
+  // A built index is its image, exactly as a loaded one is.
+  std::shared_ptr<MappedFile> image = MappedFile::FromWords(out.Take());
+  const MemorySpan span = image->span();
+  auto index = LoadMapped(std::move(image), span);
+  KOKO_CHECK_OK(index.status());
+  (*index)->stats_.build_seconds = timer.ElapsedSeconds();
+  return std::move(*index);
 }
 
-// ---- Lookups ------------------------------------------------------------------
+// ---- Lookups ----------------------------------------------------------------
 
 Quintuple KokoIndex::RowToQuintuple(uint32_t row) const {
   Quintuple q;
-  q.sid = static_cast<uint32_t>(w_->GetInt(row, kWSid));
-  q.tid = static_cast<uint32_t>(w_->GetInt(row, kWTid));
-  q.left = static_cast<uint32_t>(w_->GetInt(row, kWLeft));
-  q.right = static_cast<uint32_t>(w_->GetInt(row, kWRight));
-  q.depth = static_cast<uint32_t>(w_->GetInt(row, kWDepth));
+  q.sid = w_sid_[row];
+  q.tid = w_tid_[row];
+  q.left = w_left_[row];
+  q.right = w_right_[row];
+  q.depth = w_depth_[row];
   return q;
 }
 
-uint32_t KokoIndex::RowSid(uint32_t row) const {
-  return static_cast<uint32_t>(w_->GetInt(row, kWSid));
-}
-
-void KokoIndex::AppendRows(const std::vector<uint32_t>& rows,
-                           const SidList* sid_filter, PostingList* out) const {
+void KokoIndex::AppendRows(U32View rows, const SidList* sid_filter,
+                           PostingList* out) const {
+  const size_t n = rows.size();
   if (sid_filter == nullptr) {
-    for (uint32_t row : rows) out->push_back(RowToQuintuple(row));
+    for (size_t r = 0; r < n; ++r) out->push_back(RowToQuintuple(rows[r]));
     return;
   }
-  const size_t n = rows.size();
   const size_t m = sid_filter->size();
   size_t r = 0;
   size_t f = 0;
@@ -347,46 +421,67 @@ void KokoIndex::AppendRows(const std::vector<uint32_t>& rows,
       ++r;
       continue;
     }
-    // Gallop the rows to the first one at or past the filter's next sid.
+    // Gallop the rows to the first one at or past the filter's next sid:
+    // it lies in (lo, min(n, lo + step)].
     size_t lo = r;
     size_t step = 1;
     while (lo + step < n && RowSid(rows[lo + step]) < want) {
       lo += step;
       step *= 2;
     }
-    const auto first = rows.begin() + static_cast<std::ptrdiff_t>(lo + 1);
-    const auto last =
-        rows.begin() + static_cast<std::ptrdiff_t>(std::min(n, lo + step));
-    r = static_cast<size_t>(
-        std::partition_point(first, last,
-                             [&](uint32_t row) { return RowSid(row) < want; }) -
-        rows.begin());
+    size_t first = lo + 1;
+    size_t last = std::min(n, lo + step);
+    while (first < last) {
+      const size_t mid = first + (last - first) / 2;
+      if (RowSid(rows[mid]) < want) {
+        first = mid + 1;
+      } else {
+        last = mid;
+      }
+    }
+    r = first;
   }
 }
 
 PostingList KokoIndex::LookupWord(std::string_view token,
                                   const SidList* sid_filter) const {
-  auto rows = w_->IndexLookup("w_word", {std::string(token)});
-  KOKO_CHECK(rows.ok());
   PostingList out;
-  out.reserve(sid_filter == nullptr ? rows->size() : 0);
-  AppendRows(*rows, sid_filter, &out);
+  const size_t word = words_.Find(token);
+  if (word == words_.size()) return out;
+  const U32View rows = words_.Rows(word);
+  out.reserve(sid_filter == nullptr ? rows.size() : 0);
+  AppendRows(rows, sid_filter, &out);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<EntityPosting> KokoIndex::LookupEntityText(std::string_view text) const {
-  auto rows = e_->IndexLookup("e_entity", {std::string(text)});
-  KOKO_CHECK(rows.ok());
   std::vector<EntityPosting> out;
-  out.reserve(rows->size());
-  for (uint32_t row : *rows) out.push_back(all_entities_[row]);
+  const size_t entry = entity_texts_.Find(text);
+  if (entry == entity_texts_.size()) return out;
+  const U32View rows = entity_texts_.Rows(entry);
+  out.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint32_t row = rows[i];
+    out.push_back({e_sid_[row], e_left_[row], e_right_[row],
+                   static_cast<EntityType>(e_type_[row])});
+  }
+  return out;
+}
+
+std::vector<EntityPosting> KokoIndex::AllEntities() const {
+  std::vector<EntityPosting> out;
+  out.reserve(e_sid_.size());
+  for (size_t row = 0; row < e_sid_.size(); ++row) {
+    out.push_back({e_sid_[row], e_left_[row], e_right_[row],
+                   static_cast<EntityType>(e_type_[row])});
+  }
   return out;
 }
 
 const BlockList* KokoIndex::WordSids(std::string_view token) const {
-  auto it = word_sids_.find(std::string(token));
-  return it == word_sids_.end() ? nullptr : &it->second;
+  const size_t word = words_.Find(token);
+  return word == words_.size() ? nullptr : &word_sids_[word];
 }
 
 size_t KokoIndex::CountWordSids(std::string_view token) const {
@@ -394,31 +489,24 @@ size_t KokoIndex::CountWordSids(std::string_view token) const {
   return sids == nullptr ? 0 : sids->CountSids();
 }
 
-void KokoIndex::AppendTrieRows(const Trie& trie,
-                               const std::vector<uint32_t>& nodes,
-                               const SidList* sid_filter,
-                               PostingList* out) const {
-  for (uint32_t node : nodes) {
-    AppendRows(trie.nodes[node].rows, sid_filter, out);
+PostingList KokoIndex::TrieRows(const Trie& trie, const PathQuery& path,
+                                bool use_pos, const SidList* sid_filter) const {
+  PostingList out;
+  for (uint32_t node : trie.Match(path, use_pos)) {
+    AppendRows(trie.Rows(node), sid_filter, &out);
   }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 PostingList KokoIndex::LookupParseLabelPath(const PathQuery& path,
                                             const SidList* sid_filter) const {
-  PostingList out;
-  AppendTrieRows(pl_trie_, pl_trie_.Match(path, /*use_pos=*/false), sid_filter,
-                 &out);
-  std::sort(out.begin(), out.end());
-  return out;
+  return TrieRows(pl_trie_, path, /*use_pos=*/false, sid_filter);
 }
 
 PostingList KokoIndex::LookupPosPath(const PathQuery& path,
                                      const SidList* sid_filter) const {
-  PostingList out;
-  AppendTrieRows(pos_trie_, pos_trie_.Match(path, /*use_pos=*/true), sid_filter,
-                 &out);
-  std::sort(out.begin(), out.end());
-  return out;
+  return TrieRows(pos_trie_, path, /*use_pos=*/true, sid_filter);
 }
 
 SidList KokoIndex::TriePathSids(const Trie& trie, const PathQuery& path,
@@ -427,7 +515,7 @@ SidList KokoIndex::TriePathSids(const Trie& trie, const PathQuery& path,
   if (sid_filter == nullptr) {
     std::vector<const BlockList*> lists;
     lists.reserve(nodes.size());
-    for (uint32_t node : nodes) lists.push_back(&trie.nodes[node].sids);
+    for (uint32_t node : nodes) lists.push_back(&trie.sids[node]);
     return UnionAllBlocks(lists);
   }
   // Intersect each node's stored list with the filter in place and merge
@@ -436,7 +524,7 @@ SidList KokoIndex::TriePathSids(const Trie& trie, const PathQuery& path,
   const SidList& filter = *sid_filter;
   std::vector<uint32_t> hits;
   for (uint32_t node : nodes) {
-    const BlockList& sids = trie.nodes[node].sids;
+    const BlockList& sids = trie.sids[node];
     if (sids.empty()) continue;
     const size_t lo =
         GallopTo(filter.data(), filter.size(), 0, sids.skip_first()[0]);
@@ -460,7 +548,7 @@ SidList KokoIndex::PosPathSids(const PathQuery& path,
 size_t KokoIndex::EstimatePlPathSids(const PathQuery& path) const {
   size_t total = 0;
   for (uint32_t node : pl_trie_.Match(path, /*use_pos=*/false)) {
-    total += pl_trie_.nodes[node].sids.size();
+    total += pl_trie_.sids[node].size();
   }
   return total;
 }
@@ -468,7 +556,7 @@ size_t KokoIndex::EstimatePlPathSids(const PathQuery& path) const {
 size_t KokoIndex::EstimatePosPathSids(const PathQuery& path) const {
   size_t total = 0;
   for (uint32_t node : pos_trie_.Match(path, /*use_pos=*/true)) {
-    total += pos_trie_.nodes[node].sids.size();
+    total += pos_trie_.sids[node].size();
   }
   return total;
 }
@@ -482,17 +570,8 @@ size_t KokoIndex::CountPosPathNodes(const PathQuery& path) const {
 }
 
 size_t KokoIndex::MemoryUsage() const {
-  size_t bytes = catalog_.MemoryUsage() + pl_trie_.MemoryUsage() +
-                 pos_trie_.MemoryUsage() +
-                 all_entities_.capacity() * sizeof(EntityPosting);
-  for (const auto& [word, sids] : word_sids_) {
-    bytes += word.capacity() + sids.MemoryUsage() + sizeof(BlockList);
-  }
-  for (const auto& bucket : entities_by_type_) {
-    bytes += bucket.capacity() * sizeof(EntityPosting);
-  }
-  for (const auto& sids : entity_sids_by_type_) bytes += sids.MemoryUsage();
-  bytes += all_entity_sids_.MemoryUsage();
+  size_t bytes = word_sids_.capacity() * sizeof(BlockList) +
+                 pl_trie_.MemoryUsage() + pos_trie_.MemoryUsage();
   if (image_ != nullptr && !image_->mmapped()) bytes += image_span_.size();
   return bytes;
 }
@@ -500,16 +579,16 @@ size_t KokoIndex::MemoryUsage() const {
 template <typename Fn>
 void KokoIndex::ForEachSidList(Fn&& fn) const {
   fn(all_entity_sids_);
-  for (const auto& [word, sids] : word_sids_) fn(sids);
+  for (const BlockList& sids : word_sids_) fn(sids);
   for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    for (const TrieNode& node : trie->nodes) fn(node.sids);
+    for (const BlockList& sids : trie->sids) fn(sids);
   }
-  for (const auto& sids : entity_sids_by_type_) fn(sids);
+  for (const BlockList& sids : entity_sids_by_type_) fn(sids);
 }
 
 size_t KokoIndex::SidCacheMemoryUsage() const {
-  // A view into an owned (kCopy) image buffer occupies its encoded bytes
-  // of that heap buffer; a view into an mmap occupies no heap at all.
+  // A view into an owned image buffer occupies its encoded bytes of that
+  // heap buffer; a view into an mmap occupies no heap at all.
   const bool owned_image = image_ != nullptr && !image_->mmapped();
   size_t bytes = 0;
   ForEachSidList([&](const BlockList& list) {
@@ -523,13 +602,16 @@ size_t KokoIndex::SidCacheMemoryUsage() const {
 }
 
 Status KokoIndex::CheckSidRange(uint32_t begin, uint32_t end) const {
-  bool inside = true;
+  auto column_inside = [&](U32View sids) {
+    return sids.empty() || (sids[0] >= begin && sids[sids.size() - 1] < end);
+  };
+  bool inside = column_inside(w_sid_) && column_inside(e_sid_);
   ForEachSidList([&](const BlockList& list) {
     inside = inside && (list.empty() || (list.skip_first()[0] >= begin &&
                                          list.last_sid() < end));
   });
   if (inside) return Status::OK();
-  return Status::ParseError("sid list outside the index's sid range [" +
+  return Status::ParseError("sid outside the index's sid range [" +
                             std::to_string(begin) + ", " +
                             std::to_string(end) + ")");
 }
@@ -540,124 +622,10 @@ size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
   return sids * sizeof(uint32_t);
 }
 
-// ---- Persistence ----------------------------------------------------------------
-//
-// File layout (version 4, the one supported version):
-//   u32 magic "KIDX" | u32 version | catalog (tables W, E, PL, POS) |
-//   word sid lists   | PL-trie node sid lists | POS-trie node sid lists
-// Every sid list is stored in its packed block form — u32 count, the
-// skip-first / skip-offset / skip-width tables, then the bit-packed block
-// payloads behind an explicit alignment pad that puts them at a 4-byte
-// file offset (mmap is page-aligned and the kCopy buffer is heap-aligned,
-// so file alignment is memory alignment for the SIMD decode kernels).
-// Load validates each list's structure and aliases it in place. See
-// docs/INDEX_FORMAT.md.
-
-namespace {
-constexpr uint32_t kIndexMagic = 0x4b494458;  // "KIDX"
-constexpr uint32_t kIndexVersion = 4;
-
-void WriteU32Array(BinaryWriter* writer, const U32View& v) {
-  writer->WriteU32(static_cast<uint32_t>(v.size()));
-  writer->WriteBytes(v.raw(), v.raw_size());
-}
-
-// u32 count | skip_first | skip_offset | skip_width | u32 payload length |
-// u8 pad count | pad zeros | payload. The pad puts the payload at a 4-byte
-// absolute file offset (Position() is absolute even inside a sharded
-// image — all shards stream through one writer). On a non-seekable sink
-// the pad degrades to 0; the image stays valid, just unaligned (readers
-// use unaligned-tolerant loads — alignment is a performance property).
-// The lists are written through their borrowed views, so a loaded index
-// re-saves byte-identically.
-void WriteBlockList(BinaryWriter* writer, const BlockList& list) {
-  writer->WriteU32(static_cast<uint32_t>(list.size()));
-  WriteU32Array(writer, list.skip_first());
-  WriteU32Array(writer, list.skip_offset());
-  WriteU32Array(writer, list.skip_width());
-  const MemorySpan payload = list.bytes();
-  writer->WriteU32(static_cast<uint32_t>(payload.size()));
-  const int64_t pos = writer->Position();
-  const uint8_t pad =
-      pos < 0 ? 0 : static_cast<uint8_t>((4 - ((pos + 1) % 4)) % 4);
-  writer->WriteU8(pad);
-  for (uint8_t i = 0; i < pad; ++i) writer->WriteU8(0);
-  writer->WriteBytes(payload.data(), payload.size());
-}
-
-// Streams the catalog out of an image and releases the pages behind the
-// read cursor as the parse moves on. The parsed tables own their data, so
-// a mapped image's catalog bytes are never read again; releasing them
-// keeps a load from holding the whole catalog resident next to its parsed
-// copy (the catalog is most of an image).
-class CatalogStreamBuf : public SpanStreamBuf {
- public:
-  CatalogStreamBuf(const MappedFile* file, MemorySpan span)
-      : SpanStreamBuf(span), file_(file), released_(eback()) {}
-
-  void ReleaseConsumed() {
-    if (gptr() <= released_) return;
-    file_->Release(MemorySpan(reinterpret_cast<const uint8_t*>(released_),
-                              static_cast<size_t>(gptr() - released_)));
-    released_ = gptr();
-  }
-
- protected:
-  std::streamsize xsgetn(char* s, std::streamsize n) override {
-    const std::streamsize got = SpanStreamBuf::xsgetn(s, n);
-    if (gptr() - released_ >= kReleaseStride) ReleaseConsumed();
-    return got;
-  }
-
- private:
-  static constexpr std::ptrdiff_t kReleaseStride = 64 << 10;
-  const MappedFile* file_;
-  char* released_;  // bytes before this are released
-};
-
-// Reads one list as views into the image (validated by FromMappedPacked,
-// never copied).
-Result<BlockList> ReadBlockList(SpanReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
-  KOKO_ASSIGN_OR_RETURN(U32View skip_first, reader->ReadU32Array());
-  KOKO_ASSIGN_OR_RETURN(U32View skip_offset, reader->ReadU32Array());
-  KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
-  KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
-  KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
-  if (pad > 3) {
-    return Status::ParseError("packed block list: bad alignment pad length");
-  }
-  KOKO_ASSIGN_OR_RETURN(MemorySpan pad_bytes, reader->ReadRawSpan(pad));
-  for (size_t i = 0; i < pad_bytes.size(); ++i) {
-    if (pad_bytes.data()[i] != 0) {
-      return Status::ParseError("packed block list: nonzero alignment pad");
-    }
-  }
-  KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadRawSpan(payload_len));
-  return BlockList::FromMappedPacked(count, skip_first, skip_offset, skip_width,
-                                     payload);
-}
-}  // namespace
+// ---- Persistence ------------------------------------------------------------
 
 Status KokoIndex::Save(BinaryWriter* writer) const {
-  writer->WriteU32(kIndexMagic);
-  writer->WriteU32(kIndexVersion);
-  KOKO_RETURN_IF_ERROR(catalog_.Serialize(writer));
-  // Word sid lists, in sorted word order for deterministic images.
-  std::vector<const std::pair<const std::string, BlockList>*> words;
-  words.reserve(word_sids_.size());
-  for (const auto& entry : word_sids_) words.push_back(&entry);
-  std::sort(words.begin(), words.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  writer->WriteU32(static_cast<uint32_t>(words.size()));
-  for (const auto* entry : words) {
-    writer->WriteString(entry->first);
-    WriteBlockList(writer, entry->second);
-  }
-  for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
-    writer->WriteU32(static_cast<uint32_t>(trie->nodes.size()));
-    for (const TrieNode& node : trie->nodes) WriteBlockList(writer, node.sids);
-  }
+  writer->WriteBytes(image_span_.data(), image_span_.size());
   if (!writer->ok()) return Status::IoError("index write failure");
   return Status::OK();
 }
@@ -669,133 +637,83 @@ Status KokoIndex::Save(const std::string& path) const {
   return Save(&writer);
 }
 
-Status KokoIndex::RebuildTrieFromClosure(const std::string& table_name, Trie* trie,
-                                         int w_node_col) {
-  const Table* t = catalog_.GetTable(table_name);
-  if (t == nullptr) return Status::NotFound("closure table " + table_name);
-  // Catalog values may come from a corrupt image: every id consumed below
-  // is validated before it indexes anything (a bad image must fail load
-  // cleanly, not read out of bounds).
-  // Pass 1: create nodes (max id) and record parent/label/depth. Every
-  // node contributes at least its self-pair row, so a valid max id never
-  // exceeds the row count.
-  int64_t max_id = 0;
-  for (uint32_t row = 0; row < t->NumRows(); ++row) {
-    int64_t id = t->GetInt(row, 0);
-    if (id < 0 || id > static_cast<int64_t>(t->NumRows())) {
-      return Status::ParseError("closure table " + table_name +
-                                ": node id out of range");
-    }
-    max_id = std::max(max_id, id);
+Status KokoIndex::Dictionary::Read(SpanReader* reader, size_t num_rows,
+                                   const char* what) {
+  KOKO_ASSIGN_OR_RETURN(key_offsets, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(keys, reader->ReadPaddedBytes());
+  KOKO_ASSIGN_OR_RETURN(row_offsets, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(rows, reader->ReadU32Array());
+  KOKO_RETURN_IF_ERROR(CheckOffsets(key_offsets, keys.size(), what));
+  KOKO_RETURN_IF_ERROR(CheckOffsets(row_offsets, rows.size(), what));
+  if (key_offsets.size() != row_offsets.size()) {
+    return Corrupt(std::string(what) + " key and row offsets differ in length");
   }
-  trie->nodes.clear();
-  trie->nodes.resize(static_cast<size_t>(max_id) + 1);
-  trie->nodes[0].parent = -1;
-  for (uint32_t row = 0; row < t->NumRows(); ++row) {
-    int64_t id = t->GetInt(row, 0);
-    int64_t depth = t->GetInt(row, 2);
-    int64_t aid = t->GetInt(row, 3);
-    int64_t adepth = t->GetInt(row, 5);
-    if (aid < 0 || aid > max_id) {
-      return Status::ParseError("closure table " + table_name +
-                                ": ancestor id out of range");
-    }
-    TrieNode& node = trie->nodes[static_cast<size_t>(id)];
-    node.label = trie->labels.Intern(t->GetString(row, 1));
-    node.depth = static_cast<uint32_t>(depth);
-    if (adepth == depth) {
-      // self-pair; parent derived from the depth-1 ancestor row.
-      if (depth == 1) node.parent = 0;
-    } else if (adepth == depth - 1) {
-      node.parent = static_cast<int32_t>(aid);
+  for (size_t i = 1; i < size(); ++i) {
+    if (!(Key(i - 1) < Key(i))) {
+      return Corrupt(std::string(what) + " keys not sorted");
     }
   }
-  // Pass 2: children links.
-  for (uint32_t id = 1; id < trie->nodes.size(); ++id) {
-    TrieNode& node = trie->nodes[id];
-    if (node.parent < 0) node.parent = 0;
-    auto& kids = trie->nodes[static_cast<uint32_t>(node.parent)].children;
-    auto it = std::lower_bound(kids.begin(), kids.end(), node.label,
-                               [](const std::pair<Symbol, uint32_t>& a, Symbol l) {
-                                 return a.first < l;
-                               });
-    kids.insert(it, {node.label, id});
-  }
-  // Pass 3: posting rows from W.
-  for (uint32_t row = 0; row < w_->NumRows(); ++row) {
-    int64_t node = w_->GetInt(row, static_cast<uint32_t>(w_node_col));
-    if (node < 0 || node > max_id) {
-      return Status::ParseError("W table references " + table_name +
-                                " node out of range");
-    }
-    trie->nodes[static_cast<size_t>(node)].rows.push_back(row);
-  }
-  return Status::OK();
+  return CheckRowLists(row_offsets, rows, num_rows, what);
 }
 
-Status KokoIndex::InitFromCatalog() {
-  w_ = catalog_.GetTable("W");
-  e_ = catalog_.GetTable("E");
-  if (w_ == nullptr || e_ == nullptr) {
-    return Status::ParseError("catalog missing W/E tables");
+Status KokoIndex::Trie::Read(SpanReader* reader, size_t num_rows,
+                             uint32_t num_labels) {
+  KOKO_RETURN_IF_ERROR(ReadColumns(reader, {&parent, &label, &depth}, "trie"));
+  KOKO_ASSIGN_OR_RETURN(row_offsets, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(rows, reader->ReadU32Array());
+  const size_t n = size();
+  if (n == 0 || parent[0] != 0 || depth[0] != 0) {
+    return Corrupt("trie without its root");
   }
-  // The lookup paths KOKO_CHECK these indexes; a corrupt image that lost
-  // them must fail load, not crash the first query.
-  if (!w_->HasIndex("w_word") || !e_->HasIndex("e_entity")) {
-    return Status::ParseError("catalog missing w_word/e_entity indexes");
+  if (row_offsets.size() != n + 1) {
+    return Corrupt("trie row offsets differ in length from its nodes");
   }
-  KOKO_RETURN_IF_ERROR(RebuildTrieFromClosure("PL", &pl_trie_, kWPlid));
-  KOKO_RETURN_IF_ERROR(RebuildTrieFromClosure("POS", &pos_trie_, kWPosid));
-  KOKO_RETURN_IF_ERROR(RebuildEntityCache());
-  stats_.num_tokens = w_->NumRows();
-  stats_.num_entities = e_->NumRows();
-  stats_.pl_trie_nodes = pl_trie_.nodes.size() - 1;
-  stats_.pos_trie_nodes = pos_trie_.nodes.size() - 1;
-  return Status::OK();
-}
-
-Status KokoIndex::LoadSidCacheSections(SpanReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t num_words, reader->ReadU32());
-  word_sids_.clear();
-  // reserve() is an optimization, so cap it: a corrupt word count must
-  // fail at the first (remaining-bytes-bounded) read below, not allocate
-  // gigabytes of hash buckets first.
-  word_sids_.reserve(std::min<uint32_t>(num_words, 1u << 20));
-  for (uint32_t i = 0; i < num_words; ++i) {
-    KOKO_ASSIGN_OR_RETURN(std::string word, reader->ReadString());
-    KOKO_ASSIGN_OR_RETURN(BlockList sids, ReadBlockList(reader));
-    word_sids_.emplace(std::move(word), std::move(sids));
-  }
-  for (Trie* trie : {&pl_trie_, &pos_trie_}) {
-    KOKO_ASSIGN_OR_RETURN(uint32_t num_nodes, reader->ReadU32());
-    if (num_nodes != trie->nodes.size()) {
-      return Status::ParseError("trie sid-cache section has wrong node count");
+  KOKO_RETURN_IF_ERROR(CheckOffsets(row_offsets, rows.size(), "trie"));
+  KOKO_RETURN_IF_ERROR(CheckRowLists(row_offsets, rows, num_rows, "trie"));
+  // Children of each node, counted and placed by parent, then sorted by
+  // label. A parent must precede its node, so the nodes form one tree.
+  child_offsets.assign(n + 1, 0);
+  for (uint32_t node = 1; node < n; ++node) {
+    if (parent[node] >= node) return Corrupt("trie parent not below its node");
+    if (label[node] >= num_labels) return Corrupt("trie label out of range");
+    if (depth[node] != depth[parent[node]] + 1) {
+      return Corrupt("trie depth not one below its parent's");
     }
-    for (TrieNode& node : trie->nodes) {
-      KOKO_ASSIGN_OR_RETURN(node.sids, ReadBlockList(reader));
+    ++child_offsets[parent[node] + 1];
+  }
+  for (size_t node = 0; node < n; ++node) {
+    child_offsets[node + 1] += child_offsets[node];
+  }
+  children.resize(n - 1);
+  std::vector<uint32_t> fill(child_offsets.begin(), child_offsets.end() - 1);
+  for (uint32_t node = 1; node < n; ++node) {
+    children[fill[parent[node]]++] = node;
+  }
+  for (uint32_t node = 0; node < n; ++node) {
+    const auto first = children.begin() + child_offsets[node];
+    const auto last = children.begin() + child_offsets[node + 1];
+    std::sort(first, last,
+              [&](uint32_t a, uint32_t b) { return label[a] < label[b]; });
+    if (std::adjacent_find(first, last, [&](uint32_t a, uint32_t b) {
+          return label[a] == label[b];
+        }) != last) {
+      return Corrupt("trie node has two children with one label");
     }
   }
-  RebuildEntitySidCaches();
-  // The image stores no sentence count. Build counts the sentences with at
-  // least one token, and each such sentence's root token sits on a depth-1
-  // PL-trie node, so the union of those nodes' sid lists recovers it.
-  std::vector<const BlockList*> roots;
-  for (const auto& [label, child] : pl_trie_.nodes[0].children) {
-    roots.push_back(&pl_trie_.nodes[child].sids);
+  sids.reserve(n);
+  for (size_t node = 0; node < n; ++node) {
+    KOKO_ASSIGN_OR_RETURN(BlockList list, ReadBlockList(reader));
+    sids.push_back(std::move(list));
   }
-  stats_.num_sentences = UnionAllBlocks(roots).size();
   return Status::OK();
 }
 
 Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
     std::shared_ptr<MappedFile> file, MemorySpan span) {
-  // The catalog (tables, B-tree definitions) is inherently owned data and
-  // parses through the stream reader — directly over the image, no
-  // intermediate buffer, releasing the parsed pages as it goes. Only the
-  // posting sections are aliased.
-  CatalogStreamBuf stream_buf(file.get(), span);
-  std::istream in(&stream_buf);
-  BinaryReader reader(&in);
+  // Every section is validated before the index keeps a view of it
+  // ("validate before alias"): a corrupt image fails here, never at query
+  // time.
+  SpanReader reader(span);
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kIndexMagic) return Status::ParseError("bad index magic");
   KOKO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
@@ -806,20 +724,50 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
                               " is supported)");
   }
   auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-  KOKO_RETURN_IF_ERROR(index->catalog_.Deserialize(&reader));
-  KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
-  const std::streampos catalog_end = in.tellg();
-  if (catalog_end == std::streampos(-1)) {
-    return Status::IoError("cannot locate sid-cache section in image");
+  KokoIndex& x = *index;
+  KOKO_ASSIGN_OR_RETURN(uint32_t num_sentences, reader.ReadU32());
+
+  KOKO_RETURN_IF_ERROR(ReadColumns(
+      &reader, {&x.w_sid_, &x.w_tid_, &x.w_left_, &x.w_right_, &x.w_depth_},
+      "W"));
+  KOKO_RETURN_IF_ERROR(CheckSidOrder(x.w_sid_, "W"));
+  const size_t num_w = x.w_sid_.size();
+  // Every counted sentence has at least one token.
+  if (num_sentences > num_w) return Corrupt("more sentences than W rows");
+  KOKO_RETURN_IF_ERROR(ReadColumns(
+      &reader, {&x.e_sid_, &x.e_left_, &x.e_right_, &x.e_type_}, "E"));
+  KOKO_RETURN_IF_ERROR(CheckSidOrder(x.e_sid_, "E"));
+  for (size_t row = 0; row < x.e_type_.size(); ++row) {
+    if (x.e_type_[row] >= kNumEntityTypes) {
+      return Corrupt("E entity type out of range");
+    }
   }
-  stream_buf.ReleaseConsumed();
-  // Posting sections: validate structure, then alias skip tables and
-  // block payloads straight into the image ("validate before alias" — a
-  // corrupt image fails here, never at query time).
-  SpanReader postings(span, static_cast<size_t>(catalog_end));
-  KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(&postings));
-  index->image_ = std::move(file);
-  index->image_span_ = span;
+
+  KOKO_RETURN_IF_ERROR(x.words_.Read(&reader, num_w, "word dictionary"));
+  x.word_sids_.reserve(x.words_.size());
+  for (size_t i = 0; i < x.words_.size(); ++i) {
+    KOKO_ASSIGN_OR_RETURN(BlockList sids, ReadBlockList(&reader));
+    x.word_sids_.push_back(std::move(sids));
+  }
+  KOKO_RETURN_IF_ERROR(
+      x.entity_texts_.Read(&reader, x.e_sid_.size(), "entity-text dictionary"));
+  KOKO_ASSIGN_OR_RETURN(x.all_entity_sids_, ReadBlockList(&reader));
+  for (BlockList& sids : x.entity_sids_by_type_) {
+    KOKO_ASSIGN_OR_RETURN(sids, ReadBlockList(&reader));
+  }
+  KOKO_RETURN_IF_ERROR(x.pl_trie_.Read(&reader, num_w, kNumDepLabels));
+  KOKO_RETURN_IF_ERROR(x.pos_trie_.Read(&reader, num_w, kNumPosTags));
+  if (reader.remaining() != 0) {
+    return Corrupt("trailing bytes after the last section");
+  }
+
+  x.stats_.num_sentences = num_sentences;
+  x.stats_.num_tokens = num_w;
+  x.stats_.num_entities = x.e_sid_.size();
+  x.stats_.pl_trie_nodes = x.pl_trie_.size() - 1;
+  x.stats_.pos_trie_nodes = x.pos_trie_.size() - 1;
+  x.image_ = std::move(file);
+  x.image_span_ = span;
   return index;
 }
 

@@ -3,31 +3,31 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "index/path.h"
 #include "index/posting.h"
 #include "index/sid_ops.h"
-#include "storage/table.h"
+#include "storage/serde.h"
 #include "text/document.h"
-#include "util/interner.h"
 #include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace koko {
 
 /// Where Load keeps an index image's bytes. Both modes take one path:
-/// the posting payloads (skip tables + block payloads) are validated and
-/// then aliased in place — no posting byte is copied or decoded.
+/// every section of the image is validated and then aliased in place —
+/// nothing is copied, decoded or parsed into owned tables.
 ///
 ///  * `kCopy` — read the file into an owned heap buffer (the default).
 ///    MemoryUsage() counts the buffer.
-///  * `kMap` — mmap the file read-only. Resident posting memory is
-///    page-cache-backed and shared across processes mapping the same
-///    image. Where mmap fails, the load falls back to the kCopy buffer.
+///  * `kMap` — mmap the file read-only. The index's columns, row lists and
+///    sid lists are page-cache-backed and shared across processes mapping
+///    the same image. Where mmap fails, the load falls back to the kCopy
+///    buffer.
 enum class LoadMode { kCopy, kMap };
 
 /// The bytes of an index file for `mode`: a read-only mapping (kMap, or
@@ -35,24 +35,35 @@ enum class LoadMode { kCopy, kMap };
 Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
                                                   LoadMode mode);
 
-/// \brief KOKO's multi-indexing scheme (paper §3).
+/// \brief KOKO's multi-indexing scheme (paper §3), held as one image.
 ///
-/// Four indices over one physical layout:
-///  * **Word index** — table W(word, x, y, u, v, d, plid, posid), one row
-///    per token, B-tree on `word`. The quintuple columns are §3.1's
-///    (x, y, u-v, d); plid/posid are the token's node ids in the two
-///    hierarchy indices (§6.2.1's schema, verbatim).
-///  * **Entity index** — table E(entity, x, u, v [, etype]), B-tree on
-///    `entity`.
-///  * **PL / POS hierarchy indices** — dependency trees of all sentences
-///    merged into one trie per label type (§3.2): children with equal
-///    labels merge, so every trie node is a unique root path with a posting
-///    list (represented as row ids into W — the paper's PL.id ⋈ W.plid
-///    join). Persisted as closure tables PL/POS(id, label, depth, aid,
-///    alabel, adepth).
+/// An index *is* its image (format v5, docs/INDEX_FORMAT.md): fixed-width
+/// u32 columns, CSR row lists and packed sid lists, all views into one
+/// `MappedFile`. Build assembles the image in memory and then takes the
+/// same validate-then-alias path as Load, so a built, a copied and a
+/// mapped index are one representation and Save writes the bytes back
+/// verbatim. The paper's §3 tables map onto it as follows:
+///  * **W(word, x, y, u, v, d, plid, posid)** — five columns in sid order,
+///    one row per token: sid (x), tid (y), left/right (the subtree span
+///    u-v) and depth (d), i.e. §3.1's quintuple. The `word` column and its
+///    B-tree are the word dictionary: sorted distinct words, each with the
+///    CSR slice of its ascending W row ids and its packed sid list. plid
+///    and posid are the inverse of the tries' row lists below.
+///  * **E(entity, x, u, v, etype)** — four columns in sid order (sid,
+///    left, right, type); the `entity` column and its B-tree are the
+///    entity-text dictionary with each text's E row ids.
+///  * **PL / POS(id, label, depth)** — the dependency trees of all
+///    sentences merged into one trie per label type (§3.2: children with
+///    equal labels merge, so every node is a unique root path). Each node
+///    stores its parent, label id (the DepLabel / PosTag value) and depth,
+///    its posting list as the CSR slice of its W row ids (the paper's
+///    PL.id ⋈ W.plid join) and the packed sid list of those rows.
 ///
-/// Node-merge statistics back the paper's claim that the hierarchy index
-/// removes >99.7% of tree nodes.
+/// Per-entity-type sid lists and the sentence count are stored too, so a
+/// load parses nothing: its heap is one child index per trie and one
+/// `BlockList` handle per word and trie node. Node-merge statistics back
+/// the paper's claim that the hierarchy index removes >99.7% of tree
+/// nodes.
 class KokoIndex {
  public:
   struct Stats {
@@ -91,9 +102,10 @@ class KokoIndex {
 
   // ---- Inverted-index lookups --------------------------------------------
 
-  /// Posting list of a surface token (exact match), §3.1 word index.
-  /// `sid_filter`, when non-null, drops rows whose sid is not in it
-  /// *before* materialising quintuples (the filter push-down of
+  /// Posting list of a surface token (exact match), §3.1 word index: a
+  /// dictionary binary search, then the word's row slice read through the
+  /// W columns. `sid_filter`, when non-null, drops rows whose sid is not
+  /// in it *before* materialising quintuples (the filter push-down of
   /// KokoPathLookup's cross-index joins); rows between filter sids are
   /// skipped by galloping, never visited.
   PostingList LookupWord(std::string_view token) const {
@@ -104,25 +116,18 @@ class KokoIndex {
   /// Entity postings whose surface text equals `text` exactly.
   std::vector<EntityPosting> LookupEntityText(std::string_view text) const;
 
-  /// All entity postings (corpus order). Used when a variable is declared
-  /// as an entity with no further restriction.
-  const std::vector<EntityPosting>& AllEntities() const { return all_entities_; }
-
-  /// Entity postings of one type, served from per-type buckets precomputed
-  /// at Build/Load time (no scan, no copy).
-  const std::vector<EntityPosting>& EntitiesOfType(EntityType type) const {
-    return entities_by_type_[static_cast<size_t>(type)];
-  }
+  /// All entity postings in E-row (sid) order, read out of the E columns.
+  std::vector<EntityPosting> AllEntities() const;
 
   // ---- Columnar sid projections (DPLI's working set) ----------------------
   //
-  // Sorted, deduplicated sentence-id lists precomputed at Build/Load time:
-  // one per word, per entity type, and per hierarchy-trie node. DPLI's
-  // candidate pruning intersects these directly instead of materialising
-  // Quintuple postings and projecting out sids per query. The lists stay
-  // resident in their block-compressed form (`BlockList`: fixed-size
-  // bit-packed delta blocks + skip table) and are intersected in place —
-  // they are never decoded wholesale.
+  // Sorted, deduplicated sentence-id lists stored in the image: one per
+  // word, per entity type, and per hierarchy-trie node. DPLI's candidate
+  // pruning intersects these directly instead of materialising Quintuple
+  // postings and projecting out sids per query. The lists stay in their
+  // block-compressed form (`BlockList`: fixed-size bit-packed delta
+  // blocks + skip table) and are intersected in place — they are never
+  // decoded wholesale.
 
   /// Block-compressed sid list of a surface token; nullptr when absent.
   const BlockList* WordSids(std::string_view token) const;
@@ -194,15 +199,17 @@ class KokoIndex {
 
   const Stats& stats() const { return stats_; }
 
-  /// Heap footprint of everything: tables, B-trees, tries, entity cache,
-  /// and — after a kCopy load — the owned image buffer.
+  /// Heap footprint: the per-word and per-trie-node list handles, the
+  /// tries' child indexes and — for a built or kCopy-loaded index — the
+  /// owned image buffer. A kMap-loaded index's columns, row lists and sid
+  /// lists live in the mapping and count nothing.
   size_t MemoryUsage() const;
 
   /// Heap footprint of just the columnar sid projections (per-word,
   /// per-trie-node, per-entity-type) — the block-compressed posting
-  /// working set whose size BENCH_table2_scaleup.json tracks. Lists that
-  /// alias an owned (kCopy) image buffer count their encoded bytes; lists
-  /// that alias an mmap count nothing.
+  /// working set whose size BENCH_table2_scaleup.json tracks. Lists in an
+  /// owned image buffer count their encoded bytes; lists that alias an
+  /// mmap count nothing.
   size_t SidCacheMemoryUsage() const;
 
   /// What the same projections would occupy fully decoded (4 bytes/sid,
@@ -210,13 +217,9 @@ class KokoIndex {
   /// reported next to SidCacheMemoryUsage.
   size_t SidCacheDecodedEquivalentBytes() const;
 
-  /// Storage-level view (tables W, E, PL, POS) for tests and tooling.
-  const Catalog& catalog() const { return catalog_; }
-
-  /// Persists the index as one image (format v4, docs/INDEX_FORMAT.md):
-  /// the relational catalog followed by the columnar sid caches, each
-  /// written verbatim in its packed block form with its payload at a
-  /// 4-byte-aligned file offset, so Load aliases them in place.
+  /// Persists the index: writes its image (format v5,
+  /// docs/INDEX_FORMAT.md) verbatim, so a loaded index re-saves
+  /// byte-identically.
   Status Save(const std::string& path) const;
   /// Writes the same image to a stream (one shard's section of a
   /// ShardedKokoIndex file).
@@ -229,38 +232,68 @@ class KokoIndex {
                                                  LoadMode mode);
 
   /// Loads the image occupying `span` inside `file` (the whole file, or
-  /// one shard's extent of a sharded file): parses the catalog, then
-  /// validates and aliases every posting list into `file`. The returned
-  /// index holds `file` alive for its lifetime. Any image version other
-  /// than 4 fails with ParseError.
+  /// one shard's extent of a sharded file): validates every section, then
+  /// aliases it in place. The returned index holds `file` alive for its
+  /// lifetime. Any image version other than 5 fails with ParseError.
   static Result<std::unique_ptr<KokoIndex>> LoadMapped(
       std::shared_ptr<MappedFile> file, MemorySpan span);
 
-  /// True when this index's posting payloads alias a memory mapping (a
-  /// kMap load whose mmap succeeded).
+  /// True when this index's image is a memory mapping (a kMap load whose
+  /// mmap succeeded).
   bool mapped() const { return image_ != nullptr && image_->mmapped(); }
 
-  /// Fails with ParseError unless every stored sid list lies inside
-  /// [begin, end). O(1) per list: reads each list's first and last sid.
+  /// Fails with ParseError unless every stored sid — in the W and E sid
+  /// columns and in every sid list — lies inside [begin, end). O(1) per
+  /// list: the columns and lists are sorted, so only their ends are read.
   Status CheckSidRange(uint32_t begin, uint32_t end) const;
 
  private:
-  // Merged dependency-tree trie (one per label type).
-  struct TrieNode {
-    Symbol label = kInvalidSymbol;
-    int32_t parent = -1;
-    uint32_t depth = 0;
-    std::vector<std::pair<Symbol, uint32_t>> children;  // sorted by label
-    std::vector<uint32_t> rows;                         // row ids into W
-    BlockList sids;  // block-compressed sorted unique sids of `rows`
-  };
-  struct Trie {
-    std::vector<TrieNode> nodes;  // nodes[0] = dummy root above all trees
-    StringPool labels;
+  // A sorted string dictionary whose i-th key owns the CSR slice
+  // rows[row_offsets[i], row_offsets[i + 1]) of ascending W or E row ids.
+  struct Dictionary {
+    U32View key_offsets;  // size() + 1 byte offsets into `keys`
+    MemorySpan keys;
+    U32View row_offsets;  // size() + 1 offsets into `rows`
+    U32View rows;
 
-    Trie() { nodes.emplace_back(); }
-    uint32_t GetOrAddChild(uint32_t parent, Symbol label);
-    uint32_t FindChild(uint32_t parent, Symbol label) const;  // -1u if absent
+    /// Reads and validates the section: key_offsets | keys | row_offsets |
+    /// rows over a table of `num_rows` rows.
+    Status Read(SpanReader* reader, size_t num_rows, const char* what);
+    size_t size() const { return row_offsets.size() - 1; }
+    std::string_view Key(size_t i) const;
+    /// Index of `key`, or size() when absent (binary search).
+    size_t Find(std::string_view key) const;
+    U32View Rows(size_t i) const {
+      return rows.Slice(row_offsets[i], row_offsets[i + 1]);
+    }
+  };
+
+  // Merged dependency-tree trie (one per label type); node 0 is the dummy
+  // root above all sentence roots.
+  struct Trie {
+    U32View parent;  // per node; parent[i] < i for every i > 0
+    U32View label;   // DepLabel / PosTag value
+    U32View depth;
+    U32View row_offsets;  // CSR: node i's ascending W row ids
+    U32View rows;
+    std::vector<BlockList> sids;  // per node: sorted unique sids of its rows
+    // Children of each node sorted by label, derived from `parent` at load.
+    std::vector<uint32_t> child_offsets;
+    std::vector<uint32_t> children;
+
+    /// Reads and validates the section (parent | label | depth |
+    /// row_offsets | rows | one sid list per node) and derives the child
+    /// index; labels must be below `num_labels`.
+    Status Read(SpanReader* reader, size_t num_rows, uint32_t num_labels);
+    size_t size() const { return parent.size(); }
+    std::span<const uint32_t> Children(uint32_t node) const {
+      return std::span<const uint32_t>(children).subspan(
+          child_offsets[node], child_offsets[node + 1] - child_offsets[node]);
+    }
+    U32View Rows(uint32_t node) const {
+      return rows.Slice(row_offsets[node], row_offsets[node + 1]);
+    }
+    uint32_t FindChild(uint32_t node, uint32_t label) const;  // -1u if absent
     /// Trie nodes matched by a decomposed path (steps constrain only this
     /// trie's label kind, or are wildcards).
     std::vector<uint32_t> Match(const PathQuery& path, bool use_pos) const;
@@ -270,55 +303,39 @@ class KokoIndex {
   KokoIndex() = default;
 
   Quintuple RowToQuintuple(uint32_t row) const;
-  uint32_t RowSid(uint32_t row) const;
+  uint32_t RowSid(uint32_t row) const { return w_sid_[row]; }
   /// Appends to `out` the quintuples of `rows` (ascending W row ids, hence
   /// sid-sorted) whose sid is in `sid_filter`, or of every row when it is
   /// null. Filtered, it leapfrogs the two sorted sequences: each side
   /// gallops to the other's current sid, so a small filter against a long
   /// row list costs O(|filter| log |rows|).
-  void AppendRows(const std::vector<uint32_t>& rows, const SidList* sid_filter,
+  void AppendRows(U32View rows, const SidList* sid_filter,
                   PostingList* out) const;
-  /// Materialises the matched trie nodes' rows into `out` (unsorted)
-  /// through AppendRows.
-  void AppendTrieRows(const Trie& trie, const std::vector<uint32_t>& nodes,
-                      const SidList* sid_filter, PostingList* out) const;
+  /// Materialises the matched trie nodes' rows into `out` (sorted).
+  PostingList TrieRows(const Trie& trie, const PathQuery& path, bool use_pos,
+                       const SidList* sid_filter) const;
   /// PlPathSids/PosPathSids over `trie`.
   SidList TriePathSids(const Trie& trie, const PathQuery& path, bool use_pos,
                        const SidList* sid_filter) const;
-  void ExportClosureTable(const Trie& trie, const std::string& table_name);
-  Status RebuildTrieFromClosure(const std::string& table_name, Trie* trie,
-                                int w_node_col);
-  /// Post-catalog-load setup: resolve W/E, rebuild tries from the closure
-  /// tables, entity cache, stats.
-  Status InitFromCatalog();
-  /// Validates and aliases the word/trie sid-cache sections of an image.
-  Status LoadSidCacheSections(SpanReader* reader);
   /// Calls `fn(const BlockList&)` on every stored sid list. Defined in
   /// koko_index.cpp; instantiated only there.
   template <typename Fn>
   void ForEachSidList(Fn&& fn) const;
-  Status RebuildEntityCache();
-  /// Fills the columnar sid caches (word/entity-type/trie-node lists) from
-  /// the W and E tables; called at the end of Build.
-  void RebuildSidCaches();
-  /// The entity-side subset of RebuildSidCaches (per-type buckets + sid
-  /// lists from all_entities_); cheap, so always recomputed on Load.
-  void RebuildEntitySidCaches();
 
-  Catalog catalog_;
-  Table* w_ = nullptr;  // W(word, x, y, u, v, d, plid, posid)
-  Table* e_ = nullptr;  // E(entity, x, u, v, etype)
+  // W columns (one row per token, sid order) and E columns (one row per
+  // entity, sid order).
+  U32View w_sid_, w_tid_, w_left_, w_right_, w_depth_;
+  U32View e_sid_, e_left_, e_right_, e_type_;
+  Dictionary words_;
+  std::vector<BlockList> word_sids_;  // per words_ entry
+  Dictionary entity_texts_;
+  BlockList all_entity_sids_;
+  std::array<BlockList, kNumEntityTypes> entity_sids_by_type_;
   Trie pl_trie_;
   Trie pos_trie_;
-  std::vector<EntityPosting> all_entities_;
-  std::array<std::vector<EntityPosting>, kNumEntityTypes> entities_by_type_;
-  std::unordered_map<std::string, BlockList> word_sids_;
-  std::array<BlockList, kNumEntityTypes> entity_sids_by_type_;
-  BlockList all_entity_sids_;
   Stats stats_;
-  /// The loaded image every BlockList view points into (null for a built
-  /// index; shards of one sharded file share a single instance), and this
-  /// index's extent within it.
+  /// The image every view points into (shards of one sharded file share a
+  /// single instance), and this index's extent within it.
   std::shared_ptr<MappedFile> image_;
   MemorySpan image_span_;
 };

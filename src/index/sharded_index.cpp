@@ -78,147 +78,6 @@ std::unique_ptr<ShardedKokoIndex> ShardedKokoIndex::Build(
   return index;
 }
 
-// ---- Aggregated lookups ------------------------------------------------------
-
-PostingList ShardedKokoIndex::LookupWord(std::string_view token) const {
-  PostingList out;
-  for (const auto& shard : shards_) {
-    PostingList part = shard->LookupWord(token);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-std::vector<EntityPosting> ShardedKokoIndex::LookupEntityText(
-    std::string_view text) const {
-  std::vector<EntityPosting> out;
-  for (const auto& shard : shards_) {
-    std::vector<EntityPosting> part = shard->LookupEntityText(text);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-std::vector<EntityPosting> ShardedKokoIndex::AllEntities() const {
-  std::vector<EntityPosting> out;
-  for (const auto& shard : shards_) {
-    const auto& part = shard->AllEntities();
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-std::vector<EntityPosting> ShardedKokoIndex::EntitiesOfType(
-    EntityType type) const {
-  std::vector<EntityPosting> out;
-  for (const auto& shard : shards_) {
-    const auto& part = shard->EntitiesOfType(type);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-namespace {
-
-// Concatenates per-shard sid lists (disjoint ascending ranges) in order.
-// The materialising variant takes decoded per-shard lists by value (for
-// lookups that compute them); the block variant decodes each shard's
-// block-compressed projection straight into the output (nullptr = shard
-// has none).
-template <typename PerShard>
-SidList ConcatSids(size_t num_shards, const PerShard& per_shard) {
-  std::vector<uint32_t> ids;
-  for (size_t i = 0; i < num_shards; ++i) {
-    const SidList part = per_shard(i);
-    ids.insert(ids.end(), part.begin(), part.end());
-  }
-  return SidList::FromSorted(std::move(ids));
-}
-
-template <typename PerShard>
-SidList ConcatBlockSids(size_t num_shards, const PerShard& per_shard) {
-  size_t total = 0;
-  for (size_t i = 0; i < num_shards; ++i) {
-    const BlockList* part = per_shard(i);
-    if (part != nullptr) total += part->size();
-  }
-  std::vector<uint32_t> ids;
-  ids.reserve(total);
-  uint32_t buf[BlockList::kBlockSids];
-  for (size_t i = 0; i < num_shards; ++i) {
-    const BlockList* part = per_shard(i);
-    if (part == nullptr) continue;
-    for (size_t b = 0; b < part->NumBlocks(); ++b) {
-      const size_t n = part->DecodeBlock(b, buf);
-      ids.insert(ids.end(), buf, buf + n);
-    }
-  }
-  return SidList::FromSorted(std::move(ids));
-}
-
-}  // namespace
-
-SidList ShardedKokoIndex::WordSids(std::string_view token) const {
-  return ConcatBlockSids(shards_.size(),
-                         [&](size_t i) { return shards_[i]->WordSids(token); });
-}
-
-size_t ShardedKokoIndex::CountWordSids(std::string_view token) const {
-  size_t n = 0;
-  for (const auto& shard : shards_) n += shard->CountWordSids(token);
-  return n;
-}
-
-SidList ShardedKokoIndex::AllEntitySids() const {
-  return ConcatBlockSids(shards_.size(),
-                         [&](size_t i) { return &shards_[i]->AllEntitySids(); });
-}
-
-SidList ShardedKokoIndex::EntityTypeSids(EntityType type) const {
-  return ConcatBlockSids(
-      shards_.size(), [&](size_t i) { return &shards_[i]->EntityTypeSids(type); });
-}
-
-SidList ShardedKokoIndex::PlPathSids(const PathQuery& path) const {
-  return ConcatSids(shards_.size(),
-                    [&](size_t i) { return shards_[i]->PlPathSids(path); });
-}
-
-SidList ShardedKokoIndex::PosPathSids(const PathQuery& path) const {
-  return ConcatSids(shards_.size(),
-                    [&](size_t i) { return shards_[i]->PosPathSids(path); });
-}
-
-PostingList ShardedKokoIndex::LookupParseLabelPath(const PathQuery& path) const {
-  PostingList out;
-  for (const auto& shard : shards_) {
-    PostingList part = shard->LookupParseLabelPath(path);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-PostingList ShardedKokoIndex::LookupPosPath(const PathQuery& path) const {
-  PostingList out;
-  for (const auto& shard : shards_) {
-    PostingList part = shard->LookupPosPath(path);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-size_t ShardedKokoIndex::CountPlPathNodes(const PathQuery& path) const {
-  size_t n = 0;
-  for (const auto& shard : shards_) n += shard->CountPlPathNodes(path);
-  return n;
-}
-
-size_t ShardedKokoIndex::CountPosPathNodes(const PathQuery& path) const {
-  size_t n = 0;
-  for (const auto& shard : shards_) n += shard->CountPosPathNodes(path);
-  return n;
-}
-
 // ---- Introspection / persistence ---------------------------------------------
 
 KokoIndex::Stats ShardedKokoIndex::stats() const {
@@ -294,7 +153,7 @@ Status ShardedKokoIndex::Save(const std::string& path) const {
 
 Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
     const std::string& path, const LoadOptions& options) {
-  // One image for all shards; each shard parses and aliases its own
+  // One image for all shards; each shard validates and aliases its own
   // extent of it.
   KOKO_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> image,
                         OpenIndexFile(path, options.mode));
@@ -353,8 +212,8 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
         statuses[i] = shard.status();
         continue;
       }
-      // A list outside its shard's range would break the concatenation
-      // invariant every aggregated lookup relies on.
+      // A sid outside its shard's range would break the invariant that
+      // per-shard answers concatenate into the global answer.
       statuses[i] = (*shard)->CheckSidRange(index->ranges_[i].begin,
                                             index->ranges_[i].end);
       index->shards_[i] = std::move(*shard);

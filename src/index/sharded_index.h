@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "index/koko_index.h"
@@ -15,11 +14,12 @@ namespace koko {
 /// The corpus's global sentence numbering is partitioned into K contiguous
 /// ranges; shard i is a complete KokoIndex built over [begin_i, end_i) whose
 /// stored sids stay *global*. Because the ranges are disjoint and ascending,
-/// every aggregated lookup is a plain concatenation of per-shard results —
-/// no re-sorting, no id translation — and any per-shard sid computation
-/// (DPLI intersections in particular) composes back losslessly:
-/// intersection distributes over a partition by sid range, so
-/// ∩_atoms L_atom = ⊔_shards ∩_atoms L_atom|shard.
+/// the global answer to any lookup is the concatenation of the per-shard
+/// answers in shard order — no re-sorting, no id translation — and any
+/// per-shard sid computation (DPLI intersections in particular) composes
+/// back losslessly: intersection distributes over a partition by sid range,
+/// so ∩_atoms L_atom = ⊔_shards ∩_atoms L_atom|shard. Callers read the
+/// shards directly (`shard(i)`).
 ///
 /// Shards build and load in parallel on a transient ThreadPool, so build
 /// and load time scale with min(K, hardware threads). A query runs DPLI
@@ -55,32 +55,6 @@ class ShardedKokoIndex {
   size_t num_shards() const { return shards_.size(); }
   const KokoIndex& shard(size_t i) const { return *shards_[i]; }
   const ShardRange& shard_range(size_t i) const { return ranges_[i]; }
-
-  // ---- Aggregated lookup surface (mirrors KokoIndex) -----------------------
-  //
-  // Per-shard results are sorted by sid within their range and ranges are
-  // ascending, so concatenation in shard order preserves global ordering
-  // and equals the monolithic index's answer element for element.
-
-  PostingList LookupWord(std::string_view token) const;
-  std::vector<EntityPosting> LookupEntityText(std::string_view text) const;
-  std::vector<EntityPosting> AllEntities() const;
-  std::vector<EntityPosting> EntitiesOfType(EntityType type) const;
-
-  /// Aggregated sid projections. Per-shard lists are stored block
-  /// compressed; aggregation decodes and concatenates them (shard ranges
-  /// are disjoint ascending), so these return decoded lists by value.
-  SidList WordSids(std::string_view token) const;
-  size_t CountWordSids(std::string_view token) const;
-  SidList AllEntitySids() const;
-  SidList EntityTypeSids(EntityType type) const;
-  SidList PlPathSids(const PathQuery& path) const;
-  SidList PosPathSids(const PathQuery& path) const;
-
-  PostingList LookupParseLabelPath(const PathQuery& path) const;
-  PostingList LookupPosPath(const PathQuery& path) const;
-  size_t CountPlPathNodes(const PathQuery& path) const;
-  size_t CountPosPathNodes(const PathQuery& path) const;
 
   // ---- Introspection / persistence ----------------------------------------
 

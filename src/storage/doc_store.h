@@ -20,8 +20,8 @@ class DocumentStore {
   /// Serialises every document of a corpus.
   static DocumentStore FromCorpus(const AnnotatedCorpus& corpus);
 
-  /// Deserialises document `doc_id`. Aborts on corrupt blobs (they are
-  /// produced only by FromCorpus/LoadFromFile).
+  /// Deserialises document `doc_id`. Every blob was produced by
+  /// FromCorpus or parsed once by LoadFromFile, so this cannot fail.
   Document LoadDocument(uint32_t doc_id) const;
 
   size_t NumDocs() const { return blobs_.size(); }
@@ -30,9 +30,16 @@ class DocumentStore {
   size_t TotalBytes() const;
 
   Status SaveToFile(const std::string& path) const;
+  /// Replaces the store with a saved one. Every blob is parsed and
+  /// range-checked here; a truncated or corrupt file fails with
+  /// ParseError (IoError when it cannot be read) and leaves the store as
+  /// it was.
   Status LoadFromFile(const std::string& path);
 
   /// Standalone (de)serialisation helpers, also used in tests.
+  /// DeserializeDocument fails with ParseError on a count beyond the
+  /// blob, an out-of-range enum, head, entity span or entity id, or heads
+  /// that do not form one tree.
   static std::string SerializeDocument(const Document& doc);
   static Result<Document> DeserializeDocument(const std::string& blob);
 

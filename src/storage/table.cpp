@@ -1,7 +1,5 @@
 #include "storage/table.h"
 
-#include <fstream>
-
 #include "util/logging.h"
 
 namespace koko {
@@ -146,78 +144,6 @@ size_t Table::MemoryUsage() const {
   return bytes;
 }
 
-void Table::Serialize(BinaryWriter* writer) const {
-  writer->WriteString(name_);
-  writer->WriteU32(static_cast<uint32_t>(schema_.size()));
-  for (const auto& col : schema_) {
-    writer->WriteString(col.name);
-    writer->WriteU8(static_cast<uint8_t>(col.type));
-  }
-  writer->WriteU64(num_rows_);
-  for (size_t c = 0; c < schema_.size(); ++c) {
-    if (schema_[c].type == ColumnType::kInt64) {
-      writer->WriteVector(int_cols_[c]);
-    } else {
-      writer->WriteU32(static_cast<uint32_t>(str_cols_[c].size()));
-      for (const auto& s : str_cols_[c]) writer->WriteString(s);
-    }
-  }
-  // Index definitions (trees are rebuilt on load).
-  writer->WriteU32(static_cast<uint32_t>(indexes_.size()));
-  for (const auto& [name, index] : indexes_) {
-    writer->WriteString(name);
-    writer->WriteU32(static_cast<uint32_t>(index->columns.size()));
-    for (uint32_t col : index->columns) writer->WriteU32(col);
-  }
-}
-
-Result<Table> Table::Deserialize(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(std::string name, reader->ReadString());
-  KOKO_ASSIGN_OR_RETURN(uint32_t num_cols, reader->ReadU32());
-  std::vector<ColumnSpec> schema;
-  for (uint32_t i = 0; i < num_cols; ++i) {
-    KOKO_ASSIGN_OR_RETURN(std::string col_name, reader->ReadString());
-    KOKO_ASSIGN_OR_RETURN(uint8_t type, reader->ReadU8());
-    schema.push_back({std::move(col_name), static_cast<ColumnType>(type)});
-  }
-  Table table(std::move(name), std::move(schema));
-  KOKO_ASSIGN_OR_RETURN(uint64_t num_rows, reader->ReadU64());
-  table.num_rows_ = num_rows;
-  for (size_t c = 0; c < table.schema_.size(); ++c) {
-    if (table.schema_[c].type == ColumnType::kInt64) {
-      KOKO_ASSIGN_OR_RETURN(table.int_cols_[c], reader->ReadVector<int64_t>());
-      if (table.int_cols_[c].size() != num_rows) {
-        return Status::ParseError("table column length mismatches row count");
-      }
-    } else {
-      KOKO_ASSIGN_OR_RETURN(uint32_t n, reader->ReadU32());
-      if (n != num_rows) {
-        return Status::ParseError("table column length mismatches row count");
-      }
-      table.str_cols_[c].reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        KOKO_ASSIGN_OR_RETURN(std::string s, reader->ReadString());
-        table.str_cols_[c].push_back(std::move(s));
-      }
-    }
-  }
-  KOKO_ASSIGN_OR_RETURN(uint32_t num_indexes, reader->ReadU32());
-  for (uint32_t i = 0; i < num_indexes; ++i) {
-    KOKO_ASSIGN_OR_RETURN(std::string index_name, reader->ReadString());
-    KOKO_ASSIGN_OR_RETURN(uint32_t arity, reader->ReadU32());
-    std::vector<std::string> cols;
-    for (uint32_t j = 0; j < arity; ++j) {
-      KOKO_ASSIGN_OR_RETURN(uint32_t col, reader->ReadU32());
-      if (col >= table.schema_.size()) {
-        return Status::ParseError("table index references column out of range");
-      }
-      cols.push_back(table.schema_[col].name);
-    }
-    KOKO_RETURN_IF_ERROR(table.CreateIndex(index_name, cols));
-  }
-  return table;
-}
-
 Table* Catalog::CreateTable(std::string name, std::vector<ColumnSpec> schema) {
   auto table = std::make_unique<Table>(name, std::move(schema));
   Table* ptr = table.get();
@@ -246,44 +172,6 @@ size_t Catalog::MemoryUsage() const {
   size_t bytes = 0;
   for (const auto& [_, table] : tables_) bytes += table->MemoryUsage();
   return bytes;
-}
-
-Status Catalog::Serialize(BinaryWriter* writer) const {
-  writer->WriteU32(0x4b4f4b4f);  // "KOKO"
-  writer->WriteU32(static_cast<uint32_t>(tables_.size()));
-  for (const auto& [_, table] : tables_) table->Serialize(writer);
-  if (!writer->ok()) return Status::IoError("catalog write failure");
-  return Status::OK();
-}
-
-Status Catalog::Deserialize(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader->ReadU32());
-  if (magic != 0x4b4f4b4f) return Status::ParseError("bad catalog magic");
-  KOKO_ASSIGN_OR_RETURN(uint32_t num_tables, reader->ReadU32());
-  tables_.clear();
-  for (uint32_t i = 0; i < num_tables; ++i) {
-    auto table = Table::Deserialize(reader);
-    if (!table.ok()) return table.status();
-    std::string name = table->name();
-    tables_[name] = std::make_unique<Table>(std::move(*table));
-  }
-  return Status::OK();
-}
-
-Status Catalog::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  BinaryWriter writer(&out);
-  KOKO_RETURN_IF_ERROR(Serialize(&writer));
-  if (!writer.ok()) return Status::IoError("write failure on " + path);
-  return Status::OK();
-}
-
-Status Catalog::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  BinaryReader reader(&in);
-  return Deserialize(&reader);
 }
 
 }  // namespace koko

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "storage/btree.h"
-#include "storage/serde.h"
 #include "util/status.h"
 
 namespace koko {
@@ -26,10 +25,10 @@ using Cell = std::variant<int64_t, std::string>;
 
 /// \brief Columnar relational table with secondary B-tree indexes.
 ///
-/// Plays the role of a PostgreSQL table in the paper's architecture: every
-/// index scheme persists its postings here (schemas W, E, PL, POS, and the
-/// baselines' P tables), and lookups go through B+tree indexes over
-/// order-preserving composite key encodings.
+/// Plays the role of a PostgreSQL table for the baseline index schemes of
+/// src/baseline/ (their P tables): lookups go through B+tree indexes over
+/// order-preserving composite key encodings. KokoIndex keeps its W, E,
+/// PL and POS tables as columns of its image instead (index/koko_index.h).
 class Table {
  public:
   Table(std::string name, std::vector<ColumnSpec> schema);
@@ -68,9 +67,6 @@ class Table {
   /// Heap footprint of data plus all indexes, in bytes.
   size_t MemoryUsage() const;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<Table> Deserialize(BinaryReader* reader);
-
   /// Order-preserving composite key encoding: int64 as big-endian with the
   /// sign bit flipped; strings terminated by 0x00 (values must not contain
   /// NUL, which holds for all text in this system).
@@ -95,7 +91,7 @@ class Table {
   std::map<std::string, std::unique_ptr<Index>> indexes_;
 };
 
-/// \brief Named-table catalog with whole-database persistence.
+/// \brief Named-table catalog (the baselines' in-memory database).
 class Catalog {
  public:
   /// Creates (replacing any existing) a table.
@@ -106,16 +102,6 @@ class Catalog {
 
   std::vector<std::string> TableNames() const;
   size_t MemoryUsage() const;
-
-  /// Persists all tables (with index definitions) to one binary file.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
-
-  /// Stream-based variants, so a catalog can be embedded as one section of
-  /// a larger file (e.g. the KokoIndex image with its compressed sid
-  /// caches, or one shard of a ShardedKokoIndex).
-  Status Serialize(BinaryWriter* writer) const;
-  Status Deserialize(BinaryReader* reader);
 
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;

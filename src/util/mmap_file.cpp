@@ -51,7 +51,8 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path) {
   // The mapping keeps the underlying pages alive; the descriptor is not
   // needed past mmap.
   ::close(fd);
-  return std::shared_ptr<MappedFile>(new MappedFile(path, data, size));
+  return std::shared_ptr<MappedFile>(
+      new MappedFile(path, data, size, /*mmapped=*/true));
 #endif
 }
 
@@ -63,39 +64,32 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Read(const std::string& path) {
   const uintmax_t size = std::filesystem::file_size(path, ec);
   if (ec) return Status::IoError("cannot size " + path + ": " + ec.message());
   std::ifstream in(path, std::ios::binary);
-  std::unique_ptr<uint8_t[]> bytes(new uint8_t[static_cast<size_t>(size)]);
-  if (!in.read(reinterpret_cast<char*>(bytes.get()),
+  std::vector<uint32_t> words((static_cast<size_t>(size) + 3) / 4);
+  if (!in.read(reinterpret_cast<char*>(words.data()),
                static_cast<std::streamsize>(size))) {
     return Status::IoError("cannot read " + path);
   }
-  auto file = std::shared_ptr<MappedFile>(new MappedFile(
-      path, size > 0 ? bytes.get() : nullptr, static_cast<size_t>(size)));
-  file->owned_ = std::move(bytes);
-  return file;
+  return Own(path, std::move(words), static_cast<size_t>(size));
 }
 
-void MappedFile::Release(MemorySpan bytes) const {
-#if !defined(_WIN32)
-  if (!mmapped() || bytes.empty()) return;
-  // Only pages wholly inside `bytes`: a page it shares with a neighbour
-  // stays resident.
-  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto first = reinterpret_cast<uintptr_t>(bytes.data());
-  const uintptr_t begin = (first + page - 1) / page * page;
-  const uintptr_t end = (first + bytes.size()) / page * page;
-  if (end > begin) {
-    // Advisory: a failure only leaves the pages resident.
-    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
-                    MADV_DONTNEED);
-  }
-#else
-  (void)bytes;
-#endif
+std::shared_ptr<MappedFile> MappedFile::FromWords(std::vector<uint32_t> words) {
+  const size_t size = words.size() * sizeof(uint32_t);
+  return Own("", std::move(words), size);
+}
+
+std::shared_ptr<MappedFile> MappedFile::Own(std::string path,
+                                            std::vector<uint32_t> words,
+                                            size_t size) {
+  auto file = std::shared_ptr<MappedFile>(
+      new MappedFile(std::move(path), nullptr, size, /*mmapped=*/false));
+  file->owned_ = std::move(words);
+  if (size > 0) file->data_ = file->owned_.data();
+  return file;
 }
 
 MappedFile::~MappedFile() {
 #if !defined(_WIN32)
-  if (owned_ == nullptr && data_ != nullptr) ::munmap(data_, size_);
+  if (mmapped_ && data_ != nullptr) ::munmap(data_, size_);
 #endif
 }
 

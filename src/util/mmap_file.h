@@ -50,13 +50,11 @@ class MemorySpan {
 
 /// \brief A borrowed array of uint32 values over possibly-unaligned bytes.
 ///
-/// Index images carry no alignment padding (strings of arbitrary length
-/// precede the posting sections), so a uint32 array aliased straight out of
-/// an mmap'ed file generally starts at an odd byte. Dereferencing a
-/// misaligned `uint32_t*` is undefined behaviour; this view loads elements
-/// through `memcpy`, which every supported compiler folds into a plain
-/// (hardware-tolerated) unaligned load. Values are host-endian, matching
-/// `BinaryWriter`'s raw integer writes.
+/// An index image keeps its u32 arrays at 4-byte offsets, but a span handed
+/// in by a caller need not start aligned, and dereferencing a misaligned
+/// `uint32_t*` is undefined behaviour; this view loads elements through
+/// `memcpy`, which every supported compiler folds into a plain load. Values
+/// are host-endian, matching the image writer's raw integer writes.
 class U32View {
  public:
   U32View() = default;
@@ -78,6 +76,12 @@ class U32View {
   const uint8_t* raw() const { return data_; }
   size_t raw_size() const { return size_ * sizeof(uint32_t); }
 
+  /// Elements [begin, end) as a view of the same bytes (caller-checked
+  /// bounds).
+  U32View Slice(size_t begin, size_t end) const {
+    return U32View(data_ + begin * sizeof(uint32_t), end - begin);
+  }
+
   std::vector<uint32_t> ToVector() const {
     std::vector<uint32_t> out(size_);
     for (size_t i = 0; i < size_; ++i) out[i] = (*this)[i];
@@ -89,27 +93,31 @@ class U32View {
   size_t size_ = 0;
 };
 
-/// \brief The read-only bytes of a whole file: an RAII memory mapping, or
-/// an owned heap copy behind the same span API.
+/// \brief The read-only bytes of an index image: an RAII memory mapping,
+/// or an owned heap buffer behind the same span API.
 ///
-/// Every index load (`KokoIndex::Load`, `ShardedKokoIndex::Load`) parses
-/// one of these and aliases every posting payload into its span; the
-/// loaded index holds a `shared_ptr<MappedFile>` so the bytes outlive every
-/// structure pointing at them (shards of one sharded file share a single
-/// instance). A mapping (`Open`) faults pages in lazily and serves them
-/// from the page cache, so many worker processes mapping the same image
-/// share physical memory; an owned copy (`Read`) costs the file's size in
-/// heap but needs no mmap support.
+/// Every index (`KokoIndex`, `ShardedKokoIndex`) is a set of views into
+/// one of these, which it holds in a `shared_ptr` so the bytes outlive
+/// every structure pointing at them (shards of one sharded file share a
+/// single instance). A mapping (`Open`) faults pages in lazily and serves
+/// them from the page cache, so many worker processes mapping the same
+/// image share physical memory; an owned buffer (`Read`, or `FromWords`
+/// for an image assembled in memory) costs its size in heap but needs no
+/// mmap support.
 class MappedFile {
  public:
   /// Maps `path` read-only. Fails with IoError when the file cannot be
   /// opened, stat'ed, or mapped; an empty file maps to an empty span.
   static Result<std::shared_ptr<MappedFile>> Open(const std::string& path);
 
-  /// Reads `path` into an owned heap buffer (aligned for any scalar type,
-  /// so 4-byte-aligned file offsets stay 4-byte aligned in memory). Fails
-  /// with IoError when the file cannot be opened or read.
+  /// Reads `path` into an owned heap buffer (4-byte aligned, so 4-byte
+  /// file offsets stay 4-byte aligned in memory). Fails with IoError when
+  /// the file cannot be opened or read.
   static Result<std::shared_ptr<MappedFile>> Read(const std::string& path);
+
+  /// Takes ownership of an image assembled in memory; its span is the
+  /// words' bytes.
+  static std::shared_ptr<MappedFile> FromWords(std::vector<uint32_t> words);
 
   ~MappedFile();
   MappedFile(const MappedFile&) = delete;
@@ -121,23 +129,22 @@ class MappedFile {
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
 
-  /// True for a memory mapping (`Open`), false for an owned copy (`Read`).
-  bool mmapped() const { return owned_ == nullptr; }
-
-  /// Drops this process's resident copy of the whole pages inside `bytes`
-  /// (a subrange of span()) — for bytes already parsed into owned
-  /// structures. The bytes stay valid: a later read faults them back in
-  /// from the file. No-op for an owned copy.
-  void Release(MemorySpan bytes) const;
+  /// True for a memory mapping (`Open`), false for an owned buffer.
+  bool mmapped() const { return mmapped_; }
 
  private:
-  MappedFile(std::string path, void* data, size_t size)
-      : path_(std::move(path)), data_(data), size_(size) {}
+  MappedFile(std::string path, void* data, size_t size, bool mmapped)
+      : path_(std::move(path)), data_(data), size_(size), mmapped_(mmapped) {}
+  /// An owned buffer of `size` bytes held in `words`.
+  static std::shared_ptr<MappedFile> Own(std::string path,
+                                         std::vector<uint32_t> words,
+                                         size_t size);
 
   std::string path_;
-  void* data_ = nullptr;  // nullptr iff the file is empty
+  void* data_ = nullptr;  // nullptr iff the span is empty
   size_t size_ = 0;
-  std::unique_ptr<uint8_t[]> owned_;  // the heap copy; null for a mapping
+  bool mmapped_ = false;
+  std::vector<uint32_t> owned_;  // the heap buffer; empty for a mapping
 };
 
 }  // namespace koko

@@ -249,59 +249,86 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
   EXPECT_FALSE((*copied)->mapped());
   EXPECT_TRUE((*mapped)->mapped());
 
-  // No posting-payload copy: the mapped index's sid caches attribute ~0
-  // heap bytes (only the entity lists rebuilt at load remain owned), the
-  // copied one its share of the owned image buffer — which MemoryUsage
-  // counts whole.
+  // No copy at all: the mapped index's sid lists attribute ~0 heap bytes,
+  // the copied one its share of the owned image buffer — which
+  // MemoryUsage counts whole.
   EXPECT_GT((*copied)->SidCacheMemoryUsage(), 0u);
-  EXPECT_LT((*mapped)->SidCacheMemoryUsage(),
-            (*copied)->SidCacheMemoryUsage() / 4);
+  EXPECT_EQ((*mapped)->SidCacheMemoryUsage(), 0u);
   EXPECT_GE((*copied)->MemoryUsage(),
             (*mapped)->MemoryUsage() + std::filesystem::file_size(path));
 
-  // Every word's block list is equal across build / copy / map.
+  // Every word's block list and postings are equal across build / copy /
+  // map.
   std::set<std::string> words;
+  std::set<std::string> texts = {"zzz-absent"};
   for (uint32_t sid = 0; sid < corpus.NumSentences(); ++sid) {
-    for (const Token& token : corpus.sentence(sid).tokens) {
-      words.insert(token.text);
+    const Sentence& sentence = corpus.sentence(sid);
+    for (const Token& token : sentence.tokens) words.insert(token.text);
+    for (const Entity& e : sentence.entities) {
+      texts.insert(sentence.SpanText(e.begin, e.end));
     }
   }
-  for (const std::string& word : words) {
-    const BlockList* built = index->WordSids(word);
-    const BlockList* copy = (*copied)->WordSids(word);
-    const BlockList* map = (*mapped)->WordSids(word);
-    ASSERT_NE(copy, nullptr) << word;
-    ASSERT_NE(map, nullptr) << word;
-    EXPECT_EQ(*map, *built) << word;
-    EXPECT_EQ(*map, *copy) << word;
-    EXPECT_TRUE(map->is_view()) << word;
-    EXPECT_TRUE(copy->is_view()) << word;
-    EXPECT_EQ(map->Decode(), copy->Decode()) << word;
-    EXPECT_EQ((*mapped)->LookupWord(word), (*copied)->LookupWord(word)) << word;
+  ASSERT_GT(texts.size(), 1u);
+  const KokoIndex* loads[] = {copied->get(), mapped->get()};
+  for (const KokoIndex* loaded : loads) {
+    const std::string mode = loaded->mapped() ? "kMap" : "kCopy";
+    for (const std::string& word : words) {
+      const BlockList* built = index->WordSids(word);
+      const BlockList* got = loaded->WordSids(word);
+      ASSERT_NE(got, nullptr) << mode << " " << word;
+      EXPECT_EQ(*got, *built) << mode << " " << word;
+      EXPECT_TRUE(got->is_view()) << mode << " " << word;
+      EXPECT_EQ(loaded->LookupWord(word), index->LookupWord(word))
+          << mode << " " << word;
+    }
+    for (const std::string& text : texts) {
+      EXPECT_EQ(loaded->LookupEntityText(text), index->LookupEntityText(text))
+          << mode << " " << text;
+    }
+    for (const PathQuery& p :
+         {MakePath({{"/", "root"}, {"//", "dobj"}}), MakePath({{"//", "*"}}),
+          MakePath({{"//", "prep"}, {"/", "pobj"}})}) {
+      EXPECT_EQ(loaded->LookupParseLabelPath(p), index->LookupParseLabelPath(p))
+          << mode << " " << p.ToString();
+      EXPECT_EQ(loaded->PlPathSids(p), index->PlPathSids(p))
+          << mode << " " << p.ToString();
+    }
+    const PathQuery verbs = MakePath({{"//", "verb"}});
+    EXPECT_EQ(loaded->LookupPosPath(verbs), index->LookupPosPath(verbs))
+        << mode;
+    EXPECT_EQ(loaded->PosPathSids(verbs), index->PosPathSids(verbs)) << mode;
+    EXPECT_EQ(loaded->AllEntities(), index->AllEntities()) << mode;
+    EXPECT_EQ(loaded->AllEntitySids(), index->AllEntitySids()) << mode;
   }
-  PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-  EXPECT_EQ((*mapped)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
-  EXPECT_EQ((*mapped)->PlPathSids(p), index->PlPathSids(p));
-  EXPECT_EQ((*mapped)->PosPathSids(MakePath({{"//", "verb"}})),
-            index->PosPathSids(MakePath({{"//", "verb"}})));
-  EXPECT_EQ((*mapped)->AllEntities(), index->AllEntities());
-  EXPECT_EQ((*mapped)->AllEntitySids(), index->AllEntitySids());
 
-  // A mapped index re-saves to a byte-identical image (the writer goes
-  // through the same borrowed views).
-  std::string resaved = ::testing::TempDir() + "/koko_index_mmap_resave.bin";
-  ASSERT_TRUE((*mapped)->Save(resaved).ok());
+  // Both loads re-save to a byte-identical image (Save writes the image
+  // the index aliases).
   auto read_all = [](const std::string& p) {
     std::ifstream in(p, std::ios::binary);
     return std::vector<char>((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
   };
-  EXPECT_EQ(read_all(resaved), read_all(path));
+  std::string resaved = ::testing::TempDir() + "/koko_index_mmap_resave.bin";
+  for (const KokoIndex* loaded : loads) {
+    ASSERT_TRUE(loaded->Save(resaved).ok());
+    EXPECT_EQ(read_all(resaved), read_all(path)) << loaded->mapped();
+  }
   std::remove(resaved.c_str());
   std::remove(path.c_str());
 }
 
-TEST(KokoIndexTest, OnlyVersionFourLoads) {
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<long>(bytes.size()));
+}
+
+TEST(KokoIndexTest, OnlyVersionFiveLoads) {
   // The image version is a format tag, not a knob: any other version —
   // and an image without the "KIDX" magic — fails load with ParseError in
   // both modes, and the error names the one supported version.
@@ -309,32 +336,22 @@ TEST(KokoIndexTest, OnlyVersionFourLoads) {
   auto index = KokoIndex::Build(corpus);
   std::string path = ::testing::TempDir() + "/koko_index_version_test.bin";
   ASSERT_TRUE(index->Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> image((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  auto write_image = [&](const std::vector<char>& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<long>(bytes.size()));
-  };
-  for (uint32_t version : {1u, 2u, 3u, 5u}) {
+  const std::vector<char> image = ReadFileBytes(path);
+  for (uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
     std::vector<char> other = image;
     std::memcpy(other.data() + 4, &version, sizeof(version));
-    write_image(other);
+    WriteFileBytes(path, other);
     for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
       auto loaded = KokoIndex::Load(path, mode);
       ASSERT_FALSE(loaded.ok()) << version;
       EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << version;
-      EXPECT_NE(loaded.status().ToString().find("version 4"), std::string::npos)
+      EXPECT_NE(loaded.status().ToString().find("version 5"), std::string::npos)
           << loaded.status().ToString();
     }
   }
-  // A bare catalog (no magic) is not an index image.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->catalog().Serialize(&writer).ok());
-  }
+  std::vector<char> no_magic = image;
+  no_magic[0] = 'Z';  // the magic's first byte is 'X'
+  WriteFileBytes(path, no_magic);
   for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
     auto loaded = KokoIndex::Load(path, mode);
     ASSERT_FALSE(loaded.ok());
@@ -343,61 +360,147 @@ TEST(KokoIndexTest, OnlyVersionFourLoads) {
   std::remove(path.c_str());
 }
 
-TEST(KokoIndexTest, EntityRowsOutOfSidOrderFailLoad) {
-  // The entity sid lists are rebuilt at load from the image's E table, in
-  // row order; rows out of sid order would yield non-monotone lists, so
-  // load rejects them. The image is rewritten with E's rows reversed
-  // (same byte length, so the posting sections behind it stay valid).
+// Where the arrays of a v5 image sit: walks the sections the way the
+// loader does and records each array's first-element offset and length.
+struct ImageArray {
+  size_t at = 0;
+  size_t size = 0;
+  uint32_t Get(const std::vector<char>& image, size_t i) const {
+    uint32_t v;
+    std::memcpy(&v, image.data() + at + 4 * i, sizeof(v));
+    return v;
+  }
+  void Set(std::vector<char>* image, size_t i, uint32_t v) const {
+    std::memcpy(image->data() + at + 4 * i, &v, sizeof(v));
+  }
+};
+
+struct ImageMap {
+  ImageArray w_sid, e_sid, e_type;
+  ImageArray word_row_offsets, word_rows;
+  ImageArray pl_parent;
+};
+
+ImageMap MapImage(const std::vector<char>& bytes) {
+  const MemorySpan span(reinterpret_cast<const uint8_t*>(bytes.data()),
+                        bytes.size());
+  SpanReader reader(span);
+  auto array = [&] {
+    ImageArray a;
+    a.at = reader.offset() + 4;
+    auto view = reader.ReadU32Array();
+    EXPECT_TRUE(view.ok());
+    a.size = view.ok() ? view->size() : 0;
+    return a;
+  };
+  auto skip_list = [&] {
+    EXPECT_TRUE(reader.ReadU32().ok());
+    for (int i = 0; i < 3; ++i) array();
+    EXPECT_TRUE(reader.ReadPaddedBytes().ok());
+  };
+  auto dictionary = [&](ImageArray* row_offsets, ImageArray* rows) {
+    array();
+    EXPECT_TRUE(reader.ReadPaddedBytes().ok());
+    *row_offsets = array();
+    *rows = array();
+  };
+  ImageMap map;
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(reader.ReadU32().ok());
+  map.w_sid = array();
+  for (int i = 0; i < 4; ++i) array();
+  map.e_sid = array();
+  array();
+  array();
+  map.e_type = array();
+  dictionary(&map.word_row_offsets, &map.word_rows);
+  for (size_t i = 0; i + 1 < map.word_row_offsets.size; ++i) skip_list();
+  ImageArray text_offsets, text_rows;
+  dictionary(&text_offsets, &text_rows);
+  for (int i = 0; i < 1 + kNumEntityTypes; ++i) skip_list();
+  map.pl_parent = array();
+  return map;
+}
+
+TEST(KokoIndexTest, CorruptColumnsAndRowListsFailLoad) {
+  // Targeted negatives, one per validation rule of the column and CSR
+  // sections: each damaged image fails load with a ParseError naming the
+  // broken rule, in both modes, before anything is aliased.
   AnnotatedCorpus corpus = PaperCorpus();
   auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_erows_test.bin";
+  std::string path = ::testing::TempDir() + "/koko_index_sections_test.bin";
   ASSERT_TRUE(index->Save(path).ok());
-  std::string image;
-  {
-    std::ifstream in(path, std::ios::binary);
-    image.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  std::istringstream catalog_in(image.substr(8));
-  BinaryReader reader(&catalog_in);
-  Catalog catalog;
-  ASSERT_TRUE(catalog.Deserialize(&reader).ok());
-  const size_t catalog_end = 8 + static_cast<size_t>(catalog_in.tellg());
+  const std::vector<char> image = ReadFileBytes(path);
+  const ImageMap map = MapImage(image);
+  const uint32_t num_w = static_cast<uint32_t>(index->stats().num_tokens);
+  ASSERT_EQ(map.w_sid.size, num_w);
+  ASSERT_GE(map.e_sid.size, 2u);
+  ASSERT_GE(map.word_row_offsets.size, 3u);
+  ASSERT_EQ(map.word_rows.size, num_w);
+  ASSERT_GE(map.pl_parent.size, 2u);
 
-  const Table* e = catalog.GetTable("E");
-  const std::vector<ColumnSpec> schema = e->schema();
-  std::vector<std::vector<Cell>> rows;
-  for (uint32_t row = 0; row < e->NumRows(); ++row) {
-    std::vector<Cell> cells;
-    for (uint32_t col = 0; col < schema.size(); ++col) {
-      if (schema[col].type == ColumnType::kString) {
-        cells.emplace_back(e->GetString(row, col));
-      } else {
-        cells.emplace_back(e->GetInt(row, col));
-      }
+  auto expect_rejected = [&](const std::vector<char>& bytes,
+                             const std::string& rule) {
+    WriteFileBytes(path, bytes);
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      auto loaded = KokoIndex::Load(path, mode);
+      ASSERT_FALSE(loaded.ok()) << rule;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << rule;
+      EXPECT_NE(loaded.status().message().find(rule), std::string::npos)
+          << loaded.status().ToString();
     }
-    rows.push_back(std::move(cells));
-  }
-  ASSERT_NE(std::get<int64_t>(rows.front()[1]),
-            std::get<int64_t>(rows.back()[1]));
-  Table* reversed = catalog.CreateTable("E", schema);
-  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    ASSERT_TRUE(reversed->AppendRow(*it).ok());
-  }
-  ASSERT_TRUE(reversed->CreateIndex("e_entity", {"entity"}).ok());
-  std::ostringstream catalog_out(std::ios::binary);
-  BinaryWriter writer(&catalog_out);
-  ASSERT_TRUE(catalog.Serialize(&writer).ok());
-  ASSERT_EQ(catalog_out.str().size(), catalog_end - 8);
+  };
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << image.substr(0, 8) << catalog_out.str() << image.substr(catalog_end);
+    std::vector<char> bad = image;
+    map.word_row_offsets.Set(&bad, 1, map.word_row_offsets.Get(image, 2) + 1);
+    expect_rejected(bad, "offsets decrease");
   }
-  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-    auto loaded = KokoIndex::Load(path, mode);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  {
+    std::vector<char> bad = image;
+    map.word_row_offsets.Set(&bad, map.word_row_offsets.size - 1, num_w + 1);
+    expect_rejected(bad, "offsets do not end at the column end");
   }
+  {
+    std::vector<char> bad = image;
+    map.word_rows.Set(&bad, 0, num_w);
+    expect_rejected(bad, "row id out of range");
+  }
+  {
+    // Swap the first two rows of the first word owning two or more.
+    size_t word = 0;
+    while (map.word_row_offsets.Get(image, word + 1) -
+               map.word_row_offsets.Get(image, word) <
+           2) {
+      ++word;
+    }
+    const uint32_t first = map.word_row_offsets.Get(image, word);
+    std::vector<char> bad = image;
+    map.word_rows.Set(&bad, first, map.word_rows.Get(image, first + 1));
+    map.word_rows.Set(&bad, first + 1, map.word_rows.Get(image, first));
+    expect_rejected(bad, "row list not ascending");
+  }
+  {
+    std::vector<char> bad = image;
+    map.pl_parent.Set(&bad, 1, 1);
+    expect_rejected(bad, "trie parent not below its node");
+  }
+  {
+    std::vector<char> bad = image;
+    map.e_type.Set(&bad, 0, kNumEntityTypes);
+    expect_rejected(bad, "entity type out of range");
+  }
+  {
+    std::vector<char> bad = image;
+    map.e_sid.Set(&bad, 0, map.e_sid.Get(image, map.e_sid.size - 1) + 1);
+    expect_rejected(bad, "E rows not in sid order");
+  }
+  {
+    std::vector<char> bad = image;
+    map.w_sid.Set(&bad, 0, map.w_sid.Get(image, num_w - 1) + 1);
+    expect_rejected(bad, "W rows not in sid order");
+  }
+  // The untouched image still loads.
+  WriteFileBytes(path, image);
+  EXPECT_TRUE(KokoIndex::Load(path).ok());
   std::remove(path.c_str());
 }
 
@@ -438,9 +541,10 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
     out.write(bytes.data(), static_cast<long>(bytes.size()));
   };
 
-  // Truncations at several depths (mid-catalog, mid-sid-section), in both
+  // Truncations at several depths (mid-column, mid-sid-section), in both
   // load modes: the mapped parser must bound every read by the mapping.
-  for (size_t keep : {image.size() - 1, image.size() / 2, size_t{12}}) {
+  for (size_t keep : {image.size() - 1, image.size() - 4, image.size() / 2,
+                      size_t{12}}) {
     std::vector<char> truncated(image.begin(),
                                 image.begin() + static_cast<long>(keep));
     write_image(truncated);
@@ -450,19 +554,21 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
     EXPECT_FALSE(mapped.ok()) << "mapped, truncated to " << keep << " bytes";
   }
 
-  // Flip bytes in the trailing half (catalog tail + the packed sid caches:
-  // skip tables, widths, alignment pads and block payloads). Structural
-  // damage — oversized counts (which used to hang Load on a gigabyte
-  // allocation), skip offsets out of bounds or non-monotone, non-minimal
-  // widths, zero gaps, nonzero slack or pad bits — must fail cleanly; a
-  // flip that happens to yield another valid image is indistinguishable
-  // without a checksum, so the guarantee under test is "clean error or a
-  // usable index", never a crash, hang, or out-of-bounds read (the suite
-  // runs under ASan in CI). Both load modes take the same validate-then-
-  // alias path, so they must agree flip for flip — and a survivor must
-  // never read past its image when queried.
-  for (size_t at = image.size() - image.size() / 2; at < image.size();
-       at += 7) {
+  // Flip every byte of the image: header, columns, dictionaries, CSR row
+  // lists, trie sections and the packed sid lists (skip tables, widths,
+  // pads and block payloads). Structural damage — oversized counts,
+  // offsets out of bounds or non-monotone, row ids out of range, broken
+  // trie parents, non-minimal widths, zero gaps, nonzero slack or pad
+  // bits — must fail cleanly; a flip that happens to yield another valid
+  // image (a tid or depth cell, a key byte) is indistinguishable without a
+  // checksum, so the guarantee under test is "clean error or a usable
+  // index", never a crash, hang, or out-of-bounds read (the suite runs
+  // under ASan in CI). Both load modes take the same validate-then-alias
+  // path, so they must agree flip for flip — and a survivor must never
+  // read past its image when queried.
+  const PathQuery any = MakePath({{"//", "*"}});
+  const PathQuery verbs = MakePath({{"//", "verb"}});
+  for (size_t at = 0; at < image.size(); ++at) {
     std::vector<char> corrupt = image;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
     write_image(corrupt);
@@ -471,13 +577,19 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
       auto loaded = KokoIndex::Load(path, mode);
       survived[mode == LoadMode::kMap] = loaded.ok();
       if (!loaded.ok()) continue;  // clean failure: the desired outcome
-      (void)(*loaded)->LookupWord("delicious");
-      const BlockList* sids = (*loaded)->WordSids("delicious");
+      const KokoIndex& survivor = **loaded;
+      (void)survivor.LookupWord("delicious");
+      (void)survivor.LookupEntityText("grocery store");
+      (void)survivor.LookupParseLabelPath(any);
+      (void)survivor.LookupPosPath(verbs);
+      (void)survivor.AllEntities();
       // A survivor must still be a structurally sound index: decoding any
       // restored list must stay in bounds and sorted.
-      if (sids != nullptr) {
-        SidList decoded = sids->Decode();
-        EXPECT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
+      const SidList decoded = survivor.PlPathSids(any);
+      EXPECT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
+      if (const BlockList* sids = survivor.WordSids("delicious")) {
+        const SidList word = sids->Decode();
+        EXPECT_TRUE(std::is_sorted(word.begin(), word.end()));
       }
     }
     EXPECT_EQ(survived[0], survived[1]) << "flip at " << at;
@@ -508,7 +620,9 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
     // Re-packing the decoded sids reproduces the stored list byte for
     // byte: the encoding is canonical.
     EXPECT_EQ(BlockList::FromSidList(sids->Decode()), *sids) << word;
-    block_bytes += sids->MemoryUsage();
+    block_bytes += sids->bytes().size() + sids->skip_first().raw_size() +
+                   sids->skip_offset().raw_size() +
+                   sids->skip_width().raw_size();
     raw_bytes += sids->size() * sizeof(uint32_t);
   }
   EXPECT_LT(block_bytes, raw_bytes);

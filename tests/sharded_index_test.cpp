@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "corpus/generators.h"
@@ -41,32 +42,84 @@ PathQuery DobjPath() {
   return q;
 }
 
-// The aggregated lookup surface must equal the monolithic index's answers
-// element for element (concatenation in shard order is global sid order).
+// Concatenates `lookup(shard)` over the shards in shard order. The shard
+// ranges are disjoint and ascending, so this is the global answer, which
+// must equal the monolithic index's element for element.
+template <typename Lookup>
+auto Concat(const ShardedKokoIndex& index, const Lookup& lookup) {
+  decltype(lookup(index.shard(0))) out;
+  for (size_t i = 0; i < index.num_shards(); ++i) {
+    const auto part = lookup(index.shard(i));
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+// Per-shard lookups for Concat (sid lists decoded to plain ids).
+std::vector<uint32_t> Ids(const BlockList* list) {
+  return list == nullptr ? std::vector<uint32_t>() : list->Decode().TakeIds();
+}
+auto WordPostings(std::string word) {
+  return [=](const KokoIndex& s) { return s.LookupWord(word); };
+}
+auto WordSidIds(std::string word) {
+  return [=](const KokoIndex& s) { return Ids(s.WordSids(word)); };
+}
+auto EntityText(std::string text) {
+  return [=](const KokoIndex& s) { return s.LookupEntityText(text); };
+}
+auto PlPathPostings(PathQuery path) {
+  return [=](const KokoIndex& s) { return s.LookupParseLabelPath(path); };
+}
+auto PlPathSidIds(PathQuery path) {
+  return [=](const KokoIndex& s) { return s.PlPathSids(path).TakeIds(); };
+}
+std::vector<EntityPosting> AllEntities(const KokoIndex& s) {
+  return s.AllEntities();
+}
+std::vector<uint32_t> AllEntitySidIds(const KokoIndex& s) {
+  return Ids(&s.AllEntitySids());
+}
+
 void ExpectLookupsMatchMonolithic(const ShardedKokoIndex& sharded,
                                   const KokoIndex& mono,
                                   const AnnotatedCorpus& corpus,
                                   const std::string& context) {
   for (const char* word : {"a", "delicious", "ate", "store", "zzz-absent"}) {
-    EXPECT_EQ(sharded.LookupWord(word), mono.LookupWord(word))
+    EXPECT_EQ(Concat(sharded, WordPostings(word)), mono.LookupWord(word))
         << context << " word=" << word;
-    const BlockList* mono_sids = mono.WordSids(word);
-    EXPECT_EQ(sharded.WordSids(word), mono_sids ? mono_sids->Decode() : SidList())
+    EXPECT_EQ(Concat(sharded, WordSidIds(word)), Ids(mono.WordSids(word)))
         << context << " word=" << word;
-    EXPECT_EQ(sharded.CountWordSids(word), mono.CountWordSids(word))
+    EXPECT_EQ(Concat(sharded, WordSidIds(word)).size(),
+              mono.CountWordSids(word))
         << context << " word=" << word;
   }
+  std::set<std::string> texts = {"zzz-absent"};
+  for (uint32_t sid = 0; sid < corpus.NumSentences() && texts.size() < 8;
+       ++sid) {
+    const Sentence& s = corpus.sentence(sid);
+    for (const Entity& e : s.entities) texts.insert(s.SpanText(e.begin, e.end));
+  }
+  for (const std::string& text : texts) {
+    EXPECT_EQ(Concat(sharded, EntityText(text)), mono.LookupEntityText(text))
+        << context << " text=" << text;
+  }
   PathQuery path = DobjPath();
-  EXPECT_EQ(sharded.LookupParseLabelPath(path), mono.LookupParseLabelPath(path))
+  EXPECT_EQ(Concat(sharded, PlPathPostings(path)),
+            mono.LookupParseLabelPath(path))
       << context;
-  EXPECT_EQ(sharded.PlPathSids(path), mono.PlPathSids(path)) << context;
-  EXPECT_EQ(sharded.AllEntities(), mono.AllEntities()) << context;
-  EXPECT_EQ(sharded.AllEntitySids(), mono.AllEntitySids().Decode()) << context;
+  EXPECT_EQ(Concat(sharded, PlPathSidIds(path)), mono.PlPathSids(path).ids())
+      << context;
+  EXPECT_EQ(Concat(sharded, AllEntities), mono.AllEntities()) << context;
+  EXPECT_EQ(Concat(sharded, AllEntitySidIds), AllEntitySidIds(mono))
+      << context;
   for (size_t t = 0; t < kNumEntityTypes; ++t) {
-    EntityType type = static_cast<EntityType>(t);
-    EXPECT_EQ(sharded.EntitiesOfType(type), mono.EntitiesOfType(type))
-        << context << " type=" << t;
-    EXPECT_EQ(sharded.EntityTypeSids(type), mono.EntityTypeSids(type).Decode())
+    const auto type = static_cast<EntityType>(t);
+    EXPECT_EQ(Concat(sharded,
+                     [&](const KokoIndex& s) {
+                       return Ids(&s.EntityTypeSids(type));
+                     }),
+              Ids(&mono.EntityTypeSids(type)))
         << context << " type=" << t;
   }
   const KokoIndex::Stats& ms = mono.stats();
@@ -74,7 +127,6 @@ void ExpectLookupsMatchMonolithic(const ShardedKokoIndex& sharded,
   EXPECT_EQ(ss.num_sentences, ms.num_sentences) << context;
   EXPECT_EQ(ss.num_tokens, ms.num_tokens) << context;
   EXPECT_EQ(ss.num_entities, ms.num_entities) << context;
-  (void)corpus;
 }
 
 TEST(ShardedKokoIndexTest, MatchesMonolithicAcrossShardCounts) {
@@ -128,11 +180,13 @@ TEST(ShardedKokoIndexTest, ParallelBuildMatchesSequentialBuild) {
   auto a = ShardedKokoIndex::Build(corpus, sequential);
   auto b = ShardedKokoIndex::Build(corpus, parallel);
   for (const char* word : {"a", "delicious", "ate"}) {
-    EXPECT_EQ(a->LookupWord(word), b->LookupWord(word)) << word;
+    EXPECT_EQ(Concat(*a, WordPostings(word)), Concat(*b, WordPostings(word)))
+        << word;
   }
   PathQuery path = DobjPath();
-  EXPECT_EQ(a->LookupParseLabelPath(path), b->LookupParseLabelPath(path));
-  EXPECT_EQ(a->AllEntities(), b->AllEntities());
+  EXPECT_EQ(Concat(*a, PlPathPostings(path)),
+            Concat(*b, PlPathPostings(path)));
+  EXPECT_EQ(Concat(*a, AllEntities), Concat(*b, AllEntities));
 }
 
 TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
@@ -148,14 +202,19 @@ TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
     EXPECT_EQ((*loaded)->shard_range(i).end, built->shard_range(i).end);
   }
   for (const char* word : {"a", "delicious", "ate"}) {
-    EXPECT_EQ((*loaded)->LookupWord(word), built->LookupWord(word)) << word;
-    EXPECT_EQ((*loaded)->WordSids(word), built->WordSids(word)) << word;
+    EXPECT_EQ(Concat(**loaded, WordPostings(word)),
+              Concat(*built, WordPostings(word)))
+        << word;
+    EXPECT_EQ(Concat(**loaded, WordSidIds(word)),
+              Concat(*built, WordSidIds(word)))
+        << word;
   }
   PathQuery path_q = DobjPath();
-  EXPECT_EQ((*loaded)->LookupParseLabelPath(path_q),
-            built->LookupParseLabelPath(path_q));
-  EXPECT_EQ((*loaded)->PlPathSids(path_q), built->PlPathSids(path_q));
-  EXPECT_EQ((*loaded)->AllEntities(), built->AllEntities());
+  EXPECT_EQ(Concat(**loaded, PlPathPostings(path_q)),
+            Concat(*built, PlPathPostings(path_q)));
+  EXPECT_EQ(Concat(**loaded, PlPathSidIds(path_q)),
+            Concat(*built, PlPathSidIds(path_q)));
+  EXPECT_EQ(Concat(**loaded, AllEntities), Concat(*built, AllEntities));
 
   // Engine equality across the round trip: same rows from the loaded index.
   Pipeline pipeline;
@@ -199,16 +258,18 @@ TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ((*got)->num_shards(), (*want)->num_shards()) << v;
     for (const char* word : {"a", "delicious", "ate", "zzz-absent"}) {
-      EXPECT_EQ((*got)->LookupWord(word), (*want)->LookupWord(word))
+      EXPECT_EQ(Concat(**got, WordPostings(word)),
+                Concat(**want, WordPostings(word)))
           << "v=" << v << " word=" << word;
-      EXPECT_EQ((*got)->WordSids(word), (*want)->WordSids(word))
+      EXPECT_EQ(Concat(**got, WordSidIds(word)),
+                Concat(**want, WordSidIds(word)))
           << "v=" << v << " word=" << word;
     }
     PathQuery path_q = DobjPath();
-    EXPECT_EQ((*got)->LookupParseLabelPath(path_q),
-              (*want)->LookupParseLabelPath(path_q))
+    EXPECT_EQ(Concat(**got, PlPathPostings(path_q)),
+              Concat(**want, PlPathPostings(path_q)))
         << v;
-    EXPECT_EQ((*got)->AllEntities(), (*want)->AllEntities()) << v;
+    EXPECT_EQ(Concat(**got, AllEntities), Concat(**want, AllEntities)) << v;
   }
   std::remove(path.c_str());
 }
@@ -253,21 +314,25 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
         EXPECT_EQ((*got)->shard_range(i).end, built->shard_range(i).end);
       }
       for (const char* word : {"a", "delicious", "ate", "zzz-absent"}) {
-        EXPECT_EQ((*got)->LookupWord(word), (*want)->LookupWord(word))
+        EXPECT_EQ(Concat(**got, WordPostings(word)),
+                  Concat(**want, WordPostings(word)))
             << context << " word=" << word;
-        EXPECT_EQ((*got)->WordSids(word), (*want)->WordSids(word))
-            << context << " word=" << word;
-        EXPECT_EQ((*got)->CountWordSids(word), (*want)->CountWordSids(word))
+        EXPECT_EQ(Concat(**got, WordSidIds(word)),
+                  Concat(**want, WordSidIds(word)))
             << context << " word=" << word;
       }
       PathQuery path_q = DobjPath();
-      EXPECT_EQ((*got)->LookupParseLabelPath(path_q),
-                (*want)->LookupParseLabelPath(path_q))
+      EXPECT_EQ(Concat(**got, PlPathPostings(path_q)),
+                Concat(**want, PlPathPostings(path_q)))
           << context;
-      EXPECT_EQ((*got)->PlPathSids(path_q), (*want)->PlPathSids(path_q))
+      EXPECT_EQ(Concat(**got, PlPathSidIds(path_q)),
+                Concat(**want, PlPathSidIds(path_q)))
           << context;
-      EXPECT_EQ((*got)->AllEntities(), (*want)->AllEntities()) << context;
-      EXPECT_EQ((*got)->AllEntitySids(), (*want)->AllEntitySids()) << context;
+      EXPECT_EQ(Concat(**got, AllEntities), Concat(**want, AllEntities))
+          << context;
+      EXPECT_EQ(Concat(**got, AllEntitySidIds),
+                Concat(**want, AllEntitySidIds))
+          << context;
     }
     std::remove(path.c_str());
   }
@@ -327,7 +392,9 @@ TEST(ShardedKokoIndexTest, MmapLoadOutlivesFileRemoval) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   std::remove(path.c_str());
   for (const char* word : {"a", "delicious", "ate"}) {
-    EXPECT_EQ((*mapped)->LookupWord(word), built->LookupWord(word)) << word;
+    EXPECT_EQ(Concat(**mapped, WordPostings(word)),
+              Concat(*built, WordPostings(word)))
+        << word;
   }
 }
 
@@ -440,11 +507,12 @@ TEST(ShardedKokoIndexTest, CorruptImageFailsLoadCleanly) {
       ok[mode == LoadMode::kMap] = loaded.ok();
       if (!loaded.ok()) continue;
       for (const char* word : {"a", "happy", "zzz-absent"}) {
-        const SidList sids = (*loaded)->WordSids(word);
+        const std::vector<uint32_t> sids = Concat(**loaded, WordSidIds(word));
         EXPECT_TRUE(std::is_sorted(sids.begin(), sids.end())) << what;
-        (void)(*loaded)->LookupWord(word);
+        (void)Concat(**loaded, WordPostings(word));
       }
-      (void)(*loaded)->PlPathSids(DobjPath());
+      (void)Concat(**loaded, PlPathSidIds(DobjPath()));
+      (void)Concat(**loaded, AllEntities);
     }
     EXPECT_EQ(ok[0], ok[1]) << what;
     return ok[0];

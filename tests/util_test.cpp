@@ -317,8 +317,8 @@ TEST(MemorySpanTest, SliceBoundsChecked) {
 }
 
 TEST(U32ViewTest, UnalignedLoads) {
-  // A view based one byte into a buffer exercises the unaligned path the
-  // mmap'ed skip tables hit (strings precede them in the image).
+  // A view based one byte into a buffer exercises the unaligned path a
+  // caller-supplied span that does not start aligned takes.
   std::vector<uint32_t> values = {7, 0, 0xffffffffu, 123456789u};
   std::vector<uint8_t> shifted(1 + values.size() * sizeof(uint32_t));
   std::memcpy(shifted.data() + 1, values.data(),
@@ -350,34 +350,17 @@ TEST(MappedFileTest, MapsReadsAndOutlivesUnlink) {
             payload);
 }
 
-TEST(MappedFileTest, ReleasedBytesStayReadable) {
-  // Release drops resident pages only: every byte reads back unchanged
-  // afterwards, for a mapping (faulted back in from the unlinked file) and
-  // for an owned copy (no-op), whatever the range's page alignment.
-  const std::string path = ::testing::TempDir() + "/mmap_release_test.bin";
-  std::string payload(5 * 4096 + 123, '\0');
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<char>('a' + i % 26);
-  }
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(payload.data(), static_cast<long>(payload.size()));
-  }
-  auto mapped = MappedFile::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  auto copied = MappedFile::Read(path);
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  std::remove(path.c_str());
-  for (const auto& file : {*mapped, *copied}) {
-    const MemorySpan span = file->span();
-    file->Release(MemorySpan(span.data() + 100, 3 * 4096));
-    file->Release(MemorySpan(span.data() + 7, 0));
-    file->Release(span);
-    EXPECT_EQ(std::string(reinterpret_cast<const char*>(span.data()),
-                          span.size()),
-              payload)
-        << (file->mmapped() ? "mapped" : "copied");
-  }
+TEST(MappedFileTest, FromWordsOwnsAnAlignedImage) {
+  // An image assembled in memory is served through the same span API as
+  // a read file: an owned, 4-byte-aligned buffer of the words' bytes.
+  const std::vector<uint32_t> words = {0x4b494458u, 5, 0, 42};
+  auto file = MappedFile::FromWords(words);
+  EXPECT_FALSE(file->mmapped());
+  ASSERT_EQ(file->size(), words.size() * sizeof(uint32_t));
+  const MemorySpan span = file->span();
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(span.data()) % alignof(uint32_t), 0u);
+  EXPECT_EQ(U32View(span.data(), words.size()).ToVector(), words);
+  EXPECT_TRUE(MappedFile::FromWords({})->span().empty());
 }
 
 TEST(MappedFileTest, OpenFailuresAreCleanErrors) {
@@ -431,16 +414,19 @@ TEST(MappedFileTest, ReadCopiesIntoAnOwnedBuffer) {
 }
 
 TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
-  // Build a little stream with BinaryWriter, then parse it back with
-  // SpanReader and check the array reads alias instead of copying.
+  // Build a little stream, then parse it back with SpanReader and check
+  // the array and blob reads alias instead of copying.
   std::ostringstream out(std::ios::binary);
   BinaryWriter writer(&out);
   writer.WriteU32(42);
   writer.WriteString("word");
   const std::vector<uint32_t> u32s = {1, 2, 3};
-  writer.WriteVector(u32s);
+  writer.WriteU32(static_cast<uint32_t>(u32s.size()));
+  writer.WriteBytes(u32s.data(), u32s.size() * sizeof(uint32_t));
   const std::vector<uint8_t> raw = {9, 8};
-  writer.WriteVector(raw);
+  writer.WriteU32(static_cast<uint32_t>(raw.size()));
+  writer.WriteBytes(raw.data(), raw.size());
+  writer.WriteBytes("\0\0", 2);  // zero pad to a 4-byte multiple
   writer.WriteU64(7);
   const std::string image = out.str();
   const MemorySpan span(reinterpret_cast<const uint8_t*>(image.data()),
@@ -458,9 +444,8 @@ TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
   EXPECT_EQ(view->ToVector(), u32s);
   EXPECT_GE(view->raw(), span.data());  // a view into the span, not a copy
   EXPECT_LT(view->raw(), span.data() + span.size());
-  auto count = reader.ReadU32();
-  ASSERT_TRUE(count.ok());
-  auto bytes = reader.ReadRawSpan(*count);
+  EXPECT_EQ(view->Slice(1, 3).ToVector(), (std::vector<uint32_t>{2, 3}));
+  auto bytes = reader.ReadPaddedBytes();
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(bytes->ToVector(), raw);
   auto b = reader.ReadU64();
@@ -477,36 +462,27 @@ TEST(SpanReaderTest, CorruptLengthPrefixesRejected) {
   BinaryWriter writer(&out);
   writer.WriteU32(1000000);  // claims 1M entries, stream ends right after
   const std::string image = out.str();
-  SpanReader reader(MemorySpan(
-      reinterpret_cast<const uint8_t*>(image.data()), image.size()));
-  EXPECT_FALSE(reader.ReadU32Array().ok());
-  SpanReader again(MemorySpan(
-      reinterpret_cast<const uint8_t*>(image.data()), image.size()));
-  EXPECT_FALSE(again.ReadRawSpan(1000000).ok());
-  SpanReader str_reader(MemorySpan(
-      reinterpret_cast<const uint8_t*>(image.data()), image.size()));
-  EXPECT_FALSE(str_reader.ReadString().ok());
+  const MemorySpan span(reinterpret_cast<const uint8_t*>(image.data()),
+                        image.size());
+  EXPECT_FALSE(SpanReader(span).ReadU32Array().ok());
+  EXPECT_FALSE(SpanReader(span).ReadPaddedBytes().ok());
+  EXPECT_FALSE(SpanReader(span).ReadString().ok());
 }
 
-TEST(SpanStreamBufTest, SeekableIstreamOverSpan) {
-  const std::string payload = "0123456789";
-  SpanStreamBuf buf(MemorySpan(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
-  std::istream in(&buf);
-  char c;
-  in.read(&c, 1);
-  EXPECT_EQ(c, '0');
-  in.seekg(5);
-  in.read(&c, 1);
-  EXPECT_EQ(c, '5');
-  in.seekg(0, std::ios::end);
-  EXPECT_EQ(static_cast<long>(in.tellg()), 10);
-  in.seekg(-2, std::ios::cur);
-  in.read(&c, 1);
-  EXPECT_EQ(c, '8');
-  // Seeking outside the span fails the stream.
-  in.seekg(42);
-  EXPECT_TRUE(in.fail());
+TEST(SpanReaderTest, PaddedBytesRejectNonzeroPad) {
+  // A blob's pad is part of the canonical image: a nonzero pad byte is
+  // corruption, and a pad cut off by the end of the span is truncation.
+  const uint8_t padded[] = {3, 0, 0, 0, 'a', 'b', 'c', 0};
+  EXPECT_TRUE(SpanReader(MemorySpan(padded, sizeof(padded)))
+                  .ReadPaddedBytes()
+                  .ok());
+  const uint8_t dirty[] = {3, 0, 0, 0, 'a', 'b', 'c', 1};
+  auto bad = SpanReader(MemorySpan(dirty, sizeof(dirty))).ReadPaddedBytes();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(SpanReader(MemorySpan(padded, sizeof(padded) - 1))
+                   .ReadPaddedBytes()
+                   .ok());
 }
 
 }  // namespace
