@@ -1,6 +1,8 @@
 #include "index/path.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "regex/regex.h"
 #include "util/logging.h"
@@ -8,16 +10,16 @@
 
 namespace koko {
 
-bool NodeConstraint::Matches(const Sentence& s, int tid) const {
+bool NodeConstraint::Matches(const Sentence& s, int tid,
+                             const Regex* compiled) const {
   const Token& tok = s.tokens[tid];
   if (dep && tok.label != *dep) return false;
   if (pos && tok.pos != *pos) return false;
   if (word && tok.text != *word) return false;
   if (etype && tok.etype != *etype) return false;
   if (any_entity && tok.etype == EntityType::kNone) return false;
-  if (regex) {
-    auto re = Regex::Compile(*regex);
-    if (!re.ok() || !re->FullMatch(tok.text)) return false;
+  if (regex && (compiled == nullptr || !compiled->FullMatch(tok.text))) {
+    return false;
   }
   return true;
 }
@@ -53,21 +55,29 @@ std::string PathQuery::ToString() const {
   return out;
 }
 
-std::vector<int> MatchPathInSentence(const Sentence& s, const PathQuery& path) {
-  std::vector<int> result;
-  if (s.size() == 0 || path.empty()) return result;
+void MatchPathInSentence(const Sentence& s, const PathQuery& path,
+                         const std::vector<const Regex*>& step_regex,
+                         PathMatchScratch* scratch, std::vector<int>* out) {
+  out->clear();
+  if (s.size() == 0 || path.empty()) return;
 
   // Node sets per step; -1 denotes the virtual node above the root.
-  std::vector<int> current = {-1};
-  std::vector<char> in_set(static_cast<size_t>(s.size()) + 1, 0);
+  std::vector<int>& current = scratch->current;
+  std::vector<int>& next = scratch->next;
+  std::vector<int>& stack = scratch->stack;
+  std::vector<char>& in_set = scratch->in_set;
+  current.assign(1, -1);
+  in_set.resize(static_cast<size_t>(s.size()) + 1);
 
-  auto children_of = [&](int node) -> std::vector<int> {
-    if (node == -1) return {s.root};
-    return s.children[node];
+  auto children_of = [&](int node) -> std::span<const int> {
+    if (node == -1) return {&s.root, 1};
+    return s.children[static_cast<size_t>(node)];
   };
 
-  for (const PathStep& step : path.steps) {
-    std::vector<int> next;
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    const PathStep& step = path.steps[i];
+    const Regex* re = step_regex[i];
+    next.clear();
     std::fill(in_set.begin(), in_set.end(), 0);
     auto add = [&](int t) {
       if (!in_set[static_cast<size_t>(t) + 1]) {
@@ -78,24 +88,44 @@ std::vector<int> MatchPathInSentence(const Sentence& s, const PathQuery& path) {
     for (int node : current) {
       if (step.axis == PathStep::Axis::kChild) {
         for (int child : children_of(node)) {
-          if (step.constraint.Matches(s, child)) add(child);
+          if (step.constraint.Matches(s, child, re)) add(child);
         }
       } else {
         // Descendant axis: DFS below `node`.
-        std::vector<int> stack = children_of(node);
+        std::span<const int> below = children_of(node);
+        stack.assign(below.begin(), below.end());
         while (!stack.empty()) {
           int t = stack.back();
           stack.pop_back();
-          if (step.constraint.Matches(s, t)) add(t);
-          for (int child : s.children[t]) stack.push_back(child);
+          if (step.constraint.Matches(s, t, re)) add(t);
+          for (int child : s.children[static_cast<size_t>(t)]) {
+            stack.push_back(child);
+          }
         }
       }
     }
-    current = std::move(next);
-    if (current.empty()) return {};
+    current.swap(next);
+    if (current.empty()) return;
   }
   std::sort(current.begin(), current.end());
-  return current;
+  out->assign(current.begin(), current.end());
+}
+
+std::vector<int> MatchPathInSentence(const Sentence& s, const PathQuery& path) {
+  std::vector<std::optional<Regex>> compiled(path.steps.size());
+  std::vector<const Regex*> step_regex(path.steps.size(), nullptr);
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    const std::optional<std::string>& pattern = path.steps[i].constraint.regex;
+    if (!pattern) continue;
+    auto re = Regex::Compile(*pattern);
+    if (!re.ok()) continue;
+    compiled[i].emplace(std::move(*re));
+    step_regex[i] = &*compiled[i];
+  }
+  PathMatchScratch scratch;
+  std::vector<int> out;
+  MatchPathInSentence(s, path, step_regex, &scratch, &out);
+  return out;
 }
 
 bool SentenceHasPathMatch(const Sentence& s, const PathQuery& path) {

@@ -9,6 +9,8 @@
 
 namespace koko {
 
+class Regex;
+
 /// Constraint on one node of a path expression. A step like
 /// `verb[text="ate", @pos="verb"]` sets several fields at once; a bare
 /// label sets exactly one of dep/pos/word depending on how the label name
@@ -25,8 +27,10 @@ struct NodeConstraint {
     return !dep && !pos && !word && !regex && !etype && !any_entity;
   }
 
-  /// True when token `tid` of `s` satisfies every set field.
-  bool Matches(const Sentence& s, int tid) const;
+  /// True when token `tid` of `s` satisfies every set field. `compiled` is
+  /// the compiled `regex` field: null when it is unset or does not compile,
+  /// and a pattern that does not compile matches nothing.
+  bool Matches(const Sentence& s, int tid, const Regex* compiled) const;
 
   std::string ToString() const;
 };
@@ -47,11 +51,27 @@ struct PathQuery {
   std::string ToString() const;
 };
 
+/// Frontier buffers of the path matcher. Reusing one across sentences keeps
+/// their capacity, so matching allocates nothing once they have grown.
+struct PathMatchScratch {
+  std::vector<int> current;
+  std::vector<int> next;
+  std::vector<int> stack;
+  std::vector<char> in_set;
+};
+
 /// \brief Reference (index-free) path matcher.
 ///
-/// Returns the token ids of `s` that terminate a root-to-node path
-/// matching `path`. This is the ground truth the indices approximate:
-/// effectiveness experiments and DPLI validation both compare against it.
+/// Fills `*out` with the ascending token ids of `s` that terminate a
+/// root-to-node path matching `path`. This is the ground truth the indices
+/// approximate: effectiveness experiments and DPLI validation both compare
+/// against it. `step_regex[i]` is step i's compiled `@regex` (see
+/// NodeConstraint::Matches).
+void MatchPathInSentence(const Sentence& s, const PathQuery& path,
+                         const std::vector<const Regex*>& step_regex,
+                         PathMatchScratch* scratch, std::vector<int>* out);
+
+/// The same, compiling the steps' patterns once per call.
 std::vector<int> MatchPathInSentence(const Sentence& s, const PathQuery& path);
 
 /// True when some token of `s` matches `path`.

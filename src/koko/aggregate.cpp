@@ -69,14 +69,25 @@ const std::vector<WeightedPhrase>& Aggregator::Expansions(
       .first->second;
 }
 
+const Regex* Aggregator::Pattern(const std::string& pattern) const {
+  MutexLock lock(regex_mu_);
+  auto [it, fresh] = regex_cache_.try_emplace(pattern);
+  if (fresh) {
+    auto re = Regex::Compile(pattern);
+    if (re.ok()) it->second.emplace(std::move(*re));
+  }
+  return it->second ? &*it->second : nullptr;
+}
+
 double Aggregator::ConditionScore(const Document& doc, const std::string& value,
                                   const SatCondition& cond) const {
-  std::vector<std::string> value_tokens = Tokenizer::Tokenize(value);
+  // Only the conditions that read the value's tokens tokenize it.
   switch (cond.kind) {
     case SatCondition::Kind::kStrContains: {
       // Token-level containment: "chocolate ice cream" contains "ice".
       std::vector<std::string> needle = Tokenizer::Tokenize(cond.text);
       if (needle.empty()) return 0.0;
+      const std::vector<std::string> value_tokens = Tokenizer::Tokenize(value);
       for (size_t i = 0; i + needle.size() <= value_tokens.size(); ++i) {
         bool ok = true;
         for (size_t j = 0; j < needle.size(); ++j) {
@@ -92,9 +103,8 @@ double Aggregator::ConditionScore(const Document& doc, const std::string& value,
     case SatCondition::Kind::kStrMentions:
       return Contains(value, cond.text) ? 1.0 : 0.0;
     case SatCondition::Kind::kStrMatches: {
-      auto re = Regex::Compile(cond.text);
-      if (!re.ok()) return 0.0;
-      return re->FullMatch(value) ? 1.0 : 0.0;
+      const Regex* re = Pattern(cond.text);
+      return re != nullptr && re->FullMatch(value) ? 1.0 : 0.0;
     }
     case SatCondition::Kind::kInDict: {
       EntityType etype;
@@ -102,23 +112,27 @@ double Aggregator::ConditionScore(const Document& doc, const std::string& value,
       return recognizer_->InGazetteer(etype, ToLower(value)) ? 1.0 : 0.0;
     }
     case SatCondition::Kind::kFollowedBy:
-      return OccursFollowedBy(doc, value_tokens, Tokenizer::Tokenize(cond.text))
+      return OccursFollowedBy(doc, Tokenizer::Tokenize(value),
+                              Tokenizer::Tokenize(cond.text))
                  ? 1.0
                  : 0.0;
     case SatCondition::Kind::kPrecededBy:
-      return OccursPrecededBy(doc, value_tokens, Tokenizer::Tokenize(cond.text))
+      return OccursPrecededBy(doc, Tokenizer::Tokenize(value),
+                              Tokenizer::Tokenize(cond.text))
                  ? 1.0
                  : 0.0;
     case SatCondition::Kind::kNear:
-      return ScoreNear(doc, value_tokens, cond.text);
+      return ScoreNear(doc, Tokenizer::Tokenize(value), cond.text);
     case SatCondition::Kind::kDescriptorRight:
       if (!options_.use_descriptors) return 0.0;
-      return ScoreDescriptor(doc, value_tokens, cond.text, /*right_side=*/true);
+      return ScoreDescriptor(doc, Tokenizer::Tokenize(value), cond.text,
+                             /*right_side=*/true);
     case SatCondition::Kind::kDescriptorLeft:
       if (!options_.use_descriptors) return 0.0;
-      return ScoreDescriptor(doc, value_tokens, cond.text, /*right_side=*/false);
+      return ScoreDescriptor(doc, Tokenizer::Tokenize(value), cond.text,
+                             /*right_side=*/false);
     case SatCondition::Kind::kSimilarTo:
-      return SimilarToScore(value_tokens, cond.text);
+      return SimilarToScore(Tokenizer::Tokenize(value), cond.text);
   }
   return 0.0;
 }

@@ -1,6 +1,7 @@
 #ifndef KOKO_KOKO_AGGREGATE_H_
 #define KOKO_KOKO_AGGREGATE_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "embed/embedding.h"
 #include "koko/ast.h"
 #include "ner/entity_recognizer.h"
+#include "regex/regex.h"
 #include "text/document.h"
 #include "util/thread_annotations.h"
 
@@ -58,6 +60,10 @@ class Aggregator {
  private:
   const std::vector<WeightedPhrase>& Expansions(const std::string& descriptor) const;
 
+  /// `str(x) matches` pattern, compiled on first use; null when it does not
+  /// compile.
+  const Regex* Pattern(const std::string& pattern) const;
+
   double ScoreDescriptor(const Document& doc,
                          const std::vector<std::string>& value_tokens,
                          const std::string& descriptor, bool right_side) const;
@@ -84,6 +90,11 @@ class Aggregator {
   DescriptorExpander expander_ KOKO_GUARDED_BY(expansion_mu_);
   mutable std::unordered_map<std::string, std::vector<WeightedPhrase>>
       expansion_cache_ KOKO_GUARDED_BY(expansion_mu_);
+  /// Guards the compiled `matches` patterns the same way; entries are never
+  /// erased, so handed-out pointers stay valid for the Aggregator's life.
+  mutable Mutex regex_mu_;
+  mutable std::unordered_map<std::string, std::optional<Regex>> regex_cache_
+      KOKO_GUARDED_BY(regex_mu_);
 };
 
 /// Positions where `needle` occurs as a contiguous token subsequence of the

@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "index/sid_ops.h"
 #include "koko/parser.h"
@@ -15,27 +14,6 @@
 namespace koko {
 
 namespace {
-
-// Exact hash for a row's value vector (the per-sentence dedup key).
-struct ValuesHash {
-  size_t operator()(const std::vector<std::string>& values) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (const std::string& v : values) {
-      h = HashCombine(h, Fnv1a64(v));
-      h = HashCombine(h, v.size());
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-// Hash for the aggregate score-cache key (doc, clause index, value).
-struct ScoreKeyHash {
-  size_t operator()(const std::tuple<uint32_t, size_t, std::string>& key) const {
-    uint64_t h = Mix64((static_cast<uint64_t>(std::get<0>(key)) << 32) ^
-                       static_cast<uint64_t>(std::get<1>(key)));
-    return static_cast<size_t>(HashCombine(h, Fnv1a64(std::get<2>(key))));
-  }
-};
 
 // A variable binding within one sentence: the token span [begin, end]
 // (end < begin encodes an empty span) plus the tree node for node variables.
@@ -48,31 +26,121 @@ struct Binding {
   int length() const { return end - begin + 1; }
 };
 
-std::string BindingText(const Sentence& s, const Binding& b) {
-  if (b.empty_span()) return "";
-  return s.SpanText(b.begin, b.end);
-}
+// One tracked value of a pending row: a token span of the row's sentence
+// and the hash of its text (Sentence::SpanTextHash).
+struct RowSpan {
+  int begin;
+  int end;
+  uint64_t hash;
+};
+
+// Per-sentence row dedup: an open-addressing table of pending rows keyed by
+// the hash of their span texts. Reset() empties it for the next sentence
+// and keeps its capacity.
+class RowDedup {
+ public:
+  void Reset() {
+    for (size_t i : used_) slots_[i].row = kEmpty;
+    used_.clear();
+  }
+
+  // Adds `row` unless a present row with the same hash satisfies
+  // `equal(present_row)`; returns whether it was added.
+  template <typename Equal>
+  bool Insert(uint64_t hash, size_t row, const Equal& equal) {
+    if (2 * (used_.size() + 1) > slots_.size()) Grow();
+    for (size_t i = SlotOf(hash);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].row == kEmpty) {
+        slots_[i] = {hash, row};
+        used_.push_back(i);
+        return true;
+      }
+      if (slots_[i].hash == hash && equal(slots_[i].row)) return false;
+    }
+  }
+
+ private:
+  static constexpr size_t kEmpty = SIZE_MAX;
+  struct Slot {
+    uint64_t hash = 0;
+    size_t row = kEmpty;
+  };
+
+  size_t SlotOf(uint64_t hash) const {
+    return static_cast<size_t>(Mix64(hash)) & (slots_.size() - 1);
+  }
+
+  void Grow() {
+    std::vector<Slot> present;
+    present.reserve(used_.size());
+    for (size_t i : used_) present.push_back(slots_[i]);
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), Slot{});
+    used_.clear();
+    for (const Slot& slot : present) {
+      size_t i = SlotOf(slot.hash);
+      while (slots_[i].row != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+      used_.push_back(i);
+    }
+  }
+
+  std::vector<Slot> slots_;  // size is zero or a power of two
+  std::vector<size_t> used_;
+};
+
+// Aggregate memo key: a (doc, slot) pair and the text of one representative
+// span, compared in place. Slot ci < #satisfying is satisfying clause ci's
+// score; #satisfying + j is excluding condition j's decision.
+struct MemoKey {
+  uint32_t doc;
+  uint32_t slot;
+  const Sentence* sentence;
+  RowSpan span;
+};
+
+struct MemoHash {
+  size_t operator()(const MemoKey& k) const {
+    return static_cast<size_t>(HashCombine(
+        Mix64((static_cast<uint64_t>(k.doc) << 32) | k.slot), k.span.hash));
+  }
+};
+
+struct MemoEqual {
+  bool operator()(const MemoKey& a, const MemoKey& b) const {
+    return a.doc == b.doc && a.slot == b.slot && a.span.hash == b.span.hash &&
+           a.sentence->SpanTextEquals(a.span.begin, a.span.end, *b.sentence,
+                                      b.span.begin, b.span.end);
+  }
+};
 
 // ---- Per-sentence evaluation ------------------------------------------------
 
 class SentenceEvaluator {
  public:
-  // `elastic_regex[v]` is elastic variable v's compiled regex (null when it
-  // has none or its pattern does not compile).
-  SentenceEvaluator(const CompiledQuery& cq, const Sentence& s,
-                    const EngineOptions& opts,
+  using Emit = std::function<bool(const std::vector<Binding>&)>;
+
+  // One evaluator serves every candidate sentence of a query, so its
+  // buffers keep their capacity. `elastic_regex[v]` is elastic variable v's
+  // compiled regex (null when it has none or its pattern does not compile);
+  // `path_regex[v]` holds node variable v's compiled step patterns (see
+  // MatchPathInSentence). `emit` receives every assignment and returns false
+  // to stop the enumeration.
+  SentenceEvaluator(const CompiledQuery& cq, const EngineOptions& opts,
                     const std::vector<const Regex*>& elastic_regex,
-                    PhaseStats* phases)
+                    const std::vector<std::vector<const Regex*>>& path_regex,
+                    PhaseStats* phases, const Emit& emit)
       : cq_(cq),
-        s_(s),
         opts_(opts),
         elastic_regex_(elastic_regex),
-        phases_(phases) {}
+        path_regex_(path_regex),
+        phases_(phases),
+        emit_(emit),
+        domains_(cq.vars.size()) {}
 
-  // Enumerates all assignments; invokes `emit` with the bindings vector.
-  // Returns false when the row limit was hit.
-  bool Run(const std::function<bool(const std::vector<Binding>&)>& emit) {
-    emit_ = &emit;
+  // Enumerates all assignments over `s`. Returns false when `emit` stopped
+  // the enumeration.
+  bool Run(const Sentence& s) {
+    s_ = &s;
     const size_t n = cq_.vars.size();
     assign_.assign(n, Binding{});
     assigned_.assign(n, 0);
@@ -86,19 +154,19 @@ class SentenceEvaluator {
 
   // Fills domains for enumerable variables; false when any is empty.
   bool ComputeDomains() {
-    domains_.assign(cq_.vars.size(), {});
+    for (std::vector<Binding>& domain : domains_) domain.clear();
     for (size_t i = 0; i < cq_.vars.size(); ++i) {
       const CompiledVar& v = cq_.vars[i];
       switch (v.kind) {
         case Kind::kNode: {
-          for (int t : MatchPathInSentence(s_, v.abs_path)) {
-            domains_[i].push_back(Binding{t, t, t});
-          }
+          MatchPathInSentence(*s_, v.abs_path, path_regex_[i], &path_scratch_,
+                              &path_nodes_);
+          for (int t : path_nodes_) domains_[i].push_back(Binding{t, t, t});
           if (domains_[i].empty()) return false;
           break;
         }
         case Kind::kEntity: {
-          for (const Entity& e : s_.entities) {
+          for (const Entity& e : s_->entities) {
             if (v.etype && e.type != *v.etype) continue;
             domains_[i].push_back(Binding{e.begin, e.end, -1});
           }
@@ -106,9 +174,11 @@ class SentenceEvaluator {
           break;
         }
         case Kind::kLiteral: {
-          for (int pos : Occurrences(v.literal)) {
-            domains_[i].push_back(
-                Binding{pos, pos + static_cast<int>(v.literal.size()) - 1, -1});
+          const int m = static_cast<int>(v.literal.size());
+          for (int pos = 0; pos + m <= s_->size(); ++pos) {
+            if (LiteralAt(v.literal, pos)) {
+              domains_[i].push_back(Binding{pos, pos + m - 1, -1});
+            }
           }
           if (domains_[i].empty()) return false;
           break;
@@ -122,21 +192,14 @@ class SentenceEvaluator {
     return true;
   }
 
-  std::vector<int> Occurrences(const std::vector<std::string>& needle) const {
-    std::vector<int> out;
-    const int n = s_.size();
-    const int m = static_cast<int>(needle.size());
-    for (int i = 0; i + m <= n; ++i) {
-      bool ok = true;
-      for (int j = 0; j < m; ++j) {
-        if (s_.tokens[i + j].text != needle[static_cast<size_t>(j)]) {
-          ok = false;
-          break;
-        }
+  // True when the sentence's tokens from `pos` on spell `literal`.
+  bool LiteralAt(const std::vector<std::string>& literal, int pos) const {
+    for (size_t j = 0; j < literal.size(); ++j) {
+      if (s_->tokens[static_cast<size_t>(pos) + j].text != literal[j]) {
+        return false;
       }
-      if (ok) out.push_back(i);
     }
-    return out;
+    return true;
   }
 
   // Algorithm 2: per horizontal condition, greedily mark the costliest
@@ -146,10 +209,10 @@ class SentenceEvaluator {
     ScopedPhase phase(phases_, "GSP");
     skipped_.assign(cq_.vars.size(), 0);
     if (!opts_.use_gsp) return;
-    const double t = static_cast<double>(s_.size());
+    const double t = static_cast<double>(s_->size());
     for (int span_idx : cq_.horizontal) {
       const std::vector<int>& atoms = cq_.vars[static_cast<size_t>(span_idx)].atoms;
-      std::vector<std::pair<double, int>> cost;  // (cost, position in atoms)
+      cost_.clear();
       for (size_t pos = 0; pos < atoms.size(); ++pos) {
         const CompiledVar& v = cq_.vars[static_cast<size_t>(atoms[pos])];
         double c;
@@ -168,23 +231,23 @@ class SentenceEvaluator {
             c = static_cast<double>(domains_[static_cast<size_t>(atoms[pos])].size());
             break;
         }
-        cost.push_back({c, static_cast<int>(pos)});
+        cost_.push_back({c, static_cast<int>(pos)});
       }
-      std::sort(cost.begin(), cost.end(),
+      std::sort(cost_.begin(), cost_.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
-      std::vector<char> in_list(atoms.size(), 0);
-      for (const auto& [c, pos] : cost) {
-        bool left_ok = pos == 0 || !in_list[static_cast<size_t>(pos - 1)];
+      in_list_.assign(atoms.size(), 0);
+      for (const auto& [c, pos] : cost_) {
+        bool left_ok = pos == 0 || !in_list_[static_cast<size_t>(pos - 1)];
         bool right_ok = pos + 1 >= static_cast<int>(atoms.size()) ||
-                        !in_list[static_cast<size_t>(pos + 1)];
-        if (left_ok && right_ok) in_list[static_cast<size_t>(pos)] = 1;
+                        !in_list_[static_cast<size_t>(pos + 1)];
+        if (left_ok && right_ok) in_list_[static_cast<size_t>(pos)] = 1;
       }
       // Never skip everything: keep the cheapest atom enumerated.
       bool all = true;
-      for (char c : in_list) all = all && c;
-      if (all && !atoms.empty()) in_list[static_cast<size_t>(cost.back().second)] = 0;
+      for (char c : in_list_) all = all && c;
+      if (all && !atoms.empty()) in_list_[static_cast<size_t>(cost_.back().second)] = 0;
       for (size_t pos = 0; pos < atoms.size(); ++pos) {
-        if (in_list[pos]) skipped_[static_cast<size_t>(atoms[pos])] = 1;
+        if (in_list_[pos]) skipped_[static_cast<size_t>(atoms[pos])] = 1;
       }
     }
   }
@@ -208,12 +271,12 @@ class SentenceEvaluator {
           break;
         case Constraint::Kind::kParentOf: {
           if (a.node < 0 || b.node < 0) return false;
-          if (s_.tokens[b.node].head != a.node) return false;
+          if (s_->tokens[b.node].head != a.node) return false;
           break;
         }
         case Constraint::Kind::kAncestorOf: {
           if (a.node < 0 || b.node < 0) return false;
-          if (!s_.IsAncestor(a.node, b.node)) return false;
+          if (!s_->IsAncestor(a.node, b.node)) return false;
           break;
         }
         case Constraint::Kind::kLeftOf:
@@ -236,7 +299,7 @@ class SentenceEvaluator {
 
   // Recursive enumeration over variables in index order.
   bool Step(size_t var) {
-    if (var == cq_.vars.size()) return (*emit_)(assign_);
+    if (var == cq_.vars.size()) return emit_(assign_);
     const CompiledVar& v = cq_.vars[var];
     switch (v.kind) {
       case Kind::kNode:
@@ -263,7 +326,7 @@ class SentenceEvaluator {
           return Step(var + 1);
         }
         // NOGSP: naive enumeration of every possible span.
-        const int n = s_.size();
+        const int n = s_->size();
         int min_len = v.elastic.min_tokens;
         int max_len = std::min(v.elastic.max_tokens, n);
         for (int begin = 0; begin < n; ++begin) {
@@ -285,7 +348,7 @@ class SentenceEvaluator {
         if (!assigned_[static_cast<size_t>(v.base)] || base.node < 0) {
           return true;  // base missing: no bindings
         }
-        Binding b{s_.subtree_left[base.node], s_.subtree_right[base.node],
+        Binding b{s_->subtree_left[base.node], s_->subtree_right[base.node],
                   base.node};
         if (!Assign(var, b)) {
           Unassign(var);
@@ -301,13 +364,13 @@ class SentenceEvaluator {
     return true;
   }
 
-  bool ElasticOk(size_t var, const Binding& b) const {
+  bool ElasticOk(size_t var, const Binding& b) {
     const ElasticSpec& spec = cq_.vars[var].elastic;
     int len = b.empty_span() ? 0 : b.length();
     if (len < spec.min_tokens || len > spec.max_tokens) return false;
     if (spec.etype || spec.any_entity) {
       bool found = false;
-      for (const Entity& e : s_.entities) {
+      for (const Entity& e : s_->entities) {
         if (e.begin == b.begin && e.end == b.end &&
             (spec.any_entity || e.type == *spec.etype)) {
           found = true;
@@ -319,7 +382,10 @@ class SentenceEvaluator {
     if (spec.regex) {
       // A pattern that does not compile binds nothing.
       const Regex* re = elastic_regex_[var];
-      if (re == nullptr || !re->FullMatch(BindingText(s_, b))) return false;
+      if (re == nullptr) return false;
+      text_.clear();
+      s_->AppendSpanText(b.begin, b.end, &text_);
+      if (!re->FullMatch(text_)) return false;
     }
     return true;
   }
@@ -397,7 +463,7 @@ class SentenceEvaluator {
         // Whole condition deferred — cannot anchor; enumerate first atom.
         return EnumerateDeferred(var, atoms, pos, cursor, span_begin);
       }
-      if (cursor + required > s_.size()) return true;
+      if (cursor + required > s_->size()) return true;
       return FitRun(var, atoms, pos, run_end, cursor, cursor + required - 1,
                     cursor + required, span_begin);
     }
@@ -432,12 +498,7 @@ class SentenceEvaluator {
     switch (av.kind) {
       case Kind::kLiteral: {
         int len = static_cast<int>(av.literal.size());
-        if (len > gap_len) return true;
-        for (int j = 0; j < len; ++j) {
-          if (s_.tokens[lo + j].text != av.literal[static_cast<size_t>(j)]) {
-            return true;
-          }
-        }
+        if (len > gap_len || !LiteralAt(av.literal, lo)) return true;
         Binding b{lo, lo + len - 1, -1};
         if (!Assign(atom_var, b)) {
           Unassign(atom_var);
@@ -510,7 +571,7 @@ class SentenceEvaluator {
     size_t atom_var = static_cast<size_t>(atoms[pos]);
     const CompiledVar& av = cq_.vars[atom_var];
     if (av.kind != Kind::kElastic) return true;
-    const int n = s_.size();
+    const int n = s_->size();
     int max_len = std::min(av.elastic.max_tokens, n);
     for (int begin = 0; begin < n; ++begin) {
       for (int len = av.elastic.min_tokens; len <= max_len && begin + len <= n;
@@ -530,15 +591,22 @@ class SentenceEvaluator {
   }
 
   const CompiledQuery& cq_;
-  const Sentence& s_;
   const EngineOptions& opts_;
   const std::vector<const Regex*>& elastic_regex_;
+  const std::vector<std::vector<const Regex*>>& path_regex_;
   PhaseStats* phases_;
-  const std::function<bool(const std::vector<Binding>&)>* emit_ = nullptr;
+  const Emit& emit_;
+  const Sentence* s_ = nullptr;
+  // Per-sentence state; Run() resets it and keeps the capacity.
   std::vector<std::vector<Binding>> domains_;
   std::vector<Binding> assign_;
   std::vector<char> assigned_;
   std::vector<char> skipped_;
+  std::vector<std::pair<double, int>> cost_;  // (cost, position in atoms)
+  std::vector<char> in_list_;
+  PathMatchScratch path_scratch_;
+  std::vector<int> path_nodes_;
+  std::string text_;  // an elastic span's text for its regex
 };
 
 }  // namespace
@@ -698,11 +766,40 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     return store_ == nullptr ? corpus_->docs[doc] : loaded.at(doc);
   };
 
+  // A pending row is a window of tracked.size() spans in `row_spans`, one
+  // per tracked variable, over the row's sentence. Its text is built only
+  // for an aggregate memo miss or when the row is emitted.
   struct PendingRow {
     uint32_t doc;
     uint32_t sid;
-    std::vector<std::string> tracked_values;
+    size_t first;  // index of its first span in row_spans
+    const Sentence* sentence;
   };
+  std::vector<PendingRow> pending;  // the current chunk's rows
+  std::vector<RowSpan> row_spans;   // their spans
+  auto span_of = [&](const PendingRow& row, size_t pos) -> const RowSpan& {
+    return row_spans[row.first + pos];
+  };
+
+  // Each clause's and excluding condition's position among the tracked
+  // variables.
+  auto tracked_pos = [&](const std::string& name) {
+    const int idx = cq.VarIndex(name);
+    const size_t pos = static_cast<size_t>(
+        std::find(tracked.begin(), tracked.end(), idx) - tracked.begin());
+    KOKO_CHECK(pos < tracked.size());
+    return pos;
+  };
+  std::vector<size_t> satisfying_pos;
+  satisfying_pos.reserve(cq.satisfying.size());
+  for (const SatisfyingClause& clause : cq.satisfying) {
+    satisfying_pos.push_back(tracked_pos(clause.var));
+  }
+  std::vector<size_t> excluding_pos;
+  excluding_pos.reserve(cq.excluding.size());
+  for (const SatCondition& cond : cq.excluding) {
+    excluding_pos.push_back(tracked_pos(cond.var));
+  }
 
   // ---- Aggregate machinery: satisfying / excluding over whole documents.
   // Hoisted above extraction so rows finalise per chunk.
@@ -716,8 +813,9 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // are keyed by clause *content* salted with this engine's scoring
   // configuration (use_descriptors, ontology sets), so a hit is
   // guaranteed to equal recomputation and queries with different options
-  // can share one cache. The query-local cache still fronts the shared
-  // one to avoid re-locking stripes for values repeated within one query.
+  // can share one cache. The query-local memo below still fronts the
+  // shared one to avoid re-locking stripes for values repeated within one
+  // query.
   std::vector<uint64_t> clause_keys;
   if (options.score_cache != nullptr) {
     uint64_t salt = Mix64(options.use_descriptors ? 1 : 2);
@@ -736,114 +834,146 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
           HashCombine(salt, ScoreCache::ClauseFingerprint(clause)));
     }
   }
-  std::unordered_map<std::tuple<uint32_t, size_t, std::string>, double,
-                     ScoreKeyHash>
-      cache;
-  auto score_of = [&](uint32_t doc, size_t clause_idx,
-                      const std::string& value) {
-    auto key = std::make_tuple(doc, clause_idx, value);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-    if (options.score_cache != nullptr) {
-      if (auto hit =
-              options.score_cache->Lookup(clause_keys[clause_idx], doc, value)) {
-        cache.emplace(std::move(key), *hit);
-        return *hit;
-      }
-    }
-    double s = aggregator.Score(document(doc), value,
-                                cq.satisfying[clause_idx]);
-    if (options.score_cache != nullptr) {
-      options.score_cache->Insert(clause_keys[clause_idx], doc, value, s);
-    }
-    cache.emplace(std::move(key), s);
-    return s;
-  };
 
-  auto tracked_pos = [&](const std::string& name) {
-    int idx = cq.VarIndex(name);
-    for (size_t i = 0; i < tracked.size(); ++i) {
-      if (tracked[i] == idx) return i;
-    }
-    KOKO_CHECK(false);
-    return size_t{0};
+  // Query-local aggregate memo: every satisfying score and excluding
+  // decision, keyed by (doc, slot, span text) — see MemoKey. A miss builds
+  // the value text into `value_text`, which `compute` reads.
+  std::unordered_map<MemoKey, double, MemoHash, MemoEqual> memo;
+  std::string value_text;
+  auto memoized = [&](const PendingRow& row, size_t slot, const RowSpan& span,
+                      const auto& compute) {
+    const MemoKey key{row.doc, static_cast<uint32_t>(slot), row.sentence, span};
+    auto it = memo.find(key);
+    if (it != memo.end()) return it->second;
+    value_text.clear();
+    row.sentence->AppendSpanText(span.begin, span.end, &value_text);
+    const double value = compute();
+    memo.emplace(key, value);
+    return value;
   };
-
-  // Applies the aggregate filters to one pending row; survivors append to
-  // result.rows and stream to the sink immediately. Rows arrive here in
-  // ascending-sid order, so sink delivery order always equals result.rows
-  // order.
-  auto finalize_row = [&](PendingRow& row) {
-    bool keep = true;
-    std::vector<double> scores;
-    for (size_t ci = 0; ci < cq.satisfying.size(); ++ci) {
-      const std::string& value =
-          row.tracked_values[tracked_pos(cq.satisfying[ci].var)];
-      double s = score_of(row.doc, ci, value);
-      scores.push_back(s);
-      if (s < cq.satisfying[ci].threshold) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) {
-      for (const SatCondition& cond : cq.excluding) {
-        const std::string& value = row.tracked_values[tracked_pos(cond.var)];
-        if (aggregator.Excluded(document(row.doc), value, cond)) {
-          keep = false;
-          break;
+  auto score_of = [&](const PendingRow& row, size_t clause_idx) {
+    const RowSpan& span = span_of(row, satisfying_pos[clause_idx]);
+    return memoized(row, clause_idx, span, [&] {
+      if (options.score_cache != nullptr) {
+        if (auto hit = options.score_cache->Lookup(clause_keys[clause_idx],
+                                                   row.doc, value_text)) {
+          return *hit;
         }
       }
+      const double s = aggregator.Score(document(row.doc), value_text,
+                                        cq.satisfying[clause_idx]);
+      if (options.score_cache != nullptr) {
+        options.score_cache->Insert(clause_keys[clause_idx], row.doc,
+                                    value_text, s);
+      }
+      return s;
+    });
+  };
+  auto excluded = [&](const PendingRow& row, size_t cond_idx) {
+    const RowSpan& span = span_of(row, excluding_pos[cond_idx]);
+    return memoized(row, cq.satisfying.size() + cond_idx, span, [&] {
+             return aggregator.Excluded(document(row.doc), value_text,
+                                        cq.excluding[cond_idx])
+                        ? 1.0
+                        : 0.0;
+           }) != 0.0;
+  };
+
+  // Applies the aggregate filters to one pending row; survivors build
+  // their output strings, append to result.rows and stream to the sink
+  // immediately. Rows arrive here in ascending-sid order, so sink delivery
+  // order always equals result.rows order.
+  std::vector<double> scores;
+  auto finalize_row = [&](const PendingRow& row) {
+    scores.clear();
+    for (size_t ci = 0; ci < cq.satisfying.size(); ++ci) {
+      scores.push_back(score_of(row, ci));
+      if (scores.back() < cq.satisfying[ci].threshold) return;
     }
-    if (!keep) return;
+    for (size_t j = 0; j < cq.excluding.size(); ++j) {
+      if (excluded(row, j)) return;
+    }
     ResultRow out;
     out.doc = row.doc;
     out.sid = row.sid;
-    out.values.assign(row.tracked_values.begin(),
-                      row.tracked_values.begin() +
-                          static_cast<long>(cq.output_vars.size()));
-    out.scores = std::move(scores);
+    out.values.reserve(cq.output_vars.size());
+    for (size_t k = 0; k < cq.output_vars.size(); ++k) {
+      const RowSpan& span = span_of(row, k);
+      out.values.push_back(row.sentence->SpanText(span.begin, span.end));
+    }
+    out.scores = scores;
     result.rows.push_back(std::move(out));
     if (options.sink != nullptr) (*options.sink)(result.rows.back());
   };
 
   // ---- GSP + extract: per-sentence evaluation ----
 
-  // Each distinct elastic-span regex compiles once per query; a pattern
-  // that does not compile stays null and its span binds nothing.
+  // Each distinct regex — elastic-span patterns and path-step @regex
+  // conditions alike — compiles once per query; a pattern that does not
+  // compile stays null and binds or matches nothing.
   std::map<std::string, std::optional<Regex>> regexes;
-  std::vector<const Regex*> elastic_regex(cq.vars.size(), nullptr);
-  for (size_t v = 0; v < cq.vars.size(); ++v) {
-    const std::optional<std::string>& pattern = cq.vars[v].elastic.regex;
-    if (cq.vars[v].kind != CompiledVar::Kind::kElastic || !pattern) continue;
-    auto [it, fresh] = regexes.try_emplace(*pattern);
+  auto compiled_regex = [&](const std::string& pattern) -> const Regex* {
+    auto [it, fresh] = regexes.try_emplace(pattern);
     if (fresh) {
-      auto re = Regex::Compile(*pattern);
+      auto re = Regex::Compile(pattern);
       if (re.ok()) it->second.emplace(std::move(*re));
     }
-    if (it->second) elastic_regex[v] = &*it->second;
+    return it->second ? &*it->second : nullptr;
+  };
+  std::vector<const Regex*> elastic_regex(cq.vars.size(), nullptr);
+  std::vector<std::vector<const Regex*>> path_regex(cq.vars.size());
+  for (size_t v = 0; v < cq.vars.size(); ++v) {
+    const CompiledVar& var = cq.vars[v];
+    if (var.kind == CompiledVar::Kind::kElastic && var.elastic.regex) {
+      elastic_regex[v] = compiled_regex(*var.elastic.regex);
+    }
+    if (var.kind != CompiledVar::Kind::kNode) continue;
+    for (const PathStep& step : var.abs_path.steps) {
+      const std::optional<std::string>& pattern = step.constraint.regex;
+      path_regex[v].push_back(pattern ? compiled_regex(*pattern) : nullptr);
+    }
   }
 
-  // Evaluates one candidate sentence, appending its (deduplicated) rows
-  // to *out until out holds `budget` rows. Returns false when the budget
-  // was hit.
-  auto evaluate = [&](uint32_t sid, size_t budget,
-                      std::vector<PendingRow>* out) {
-    const SentenceRef& ref = corpus_->refs[sid];
-    const Sentence& s = document(ref.doc).sentences[ref.sent];
-    std::unordered_set<std::vector<std::string>, ValuesHash> seen;
-    SentenceEvaluator evaluator(cq, s, options, elastic_regex, &result.phases);
-    return evaluator.Run([&](const std::vector<Binding>& assignment) {
-      std::vector<std::string> values;
-      values.reserve(tracked.size());
-      for (int var : tracked) {
-        values.push_back(BindingText(s, assignment[static_cast<size_t>(var)]));
+  // One evaluator serves every candidate. Its emit callback appends the
+  // current sentence's rows, deduplicated by span text, to `pending` until
+  // it holds `budget` rows, and then stops the evaluation.
+  struct Current {
+    uint32_t doc = 0;
+    uint32_t sid = 0;
+    const Sentence* sentence = nullptr;
+    size_t budget = 0;
+  } current;
+  RowDedup dedup;
+  const SentenceEvaluator::Emit emit = [&](const std::vector<Binding>& assignment) {
+    const Sentence& s = *current.sentence;
+    const size_t first = row_spans.size();
+    uint64_t row_hash = 0;
+    for (int var : tracked) {
+      const Binding& b = assignment[static_cast<size_t>(var)];
+      const uint64_t h = s.SpanTextHash(b.begin, b.end);
+      row_spans.push_back({b.begin, b.end, h});
+      row_hash = HashCombine(row_hash, h);
+    }
+    const bool fresh = dedup.Insert(row_hash, first, [&](size_t other) {
+      for (size_t k = 0; k < tracked.size(); ++k) {
+        const RowSpan& x = row_spans[first + k];
+        const RowSpan& y = row_spans[other + k];
+        if (x.hash != y.hash ||
+            !s.SpanTextEquals(x.begin, x.end, s, y.begin, y.end)) {
+          return false;
+        }
       }
-      if (!seen.insert(values).second) return true;
-      out->push_back({ref.doc, sid, std::move(values)});
-      return out->size() < budget;
+      return true;
     });
+    if (!fresh) {
+      row_spans.resize(first);
+      return true;
+    }
+    pending.push_back({current.doc, current.sid, first, current.sentence});
+    return pending.size() < current.budget;
   };
+  SentenceEvaluator evaluator(cq, options, elastic_regex, path_regex,
+                              &result.phases, emit);
 
   // ---- One extract loop: load / extract / aggregate in candidate-ordered
   // chunks, emitting rows to the sink as each chunk finalises and stopping
@@ -873,17 +1003,23 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     // Rows this chunk may still produce. A single candidate can contribute
     // at most budget_left rows to the truncated stream, so it also serves
     // as the per-candidate evaluation budget below.
-    const size_t budget_left =
+    current.budget =
         options.max_rows > committed ? options.max_rows - committed : 0;
     load_docs(next, chunk_end);
-    std::vector<PendingRow> chunk_pending;
+    pending.clear();
+    row_spans.clear();
     {
       ScopedPhase phase(&result.phases, "extract");
       // Rows accumulate directly into the chunk, so the budget check spans
       // sentences and stops the scan exactly there.
       for (size_t i = next; i < chunk_end; ++i) {
         scanned = i + 1;
-        if (!evaluate(candidates[i], budget_left, &chunk_pending)) {
+        const SentenceRef& ref = corpus_->refs[candidates[i]];
+        current.doc = ref.doc;
+        current.sid = candidates[i];
+        current.sentence = &document(ref.doc).sentences[ref.sent];
+        dedup.Reset();
+        if (!evaluator.Run(*current.sentence)) {
           full = true;
           break;
         }
@@ -891,9 +1027,9 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     }
     {
       ScopedPhase phase(&result.phases, "satisfying");
-      for (PendingRow& row : chunk_pending) finalize_row(row);
+      for (const PendingRow& row : pending) finalize_row(row);
     }
-    committed += chunk_pending.size();
+    committed += pending.size();
     if (committed >= options.max_rows) full = true;
     next = chunk_end;
   } while (next < candidates.size() && !full);

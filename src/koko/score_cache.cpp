@@ -36,7 +36,7 @@ uint64_t ScoreCache::ClauseFingerprint(const SatisfyingClause& clause) {
   return Mix64(h);
 }
 
-size_t ScoreCache::KeyHash::operator()(const Key& k) const {
+size_t ScoreCache::KeyHash::operator()(const KeyView& k) const {
   uint64_t h = HashCombine(k.clause_key, Mix64(k.doc));
   return static_cast<size_t>(HashCombine(h, Fnv1a64(k.value)));
 }
@@ -46,10 +46,10 @@ ScoreCache::Shard& ScoreCache::ShardOf(uint32_t doc) const {
 }
 
 std::optional<double> ScoreCache::Lookup(uint64_t clause_key, uint32_t doc,
-                                         const std::string& value) const {
+                                         std::string_view value) const {
   Shard& shard = ShardOf(doc);
   MutexLock lock(shard.mu);
-  auto it = shard.map.find(Key{clause_key, doc, value});
+  auto it = shard.map.find(KeyView{clause_key, doc, value});
   if (it == shard.map.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -59,10 +59,10 @@ std::optional<double> ScoreCache::Lookup(uint64_t clause_key, uint32_t doc,
 }
 
 void ScoreCache::Insert(uint64_t clause_key, uint32_t doc,
-                        const std::string& value, double score) {
+                        std::string_view value, double score) {
   Shard& shard = ShardOf(doc);
   MutexLock lock(shard.mu);
-  shard.map.emplace(Key{clause_key, doc, value}, score);
+  shard.map.emplace(Key{clause_key, doc, std::string(value)}, score);
 }
 
 void ScoreCache::InvalidateDoc(uint32_t doc) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,13 +62,14 @@ class ScoreCache {
   /// rows after scoring and does not change the score itself.
   static uint64_t ClauseFingerprint(const SatisfyingClause& clause);
 
-  /// Cached score for (clause_key, doc, value), or nullopt on a miss.
+  /// Cached score for (clause_key, doc, value), or nullopt on a miss. The
+  /// probe copies no key.
   std::optional<double> Lookup(uint64_t clause_key, uint32_t doc,
-                               const std::string& value) const;
+                               std::string_view value) const;
 
   /// Inserts (first writer wins; concurrent inserts of the same key are
   /// benign because scores are deterministic).
-  void Insert(uint64_t clause_key, uint32_t doc, const std::string& value,
+  void Insert(uint64_t clause_key, uint32_t doc, std::string_view value,
               double score);
 
   /// Drops every cached score for `doc` (call when a document changes).
@@ -81,20 +83,33 @@ class ScoreCache {
   Stats stats() const;
 
  private:
+  // Stored keys own their value; probes are KeyViews over the caller's
+  // text, matched through the transparent hash and equality.
+  struct KeyView {
+    uint64_t clause_key;
+    uint32_t doc;
+    std::string_view value;
+  };
   struct Key {
     uint64_t clause_key;
     uint32_t doc;
     std::string value;
-    bool operator==(const Key& o) const {
-      return clause_key == o.clause_key && doc == o.doc && value == o.value;
-    }
+    operator KeyView() const { return {clause_key, doc, value}; }
   };
   struct KeyHash {
-    size_t operator()(const Key& k) const;
+    using is_transparent = void;
+    size_t operator()(const KeyView& k) const;
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a.clause_key == b.clause_key && a.doc == b.doc &&
+             a.value == b.value;
+    }
   };
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<Key, double, KeyHash> map KOKO_GUARDED_BY(mu);
+    std::unordered_map<Key, double, KeyHash, KeyEqual> map KOKO_GUARDED_BY(mu);
   };
 
   Shard& ShardOf(uint32_t doc) const;

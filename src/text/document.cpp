@@ -1,10 +1,56 @@
 #include "text/document.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string_view>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace koko {
+
+namespace {
+
+// The characters of SpanText(begin, end) as a run of segments: the token
+// texts and the single spaces between them, never built into one string.
+class SpanChars {
+ public:
+  SpanChars(const Sentence& s, int begin, int end)
+      : s_(s), token_(begin), last_(std::min(end, s.size() - 1)) {
+    Refill();
+  }
+
+  /// The unread rest of the current segment; empty once the span is done.
+  std::string_view segment() const { return segment_; }
+
+  void Consume(size_t n) {
+    segment_.remove_prefix(n);
+    Refill();
+  }
+
+ private:
+  void Refill() {
+    // Loops because a token's text may be empty.
+    while (segment_.empty() && token_ <= last_) {
+      if (space_next_) {
+        segment_ = " ";
+        space_next_ = false;
+      } else {
+        segment_ = s_.tokens[static_cast<size_t>(token_)].text;
+        ++token_;
+        space_next_ = token_ <= last_;
+      }
+    }
+  }
+
+  const Sentence& s_;
+  int token_;
+  int last_;
+  bool space_next_ = false;
+  std::string_view segment_;
+};
+
+}  // namespace
 
 void Sentence::ComputeTreeInfo() {
   const int n = size();
@@ -53,11 +99,39 @@ void Sentence::ComputeTreeInfo() {
 
 std::string Sentence::SpanText(int begin, int end) const {
   std::string out;
-  for (int i = begin; i <= end && i < size(); ++i) {
-    if (i > begin) out += ' ';
-    out += tokens[i].text;
-  }
+  AppendSpanText(begin, end, &out);
   return out;
+}
+
+void Sentence::AppendSpanText(int begin, int end, std::string* out) const {
+  for (int i = begin; i <= end && i < size(); ++i) {
+    if (i > begin) *out += ' ';
+    *out += tokens[i].text;
+  }
+}
+
+uint64_t Sentence::SpanTextHash(int begin, int end) const {
+  uint64_t h = Fnv1a64("");
+  for (int i = begin; i <= end && i < size(); ++i) {
+    if (i > begin) h = Fnv1a64(" ", h);
+    h = Fnv1a64(tokens[i].text, h);
+  }
+  return h;
+}
+
+bool Sentence::SpanTextEquals(int begin, int end, const Sentence& other,
+                              int other_begin, int other_end) const {
+  SpanChars a(*this, begin, end);
+  SpanChars b(other, other_begin, other_end);
+  while (!a.segment().empty() && !b.segment().empty()) {
+    const size_t n = std::min(a.segment().size(), b.segment().size());
+    if (std::memcmp(a.segment().data(), b.segment().data(), n) != 0) {
+      return false;
+    }
+    a.Consume(n);
+    b.Consume(n);
+  }
+  return a.segment().empty() && b.segment().empty();
 }
 
 bool Sentence::IsAncestor(int ancestor, int node) const {

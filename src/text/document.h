@@ -49,8 +49,21 @@ struct Sentence {
   /// Must be called after heads/labels change.
   void ComputeTreeInfo();
 
-  /// Joins tokens [begin, end] (inclusive) with single spaces.
+  /// Joins tokens [begin, end] (inclusive) with single spaces; empty when
+  /// end < begin.
   std::string SpanText(int begin, int end) const;
+
+  /// Appends SpanText(begin, end) to *out.
+  void AppendSpanText(int begin, int end, std::string* out) const;
+
+  /// Fnv1a64 of SpanText(begin, end), computed over the tokens in place.
+  uint64_t SpanTextHash(int begin, int end) const;
+
+  /// True when SpanText(begin, end) equals other.SpanText(other_begin,
+  /// other_end), compared character by character in place. A token may
+  /// contain spaces, so spans of different token counts can be equal.
+  bool SpanTextEquals(int begin, int end, const Sentence& other,
+                      int other_begin, int other_end) const;
 
   /// Full surface text of the sentence.
   std::string Text() const { return SpanText(0, size() - 1); }

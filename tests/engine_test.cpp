@@ -9,6 +9,7 @@
 #include "index/koko_index.h"
 #include "index/sharded_index.h"
 #include "nlp/pipeline.h"
+#include "koko/score_cache.h"
 #include "replay/workloads.h"
 #include "storage/doc_store.h"
 
@@ -293,17 +294,23 @@ TEST(EngineTest, MaxRowsLimit) {
 }
 
 // Asserts that every field of every row (and the row order) is identical.
-void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
-                            const std::string& context) {
+void ExpectSameRows(const QueryResult& a, const QueryResult& b,
+                    const std::string& context) {
   ASSERT_EQ(a.rows.size(), b.rows.size()) << context;
-  EXPECT_EQ(a.candidate_sentences, b.candidate_sentences) << context;
-  EXPECT_EQ(a.scanned_candidates, b.scanned_candidates) << context;
   for (size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(a.rows[i].doc, b.rows[i].doc) << context << " row " << i;
     EXPECT_EQ(a.rows[i].sid, b.rows[i].sid) << context << " row " << i;
     EXPECT_EQ(a.rows[i].values, b.rows[i].values) << context << " row " << i;
     EXPECT_EQ(a.rows[i].scores, b.rows[i].scores) << context << " row " << i;
   }
+}
+
+// The same, and both runs drew and scanned the same candidates.
+void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
+                            const std::string& context) {
+  EXPECT_EQ(a.candidate_sentences, b.candidate_sentences) << context;
+  EXPECT_EQ(a.scanned_candidates, b.scanned_candidates) << context;
+  ExpectSameRows(a, b, context);
 }
 
 // A resident corpus is borrowed; a document store deserialises a
@@ -554,6 +561,152 @@ TEST(EngineTest, IndexLargerThanCorpusFailsQuery) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// ---- Row semantics ------------------------------------------------------------
+//
+// Rows are deduplicated per sentence by the text of their values and scored
+// per (document, clause, value text). These cases pin that contract.
+
+TEST(EngineTest, RepeatedTokenTextEmitsOneRow) {
+  // Two "pie" tokens bind two different spans with equal text.
+  World w({{"d", "Anna ate a pie and Bob ate a pie."}});
+  auto result = w.engine->ExecuteText(R"(
+      extract b:Str from "t" if ( /ROOT:{ b = //"pie" }))");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0].values[0], "pie");
+}
+
+TEST(EngineTest, SpansOfEqualJoinedTextDedup) {
+  // One sentence holds the single token "New York" and the two tokens
+  // "New" "York": their joined texts are equal, so they are one row.
+  AnnotatedCorpus corpus;
+  Document doc;
+  Sentence s;
+  const struct {
+    const char* text;
+    int head;
+  } tokens[] = {{"New York", 1}, {"is", -1}, {"not", 1}, {"New", 4}, {"York", 1}};
+  for (const auto& [text, head] : tokens) {
+    Token t;
+    t.text = text;
+    t.head = head;
+    s.tokens.push_back(t);
+  }
+  s.tokens[1].pos = PosTag::kVerb;
+  s.entities = {{0, 0, EntityType::kGpe}, {3, 4, EntityType::kGpe}};
+  for (int i : {0, 3, 4}) {
+    s.tokens[static_cast<size_t>(i)].etype = EntityType::kGpe;
+    s.tokens[static_cast<size_t>(i)].entity_id = i == 0 ? 0 : 1;
+  }
+  s.ComputeTreeInfo();
+  doc.sentences.push_back(s);
+  corpus.docs.push_back(doc);
+  corpus.RebuildRefs();
+  Pipeline pipeline;
+  auto index = KokoIndex::Build(corpus);
+  EmbeddingModel embeddings;
+  Engine engine(&corpus, index.get(), &embeddings,
+                &const_cast<const Pipeline&>(pipeline).recognizer());
+  for (bool use_index : {true, false}) {
+    EngineOptions options;
+    options.use_index = use_index;
+    auto result =
+        engine.ExecuteText(R"(extract e:GPE from "t" if ())", options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 1u) << "use_index=" << use_index;
+    EXPECT_EQ(result->rows[0].values[0], "New York");
+  }
+}
+
+TEST(EngineTest, EqualValueTextScoresPerDocument) {
+  // "China" in two documents: the aggregate scores it against each
+  // document on its own (near: 1 / (1 + tokens between)).
+  World w({{"d1", "China is a large country."}, {"d2", "China is a country."}});
+  const char* query = R"(
+      extract a:GPE from "t" if ()
+      satisfying a (a near "country" {1.0}) with threshold 0.1)";
+  ScoreCache cache;
+  EngineOptions shared;
+  shared.score_cache = &cache;
+  for (const EngineOptions& options : {EngineOptions(), shared, shared}) {
+    auto result = w.engine->ExecuteText(query, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 2u);
+    EXPECT_EQ(result->rows[0].values[0], "China");
+    EXPECT_EQ(result->rows[1].values[0], "China");
+    EXPECT_NE(result->rows[0].doc, result->rows[1].doc);
+    EXPECT_DOUBLE_EQ(result->rows[0].scores[0], 1.0 / 4);
+    EXPECT_DOUBLE_EQ(result->rows[1].scores[0], 1.0 / 3);
+  }
+}
+
+TEST(EngineTest, ExcludingRowsIndependentOfScoreCache) {
+  World w({{"d1", "Anna visited the Brim Cafe in Portland. Later Anna met "
+                  "Bob at the Brim Cafe."},
+           {"d2", "Carl visited the Brim Cafe and the Blue Cafe."}});
+  const std::string kept = R"(
+      extract x:Entity from "t" if ()
+      satisfying x (str(x) mentions "a" {1}) with threshold 0.5)";
+  const std::string query = kept + R"( excluding (str(x) matches "Brim Cafe"))";
+  auto all = w.engine->ExecuteText(kept);
+  auto none = w.engine->ExecuteText(query);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  // The excluding condition removes the three "Brim Cafe" rows and only them.
+  size_t brim = 0;
+  for (const ResultRow& row : all->rows) brim += row.values[0] == "Brim Cafe";
+  EXPECT_EQ(brim, 3u);
+  ASSERT_EQ(none->rows.size() + brim, all->rows.size());
+  ASSERT_FALSE(none->rows.empty());
+  for (const ResultRow& row : none->rows) EXPECT_NE(row.values[0], "Brim Cafe");
+  ScoreCache cache;
+  EngineOptions shared;
+  shared.score_cache = &cache;
+  for (const char* pass : {"cold", "warm"}) {
+    auto cached = w.engine->ExecuteText(query, shared);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    ExpectIdenticalResults(*none, *cached, pass);
+  }
+}
+
+TEST(EngineTest, PathRegexStepMatchesFullScan) {
+  Pipeline pipeline;
+  auto docs = GenerateWikiArticles({.num_articles = 40, .seed = 35});
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
+  auto index = KokoIndex::Build(corpus);
+  EmbeddingModel embeddings;
+  Engine engine(&corpus, index.get(), &embeddings,
+                &const_cast<const Pipeline&>(pipeline).recognizer());
+  auto run = [&](const char* query, bool use_index) {
+    EngineOptions options;
+    options.use_index = use_index;
+    auto result = engine.ExecuteText(query, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  };
+  const char* any_dobj = R"(
+      extract b:Str from "t" if ( /ROOT:{ a = //verb, b = a/dobj }))";
+  const char* capitalised = R"(
+      extract b:Str from "t" if (
+        /ROOT:{ a = //verb, b = a/dobj[@regex="[A-Z][a-z]+"] }))";
+  const char* broken = R"(
+      extract b:Str from "t" if (
+        /ROOT:{ a = //verb, b = a/dobj[@regex="([A-Z]"] }))";
+  QueryResult all = run(any_dobj, false);
+  QueryResult want = run(capitalised, false);
+  QueryResult got = run(capitalised, true);
+  ASSERT_FALSE(want.rows.empty());
+  EXPECT_LT(want.rows.size(), all.rows.size());
+  for (const ResultRow& row : want.rows) {
+    EXPECT_TRUE(row.values[0][0] >= 'A' && row.values[0][0] <= 'Z')
+        << row.values[0];
+  }
+  ExpectSameRows(want, got, "@regex step");
+  // A pattern that does not compile matches no token.
+  EXPECT_TRUE(run(broken, false).rows.empty());
+  EXPECT_TRUE(run(broken, true).rows.empty());
 }
 
 }  // namespace

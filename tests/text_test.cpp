@@ -5,6 +5,8 @@
 #include "text/lexicon.h"
 #include "text/pos_tagger.h"
 #include "text/tokenizer.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace koko {
 namespace {
@@ -182,6 +184,58 @@ TEST(DocumentTest, SpanText) {
   }
   EXPECT_EQ(s.SpanText(0, 2), "a b c");
   EXPECT_EQ(s.SpanText(1, 1), "b");
+}
+
+TEST(DocumentTest, SpanTextHashAndEqualityAgreeWithSpanText) {
+  // Tokens may be empty or hold spaces, so equal texts also come from spans
+  // of different token counts ("a b" against "a" "b").
+  const std::vector<std::string> pool = {"a", "b", "a b", "", " ", "ab", "b a"};
+  Rng rng(2026);
+  auto random_sentence = [&] {
+    Sentence s;
+    const int n = static_cast<int>(rng.UniformInt(1, 6));
+    for (int i = 0; i < n; ++i) {
+      Token t;
+      t.text = rng.Choice(pool);
+      s.tokens.push_back(t);
+    }
+    return s;
+  };
+  // A random span of `s`, sometimes empty (end = begin - 1).
+  auto random_span = [&](const Sentence& s) {
+    const int begin = static_cast<int>(rng.UniformInt(0, s.size() - 1));
+    const int end = static_cast<int>(rng.UniformInt(begin - 1, s.size() - 1));
+    return std::pair<int, int>{begin, end};
+  };
+  int equal = 0;
+  int unequal = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Sentence s1 = random_sentence();
+    const Sentence s2 = random_sentence();
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto [b1, e1] = random_span(s1);
+      const auto [b2, e2] = random_span(s2);
+      const std::string t1 = s1.SpanText(b1, e1);
+      const std::string t2 = s2.SpanText(b2, e2);
+      const bool same = t1 == t2;
+      if (same) {
+        ++equal;
+      } else {
+        ++unequal;
+      }
+      EXPECT_EQ(s1.SpanTextEquals(b1, e1, s2, b2, e2), same)
+          << "\"" << t1 << "\" vs \"" << t2 << "\"";
+      EXPECT_EQ(s2.SpanTextEquals(b2, e2, s1, b1, e1), same);
+      EXPECT_EQ(s1.SpanTextHash(b1, e1), Fnv1a64(t1));
+      if (same) EXPECT_EQ(s1.SpanTextHash(b1, e1), s2.SpanTextHash(b2, e2));
+      std::string appended = "x";
+      s1.AppendSpanText(b1, e1, &appended);
+      EXPECT_EQ(appended, "x" + t1);
+    }
+  }
+  // The sweep must exercise both outcomes.
+  EXPECT_GT(equal, 100);
+  EXPECT_GT(unequal, 100);
 }
 
 TEST(DocumentTest, TreeInfoComputation) {
