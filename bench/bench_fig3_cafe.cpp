@@ -27,7 +27,7 @@ void RunDataset(const char* name, bool long_articles, int articles) {
   Pipeline pipeline;
   AnnotatedCorpus test = pipeline.AnnotateCorpus(split.test_docs);
   // Shipped configuration: sharded index + default EngineOptions (planner
-  // on), not a bespoke monolithic build.
+  // on).
   auto index = ShardedKokoIndex::Build(test, kBenchIndexShards);
   EmbeddingModel embeddings;
   Engine engine(&test, index.get(), &embeddings, pipeline.recognizer());

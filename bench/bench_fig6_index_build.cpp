@@ -32,7 +32,7 @@ int main() {
     std::printf("-- %zu articles, %zu sentences, %zu tokens --\n", articles,
                 corpus.NumSentences(), corpus.NumTokens());
 
-    auto koko_index = KokoTreeIndex::Build(corpus);
+    auto koko_index = KokoTreeIndex::Build(corpus, 1);
     auto inverted = InvertedIndex::Build(corpus);
     auto adv = AdvInvertedIndex::Build(corpus);
     auto subtree = SubtreeIndex::Build(corpus);

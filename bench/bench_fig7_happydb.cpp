@@ -51,8 +51,8 @@ void RunSweep(const AnnotatedCorpus& full, const std::vector<size_t>& doc_sizes,
                 corpus.NumSentences(), queries.size());
 
     // KOKO enters the comparison in its shipped sharded configuration
-    // (candidates are element-identical to the monolithic build).
-    auto koko_index = ShardedKokoTreeIndex::Build(corpus, 3);
+    // (candidates are element-identical for every shard count).
+    auto koko_index = KokoTreeIndex::Build(corpus, 3);
     auto inverted = InvertedIndex::Build(corpus);
     auto adv = AdvInvertedIndex::Build(corpus);
     auto subtree = SubtreeIndex::Build(corpus);

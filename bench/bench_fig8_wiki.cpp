@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                 corpus.NumSentences(), queries.size());
 
     // KOKO enters the comparison in its shipped sharded configuration.
-    auto koko_index = ShardedKokoTreeIndex::Build(corpus, 3);
+    auto koko_index = KokoTreeIndex::Build(corpus, 3);
     auto inverted = InvertedIndex::Build(corpus);
     auto adv = AdvInvertedIndex::Build(corpus);
     auto subtree = SubtreeIndex::Build(corpus);

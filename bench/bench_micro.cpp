@@ -30,10 +30,14 @@ const AnnotatedCorpus& SharedCorpus() {
   return *corpus;
 }
 
-const KokoIndex& SharedIndex() {
-  static const KokoIndex* index = KokoIndex::Build(SharedCorpus()).release();
+// The served one-shard index; kernel benches read its shard directly.
+const ShardedKokoIndex& SharedServedIndex() {
+  static const ShardedKokoIndex* index =
+      ShardedKokoIndex::Build(SharedCorpus(), 1).release();
   return *index;
 }
+
+const KokoIndex& SharedIndex() { return SharedServedIndex().shard(0); }
 
 PathQuery DobjAmodPath() {
   PathQuery q;
@@ -328,7 +332,7 @@ const char* kBroadQuery = R"(
 // candidate document loads up front and rows are cut to max_rows there.
 void BM_EngineMaxRowsFullTruncate(benchmark::State& state) {
   const AnnotatedCorpus& corpus = SharedCorpus();
-  const KokoIndex& index = SharedIndex();
+  const ShardedKokoIndex& index = SharedServedIndex();
   Pipeline pipeline;
   EmbeddingModel embeddings;
   Engine engine(&corpus, &index, &embeddings,
@@ -356,7 +360,7 @@ BENCHMARK(BM_EngineMaxRowsFullTruncate)->Arg(10);
 // satisfied (rows stay byte-identical — planner_test enforces parity).
 void BM_EngineMaxRowsEarlyTerminate(benchmark::State& state) {
   const AnnotatedCorpus& corpus = SharedCorpus();
-  const KokoIndex& index = SharedIndex();
+  const ShardedKokoIndex& index = SharedServedIndex();
   Pipeline pipeline;
   EmbeddingModel embeddings;
   Engine engine(&corpus, &index, &embeddings,
@@ -444,7 +448,7 @@ BENCHMARK(BM_DpliPhaseGalloping);
 // extract wall times as counters so BENCH_*.json snapshots track them.
 void BM_DpliPhaseEndToEnd(benchmark::State& state) {
   const AnnotatedCorpus& corpus = SharedCorpus();
-  const KokoIndex& index = SharedIndex();
+  const ShardedKokoIndex& index = SharedServedIndex();
   Pipeline pipeline;
   EmbeddingModel embeddings;
   Engine engine(&corpus, &index, &embeddings,

@@ -46,7 +46,7 @@ int main() {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 1500, .seed = 1001});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   DocumentStore store = DocumentStore::FromCorpus(corpus);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());

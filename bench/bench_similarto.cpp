@@ -15,7 +15,7 @@ int main() {
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
       {{"s1", "Cities in asian countries such as China and Japan."},
        {"s2", "Cities in asian countries such as Beijing and Tokyo."}});
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
 

@@ -52,7 +52,7 @@ with threshold 0.9
 )";
 
 void RunQuery(const char* name, const char* query_text,
-              const AnnotatedCorpus& corpus, const KokoIndex& index,
+              const AnnotatedCorpus& corpus, const ShardedKokoIndex& index,
               const DocumentStore& store, const Pipeline& pipeline,
               const EmbeddingModel& embeddings, size_t articles,
               bench::JsonEmitter* emitter) {
@@ -136,14 +136,15 @@ int main(int argc, char** argv) {
     corpus.docs.assign(full.docs.begin(),
                        full.docs.begin() + static_cast<long>(articles));
     corpus.RebuildRefs();
-    auto index = KokoIndex::Build(corpus);
+    auto index = ShardedKokoIndex::Build(corpus, 1);
     DocumentStore store = DocumentStore::FromCorpus(corpus);
     // Resident posting-list footprint: the block-compressed sid caches vs
     // what the same sets cost fully decoded (4 bytes/sid, the pre-block
     // representation's floor — vector slack pushed it higher). The block
     // layout's acceptance bar is >= 2x smaller.
     const size_t posting_bytes = index->SidCacheMemoryUsage();
-    const size_t decoded_bytes = index->SidCacheDecodedEquivalentBytes();
+    const size_t decoded_bytes =
+        index->shard(0).SidCacheDecodedEquivalentBytes();  // the one shard
     std::printf("-- %zu articles (%zu sentences): posting lists %.1f MiB "
                 "compressed vs %.1f MiB decoded (%.2fx) --\n",
                 articles, corpus.NumSentences(),
@@ -171,8 +172,10 @@ int main(int argc, char** argv) {
       } else {
         for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
           const char* mode_name = mode == LoadMode::kMap ? "map" : "copy";
+          ShardedKokoIndex::LoadOptions load;
+          load.mode = mode;
           WallTimer timer;
-          auto loaded = KokoIndex::Load(image, mode);
+          auto loaded = ShardedKokoIndex::Load(image, load);
           const double load_s = timer.ElapsedSeconds();
           if (!loaded.ok()) {
             std::fprintf(stderr, "%s load failed: %s\n", mode_name,

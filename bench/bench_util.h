@@ -16,7 +16,6 @@
 #include "corpus/generators.h"
 #include "embed/embedding.h"
 #include "extract/metrics.h"
-#include "index/koko_index.h"
 #include "index/sharded_index.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"

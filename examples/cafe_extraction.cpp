@@ -6,7 +6,7 @@
 #include "corpus/generators.h"
 #include "embed/embedding.h"
 #include "extract/metrics.h"
-#include "index/koko_index.h"
+#include "index/sharded_index.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
 
@@ -16,7 +16,7 @@ int main() {
       GenerateCafeBlogs({.num_articles = 30, .long_articles = false, .seed = 7});
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(blogs.docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
   // Domain ontology (the paper's footnote: a coffee dictionary guides

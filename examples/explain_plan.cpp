@@ -10,7 +10,7 @@
 
 #include "corpus/generators.h"
 #include "embed/embedding.h"
-#include "index/koko_index.h"
+#include "index/sharded_index.h"
 #include "koko/engine.h"
 #include "koko/explain.h"
 #include "nlp/pipeline.h"
@@ -21,7 +21,7 @@ int main() {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 500, .seed = 7});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
   std::printf("corpus: %zu docs, %zu sentences\n\n", corpus.NumDocs(),

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "corpus/generators.h"
-#include "index/koko_index.h"
+#include "index/sharded_index.h"
 #include "nlp/pipeline.h"
 #include "util/string_util.h"
 
@@ -13,7 +13,7 @@ int main() {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 400, .seed = 13});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   const auto& stats = index->stats();
 
   std::printf("corpus: %zu docs, %zu sentences, %zu tokens\n", corpus.NumDocs(),
@@ -36,7 +36,7 @@ int main() {
     step.constraint.dep = label;
     path.steps.push_back(step);
   }
-  PostingList postings = index->LookupParseLabelPath(path);
+  PostingList postings = index->shard(0).LookupParseLabelPath(path);
   std::printf("posting list of /root/dobj (%zu entries, first 5):\n",
               postings.size());
   for (size_t i = 0; i < postings.size() && i < 5; ++i) {

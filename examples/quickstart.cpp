@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "embed/embedding.h"
-#include "index/koko_index.h"
+#include "index/sharded_index.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
 
@@ -24,8 +24,8 @@ int main() {
               corpus.NumSentences(), corpus.NumTokens());
 
   // 2. Build the multi-index: word + entity inverted indices, PL/POS
-  //    hierarchy indices (merged dependency-tree tries).
-  auto index = KokoIndex::Build(corpus);
+  //    hierarchy indices (merged dependency-tree tries), as one shard.
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   std::printf("index: %zu tokens -> %zu PL trie nodes, %zu POS trie nodes\n",
               index->stats().num_tokens, index->stats().pl_trie_nodes,
               index->stats().pos_trie_nodes);
@@ -60,7 +60,9 @@ int main() {
   //    Queries over the mapped index are byte-identical.
   const char* image = "quickstart_index.bin";
   if (!index->Save(image).ok()) return 1;
-  auto mapped = KokoIndex::Load(image, LoadMode::kMap);
+  ShardedKokoIndex::LoadOptions load;
+  load.mode = LoadMode::kMap;
+  auto mapped = ShardedKokoIndex::Load(image, load);
   if (!mapped.ok()) {
     std::printf("mmap load failed: %s\n", mapped.status().ToString().c_str());
     return 1;

@@ -5,7 +5,7 @@
 
 #include "corpus/generators.h"
 #include "embed/embedding.h"
-#include "index/koko_index.h"
+#include "index/sharded_index.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
 
@@ -14,7 +14,7 @@ int main() {
   auto docs = GenerateWikiArticles({.num_articles = 120, .seed = 9});
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
 

@@ -9,8 +9,7 @@ namespace koko {
 
 namespace {
 
-/// Per-path DPLI lookup + cross-path intersection over one KokoIndex.
-/// Shared by the monolithic adapter and (per shard) the sharded one.
+/// Per-path DPLI lookup + cross-path intersection over one shard.
 Result<std::vector<uint32_t>> CandidatesFromIndex(
     const KokoIndex& index, const std::vector<PathQuery>& paths) {
   std::unordered_set<uint32_t> survivors;
@@ -42,9 +41,10 @@ Result<std::vector<uint32_t>> CandidatesFromIndex(
 
 }  // namespace
 
-std::unique_ptr<KokoTreeIndex> KokoTreeIndex::Build(const AnnotatedCorpus& corpus) {
+std::unique_ptr<KokoTreeIndex> KokoTreeIndex::Build(
+    const AnnotatedCorpus& corpus, size_t num_shards) {
   WallTimer timer;
-  auto owned = KokoIndex::Build(corpus);
+  auto owned = ShardedKokoIndex::Build(corpus, num_shards);
   auto adapter = std::make_unique<KokoTreeIndex>(owned.get());
   adapter->owned_ = std::move(owned);
   adapter->build_seconds_ = timer.ElapsedSeconds();
@@ -53,23 +53,8 @@ std::unique_ptr<KokoTreeIndex> KokoTreeIndex::Build(const AnnotatedCorpus& corpu
 
 Result<std::vector<uint32_t>> KokoTreeIndex::CandidateSentences(
     const std::vector<PathQuery>& paths) const {
-  return CandidatesFromIndex(*index_, paths);
-}
-
-std::unique_ptr<ShardedKokoTreeIndex> ShardedKokoTreeIndex::Build(
-    const AnnotatedCorpus& corpus, size_t num_shards) {
-  WallTimer timer;
-  auto owned = ShardedKokoIndex::Build(corpus, num_shards);
-  auto adapter = std::make_unique<ShardedKokoTreeIndex>(owned.get());
-  adapter->owned_ = std::move(owned);
-  adapter->build_seconds_ = timer.ElapsedSeconds();
-  return adapter;
-}
-
-Result<std::vector<uint32_t>> ShardedKokoTreeIndex::CandidateSentences(
-    const std::vector<PathQuery>& paths) const {
   // Intersection distributes over the sid-range partition: shard-local
-  // candidates concatenated in shard order equal the monolithic answer
+  // candidates concatenated in shard order equal the one-index answer
   // (ranges are disjoint and ascending, stored sids are global).
   std::vector<uint32_t> out;
   for (size_t s = 0; s < index_->num_shards(); ++s) {

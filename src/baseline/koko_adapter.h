@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "baseline/tree_index.h"
-#include "index/koko_index.h"
 #include "index/path_lookup.h"
 #include "index/sharded_index.h"
 
@@ -15,44 +14,19 @@ namespace koko {
 ///
 /// Each path runs through the decomposed DPLI lookup (hierarchy indices +
 /// word index, Algorithm 1); candidates are the intersection of the
-/// per-path sentence-id sets.
-class KokoTreeIndex : public TreeIndex {
- public:
-  static std::unique_ptr<KokoTreeIndex> Build(const AnnotatedCorpus& corpus);
-
-  /// Wraps an already built index (does not take ownership).
-  explicit KokoTreeIndex(const KokoIndex* index) : index_(index) {}
-
-  std::string_view name() const override { return "KOKO"; }
-  Result<std::vector<uint32_t>> CandidateSentences(
-      const std::vector<PathQuery>& paths) const override;
-  size_t MemoryUsage() const override { return index_->MemoryUsage(); }
-
-  const KokoIndex& index() const { return *index_; }
-
- private:
-  std::unique_ptr<KokoIndex> owned_;
-  const KokoIndex* index_ = nullptr;
-};
-
-/// \brief The shipped sharded configuration behind the same TreeIndex
-/// interface.
-///
-/// Each shard is a complete KokoIndex over a contiguous global-sid range,
-/// so the per-path DPLI lookup and the per-path intersection both run
+/// per-path sentence-id sets. Each shard is a complete KokoIndex over a
+/// contiguous global-sid range, so the lookup and the intersection both run
 /// shard-locally and the shard results concatenate in shard order into the
 /// globally sorted candidate list — the same distribution identity the
-/// engine's per-shard DPLI relies on. Candidates are element-for-
-/// element identical to KokoTreeIndex over the monolithic build; the §6.2
-/// figures exercise what production serves.
-class ShardedKokoTreeIndex : public TreeIndex {
+/// engine's per-shard DPLI relies on. Candidates are element-for-element
+/// identical for every shard count.
+class KokoTreeIndex : public TreeIndex {
  public:
-  static std::unique_ptr<ShardedKokoTreeIndex> Build(
-      const AnnotatedCorpus& corpus, size_t num_shards);
+  static std::unique_ptr<KokoTreeIndex> Build(const AnnotatedCorpus& corpus,
+                                              size_t num_shards);
 
   /// Wraps an already built index (does not take ownership).
-  explicit ShardedKokoTreeIndex(const ShardedKokoIndex* index)
-      : index_(index) {}
+  explicit KokoTreeIndex(const ShardedKokoIndex* index) : index_(index) {}
 
   std::string_view name() const override { return "KOKO"; }
   Result<std::vector<uint32_t>> CandidateSentences(

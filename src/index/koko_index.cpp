@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <utility>
@@ -630,13 +629,6 @@ Status KokoIndex::Save(BinaryWriter* writer) const {
   return Status::OK();
 }
 
-Status KokoIndex::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  BinaryWriter writer(&out);
-  return Save(&writer);
-}
-
 Status KokoIndex::Dictionary::Read(SpanReader* reader, size_t num_rows,
                                    const char* what) {
   KOKO_ASSIGN_OR_RETURN(key_offsets, reader->ReadU32Array());
@@ -769,25 +761,6 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
   x.image_ = std::move(file);
   x.image_span_ = span;
   return index;
-}
-
-Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
-                                                  LoadMode mode) {
-  if (mode == LoadMode::kMap) {
-    auto mapped = MappedFile::Open(path);
-    // An mmap that fails (unsupported platform/filesystem) falls back to
-    // the kCopy buffer, so kMap never fails where kCopy would succeed.
-    if (mapped.ok()) return mapped;
-  }
-  return MappedFile::Read(path);
-}
-
-Result<std::unique_ptr<KokoIndex>> KokoIndex::Load(const std::string& path,
-                                                   LoadMode mode) {
-  KOKO_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
-                        OpenIndexFile(path, mode));
-  const MemorySpan span = file->span();
-  return LoadMapped(std::move(file), span);
 }
 
 }  // namespace koko

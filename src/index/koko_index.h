@@ -18,29 +18,15 @@
 
 namespace koko {
 
-/// Where Load keeps an index image's bytes. Both modes take one path:
-/// every section of the image is validated and then aliased in place —
-/// nothing is copied, decoded or parsed into owned tables.
-///
-///  * `kCopy` — read the file into an owned heap buffer (the default).
-///    MemoryUsage() counts the buffer.
-///  * `kMap` — mmap the file read-only. The index's columns, row lists and
-///    sid lists are page-cache-backed and shared across processes mapping
-///    the same image. Where mmap fails, the load falls back to the kCopy
-///    buffer.
-enum class LoadMode { kCopy, kMap };
-
-/// The bytes of an index file for `mode`: a read-only mapping (kMap, or
-/// an owned copy where mmap fails) or an owned copy (kCopy).
-Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
-                                                  LoadMode mode);
-
 /// \brief KOKO's multi-indexing scheme (paper §3), held as one image.
+///
+/// The shard type: the engine serves, and files hold, a KokoIndex only as
+/// a shard of a ShardedKokoIndex (index/sharded_index.h).
 ///
 /// An index *is* its image (format v5, docs/INDEX_FORMAT.md): fixed-width
 /// u32 columns, CSR row lists and packed sid lists, all views into one
 /// `MappedFile`. Build assembles the image in memory and then takes the
-/// same validate-then-alias path as Load, so a built, a copied and a
+/// same validate-then-alias path as LoadMapped, so a built, a copied and a
 /// mapped index are one representation and Save writes the bytes back
 /// verbatim. The paper's §3 tables map onto it as follows:
 ///  * **W(word, x, y, u, v, d, plid, posid)** — five columns in sid order,
@@ -217,24 +203,15 @@ class KokoIndex {
   /// reported next to SidCacheMemoryUsage.
   size_t SidCacheDecodedEquivalentBytes() const;
 
-  /// Persists the index: writes its image (format v5,
-  /// docs/INDEX_FORMAT.md) verbatim, so a loaded index re-saves
-  /// byte-identically.
-  Status Save(const std::string& path) const;
-  /// Writes the same image to a stream (one shard's section of a
-  /// ShardedKokoIndex file).
+  /// Writes the index's image (format v5, docs/INDEX_FORMAT.md) verbatim
+  /// to a stream — one shard's section of a ShardedKokoIndex file — so a
+  /// loaded index re-saves byte-identically.
   Status Save(BinaryWriter* writer) const;
 
-  static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path) {
-    return Load(path, LoadMode::kCopy);
-  }
-  static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path,
-                                                 LoadMode mode);
-
-  /// Loads the image occupying `span` inside `file` (the whole file, or
-  /// one shard's extent of a sharded file): validates every section, then
-  /// aliases it in place. The returned index holds `file` alive for its
-  /// lifetime. Any image version other than 5 fails with ParseError.
+  /// Loads the image occupying `span` inside `file` (one shard's extent of
+  /// a ShardedKokoIndex file): validates every section, then aliases it in
+  /// place. The returned index holds `file` alive for its lifetime. Any
+  /// image version other than 5 fails with ParseError.
   static Result<std::unique_ptr<KokoIndex>> LoadMapped(
       std::shared_ptr<MappedFile> file, MemorySpan span);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <thread>
 
 #include "storage/serde.h"
 #include "util/logging.h"
@@ -41,6 +42,27 @@ std::vector<ShardedKokoIndex::ShardRange> MakeRanges(
   return ranges;
 }
 
+// Pool size for `k` independent shard jobs: `requested` workers, where 0
+// means one per shard up to the hardware's threads; never more than k.
+size_t PoolSize(size_t requested, size_t k) {
+  const size_t automatic =
+      std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  return std::min(requested == 0 ? automatic : requested, k);
+}
+
+// The bytes of an index file for `mode`: a read-only mapping (kMap, or
+// an owned copy where mmap fails) or an owned copy (kCopy).
+Result<std::shared_ptr<MappedFile>> OpenIndexFile(const std::string& path,
+                                                  LoadMode mode) {
+  if (mode == LoadMode::kMap) {
+    auto mapped = MappedFile::Open(path);
+    // An mmap that fails (unsupported platform/filesystem) falls back to
+    // the kCopy buffer, so kMap never fails where kCopy would succeed.
+    if (mapped.ok()) return mapped;
+  }
+  return MappedFile::Read(path);
+}
+
 }  // namespace
 
 std::unique_ptr<ShardedKokoIndex> ShardedKokoIndex::Build(
@@ -52,8 +74,7 @@ std::unique_ptr<ShardedKokoIndex> ShardedKokoIndex::Build(
   const size_t k = index->ranges_.size();
   index->shards_.resize(k);
 
-  const size_t workers = std::min(
-      options.build_threads == 0 ? k : options.build_threads, k);
+  const size_t workers = PoolSize(options.build_threads, k);
   if (workers <= 1) {
     for (size_t i = 0; i < k; ++i) {
       index->shards_[i] = KokoIndex::Build(corpus, index->ranges_[i].begin,
@@ -169,6 +190,7 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
                               " is supported)");
   }
   KOKO_ASSIGN_OR_RETURN(uint32_t k, reader.ReadU32());
+  if (k == 0) return Status::ParseError("shard manifest holds no shard");
   auto index = std::unique_ptr<ShardedKokoIndex>(new ShardedKokoIndex());
   std::vector<uint64_t> extents;
   for (uint32_t i = 0; i < k; ++i) {
@@ -199,8 +221,8 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
   // Shards load independently: workers draw shard ids from an atomic
   // cursor and fill their own slot. Results are position-independent, so
   // the loaded index is identical for any worker count.
-  const size_t workers = std::min<size_t>(
-      options.num_threads == 0 ? k : options.num_threads, k);
+  // The file's shard count never sizes the pool past the hardware.
+  const size_t workers = PoolSize(options.num_threads, k);
   std::atomic<size_t> next{0};
   std::vector<Status> statuses(k, Status::OK());
   auto load_shards = [&](size_t) {

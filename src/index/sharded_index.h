@@ -9,7 +9,20 @@
 
 namespace koko {
 
-/// \brief K independent KokoIndex shards over contiguous sid ranges.
+/// Where a load keeps an index file's bytes. Both modes take one path:
+/// every section of the image is validated and then aliased in place —
+/// nothing is copied, decoded or parsed into owned tables.
+///
+///  * `kCopy` — read the file into an owned heap buffer (the default).
+///    MemoryUsage() counts the buffer.
+///  * `kMap` — mmap the file read-only. The index's columns, row lists and
+///    sid lists are page-cache-backed and shared across processes mapping
+///    the same image. Where mmap fails, the load falls back to the kCopy
+///    buffer.
+enum class LoadMode { kCopy, kMap };
+
+/// \brief K independent KokoIndex shards over contiguous sid ranges — the
+/// one index type the engine serves and the one index file there is.
 ///
 /// The corpus's global sentence numbering is partitioned into K contiguous
 /// ranges; shard i is a complete KokoIndex built over [begin_i, end_i) whose
@@ -19,18 +32,19 @@ namespace koko {
 /// per-shard sid computation (DPLI intersections in particular) composes
 /// back losslessly: intersection distributes over a partition by sid range,
 /// so ∩_atoms L_atom = ⊔_shards ∩_atoms L_atom|shard. Callers read the
-/// shards directly (`shard(i)`).
+/// shards directly (`shard(i)`). K = 1 is the paper's single multi-index.
 ///
 /// Shards build and load in parallel on a transient ThreadPool, so build
 /// and load time scale with min(K, hardware threads). A query runs DPLI
-/// shard by shard on its own thread (see Engine's sharded constructor).
+/// shard by shard on its own thread (see Engine).
 class ShardedKokoIndex {
  public:
   struct Options {
     /// Number of contiguous sid-range shards (>= 1). Sentences are split
     /// evenly: shard i covers [i*N/K, (i+1)*N/K).
     size_t num_shards = 1;
-    /// Workers for the parallel shard build; 0 = one per shard.
+    /// Workers for the parallel shard build; 0 = one per shard, up to the
+    /// hardware's threads.
     size_t build_threads = 0;
     /// Explicit shard boundaries (ascending global sids, starting at 0 and
     /// ending at NumSentences()). Overrides num_shards when non-empty —
@@ -80,7 +94,8 @@ class ShardedKokoIndex {
 
   struct LoadOptions {
     /// Workers for the parallel shard load, on a transient pool; 0 = one
-    /// per shard, 1 = serial.
+    /// per shard up to the hardware's threads (so a file cannot choose how
+    /// many threads its load starts), 1 = serial.
     size_t num_threads = 0;
     /// Where the file's bytes live (see LoadMode): either way the file is
     /// read or mapped once and every shard aliases its postings in place
@@ -89,9 +104,9 @@ class ShardedKokoIndex {
   };
 
   /// Loads the shards in parallel, each from its extent of the one image
-  /// (manifest version 2 only). Rejects manifests whose ranges do not
-  /// partition [0, end) contiguously and shards holding a sid list outside
-  /// their range.
+  /// (manifest version 2 only). Rejects manifests with no shard or whose
+  /// ranges do not partition [0, end) contiguously, and shards holding a
+  /// sid list outside their range.
   static Result<std::unique_ptr<ShardedKokoIndex>> Load(const std::string& path) {
     return Load(path, LoadOptions());
   }

@@ -613,18 +613,10 @@ class SentenceEvaluator {
 
 // ---- Engine ------------------------------------------------------------------
 
-Engine::Engine(const AnnotatedCorpus* corpus, const KokoIndex* index,
+Engine::Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* index,
                const EmbeddingModel* embeddings, const EntityRecognizer* recognizer)
     : corpus_(corpus),
       index_(index),
-      embeddings_(embeddings),
-      recognizer_(recognizer) {}
-
-Engine::Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* sharded,
-               const EmbeddingModel* embeddings, const EntityRecognizer* recognizer)
-    : corpus_(corpus),
-      index_(nullptr),
-      sharded_(sharded),
       embeddings_(embeddings),
       recognizer_(recognizer) {}
 
@@ -701,28 +693,20 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     if (!options.use_index) {
       candidates.resize(corpus_->NumSentences());
       for (uint32_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
-    } else if (sharded_ == nullptr) {
-      PlannedCandidates collected = collect(*index_, 0);
-      if (collected.pruned) {
-        candidates = collected.sids.TakeIds();
-      } else {
-        candidates.resize(corpus_->NumSentences());
-        for (uint32_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
-      }
     } else {
       // Per-shard DPLI: shards partition the corpus by contiguous sid
       // range, so intersection distributes over the partition and
       // appending each shard's candidates in shard order reproduces the
-      // monolithic candidate stream exactly. Each shard gets its own plan
+      // one-index candidate stream exactly. Each shard gets its own plan
       // (salt = shard ordinal): shard statistics differ, so the atom order
       // may too.
-      for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-        PlannedCandidates collected = collect(sharded_->shard(s), s);
+      for (size_t s = 0; s < index_->num_shards(); ++s) {
+        PlannedCandidates collected = collect(index_->shard(s), s);
         if (collected.pruned) {
           std::vector<uint32_t> ids = collected.sids.TakeIds();
           candidates.insert(candidates.end(), ids.begin(), ids.end());
         } else {
-          const ShardedKokoIndex::ShardRange& range = sharded_->shard_range(s);
+          const ShardedKokoIndex::ShardRange& range = index_->shard_range(s);
           for (uint32_t sid = range.begin; sid < range.end; ++sid) {
             candidates.push_back(sid);
           }
@@ -738,6 +722,15 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
         "index holds sid " + std::to_string(candidates.back()) +
         " but the corpus has only " +
         std::to_string(corpus_->NumSentences()) + " sentences");
+  }
+  // An unpruned shard contributes its whole range, so an index that stops
+  // short of the corpus would silently drop the corpus tail.
+  const uint32_t covered = index_->shard_range(index_->num_shards() - 1).end;
+  if (covered != corpus_->NumSentences()) {
+    return Status::InvalidArgument(
+        "index covers " + std::to_string(covered) +
+        " sentences but the corpus has " +
+        std::to_string(corpus_->NumSentences()));
   }
   result.candidate_sentences = candidates.size();
   result.scanned_candidates = candidates.size();
@@ -1038,6 +1031,12 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   if (options.early_terminate) {
     result.scanned_candidates = scanned;
     result.early_terminated = scanned < candidates.size();
+  }
+  // Freeing the deserialised articles is part of the store's LoadArticle
+  // cost; left to the destructor it would belong to no phase.
+  if (store_ != nullptr) {
+    ScopedPhase phase(&result.phases, "LoadArticle");
+    loaded.clear();
   }
   return result;
 }

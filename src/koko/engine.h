@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "embed/embedding.h"
-#include "index/koko_index.h"
 #include "index/sharded_index.h"
 #include "koko/aggregate.h"
 #include "koko/ast.h"
@@ -59,8 +58,8 @@ struct QueryResult {
   /// termination).
   size_t scanned_candidates = 0;
   bool early_terminated = false;
-  /// The cost-ordered query plan executed (planner-enabled runs against an
-  /// index; shard 0's plan when sharded). Null when the planner was off
+  /// The cost-ordered query plan executed on shard 0 (planner-enabled runs
+  /// against the index). Null when the planner was off
   /// (the compile-order plan is not surfaced) or the query bypassed the
   /// index. See koko/explain.h's ExplainPlan.
   std::shared_ptr<const QueryPlan> plan;
@@ -155,15 +154,13 @@ struct EngineOptions {
 /// the query.
 class Engine {
  public:
-  /// All pointers are borrowed and must outlive the engine.
-  Engine(const AnnotatedCorpus* corpus, const KokoIndex* index,
-         const EmbeddingModel* embeddings, const EntityRecognizer* recognizer);
-
-  /// Sharded variant: DPLI runs shard by shard and each shard's candidates
-  /// append in shard order, which is ascending sid order, so every query
-  /// returns byte-identical results to the monolithic engine over the same
-  /// corpus.
-  Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* sharded,
+  /// All pointers are borrowed and must outlive the engine. DPLI runs shard
+  /// by shard and each shard's candidates append in shard order, which is
+  /// ascending sid order, so a query returns byte-identical results for
+  /// every shard count K (K = 1 is the paper's single multi-index). The
+  /// index must cover exactly `corpus`'s sentences; a query against one that
+  /// does not fails with InvalidArgument.
+  Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* index,
          const EmbeddingModel* embeddings, const EntityRecognizer* recognizer);
 
   /// Optional: serve LoadArticle from a serialized document store. Without
@@ -190,8 +187,7 @@ class Engine {
 
  private:
   const AnnotatedCorpus* corpus_;
-  const KokoIndex* index_;
-  const ShardedKokoIndex* sharded_ = nullptr;
+  const ShardedKokoIndex* index_;
   const EmbeddingModel* embeddings_;
   const EntityRecognizer* recognizer_;
   const DocumentStore* store_ = nullptr;

@@ -19,7 +19,7 @@ namespace replay {
 ///
 /// Each figure/table of the paper's evaluation (§6) pairs one corpus
 /// recipe with one query family. The seed reproduced them as isolated
-/// bench binaries against the original monolithic engine; this library
+/// bench binaries against the original single-index engine; this library
 /// regenerates the same shapes as `Workload` values — corpus plus a fixed,
 /// named query list — so the traffic replayer (replay/traffic.h), the
 /// golden-row parity suite (tests/workloads_test.cpp), and the fig benches

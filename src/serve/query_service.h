@@ -242,8 +242,8 @@ class QueryService {
   };
 
   /// `engine` is borrowed and must outlive the service. `index_shards` is
-  /// only used to size the score cache's stripes; pass
-  /// `sharded->num_shards()` when serving a sharded index.
+  /// only used to size the score cache's stripes; pass the served index's
+  /// `num_shards()`.
   QueryService(const Engine* engine, const Options& options,
                size_t index_shards = 0);
 

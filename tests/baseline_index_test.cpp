@@ -56,7 +56,7 @@ class BaselineCompletenessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BaselineCompletenessTest, CandidatesAreComplete) {
   AnnotatedCorpus corpus = SmallCorpus();
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   auto inverted = InvertedIndex::Build(corpus);
   auto adv = AdvInvertedIndex::Build(corpus);
   auto subtree = SubtreeIndex::Build(corpus);
@@ -137,7 +137,7 @@ TEST(BaselineIndexTest, SubtreeRejectsUnsupportedConstructs) {
 TEST(BaselineIndexTest, SubtreeKeysAndSizes) {
   AnnotatedCorpus corpus = SmallCorpus();
   auto subtree = SubtreeIndex::Build(corpus);
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   EXPECT_GT(subtree->NumKeys(), 100u);
   // SUBTREE stores every distinct <=3-node subtree: strictly bigger.
   EXPECT_GT(subtree->MemoryUsage(), koko->MemoryUsage());
@@ -145,7 +145,7 @@ TEST(BaselineIndexTest, SubtreeKeysAndSizes) {
 
 TEST(BaselineIndexTest, AllWildcardRejectedEverywhere) {
   AnnotatedCorpus corpus = SmallCorpus();
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   auto inverted = InvertedIndex::Build(corpus);
   PathQuery star;
   PathStep s;
@@ -157,7 +157,7 @@ TEST(BaselineIndexTest, AllWildcardRejectedEverywhere) {
 
 TEST(BaselineIndexTest, KokoAdapterEffectivenessIsHigh) {
   AnnotatedCorpus corpus = SmallCorpus();
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   auto queries = GenerateSyntheticTreeBenchmark(
       corpus, {.queries_per_setting = 2, .seed = 77});
   double total = 0;

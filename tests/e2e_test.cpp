@@ -45,7 +45,8 @@ excluding
 }
 
 std::vector<std::string> RunCafe(const AnnotatedCorpus& corpus,
-                                 const KokoIndex& index, const Pipeline& pipeline,
+                                 const ShardedKokoIndex& index,
+                                 const Pipeline& pipeline,
                                  const EmbeddingModel& embeddings,
                                  double threshold, bool use_descriptors) {
   Engine engine(&corpus, &index, &embeddings, &pipeline.recognizer());
@@ -65,7 +66,7 @@ TEST(EndToEndTest, KokoBeatsIkeOnCafes) {
       GenerateCafeBlogs({.num_articles = 50, .long_articles = false, .seed = 71});
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(blogs.docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
 
   auto koko = RunCafe(corpus, *index, pipeline, embeddings, 0.4, true);
@@ -87,7 +88,7 @@ TEST(EndToEndTest, DescriptorsHelpOnShortArticles) {
       GenerateCafeBlogs({.num_articles = 50, .long_articles = false, .seed = 72});
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(blogs.docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   auto with = RunCafe(corpus, *index, pipeline, embeddings, 0.4, true);
   auto without = RunCafe(corpus, *index, pipeline, embeddings, 0.4, false);
@@ -102,7 +103,7 @@ TEST(EndToEndTest, ThresholdTradesPrecisionForRecall) {
       GenerateCafeBlogs({.num_articles = 50, .long_articles = false, .seed = 73});
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(blogs.docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   PRF low = ScoreExtractionLists(
       blogs.gold, RunCafe(corpus, *index, pipeline, embeddings, 0.2, true));
@@ -116,7 +117,7 @@ TEST(EndToEndTest, IndexEffectivenessOrdering) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 300, .seed = 74});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   auto inverted = InvertedIndex::Build(corpus);
   auto adv = AdvInvertedIndex::Build(corpus);
   auto queries = GenerateSyntheticTreeBenchmark(
@@ -144,7 +145,7 @@ TEST(EndToEndTest, IndexSizeOrdering) {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 200, .seed = 76});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto koko = KokoTreeIndex::Build(corpus);
+  auto koko = KokoTreeIndex::Build(corpus, 1);
   auto inverted = InvertedIndex::Build(corpus);
   auto adv = AdvInvertedIndex::Build(corpus);
   auto subtree = SubtreeIndex::Build(corpus);

@@ -6,7 +6,6 @@
 
 #include "corpus/generators.h"
 #include "corpus/query_gen.h"
-#include "index/koko_index.h"
 #include "index/sharded_index.h"
 #include "nlp/pipeline.h"
 #include "koko/score_cache.h"
@@ -19,7 +18,7 @@ namespace {
 struct World {
   Pipeline pipeline;
   AnnotatedCorpus corpus;
-  std::unique_ptr<KokoIndex> index;
+  std::unique_ptr<ShardedKokoIndex> index;
   EmbeddingModel embeddings;
   std::unique_ptr<Engine> engine;
 
@@ -27,7 +26,7 @@ struct World {
       : World(std::vector<RawDocument>(docs)) {}
   explicit World(const std::vector<RawDocument>& docs) {
     corpus = pipeline.AnnotateCorpus(docs);
-    index = KokoIndex::Build(corpus);
+    index = ShardedKokoIndex::Build(corpus, 1);
     engine = std::make_unique<Engine>(&corpus, index.get(), &embeddings,
                                       &const_cast<const Pipeline&>(pipeline)
                                            .recognizer());
@@ -159,7 +158,7 @@ TEST(EngineTest, GspEqualsNogspOnSyntheticSpans) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 33});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -188,7 +187,7 @@ TEST(EngineTest, IndexPruningMatchesFullScan) {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 40, .seed = 35});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -252,7 +251,7 @@ TEST(EngineTest, PhaseTotalSumsTopLevelPhases) {
   Pipeline pipeline;
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
       GenerateHappyMoments({.num_moments = 100, .seed = 37}));
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -281,7 +280,7 @@ TEST(EngineTest, MaxRowsLimit) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 36});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -316,8 +315,8 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
 // A resident corpus is borrowed; a document store deserialises a
 // query-owned copy of every candidate article. Both must give identical
 // results for every query of every replay workload class (including the
-// satisfying/excluding classes), over a monolithic and a sharded index, for
-// a full evaluation and for streamed top-k.
+// satisfying/excluding classes), over a one-shard and a four-shard index,
+// for a full evaluation and for streamed top-k.
 TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
   Pipeline pipeline;
   auto workloads =
@@ -328,22 +327,22 @@ TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
       &const_cast<const Pipeline&>(pipeline).recognizer();
   const RowSink sink = [](const ResultRow&) {};
   for (const replay::Workload& workload : *workloads) {
-    auto mono = KokoIndex::Build(workload.corpus);
+    auto one = ShardedKokoIndex::Build(workload.corpus, 1);
     auto sharded = ShardedKokoIndex::Build(workload.corpus, 4);
     const DocumentStore store = DocumentStore::FromCorpus(workload.corpus);
-    Engine resident_mono(&workload.corpus, mono.get(), &embeddings, recognizer);
-    Engine stored_mono(&workload.corpus, mono.get(), &embeddings, recognizer);
+    Engine resident_one(&workload.corpus, one.get(), &embeddings, recognizer);
+    Engine stored_one(&workload.corpus, one.get(), &embeddings, recognizer);
     Engine resident_sharded(&workload.corpus, sharded.get(), &embeddings,
                             recognizer);
     Engine stored_sharded(&workload.corpus, sharded.get(), &embeddings,
                           recognizer);
-    stored_mono.set_document_store(&store);
+    stored_one.set_document_store(&store);
     stored_sharded.set_document_store(&store);
     const struct {
       const char* name;
       const Engine* resident;
       const Engine* stored;
-    } indexes[] = {{"mono", &resident_mono, &stored_mono},
+    } indexes[] = {{"sharded1", &resident_one, &stored_one},
                    {"sharded4", &resident_sharded, &stored_sharded}};
     for (const replay::WorkloadQuery& query : workload.queries) {
       for (bool top_k : {false, true}) {
@@ -370,18 +369,18 @@ TEST(EngineTest, DocumentStoreMatchesResidentCorpus) {
 
 // ---- Sharding suite ---------------------------------------------------------
 //
-// For every query, the engine over a ShardedKokoIndex must return results
-// byte-identical to the monolithic engine — same rows, same order, same
-// candidate count — for every shard count, because per-shard DPLI
-// candidate lists concatenate in ascending global sid order.
+// For every query, the engine over a K-shard index must return results
+// byte-identical to the engine over one shard — same rows, same order, same
+// candidate count — for every K, because per-shard DPLI candidate lists
+// concatenate in ascending global sid order.
 
-TEST(EngineTest, ShardedEngineMatchesMonolithic) {
+TEST(EngineTest, ShardedEngineMatchesOneShard) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 51});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto mono_index = KokoIndex::Build(corpus);
+  auto one_index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
-  Engine mono(&corpus, mono_index.get(), &embeddings,
+  Engine one(&corpus, one_index.get(), &embeddings,
               &const_cast<const Pipeline&>(pipeline).recognizer());
   auto queries = GenerateSyntheticSpanBenchmark(
       corpus, {.queries_per_setting = 3, .seed = 52});
@@ -393,7 +392,7 @@ TEST(EngineTest, ShardedEngineMatchesMonolithic) {
     Engine sharded(&corpus, sharded_index.get(), &embeddings,
                    &const_cast<const Pipeline&>(pipeline).recognizer());
     for (const auto& bench : queries) {
-      auto want = mono.Execute(bench.query, base);
+      auto want = one.Execute(bench.query, base);
       ASSERT_TRUE(want.ok()) << bench.name;
       auto got = sharded.Execute(bench.query, base);
       ASSERT_TRUE(got.ok()) << bench.name;
@@ -409,10 +408,10 @@ TEST(EngineTest, ShardedEngineUnevenBoundaries) {
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
   const uint32_t n = static_cast<uint32_t>(corpus.NumSentences());
   ASSERT_GE(n, 10u);
-  auto mono_index = KokoIndex::Build(corpus);
+  auto one_index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
-  Engine mono(&corpus, mono_index.get(), &embeddings,
-              &const_cast<const Pipeline&>(pipeline).recognizer());
+  Engine one(&corpus, one_index.get(), &embeddings,
+             &const_cast<const Pipeline&>(pipeline).recognizer());
   // Lopsided shards, including an empty one.
   ShardedKokoIndex::Options options;
   options.boundaries = {0, 2, 2, n / 2, n};
@@ -421,7 +420,7 @@ TEST(EngineTest, ShardedEngineUnevenBoundaries) {
                  &const_cast<const Pipeline&>(pipeline).recognizer());
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  auto want = mono.ExecuteText(query);
+  auto want = one.ExecuteText(query);
   ASSERT_TRUE(want.ok());
   auto got = sharded.ExecuteText(query);
   ASSERT_TRUE(got.ok());
@@ -432,11 +431,11 @@ TEST(EngineTest, ShardedMaxRowsTruncationIsDeterministic) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 54});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto mono_index = KokoIndex::Build(corpus);
+  auto one_index = ShardedKokoIndex::Build(corpus, 1);
   auto sharded_index = ShardedKokoIndex::Build(corpus, 4);
   EmbeddingModel embeddings;
-  Engine mono(&corpus, mono_index.get(), &embeddings,
-              &const_cast<const Pipeline&>(pipeline).recognizer());
+  Engine one(&corpus, one_index.get(), &embeddings,
+             &const_cast<const Pipeline&>(pipeline).recognizer());
   Engine sharded(&corpus, sharded_index.get(), &embeddings,
                  &const_cast<const Pipeline&>(pipeline).recognizer());
   const char* query =
@@ -444,7 +443,7 @@ TEST(EngineTest, ShardedMaxRowsTruncationIsDeterministic) {
   for (size_t cap : {0u, 1u, 7u, 23u, 50u}) {
     EngineOptions options;
     options.max_rows = cap;
-    auto want = mono.ExecuteText(query, options);
+    auto want = one.ExecuteText(query, options);
     ASSERT_TRUE(want.ok());
     // The emit protocol is push-then-check, so a cap of 0 still admits the
     // first row; every cap >= 1 is exact.
@@ -457,13 +456,12 @@ TEST(EngineTest, ShardedMaxRowsTruncationIsDeterministic) {
 
 TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShards) {
   // End-to-end parity for LoadMode::kMap: an engine over a mapped index
-  // (monolithic and sharded) returns byte-identical rows to the engine
-  // over the built index, for every shard count K, including max_rows
-  // truncation.
+  // returns byte-identical rows to the engine over the built one-shard
+  // index, for every shard count K, including max_rows truncation.
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 56});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto built = KokoIndex::Build(corpus);
+  auto built = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   const EntityRecognizer& recognizer =
       const_cast<const Pipeline&>(pipeline).recognizer();
@@ -471,26 +469,6 @@ TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShards) {
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
 
-  // Monolithic mapped index.
-  std::string mono_path = ::testing::TempDir() + "/engine_mmap_mono.bin";
-  ASSERT_TRUE(built->Save(mono_path).ok());
-  auto mono_mapped = KokoIndex::Load(mono_path, LoadMode::kMap);
-  ASSERT_TRUE(mono_mapped.ok()) << mono_mapped.status().ToString();
-  ASSERT_TRUE((*mono_mapped)->mapped());
-  Engine mono_engine(&corpus, mono_mapped->get(), &embeddings, &recognizer);
-
-  for (size_t cap : {0u, 1u, 9u, 50000u}) {
-    EngineOptions options;
-    options.max_rows = cap;
-    auto want = reference.ExecuteText(query, options);
-    ASSERT_TRUE(want.ok());
-    auto got = mono_engine.ExecuteText(query, options);
-    ASSERT_TRUE(got.ok());
-    ExpectIdenticalResults(*want, *got, "mono cap=" + std::to_string(cap));
-  }
-  std::remove(mono_path.c_str());
-
-  // Sharded mapped index: sweep the shard count.
   for (size_t k : {1u, 2u, 4u}) {
     auto sharded_built = ShardedKokoIndex::Build(corpus, k);
     std::string path = ::testing::TempDir() + "/engine_mmap_sharded_" +
@@ -502,7 +480,7 @@ TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShards) {
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     ASSERT_TRUE((*mapped)->mapped());
     Engine sharded(&corpus, mapped->get(), &embeddings, &recognizer);
-    for (size_t cap : {0u, 7u, 50000u}) {
+    for (size_t cap : {0u, 1u, 7u, 9u, 50000u}) {
       EngineOptions options;
       options.max_rows = cap;
       auto want = reference.ExecuteText(query, options);
@@ -517,21 +495,21 @@ TEST(EngineTest, MappedIndexQueriesMatchCopyAcrossShards) {
   }
 }
 
-TEST(EngineTest, ShardedSatisfyingQueryMatchesMonolithic) {
+TEST(EngineTest, ShardedSatisfyingQueryMatchesOneShard) {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 30, .seed = 55});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto mono_index = KokoIndex::Build(corpus);
+  auto one_index = ShardedKokoIndex::Build(corpus, 1);
   auto sharded_index = ShardedKokoIndex::Build(corpus, 4);
   EmbeddingModel embeddings;
-  Engine mono(&corpus, mono_index.get(), &embeddings,
-              &const_cast<const Pipeline&>(pipeline).recognizer());
+  Engine one(&corpus, one_index.get(), &embeddings,
+             &const_cast<const Pipeline&>(pipeline).recognizer());
   Engine sharded(&corpus, sharded_index.get(), &embeddings,
                  &const_cast<const Pipeline&>(pipeline).recognizer());
   const char* query = R"(
       extract x:Entity from "t" if ()
       satisfying x (str(x) contains "a" {1}) with threshold 0.5)";
-  auto want = mono.ExecuteText(query);
+  auto want = one.ExecuteText(query);
   ASSERT_TRUE(want.ok());
   auto got = sharded.ExecuteText(query);
   ASSERT_TRUE(got.ok());
@@ -541,25 +519,33 @@ TEST(EngineTest, ShardedSatisfyingQueryMatchesMonolithic) {
 TEST(EngineTest, IndexLargerThanCorpusFailsQuery) {
   // An index built over a larger corpus than the engine serves holds sids
   // past the corpus end; the query must fail with an error instead of
-  // reading past the corpus when it loads candidate articles.
+  // reading past the corpus when it loads candidate articles. An index over
+  // a smaller corpus must fail too: an unpruned shard contributes its whole
+  // range, so the corpus tail would silently drop out of the answer.
   Pipeline pipeline;
   AnnotatedCorpus large = pipeline.AnnotateCorpus(
       GenerateHappyMoments({.num_moments = 80, .seed = 61}));
   AnnotatedCorpus small = pipeline.AnnotateCorpus(
       GenerateHappyMoments({.num_moments = 4, .seed = 62}));
-  auto mono = KokoIndex::Build(large);
+  ASSERT_LT(small.NumSentences(), large.NumSentences());
+  auto one = ShardedKokoIndex::Build(large, 1);
   auto sharded = ShardedKokoIndex::Build(large, 3);
+  auto short_index = ShardedKokoIndex::Build(small, 1);
   EmbeddingModel embeddings;
   const EntityRecognizer* recognizer =
       &const_cast<const Pipeline&>(pipeline).recognizer();
-  Engine from_mono(&small, mono.get(), &embeddings, recognizer);
+  Engine from_one(&small, one.get(), &embeddings, recognizer);
   Engine from_sharded(&small, sharded.get(), &embeddings, recognizer);
-  const char* query =
-      "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  for (Engine* engine : {&from_mono, &from_sharded}) {
-    auto result = engine->ExecuteText(query);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  Engine from_short(&large, short_index.get(), &embeddings, recognizer);
+  // The second query prunes nothing, so DPLI yields each shard's range.
+  for (const char* query :
+       {"extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })",
+        "extract a:Str from \"t\" if ( /ROOT:{ a = //* })"}) {
+    for (Engine* engine : {&from_one, &from_sharded, &from_short}) {
+      auto result = engine->ExecuteText(query);
+      ASSERT_FALSE(result.ok()) << query;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << query;
+    }
   }
 }
 
@@ -605,7 +591,7 @@ TEST(EngineTest, SpansOfEqualJoinedTextDedup) {
   corpus.docs.push_back(doc);
   corpus.RebuildRefs();
   Pipeline pipeline;
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -675,7 +661,7 @@ TEST(EngineTest, PathRegexStepMatchesFullScan) {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 40, .seed = 35});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -13,6 +12,7 @@
 
 #include "corpus/generators.h"
 #include "index/path_lookup.h"
+#include "index/sharded_index.h"
 #include "nlp/pipeline.h"
 #include "storage/serde.h"
 
@@ -210,111 +210,23 @@ TEST(KokoIndexTest, ParentChildConditionFromQuintuples) {
   EXPECT_FALSE(IsParentOf(cream[0], delicious[0]));
 }
 
-TEST(KokoIndexTest, SaveLoadRoundTrip) {
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->stats().num_sentences, index->stats().num_sentences);
-  EXPECT_EQ((*loaded)->stats().num_tokens, index->stats().num_tokens);
-  EXPECT_EQ((*loaded)->stats().num_entities, index->stats().num_entities);
-  EXPECT_EQ((*loaded)->stats().pl_trie_nodes, index->stats().pl_trie_nodes);
-  EXPECT_EQ((*loaded)->stats().pos_trie_nodes, index->stats().pos_trie_nodes);
-  EXPECT_GT((*loaded)->stats().num_sentences, 0u);
-  // Lookups agree after reload.
-  PathQuery p = MakePath({{"/", "root"}, {"/", "dobj"}, {"/", "nn"}});
-  EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
-  EXPECT_EQ((*loaded)->LookupWord("delicious"), index->LookupWord("delicious"));
-  EXPECT_EQ((*loaded)->AllEntities().size(), index->AllEntities().size());
-  std::remove(path.c_str());
+// The v5 image is a shard's payload: the image-level cases below save a
+// one-shard ShardedKokoIndex file, whose one image follows a manifest of
+// magic | version | count | begin | end | u64 extent.
+constexpr size_t kImageAt = 28;
+
+std::string SaveOneShardFile(const AnnotatedCorpus& corpus,
+                             const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(ShardedKokoIndex::Build(corpus, 1)->Save(path).ok());
+  return path;
 }
 
-TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
-  // The parity property behind LoadMode::kMap: a mapped index must answer
-  // every lookup byte-identically to a copy-loaded (and a freshly built)
-  // one, while holding ~0 owned posting bytes.
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 9});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_mmap_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
-
-  auto copied = KokoIndex::Load(path, LoadMode::kCopy);
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  auto mapped = KokoIndex::Load(path, LoadMode::kMap);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE((*copied)->mapped());
-  EXPECT_TRUE((*mapped)->mapped());
-
-  // No copy at all: the mapped index's sid lists attribute ~0 heap bytes,
-  // the copied one its share of the owned image buffer — which
-  // MemoryUsage counts whole.
-  EXPECT_GT((*copied)->SidCacheMemoryUsage(), 0u);
-  EXPECT_EQ((*mapped)->SidCacheMemoryUsage(), 0u);
-  EXPECT_GE((*copied)->MemoryUsage(),
-            (*mapped)->MemoryUsage() + std::filesystem::file_size(path));
-
-  // Every word's block list and postings are equal across build / copy /
-  // map.
-  std::set<std::string> words;
-  std::set<std::string> texts = {"zzz-absent"};
-  for (uint32_t sid = 0; sid < corpus.NumSentences(); ++sid) {
-    const Sentence& sentence = corpus.sentence(sid);
-    for (const Token& token : sentence.tokens) words.insert(token.text);
-    for (const Entity& e : sentence.entities) {
-      texts.insert(sentence.SpanText(e.begin, e.end));
-    }
-  }
-  ASSERT_GT(texts.size(), 1u);
-  const KokoIndex* loads[] = {copied->get(), mapped->get()};
-  for (const KokoIndex* loaded : loads) {
-    const std::string mode = loaded->mapped() ? "kMap" : "kCopy";
-    for (const std::string& word : words) {
-      const BlockList* built = index->WordSids(word);
-      const BlockList* got = loaded->WordSids(word);
-      ASSERT_NE(got, nullptr) << mode << " " << word;
-      EXPECT_EQ(*got, *built) << mode << " " << word;
-      EXPECT_TRUE(got->is_view()) << mode << " " << word;
-      EXPECT_EQ(loaded->LookupWord(word), index->LookupWord(word))
-          << mode << " " << word;
-    }
-    for (const std::string& text : texts) {
-      EXPECT_EQ(loaded->LookupEntityText(text), index->LookupEntityText(text))
-          << mode << " " << text;
-    }
-    for (const PathQuery& p :
-         {MakePath({{"/", "root"}, {"//", "dobj"}}), MakePath({{"//", "*"}}),
-          MakePath({{"//", "prep"}, {"/", "pobj"}})}) {
-      EXPECT_EQ(loaded->LookupParseLabelPath(p), index->LookupParseLabelPath(p))
-          << mode << " " << p.ToString();
-      EXPECT_EQ(loaded->PlPathSids(p), index->PlPathSids(p))
-          << mode << " " << p.ToString();
-    }
-    const PathQuery verbs = MakePath({{"//", "verb"}});
-    EXPECT_EQ(loaded->LookupPosPath(verbs), index->LookupPosPath(verbs))
-        << mode;
-    EXPECT_EQ(loaded->PosPathSids(verbs), index->PosPathSids(verbs)) << mode;
-    EXPECT_EQ(loaded->AllEntities(), index->AllEntities()) << mode;
-    EXPECT_EQ(loaded->AllEntitySids(), index->AllEntitySids()) << mode;
-  }
-
-  // Both loads re-save to a byte-identical image (Save writes the image
-  // the index aliases).
-  auto read_all = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  };
-  std::string resaved = ::testing::TempDir() + "/koko_index_mmap_resave.bin";
-  for (const KokoIndex* loaded : loads) {
-    ASSERT_TRUE(loaded->Save(resaved).ok());
-    EXPECT_EQ(read_all(resaved), read_all(path)) << loaded->mapped();
-  }
-  std::remove(resaved.c_str());
-  std::remove(path.c_str());
+Result<std::unique_ptr<ShardedKokoIndex>> LoadFile(const std::string& path,
+                                                   LoadMode mode) {
+  ShardedKokoIndex::LoadOptions options;
+  options.mode = mode;
+  return ShardedKokoIndex::Load(path, options);
 }
 
 std::vector<char> ReadFileBytes(const std::string& path) {
@@ -332,17 +244,15 @@ TEST(KokoIndexTest, OnlyVersionFiveLoads) {
   // The image version is a format tag, not a knob: any other version —
   // and an image without the "KIDX" magic — fails load with ParseError in
   // both modes, and the error names the one supported version.
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_version_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
+  const std::string path =
+      SaveOneShardFile(PaperCorpus(), "koko_index_version_test.bin");
   const std::vector<char> image = ReadFileBytes(path);
   for (uint32_t version : {1u, 2u, 3u, 4u, 6u}) {
     std::vector<char> other = image;
-    std::memcpy(other.data() + 4, &version, sizeof(version));
+    std::memcpy(other.data() + kImageAt + 4, &version, sizeof(version));
     WriteFileBytes(path, other);
     for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      auto loaded = KokoIndex::Load(path, mode);
+      auto loaded = LoadFile(path, mode);
       ASSERT_FALSE(loaded.ok()) << version;
       EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << version;
       EXPECT_NE(loaded.status().ToString().find("version 5"), std::string::npos)
@@ -350,10 +260,10 @@ TEST(KokoIndexTest, OnlyVersionFiveLoads) {
     }
   }
   std::vector<char> no_magic = image;
-  no_magic[0] = 'Z';  // the magic's first byte is 'X'
+  no_magic[kImageAt] = 'Z';  // the magic's first byte is 'X'
   WriteFileBytes(path, no_magic);
   for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-    auto loaded = KokoIndex::Load(path, mode);
+    auto loaded = LoadFile(path, mode);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   }
@@ -384,7 +294,7 @@ struct ImageMap {
 ImageMap MapImage(const std::vector<char>& bytes) {
   const MemorySpan span(reinterpret_cast<const uint8_t*>(bytes.data()),
                         bytes.size());
-  SpanReader reader(span);
+  SpanReader reader(span, kImageAt);
   auto array = [&] {
     ImageArray a;
     a.at = reader.offset() + 4;
@@ -427,8 +337,8 @@ TEST(KokoIndexTest, CorruptColumnsAndRowListsFailLoad) {
   // broken rule, in both modes, before anything is aliased.
   AnnotatedCorpus corpus = PaperCorpus();
   auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_sections_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
+  const std::string path =
+      SaveOneShardFile(corpus, "koko_index_sections_test.bin");
   const std::vector<char> image = ReadFileBytes(path);
   const ImageMap map = MapImage(image);
   const uint32_t num_w = static_cast<uint32_t>(index->stats().num_tokens);
@@ -442,7 +352,7 @@ TEST(KokoIndexTest, CorruptColumnsAndRowListsFailLoad) {
                              const std::string& rule) {
     WriteFileBytes(path, bytes);
     for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      auto loaded = KokoIndex::Load(path, mode);
+      auto loaded = LoadFile(path, mode);
       ASSERT_FALSE(loaded.ok()) << rule;
       EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << rule;
       EXPECT_NE(loaded.status().message().find(rule), std::string::npos)
@@ -500,100 +410,7 @@ TEST(KokoIndexTest, CorruptColumnsAndRowListsFailLoad) {
   }
   // The untouched image still loads.
   WriteFileBytes(path, image);
-  EXPECT_TRUE(KokoIndex::Load(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, MmapLoadErrorsAreClean) {
-  // Unmappable path: a clean error, not an abort.
-  auto missing = KokoIndex::Load(::testing::TempDir() + "/no_such_index.bin",
-                                 LoadMode::kMap);
-  EXPECT_FALSE(missing.ok());
-  // Empty and too-short files fail with an error in both modes.
-  std::string path = ::testing::TempDir() + "/koko_index_short.bin";
-  for (size_t bytes : {size_t{0}, size_t{3}, size_t{7}}) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const char zeros[8] = {};
-    out.write(zeros, static_cast<long>(bytes));
-    out.close();
-    EXPECT_FALSE(KokoIndex::Load(path, LoadMode::kMap).ok()) << bytes;
-    EXPECT_FALSE(KokoIndex::Load(path, LoadMode::kCopy).ok()) << bytes;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_corrupt_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
-
-  // Read the image, then write back damaged variants: every one must fail
-  // Load with an error instead of yielding an index over garbage sids.
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> image((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(image.size(), 64u);
-
-  auto write_image = [&](const std::vector<char>& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<long>(bytes.size()));
-  };
-
-  // Truncations at several depths (mid-column, mid-sid-section), in both
-  // load modes: the mapped parser must bound every read by the mapping.
-  for (size_t keep : {image.size() - 1, image.size() - 4, image.size() / 2,
-                      size_t{12}}) {
-    std::vector<char> truncated(image.begin(),
-                                image.begin() + static_cast<long>(keep));
-    write_image(truncated);
-    auto loaded = KokoIndex::Load(path);
-    EXPECT_FALSE(loaded.ok()) << "truncated to " << keep << " bytes";
-    auto mapped = KokoIndex::Load(path, LoadMode::kMap);
-    EXPECT_FALSE(mapped.ok()) << "mapped, truncated to " << keep << " bytes";
-  }
-
-  // Flip every byte of the image: header, columns, dictionaries, CSR row
-  // lists, trie sections and the packed sid lists (skip tables, widths,
-  // pads and block payloads). Structural damage — oversized counts,
-  // offsets out of bounds or non-monotone, row ids out of range, broken
-  // trie parents, non-minimal widths, zero gaps, nonzero slack or pad
-  // bits — must fail cleanly; a flip that happens to yield another valid
-  // image (a tid or depth cell, a key byte) is indistinguishable without a
-  // checksum, so the guarantee under test is "clean error or a usable
-  // index", never a crash, hang, or out-of-bounds read (the suite runs
-  // under ASan in CI). Both load modes take the same validate-then-alias
-  // path, so they must agree flip for flip — and a survivor must never
-  // read past its image when queried.
-  const PathQuery any = MakePath({{"//", "*"}});
-  const PathQuery verbs = MakePath({{"//", "verb"}});
-  for (size_t at = 0; at < image.size(); ++at) {
-    std::vector<char> corrupt = image;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
-    write_image(corrupt);
-    bool survived[2] = {false, false};
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      auto loaded = KokoIndex::Load(path, mode);
-      survived[mode == LoadMode::kMap] = loaded.ok();
-      if (!loaded.ok()) continue;  // clean failure: the desired outcome
-      const KokoIndex& survivor = **loaded;
-      (void)survivor.LookupWord("delicious");
-      (void)survivor.LookupEntityText("grocery store");
-      (void)survivor.LookupParseLabelPath(any);
-      (void)survivor.LookupPosPath(verbs);
-      (void)survivor.AllEntities();
-      // A survivor must still be a structurally sound index: decoding any
-      // restored list must stay in bounds and sorted.
-      const SidList decoded = survivor.PlPathSids(any);
-      EXPECT_TRUE(std::is_sorted(decoded.begin(), decoded.end()));
-      if (const BlockList* sids = survivor.WordSids("delicious")) {
-        const SidList word = sids->Decode();
-        EXPECT_TRUE(std::is_sorted(word.begin(), word.end()));
-      }
-    }
-    EXPECT_EQ(survived[0], survived[1]) << "flip at " << at;
-  }
+  EXPECT_TRUE(LoadFile(path, LoadMode::kCopy).ok());
   std::remove(path.c_str());
 }
 
@@ -628,19 +445,20 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   EXPECT_LT(block_bytes, raw_bytes);
 
   // Round trip: the loaded index restores byte-identical block lists.
-  std::string path = ::testing::TempDir() + "/koko_index_delta_test.bin";
-  ASSERT_TRUE(index->Save(path).ok());
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string path =
+      SaveOneShardFile(corpus, "koko_index_delta_test.bin");
+  auto file = LoadFile(path, LoadMode::kCopy);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const KokoIndex& loaded = (*file)->shard(0);
   for (const std::string& word : words) {
     const BlockList* want = index->WordSids(word);
-    const BlockList* got = (*loaded)->WordSids(word);
+    const BlockList* got = loaded.WordSids(word);
     ASSERT_NE(got, nullptr) << word;
     EXPECT_EQ(*got, *want) << word;
   }
   PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-  EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
-  EXPECT_EQ((*loaded)->PosPathSids(MakePath({{"//", "verb"}})),
+  EXPECT_EQ(loaded.PlPathSids(p), index->PlPathSids(p));
+  EXPECT_EQ(loaded.PosPathSids(MakePath({{"//", "verb"}})),
             index->PosPathSids(MakePath({{"//", "verb"}})));
   std::remove(path.c_str());
 }

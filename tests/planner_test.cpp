@@ -13,7 +13,6 @@
 
 #include "corpus/generators.h"
 #include "corpus/query_gen.h"
-#include "index/koko_index.h"
 #include "index/path_lookup.h"
 #include "index/sharded_index.h"
 #include "koko/compile.h"
@@ -83,7 +82,7 @@ std::vector<SidList> LookupFilters(uint32_t begin, uint32_t end,
 // The filtered-lookup contract DPLI relies on when it passes its running
 // candidate set: KokoPathSidLookup(path, &f) equals the unfiltered lookup
 // intersected with f, for every dominant path of the six replay workloads,
-// on a monolithic index and on every shard of a 4-shard mapped index.
+// on a one-shard index and on every shard of a 4-shard mapped index.
 TEST(PlannerTest, FilteredPathSidLookupIsIntersection) {
   Pipeline pipeline;
   auto workloads =
@@ -92,7 +91,7 @@ TEST(PlannerTest, FilteredPathSidLookupIsIntersection) {
   size_t checked_paths = 0;
   size_t nonempty_hits = 0;
   for (const replay::Workload& workload : *workloads) {
-    auto mono = KokoIndex::Build(workload.corpus);
+    auto one = ShardedKokoIndex::Build(workload.corpus, 1);
     auto built = ShardedKokoIndex::Build(workload.corpus, 4);
     const std::string path =
         ::testing::TempDir() + "/planner_filter_" + workload.name + ".idx";
@@ -109,7 +108,8 @@ TEST(PlannerTest, FilteredPathSidLookupIsIntersection) {
       uint32_t end;
     };
     std::vector<Target> targets = {
-        {mono.get(), 0, static_cast<uint32_t>(workload.corpus.NumSentences())}};
+        {&one->shard(0), 0,
+         static_cast<uint32_t>(workload.corpus.NumSentences())}};
     for (size_t s = 0; s < (*mapped)->num_shards(); ++s) {
       targets.push_back({&(*mapped)->shard(s), (*mapped)->shard_range(s).begin,
                          (*mapped)->shard_range(s).end});
@@ -151,7 +151,8 @@ TEST(PlannerTest, PlanOrdersAtomsBySelectivity) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 100, .seed = 62});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto built = ShardedKokoIndex::Build(corpus, 1);
+  const KokoIndex* index = &built->shard(0);
 
   auto query = ParseQuery(R"(
       extract e:Entity, b:Str from "t" if (
@@ -187,14 +188,14 @@ TEST(PlannerTest, PlanOrdersAtomsBySelectivity) {
 
 // Cost order must change only the cost of DPLI: the fixed-order and the
 // cost-ordered plans yield the same candidate sids, element for element,
-// on a monolithic index and on every shard of a sharded one.
+// on a one-shard index and on every shard of a four-shard one.
 TEST(PlannerTest, FixedAndCostOrderCandidatesMatch) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 62});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto mono = KokoIndex::Build(corpus);
+  auto one = ShardedKokoIndex::Build(corpus, 1);
   auto sharded = ShardedKokoIndex::Build(corpus, 4);
-  std::vector<const KokoIndex*> targets = {mono.get()};
+  std::vector<const KokoIndex*> targets = {&one->shard(0)};
   for (size_t s = 0; s < sharded->num_shards(); ++s) {
     targets.push_back(&sharded->shard(s));
   }
@@ -263,7 +264,8 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 60, .seed = 63});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto built = ShardedKokoIndex::Build(corpus, 1);
+  const KokoIndex* index = &built->shard(0);
   auto cq = CompileQuery(*ParseQuery(
       R"(extract b:Str from "t" if ( /ROOT:{ v = //verb, b = v/dobj }))"));
   ASSERT_TRUE(cq.ok());
@@ -299,11 +301,11 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
 
 // ---- Engine parity: planner x streaming x sharding x caps ------------------
 
-TEST(PlannerTest, PlannerAndStreamingParityMonolithic) {
+TEST(PlannerTest, PlannerAndStreamingParityOneShard) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 64});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -347,10 +349,10 @@ TEST(PlannerTest, PlannerAndStreamingParitySharded) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 150, .seed = 66});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto mono_index = KokoIndex::Build(corpus);
+  auto one_index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
-  Engine mono(&corpus, mono_index.get(), &embeddings,
-              &const_cast<const Pipeline&>(pipeline).recognizer());
+  Engine one(&corpus, one_index.get(), &embeddings,
+             &const_cast<const Pipeline&>(pipeline).recognizer());
   auto queries = GenerateSyntheticSpanBenchmark(
       corpus, {.queries_per_setting = 2, .seed = 67});
   ASSERT_FALSE(queries.empty());
@@ -367,7 +369,7 @@ TEST(PlannerTest, PlannerAndStreamingParitySharded) {
         naive.use_planner = false;
         naive.early_terminate = false;
         naive.max_rows = cap;
-        auto want = mono.Execute(bench.query, naive);
+        auto want = one.Execute(bench.query, naive);
         ASSERT_TRUE(want.ok()) << bench.name;
         EngineOptions planned;
         planned.max_rows = cap;
@@ -392,7 +394,7 @@ TEST(PlannerTest, SinkReceivesRowsInResultOrder) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 80, .seed = 68});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -420,7 +422,7 @@ TEST(PlannerTest, EarlyTerminationSkipsTailCandidates) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 200, .seed = 69});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -468,7 +470,7 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 60, .seed = 70});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
@@ -526,7 +528,7 @@ TEST(PlannerTest, QueryServiceSurfacesCacheStatsAndStreams) {
   Pipeline pipeline;
   auto docs = GenerateHappyMoments({.num_moments = 80, .seed = 71});
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());

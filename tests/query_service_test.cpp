@@ -27,27 +27,27 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-// A corpus plus a serial monolithic reference engine and a sharded engine
+// A corpus plus a serial one-shard reference engine and a K-shard engine
 // for the service under test.
 struct ServeWorld {
   Pipeline pipeline;
   AnnotatedCorpus corpus;
-  std::unique_ptr<KokoIndex> mono_index;
+  std::unique_ptr<ShardedKokoIndex> one_index;
   std::unique_ptr<ShardedKokoIndex> sharded_index;
   EmbeddingModel embeddings;
-  std::unique_ptr<Engine> mono;
+  std::unique_ptr<Engine> one;
   std::unique_ptr<Engine> sharded;
 
   explicit ServeWorld(size_t shards, int moments = 120, int seed = 71) {
     auto docs = GenerateHappyMoments(
         {.num_moments = moments, .seed = static_cast<uint64_t>(seed)});
     corpus = pipeline.AnnotateCorpus(docs);
-    mono_index = KokoIndex::Build(corpus);
+    one_index = ShardedKokoIndex::Build(corpus, 1);
     sharded_index = ShardedKokoIndex::Build(corpus, shards);
     const EntityRecognizer& recognizer =
         const_cast<const Pipeline&>(pipeline).recognizer();
-    mono = std::make_unique<Engine>(&corpus, mono_index.get(), &embeddings,
-                                    &recognizer);
+    one = std::make_unique<Engine>(&corpus, one_index.get(), &embeddings,
+                                   &recognizer);
     sharded = std::make_unique<Engine>(&corpus, sharded_index.get(),
                                        &embeddings, &recognizer);
   }
@@ -74,12 +74,12 @@ TEST(QueryServiceTest, ConcurrentClientsMatchSerialByteForByte) {
   const std::vector<std::string> workload = MixedWorkload();
   for (size_t k : {1u, 3u}) {
     ServeWorld world(k);
-    // Serial single-query reference: monolithic index, no shared caches.
+    // Serial single-query reference: one-shard index, no shared caches.
     std::vector<QueryResult> expected;
     for (const std::string& query : workload) {
       EngineOptions serial;
       serial.max_rows = 20000;
-      auto want = world.mono->ExecuteText(query, serial);
+      auto want = world.one->ExecuteText(query, serial);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       expected.push_back(std::move(*want));
     }
@@ -154,7 +154,7 @@ TEST(QueryServiceTest, ConcurrentClientsOverMappedIndexMatchSerial) {
   for (const std::string& query : workload) {
     EngineOptions serial;
     serial.max_rows = 20000;
-    auto want = world.mono->ExecuteText(query, serial);
+    auto want = world.one->ExecuteText(query, serial);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     expected.push_back(std::move(*want));
   }
@@ -197,7 +197,7 @@ TEST(QueryServiceTest, MaxRowsTruncationMatchesSerial) {
   for (size_t cap : {0u, 1u, 7u, 23u}) {
     EngineOptions serial;
     serial.max_rows = cap;
-    auto want = world.mono->ExecuteText(query, serial);
+    auto want = world.one->ExecuteText(query, serial);
     ASSERT_TRUE(want.ok());
 
     QueryService::Options options;
@@ -241,7 +241,7 @@ TEST(QueryServiceTest, AsyncSubmitMatchesSerial) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EngineOptions serial;
     serial.max_rows = 20000;
-    auto want = world.mono->ExecuteText(query, serial);
+    auto want = world.one->ExecuteText(query, serial);
     ASSERT_TRUE(want.ok());
     ExpectIdenticalResults(*want, *got, "future " + std::to_string(i));
   }

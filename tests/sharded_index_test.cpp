@@ -30,17 +30,36 @@ AnnotatedCorpus MomentsCorpus(int n, uint64_t seed) {
       GenerateHappyMoments({.num_moments = n, .seed = seed}));
 }
 
-PathQuery DobjPath() {
-  PathQuery q;
-  PathStep s1;
-  s1.axis = PathStep::Axis::kChild;
-  s1.constraint.dep = DepLabel::kRoot;
-  PathStep s2;
-  s2.axis = PathStep::Axis::kDescendant;
-  s2.constraint.dep = DepLabel::kDobj;
-  q.steps = {s1, s2};
-  return q;
+// The two sentences of the paper's Example 3.1.
+AnnotatedCorpus PaperCorpus() {
+  Pipeline pipeline;
+  return pipeline.AnnotateCorpus(
+      {{"d0",
+        "I ate a chocolate ice cream, which was delicious, and also ate a "
+        "pie."},
+       {"d1",
+        "Anna ate some delicious cheesecake that she bought at a grocery "
+        "store."}});
 }
+
+constexpr auto kChild = PathStep::Axis::kChild;
+constexpr auto kDescendant = PathStep::Axis::kDescendant;
+
+PathQuery DobjPath() {
+  return {{{kChild, {.dep = DepLabel::kRoot}},
+           {kDescendant, {.dep = DepLabel::kDobj}}}};
+}
+PathQuery RootDobjNnPath() {
+  return {{{kChild, {.dep = DepLabel::kRoot}},
+           {kChild, {.dep = DepLabel::kDobj}},
+           {kChild, {.dep = DepLabel::kNn}}}};
+}
+PathQuery AnyPath() { return {{{kDescendant, {}}}}; }
+PathQuery PrepPobjPath() {
+  return {{{kDescendant, {.dep = DepLabel::kPrep}},
+           {kChild, {.dep = DepLabel::kPobj}}}};
+}
+PathQuery VerbPath() { return {{{kDescendant, {.pos = PosTag::kVerb}}}}; }
 
 // Concatenates `lookup(shard)` over the shards in shard order. The shard
 // ranges are disjoint and ascending, so this is the global answer, which
@@ -73,6 +92,12 @@ auto PlPathPostings(PathQuery path) {
 }
 auto PlPathSidIds(PathQuery path) {
   return [=](const KokoIndex& s) { return s.PlPathSids(path).TakeIds(); };
+}
+auto PosPathPostings(PathQuery path) {
+  return [=](const KokoIndex& s) { return s.LookupPosPath(path); };
+}
+auto PosPathSidIds(PathQuery path) {
+  return [=](const KokoIndex& s) { return s.PosPathSids(path).TakeIds(); };
 }
 std::vector<EntityPosting> AllEntities(const KokoIndex& s) {
   return s.AllEntities();
@@ -127,6 +152,26 @@ void ExpectLookupsMatchMonolithic(const ShardedKokoIndex& sharded,
   EXPECT_EQ(ss.num_sentences, ms.num_sentences) << context;
   EXPECT_EQ(ss.num_tokens, ms.num_tokens) << context;
   EXPECT_EQ(ss.num_entities, ms.num_entities) << context;
+}
+
+// Manifest layout: magic | version | shard count, then per shard
+// u32 begin | u32 end | u64 extent.
+constexpr size_t kManifestHeader = 12;
+constexpr size_t kManifestEntry = 16;
+
+std::vector<char> ReadImage(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteImage(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<long>(bytes.size()));
+}
+
+void PatchU32(std::vector<char>* image, size_t at, uint32_t value) {
+  std::memcpy(image->data() + at, &value, sizeof(value));
 }
 
 TEST(ShardedKokoIndexTest, MatchesMonolithicAcrossShardCounts) {
@@ -190,51 +235,71 @@ TEST(ShardedKokoIndexTest, ParallelBuildMatchesSequentialBuild) {
 }
 
 TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
-  AnnotatedCorpus corpus = MomentsCorpus(60, 74);
-  auto built = ShardedKokoIndex::Build(corpus, 3);
-  std::string path = ::testing::TempDir() + "/sharded_index_test.bin";
-  ASSERT_TRUE(built->Save(path).ok());
-  auto loaded = ShardedKokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ((*loaded)->num_shards(), built->num_shards());
-  for (size_t i = 0; i < built->num_shards(); ++i) {
-    EXPECT_EQ((*loaded)->shard_range(i).begin, built->shard_range(i).begin);
-    EXPECT_EQ((*loaded)->shard_range(i).end, built->shard_range(i).end);
-  }
-  for (const char* word : {"a", "delicious", "ate"}) {
-    EXPECT_EQ(Concat(**loaded, WordPostings(word)),
-              Concat(*built, WordPostings(word)))
-        << word;
-    EXPECT_EQ(Concat(**loaded, WordSidIds(word)),
-              Concat(*built, WordSidIds(word)))
-        << word;
-  }
-  PathQuery path_q = DobjPath();
-  EXPECT_EQ(Concat(**loaded, PlPathPostings(path_q)),
-            Concat(*built, PlPathPostings(path_q)));
-  EXPECT_EQ(Concat(**loaded, PlPathSidIds(path_q)),
-            Concat(*built, PlPathSidIds(path_q)));
-  EXPECT_EQ(Concat(**loaded, AllEntities), Concat(*built, AllEntities));
+  // A three-shard index, and the paper's Example 3.1 corpus as one shard.
+  const struct {
+    AnnotatedCorpus corpus;
+    size_t k;
+  } inputs[] = {{MomentsCorpus(60, 74), 3}, {PaperCorpus(), 1}};
+  for (const auto& [corpus, k] : inputs) {
+    const std::string context = "K=" + std::to_string(k);
+    auto built = ShardedKokoIndex::Build(corpus, k);
+    std::string path = ::testing::TempDir() + "/sharded_index_test.bin";
+    ASSERT_TRUE(built->Save(path).ok());
+    auto loaded = ShardedKokoIndex::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ((*loaded)->num_shards(), built->num_shards());
+    for (size_t i = 0; i < built->num_shards(); ++i) {
+      EXPECT_EQ((*loaded)->shard_range(i).begin, built->shard_range(i).begin);
+      EXPECT_EQ((*loaded)->shard_range(i).end, built->shard_range(i).end);
+      const KokoIndex::Stats& want = built->shard(i).stats();
+      const KokoIndex::Stats& got = (*loaded)->shard(i).stats();
+      EXPECT_EQ(got.num_sentences, want.num_sentences) << context;
+      EXPECT_EQ(got.num_tokens, want.num_tokens) << context;
+      EXPECT_EQ(got.num_entities, want.num_entities) << context;
+      EXPECT_EQ(got.pl_trie_nodes, want.pl_trie_nodes) << context;
+      EXPECT_EQ(got.pos_trie_nodes, want.pos_trie_nodes) << context;
+    }
+    EXPECT_GT((*loaded)->stats().num_sentences, 0u) << context;
+    for (const char* word : {"a", "delicious", "ate"}) {
+      EXPECT_EQ(Concat(**loaded, WordPostings(word)),
+                Concat(*built, WordPostings(word)))
+          << context << " " << word;
+      EXPECT_EQ(Concat(**loaded, WordSidIds(word)),
+                Concat(*built, WordSidIds(word)))
+          << context << " " << word;
+    }
+    for (const PathQuery& path_q : {DobjPath(), RootDobjNnPath()}) {
+      EXPECT_EQ(Concat(**loaded, PlPathPostings(path_q)),
+                Concat(*built, PlPathPostings(path_q)))
+          << context << " " << path_q.ToString();
+      EXPECT_EQ(Concat(**loaded, PlPathSidIds(path_q)),
+                Concat(*built, PlPathSidIds(path_q)))
+          << context << " " << path_q.ToString();
+    }
+    EXPECT_EQ(Concat(**loaded, AllEntities), Concat(*built, AllEntities))
+        << context;
 
-  // Engine equality across the round trip: same rows from the loaded index.
-  Pipeline pipeline;
-  EmbeddingModel embeddings;
-  Engine from_built(&corpus, built.get(), &embeddings,
-                    &const_cast<const Pipeline&>(pipeline).recognizer());
-  Engine from_loaded(&corpus, loaded->get(), &embeddings,
-                     &const_cast<const Pipeline&>(pipeline).recognizer());
-  const char* query =
-      "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
-  auto ra = from_built.ExecuteText(query);
-  auto rb = from_loaded.ExecuteText(query);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  ASSERT_EQ(ra->rows.size(), rb->rows.size());
-  for (size_t i = 0; i < ra->rows.size(); ++i) {
-    EXPECT_EQ(ra->rows[i].sid, rb->rows[i].sid);
-    EXPECT_EQ(ra->rows[i].values, rb->rows[i].values);
+    // Engine equality across the round trip: same rows from the loaded
+    // index.
+    Pipeline pipeline;
+    EmbeddingModel embeddings;
+    Engine from_built(&corpus, built.get(), &embeddings,
+                      &const_cast<const Pipeline&>(pipeline).recognizer());
+    Engine from_loaded(&corpus, loaded->get(), &embeddings,
+                       &const_cast<const Pipeline&>(pipeline).recognizer());
+    const char* query =
+        "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";
+    auto ra = from_built.ExecuteText(query);
+    auto rb = from_loaded.ExecuteText(query);
+    ASSERT_TRUE(ra.ok()) << context;
+    ASSERT_TRUE(rb.ok()) << context;
+    ASSERT_EQ(ra->rows.size(), rb->rows.size()) << context;
+    for (size_t i = 0; i < ra->rows.size(); ++i) {
+      EXPECT_EQ(ra->rows[i].sid, rb->rows[i].sid) << context;
+      EXPECT_EQ(ra->rows[i].values, rb->rows[i].values) << context;
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
@@ -277,14 +342,83 @@ TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
 TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
   // Property suite for LoadMode::kMap over the sharded file: for every
   // (shard count, load worker count), the mapped index answers every
-  // lookup byte-identically to the copy-loaded one while all shards alias
-  // one shared mapping (~0 owned posting bytes).
-  AnnotatedCorpus corpus = MomentsCorpus(100, 77);
-  for (size_t k : {1u, 3u, 4u}) {
-    auto built = ShardedKokoIndex::Build(corpus, k);
+  // lookup byte-identically to the copy-loaded and the built one while all
+  // shards alias one shared mapping (~0 owned posting bytes), and both
+  // loads re-save the file byte for byte.
+  const AnnotatedCorpus moments = MomentsCorpus(100, 77);
+  const AnnotatedCorpus larger = MomentsCorpus(200, 9);
+  const std::pair<const AnnotatedCorpus*, size_t> inputs[] = {
+      {&moments, 1}, {&moments, 3}, {&moments, 4}, {&larger, 1}};
+  for (const auto& [corpus, k] : inputs) {
+    auto built = ShardedKokoIndex::Build(*corpus, k);
     std::string path = ::testing::TempDir() + "/sharded_index_mmap_" +
                        std::to_string(k) + ".bin";
     ASSERT_TRUE(built->Save(path).ok());
+    const std::vector<char> file = ReadImage(path);
+    // The bytes of the shard images: the file less its manifest.
+    const size_t payload = file.size() - kManifestHeader - k * kManifestEntry;
+
+    // Every word, entity text and sample path answers as the built index
+    // does, shard by shard; every stored list of a load is a view.
+    std::set<std::string> words = {"zzz-absent"};
+    std::set<std::string> texts = {"zzz-absent"};
+    for (uint32_t sid = 0; sid < corpus->NumSentences(); ++sid) {
+      const Sentence& sentence = corpus->sentence(sid);
+      for (const Token& token : sentence.tokens) words.insert(token.text);
+      for (const Entity& e : sentence.entities) {
+        texts.insert(sentence.SpanText(e.begin, e.end));
+      }
+    }
+    ASSERT_GT(texts.size(), 1u);
+    auto expect_matches_build = [&](const ShardedKokoIndex& loaded,
+                                    const std::string& context) {
+      for (const std::string& word : words) {
+        for (size_t i = 0; i < k; ++i) {
+          const BlockList* want = built->shard(i).WordSids(word);
+          const BlockList* got = loaded.shard(i).WordSids(word);
+          ASSERT_EQ(got == nullptr, want == nullptr) << context << " " << word;
+          if (got == nullptr) continue;
+          EXPECT_EQ(*got, *want) << context << " " << word;
+          EXPECT_TRUE(got->is_view()) << context << " " << word;
+        }
+        EXPECT_EQ(Concat(loaded, WordPostings(word)),
+                  Concat(*built, WordPostings(word)))
+            << context << " word=" << word;
+        EXPECT_EQ(Concat(loaded, WordSidIds(word)),
+                  Concat(*built, WordSidIds(word)))
+            << context << " word=" << word;
+      }
+      for (const std::string& text : texts) {
+        EXPECT_EQ(Concat(loaded, EntityText(text)),
+                  Concat(*built, EntityText(text)))
+            << context << " text=" << text;
+      }
+      for (const PathQuery& path_q :
+           {DobjPath(), AnyPath(), PrepPobjPath()}) {
+        EXPECT_EQ(Concat(loaded, PlPathPostings(path_q)),
+                  Concat(*built, PlPathPostings(path_q)))
+            << context << " " << path_q.ToString();
+        EXPECT_EQ(Concat(loaded, PlPathSidIds(path_q)),
+                  Concat(*built, PlPathSidIds(path_q)))
+            << context << " " << path_q.ToString();
+      }
+      EXPECT_EQ(Concat(loaded, PosPathPostings(VerbPath())),
+                Concat(*built, PosPathPostings(VerbPath())))
+          << context;
+      EXPECT_EQ(Concat(loaded, PosPathSidIds(VerbPath())),
+                Concat(*built, PosPathSidIds(VerbPath())))
+          << context;
+      EXPECT_EQ(Concat(loaded, AllEntities), Concat(*built, AllEntities))
+          << context;
+      EXPECT_EQ(Concat(loaded, AllEntitySidIds),
+                Concat(*built, AllEntitySidIds))
+          << context;
+      // Save writes the image the index aliases.
+      const std::string resaved = path + ".resaved";
+      ASSERT_TRUE(loaded.Save(resaved).ok()) << context;
+      EXPECT_EQ(ReadImage(resaved), file) << context;
+      std::remove(resaved.c_str());
+    };
 
     ShardedKokoIndex::LoadOptions copy;
     copy.num_threads = 1;
@@ -292,6 +426,7 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     EXPECT_FALSE((*want)->mapped());
     EXPECT_GT((*want)->SidCacheMemoryUsage(), 0u);
+    expect_matches_build(**want, "K=" + std::to_string(k) + " kCopy");
 
     std::vector<ShardedKokoIndex::LoadOptions> variants(2);
     variants[0].num_threads = 1;
@@ -304,35 +439,17 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
                                   std::to_string(v);
       ASSERT_EQ((*got)->num_shards(), k) << context;
       EXPECT_TRUE((*got)->mapped()) << context;
-      // No posting-payload copy across all shards.
-      EXPECT_LT((*got)->SidCacheMemoryUsage(),
-                (*want)->SidCacheMemoryUsage() / 4)
+      // No posting-payload copy across all shards: the mapped lists count
+      // no heap, while the copy counts its owned image buffer whole.
+      EXPECT_EQ((*got)->SidCacheMemoryUsage(), 0u) << context;
+      EXPECT_GE((*want)->MemoryUsage(), (*got)->MemoryUsage() + payload)
           << context;
       for (size_t i = 0; i < k; ++i) {
         EXPECT_TRUE((*got)->shard(i).mapped()) << context;
         EXPECT_EQ((*got)->shard_range(i).begin, built->shard_range(i).begin);
         EXPECT_EQ((*got)->shard_range(i).end, built->shard_range(i).end);
       }
-      for (const char* word : {"a", "delicious", "ate", "zzz-absent"}) {
-        EXPECT_EQ(Concat(**got, WordPostings(word)),
-                  Concat(**want, WordPostings(word)))
-            << context << " word=" << word;
-        EXPECT_EQ(Concat(**got, WordSidIds(word)),
-                  Concat(**want, WordSidIds(word)))
-            << context << " word=" << word;
-      }
-      PathQuery path_q = DobjPath();
-      EXPECT_EQ(Concat(**got, PlPathPostings(path_q)),
-                Concat(**want, PlPathPostings(path_q)))
-          << context;
-      EXPECT_EQ(Concat(**got, PlPathSidIds(path_q)),
-                Concat(**want, PlPathSidIds(path_q)))
-          << context;
-      EXPECT_EQ(Concat(**got, AllEntities), Concat(**want, AllEntities))
-          << context;
-      EXPECT_EQ(Concat(**got, AllEntitySidIds),
-                Concat(**want, AllEntitySidIds))
-          << context;
+      expect_matches_build(**got, context);
     }
     std::remove(path.c_str());
   }
@@ -422,26 +539,6 @@ TEST(ShardedKokoIndexTest, CorruptManifestExtentFailsLoadCleanly) {
   std::remove(path.c_str());
 }
 
-// Manifest layout: magic | version | shard count, then per shard
-// u32 begin | u32 end | u64 extent.
-constexpr size_t kManifestHeader = 12;
-constexpr size_t kManifestEntry = 16;
-
-std::vector<char> ReadImage(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-}
-
-void WriteImage(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<long>(bytes.size()));
-}
-
-void PatchU32(std::vector<char>* image, size_t at, uint32_t value) {
-  std::memcpy(image->data() + at, &value, sizeof(value));
-}
-
 TEST(ShardedKokoIndexTest, ManifestRangesMustStartAtZeroAndHoldTheirLists) {
   AnnotatedCorpus corpus = MomentsCorpus(40, 79);
   auto built = ShardedKokoIndex::Build(corpus, 2);
@@ -481,6 +578,12 @@ TEST(ShardedKokoIndexTest, ManifestRangesMustStartAtZeroAndHoldTheirLists) {
     PatchU32(&bad, kManifestHeader + kManifestEntry, split + 1);
     expect_rejected(bad, "boundary moved up");
   }
+  // No shard at all: Build never writes such a file.
+  {
+    std::vector<char> bad = image;
+    PatchU32(&bad, 8, 0);
+    expect_rejected(bad, "zero shards");
+  }
   // The untouched image still loads.
   WriteImage(path, image);
   EXPECT_TRUE(ShardedKokoIndex::Load(path).ok());
@@ -492,44 +595,65 @@ TEST(ShardedKokoIndexTest, CorruptImageFailsLoadCleanly) {
   // load modes: every damaged variant must load cleanly or fail with an
   // error — never crash or read outside the image (the suite runs under
   // ASan in CI) — and the two modes, which share one validate-then-alias
-  // path, must agree.
-  AnnotatedCorpus corpus = MomentsCorpus(12, 80);
-  auto built = ShardedKokoIndex::Build(corpus, 2);
-  std::string path = ::testing::TempDir() + "/sharded_index_sweep_test.bin";
-  ASSERT_TRUE(built->Save(path).ok());
-  const std::vector<char> image = ReadImage(path);
-  auto load_both = [&](const std::string& what) {
-    bool ok[2];
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      ShardedKokoIndex::LoadOptions options;
-      options.mode = mode;
-      auto loaded = ShardedKokoIndex::Load(path, options);
-      ok[mode == LoadMode::kMap] = loaded.ok();
-      if (!loaded.ok()) continue;
-      for (const char* word : {"a", "happy", "zzz-absent"}) {
-        const std::vector<uint32_t> sids = Concat(**loaded, WordSidIds(word));
-        EXPECT_TRUE(std::is_sorted(sids.begin(), sids.end())) << what;
-        (void)Concat(**loaded, WordPostings(word));
+  // path, must agree. The one-shard input flips every byte of its shard's
+  // extent: header, columns, dictionaries, CSR row lists, trie sections
+  // and the packed sid lists (skip tables, widths, pads and block
+  // payloads). A flip that happens to yield another valid image (a tid or
+  // depth cell, a key byte) is indistinguishable without a checksum, so a
+  // survivor must stay a structurally sound index whose lookups stay in
+  // bounds and sorted.
+  const struct {
+    AnnotatedCorpus corpus;
+    size_t k;
+    size_t flip_stride;
+  } inputs[] = {{MomentsCorpus(12, 80), 2, 97}, {PaperCorpus(), 1, 1}};
+  for (const auto& [corpus, k, flip_stride] : inputs) {
+    auto built = ShardedKokoIndex::Build(corpus, k);
+    std::string path = ::testing::TempDir() + "/sharded_index_sweep_test.bin";
+    ASSERT_TRUE(built->Save(path).ok());
+    const std::vector<char> image = ReadImage(path);
+    const size_t first_shard = kManifestHeader + k * kManifestEntry;
+    auto load_both = [&](const std::string& what) {
+      bool ok[2];
+      for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+        ShardedKokoIndex::LoadOptions options;
+        options.mode = mode;
+        auto loaded = ShardedKokoIndex::Load(path, options);
+        ok[mode == LoadMode::kMap] = loaded.ok();
+        if (!loaded.ok()) continue;
+        for (const char* word : {"a", "happy", "delicious", "zzz-absent"}) {
+          const std::vector<uint32_t> sids = Concat(**loaded, WordSidIds(word));
+          EXPECT_TRUE(std::is_sorted(sids.begin(), sids.end())) << what;
+          (void)Concat(**loaded, WordPostings(word));
+        }
+        const std::vector<uint32_t> any =
+            Concat(**loaded, PlPathSidIds(AnyPath()));
+        EXPECT_TRUE(std::is_sorted(any.begin(), any.end())) << what;
+        (void)Concat(**loaded, PlPathSidIds(DobjPath()));
+        (void)Concat(**loaded, PlPathPostings(AnyPath()));
+        (void)Concat(**loaded, PosPathPostings(VerbPath()));
+        (void)Concat(**loaded, EntityText("grocery store"));
+        (void)Concat(**loaded, AllEntities);
       }
-      (void)Concat(**loaded, PlPathSidIds(DobjPath()));
-      (void)Concat(**loaded, AllEntities);
+      EXPECT_EQ(ok[0], ok[1]) << what;
+      return ok[0];
+    };
+    for (size_t keep : {size_t{0}, size_t{11}, size_t{40}, first_shard + 12,
+                        image.size() / 2, image.size() - 4, image.size() - 1}) {
+      const auto end = image.begin() + static_cast<long>(keep);
+      WriteImage(path, std::vector<char>(image.begin(), end));
+      EXPECT_FALSE(load_both("K=" + std::to_string(k) + " truncated to " +
+                             std::to_string(keep)));
     }
-    EXPECT_EQ(ok[0], ok[1]) << what;
-    return ok[0];
-  };
-  for (size_t keep : {size_t{0}, size_t{11}, size_t{40}, image.size() / 2,
-                      image.size() - 1}) {
-    WriteImage(path, std::vector<char>(image.begin(),
-                                       image.begin() + static_cast<long>(keep)));
-    EXPECT_FALSE(load_both("truncated to " + std::to_string(keep)));
+    const size_t first_flip = k == 1 ? first_shard : 0;
+    for (size_t at = first_flip; at < image.size(); at += flip_stride) {
+      std::vector<char> corrupt = image;
+      corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
+      WriteImage(path, corrupt);
+      load_both("K=" + std::to_string(k) + " flip at " + std::to_string(at));
+    }
+    std::remove(path.c_str());
   }
-  for (size_t at = 0; at < image.size(); at += 97) {
-    std::vector<char> corrupt = image;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xff);
-    WriteImage(path, corrupt);
-    load_both("flip at " + std::to_string(at));
-  }
-  std::remove(path.c_str());
 }
 
 TEST(ShardedKokoIndexTest, MmapLoadErrorsAreClean) {
@@ -540,7 +664,8 @@ TEST(ShardedKokoIndexTest, MmapLoadErrorsAreClean) {
       ::testing::TempDir() + "/no_such_sharded.bin", options);
   EXPECT_FALSE(missing.ok());
   std::string path = ::testing::TempDir() + "/sharded_index_short.bin";
-  for (size_t bytes : {size_t{0}, size_t{6}, size_t{11}}) {
+  for (size_t bytes :
+       {size_t{0}, size_t{3}, size_t{6}, size_t{7}, size_t{11}}) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     const char zeros[16] = {};
     out.write(zeros, static_cast<long>(bytes));

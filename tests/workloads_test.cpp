@@ -1,15 +1,15 @@
 // Golden-row parity net over the paper-figure workloads (src/replay).
 //
 // For every workload class a small-corpus golden result set — digest and
-// row count per query, recorded from the seed-semantics path (monolithic
+// row count per query, recorded from the seed-semantics path (one-shard
 // index, planner off, no early termination, one thread) — lives in
 // tests/golden/workloads.golden. Every test then asserts the live engine
 // reproduces those rows byte-identically across the configuration
-// cross-product: index variant (monolithic, sharded-built, sharded
-// save/load kCopy, sharded save/load kMap with the file unlinked while
-// mapped) x execution options (planner on/off, thread count, shard
-// groups, max_rows with streaming early termination) x SIMD dispatch arm
-// x concurrent QueryService clients.
+// cross-product: index variant (one shard, K shards built, K shards
+// save/load kCopy, K shards save/load kMap with the file unlinked while
+// mapped) x execution options (planner on/off, max_rows with streaming
+// early termination) x SIMD dispatch arm x concurrent QueryService
+// clients.
 //
 // Regenerating the golden file (only when row semantics intentionally
 // change): KOKO_REGEN_GOLDEN=1 ./workloads_test
@@ -54,7 +54,7 @@ struct GoldenEntry {
 // All four index variants a deployment can serve from. Parity across them
 // is the point: build/save/load/mmap must never change a row.
 struct IndexVariants {
-  std::unique_ptr<KokoIndex> mono;
+  std::unique_ptr<ShardedKokoIndex> one;
   std::unique_ptr<ShardedKokoIndex> sharded_built;
   std::unique_ptr<ShardedKokoIndex> sharded_copy;
   std::unique_ptr<ShardedKokoIndex> sharded_map;
@@ -110,7 +110,7 @@ const World& GetWorld() {
     w->workloads = std::move(*workloads);
     for (const replay::Workload& workload : w->workloads) {
       IndexVariants v;
-      v.mono = KokoIndex::Build(workload.corpus);
+      v.one = ShardedKokoIndex::Build(workload.corpus, 1);
       v.sharded_built = ShardedKokoIndex::Build(workload.corpus, kIndexShards);
       const std::string path = "workloads_test_" + workload.name + ".idx";
       if (!v.sharded_built->Save(path).ok()) std::abort();
@@ -126,7 +126,7 @@ const World& GetWorld() {
       v.sharded_copy = std::move(*copied);
       v.sharded_map = std::move(*mapped);
 
-      Engine engine(&workload.corpus, v.mono.get(), &w->embeddings,
+      Engine engine(&workload.corpus, v.one.get(), &w->embeddings,
                     w->recognizer());
       std::vector<ReferenceResult> refs;
       for (const replay::WorkloadQuery& query : workload.queries) {
@@ -278,9 +278,9 @@ TEST(WorkloadParityTest, CrossProductMatchesReference) {
     const IndexVariants& v = world.variants[wi];
     ASSERT_TRUE(v.sharded_map->mapped());
     {
-      Engine engine(&workload.corpus, v.mono.get(), &world.embeddings,
+      Engine engine(&workload.corpus, v.one.get(), &world.embeddings,
                     world.recognizer());
-      CheckEngineArm(world, wi, engine, workload.name + "/mono");
+      CheckEngineArm(world, wi, engine, workload.name + "/sharded1");
     }
     {
       Engine engine(&workload.corpus, v.sharded_built.get(), &world.embeddings,
