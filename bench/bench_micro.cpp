@@ -16,7 +16,6 @@
 #include "regex/regex.h"
 #include "storage/btree.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace koko {
 namespace {
@@ -476,14 +475,10 @@ void BM_DpliPhaseEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_DpliPhaseEndToEnd);
 
-// ---- SIMD block-decode bandwidth -------------------------------------------
+// ---- Block-decode bandwidth ------------------------------------------------
 //
-// Raw posting-block decode throughput (sids/sec) per available ISA. The
-// ISA set is a runtime property, so these are registered dynamically from
-// main() with the ISA in the benchmark name; each run forces its ISA
-// explicitly so a single invocation captures the whole matrix regardless
-// of KOKO_SIMD.
-void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa) {
+// Raw posting-block decode throughput (sids/sec).
+void BM_BlockDecodePacked(benchmark::State& state) {
   Rng rng(23);
   std::vector<uint32_t> ids;
   for (size_t i = 0; i < 200000; ++i) {
@@ -492,8 +487,6 @@ void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   const BlockList list = BlockList::FromSidList(SidList::FromSorted(ids));
-  const simd::Isa saved = simd::ActiveIsa();
-  simd::SetActiveIsa(isa);
   uint32_t buf[BlockList::kBlockSids];
   for (auto _ : state) {
     uint64_t sum = 0;
@@ -503,18 +496,10 @@ void BM_BlockDecodeBandwidth(benchmark::State& state, simd::Isa isa) {
     }
     benchmark::DoNotOptimize(sum);
   }
-  simd::SetActiveIsa(saved);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ids.size()));
 }
-
-void RegisterSimdDecodeBenches() {
-  for (simd::Isa isa : simd::AvailableIsas()) {
-    const std::string name =
-        std::string("BM_BlockDecodePacked/") + simd::IsaName(isa);
-    benchmark::RegisterBenchmark(name.c_str(), BM_BlockDecodeBandwidth, isa);
-  }
-}
+BENCHMARK(BM_BlockDecodePacked);
 
 void BM_RegexPartialMatch(benchmark::State& state) {
   auto re = Regex::Compile("[0-9]+ [0-9A-Z a-z]+ [Ss]t.?");
@@ -563,18 +548,7 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         values.emplace_back(name, counter.value);
       }
-      // The dispatch-selected ISA (native, or KOKO_SIMD's override) whose
-      // kernels the bench ran under. The per-ISA decode benches force
-      // their own ISA (its name is the suffix after '/'), and have already
-      // restored the dispatch choice by report time — recover theirs from
-      // the name so the field always states what actually ran.
-      const std::string name = run.benchmark_name();
-      std::string isa = koko::simd::ActiveIsaName();
-      if (name.rfind("BM_BlockDecode", 0) == 0) {
-        const size_t slash = name.rfind('/');
-        if (slash != std::string::npos) isa = name.substr(slash + 1);
-      }
-      emitter_->AddEntry(name, {{"simd_isa", isa}}, std::move(values));
+      emitter_->AddEntry(run.benchmark_name(), std::move(values));
     }
   }
 
@@ -587,7 +561,6 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  koko::RegisterSimdDecodeBenches();
   koko::bench::JsonEmitter emitter("micro");
   JsonCapturingReporter reporter(&emitter);
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -36,7 +36,6 @@
 #include "net/server.h"
 #include "replay/workloads.h"
 #include "serve/query_service.h"
-#include "util/simd.h"
 
 using namespace koko;
 
@@ -236,9 +235,8 @@ int main(int argc, char** argv) {
       argc > 3 ? static_cast<size_t>(std::atoi(argv[3])) : 4;
   const double open_rate_qps = 100.0;
   std::printf(
-      "Network serving bench: scale=%d, %zu queries/arm, %zu clients, "
-      "simd=%s\n\n",
-      scale, queries, clients, simd::ActiveIsaName());
+      "Network serving bench: scale=%d, %zu queries/arm, %zu clients\n\n",
+      scale, queries, clients);
 
   Pipeline pipeline;
   const Pipeline& const_pipeline = pipeline;

@@ -25,7 +25,6 @@
 #include "replay/traffic.h"
 #include "replay/workloads.h"
 #include "serve/query_service.h"
-#include "util/simd.h"
 
 using namespace koko;
 
@@ -136,9 +135,8 @@ int main(int argc, char** argv) {
   const size_t queries = argc > 2 ? static_cast<size_t>(std::atoi(argv[2])) : 96;
   const size_t clients = argc > 3 ? static_cast<size_t>(std::atoi(argv[3])) : 4;
   std::printf(
-      "Workload traffic replay: scale=%d, %zu queries/phase, %zu clients, "
-      "simd=%s\n\n",
-      scale, queries, clients, simd::ActiveIsaName());
+      "Workload traffic replay: scale=%d, %zu queries/phase, %zu clients\n\n",
+      scale, queries, clients);
 
   Pipeline pipeline;
   const Pipeline& const_pipeline = pipeline;

@@ -94,6 +94,7 @@ void EmbeddingModel::AddParaphraseCluster(const std::vector<std::string>& words)
     cluster_of_[lower] = cluster;
     RegisterWord(lower);
   }
+  MutexLock lock(cache_mu_);
   cache_.clear();
 }
 
@@ -106,6 +107,7 @@ void EmbeddingModel::AddRelatedness(const std::string& concept_word,
     concept_of_[lower] = lc;
     RegisterWord(lower);
   }
+  MutexLock lock(cache_mu_);
   cache_.clear();
 }
 
@@ -169,9 +171,16 @@ EmbeddingModel::Vector EmbeddingModel::ComputeEmbedding(const std::string& word)
 
 const EmbeddingModel::Vector& EmbeddingModel::Embed(std::string_view word) const {
   std::string lower = ToLower(word);
-  auto it = cache_.find(lower);
-  if (it != cache_.end()) return it->second;
+  {
+    MutexLock lock(cache_mu_);
+    auto it = cache_.find(lower);
+    if (it != cache_.end()) return it->second;
+  }
+  // Computed unlocked: ComputeEmbedding re-enters Embed for a concept word.
+  // A racing thread may insert the same word first; emplace then keeps its
+  // (identical) vector.
   Vector v = ComputeEmbedding(lower);
+  MutexLock lock(cache_mu_);
   return cache_.emplace(std::move(lower), v).first->second;
 }
 

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/thread_annotations.h"
+
 namespace koko {
 
 /// A phrase with an associated confidence/similarity score in [0, 1].
@@ -45,8 +47,9 @@ class EmbeddingModel {
 
   /// Embedding of a (lower-cased) word. Unknown words get their hash-seeded
   /// base vector. A trailing plural 's' is stripped when the exact form is
-  /// unknown but the singular is in a cluster.
-  const Vector& Embed(std::string_view word) const;
+  /// unknown but the singular is in a cluster. Safe to call from concurrent
+  /// queries; the reference stays valid until the next mutating call.
+  const Vector& Embed(std::string_view word) const KOKO_EXCLUDES(cache_mu_);
 
   /// Cosine similarity of two words, in [-1, 1] (practically [0, 1] here).
   double Similarity(std::string_view a, std::string_view b) const;
@@ -83,7 +86,12 @@ class EmbeddingModel {
   std::unordered_map<std::string, std::string> concept_of_;  // instance -> concept_word
   std::vector<std::string> vocab_;
   std::unordered_map<std::string, bool> in_vocab_;
-  mutable std::unordered_map<std::string, Vector> cache_;
+  // Filled lazily by the const Embed, which concurrent queries share.
+  // Entries are never erased while queries run, so references into the map
+  // survive later inserts.
+  mutable Mutex cache_mu_;
+  mutable std::unordered_map<std::string, Vector> cache_
+      KOKO_GUARDED_BY(cache_mu_);
 };
 
 }  // namespace koko

@@ -8,7 +8,6 @@
 #include <queue>
 
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace koko {
 
@@ -90,19 +89,30 @@ size_t GallopTo(const U32View& xs, size_t lo, uint32_t key) {
 
 namespace {
 
-// Appends intersect_sorted(xs, ys) to *out via the active SIMD kernel,
-// which needs kIntersectOutSlack spare elements past the possible matches
-// (it stores whole compacted vector registers at the output cursor).
+// Appends the intersection of two sorted, duplicate-free runs to *out by
+// linear merge.
 void IntersectRuns(const uint32_t* xs, size_t nx, const uint32_t* ys,
                    size_t ny, std::vector<uint32_t>* out) {
   const size_t old = out->size();
-  out->resize(old + std::min(nx, ny) + simd::kIntersectOutSlack);
-  const size_t n =
-      simd::ActiveKernels().intersect_sorted(xs, nx, ys, ny, out->data() + old);
-  out->resize(old + n);
+  out->resize(old + std::min(nx, ny));
+  uint32_t* dst = out->data() + old;
+  size_t i = 0, j = 0, k = 0;
+  while (i < nx && j < ny) {
+    const uint32_t x = xs[i], y = ys[j];
+    if (x < y) {
+      ++i;
+    } else if (y < x) {
+      ++j;
+    } else {
+      dst[k++] = x;
+      ++i;
+      ++j;
+    }
+  }
+  out->resize(old + k);
 }
 
-// Vectorized merge intersection for comparable sizes.
+// Merge intersection for comparable sizes.
 void IntersectMerge(const SidList& a, const SidList& b,
                     std::vector<uint32_t>* out) {
   IntersectRuns(a.data(), a.size(), b.data(), b.size(), out);
@@ -203,6 +213,30 @@ SidList Difference(const SidList& a, const SidList& b) {
 
 // ---- BlockList --------------------------------------------------------------
 
+namespace {
+
+// Extracts gap `i` from a `width`-bit packed little-endian bitstream. The
+// stream is padded to a multiple of 4 bytes (the BlockList contract), and
+// the second word is read only when the field straddles a word boundary,
+// so both loads stay inside the block's payload.
+uint32_t ExtractPackedGap(const uint8_t* p, uint32_t width, size_t i) {
+  const size_t bit = i * width;
+  const size_t word = bit >> 5;
+  const unsigned shift = static_cast<unsigned>(bit & 31);
+  uint32_t lo;
+  std::memcpy(&lo, p + 4 * word, 4);
+  uint64_t v = lo;
+  if (shift + width > 32) {
+    uint32_t hi;
+    std::memcpy(&hi, p + 4 * word + 4, 4);
+    v |= static_cast<uint64_t>(hi) << 32;
+  }
+  const uint64_t mask = width == 32 ? 0xffffffffull : ((1ull << width) - 1);
+  return static_cast<uint32_t>((v >> shift) & mask);
+}
+
+}  // namespace
+
 void BlockListBuilder::Append(uint32_t sid) {
   if (size_ > 0) {
     assert(sid >= tail_);
@@ -286,8 +320,14 @@ size_t BlockList::DecodeBlock(size_t b, uint32_t* out) const {
   // Belt and braces over the construction-time validation: a block can
   // never claim more sids than `out`'s kBlockSids capacity.
   KOKO_CHECK(count >= 1 && count <= kBlockSids);
-  simd::ActiveKernels().unpack_block(bytes_.data() + offset_[b], width_[b],
-                                     first_[b], count, out);
+  const uint8_t* p = bytes_.data() + offset_[b];
+  const uint32_t width = width_[b];
+  uint32_t sid = first_[b];
+  out[0] = sid;
+  for (size_t i = 1; i < count; ++i) {
+    sid += ExtractPackedGap(p, width, i - 1);
+    out[i] = sid;
+  }
   return count;
 }
 
@@ -395,7 +435,7 @@ Status ValidatePackedParts(uint32_t count, const U32View& skip_first,
     uint64_t sid = skip_first[b];
     uint32_t max_gap = 0;
     for (size_t i = 0; i < gaps; ++i) {
-      const uint32_t gap = simd::ExtractPackedGap(p, width, i);
+      const uint32_t gap = ExtractPackedGap(p, width, i);
       if (gap == 0) {
         return Status::ParseError(
             "packed block list: zero gap (non-monotone ids)");
@@ -521,12 +561,9 @@ class BlockCursor {
   size_t pos_ = 0;
 };
 
-// Blockwise merge between a decoded list and a block list: decode one
-// block at a time into a stack buffer, bound the decoded side's
-// overlapping run by the block's last sid, and hand both runs to the
-// vectorized intersection kernel. A block whose entire sid range lies
-// below the decoded cursor (its successor's first sid bounds it from
-// above) is skipped without decoding.
+// Merge between a decoded list and a block list of comparable size: decode
+// only the blocks overlapping the decoded side's sid span, then
+// merge-intersect the two runs.
 void IntersectMergeBlocks(const SidList& a, const BlockList& b,
                           std::vector<uint32_t>* out) {
   const uint32_t* xs = a.data();
@@ -535,7 +572,7 @@ void IntersectMergeBlocks(const SidList& a, const BlockList& b,
   // span, so the per-block pairing (skip test, decode, gallop for the
   // fragment bound) costs more than the decodes it avoids: clamp to the
   // block window overlapping [xs[0], xs[na-1]] via the skip table,
-  // bulk-decode it, and run a single vector intersection.
+  // bulk-decode it, and run a single merge intersection.
   const U32View firsts = b.skip_first();
   const size_t nb = b.NumBlocks();
   const uint32_t lo = xs[0], hi = xs[na - 1];
@@ -621,7 +658,7 @@ SidList Intersect(const BlockList& a, const BlockList& b) {
     // decode, intersect the fragment) costs more in bookkeeping than the
     // decodes it avoids. Clamp each side to the other's sid span via the
     // skip table, bulk-decode the two block windows, and run a single
-    // vector intersection over the decoded runs.
+    // merge intersection over the decoded runs.
     const uint32_t lo =
         std::max(small.skip_first()[0], large.skip_first()[0]);
     const uint32_t hi = std::min(small.last_sid(), large.last_sid());

@@ -121,8 +121,8 @@ SidList Difference(const SidList& a, const SidList& b);
 ///   * `bytes`          — concatenated block payloads. A block's payload is
 ///     the gaps of its 2nd..kth sids from their predecessors, `skip_width`
 ///     bits each, LSB-first in a little-endian bitstream, zero-padded to a
-///     multiple of 4 bytes (so offsets stay 4-byte aligned and the SIMD
-///     kernels of src/util/simd.h decode with word-granular loads). The
+///     multiple of 4 bytes (so offsets stay 4-byte aligned and the decoder's
+///     word-granular loads never cross the block's end). The
 ///     first sid lives only in the skip table.
 ///
 /// Every block except the last holds exactly `kBlockSids` sids. The
@@ -183,7 +183,7 @@ class BlockList {
 
   /// Decodes block `b` into `out` (capacity >= kBlockSids); returns the
   /// number of sids written. The payload is trusted (validated at
-  /// construction), so this is a straight SIMD unpack.
+  /// construction), so this is a straight unpack.
   size_t DecodeBlock(size_t b, uint32_t* out) const;
 
   /// Fully decodes the list (transient use only — unions, aggregation

@@ -6,7 +6,8 @@
 // shutdown/reject races and ScoreCache::Clear vs concurrent hit paths —
 // plus a regression test for the torn stats-snapshot bug the annotation
 // pass surfaced (QueryService::stats() used to read each admission counter
-// under its own lock acquisition).
+// under its own lock acquisition), and a regression test for the
+// EmbeddingModel cache that concurrent queries fill through a const Embed.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "embed/embedding.h"
 #include "koko/score_cache.h"
 #include "serve/query_service.h"
 #include "util/thread_annotations.h"
@@ -274,6 +276,38 @@ TEST(ScoreCacheClearRaceTest, InvalidateDocRacesHitsOnOtherDocs) {
   }
   stop.store(true);
   invalidator.join();
+}
+
+// ---- EmbeddingModel cache ---------------------------------------------------
+
+TEST(EmbeddingCacheRaceTest, ConcurrentPhraseSimilarityOnUnseenWords) {
+  // Concurrent queries share one model, and similarity scoring over words
+  // no earlier query embedded inserts into its cache. Every thread walks
+  // the same unseen words, so inserts and lookups of one key race; scores
+  // must equal a single-threaded model's.
+  constexpr int kThreads = 4;
+  constexpr int kWords = 200;
+  std::vector<std::string> phrases;
+  for (int i = 0; i < kWords; ++i) {
+    phrases.push_back("unseen" + std::to_string(i) + " coffee");
+  }
+  EmbeddingModel reference;
+  std::vector<double> expected;
+  for (const std::string& phrase : phrases) {
+    expected.push_back(reference.PhraseSimilarity(phrase, "espresso city"));
+  }
+  EmbeddingModel shared;
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::string& phrase : phrases) {
+        got[t].push_back(shared.PhraseSimilarity(phrase, "espresso city"));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected) << t;
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Planner + streaming suite: cost-based clause planning must never change
 // results (only cost), streaming top-k must cut the exact same row stream,
 // and the plan cache must hit on repeated query shapes. Carries the
-// "planner" ctest label; CI runs it under ASan/TSan/UBSan and under
-// KOKO_SIMD=scalar.
+// "planner" ctest label; CI runs it under ASan/TSan/UBSan.
 
 #include "koko/planner.h"
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace koko {
 namespace {
@@ -287,7 +286,7 @@ TEST(BlockListTest, UnionAllBlocks) {
 // Packed form: round trips, canonical-encoding corruption rejection.
 // ---------------------------------------------------------------------------
 
-// Gap patterns the packed and SIMD paths must all handle: dense runs
+// Gap patterns the packed paths must all handle: dense runs
 // (1-bit gaps), sparse lists (wide gaps), mixes whose block widths are
 // set by one rare wide gap, and block-boundary sizes.
 std::vector<std::vector<uint32_t>> PatternLists() {
@@ -541,135 +540,57 @@ TEST(BlockListTest, RejectsBlockClaimingMoreThanBlockSids) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch: every available ISA must be byte-for-byte equivalent to
-// the scalar kernels on every input shape.
+// Posting kernels: block unpack and sorted-set merge against references.
 // ---------------------------------------------------------------------------
 
-// Restores the process-wide active ISA on scope exit so test order cannot
-// leak a non-default kernel table into unrelated suites.
-class ScopedIsa {
- public:
-  explicit ScopedIsa(simd::Isa isa) : saved_(simd::ActiveIsa()) {
-    simd::SetActiveIsa(isa);
-  }
-  ~ScopedIsa() { simd::SetActiveIsa(saved_); }
-
- private:
-  simd::Isa saved_;
-};
-
-TEST(SimdTest, ScalarAlwaysAvailableAndNamed) {
-  auto isas = simd::AvailableIsas();
-  ASSERT_FALSE(isas.empty());
-  EXPECT_EQ(isas.front(), simd::Isa::kScalar);
-  ASSERT_NE(simd::KernelsFor(simd::Isa::kScalar), nullptr);
-  EXPECT_STREQ(simd::IsaName(simd::Isa::kScalar), "scalar");
-  for (simd::Isa isa : isas) {
-    EXPECT_NE(simd::KernelsFor(isa), nullptr) << simd::IsaName(isa);
-    EXPECT_NE(std::string(simd::IsaName(isa)), "");
-  }
-  EXPECT_STREQ(simd::ActiveIsaName(), simd::IsaName(simd::ActiveIsa()));
-}
-
-TEST(SimdTest, DifferentialDecodeAcrossIsas) {
-  // Decode every pattern list under every available ISA, from the built
-  // list and from byte-shifted (unaligned) image views; all must match the
-  // scalar decode exactly.
+TEST(PostingKernelTest, DecodeMatchesIds) {
+  // Every pattern list decodes to its ids, from the built list and from a
+  // byte-shifted (unaligned) image view.
   for (const auto& ids : PatternLists()) {
     BlockList built = BlockList::FromSidList(SidList::FromSorted(ids));
     std::vector<uint8_t> arena;
     auto unaligned = MapParts(PartsOf(built), 1, &arena);
     ASSERT_TRUE(unaligned.ok()) << unaligned.status().ToString();
-
-    std::vector<std::vector<uint32_t>> scalar_decodes;
-    for (simd::Isa isa : simd::AvailableIsas()) {
-      ScopedIsa guard(isa);
-      std::vector<std::vector<uint32_t>> decodes;
-      decodes.push_back(built.Decode().ids());
-      decodes.push_back(unaligned->Decode().ids());
-      if (isa == simd::Isa::kScalar) {
-        for (const auto& d : decodes) EXPECT_EQ(d, ids);
-        scalar_decodes = std::move(decodes);
-      } else {
-        ASSERT_EQ(decodes.size(), scalar_decodes.size());
-        for (size_t i = 0; i < decodes.size(); ++i) {
-          EXPECT_EQ(decodes[i], scalar_decodes[i])
-              << simd::IsaName(isa) << " form " << i << " n=" << ids.size();
-        }
-      }
-    }
+    EXPECT_EQ(built.Decode().ids(), ids) << "built n=" << ids.size();
+    EXPECT_EQ(unaligned->Decode().ids(), ids) << "view n=" << ids.size();
   }
 }
 
-TEST(SimdTest, DifferentialIntersectAcrossIsas) {
-  // Intersections under each ISA — both the raw kernel against a reference
-  // std::set_intersection and the full BlockList paths — must agree with
-  // scalar exactly, across skews that hit the merge and gallop strategies.
+TEST(PostingKernelTest, IntersectMatchesReference) {
+  // Every SidList/BlockList pairing, in both argument orders, equals
+  // std::set_intersection: over every pair of pattern lists, and over
+  // random lists whose skews hit both the merge and gallop strategies.
+  std::vector<SidList> lists;
+  for (const auto& ids : PatternLists()) {
+    lists.push_back(SidList::FromSorted(ids));
+  }
+  const size_t num_patterns = lists.size();
   Rng rng(4242);
   for (int round = 0; round < 60; ++round) {
     const size_t na = 1 + rng.Next() % 400;
     const size_t skew = 1 + rng.Next() % 100;
     const size_t nb = 1 + (rng.Next() % 400) * skew;
-    SidList a = RandomList(&rng, na, 1u << 18);
-    SidList b = RandomList(&rng, nb, 1u << 18);
-    const std::vector<uint32_t> expected = ReferenceIntersect(a, b);
-
-    BlockList ba = BlockList::FromSidList(a);
-    BlockList bb = BlockList::FromSidList(b);
-    for (simd::Isa isa : simd::AvailableIsas()) {
-      ScopedIsa guard(isa);
-      // Raw kernel, both argument orders.
-      const simd::Kernels& k = simd::ActiveKernels();
-      std::vector<uint32_t> out(std::min(a.size(), b.size()) +
-                                simd::kIntersectOutSlack);
-      size_t got = k.intersect_sorted(a.ids().data(), a.size(),
-                                      b.ids().data(), b.size(), out.data());
-      ASSERT_EQ(got, expected.size()) << simd::IsaName(isa);
-      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
-          << simd::IsaName(isa);
-      got = k.intersect_sorted(b.ids().data(), b.size(), a.ids().data(),
-                               a.size(), out.data());
-      ASSERT_EQ(got, expected.size()) << simd::IsaName(isa);
-      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
-          << simd::IsaName(isa);
-      // Full paths: decoded×decoded, block×block, decoded×block.
-      EXPECT_EQ(Intersect(a, b).ids(), expected) << simd::IsaName(isa);
-      EXPECT_EQ(Intersect(ba, bb).ids(), expected) << simd::IsaName(isa);
-      EXPECT_EQ(Intersect(a, bb).ids(), expected) << simd::IsaName(isa);
-    }
+    lists.push_back(RandomList(&rng, na, 1u << 18));
+    lists.push_back(RandomList(&rng, nb, 1u << 18));
   }
-}
-
-TEST(SimdTest, IntersectKernelEdgeCases) {
-  // Empty inputs, no matches, all matches, and runs crossing the vector
-  // width — per ISA, against the scalar kernel's contract.
-  for (simd::Isa isa : simd::AvailableIsas()) {
-    ScopedIsa guard(isa);
-    const simd::Kernels& k = simd::ActiveKernels();
-    std::vector<uint32_t> out(64 + simd::kIntersectOutSlack);
-    std::vector<uint32_t> empty;
-    std::vector<uint32_t> xs = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-    EXPECT_EQ(k.intersect_sorted(empty.data(), 0, xs.data(), xs.size(),
-                                 out.data()),
-              0u);
-    EXPECT_EQ(k.intersect_sorted(xs.data(), xs.size(), empty.data(), 0,
-                                 out.data()),
-              0u);
-    // Identical arrays: all elements survive, in order.
-    const size_t all = k.intersect_sorted(xs.data(), xs.size(), xs.data(),
-                                          xs.size(), out.data());
-    ASSERT_EQ(all, xs.size());
-    EXPECT_TRUE(std::equal(xs.begin(), xs.end(), out.begin()));
-    // Interleaved disjoint values: zero matches across window boundaries.
-    std::vector<uint32_t> odd, even;
-    for (uint32_t i = 0; i < 40; ++i) {
-      odd.push_back(2 * i + 1);
-      even.push_back(2 * i);
-    }
-    EXPECT_EQ(k.intersect_sorted(odd.data(), odd.size(), even.data(),
-                                 even.size(), out.data()),
-              0u)
-        << simd::IsaName(isa);
+  auto check = [](const SidList& a, const SidList& b) {
+    const std::vector<uint32_t> expected = ReferenceIntersect(a, b);
+    const BlockList ba = BlockList::FromSidList(a);
+    const BlockList bb = BlockList::FromSidList(b);
+    const std::string what =
+        "na=" + std::to_string(a.size()) + " nb=" + std::to_string(b.size());
+    EXPECT_EQ(Intersect(a, b).ids(), expected) << what;
+    EXPECT_EQ(Intersect(b, a).ids(), expected) << what;
+    EXPECT_EQ(Intersect(ba, bb).ids(), expected) << what;
+    EXPECT_EQ(Intersect(bb, ba).ids(), expected) << what;
+    EXPECT_EQ(Intersect(a, bb).ids(), expected) << what;
+    EXPECT_EQ(Intersect(ba, b).ids(), expected) << what;
+  };
+  for (size_t i = 0; i < num_patterns; ++i) {
+    for (size_t j = i; j < num_patterns; ++j) check(lists[i], lists[j]);
+  }
+  for (size_t i = num_patterns; i + 1 < lists.size(); i += 2) {
+    check(lists[i], lists[i + 1]);
   }
 }
 

@@ -8,8 +8,7 @@
 // cross-product: index variant (one shard, K shards built, K shards
 // save/load kCopy, K shards save/load kMap with the file unlinked while
 // mapped) x execution options (planner on/off, max_rows with streaming
-// early termination) x SIMD dispatch arm x concurrent QueryService
-// clients.
+// early termination) x concurrent QueryService clients.
 //
 // Regenerating the golden file (only when row semantics intentionally
 // change): KOKO_REGEN_GOLDEN=1 ./workloads_test
@@ -30,7 +29,6 @@
 
 #include "index/sharded_index.h"
 #include "serve/query_service.h"
-#include "util/simd.h"
 
 #ifndef KOKO_GOLDEN_DIR
 #error "KOKO_GOLDEN_DIR must be defined (see koko_add_test in CMakeLists.txt)"
@@ -298,31 +296,6 @@ TEST(WorkloadParityTest, CrossProductMatchesReference) {
       CheckEngineArm(world, wi, engine, workload.name + "/load_map");
     }
   }
-}
-
-// SIMD arm of the cross-product: every available ISA must produce the
-// reference rows from the mapped image (the dispatch point all posting
-// decodes go through). KOKO_SIMD=scalar in CI covers the env override.
-TEST(WorkloadParityTest, EverySimdIsaMatchesReference) {
-  const World& world = GetWorld();
-  const simd::Isa native = simd::ActiveIsa();
-  for (simd::Isa isa : simd::AvailableIsas()) {
-    simd::SetActiveIsa(isa);
-    for (size_t wi = 0; wi < world.workloads.size(); ++wi) {
-      const replay::Workload& workload = world.workloads[wi];
-      Engine engine(&workload.corpus, world.variants[wi].sharded_map.get(),
-                    &world.embeddings, world.recognizer());
-      for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
-        auto result =
-            engine.Execute(workload.queries[qi].query, EngineOptions());
-        ASSERT_TRUE(result.ok()) << world.reference[wi][qi].key;
-        EXPECT_EQ(replay::RowDigest(*result), world.reference[wi][qi].digest)
-            << "isa=" << static_cast<int>(isa) << " "
-            << world.reference[wi][qi].key;
-      }
-    }
-  }
-  simd::SetActiveIsa(native);
 }
 
 // Serving arm: concurrent clients through one QueryService (shared score
