@@ -280,7 +280,6 @@ int main(int argc, char** argv) {
       served.expected_digests.push_back(replay::RowDigest(*result));
     }
     QueryService::Options service_options;
-    service_options.num_threads = clients;
     service_options.max_inflight = clients;
     served.service = std::make_unique<QueryService>(
         served.engine.get(), service_options, kIndexShards);

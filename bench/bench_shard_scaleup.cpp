@@ -1,6 +1,6 @@
 // Shard scale-up: the Table 2 story past one core. Fixed corpus, growing
 // shard count K — measures (a) ShardedKokoIndex build time (shards build in
-// parallel on the thread pool: speedup should approach min(K, cores); the
+// parallel on transient threads: speedup should approach min(K, cores); the
 // acceptance bar is > 1.5x at K=4 on the 4000-article corpus on multi-core
 // hardware), (b) per-phase query time over K shards — a query runs on one
 // thread, DPLI visiting the K shards in order, so this shows what sharding

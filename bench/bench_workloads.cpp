@@ -66,7 +66,6 @@ std::unique_ptr<ShardedKokoIndex> BuildMappedIndex(
 std::unique_ptr<QueryService> MakeService(const Engine* engine,
                                           size_t clients) {
   QueryService::Options options;
-  options.num_threads = clients;
   options.max_inflight = clients;
   return std::make_unique<QueryService>(engine, options, kIndexShards);
 }

@@ -60,10 +60,9 @@ int main(int argc, char** argv) {
 
   // The service owns the persistent score and plan caches. At most 4
   // queries execute at once; the 9th waiting client would be rejected with
-  // Unavailable instead of piling up. Clients call Run on their own
-  // threads, so the one pool worker (it runs Submit()-ed queries) idles.
+  // Unavailable instead of piling up. Each query runs on the thread of the
+  // client that calls Run; the service starts no thread of its own.
   QueryService::Options options;
-  options.num_threads = 1;
   options.max_inflight = 4;
   options.max_queue = 8;
   QueryService service(&engine, options, index->num_shards());

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "regex/regex.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace koko {

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "storage/serde.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace koko {
@@ -42,12 +43,40 @@ std::vector<ShardedKokoIndex::ShardRange> MakeRanges(
   return ranges;
 }
 
-// Pool size for `k` independent shard jobs: `requested` workers, where 0
-// means one per shard up to the hardware's threads; never more than k.
-size_t PoolSize(size_t requested, size_t k) {
+// Runs `fn(i)` once for every shard i in [0, k) and returns when all have
+// finished. `requested` threads draw shard ids from an atomic cursor, the
+// caller among them; 0 means one per shard up to the hardware's threads,
+// and never more than k. One thread is a plain loop on the caller. Each
+// call writes only its own shard's slot, so results do not depend on
+// which thread ran which shard. An exception from `fn` is rethrown on the
+// caller after every thread has been joined.
+template <typename Fn>
+void ForEachShard(size_t k, size_t requested, const Fn& fn) {
   const size_t automatic =
       std::max<size_t>(std::thread::hardware_concurrency(), 1);
-  return std::min(requested == 0 ? automatic : requested, k);
+  const size_t workers = std::min(requested == 0 ? automatic : requested, k);
+  std::atomic<size_t> cursor{0};
+  std::vector<std::exception_ptr> errors(workers);
+  auto drain = [&](size_t slot) {
+    try {
+      for (;;) {
+        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= k) return;
+        fn(i);
+      }
+    } catch (...) {
+      errors[slot] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on scope exit
+    threads.reserve(workers);
+    for (size_t t = 1; t < workers; ++t) threads.emplace_back(drain, t);
+    drain(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 // The bytes of an index file for `mode`: a read-only mapping (kMap, or
@@ -74,27 +103,10 @@ std::unique_ptr<ShardedKokoIndex> ShardedKokoIndex::Build(
   const size_t k = index->ranges_.size();
   index->shards_.resize(k);
 
-  const size_t workers = PoolSize(options.build_threads, k);
-  if (workers <= 1) {
-    for (size_t i = 0; i < k; ++i) {
-      index->shards_[i] = KokoIndex::Build(corpus, index->ranges_[i].begin,
-                                           index->ranges_[i].end);
-    }
-  } else {
-    // Shards are independent: workers of a transient build-only pool draw
-    // shard ids from an atomic cursor and build into their own slot, so the
-    // result is identical to the sequential build regardless of scheduling.
-    std::atomic<size_t> cursor{0};
-    ThreadPool pool(workers);
-    pool.Dispatch([&](size_t) {
-      for (;;) {
-        size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= k) return;
-        index->shards_[i] = KokoIndex::Build(corpus, index->ranges_[i].begin,
-                                             index->ranges_[i].end);
-      }
-    });
-  }
+  ForEachShard(k, options.build_threads, [&](size_t i) {
+    index->shards_[i] = KokoIndex::Build(corpus, index->ranges_[i].begin,
+                                         index->ranges_[i].end);
+  });
   index->build_seconds_ = timer.ElapsedSeconds();
   return index;
 }
@@ -218,35 +230,22 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
   }
   index->shards_.resize(k);
 
-  // Shards load independently: workers draw shard ids from an atomic
-  // cursor and fill their own slot. Results are position-independent, so
-  // the loaded index is identical for any worker count.
-  // The file's shard count never sizes the pool past the hardware.
-  const size_t workers = PoolSize(options.num_threads, k);
-  std::atomic<size_t> next{0};
+  // Shards load independently, each into its own slot, so the loaded
+  // index is identical for any thread count. The file's shard count never
+  // starts more threads than the hardware has.
   std::vector<Status> statuses(k, Status::OK());
-  auto load_shards = [&](size_t) {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= k) return;
-      auto shard = KokoIndex::LoadMapped(image, spans[i]);
-      if (!shard.ok()) {
-        statuses[i] = shard.status();
-        continue;
-      }
-      // A sid outside its shard's range would break the invariant that
-      // per-shard answers concatenate into the global answer.
-      statuses[i] = (*shard)->CheckSidRange(index->ranges_[i].begin,
-                                            index->ranges_[i].end);
-      index->shards_[i] = std::move(*shard);
+  ForEachShard(k, options.num_threads, [&](size_t i) {
+    auto shard = KokoIndex::LoadMapped(image, spans[i]);
+    if (!shard.ok()) {
+      statuses[i] = shard.status();
+      return;
     }
-  };
-  if (workers <= 1) {
-    load_shards(0);
-  } else {
-    ThreadPool pool(workers);
-    pool.Dispatch(load_shards);
-  }
+    // A sid outside its shard's range would break the invariant that
+    // per-shard answers concatenate into the global answer.
+    statuses[i] = (*shard)->CheckSidRange(index->ranges_[i].begin,
+                                          index->ranges_[i].end);
+    index->shards_[i] = std::move(*shard);
+  });
   for (uint32_t i = 0; i < k; ++i) {
     if (!statuses[i].ok()) return statuses[i];
   }

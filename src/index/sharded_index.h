@@ -34,8 +34,9 @@ enum class LoadMode { kCopy, kMap };
 /// so ∩_atoms L_atom = ⊔_shards ∩_atoms L_atom|shard. Callers read the
 /// shards directly (`shard(i)`). K = 1 is the paper's single multi-index.
 ///
-/// Shards build and load in parallel on a transient ThreadPool, so build
-/// and load time scale with min(K, hardware threads). A query runs DPLI
+/// Shards build and load in parallel on transient threads (the caller plus
+/// up to K-1 more, joined before Build/Load return), so build and load time
+/// scale with min(K, hardware threads). A query runs DPLI
 /// shard by shard on its own thread (see Engine).
 class ShardedKokoIndex {
  public:
@@ -43,8 +44,8 @@ class ShardedKokoIndex {
     /// Number of contiguous sid-range shards (>= 1). Sentences are split
     /// evenly: shard i covers [i*N/K, (i+1)*N/K).
     size_t num_shards = 1;
-    /// Workers for the parallel shard build; 0 = one per shard, up to the
-    /// hardware's threads.
+    /// Threads for the parallel shard build, the caller included; 0 = one
+    /// per shard, up to the hardware's threads.
     size_t build_threads = 0;
     /// Explicit shard boundaries (ascending global sids, starting at 0 and
     /// ending at NumSentences()). Overrides num_shards when non-empty —
@@ -93,9 +94,9 @@ class ShardedKokoIndex {
   Status Save(const std::string& path) const;
 
   struct LoadOptions {
-    /// Workers for the parallel shard load, on a transient pool; 0 = one
+    /// Threads for the parallel shard load, the caller included; 0 = one
     /// per shard up to the hardware's threads (so a file cannot choose how
-    /// many threads its load starts), 1 = serial.
+    /// many threads its load starts), 1 = serial on the caller.
     size_t num_threads = 0;
     /// Where the file's bytes live (see LoadMode): either way the file is
     /// read or mapped once and every shard aliases its postings in place

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <queue>
 
@@ -147,66 +148,6 @@ SidList Intersect(const SidList& a, const SidList& b) {
     IntersectGallop(small, large, &out);
   } else {
     IntersectMerge(small, large, &out);
-  }
-  return SidList::FromSorted(std::move(out));
-}
-
-SidList IntersectAll(std::vector<const SidList*> lists) {
-  if (lists.empty()) return SidList();
-  std::sort(lists.begin(), lists.end(),
-            [](const SidList* x, const SidList* y) {
-              return x->size() < y->size();
-            });
-  SidList current = *lists[0];
-  for (size_t i = 1; i < lists.size() && !current.empty(); ++i) {
-    current = Intersect(current, *lists[i]);
-  }
-  return current;
-}
-
-SidList Union(const SidList& a, const SidList& b) {
-  std::vector<uint32_t> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return SidList::FromSorted(std::move(out));
-}
-
-SidList UnionAll(std::vector<const SidList*> lists) {
-  if (lists.empty()) return SidList();
-  if (lists.size() == 1) return *lists[0];
-  if (lists.size() == 2) return Union(*lists[0], *lists[1]);
-  // K-way ordered merge over a min-heap of list cursors: O(N log k), each
-  // element touched once. Append() drops the duplicate heads.
-  using Cursor = std::pair<uint32_t, size_t>;  // (current value, list index)
-  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
-  std::vector<size_t> pos(lists.size(), 0);
-  for (size_t i = 0; i < lists.size(); ++i) {
-    if (!lists[i]->empty()) heap.push({(*lists[i])[0], i});
-  }
-  SidList out;
-  while (!heap.empty()) {
-    auto [value, i] = heap.top();
-    heap.pop();
-    out.Append(value);
-    if (++pos[i] < lists[i]->size()) heap.push({(*lists[i])[pos[i]], i});
-  }
-  return out;
-}
-
-SidList Difference(const SidList& a, const SidList& b) {
-  std::vector<uint32_t> out;
-  out.reserve(a.size());
-  if (b.size() / std::max<size_t>(a.size(), 1) >= kGallopSkewRatio) {
-    size_t j = 0;
-    const uint32_t* xs = b.data();
-    for (size_t i = 0; i < a.size(); ++i) {
-      uint32_t key = a[i];
-      j = GallopTo(xs, b.size(), j, key);
-      if (j == b.size() || xs[j] != key) out.push_back(key);
-    }
-  } else {
-    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
   }
   return SidList::FromSorted(std::move(out));
 }
@@ -727,13 +668,34 @@ SidList IntersectAllViews(std::vector<SidSetView> views) {
 }
 
 SidList UnionAllBlocks(const std::vector<const BlockList*>& lists) {
+  if (lists.empty()) return SidList();
+  if (lists.size() == 1) return lists[0]->Decode();
   std::vector<SidList> decoded;
   decoded.reserve(lists.size());
   for (const BlockList* list : lists) decoded.push_back(list->Decode());
-  std::vector<const SidList*> ptrs;
-  ptrs.reserve(decoded.size());
-  for (const SidList& list : decoded) ptrs.push_back(&list);
-  return UnionAll(std::move(ptrs));
+  if (decoded.size() == 2) {
+    std::vector<uint32_t> out;
+    out.reserve(decoded[0].size() + decoded[1].size());
+    std::merge(decoded[0].begin(), decoded[0].end(), decoded[1].begin(),
+               decoded[1].end(), std::back_inserter(out));
+    return SidList::FromSorted(std::move(out));
+  }
+  // K-way ordered merge over a min-heap of list cursors: O(N log k), each
+  // element touched once. Append() drops the duplicate heads.
+  using Cursor = std::pair<uint32_t, size_t>;  // (current value, list index)
+  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
+  std::vector<size_t> pos(decoded.size(), 0);
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    if (!decoded[i].empty()) heap.push({decoded[i][0], i});
+  }
+  SidList out;
+  while (!heap.empty()) {
+    auto [value, i] = heap.top();
+    heap.pop();
+    out.Append(value);
+    if (++pos[i] < decoded[i].size()) heap.push({decoded[i][pos[i]], i});
+  }
+  return out;
 }
 
 }  // namespace koko

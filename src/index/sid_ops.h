@@ -89,21 +89,6 @@ SidList Intersect(const SidList& a, const SidList& b);
 /// Size ratio above which Intersect switches from linear merge to galloping.
 inline constexpr size_t kGallopSkewRatio = 8;
 
-/// Multi-way intersection, smallest list first so every later pass runs
-/// against an already-minimal candidate set. Empty input vector -> empty
-/// list. Short-circuits to empty as soon as any pass drains.
-SidList IntersectAll(std::vector<const SidList*> lists);
-
-/// Ordered union of two lists.
-SidList Union(const SidList& a, const SidList& b);
-
-/// Multi-way union (k-way ordered heap merge, O(N log k)).
-SidList UnionAll(std::vector<const SidList*> lists);
-
-/// Ordered difference a \ b (elements of `a` not in `b`), galloping through
-/// `b` when it is much larger.
-SidList Difference(const SidList& a, const SidList& b);
-
 // ---- Block-compressed posting lists -----------------------------------------
 
 /// \brief A sorted sid list stored as fixed-size bit-packed delta blocks
@@ -303,8 +288,8 @@ BlockListStats StatsOf(const BlockList& list);
 /// smallest-first with short-circuit on empty — the DPLI kernel.
 SidList IntersectAllViews(std::vector<SidSetView> views);
 
-/// Multi-way union of compressed lists (decodes each list once; the union
-/// itself is the k-way ordered heap merge of UnionAll).
+/// Multi-way union of compressed lists: decodes each list once, then one
+/// k-way ordered heap merge (O(N log k)).
 SidList UnionAllBlocks(const std::vector<const BlockList*>& lists);
 
 }  // namespace koko

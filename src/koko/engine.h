@@ -186,6 +186,9 @@ class Engine {
                                       const EngineOptions& options) const;
 
  private:
+  // Explains scores with this engine's model, recognizer and ontology sets.
+  friend class Explainer;
+
   const AnnotatedCorpus* corpus_;
   const ShardedKokoIndex* index_;
   const EmbeddingModel* embeddings_;

@@ -99,10 +99,11 @@ std::string ExplainExecution(const QueryResult& result) {
   return out;
 }
 
-Explainer::Explainer(const EmbeddingModel* model,
-                     const EntityRecognizer* recognizer, bool use_descriptors)
-    : aggregator_(model, recognizer,
-                  Aggregator::Options{.use_descriptors = use_descriptors}) {}
+Explainer::Explainer(const Engine& engine, bool use_descriptors)
+    : aggregator_(engine.embeddings_, engine.recognizer_,
+                  Aggregator::Options{.use_descriptors = use_descriptors}) {
+  for (const auto& set : engine.ontology_sets_) aggregator_.AddOntologySet(set);
+}
 
 ClauseExplanation Explainer::Explain(const Document& doc,
                                      const std::string& value,

@@ -4,12 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "embed/embedding.h"
 #include "koko/aggregate.h"
 #include "koko/ast.h"
 #include "koko/engine.h"
 #include "koko/planner.h"
-#include "ner/entity_recognizer.h"
 #include "text/document.h"
 
 namespace koko {
@@ -40,11 +38,13 @@ struct ClauseExplanation {
 ///
 /// Recomputes the per-condition confidence breakdown of a value against a
 /// document so a user can see exactly which evidence sentences/conditions
-/// produced (or blocked) an extraction.
+/// produced (or blocked) an extraction. It scores as `engine` does: same
+/// model, recognizer and ontology sets, so an explanation's score equals
+/// the engine row's score for the same clause and `use_descriptors`.
+/// Register the engine's ontology sets before building the Explainer.
 class Explainer {
  public:
-  Explainer(const EmbeddingModel* model, const EntityRecognizer* recognizer,
-            bool use_descriptors = true);
+  explicit Explainer(const Engine& engine, bool use_descriptors = true);
 
   ClauseExplanation Explain(const Document& doc, const std::string& value,
                             const SatisfyingClause& clause) const;

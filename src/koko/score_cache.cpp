@@ -65,14 +65,6 @@ void ScoreCache::Insert(uint64_t clause_key, uint32_t doc,
   shard.map.emplace(Key{clause_key, doc, std::string(value)}, score);
 }
 
-void ScoreCache::InvalidateDoc(uint32_t doc) {
-  Shard& shard = ShardOf(doc);
-  MutexLock lock(shard.mu);
-  for (auto it = shard.map.begin(); it != shard.map.end();) {
-    it = it->first.doc == doc ? shard.map.erase(it) : std::next(it);
-  }
-}
-
 void ScoreCache::Clear() {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);

@@ -28,7 +28,7 @@ namespace koko {
 ///
 /// The cache is sharded into `num_shards` independently locked stripes
 /// keyed by document id, so concurrent queries scoring different documents
-/// never contend and per-document invalidation touches exactly one shard.
+/// never contend.
 /// Correctness: `Aggregator::Score` is a pure function of (document
 /// content, value, clause, engine scoring configuration), so serving a hit
 /// is byte-identical to recomputing — provided the clause fingerprint keys
@@ -71,9 +71,6 @@ class ScoreCache {
   /// benign because scores are deterministic).
   void Insert(uint64_t clause_key, uint32_t doc, std::string_view value,
               double score);
-
-  /// Drops every cached score for `doc` (call when a document changes).
-  void InvalidateDoc(uint32_t doc);
 
   /// Drops everything and resets hit/miss counters.
   void Clear();

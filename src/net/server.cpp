@@ -232,7 +232,7 @@ bool KokoServer::HandleRequest(Conn* conn, const NetRequest& request) {
   auto execute = [&]() {
     return service_->Run(query, overrides, sink);
   };
-  if (options_.enable_batching && request.allow_batch) {
+  if (request.allow_batch) {
     const uint64_t fingerprint =
         RequestFingerprint(query, request.max_rows, request.use_planner);
     BatchExecutor::Outcome outcome = batcher_.Run(fingerprint, execute);

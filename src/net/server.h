@@ -37,8 +37,8 @@ namespace net {
 /// fingerprints match (canonical query text + row cap + planner toggle —
 /// RequestFingerprint, serve/batcher.h) are grouped behind one execution:
 /// one leader runs DPLI/plan/score once, followers wait and share the
-/// leader's rows. Responses mark `batched` in the kDone frame. Disable
-/// per-request (kReqFlagNoBatch) or server-wide (Options::enable_batching).
+/// leader's rows. Responses mark `batched` in the kDone frame. A request
+/// opts out with kReqFlagNoBatch (NetRequest::allow_batch = false).
 ///
 /// **Graceful shutdown.** Stop() (idempotent; also run by the destructor)
 /// drains via the service's AdmissionQueue::Shutdown — queued waiters
@@ -55,8 +55,6 @@ class KokoServer {
     uint16_t port = 0;
     /// Bind 127.0.0.1 only (tests/benches); false binds INADDR_ANY.
     bool loopback_only = true;
-    /// Coalesce same-fingerprint concurrent requests (see class comment).
-    bool enable_batching = true;
   };
 
   struct Stats {

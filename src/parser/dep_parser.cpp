@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "text/lexicon.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace koko {

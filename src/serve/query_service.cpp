@@ -1,8 +1,6 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
-#include <thread>
-#include <utility>
 
 #include "koko/parser.h"
 
@@ -13,16 +11,10 @@ QueryService::QueryService(const Engine* engine, const Options& options,
     : engine_(engine),
       options_(options),
       admission_(options.max_inflight, options.max_queue) {
-  if (options_.num_threads == 0) {
-    options_.num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
   ScoreCache::Options cache_options;
-  cache_options.num_shards = options_.cache_shards != 0
-                                 ? options_.cache_shards
-                                 : std::max<size_t>(16, index_shards);
+  cache_options.num_shards = std::max<size_t>(16, index_shards);
   score_cache_ = std::make_unique<ScoreCache>(cache_options);
   plan_cache_ = std::make_unique<PlanCache>();
-  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
 }
 
 Result<QueryResult> QueryService::Run(const Query& query) {
@@ -65,16 +57,6 @@ Result<QueryResult> QueryService::Run(std::string_view query_text,
   auto query = ParseQuery(query_text);
   if (!query.ok()) return query.status();
   return Run(*query, sink);
-}
-
-std::future<Result<QueryResult>> QueryService::Submit(std::string query_text) {
-  auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
-      [this, text = std::move(query_text)] {
-        return Run(std::string_view(text));
-      });
-  std::future<Result<QueryResult>> future = task->get_future();
-  pool_->Submit([task] { (*task)(); });
-  return future;
 }
 
 QueryService::Stats QueryService::stats() const {

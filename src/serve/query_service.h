@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,7 +11,6 @@
 #include "koko/engine.h"
 #include "koko/score_cache.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace koko {
 
@@ -163,9 +161,9 @@ class AdmissionQueue {
 ///    further callers wait FIFO, and beyond `max_queue` waiters new calls
 ///    are rejected with `Unavailable` (back-pressure instead of pile-up).
 ///  * **One query, one thread.** Every admitted query runs start to finish
-///    on one thread: the caller's for `Run`, a worker of the service's
-///    pool for `Submit`. Throughput comes from running many queries at
-///    once, not from splitting one across threads.
+///    on its caller's thread; the service starts no thread of its own.
+///    Throughput comes from many callers running queries at once, not from
+///    splitting one across threads.
 ///  * **Persistent per-shard score caches.** One `ScoreCache` (lock-striped
 ///    into cache shards) survives across queries via
 ///    `EngineOptions::score_cache`, so repeated workloads hit warm
@@ -201,17 +199,14 @@ class AdmissionQueue {
 class QueryService {
  public:
   struct Options {
-    /// Workers that run `Submit()`-ed queries (0 = one per hardware
-    /// thread). `Run` executes on its caller's thread and uses none.
+    /// Inert: queries run on their callers' threads, whatever this holds.
+    /// Kept only so existing callers that set it still compile.
     size_t num_threads = 0;
     /// Queries executing at once; further callers wait FIFO. Min 1.
     size_t max_inflight = 4;
-    /// Callers allowed to wait for admission; beyond this, Run/Submit fail
-    /// fast with Unavailable. Default: unbounded.
+    /// Callers allowed to wait for admission; beyond this, Run fails fast
+    /// with Unavailable. Default: unbounded.
     size_t max_queue = SIZE_MAX;
-    /// Lock stripes (shards) of the persistent score cache. 0 = pick from
-    /// the engine's index shard count (min 16).
-    size_t cache_shards = 0;
     /// Per-query execution defaults. The service sets `score_cache` and
     /// `plan_cache`, and a `Run` sink replaces `sink`; the rest (use_gsp,
     /// use_index, use_descriptors, use_planner, max_rows, early_terminate)
@@ -234,7 +229,7 @@ class QueryService {
   /// Per-request option overrides, applied on top of `Options::engine` for
   /// one Run call. This is the wire front end's hook (src/net/server.cpp):
   /// a network request carries its own row cap and planner toggle, while
-  /// everything structural (caches, workers) stays service-owned. Unset
+  /// everything structural (caches, admission) stays service-owned. Unset
   /// fields inherit the service defaults.
   struct RunOverrides {
     std::optional<size_t> max_rows;
@@ -242,8 +237,8 @@ class QueryService {
   };
 
   /// `engine` is borrowed and must outlive the service. `index_shards` is
-  /// only used to size the score cache's stripes; pass the served index's
-  /// `num_shards()`.
+  /// only used to size the score cache's stripes (at least 16); pass the
+  /// served index's `num_shards()`.
   QueryService(const Engine* engine, const Options& options,
                size_t index_shards = 0);
 
@@ -269,11 +264,6 @@ class QueryService {
   Result<QueryResult> Run(const Query& query, const RunOverrides& overrides,
                           const RowSink& sink);
 
-  /// Asynchronous variant: the query is parsed and executed on a pool
-  /// worker (still subject to admission). Collect outstanding futures
-  /// before destroying the service.
-  std::future<Result<QueryResult>> Submit(std::string query_text);
-
   ScoreCache& score_cache() { return *score_cache_; }
   const ScoreCache& score_cache() const { return *score_cache_; }
   PlanCache& plan_cache() { return *plan_cache_; }
@@ -291,10 +281,6 @@ class QueryService {
   std::unique_ptr<PlanCache> plan_cache_;
   AdmissionQueue admission_;
   std::atomic<uint64_t> completed_{0};
-
-  /// Declared last: the pool's destructor drains queued Submit() tasks,
-  /// which touch every other member — they must still be alive.
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace koko

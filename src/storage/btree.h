@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "util/logging.h"
 
 namespace koko {
 

@@ -7,7 +7,7 @@
 namespace koko {
 
 /// 64-bit FNV-1a. Used for deterministic, platform-independent hashing of
-/// strings (embedding seeds, feature hashing, interner buckets).
+/// strings (embedding seeds, feature hashing, cache keys).
 inline uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0xcbf29ce484222325ULL) {
   uint64_t h = seed;
   for (char c : data) {

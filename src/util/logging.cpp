@@ -1,52 +1,22 @@
 #include "util/logging.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <iostream>
 
 namespace koko {
 namespace internal_logging {
-namespace {
 
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel MinLogLevel() {
-  static const LogLevel min_level = [] {
-    const char* env = std::getenv("KOKO_LOG_LEVEL");
-    if (env != nullptr && std::strlen(env) == 1 && env[0] >= '0' && env[0] <= '4') {
-      return static_cast<LogLevel>(env[0] - '0');
-    }
-    return LogLevel::kInfo;
-  }();
-  return min_level;
-}
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
+FatalMessage::FatalMessage(const char* file, int line) {
   const char* basename = std::strrchr(file, '/');
-  stream_ << "[" << LevelName(level) << " " << (basename ? basename + 1 : file) << ":"
-          << line << "] ";
+  stream_ << "[FATAL " << (basename ? basename + 1 : file) << ":" << line
+          << "] ";
 }
 
-LogMessage::~LogMessage() {
+FatalMessage::~FatalMessage() {
   stream_ << "\n";
   std::cerr << stream_.str();
-  if (level_ == LogLevel::kFatal) {
-    std::abort();
-  }
+  std::abort();
 }
 
 }  // namespace internal_logging

@@ -1,78 +1,47 @@
 #ifndef KOKO_UTIL_LOGGING_H_
 #define KOKO_UTIL_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <sstream>
-#include <string>
 
 namespace koko {
 namespace internal_logging {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-/// Minimum level that is actually emitted; default kInfo. Controlled by the
-/// KOKO_LOG_LEVEL environment variable (0..4) at first use.
-LogLevel MinLogLevel();
-
-/// Stream-style log sink; writes one line to stderr on destruction and
-/// aborts the process for kFatal messages.
-class LogMessage {
+/// Stream-style sink for a failed check: writes one line to stderr on
+/// destruction, then aborts the process.
+class FatalMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
-};
-
-/// Swallows the streamed expression when the level is below the threshold.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 }  // namespace internal_logging
 }  // namespace koko
 
-#define KOKO_LOG_AT(level)                                                 \
-  ::koko::internal_logging::LogMessage(level, __FILE__, __LINE__).stream()
-
-#define KOKO_LOG(severity)                                                  \
-  (::koko::internal_logging::LogLevel::k##severity <                        \
-   ::koko::internal_logging::MinLogLevel())                                 \
-      ? (void)0                                                             \
-      : (void)(KOKO_LOG_AT(::koko::internal_logging::LogLevel::k##severity) \
-               << "")
-
-// Stream-capable variants (usable as `KOKO_DLOG(Info) << "x=" << x;`).
-#define KOKO_DLOG(severity) \
-  KOKO_LOG_AT(::koko::internal_logging::LogLevel::k##severity)
+#define KOKO_FATAL_STREAM() \
+  ::koko::internal_logging::FatalMessage(__FILE__, __LINE__).stream()
 
 /// Aborts with a message when `condition` is false. Used for internal
 /// invariants that indicate programmer error, never for user input.
-#define KOKO_CHECK(condition)                                              \
-  (condition) ? (void)0                                                    \
-              : (void)(KOKO_LOG_AT(                                        \
-                           ::koko::internal_logging::LogLevel::kFatal)     \
-                       << "Check failed: " #condition " ")
+#define KOKO_CHECK(condition) \
+  (condition) ? (void)0       \
+              : (void)(KOKO_FATAL_STREAM() << "Check failed: " #condition " ")
 
-#define KOKO_CHECK_OK(expr)                                                \
-  do {                                                                     \
-    ::koko::Status _koko_st = (expr);                                      \
-    if (!_koko_st.ok()) {                                                  \
-      KOKO_LOG_AT(::koko::internal_logging::LogLevel::kFatal)              \
-          << "Check failed (status): " << _koko_st.ToString();             \
-    }                                                                      \
+#define KOKO_CHECK_OK(expr)                                              \
+  do {                                                                   \
+    ::koko::Status _koko_st = (expr);                                    \
+    if (!_koko_st.ok()) {                                                \
+      KOKO_FATAL_STREAM() << "Check failed (status): "                   \
+                          << _koko_st.ToString();                        \
+    }                                                                    \
   } while (0)
 
 #endif  // KOKO_UTIL_LOGGING_H_

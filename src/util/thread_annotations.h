@@ -7,10 +7,10 @@
 /// \file Clang thread-safety (capability) analysis for the engine's
 /// concurrency invariants.
 ///
-/// PRs 1-7 made the engine concurrent — a shared ThreadPool, lock-striped
-/// ScoreCache, mutexed PlanCache, FIFO AdmissionQueue — and until now every
-/// lock-discipline invariant was only checked *dynamically*, when a TSan run
-/// happened to exercise the right interleaving. These macros let the
+/// Concurrent serving shares state across queries — lock-striped
+/// ScoreCache, mutexed PlanCache, FIFO AdmissionQueue — and a TSan run
+/// checks a lock-discipline invariant only when it happens to exercise the
+/// right interleaving. These macros let the
 /// compiler prove the discipline statically on every build: each
 /// mutex-protected member is declared `KOKO_GUARDED_BY(mu_)`, each function
 /// that expects a held lock `KOKO_REQUIRES(mu_)`, and a clang build with

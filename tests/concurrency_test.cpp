@@ -248,36 +248,6 @@ TEST(ScoreCacheClearRaceTest, ClearRacesLookupInsertWithoutTornScores) {
   EXPECT_EQ(cache.stats().misses, 0u);
 }
 
-TEST(ScoreCacheClearRaceTest, InvalidateDocRacesHitsOnOtherDocs) {
-  // Per-doc invalidation touches exactly one stripe; hits on other docs
-  // must proceed concurrently and stay correct.
-  ScoreCache cache(ScoreCache::Options{.num_shards = 8});
-  constexpr uint64_t kClause = 42;
-  const std::string value = "v";
-  for (uint32_t doc = 0; doc < 32; ++doc) {
-    cache.Insert(kClause, doc, value, static_cast<double>(doc));
-  }
-  std::atomic<bool> stop{false};
-  std::thread invalidator([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      cache.InvalidateDoc(7);
-      cache.Insert(kClause, 7, value, 7.0);
-    }
-  });
-  for (int i = 0; i < 5000; ++i) {
-    const uint32_t doc = static_cast<uint32_t>(i) % 32;
-    auto hit = cache.Lookup(kClause, doc, value);
-    if (doc != 7) {
-      ASSERT_TRUE(hit.has_value());
-      ASSERT_EQ(*hit, static_cast<double>(doc));
-    } else if (hit) {
-      ASSERT_EQ(*hit, 7.0);
-    }
-  }
-  stop.store(true);
-  invalidator.join();
-}
-
 // ---- EmbeddingModel cache ---------------------------------------------------
 
 TEST(EmbeddingCacheRaceTest, ConcurrentPhraseSimilarityOnUnseenWords) {

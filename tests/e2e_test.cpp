@@ -2,6 +2,7 @@
 // asserting the qualitative results the benches report quantitatively.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "baseline/adv_inverted_index.h"
@@ -157,16 +158,17 @@ TEST(EndToEndTest, IndexSizeOrdering) {
 
 TEST(EndToEndTest, ExplainerBreaksDownScores) {
   Pipeline pipeline;
-  Document doc = pipeline.AnnotateDocument(
-      {"t", "Brim House sells espresso. Brim House employs a small team of 4 "
-            "baristas."},
-      0);
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      {{"t", "Brim House sells espresso. Brim House employs a small team of "
+             "4 baristas."}});
+  auto index = ShardedKokoIndex::Build(corpus, 1);
   EmbeddingModel embeddings;
-  Explainer explainer(&embeddings, pipeline.recognizer());
+  Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
+  Explainer explainer(engine);
   auto q = ParseQuery(CafeQueryText(0.6));
   ASSERT_TRUE(q.ok());
   ClauseExplanation explanation =
-      explainer.Explain(doc, "Brim House", q->satisfying[0]);
+      explainer.Explain(corpus.docs[0], "Brim House", q->satisfying[0]);
   EXPECT_TRUE(explanation.passed);
   EXPECT_GT(explanation.score, 0.6);
   // The two descriptor conditions carry the evidence.
@@ -181,6 +183,44 @@ TEST(EndToEndTest, ExplainerBreaksDownScores) {
   std::string text = explanation.ToString();
   EXPECT_NE(text.find("Brim House"), std::string::npos);
   EXPECT_NE(text.find("PASS"), std::string::npos);
+}
+
+// An explanation scores with the engine's ontology sets, so it agrees with
+// every row it explains. Only the registered set relates "zorbo" to the
+// descriptor's "coffee"; without it the clause scores zero.
+TEST(EndToEndTest, ExplainerScoresWithEngineOntologySets) {
+  Pipeline pipeline;
+  AnnotatedCorpus corpus =
+      pipeline.AnnotateCorpus({{"t", "Brim House serves zorbo daily."}});
+  auto index = ShardedKokoIndex::Build(corpus, 1);
+  EmbeddingModel embeddings;
+  Engine engine(&corpus, index.get(), &embeddings, pipeline.recognizer());
+  engine.AddOntologySet({"coffee", "zorbo"});
+  auto q = ParseQuery(R"(extract x:Entity from "t" if ()
+      satisfying x (x [["serves coffee"]] {1}) with threshold 0.5)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto result = engine.Execute(*q, EngineOptions());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->rows.empty());
+
+  Explainer explainer(engine);
+  bool saw_brim_house = false;
+  for (const ResultRow& row : result->rows) {
+    for (size_t ci = 0; ci < q->satisfying.size(); ++ci) {
+      const SatisfyingClause& clause = q->satisfying[ci];
+      const size_t column = static_cast<size_t>(
+          std::find(result->output_names.begin(), result->output_names.end(),
+                    clause.var) -
+          result->output_names.begin());
+      ASSERT_LT(column, row.values.size());
+      const ClauseExplanation explanation =
+          explainer.Explain(corpus.docs[row.doc], row.values[column], clause);
+      EXPECT_EQ(explanation.score, row.scores[ci]) << row.values[column];
+      EXPECT_TRUE(explanation.passed) << row.values[column];
+      saw_brim_house |= row.values[column] == "Brim House";
+    }
+  }
+  EXPECT_TRUE(saw_brim_house);
 }
 
 TEST(EndToEndTest, QueryPrinterRoundTrip) {

@@ -56,7 +56,6 @@ int ServeAndReport(const replay::Workload& workload,
 
   Engine engine(&workload.corpus, index->get(), &embeddings, recognizer);
   QueryService::Options options;
-  options.num_threads = 2;
   options.max_inflight = 2;
   QueryService service(&engine, options, kIndexShards);
 

@@ -167,7 +167,6 @@ std::unique_ptr<BatchWorld> MakeBatchWorld(uint64_t seed) {
   w->engine = std::make_unique<Engine>(&w->corpus, w->index.get(),
                                        &w->embeddings, w->pipeline.recognizer());
   QueryService::Options options;
-  options.num_threads = 3;
   options.max_inflight = 2;  // small, so concurrent leaders overlap
   w->service = std::make_unique<QueryService>(w->engine.get(), options, 3);
   replay::FuzzOptions fuzz;

@@ -153,17 +153,14 @@ struct Harness {
   std::unique_ptr<QueryService> service;
   std::unique_ptr<KokoServer> server;
 
-  Harness(const ServedWorkload& served, bool enable_batching,
-          size_t max_inflight = 3, size_t max_queue = 16) {
+  explicit Harness(const ServedWorkload& served, size_t max_inflight = 3,
+                   size_t max_queue = 16) {
     QueryService::Options service_options;
-    service_options.num_threads = 3;
     service_options.max_inflight = max_inflight;
     service_options.max_queue = max_queue;
     service = std::make_unique<QueryService>(served.engine.get(),
                                              service_options, kIndexShards);
-    KokoServer::Options server_options;
-    server_options.enable_batching = enable_batching;
-    server = std::make_unique<KokoServer>(service.get(), server_options);
+    server = std::make_unique<KokoServer>(service.get(), KokoServer::Options());
     const Status started = server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n",
@@ -175,9 +172,11 @@ struct Harness {
   ~Harness() { server->Stop(); }
 };
 
-NetRequest RequestFor(const replay::WorkloadQuery& query) {
+NetRequest RequestFor(const replay::WorkloadQuery& query,
+                      bool allow_batch = true) {
   NetRequest request;
   request.query_text = query.text;
+  request.allow_batch = allow_batch;
   return request;
 }
 
@@ -190,7 +189,7 @@ TEST(NetServeTest, ConcurrentClientsMatchGoldenWithBatchingOnAndOff) {
   for (const std::unique_ptr<ServedWorkload>& served_ptr : world.served) {
     const ServedWorkload& served = *served_ptr;
     for (bool batching : {true, false}) {
-      Harness harness(served, batching);
+      Harness harness(served);
       constexpr int kClients = 3;
       std::vector<std::string> failures(kClients);
       std::vector<std::thread> clients;
@@ -203,7 +202,8 @@ TEST(NetServeTest, ConcurrentClientsMatchGoldenWithBatchingOnAndOff) {
           }
           for (int round = 0; round < 2; ++round) {
             for (size_t qi = 0; qi < served.workload.queries.size(); ++qi) {
-              auto wire = client->Query(RequestFor(served.workload.queries[qi]));
+              auto wire = client->Query(
+                  RequestFor(served.workload.queries[qi], batching));
               if (!wire.ok() || !wire->status.ok()) {
                 failures[static_cast<size_t>(c)] =
                     served.workload.queries[qi].name + ": " +
@@ -262,7 +262,7 @@ TEST(NetServeTest, CappedAndStreamingArmsMatchReference) {
   const World& world = GetWorld();
   for (const std::unique_ptr<ServedWorkload>& served_ptr : world.served) {
     const ServedWorkload& served = *served_ptr;
-    Harness harness(served, /*enable_batching=*/true);
+    Harness harness(served);
     auto client = KokoClient::Connect(harness.server->port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     for (size_t qi = 0; qi < served.workload.queries.size(); ++qi) {
@@ -298,7 +298,7 @@ TEST(NetServeTest, CappedAndStreamingArmsMatchReference) {
 TEST(NetServeTest, ParseErrorKeepsConnectionOpen) {
   const World& world = GetWorld();
   const ServedWorkload& served = *world.served.front();
-  Harness harness(served, /*enable_batching=*/true);
+  Harness harness(served);
   auto client = KokoClient::Connect(harness.server->port());
   ASSERT_TRUE(client.ok());
   NetRequest bad;
@@ -318,7 +318,7 @@ TEST(NetServeTest, ParseErrorKeepsConnectionOpen) {
 TEST(NetServeTest, MalformedFrameClosesConnection) {
   const World& world = GetWorld();
   const ServedWorkload& served = *world.served.front();
-  Harness harness(served, /*enable_batching=*/true);
+  Harness harness(served);
   auto client = KokoClient::Connect(harness.server->port());
   ASSERT_TRUE(client.ok());
   std::vector<uint8_t> garbage(kFrameHeaderSize, 0xAB);
@@ -337,19 +337,20 @@ TEST(NetServeTest, MalformedFrameClosesConnection) {
 TEST(NetServeTest, AdmissionRejectOverTheWire) {
   const World& world = GetWorld();
   const ServedWorkload& served = *world.served.front();
-  Harness harness(served, /*enable_batching=*/false, /*max_inflight=*/1,
-                  /*max_queue=*/0);
+  Harness harness(served, /*max_inflight=*/1, /*max_queue=*/0);
   auto client = KokoClient::Connect(harness.server->port());
   ASSERT_TRUE(client.ok());
   // Occupy the single admission slot in-process; with max_queue=0 the
   // wire request is rejected immediately (deterministic, no timing).
   ASSERT_TRUE(harness.service->admission().Enter());
-  auto rejected = client->Query(RequestFor(served.workload.queries.front()));
+  auto rejected = client->Query(RequestFor(served.workload.queries.front(),
+                                           /*allow_batch=*/false));
   harness.service->admission().Exit();
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   EXPECT_EQ(rejected->status.code(), StatusCode::kUnavailable);
   // Slot released: the same connection now gets real rows.
-  auto ok = client->Query(RequestFor(served.workload.queries.front()));
+  auto ok = client->Query(RequestFor(served.workload.queries.front(),
+                                     /*allow_batch=*/false));
   ASSERT_TRUE(ok.ok());
   ASSERT_TRUE(ok->status.ok());
   EXPECT_EQ(replay::RowDigest(ok->rows), served.golden_digests.front());
@@ -362,7 +363,7 @@ TEST(NetServeTest, ShutdownWhileStreamingIsClean) {
   const World& world = GetWorld();
   const ServedWorkload& served = *world.served.front();
   auto harness =
-      std::make_unique<Harness>(served, /*enable_batching=*/true);
+      std::make_unique<Harness>(served);
   constexpr int kClients = 3;
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> clients;

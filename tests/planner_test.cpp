@@ -532,7 +532,6 @@ TEST(PlannerTest, QueryServiceSurfacesCacheStatsAndStreams) {
   Engine engine(&corpus, index.get(), &embeddings,
                 &const_cast<const Pipeline&>(pipeline).recognizer());
   QueryService::Options options;
-  options.num_threads = 4;
   QueryService service(&engine, options);
   const char* query =
       "extract b:Str from \"t\" if ( /ROOT:{ a = //verb, b = a/dobj })";

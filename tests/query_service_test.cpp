@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -84,7 +86,6 @@ TEST(QueryServiceTest, ConcurrentClientsMatchSerialByteForByte) {
       expected.push_back(std::move(*want));
     }
     QueryService::Options options;
-    options.num_threads = 3;
     options.max_inflight = 3;
     options.engine.max_rows = 20000;
     QueryService service(world.sharded.get(), options,
@@ -160,7 +161,6 @@ TEST(QueryServiceTest, ConcurrentClientsOverMappedIndexMatchSerial) {
   }
 
   QueryService::Options options;
-  options.num_threads = 3;
   options.max_inflight = 3;
   options.engine.max_rows = 20000;
   QueryService service(&engine, options, (*mapped)->num_shards());
@@ -201,7 +201,6 @@ TEST(QueryServiceTest, MaxRowsTruncationMatchesSerial) {
     ASSERT_TRUE(want.ok());
 
     QueryService::Options options;
-    options.num_threads = 4;
     options.max_inflight = 2;
     options.engine.max_rows = cap;
     QueryService service(world.sharded.get(), options, 4);
@@ -221,43 +220,38 @@ TEST(QueryServiceTest, MaxRowsTruncationMatchesSerial) {
   }
 }
 
-TEST(QueryServiceTest, AsyncSubmitMatchesSerial) {
-  ServeWorld world(/*shards=*/2);
-  const std::vector<std::string> workload = MixedWorkload();
-  QueryService::Options options;
-  options.num_threads = 3;
-  options.max_inflight = 2;
-  options.engine.max_rows = 20000;
-  QueryService service(world.sharded.get(), options, 2);
-  std::vector<std::future<Result<QueryResult>>> futures;
-  for (int round = 0; round < 2; ++round) {
-    for (const std::string& query : workload) {
-      futures.push_back(service.Submit(query));
-    }
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    const std::string& query = workload[i % workload.size()];
-    Result<QueryResult> got = futures[i].get();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EngineOptions serial;
-    serial.max_rows = 20000;
-    auto want = world.one->ExecuteText(query, serial);
-    ASSERT_TRUE(want.ok());
-    ExpectIdenticalResults(*want, *got, "future " + std::to_string(i));
-  }
-  EXPECT_EQ(service.stats().completed, futures.size());
-}
-
 TEST(QueryServiceTest, ParseErrorsDoNotConsumeAdmission) {
   ServeWorld world(/*shards=*/1, /*moments=*/20);
   QueryService::Options options;
-  options.num_threads = 1;
   QueryService service(world.sharded.get(), options, 1);
   auto bad = service.Run("this is not a koko query");
   EXPECT_FALSE(bad.ok());
   QueryService::Stats stats = service.stats();
   EXPECT_EQ(stats.admitted, 0u);
   EXPECT_EQ(stats.completed, 0u);
+}
+
+// Threads of this process, or 0 where /proc is absent.
+size_t ProcessThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator tasks("/proc/self/task", error);
+  if (error) return 0;
+  return static_cast<size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+// Queries run on their callers' threads: building a service with default
+// options and running a query through it starts no thread. One shard, so
+// the index build starts none either. The count may only drop, as a thread
+// an earlier test joined can linger in /proc for a moment after the join.
+TEST(QueryServiceTest, ServingStartsNoThread) {
+  ServeWorld world(/*shards=*/1, /*moments=*/30);
+  const size_t before = ProcessThreads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  QueryService service(world.sharded.get(), QueryService::Options(), 1);
+  auto result = service.Run(MixedWorkload().front());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LE(ProcessThreads(), before);
 }
 
 // ---- Score cache ------------------------------------------------------------
@@ -268,7 +262,6 @@ TEST(QueryServiceTest, ScoreCacheWarmsAcrossQueries) {
       extract e:Entity from "t" if ()
       satisfying e (e near "happy" {1}) with threshold 0.1)";
   QueryService::Options options;
-  options.num_threads = 2;
   QueryService service(world.sharded.get(), options, 2);
 
   auto cold = service.Run(query);
@@ -303,24 +296,6 @@ TEST(ScoreCacheTest, LookupInsertAndStats) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ScoreCacheTest, InvalidateDocDropsOnlyThatDoc) {
-  ScoreCache cache(ScoreCache::Options{.num_shards = 4});
-  for (uint32_t doc = 0; doc < 40; ++doc) {
-    cache.Insert(7, doc, "v", static_cast<double>(doc));
-  }
-  ASSERT_EQ(cache.size(), 40u);
-  cache.InvalidateDoc(13);
-  EXPECT_EQ(cache.size(), 39u);
-  EXPECT_EQ(cache.Lookup(7, 13, "v"), std::nullopt);
-  ASSERT_TRUE(cache.Lookup(7, 12, "v").has_value());
-  EXPECT_DOUBLE_EQ(*cache.Lookup(7, 12, "v"), 12.0);
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(ScoreCacheTest, ClauseFingerprintSeparatesClauses) {
@@ -429,7 +404,6 @@ TEST(AdmissionQueueTest, BoundsInflightUnderContention) {
 TEST(QueryServiceTest, RejectionSurfacesAsUnavailable) {
   ServeWorld world(/*shards=*/1, /*moments=*/30);
   QueryService::Options options;
-  options.num_threads = 2;
   options.max_inflight = 1;
   options.max_queue = 0;
   QueryService service(world.sharded.get(), options, 1);

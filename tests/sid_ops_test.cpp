@@ -129,52 +129,6 @@ TEST(IntersectTest, RandomizedAgainstReference) {
   }
 }
 
-TEST(IntersectAllTest, SmallestFirstOrderIndependent) {
-  SidList a = Make({1, 2, 3, 4, 5, 6, 7, 8});
-  SidList b = Make({2, 4, 6, 8});
-  SidList c = Make({4, 8, 12});
-  std::vector<uint32_t> expected = {4, 8};
-  EXPECT_EQ(IntersectAll({&a, &b, &c}).ids(), expected);
-  EXPECT_EQ(IntersectAll({&c, &a, &b}).ids(), expected);
-  EXPECT_EQ(IntersectAll({&b, &c, &a}).ids(), expected);
-}
-
-TEST(IntersectAllTest, EdgeCases) {
-  SidList a = Make({1, 2});
-  EXPECT_TRUE(IntersectAll({}).empty());
-  EXPECT_EQ(IntersectAll({&a}).ids(), a.ids());
-  SidList empty;
-  EXPECT_TRUE(IntersectAll({&a, &empty}).empty());
-}
-
-TEST(UnionTest, MergesAndDedups) {
-  EXPECT_EQ(Union(Make({1, 3, 5}), Make({1, 2, 5, 9})).ids(),
-            (std::vector<uint32_t>{1, 2, 3, 5, 9}));
-  EXPECT_EQ(Union(SidList(), Make({7})).ids(), (std::vector<uint32_t>{7}));
-}
-
-TEST(UnionAllTest, ManyLists) {
-  SidList a = Make({1});
-  SidList b = Make({5, 6});
-  SidList c = Make({1, 9});
-  EXPECT_EQ(UnionAll({&a, &b, &c}).ids(), (std::vector<uint32_t>{1, 5, 6, 9}));
-  EXPECT_TRUE(UnionAll({}).empty());
-  EXPECT_EQ(UnionAll({&b}).ids(), b.ids());
-}
-
-TEST(DifferenceTest, BasicAndSkewed) {
-  EXPECT_EQ(Difference(Make({1, 2, 3, 4}), Make({2, 4})).ids(),
-            (std::vector<uint32_t>{1, 3}));
-  EXPECT_EQ(Difference(Make({1, 2}), SidList()).ids(),
-            (std::vector<uint32_t>{1, 2}));
-  EXPECT_TRUE(Difference(SidList(), Make({1})).empty());
-  // Skewed: subtract a large list (gallop path).
-  std::vector<uint32_t> big;
-  for (uint32_t i = 0; i < 1000; ++i) big.push_back(i * 2);
-  EXPECT_EQ(Difference(Make({3, 4, 1998, 1999}), SidList::FromSorted(big)).ids(),
-            (std::vector<uint32_t>{3, 1999}));
-}
-
 // ---- BlockList: the block-compressed resident representation ---------------
 
 TEST(BlockListTest, RoundTripEdgeSizes) {
@@ -279,6 +233,8 @@ TEST(BlockListTest, UnionAllBlocks) {
   BlockList c = BlockList::FromSidList(Make({1, 9}));
   EXPECT_EQ(UnionAllBlocks({&a, &b, &c}).ids(),
             (std::vector<uint32_t>{1, 5, 6, 9}));
+  EXPECT_EQ(UnionAllBlocks({&a, &c}).ids(), (std::vector<uint32_t>{1, 9}));
+  EXPECT_EQ(UnionAllBlocks({&b}).ids(), (std::vector<uint32_t>{5, 6}));
   EXPECT_TRUE(UnionAllBlocks({}).empty());
 }
 

@@ -1,22 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "storage/serde.h"
 #include "util/hash.h"
-#include "util/interner.h"
 #include "util/mmap_file.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace koko {
@@ -166,23 +162,6 @@ TEST(RngTest, FromStringDiffers) {
   EXPECT_NE(Rng::FromString("a").Next(), Rng::FromString("b").Next());
 }
 
-TEST(InternerTest, InternIsStable) {
-  StringPool pool;
-  Symbol a = pool.Intern("hello");
-  Symbol b = pool.Intern("world");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.Intern("hello"), a);
-  EXPECT_EQ(pool.Lookup(a), "hello");
-  EXPECT_EQ(pool.size(), 2u);
-}
-
-TEST(InternerTest, FindMissing) {
-  StringPool pool;
-  EXPECT_EQ(pool.Find("nope"), kInvalidSymbol);
-  pool.Intern("yes");
-  EXPECT_NE(pool.Find("yes"), kInvalidSymbol);
-}
-
 TEST(TimerTest, PhaseStatsAccumulate) {
   PhaseStats stats;
   stats.Add("a", 1.5);
@@ -222,81 +201,6 @@ TEST(TimerTest, WallTimerMonotone) {
   double a = t.ElapsedSeconds();
   double b = t.ElapsedSeconds();
   EXPECT_GE(b, a);
-}
-
-
-// ---- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPoolTest, DispatchRunsEverySlotOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(pool.num_workers());
-  pool.Dispatch([&](size_t slot) { counts[slot].fetch_add(1); });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllSlots) {
-  ThreadPool pool(3);
-  constexpr size_t kSlots = 100;
-  std::vector<std::atomic<int>> counts(kSlots);
-  pool.ParallelFor(kSlots, [&](size_t slot) { counts[slot].fetch_add(1); });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-  pool.ParallelFor(0, [&](size_t) { FAIL() << "no slots -> no calls"; });
-}
-
-// The bug this guards against: the seed pool kept one shared fn_/remaining_/
-// generation_ triple, so two threads dispatching concurrently clobbered each
-// other's section state (lost wakeups, fn torn between sections). The
-// task-queue pool gives every fork/join call its own job, so any number of
-// threads can share one pool — the QueryService serving model.
-TEST(ThreadPoolTest, ConcurrentDispatchersShareOnePoolSafely) {
-  ThreadPool pool(4);
-  constexpr int kDispatchers = 8;
-  constexpr int kRounds = 25;
-  constexpr size_t kSlots = 16;
-  std::atomic<long> total{0};
-  std::vector<std::thread> dispatchers;
-  for (int d = 0; d < kDispatchers; ++d) {
-    dispatchers.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        std::vector<char> hit(kSlots, 0);
-        pool.ParallelFor(kSlots, [&](size_t slot) {
-          hit[slot] = 1;
-          total.fetch_add(1, std::memory_order_relaxed);
-        });
-        // Every slot of *this* section ran exactly once before the join
-        // returned, regardless of the other dispatchers' sections.
-        for (char h : hit) ASSERT_EQ(h, 1);
-      }
-    });
-  }
-  for (std::thread& t : dispatchers) t.join();
-  EXPECT_EQ(total.load(), static_cast<long>(kDispatchers) * kRounds * kSlots);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksAllRun) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&] { ran.fetch_add(1); });
-    }
-    // Destructor drains the queue.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelForInsideSubmittedTaskCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> inner{0};
-  std::atomic<bool> done{false};
-  pool.Submit([&] {
-    // A worker opening its own fork/join section must not deadlock even
-    // though it occupies one of the two workers: the caller participates.
-    pool.ParallelFor(8, [&](size_t) { inner.fetch_add(1); });
-    done.store(true);
-  });
-  while (!done.load()) std::this_thread::yield();
-  EXPECT_EQ(inner.load(), 8);
 }
 
 // ---- MemorySpan / U32View / MappedFile / SpanReader -------------------------

@@ -309,7 +309,6 @@ TEST(WorkloadParityTest, ConcurrentServiceClientsMatchReference) {
     Engine engine(&workload.corpus, world.variants[wi].sharded_map.get(),
                   &world.embeddings, world.recognizer());
     QueryService::Options service_options;
-    service_options.num_threads = 3;
     service_options.max_inflight = 3;
     QueryService service(&engine, service_options, kIndexShards);
 
