@@ -7,6 +7,8 @@
 // also reports the hierarchy index merges away >99.7% of tree nodes.
 #include "bench_util.h"
 
+#include <cstdlib>
+
 #include "baseline/adv_inverted_index.h"
 #include "baseline/inverted_index.h"
 #include "baseline/koko_adapter.h"
@@ -16,15 +18,21 @@
 
 using namespace koko;
 
-int main() {
+// Usage: bench_fig6_index_build [articles=2000]  (sweeps articles/8,
+// articles/4, articles/2 and articles)
+int main(int argc, char** argv) {
+  const size_t num_articles =
+      argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 2000;
   std::printf("Figure 6 reproduction: index build time and size\n");
   std::printf("paper shape: time INV~ADV < KOKO < SUBTREE; size KOKO < INV < "
               "ADV << SUBTREE\n\n");
   Pipeline pipeline;
-  auto all_docs = GenerateWikiArticles({.num_articles = 2000, .seed = 501});
+  auto all_docs = GenerateWikiArticles(
+      {.num_articles = static_cast<int>(num_articles), .seed = 501});
   AnnotatedCorpus full = pipeline.AnnotateCorpus(all_docs);
 
-  for (size_t articles : {250u, 500u, 1000u, 2000u}) {
+  for (size_t articles : {num_articles / 8, num_articles / 4, num_articles / 2,
+                          num_articles}) {
     AnnotatedCorpus corpus;
     corpus.docs.assign(full.docs.begin(),
                        full.docs.begin() + static_cast<long>(articles));

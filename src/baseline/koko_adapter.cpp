@@ -1,7 +1,6 @@
 #include "baseline/koko_adapter.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 #include "util/timer.h"
 
@@ -9,34 +8,25 @@ namespace koko {
 
 namespace {
 
-/// Per-path DPLI lookup + cross-path intersection over one shard.
+/// DPLI over one shard, as the engine's executor runs its path atoms: each
+/// constrained path's sid lookup is filtered with the running candidate
+/// set, and its result is the next candidate set.
 Result<std::vector<uint32_t>> CandidatesFromIndex(
     const KokoIndex& index, const std::vector<PathQuery>& paths) {
-  std::unordered_set<uint32_t> survivors;
-  bool first = true;
+  SidList survivors;
+  bool seeded = false;
   for (const PathQuery& path : paths) {
-    PathLookupResult result = KokoPathLookup(index, path);
-    if (result.unconstrained) continue;
-    std::unordered_set<uint32_t> sids;
-    for (const Quintuple& q : result.postings) sids.insert(q.sid);
-    if (first) {
-      survivors = std::move(sids);
-      first = false;
-    } else {
-      std::unordered_set<uint32_t> merged;
-      for (uint32_t sid : survivors) {
-        if (sids.count(sid) > 0) merged.insert(sid);
-      }
-      survivors = std::move(merged);
-    }
+    PathSidLookupResult lookup =
+        KokoPathSidLookup(index, path, seeded ? &survivors : nullptr);
+    if (lookup.unconstrained) continue;
+    survivors = std::move(lookup.sids);
+    seeded = true;
     if (survivors.empty()) break;
   }
-  if (first) {
+  if (!seeded) {
     return Status::InvalidArgument("KOKO: all-wildcard pattern prunes nothing");
   }
-  std::vector<uint32_t> out(survivors.begin(), survivors.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return survivors.TakeIds();
 }
 
 }  // namespace

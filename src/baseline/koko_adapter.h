@@ -13,8 +13,9 @@ namespace koko {
 /// head-to-head index comparisons).
 ///
 /// Each path runs through the decomposed DPLI lookup (hierarchy indices +
-/// word index, Algorithm 1); candidates are the intersection of the
-/// per-path sentence-id sets. Each shard is a complete KokoIndex over a
+/// word index, Algorithm 1) filtered with the candidates so far, as the
+/// engine's executor runs path atoms; candidates are the intersection of
+/// the per-path sentence-id sets. Each shard is a complete KokoIndex over a
 /// contiguous global-sid range, so the lookup and the intersection both run
 /// shard-locally and the shard results concatenate in shard order into the
 /// globally sorted candidate list — the same distribution identity the

@@ -7,11 +7,19 @@
 
 namespace koko {
 
-DescriptorExpander::DescriptorExpander(const EmbeddingModel* model)
-    : DescriptorExpander(model, Options()) {}
+namespace {
 
-DescriptorExpander::DescriptorExpander(const EmbeddingModel* model, Options options)
-    : model_(model), options_(options) {}
+// Embedding neighbours tried per content word, and the least similarity a
+// neighbour needs to be kept.
+constexpr int kNeighborsPerWord = 6;
+constexpr double kMinWordSimilarity = 0.35;
+// KOKO "descriptors now default to a fixed number of expanded terms".
+constexpr size_t kMaxExpansions = 24;
+
+}  // namespace
+
+DescriptorExpander::DescriptorExpander(const EmbeddingModel* model)
+    : model_(model) {}
 
 void DescriptorExpander::AddOntologySet(const std::vector<std::string>& related) {
   std::vector<std::string> lower;
@@ -33,8 +41,7 @@ std::vector<WeightedPhrase> DescriptorExpander::Expand(
     subs[i].push_back({words[i], 1.0});
     if (lex.IsFunctionWord(words[i])) continue;  // only content words expand
     for (auto& n :
-         model_->Neighbors(words[i], options_.neighbors_per_word,
-                           options_.min_word_similarity)) {
+         model_->Neighbors(words[i], kNeighborsPerWord, kMinWordSimilarity)) {
       subs[i].push_back(std::move(n));
     }
     for (const auto& set : ontology_sets_) {
@@ -82,9 +89,7 @@ std::vector<WeightedPhrase> DescriptorExpander::Expand(
               if (a.score != b.score) return a.score > b.score;
               return a.text < b.text;
             });
-  if (static_cast<int>(expansions.size()) > options_.max_expansions) {
-    expansions.resize(options_.max_expansions);
-  }
+  if (expansions.size() > kMaxExpansions) expansions.resize(kMaxExpansions);
   return expansions;
 }
 

@@ -17,18 +17,12 @@ namespace koko {
 /// per-word similarities. A domain ontology (sets of interchangeable
 /// domain terms, e.g. coffee drinks) contributes additional safe
 /// substitutions at full confidence, mirroring the paper's footnote about
-/// supplying a coffee dictionary.
+/// supplying a coffee dictionary. An expansion keeps at most 24 phrasings
+/// (KOKO's fixed number of expanded terms), drawn from each content word's
+/// 6 nearest neighbours with similarity at least 0.35.
 class DescriptorExpander {
  public:
-  struct Options {
-    int neighbors_per_word = 6;
-    double min_word_similarity = 0.35;
-    /// KOKO "descriptors now default to a fixed number of expanded terms".
-    int max_expansions = 24;
-  };
-
   explicit DescriptorExpander(const EmbeddingModel* model);
-  DescriptorExpander(const EmbeddingModel* model, Options options);
 
   /// Adds a set of mutually substitutable domain terms.
   void AddOntologySet(const std::vector<std::string>& related);
@@ -39,7 +33,6 @@ class DescriptorExpander {
 
  private:
   const EmbeddingModel* model_;
-  Options options_;
   std::vector<std::vector<std::string>> ontology_sets_;
 };
 

@@ -560,14 +560,6 @@ size_t KokoIndex::EstimatePosPathSids(const PathQuery& path) const {
   return total;
 }
 
-size_t KokoIndex::CountPlPathNodes(const PathQuery& path) const {
-  return pl_trie_.Match(path, /*use_pos=*/false).size();
-}
-
-size_t KokoIndex::CountPosPathNodes(const PathQuery& path) const {
-  return pos_trie_.Match(path, /*use_pos=*/true).size();
-}
-
 size_t KokoIndex::MemoryUsage() const {
   size_t bytes = word_sids_.capacity() * sizeof(BlockList) +
                  pl_trie_.MemoryUsage() + pos_trie_.MemoryUsage();

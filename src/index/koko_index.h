@@ -176,11 +176,6 @@ class KokoIndex {
   PostingList LookupPosPath(const PathQuery& path,
                             const SidList* sid_filter) const;
 
-  /// Number of trie nodes matched (no posting materialisation); lets DPLI
-  /// detect "path absent from index" cheaply.
-  size_t CountPlPathNodes(const PathQuery& path) const;
-  size_t CountPosPathNodes(const PathQuery& path) const;
-
   // ---- Introspection / persistence ----------------------------------------
 
   const Stats& stats() const { return stats_; }

@@ -1,6 +1,7 @@
 #include "index/path_lookup.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -97,48 +98,36 @@ PathQuery ProjectPosPath(const PathQuery& path) {
   return out;
 }
 
-bool IsAllWildcard(const PathQuery& path) {
-  for (const PathStep& step : path.steps) {
-    if (step.constraint.dep || step.constraint.pos || step.constraint.word) {
-      return false;
-    }
+PathDecomposition DecomposePath(const PathQuery& path) {
+  PathDecomposition d;
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    const NodeConstraint& c = path.steps[i].constraint;
+    if (c.dep) d.has_pl = true;
+    if (c.pos) d.has_pos = true;
+    if (c.word) d.word_steps.push_back(static_cast<int>(i));
   }
-  return true;
+  return d;
 }
 
 PathLookupResult KokoPathLookup(const KokoIndex& index, const PathQuery& path,
                                 const SidList* sid_filter) {
   PathLookupResult result;
-  if (path.empty()) {
+  const PathDecomposition d = DecomposePath(path);  // Example 4.2
+  if (d.unconstrained()) {
     result.unconstrained = true;
     return result;
   }
   const int last = static_cast<int>(path.steps.size()) - 1;
 
-  // ---- Decompose (Example 4.2) ----
-  bool has_pl = false;
-  bool has_pos = false;
-  std::vector<int> word_steps;
-  for (int i = 0; i <= last; ++i) {
-    const NodeConstraint& c = path.steps[static_cast<size_t>(i)].constraint;
-    if (c.dep) has_pl = true;
-    if (c.pos) has_pos = true;
-    if (c.word) word_steps.push_back(i);
-  }
-  if (!has_pl && !has_pos && word_steps.empty()) {
-    result.unconstrained = true;
-    return result;
-  }
-
   // ---- P1, P2: hierarchy lookups ----
   bool have_p = false;
   PostingList p;
-  if (has_pl) {
+  if (d.has_pl) {
     p = index.LookupParseLabelPath(ProjectParseLabelPath(path), sid_filter);
     have_p = true;
     if (p.empty()) return result;  // path absent -> empty answer (§4.2.2)
   }
-  if (has_pos) {
+  if (d.has_pos) {
     PostingList p2 = index.LookupPosPath(ProjectPosPath(path), sid_filter);
     if (p2.empty()) return result;
     p = have_p ? JoinSameToken(p, p2) : std::move(p2);
@@ -150,7 +139,7 @@ PathLookupResult KokoPathLookup(const KokoIndex& index, const PathQuery& path,
   bool have_q = false;
   PostingList q;
   int prev_word_step = -1;
-  for (int step : word_steps) {
+  for (int step : d.word_steps) {
     PostingList postings = index.LookupWord(
         *path.steps[static_cast<size_t>(step)].constraint.word, sid_filter);
     if (postings.empty()) return result;
@@ -205,32 +194,23 @@ PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
                                       const PathQuery& path,
                                       const SidList* filter) {
   PathSidLookupResult result;
-  if (path.empty()) {
+  const PathDecomposition d = DecomposePath(path);
+  if (d.unconstrained()) {
     result.unconstrained = true;
     return result;
   }
-  // Mirror KokoPathLookup's decomposition to pick the cheapest plan that
-  // yields the identical sid set.
-  bool has_pl = false;
-  bool has_pos = false;
-  std::vector<const BlockList*> word_lists;
-  for (const PathStep& step : path.steps) {
-    if (step.constraint.dep) has_pl = true;
-    if (step.constraint.pos) has_pos = true;
-    if (step.constraint.word) {
-      const BlockList* sids = index.WordSids(*step.constraint.word);
-      if (sids == nullptr) return result;  // word absent -> empty answer
-      word_lists.push_back(sids);
-    }
-  }
-  if (!has_pl && !has_pos && word_lists.empty()) {
-    result.unconstrained = true;
-    return result;
+  std::vector<SidSetView> views;
+  for (int step : d.word_steps) {
+    const BlockList* sids =
+        index.WordSids(*path.steps[static_cast<size_t>(step)].constraint.word);
+    if (sids == nullptr) return result;  // word absent -> empty answer
+    views.push_back(sids);
   }
   if (filter != nullptr && filter->empty()) return result;
-  if (word_lists.empty() && !(has_pl && has_pos)) {
-    result.sids = has_pl ? index.PlPathSids(ProjectParseLabelPath(path), filter)
-                         : index.PosPathSids(ProjectPosPath(path), filter);
+  if (d.single_trie()) {
+    result.sids = d.has_pl
+                      ? index.PlPathSids(ProjectParseLabelPath(path), filter)
+                      : index.PosPathSids(ProjectPosPath(path), filter);
     return result;
   }
   // Cross-index joins (or word-path depth filters) operate on quintuples.
@@ -240,8 +220,7 @@ PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
   // without words the joins run unfiltered.
   SidList narrowed;
   const SidList* sid_filter = filter;
-  if (!word_lists.empty()) {
-    std::vector<SidSetView> views(word_lists.begin(), word_lists.end());
+  if (!views.empty()) {
     if (filter != nullptr) views.push_back(filter);
     narrowed = IntersectAllViews(std::move(views));
     if (narrowed.empty()) return result;
@@ -250,6 +229,39 @@ PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
   PathLookupResult full = KokoPathLookup(index, path, sid_filter);
   result.sids = SidList::FromSorted(SidsOfPostings(full.postings));
   return result;
+}
+
+PathSidEstimate EstimatePathSids(const KokoIndex& index,
+                                 const PathQuery& path) {
+  PathSidEstimate estimate;
+  const PathDecomposition d = DecomposePath(path);
+  if (d.unconstrained()) return estimate;
+  if (d.single_trie()) {
+    estimate.sids =
+        d.has_pl ? index.EstimatePlPathSids(ProjectParseLabelPath(path))
+                 : index.EstimatePosPathSids(ProjectPosPath(path));
+    return estimate;
+  }
+  uint64_t min_proj = std::numeric_limits<uint64_t>::max();
+  if (d.has_pl) {
+    min_proj = std::min<uint64_t>(
+        min_proj, index.EstimatePlPathSids(ProjectParseLabelPath(path)));
+  }
+  if (d.has_pos) {
+    min_proj = std::min<uint64_t>(
+        min_proj, index.EstimatePosPathSids(ProjectPosPath(path)));
+  }
+  for (int step : d.word_steps) {
+    const size_t count = index.CountWordSids(
+        *path.steps[static_cast<size_t>(step)].constraint.word);
+    if (count == 0) {
+      estimate.exact = true;  // an absent word proves the answer empty
+      return estimate;
+    }
+    min_proj = std::min<uint64_t>(min_proj, count);
+  }
+  estimate.sids = min_proj;
+  return estimate;
 }
 
 }  // namespace koko

@@ -1,12 +1,41 @@
 #ifndef KOKO_INDEX_PATH_LOOKUP_H_
 #define KOKO_INDEX_PATH_LOOKUP_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "index/koko_index.h"
 #include "index/path.h"
 #include "index/posting.h"
 #include "index/sid_ops.h"
 
 namespace koko {
+
+/// \brief Example 4.2's decomposition of one root-anchored path: which
+/// hierarchy indices constrain it and which steps name a word.
+///
+/// The one decomposition behind KokoPathLookup, KokoPathSidLookup and
+/// EstimatePathSids, so a plan's view of a path always matches how the
+/// path executes.
+struct PathDecomposition {
+  bool has_pl = false;
+  bool has_pos = false;
+  /// Indices of the steps with a word constraint, in path order.
+  std::vector<int> word_steps;
+
+  /// No index can constrain the path (empty or all-wildcard): it prunes
+  /// nothing.
+  bool unconstrained() const {
+    return !has_pl && !has_pos && word_steps.empty();
+  }
+  /// One hierarchy trie answers the path alone: no word, and not both a
+  /// parse-label and a POS constraint.
+  bool single_trie() const {
+    return word_steps.empty() && !(has_pl && has_pos);
+  }
+};
+
+PathDecomposition DecomposePath(const PathQuery& path);
 
 /// Result of a decomposed-path lookup against the KOKO multi-index.
 ///
@@ -70,12 +99,26 @@ PathSidLookupResult KokoPathSidLookup(const KokoIndex& index,
                                       const PathQuery& path,
                                       const SidList* filter);
 
+/// Size estimate of KokoPathSidLookup(path) from stored list lengths alone
+/// (no posting decoded) — the planner's path selectivity input.
+struct PathSidEstimate {
+  uint64_t sids = 0;
+  /// True when the estimate is the answer's size (an absent word proves it
+  /// empty); otherwise it is an upper bound.
+  bool exact = false;
+};
+
+/// A single-trie path is bounded by the sum of its matched trie nodes'
+/// list lengths. A cross-index path's sids lie inside every consulted
+/// index's projection, so the smallest projection bounds it. An
+/// unconstrained path estimates 0 and is never planned.
+PathSidEstimate EstimatePathSids(const KokoIndex& index,
+                                 const PathQuery& path);
+
 /// Extracts the parse-label / POS-tag projection of `path` (non-matching
-/// constraints become wildcards). Returns an empty optional when the
-/// projection is all-wildcard (no index lookup possible).
+/// constraints become wildcards).
 PathQuery ProjectParseLabelPath(const PathQuery& path);
 PathQuery ProjectPosPath(const PathQuery& path);
-bool IsAllWildcard(const PathQuery& path);
 
 }  // namespace koko
 

@@ -572,20 +572,6 @@ SidList Intersect(const SidList& a, const BlockList& b) {
 
 SidList Intersect(const BlockList& a, const SidList& b) { return Intersect(b, a); }
 
-BlockListStats StatsOf(const BlockList& list) {
-  BlockListStats stats;
-  stats.sids = list.size();
-  stats.blocks = list.NumBlocks();
-  if (list.empty()) return stats;
-  stats.min_sid = list.skip_first()[0];
-  stats.max_sid = list.last_sid();
-  stats.avg_gap = stats.sids > 1
-                      ? static_cast<double>(stats.max_sid - stats.min_sid) /
-                            static_cast<double>(stats.sids - 1)
-                      : 0.0;
-  return stats;
-}
-
 SidList Intersect(const BlockList& a, const BlockList& b) {
   if (a.empty() || b.empty()) return SidList();
   const BlockList& small = a.size() <= b.size() ? a : b;

@@ -271,19 +271,6 @@ SidList Intersect(const BlockList& a, const BlockList& b);
 /// executor both go through it.
 SidList Intersect(SidSetView a, SidSetView b);
 
-/// Per-list statistics derivable from a BlockList's skip/width tables with
-/// no payload decode — the planner's cost-model inputs (all O(1) reads).
-struct BlockListStats {
-  uint64_t sids = 0;       ///< list length
-  uint64_t blocks = 0;     ///< skip-table entries
-  uint32_t min_sid = 0;    ///< first sid (0 when empty)
-  uint32_t max_sid = 0;    ///< last sid (0 when empty)
-  double avg_gap = 0.0;    ///< (max-min)/(sids-1): mean inter-sid distance
-};
-
-/// Reads a list's stats from its skip table (no block decoded).
-BlockListStats StatsOf(const BlockList& list);
-
 /// Multi-way intersection over mixed decoded/compressed views,
 /// smallest-first with short-circuit on empty — the DPLI kernel.
 SidList IntersectAllViews(std::vector<SidSetView> views);

@@ -405,8 +405,6 @@ class SentenceEvaluator {
   bool AlignFrom(size_t var, const std::vector<int>& atoms, size_t pos, int cursor,
                  int span_begin) {
     if (pos == atoms.size()) {
-      const CompiledVar& v = cq_.vars[var];
-      (void)v;
       int span_end = cursor - 1;
       if (span_begin < 0) return true;  // nothing anchored: vacuous
       Binding b{span_begin, span_end, -1};
@@ -461,7 +459,7 @@ class SentenceEvaluator {
       // the cursor (minimal-span semantics for unanchored elastics).
       if (cursor < 0) {
         // Whole condition deferred — cannot anchor; enumerate first atom.
-        return EnumerateDeferred(var, atoms, pos, cursor, span_begin);
+        return EnumerateDeferred(var, atoms, pos);
       }
       if (cursor + required > s_->size()) return true;
       return FitRun(var, atoms, pos, run_end, cursor, cursor + required - 1,
@@ -564,10 +562,8 @@ class SentenceEvaluator {
 
   // Fallback when an entire condition is deferred (single-atom elastic
   // spans): enumerate the first atom explicitly.
-  bool EnumerateDeferred(size_t var, const std::vector<int>& atoms, size_t pos,
-                         int cursor, int span_begin) {
-    (void)cursor;
-    (void)span_begin;
+  bool EnumerateDeferred(size_t var, const std::vector<int>& atoms,
+                         size_t pos) {
     size_t atom_var = static_cast<size_t>(atoms[pos]);
     const CompiledVar& av = cq_.vars[atom_var];
     if (av.kind != Kind::kElastic) return true;

@@ -65,10 +65,6 @@ std::string RenderPlan(const QueryPlan& plan,
       out += i < actuals->size() ? "  actual=" + std::to_string((*actuals)[i])
                                  : "  actual=skipped";
     }
-    if (atom.block_backed) {
-      out += "  blocks=" + std::to_string(atom.stats.blocks) +
-             " avg-gap=" + FormatDouble(atom.stats.avg_gap, 1);
-    }
     out += "\n";
   }
   out += "  fingerprint=" + std::to_string(plan.fingerprint) + "\n";

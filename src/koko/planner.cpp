@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "index/path_lookup.h"
 #include "text/annotations.h"
@@ -10,28 +12,6 @@
 namespace koko {
 
 namespace {
-
-// Decomposition flags of one absolute path — the same predicate
-// KokoPathSidLookup evaluates, reproduced at plan time so the plan's
-// single-index/cross-index classification always matches execution.
-struct PathShape {
-  bool unconstrained = true;
-  bool has_pl = false;
-  bool has_pos = false;
-  std::vector<const std::string*> words;  // in step order
-};
-
-PathShape ShapeOf(const PathQuery& path) {
-  PathShape shape;
-  if (path.empty()) return shape;
-  for (const PathStep& step : path.steps) {
-    if (step.constraint.dep) shape.has_pl = true;
-    if (step.constraint.pos) shape.has_pos = true;
-    if (step.constraint.word) shape.words.push_back(&*step.constraint.word);
-  }
-  shape.unconstrained = !shape.has_pl && !shape.has_pos && shape.words.empty();
-  return shape;
-}
 
 std::string QuoteWords(const std::vector<std::string>& words) {
   std::string out;
@@ -42,30 +22,89 @@ std::string QuoteWords(const std::vector<std::string>& words) {
   return "\"" + out + "\"";
 }
 
+// The one walk over a compiled query's prunable atoms, in compile order:
+// every dominant path an index can constrain, then every entity and
+// literal variable. `visit(atom)` receives the atom's kind and a copy of
+// its content (path, etype or words); this is the only place that content
+// is read from the query. PlanFingerprint hashes it (HashAtom) and
+// BuildQueryPlan annotates and keeps it, so the two cannot drift apart.
+template <typename Visit>
+void ForEachPrunableAtom(const CompiledQuery& cq, Visit&& visit) {
+  for (int dom : cq.DominantPathVars()) {
+    const CompiledVar& v = cq.vars[static_cast<size_t>(dom)];
+    // An unconstrained path prunes nothing, here as at execution.
+    if (DecomposePath(v.abs_path).unconstrained()) continue;
+    PlannedAtom atom;
+    atom.kind = PlannedAtom::Kind::kPath;
+    atom.path = v.abs_path;
+    visit(std::move(atom));
+  }
+  for (const CompiledVar& v : cq.vars) {
+    PlannedAtom atom;
+    if (v.kind == CompiledVar::Kind::kEntity) {
+      atom.kind = PlannedAtom::Kind::kEntity;
+      atom.etype = v.etype;
+    } else if (v.kind == CompiledVar::Kind::kLiteral) {
+      atom.kind = PlannedAtom::Kind::kLiteral;
+      atom.words = v.literal;
+    } else {
+      continue;
+    }
+    visit(std::move(atom));
+  }
+}
+
+// 0 when unset, else 1 + the enumerator.
+template <typename Enum>
+uint64_t OptionalCode(const std::optional<Enum>& value) {
+  return value ? 1 + static_cast<uint64_t>(*value) : 0;
+}
+
+// Length-prefixed, so adjacent strings cannot trade characters.
+uint64_t HashString(uint64_t h, std::string_view text) {
+  return HashCombine(HashCombine(h, Mix64(text.size())), Fnv1a64(text));
+}
+
+uint64_t HashOptionalString(uint64_t h, const std::optional<std::string>& s) {
+  h = HashCombine(h, Mix64(s.has_value()));
+  return s ? HashString(h, *s) : h;
+}
+
+// Folds one atom's kind and content into a fingerprint, field by field
+// (never through a printed form, which need not be injective). Salted per
+// kind so e.g. a literal "X" and an entity named X can never collide.
+uint64_t HashAtom(uint64_t h, const PlannedAtom& atom) {
+  h = HashCombine(h, Mix64(1 + static_cast<uint64_t>(atom.kind)));
+  switch (atom.kind) {
+    case PlannedAtom::Kind::kPath:
+      h = HashCombine(h, Mix64(atom.path.steps.size()));
+      for (const PathStep& step : atom.path.steps) {
+        const NodeConstraint& c = step.constraint;
+        h = HashCombine(h, Mix64(static_cast<uint64_t>(step.axis)));
+        h = HashCombine(h, Mix64(OptionalCode(c.dep)));
+        h = HashCombine(h, Mix64(OptionalCode(c.pos)));
+        h = HashCombine(h, Mix64(OptionalCode(c.etype)));
+        h = HashCombine(h, Mix64(c.any_entity));
+        h = HashOptionalString(h, c.word);
+        h = HashOptionalString(h, c.regex);
+      }
+      return h;
+    case PlannedAtom::Kind::kEntity:
+      return HashCombine(h, Mix64(OptionalCode(atom.etype)));
+    case PlannedAtom::Kind::kLiteral:
+      h = HashCombine(h, Mix64(atom.words.size()));
+      for (const std::string& word : atom.words) h = HashString(h, word);
+      return h;
+  }
+  return h;
+}
+
 }  // namespace
 
 uint64_t PlanFingerprint(const CompiledQuery& cq) {
-  // Salted per atom kind so e.g. a literal "X" and an entity named X can
-  // never collide; atoms hashed in the same order BuildQueryPlan visits.
   uint64_t h = Fnv1a64("koko-plan-v1");
-  for (int dom : cq.DominantPathVars()) {
-    h = HashCombine(h, Mix64(1));
-    h = HashCombine(
-        h, Fnv1a64(cq.vars[static_cast<size_t>(dom)].abs_path.ToString()));
-  }
-  for (const CompiledVar& v : cq.vars) {
-    if (v.kind == CompiledVar::Kind::kEntity) {
-      h = HashCombine(h, Mix64(2));
-      h = HashCombine(
-          h, Mix64(v.etype ? 1 + static_cast<uint64_t>(*v.etype) : 0));
-    } else if (v.kind == CompiledVar::Kind::kLiteral) {
-      h = HashCombine(h, Mix64(3));
-      h = HashCombine(h, Mix64(v.literal.size()));
-      for (const std::string& word : v.literal) {
-        h = HashCombine(h, Fnv1a64(word));
-      }
-    }
-  }
+  ForEachPrunableAtom(cq,
+                      [&](const PlannedAtom& atom) { h = HashAtom(h, atom); });
   return h;
 }
 
@@ -76,86 +115,43 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(
   plan->fingerprint = PlanFingerprint(cq);
   plan->index_sentences = index.stats().num_sentences;
 
-  // ---- Classify + estimate, in compile order ----
-  for (int dom : cq.DominantPathVars()) {
-    const PathQuery& path = cq.vars[static_cast<size_t>(dom)].abs_path;
-    PathShape shape = ShapeOf(path);
-    if (shape.unconstrained) continue;  // contributes no pruning, as at exec
-    PlannedAtom atom;
-    atom.kind = PlannedAtom::Kind::kPath;
-    atom.var = dom;
-    atom.label = "path " + path.ToString();
-    if (shape.words.empty() && !(shape.has_pl && shape.has_pos)) {
-      // Single hierarchy index: the lookup is a trie-node sid union; its
-      // size is bounded by the sum of the matched nodes' list lengths.
-      atom.estimate = shape.has_pl ? index.EstimatePlPathSids(
-                                         ProjectParseLabelPath(path))
-                                   : index.EstimatePosPathSids(
-                                         ProjectPosPath(path));
-    } else {
-      // Cross-index: the answer's sids lie inside every consulted index's
-      // projection, so the smallest projection bounds the result. An
-      // absent word proves it empty (estimate 0, exact).
-      uint64_t min_proj = std::numeric_limits<uint64_t>::max();
-      if (shape.has_pl) {
-        min_proj = std::min<uint64_t>(
-            min_proj, index.EstimatePlPathSids(ProjectParseLabelPath(path)));
+  // ---- Estimate, in compile order ----
+  ForEachPrunableAtom(cq, [&](PlannedAtom atom) {
+    switch (atom.kind) {
+      case PlannedAtom::Kind::kPath: {
+        atom.label = "path " + atom.path.ToString();
+        const PathSidEstimate estimate = EstimatePathSids(index, atom.path);
+        atom.estimate = estimate.sids;
+        atom.exact = estimate.exact;
+        break;
       }
-      if (shape.has_pos) {
-        min_proj = std::min<uint64_t>(
-            min_proj, index.EstimatePosPathSids(ProjectPosPath(path)));
+      case PlannedAtom::Kind::kEntity:
+        atom.label = atom.etype ? "entity " +
+                                      std::string(EntityTypeName(*atom.etype))
+                                : "entity *";
+        atom.estimate = (atom.etype ? index.EntityTypeSids(*atom.etype)
+                                    : index.AllEntitySids())
+                            .size();
+        atom.exact = true;
+        break;
+      case PlannedAtom::Kind::kLiteral: {
+        atom.label = "literal " + QuoteWords(atom.words);
+        uint64_t min_words = std::numeric_limits<uint64_t>::max();
+        bool word_absent = false;
+        for (const std::string& word : atom.words) {
+          const size_t count = index.CountWordSids(word);
+          if (count == 0) word_absent = true;
+          min_words = std::min<uint64_t>(min_words, count);
+        }
+        atom.estimate = word_absent ? 0 : min_words;
+        // A single stored word list is served verbatim (exact); a
+        // multi-word conjunction decodes to at most the smallest list.
+        atom.exact = word_absent || atom.words.size() == 1;
+        break;
       }
-      bool word_absent = false;
-      for (const std::string* word : shape.words) {
-        const size_t count = index.CountWordSids(*word);
-        if (count == 0) word_absent = true;
-        min_proj = std::min<uint64_t>(min_proj, count);
-      }
-      atom.estimate = word_absent ? 0 : min_proj;
-      atom.exact = word_absent;
     }
     plan->atoms.push_back(std::move(atom));
-  }
-  for (size_t i = 0; i < cq.vars.size(); ++i) {
-    const CompiledVar& v = cq.vars[i];
-    if (v.kind == CompiledVar::Kind::kEntity) {
-      PlannedAtom atom;
-      atom.kind = PlannedAtom::Kind::kEntity;
-      atom.var = static_cast<int>(i);
-      const BlockList& sids =
-          v.etype ? index.EntityTypeSids(*v.etype) : index.AllEntitySids();
-      atom.estimate = sids.size();
-      atom.exact = true;
-      atom.block_backed = true;
-      atom.stats = StatsOf(sids);
-      atom.label = v.etype ? "entity " + std::string(EntityTypeName(*v.etype))
-                           : "entity *";
-      plan->atoms.push_back(std::move(atom));
-    } else if (v.kind == CompiledVar::Kind::kLiteral) {
-      PlannedAtom atom;
-      atom.kind = PlannedAtom::Kind::kLiteral;
-      atom.var = static_cast<int>(i);
-      atom.label = "literal " + QuoteWords(v.literal);
-      uint64_t min_words = std::numeric_limits<uint64_t>::max();
-      bool word_absent = false;
-      for (const std::string& word : v.literal) {
-        const size_t count = index.CountWordSids(word);
-        if (count == 0) word_absent = true;
-        min_words = std::min<uint64_t>(min_words, count);
-      }
-      atom.estimate = word_absent ? 0 : min_words;
-      // A single stored word list is served verbatim (exact, compressed);
-      // a multi-word conjunction decodes to at most the smallest list.
-      if (v.literal.size() == 1 && !word_absent) {
-        atom.exact = true;
-        atom.block_backed = true;
-        atom.stats = StatsOf(*index.WordSids(v.literal[0]));
-      } else {
-        atom.exact = word_absent;
-      }
-      plan->atoms.push_back(std::move(atom));
-    }
-  }
+  });
   plan->pruned = !plan->atoms.empty();
 
   // ---- Order: ascending estimated selectivity (stable, so equal
@@ -170,7 +166,7 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(
 }
 
 PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
-                                           const CompiledQuery& cq,
+                                           const CompiledQuery& /*cq*/,
                                            const QueryPlan& plan) {
   PlannedCandidates result;
   result.pruned = plan.pruned;
@@ -193,24 +189,22 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
         current = &acc;
       }
       PathSidLookupResult lookup = KokoPathSidLookup(
-          index, cq.vars[static_cast<size_t>(atom.var)].abs_path,
-          seeded ? current.list() : nullptr);
+          index, atom.path, seeded ? current.list() : nullptr);
       if (lookup.unconstrained) continue;  // planner never emits these
       acc = std::move(lookup.sids);
       current = &acc;
     } else {
       SidList src;
       SidSetView view;
-      const CompiledVar& v = cq.vars[static_cast<size_t>(atom.var)];
       if (atom.kind == PlannedAtom::Kind::kEntity) {
-        view =
-            v.etype ? &index.EntityTypeSids(*v.etype) : &index.AllEntitySids();
-      } else if (v.literal.size() == 1) {
-        view = index.WordSids(v.literal[0]);
+        view = atom.etype ? &index.EntityTypeSids(*atom.etype)
+                          : &index.AllEntitySids();
+      } else if (atom.words.size() == 1) {
+        view = index.WordSids(atom.words[0]);
         if (view.blocks() == nullptr) view = &src;  // absent -> empty
       } else {
         std::vector<SidSetView> word_lists;
-        for (const std::string& word : v.literal) {
+        for (const std::string& word : atom.words) {
           const BlockList* sids = index.WordSids(word);
           if (sids == nullptr) {
             word_lists.clear();  // absent -> empty

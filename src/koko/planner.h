@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "index/koko_index.h"
+#include "index/path.h"
 #include "index/sid_ops.h"
 #include "koko/compile.h"
 #include "util/thread_annotations.h"
@@ -22,24 +24,24 @@ namespace koko {
 /// call with `PlannerOptions()`.
 struct PlannerOptions {};
 
-/// One prunable atom of a compiled query, annotated with the statistics
-/// the planner derived for it.
+/// One prunable atom of a compiled query: a copy of what its sid list is
+/// read from, annotated with the statistics the planner derived for it.
+/// The atom holds its own content, so a cached plan runs correctly for
+/// every query with the same fingerprint, whatever its variable layout.
 struct PlannedAtom {
   enum class Kind : uint8_t { kPath, kEntity, kLiteral };
   Kind kind = Kind::kEntity;
-  /// Index into CompiledQuery::vars.
-  int var = -1;
+  /// kPath: the dominant absolute path.
+  PathQuery path;
+  /// kEntity: the entity type; unset means any entity.
+  std::optional<EntityType> etype;
+  /// kLiteral: the literal's words, in order.
+  std::vector<std::string> words;
   /// Estimated candidate sentences this atom prunes to. An upper bound
-  /// for paths (sum of matched trie-node list lengths) and multi-word
-  /// literals (smallest word list); exact for entity atoms and
-  /// single-word literals.
+  /// for paths (EstimatePathSids) and multi-word literals (smallest word
+  /// list); exact for entity atoms and single-word literals.
   uint64_t estimate = 0;
   bool exact = false;
-  /// The atom's native view is a stored BlockList (entity projections,
-  /// single-word literals) rather than a per-query decoded list.
-  bool block_backed = false;
-  /// Skip-table statistics of the backing list (block-backed atoms only).
-  BlockListStats stats;
   /// Human-readable atom description for EXPLAIN.
   std::string label;
 };
@@ -49,7 +51,7 @@ struct PlannedAtom {
 /// selectivity, or compile order for the fixed-order plan), each annotated
 /// with its statistics. Executing a plan (CollectPlannedCandidates) yields
 /// the same candidate set in either order — plans change cost, not
-/// results.
+/// results. A plan reads nothing of the query it was built from.
 struct QueryPlan {
   /// False when the query has no prunable atom (the engine degrades to the
   /// full sid range, as without a planner).
@@ -61,16 +63,19 @@ struct QueryPlan {
   size_t index_sentences = 0;
 };
 
-/// Content fingerprint of a query's prunable clause structure: every
-/// dominant path, entity restriction, and literal, in compile order. Two
-/// queries with equal fingerprints produce identical plans against the
-/// same index, which is what makes plans cacheable across queries.
+/// Content fingerprint of a query's prunable atoms: the kind and content
+/// of every atom a plan holds (each constrained dominant path, entity
+/// restriction and literal), in compile order, hashed field by field
+/// from the same atoms BuildQueryPlan keeps. Variable indices are not part
+/// of it: two queries with equal fingerprints have equal atoms (up to a
+/// 64-bit hash collision), so they share one plan against the same index,
+/// which is what makes plans cacheable across queries.
 uint64_t PlanFingerprint(const CompiledQuery& cq);
 
-/// Builds a plan from per-list statistics (list lengths, block counts,
-/// skip-table bounds — all O(1) reads, no posting decoded): classifies the
-/// prunable atoms, estimates each one's selectivity and, when
-/// `order_by_cost`, orders the atoms by ascending estimate.
+/// Builds a plan from per-list statistics (list lengths and trie-node
+/// list lengths — no posting decoded): copies the prunable atoms, in the
+/// same walk PlanFingerprint hashes, estimates each one's selectivity and,
+/// when `order_by_cost`, orders the atoms by ascending estimate.
 /// `order_by_cost = false` keeps compile order — the fixed-order plan the
 /// engine runs with EngineOptions::use_planner off.
 std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
@@ -94,12 +99,14 @@ struct PlannedCandidates {
 /// on an empty accumulator — an empty early atom skips the remaining
 /// (typically most expensive) lookups entirely. Every path atom after the
 /// first filters with what the executor already has: it receives the
-/// accumulator (a block-backed one decoded once) as its
-/// KokoPathSidLookup filter, so its lookup only touches sentences still in
-/// the running candidate set and its result is the next accumulator. The
-/// resulting sid set does not depend on the plan's atom order.
+/// accumulator (a stored list decoded once) as its KokoPathSidLookup
+/// filter, so its lookup only touches sentences still in the running
+/// candidate set and its result is the next accumulator. The resulting sid
+/// set does not depend on the plan's atom order. The executor reads only
+/// the plan; the unnamed CompiledQuery parameter is kept for the
+/// benchmark harness's call.
 PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
-                                           const CompiledQuery& cq,
+                                           const CompiledQuery& /*cq*/,
                                            const QueryPlan& plan);
 
 /// \brief Cross-query compiled-plan cache keyed by clause fingerprint —

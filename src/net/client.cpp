@@ -1,7 +1,5 @@
 #include "net/client.h"
 
-#include <sys/socket.h>
-
 #include <utility>
 
 namespace koko {
@@ -16,10 +14,6 @@ Result<KokoClient> KokoClient::Connect(uint16_t port,
 
 Status KokoClient::SendRaw(const std::vector<uint8_t>& bytes) {
   return socket_.WriteAll(bytes);
-}
-
-void KokoClient::FinishWrites() {
-  if (socket_.valid()) ::shutdown(socket_.fd(), SHUT_WR);
 }
 
 Result<std::pair<FrameHeader, std::vector<uint8_t>>> KokoClient::ReadFrame() {

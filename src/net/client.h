@@ -60,9 +60,6 @@ class KokoClient {
   /// connection (NotFound/IoError), never a hang.
   Result<std::pair<FrameHeader, std::vector<uint8_t>>> ReadFrame();
 
-  /// Half-closes the write side (server sees EOF and closes cleanly).
-  void FinishWrites();
-
  private:
   explicit KokoClient(Socket socket) : socket_(std::move(socket)) {}
 

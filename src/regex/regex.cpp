@@ -44,19 +44,6 @@ NodePtr CloneNode(const Node& n) {
   return c;
 }
 
-void AddCaseFolded(std::bitset<256>& klass, unsigned char c, bool fold) {
-  klass.set(c);
-  if (fold) {
-    if (c >= 'a' && c <= 'z') klass.set(c - 'a' + 'A');
-    if (c >= 'A' && c <= 'Z') klass.set(c - 'A' + 'a');
-  }
-}
-
-void AddRangeCaseFolded(std::bitset<256>& klass, unsigned char lo, unsigned char hi,
-                        bool fold) {
-  for (int c = lo; c <= hi; ++c) AddCaseFolded(klass, static_cast<unsigned char>(c), fold);
-}
-
 std::bitset<256> DigitClass() {
   std::bitset<256> k;
   for (int c = '0'; c <= '9'; ++c) k.set(c);
@@ -80,7 +67,7 @@ std::bitset<256> SpaceClass() {
 // Recursive-descent pattern parser producing a Node tree.
 class PatternParser {
  public:
-  PatternParser(std::string_view pattern, bool fold) : pattern_(pattern), fold_(fold) {}
+  explicit PatternParser(std::string_view pattern) : pattern_(pattern) {}
 
   Result<NodePtr> Parse() {
     auto node = ParseAlt();
@@ -166,7 +153,7 @@ class PatternParser {
       // Not a repeat after all (e.g. a literal '{'): back off.
       pos_ = save;
       auto lit = MakeNode(Node::Kind::kChar);
-      AddCaseFolded(lit->klass, static_cast<unsigned char>(Take()), fold_);
+      lit->klass.set(static_cast<unsigned char>(Take()));
       auto concat = MakeNode(Node::Kind::kConcat);
       concat->children.push_back(std::move(base));
       concat->children.push_back(std::move(lit));
@@ -237,7 +224,7 @@ class PatternParser {
         return Status::ParseError("quantifier with nothing to repeat");
       default: {
         auto node = MakeNode(Node::Kind::kChar);
-        AddCaseFolded(node->klass, static_cast<unsigned char>(c), fold_);
+        node->klass.set(static_cast<unsigned char>(c));
         return NodePtr(std::move(node));
       }
     }
@@ -277,7 +264,7 @@ class PatternParser {
         break;
       default:
         // Escaped literal (covers \. \[ \( \\ etc.).
-        AddCaseFolded(node->klass, static_cast<unsigned char>(c), fold_);
+        node->klass.set(static_cast<unsigned char>(c));
         break;
     }
     return NodePtr(std::move(node));
@@ -307,7 +294,7 @@ class PatternParser {
           case 'n': piece.set('\n'); break;
           case 't': piece.set('\t'); break;
           case 'r': piece.set('\r'); break;
-          default: AddCaseFolded(piece, static_cast<unsigned char>(e), fold_); break;
+          default: piece.set(static_cast<unsigned char>(e)); break;
         }
         node->klass |= piece;
         continue;
@@ -324,10 +311,12 @@ class PatternParser {
         if (static_cast<unsigned char>(hi) < static_cast<unsigned char>(c)) {
           return Status::ParseError("inverted range in character class");
         }
-        AddRangeCaseFolded(node->klass, static_cast<unsigned char>(c),
-                           static_cast<unsigned char>(hi), fold_);
+        for (int r = static_cast<unsigned char>(c);
+             r <= static_cast<unsigned char>(hi); ++r) {
+          node->klass.set(static_cast<size_t>(r));
+        }
       } else {
-        AddCaseFolded(node->klass, static_cast<unsigned char>(c), fold_);
+        node->klass.set(static_cast<unsigned char>(c));
       }
     }
     if (negate) node->klass = ~node->klass;
@@ -336,7 +325,6 @@ class PatternParser {
 
   std::string_view pattern_;
   size_t pos_ = 0;
-  bool fold_;
 };
 
 }  // namespace
@@ -453,8 +441,8 @@ class RegexCompiler {
   }
 };
 
-Result<Regex> Regex::Compile(std::string_view pattern, Options options) {
-  PatternParser parser(pattern, options.case_insensitive);
+Result<Regex> Regex::Compile(std::string_view pattern) {
+  PatternParser parser(pattern);
   auto tree = parser.Parse();
   if (!tree.ok()) return tree.status();
   Regex re;

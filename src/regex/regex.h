@@ -25,16 +25,9 @@ namespace koko {
 /// both ends; PartialMatch succeeds if any substring matches.
 class Regex {
  public:
-  struct Options {
-    /// ASCII case folding.
-    bool case_insensitive = false;
-  };
-
   /// Compiles `pattern`. Returns ParseError for malformed patterns.
-  static Result<Regex> Compile(std::string_view pattern, Options options);
-  static Result<Regex> Compile(std::string_view pattern) {
-    return Compile(pattern, Options());
-  }
+  /// Matching is case-sensitive.
+  static Result<Regex> Compile(std::string_view pattern);
 
   /// True when the whole input matches the pattern.
   bool FullMatch(std::string_view text) const;
@@ -43,9 +36,6 @@ class Regex {
   bool PartialMatch(std::string_view text) const;
 
   const std::string& pattern() const { return pattern_; }
-
-  /// Number of compiled NFA instructions (exposed for tests/benchmarks).
-  size_t ProgramSize() const { return program_.size(); }
 
  private:
   // One NFA instruction.

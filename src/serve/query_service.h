@@ -133,7 +133,6 @@ class AdmissionQueue {
   uint64_t admitted() const { return counters().admitted; }
   uint64_t rejected() const { return counters().rejected; }
   uint64_t peak_inflight() const { return counters().peak_inflight; }
-  uint64_t peak_waiting() const { return counters().peak_waiting; }
 
  private:
   const size_t max_inflight_;

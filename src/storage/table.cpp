@@ -151,23 +151,6 @@ Table* Catalog::CreateTable(std::string name, std::vector<ColumnSpec> schema) {
   return ptr;
 }
 
-Table* Catalog::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
-const Table* Catalog::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, _] : tables_) names.push_back(name);
-  return names;
-}
-
 size_t Catalog::MemoryUsage() const {
   size_t bytes = 0;
   for (const auto& [_, table] : tables_) bytes += table->MemoryUsage();

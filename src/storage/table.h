@@ -60,10 +60,6 @@ class Table {
   Result<std::vector<uint32_t>> IndexPrefixLookup(
       const std::string& index_name, const std::vector<Cell>& prefix_cells) const;
 
-  bool HasIndex(const std::string& index_name) const {
-    return indexes_.count(index_name) > 0;
-  }
-
   /// Heap footprint of data plus all indexes, in bytes.
   size_t MemoryUsage() const;
 
@@ -97,10 +93,6 @@ class Catalog {
   /// Creates (replacing any existing) a table.
   Table* CreateTable(std::string name, std::vector<ColumnSpec> schema);
 
-  Table* GetTable(const std::string& name);
-  const Table* GetTable(const std::string& name) const;
-
-  std::vector<std::string> TableNames() const;
   size_t MemoryUsage() const;
 
  private:

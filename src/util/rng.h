@@ -55,15 +55,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Standard normal via Box-Muller (one value per call; simple, adequate).
-  double Normal() {
-    double u1 = UniformDouble();
-    double u2 = UniformDouble();
-    if (u1 < 1e-12) u1 = 1e-12;
-    return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
-           __builtin_cos(6.283185307179586 * u2);
-  }
-
   /// Uniformly chosen element of a non-empty vector.
   template <typename T>
   const T& Choice(const std::vector<T>& items) {

@@ -95,10 +95,10 @@ TEST(DescriptorExpanderTest, ExpandsWithScores) {
 
 TEST(DescriptorExpanderTest, CapsExpansionCount) {
   EmbeddingModel model;
-  DescriptorExpander::Options options;
-  options.max_expansions = 5;
-  DescriptorExpander expander(&model, options);
-  EXPECT_LE(expander.Expand("serves coffee").size(), 5u);
+  DescriptorExpander expander(&model);
+  // Two content words with several neighbours each combine into more
+  // phrasings than the fixed cap of 24, which the expansion keeps.
+  EXPECT_EQ(expander.Expand("serves coffee").size(), 24u);
 }
 
 TEST(DescriptorExpanderTest, FunctionWordsNotExpanded) {

@@ -484,8 +484,8 @@ TEST(PathLookupTest, DecompositionExampleFourTwo) {
   EXPECT_EQ(pl.ToString(), "//*/dobj//*");
   PathQuery pos = ProjectPosPath(d);
   EXPECT_EQ(pos.ToString(), "//*[@pos=\"verb\"]/*//*");
-  EXPECT_FALSE(IsAllWildcard(d));
-  EXPECT_TRUE(IsAllWildcard(ProjectPosPath(pl)));
+  EXPECT_FALSE(DecomposePath(d).unconstrained());
+  EXPECT_TRUE(DecomposePath(ProjectPosPath(pl)).unconstrained());
 }
 
 TEST(PathLookupTest, JoinExampleFourFour) {

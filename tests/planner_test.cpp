@@ -39,19 +39,6 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-// ---- Plan statistics --------------------------------------------------------
-
-TEST(PlannerTest, StatsOfReadsSkipTable) {
-  SidList list = SidList::FromSorted({5, 10, 200, 1000, 4005});
-  BlockListStats stats = StatsOf(BlockList::FromSidList(list));
-  EXPECT_EQ(stats.sids, 5u);
-  EXPECT_EQ(stats.blocks, 1u);
-  EXPECT_EQ(stats.min_sid, 5u);
-  EXPECT_EQ(stats.max_sid, 4005u);
-  EXPECT_DOUBLE_EQ(stats.avg_gap, 1000.0);
-  EXPECT_EQ(StatsOf(BlockList()).sids, 0u);
-}
-
 // ---- Filtered path lookup -------------------------------------------------
 
 // Filters a path lookup is run with: empty, a singleton, every sid of the
@@ -181,7 +168,7 @@ TEST(PlannerTest, PlanOrdersAtomsBySelectivity) {
                    });
   ASSERT_EQ(sorted.size(), plan->atoms.size());
   for (size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(sorted[i].var, plan->atoms[i].var) << "atom " << i;
+    EXPECT_EQ(sorted[i].label, plan->atoms[i].label) << "atom " << i;
   }
 }
 
@@ -229,7 +216,7 @@ TEST(PlannerTest, FixedAndCostOrderCandidatesMatch) {
       EXPECT_EQ(want.sids, got.sids) << name << " target " << t;
       if (want.pruned) ++pruned_runs;
       for (size_t i = 0; i < fixed->atoms.size(); ++i) {
-        if (fixed->atoms[i].var != cost->atoms[i].var) {
+        if (fixed->atoms[i].label != cost->atoms[i].label) {
           ++reordered_runs;
           break;
         }
@@ -296,6 +283,81 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   EXPECT_EQ(cache.stats().misses, 0u);
   GetOrBuildPlan(*index, *cq, opts, &cache, 0);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// Runs `query` on a one- and a two-shard engine over a small corpus, once
+// without a plan cache and once on a cache warmed by `warm`: the cached run
+// must return the uncached rows and candidates, and hit the cache once per
+// shard exactly when `shares_plan`.
+void ExpectWarmedCacheAnswers(const char* warm, const char* query,
+                              bool shares_plan) {
+  Pipeline pipeline;
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      {{"t", "Anna ate a pie. Yesterday Anna ate a cake. Bob saw Anna."},
+       {"t", "Later Anna baked bread. Anna slept."}});
+  EmbeddingModel embeddings;
+  for (size_t k : {size_t{1}, size_t{2}}) {
+    const std::string context = "K=" + std::to_string(k);
+    auto index = ShardedKokoIndex::Build(corpus, k);
+    Engine engine(&corpus, index.get(), &embeddings,
+                  &const_cast<const Pipeline&>(pipeline).recognizer());
+    auto want = engine.ExecuteText(query);
+    ASSERT_TRUE(want.ok()) << context;
+    ASSERT_GT(want->rows.size(), 0u) << context;
+
+    PlanCache cache;
+    EngineOptions cached;
+    cached.plan_cache = &cache;
+    ASSERT_TRUE(engine.ExecuteText(warm, cached).ok()) << context;
+    const uint64_t hits = cache.stats().hits;
+    auto got = engine.ExecuteText(query, cached);
+    ASSERT_TRUE(got.ok()) << context;
+    EXPECT_EQ(cache.stats().hits, hits + (shares_plan ? k : 0)) << context;
+    ExpectIdenticalResults(*want, *got, context);
+  }
+}
+
+// A and B have equal prunable atoms (the path //verb and the literal
+// "Anna") under different variable layouts: A's var 1 is the literal, B's
+// var 1 is an elastic span and its literal is var 2. They share one
+// fingerprint, so a shared cache hands B the plan built for A; the plan
+// carries its own atoms, so it answers B as a plan built for B would.
+constexpr char kLiteralQueryA[] =
+    R"(extract x:Str from "t" if (/ROOT:{ v = //verb, x = "Anna" + v }))";
+constexpr char kLiteralQueryB[] =
+    R"(extract x:Str from "t" if (/ROOT:{ v = //verb, x = ^ + "Anna" + v }))";
+
+TEST(PlannerTest, CachedPlanAnswersQueryWithOtherVariableLayout) {
+  auto a = CompileQuery(*ParseQuery(kLiteralQueryA));
+  auto b = CompileQuery(*ParseQuery(kLiteralQueryB));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->vars[1].kind, CompiledVar::Kind::kLiteral);
+  ASSERT_EQ(b->vars[1].kind, CompiledVar::Kind::kElastic);
+  EXPECT_EQ(PlanFingerprint(*a), PlanFingerprint(*b));
+  ExpectWarmedCacheAnswers(kLiteralQueryA, kLiteralQueryB,
+                           /*shares_plan=*/true);
+}
+
+// X's path is one step whose word is `ate"/"pie`; Y's is the two word steps
+// "ate" and "pie". Both print as //"ate"/"pie", but their atoms differ, so
+// they must not share a plan: X's plan looks up a word no sentence has.
+constexpr char kLookalikePathX[] =
+    R"(extract v:Str from "t" if (/ROOT:{ v = //"ate\"/\"pie" }))";
+constexpr char kLookalikePathY[] =
+    R"(extract v:Str from "t" if (/ROOT:{ v = //"ate"/"pie" }))";
+
+TEST(PlannerTest, CachedPlanNotSharedByLookalikePaths) {
+  auto x = CompileQuery(*ParseQuery(kLookalikePathX));
+  auto y = CompileQuery(*ParseQuery(kLookalikePathY));
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(y.ok());
+  ASSERT_EQ(x->vars[0].abs_path.steps.size(), 1u);
+  ASSERT_EQ(y->vars[0].abs_path.steps.size(), 2u);
+  ASSERT_EQ(x->vars[0].abs_path.ToString(), y->vars[0].abs_path.ToString());
+  EXPECT_NE(PlanFingerprint(*x), PlanFingerprint(*y));
+  ExpectWarmedCacheAnswers(kLookalikePathX, kLookalikePathY,
+                           /*shares_plan=*/false);
 }
 
 // ---- Engine parity: planner x streaming x sharding x caps ------------------
@@ -484,7 +546,6 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   const std::string plan_text = ExplainPlan(*result->plan);
   EXPECT_NE(plan_text.find("clause"), std::string::npos);
   EXPECT_NE(plan_text.find("entity"), std::string::npos);
-  EXPECT_NE(plan_text.find("blocks="), std::string::npos);
   EXPECT_EQ(plan_text.find("actual="), std::string::npos);
   const std::string exec_text = ExplainExecution(*result);
   EXPECT_NE(exec_text.find("candidate"), std::string::npos);

@@ -69,6 +69,39 @@ std::vector<std::string> MixedWorkload() {
   };
 }
 
+// One service, one plan cache, two queries with equal prunable atoms under
+// different variable layouts (A's var 1 is the literal "Anna", B's var 1 is
+// an elastic span): B runs on the plan cached for A and returns exactly
+// the rows and candidates of its own run on a fresh service.
+TEST(QueryServiceTest, CachedPlanServesQueryWithOtherVariableLayout) {
+  const char* query_a =
+      R"(extract x:Str from "t" if (/ROOT:{ v = //verb, x = "Anna" + v }))";
+  const char* query_b =
+      R"(extract x:Str from "t" if (/ROOT:{ v = //verb, x = ^ + "Anna" + v }))";
+  Pipeline pipeline;
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      {{"t", "Anna ate a pie. Yesterday Anna ate a cake. Bob saw Anna."},
+       {"t", "Later Anna baked bread. Anna slept."}});
+  EmbeddingModel embeddings;
+  for (size_t k : {size_t{1}, size_t{2}}) {
+    const std::string context = "K=" + std::to_string(k);
+    auto index = ShardedKokoIndex::Build(corpus, k);
+    Engine engine(&corpus, index.get(), &embeddings,
+                  &const_cast<const Pipeline&>(pipeline).recognizer());
+    auto want = QueryService(&engine, QueryService::Options()).Run(query_b);
+    ASSERT_TRUE(want.ok()) << context;
+    ASSERT_GT(want->rows.size(), 0u) << context;
+
+    QueryService service(&engine, QueryService::Options());
+    ASSERT_TRUE(service.Run(query_a).ok()) << context;
+    const uint64_t hits = service.stats().plan_cache.hits;
+    auto got = service.Run(query_b);
+    ASSERT_TRUE(got.ok()) << context;
+    EXPECT_EQ(service.stats().plan_cache.hits, hits + k) << context;
+    ExpectIdenticalResults(*want, *got, context);
+  }
+}
+
 // The acceptance bar: M concurrent clients hammering one QueryService get
 // byte-identical rows to serial single-query execution, for every index
 // shard count.

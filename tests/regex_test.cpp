@@ -98,15 +98,6 @@ TEST(RegexTest, AnchorsInPartialMatch) {
   EXPECT_FALSE(re2->PartialMatch("abcx"));
 }
 
-TEST(RegexTest, CaseInsensitiveOption) {
-  Regex::Options opts;
-  opts.case_insensitive = true;
-  auto re = Regex::Compile("Cafe", opts);
-  ASSERT_TRUE(re.ok());
-  EXPECT_TRUE(re->FullMatch("CAFE"));
-  EXPECT_TRUE(re->FullMatch("cafe"));
-}
-
 TEST(RegexTest, PaperExcludingPatterns) {
   // Patterns from the Appendix-A cafe query.
   EXPECT_TRUE(RegexFullMatch("La Marzocco", "[Ll]a Marzocco"));

@@ -35,9 +35,9 @@ Rules:
   R6 memcpy-fixed  no `memcpy` whose destination is a fixed-size stack
                    array outside src/util/ — sized-buffer copies belong
                    behind the bounds-checked span/serde helpers.
-  R7 bench-smoke   every paper-workload bench (the fig3/fig4/fig5/fig7/
-                   fig8/table1 reproductions and the traffic-replay
-                   harness) is registered in CMakeLists.txt via
+  R7 bench-smoke   every paper-workload bench (the fig3-fig8/table1,
+                   Odin, NELL and SimilarTo reproductions and the
+                   traffic-replay harness) is registered in CMakeLists.txt via
                    koko_add_bench_smoke(<name> LABELS ... ARGS ...) with
                    the `workloads` label, so `ctest -L workloads` executes
                    them — a bench that only compiles can silently rot.
@@ -244,8 +244,12 @@ def check_bench_smokes():
         "bench_fig3_cafe",
         "bench_fig4_wnut",
         "bench_fig5_descriptors",
+        "bench_fig6_index_build",
         "bench_fig7_happydb",
         "bench_fig8_wiki",
+        "bench_nell",
+        "bench_odin",
+        "bench_similarto",
         "bench_table1_gsp",
         "bench_workloads",
     }
