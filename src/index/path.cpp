@@ -1,10 +1,8 @@
 #include "index/path.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 
-#include "regex/regex.h"
 #include "util/string_util.h"
 
 namespace koko {
@@ -30,15 +28,15 @@ std::string NodeConstraint::ToString() const {
   std::vector<std::string> conds;
   if (dep) {
     label = std::string(DepLabelName(*dep));
-    if (word) conds.push_back("text=\"" + *word + "\"");
+    if (word) conds.push_back("text=" + Quote(*word));
   } else if (word && !pos && !regex && !etype && !any_entity) {
-    return "\"" + *word + "\"";
+    return Quote(*word);
   } else {
     label = "*";
-    if (word) conds.push_back("text=\"" + *word + "\"");
+    if (word) conds.push_back("text=" + Quote(*word));
   }
   if (pos) conds.push_back("@pos=\"" + std::string(PosTagName(*pos)) + "\"");
-  if (regex) conds.push_back("@regex=\"" + *regex + "\"");
+  if (regex) conds.push_back("@regex=" + Quote(*regex));
   if (etype) conds.push_back("etype=\"" + std::string(EntityTypeName(*etype)) + "\"");
   if (any_entity) conds.push_back("etype=\"Entity\"");
   if (conds.empty()) return label;
@@ -54,8 +52,19 @@ std::string PathQuery::ToString() const {
   return out;
 }
 
+std::vector<std::optional<Regex>> CompileStepRegexes(const PathQuery& path) {
+  std::vector<std::optional<Regex>> compiled(path.steps.size());
+  for (size_t i = 0; i < path.steps.size(); ++i) {
+    const std::optional<std::string>& pattern = path.steps[i].constraint.regex;
+    if (!pattern) continue;
+    auto re = Regex::Compile(*pattern);
+    if (re.ok()) compiled[i].emplace(std::move(*re));
+  }
+  return compiled;
+}
+
 void MatchPathInSentence(const Sentence& s, const PathQuery& path,
-                         const std::vector<const Regex*>& step_regex,
+                         const std::vector<std::optional<Regex>>& step_regex,
                          PathMatchScratch* scratch, std::vector<int>* out) {
   out->clear();
   if (s.size() == 0 || path.empty()) return;
@@ -75,7 +84,7 @@ void MatchPathInSentence(const Sentence& s, const PathQuery& path,
 
   for (size_t i = 0; i < path.steps.size(); ++i) {
     const PathStep& step = path.steps[i];
-    const Regex* re = step_regex[i];
+    const Regex* re = step_regex[i] ? &*step_regex[i] : nullptr;
     next.clear();
     std::fill(in_set.begin(), in_set.end(), 0);
     auto add = [&](int t) {
@@ -111,19 +120,9 @@ void MatchPathInSentence(const Sentence& s, const PathQuery& path,
 }
 
 std::vector<int> MatchPathInSentence(const Sentence& s, const PathQuery& path) {
-  std::vector<std::optional<Regex>> compiled(path.steps.size());
-  std::vector<const Regex*> step_regex(path.steps.size(), nullptr);
-  for (size_t i = 0; i < path.steps.size(); ++i) {
-    const std::optional<std::string>& pattern = path.steps[i].constraint.regex;
-    if (!pattern) continue;
-    auto re = Regex::Compile(*pattern);
-    if (!re.ok()) continue;
-    compiled[i].emplace(std::move(*re));
-    step_regex[i] = &*compiled[i];
-  }
   PathMatchScratch scratch;
   std::vector<int> out;
-  MatchPathInSentence(s, path, step_regex, &scratch, &out);
+  MatchPathInSentence(s, path, CompileStepRegexes(path), &scratch, &out);
   return out;
 }
 

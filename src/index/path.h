@@ -5,11 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "regex/regex.h"
 #include "text/document.h"
 
 namespace koko {
-
-class Regex;
 
 /// Constraint on one node of a path expression. A step like
 /// `verb[text="ate", @pos="verb"]` sets several fields at once; a bare
@@ -60,15 +59,19 @@ struct PathMatchScratch {
   std::vector<char> in_set;
 };
 
+/// Each step's compiled `@regex`, in step order: null when the step has
+/// none or its pattern does not compile.
+std::vector<std::optional<Regex>> CompileStepRegexes(const PathQuery& path);
+
 /// \brief Reference (index-free) path matcher.
 ///
 /// Fills `*out` with the ascending token ids of `s` that terminate a
 /// root-to-node path matching `path`. This is the ground truth the indices
 /// approximate: effectiveness experiments and DPLI validation both compare
-/// against it. `step_regex[i]` is step i's compiled `@regex` (see
+/// against it. `step_regex` is CompileStepRegexes(path) (see
 /// NodeConstraint::Matches).
 void MatchPathInSentence(const Sentence& s, const PathQuery& path,
-                         const std::vector<const Regex*>& step_regex,
+                         const std::vector<std::optional<Regex>>& step_regex,
                          PathMatchScratch* scratch, std::vector<int>* out);
 
 /// The same, compiling the steps' patterns once per call.

@@ -1,25 +1,40 @@
 #include "koko/aggregate.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
-#include "regex/regex.h"
 #include "text/lexicon.h"
 #include "text/tokenizer.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace koko {
 
 namespace {
 
-// Gapped (in-order, possibly non-contiguous) occurrence of `words` within
-// the token texts `pool` — §4.4.1(c)'s "word sequence occurs" test.
-bool GappedOccurrence(const std::vector<std::string>& pool,
-                      const std::vector<std::string>& words) {
+// True when the tokens of `s` from `pos` on spell `words`, ignoring case.
+bool WordsAt(const Sentence& s, int pos, const std::vector<std::string>& words) {
+  return std::equal(words.begin(), words.end(), s.tokens.begin() + pos,
+                    [](const std::string& word, const Token& tok) {
+                      return EqualsIgnoreCase(tok.text, word);
+                    });
+}
+
+// Gapped (in-order, possibly non-contiguous) occurrence of `words` among
+// the tokens `token_ids` of `s` that lie in [lo, hi] — §4.4.1(c)'s "word
+// sequence occurs" test over one clause, on one side of the value.
+bool GappedOccurrence(const Sentence& s, const std::vector<int>& token_ids,
+                      int lo, int hi, const std::vector<std::string>& words) {
+  if (words.empty()) return true;
   size_t w = 0;
-  for (const std::string& tok : pool) {
-    if (w < words.size() && EqualsIgnoreCase(tok, words[w])) ++w;
+  for (int t : token_ids) {
+    if (t < lo || t > hi) continue;
+    if (EqualsIgnoreCase(s.tokens[t].text, words[w]) && ++w == words.size()) {
+      return true;
+    }
   }
-  return w == words.size();
+  return false;
 }
 
 }  // namespace
@@ -31,163 +46,123 @@ std::vector<int> TokenOccurrences(const Sentence& s,
   const int n = s.size();
   const int m = static_cast<int>(needle.size());
   for (int i = 0; i + m <= n; ++i) {
-    bool match = true;
-    for (int j = 0; j < m; ++j) {
-      if (!EqualsIgnoreCase(s.tokens[i + j].text, needle[static_cast<size_t>(j)])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) positions.push_back(i);
+    if (WordsAt(s, i, needle)) positions.push_back(i);
   }
   return positions;
 }
 
 Aggregator::Aggregator(const EmbeddingModel* model,
-                       const EntityRecognizer* recognizer, Options options)
+                       const EntityRecognizer* recognizer, Options options,
+                       const std::vector<std::vector<std::string>>& ontology_sets)
     : model_(model),
       recognizer_(recognizer),
       options_(options),
-      expander_(model) {}
-
-void Aggregator::AddOntologySet(const std::vector<std::string>& related) {
-  MutexLock lock(expansion_mu_);
-  expander_.AddOntologySet(related);
-  expansion_cache_.clear();
-}
-
-const std::vector<WeightedPhrase>& Aggregator::Expansions(
-    const std::string& descriptor) const {
-  // Serialized so Score() stays safe to call from concurrent serving
-  // threads sharing one Aggregator. References into the node-based map are
-  // stable across later insertions; only AddOntologySet (setup time, before
-  // any concurrent scoring) invalidates them.
-  MutexLock lock(expansion_mu_);
-  auto it = expansion_cache_.find(descriptor);
-  if (it != expansion_cache_.end()) return it->second;
-  return expansion_cache_.emplace(descriptor, expander_.Expand(descriptor))
-      .first->second;
-}
-
-const Regex* Aggregator::Pattern(const std::string& pattern) const {
-  MutexLock lock(regex_mu_);
-  auto [it, fresh] = regex_cache_.try_emplace(pattern);
-  if (fresh) {
-    auto re = Regex::Compile(pattern);
-    if (re.ok()) it->second.emplace(std::move(*re));
+      config_salt_(Mix64(options.use_descriptors ? 1 : 2)),
+      expander_(model) {
+  for (const std::vector<std::string>& set : ontology_sets) {
+    expander_.AddOntologySet(set);
+    // Set boundaries matter: {"good","happy"} relates the two phrases,
+    // {"good"} + {"happy"} does not — the flat phrase sequence alone must
+    // not collide across different partitions.
+    config_salt_ = HashCombine(config_salt_, Mix64(set.size()));
+    for (const std::string& phrase : set) {
+      config_salt_ = HashCombine(config_salt_, Fnv1a64(phrase));
+    }
   }
-  return it->second ? &*it->second : nullptr;
 }
 
-double Aggregator::ConditionScore(const Document& doc, const std::string& value,
-                                  const SatCondition& cond) const {
-  // Only the conditions that read the value's tokens tokenize it.
-  switch (cond.kind) {
+uint64_t Aggregator::ClauseKey(const CompiledClause& clause) const {
+  uint64_t h = Fnv1a64(clause.var);
+  h = HashCombine(h, clause.conditions.size());
+  for (const CompiledCondition& compiled : clause.conditions) {
+    const SatCondition& cond = compiled.source;
+    h = HashCombine(h, static_cast<uint64_t>(cond.kind));
+    h = HashCombine(h, Fnv1a64(cond.var));
+    h = HashCombine(h, Fnv1a64(cond.text));
+    uint64_t weight_bits;
+    static_assert(sizeof(weight_bits) == sizeof(cond.weight));
+    std::memcpy(&weight_bits, &cond.weight, sizeof(weight_bits));
+    h = HashCombine(h, weight_bits);
+  }
+  return HashCombine(config_salt_, Mix64(h));
+}
+
+double Aggregator::Evaluate(const Document& doc, const std::string& value,
+                            const CompiledCondition& cond,
+                            std::vector<std::string>* value_tokens) {
+  // Only the conditions that read the value's tokens split it.
+  auto tokens = [&]() -> const std::vector<std::string>& {
+    if (value_tokens->empty()) *value_tokens = Tokenizer::Tokenize(value);
+    return *value_tokens;
+  };
+  switch (cond.source.kind) {
     case SatCondition::Kind::kStrContains: {
       // Token-level containment: "chocolate ice cream" contains "ice".
-      std::vector<std::string> needle = Tokenizer::Tokenize(cond.text);
+      const std::vector<std::string>& needle = cond.needle;
       if (needle.empty()) return 0.0;
-      const std::vector<std::string> value_tokens = Tokenizer::Tokenize(value);
-      for (size_t i = 0; i + needle.size() <= value_tokens.size(); ++i) {
-        bool ok = true;
-        for (size_t j = 0; j < needle.size(); ++j) {
-          if (value_tokens[i + j] != needle[j]) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) return 1.0;
-      }
-      return 0.0;
+      const std::vector<std::string>& value_toks = tokens();
+      auto it = std::search(value_toks.begin(), value_toks.end(),
+                            needle.begin(), needle.end());
+      return it != value_toks.end() ? 1.0 : 0.0;
     }
     case SatCondition::Kind::kStrMentions:
-      return Contains(value, cond.text) ? 1.0 : 0.0;
-    case SatCondition::Kind::kStrMatches: {
-      const Regex* re = Pattern(cond.text);
-      return re != nullptr && re->FullMatch(value) ? 1.0 : 0.0;
-    }
-    case SatCondition::Kind::kInDict: {
-      EntityType etype;
-      if (!ParseEntityType(cond.text, &etype)) return 0.0;
-      return recognizer_->InGazetteer(etype, ToLower(value)) ? 1.0 : 0.0;
-    }
-    case SatCondition::Kind::kFollowedBy:
-      return OccursFollowedBy(doc, Tokenizer::Tokenize(value),
-                              Tokenizer::Tokenize(cond.text))
+      return Contains(value, cond.source.text) ? 1.0 : 0.0;
+    case SatCondition::Kind::kStrMatches:
+      return cond.pattern && cond.pattern->FullMatch(value) ? 1.0 : 0.0;
+    case SatCondition::Kind::kInDict:
+      return cond.dict_type &&
+                     recognizer_->InGazetteer(*cond.dict_type, ToLower(value))
                  ? 1.0
                  : 0.0;
+    case SatCondition::Kind::kFollowedBy:
     case SatCondition::Kind::kPrecededBy:
-      return OccursPrecededBy(doc, Tokenizer::Tokenize(value),
-                              Tokenizer::Tokenize(cond.text))
+      return OccursBeside(doc, tokens(), cond.needle,
+                          cond.source.kind == SatCondition::Kind::kFollowedBy)
                  ? 1.0
                  : 0.0;
     case SatCondition::Kind::kNear:
-      return ScoreNear(doc, Tokenizer::Tokenize(value), cond.text);
+      return ScoreNear(doc, tokens(), cond.needle);
     case SatCondition::Kind::kDescriptorRight:
-      if (!options_.use_descriptors) return 0.0;
-      return ScoreDescriptor(doc, Tokenizer::Tokenize(value), cond.text,
-                             /*right_side=*/true);
     case SatCondition::Kind::kDescriptorLeft:
       if (!options_.use_descriptors) return 0.0;
-      return ScoreDescriptor(doc, Tokenizer::Tokenize(value), cond.text,
-                             /*right_side=*/false);
+      return ScoreDescriptor(
+          doc, tokens(), cond,
+          /*right_side=*/cond.source.kind == SatCondition::Kind::kDescriptorRight);
     case SatCondition::Kind::kSimilarTo:
-      return SimilarToScore(Tokenizer::Tokenize(value), cond.text);
+      return SimilarToScore(tokens(), cond.similar_target);
   }
   return 0.0;
 }
 
+double Aggregator::ConditionScore(const Document& doc, const std::string& value,
+                                  const CompiledCondition& cond) {
+  std::vector<std::string> value_tokens;
+  return Evaluate(doc, value, cond, &value_tokens);
+}
+
 double Aggregator::Score(const Document& doc, const std::string& value,
-                         const SatisfyingClause& clause) const {
+                         const CompiledClause& clause) {
+  std::vector<std::string> value_tokens;
   double total = 0;
-  for (const SatCondition& cond : clause.conditions) {
-    total += cond.weight * ConditionScore(doc, value, cond);
+  for (const CompiledCondition& cond : clause.conditions) {
+    total += cond.source.weight * Evaluate(doc, value, cond, &value_tokens);
   }
   return total;
 }
 
-bool Aggregator::Excluded(const Document& doc, const std::string& value,
-                          const SatCondition& cond) const {
-  return ConditionScore(doc, value, cond) > 0.0;
-}
-
-bool Aggregator::OccursFollowedBy(const Document& doc,
-                                  const std::vector<std::string>& value_tokens,
-                                  const std::vector<std::string>& suffix) const {
+bool Aggregator::OccursBeside(const Document& doc,
+                              const std::vector<std::string>& value_tokens,
+                              const std::vector<std::string>& needle,
+                              bool after) const {
+  const int value_len = static_cast<int>(value_tokens.size());
+  const int needle_len = static_cast<int>(needle.size());
   for (const Sentence& s : doc.sentences) {
     for (int pos : TokenOccurrences(s, value_tokens)) {
-      int after = pos + static_cast<int>(value_tokens.size());
-      if (after + static_cast<int>(suffix.size()) > s.size()) continue;
-      bool ok = true;
-      for (size_t j = 0; j < suffix.size(); ++j) {
-        if (!EqualsIgnoreCase(s.tokens[after + static_cast<int>(j)].text,
-                              suffix[j])) {
-          ok = false;
-          break;
-        }
+      const int start = after ? pos + value_len : pos - needle_len;
+      if (start >= 0 && start + needle_len <= s.size() &&
+          WordsAt(s, start, needle)) {
+        return true;
       }
-      if (ok) return true;
-    }
-  }
-  return false;
-}
-
-bool Aggregator::OccursPrecededBy(const Document& doc,
-                                  const std::vector<std::string>& value_tokens,
-                                  const std::vector<std::string>& prefix) const {
-  for (const Sentence& s : doc.sentences) {
-    for (int pos : TokenOccurrences(s, value_tokens)) {
-      int start = pos - static_cast<int>(prefix.size());
-      if (start < 0) continue;
-      bool ok = true;
-      for (size_t j = 0; j < prefix.size(); ++j) {
-        if (!EqualsIgnoreCase(s.tokens[start + static_cast<int>(j)].text,
-                              prefix[j])) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) return true;
     }
   }
   return false;
@@ -195,8 +170,7 @@ bool Aggregator::OccursPrecededBy(const Document& doc,
 
 double Aggregator::ScoreNear(const Document& doc,
                              const std::vector<std::string>& value_tokens,
-                             const std::string& text) const {
-  std::vector<std::string> needle = Tokenizer::Tokenize(text);
+                             const std::vector<std::string>& needle) const {
   double best = 0;
   for (const Sentence& s : doc.sentences) {
     std::vector<int> value_pos = TokenOccurrences(s, value_tokens);
@@ -206,15 +180,9 @@ double Aggregator::ScoreNear(const Document& doc,
       int vend = vp + static_cast<int>(value_tokens.size()) - 1;
       for (int tp : text_pos) {
         int tend = tp + static_cast<int>(needle.size()) - 1;
-        // Token distance between the two mentions (0 when adjacent).
-        int distance;
-        if (tp > vend) {
-          distance = tp - vend - 1;
-        } else if (vp > tend) {
-          distance = vp - tend - 1;
-        } else {
-          distance = 0;  // overlapping
-        }
+        // Token distance between the two mentions: 0 when they are adjacent
+        // or overlap.
+        const int distance = std::max({0, tp - vend - 1, vp - tend - 1});
         best = std::max(best, 1.0 / (1.0 + distance));
       }
     }
@@ -224,35 +192,37 @@ double Aggregator::ScoreNear(const Document& doc,
 
 double Aggregator::ScoreDescriptor(const Document& doc,
                                    const std::vector<std::string>& value_tokens,
-                                   const std::string& descriptor,
-                                   bool right_side) const {
-  const std::vector<WeightedPhrase>& expansions = Expansions(descriptor);
+                                   const CompiledCondition& cond,
+                                   bool right_side) {
+  // Expanded on this descriptor's first use in the query, each expansion's
+  // words split once.
+  auto [slot, fresh] = expansions_.try_emplace(&cond);
+  if (fresh) {
+    for (const WeightedPhrase& phrase : expander_.Expand(cond.source.text)) {
+      slot->second.push_back({phrase.score, SplitWhitespace(phrase.text)});
+    }
+  }
+  const std::vector<Expansion>& expansions = slot->second;
   double doc_total = 0;
   for (const Sentence& s : doc.sentences) {
     std::vector<int> occurrences = TokenOccurrences(s, value_tokens);
     if (occurrences.empty()) continue;
     auto clauses = SentenceDecomposer::Decompose(s);
     double best_over_expansions = 0;
-    for (const WeightedPhrase& expansion : expansions) {
-      std::vector<std::string> words = SplitWhitespace(expansion.text);
+    for (const Expansion& expansion : expansions) {
       double sum_over_clauses = 0;
       for (const auto& clause : clauses) {
-        // Only the tokens of the clause on the required side of the value.
-        double clause_best = 0;
+        // Only the tokens of the clause on the required side of the value
+        // count; any occurrence that matches gives the clause its score.
         for (int occ : occurrences) {
-          int vbegin = occ;
-          int vend = occ + static_cast<int>(value_tokens.size()) - 1;
-          std::vector<std::string> pool;
-          for (int t : clause.token_ids) {
-            if (right_side ? t > vend : t < vbegin) {
-              pool.push_back(s.tokens[t].text);
-            }
-          }
-          if (GappedOccurrence(pool, words)) {
-            clause_best = std::max(clause_best, expansion.score * clause.score);
+          const int vend = occ + static_cast<int>(value_tokens.size()) - 1;
+          const int lo = right_side ? vend + 1 : 0;
+          const int hi = right_side ? std::numeric_limits<int>::max() : occ - 1;
+          if (GappedOccurrence(s, clause.token_ids, lo, hi, expansion.words)) {
+            sum_over_clauses += expansion.score * clause.score;
+            break;
           }
         }
-        sum_over_clauses += clause_best;
       }
       best_over_expansions = std::max(best_over_expansions, sum_over_clauses);
     }
@@ -262,14 +232,14 @@ double Aggregator::ScoreDescriptor(const Document& doc,
 }
 
 double Aggregator::SimilarToScore(const std::vector<std::string>& value_tokens,
-                                  const std::string& descriptor) const {
+                                  const std::string& target) const {
   const Lexicon& lex = Lexicon::Get();
   double best = 0;
   for (const std::string& tok : value_tokens) {
     std::string lower = ToLower(tok);
     if (lex.IsFunctionWord(lower) || lower.size() <= 1) continue;
-    if (EqualsIgnoreCase(lower, descriptor)) return 1.0;
-    best = std::max(best, model_->PhraseSimilarity(lower, ToLower(descriptor)));
+    if (lower == target) return 1.0;
+    best = std::max(best, model_->PhraseSimilarity(lower, target));
   }
   return std::clamp(best, 0.0, 1.0);
 }

@@ -1,18 +1,16 @@
 #ifndef KOKO_KOKO_AGGREGATE_H_
 #define KOKO_KOKO_AGGREGATE_H_
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "embed/descriptor.h"
 #include "embed/embedding.h"
-#include "koko/ast.h"
+#include "koko/compile.h"
 #include "ner/entity_recognizer.h"
-#include "regex/regex.h"
 #include "text/document.h"
-#include "util/thread_annotations.h"
 
 namespace koko {
 
@@ -29,6 +27,11 @@ namespace koko {
 /// canonical clauses, each expansion dᵢ of the descriptor is matched as a
 /// gapped word sequence against each clause cⱼ on the required side of the
 /// value, and conf = maxᵢ Σⱼ kᵢ·lⱼ.
+///
+/// One Aggregator serves one query on one thread. Conditions arrive
+/// compiled (koko/compile.h), so scoring compiles nothing; a descriptor is
+/// expanded on its first use and its expansions are kept by the address of
+/// its condition, so every condition scored must outlive the Aggregator.
 class Aggregator {
  public:
   struct Options {
@@ -37,64 +40,61 @@ class Aggregator {
     bool use_descriptors = true;
   };
 
+  /// `ontology_sets` are domain sets for descriptor expansion (the paper's
+  /// coffee-drinks dictionary hook); the Aggregator keeps its own copy.
   Aggregator(const EmbeddingModel* model, const EntityRecognizer* recognizer,
-             Options options);
+             Options options,
+             const std::vector<std::vector<std::string>>& ontology_sets = {});
 
   /// Total weighted score of `value` for `clause` over `doc`.
   double Score(const Document& doc, const std::string& value,
-               const SatisfyingClause& clause) const;
+               const CompiledClause& clause);
 
-  /// True when `value` triggers the excluding condition (boolean semantics;
-  /// descriptor/near conditions exclude when their confidence is positive).
-  bool Excluded(const Document& doc, const std::string& value,
-                const SatCondition& cond) const;
-
-  /// Confidence of one condition in isolation (exposed for tests).
+  /// Confidence of one condition in isolation: an excluding condition
+  /// excludes when it is positive, and the explainer breaks a score down
+  /// into these.
   double ConditionScore(const Document& doc, const std::string& value,
-                        const SatCondition& cond) const;
+                        const CompiledCondition& cond);
 
-  /// Registers a domain ontology set for descriptor expansion (the paper's
-  /// coffee-drinks dictionary hook).
-  void AddOntologySet(const std::vector<std::string>& related);
+  /// ScoreCache key of `clause` under this Aggregator's configuration: the
+  /// clause's variable and every condition's kind, variable, text and
+  /// weight (not the threshold, which gates rows after scoring), salted
+  /// with `use_descriptors` and the ontology sets. Equal keys score equally
+  /// on every document, so one cache may serve engines of different
+  /// configurations over one corpus.
+  uint64_t ClauseKey(const CompiledClause& clause) const;
 
  private:
-  const std::vector<WeightedPhrase>& Expansions(const std::string& descriptor) const;
+  struct Expansion {
+    double score;
+    std::vector<std::string> words;
+  };
 
-  /// `str(x) matches` pattern, compiled on first use; null when it does not
-  /// compile.
-  const Regex* Pattern(const std::string& pattern) const;
-
+  // ConditionScore with the value's tokens split on first need into
+  // `*value_tokens`, so a clause splits its value once.
+  double Evaluate(const Document& doc, const std::string& value,
+                  const CompiledCondition& cond,
+                  std::vector<std::string>* value_tokens);
   double ScoreDescriptor(const Document& doc,
                          const std::vector<std::string>& value_tokens,
-                         const std::string& descriptor, bool right_side) const;
+                         const CompiledCondition& cond, bool right_side);
   double ScoreNear(const Document& doc, const std::vector<std::string>& value_tokens,
-                   const std::string& text) const;
-  bool OccursFollowedBy(const Document& doc,
-                        const std::vector<std::string>& value_tokens,
-                        const std::vector<std::string>& suffix) const;
-  bool OccursPrecededBy(const Document& doc,
-                        const std::vector<std::string>& value_tokens,
-                        const std::vector<std::string>& prefix) const;
+                   const std::vector<std::string>& needle) const;
+  // True when some occurrence of the value is directly followed
+  // (`after`) or preceded by `needle`.
+  bool OccursBeside(const Document& doc,
+                    const std::vector<std::string>& value_tokens,
+                    const std::vector<std::string>& needle, bool after) const;
   double SimilarToScore(const std::vector<std::string>& value_tokens,
-                        const std::string& descriptor) const;
+                        const std::string& target) const;
 
   const EmbeddingModel* model_;
   const EntityRecognizer* recognizer_;
   Options options_;
-  /// Guards the expansion memo (and the expander feeding it):
-  /// Score/Excluded/ConditionScore are safe to call from concurrent serving
-  /// threads sharing one Aggregator. Register ontology sets before any
-  /// concurrent scoring starts — AddOntologySet invalidates references
-  /// handed out by Expansions().
-  mutable Mutex expansion_mu_;
-  DescriptorExpander expander_ KOKO_GUARDED_BY(expansion_mu_);
-  mutable std::unordered_map<std::string, std::vector<WeightedPhrase>>
-      expansion_cache_ KOKO_GUARDED_BY(expansion_mu_);
-  /// Guards the compiled `matches` patterns the same way; entries are never
-  /// erased, so handed-out pointers stay valid for the Aggregator's life.
-  mutable Mutex regex_mu_;
-  mutable std::unordered_map<std::string, std::optional<Regex>> regex_cache_
-      KOKO_GUARDED_BY(regex_mu_);
+  uint64_t config_salt_;
+  DescriptorExpander expander_;
+  std::unordered_map<const CompiledCondition*, std::vector<Expansion>>
+      expansions_;
 };
 
 /// Positions where `needle` occurs as a contiguous token subsequence of the

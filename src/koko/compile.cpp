@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "text/tokenizer.h"
 #include "util/string_util.h"
 
 namespace koko {
@@ -82,21 +83,21 @@ class Compiler {
       out_.output_vars.push_back(idx);
     }
     out_.outputs = q_.outputs;
-    out_.satisfying = q_.satisfying;
-    out_.excluding = q_.excluding;
 
-    // Validate satisfying/excluding variable references.
-    for (const auto& clause : out_.satisfying) {
+    // Satisfying/excluding clauses, with their variable references checked.
+    for (const SatisfyingClause& clause : q_.satisfying) {
       if (Index(clause.var) < 0) {
         return Status::InvalidArgument("satisfying clause references unknown '" +
                                        clause.var + "'");
       }
+      out_.satisfying.push_back(CompileClause(clause));
     }
-    for (const auto& cond : out_.excluding) {
+    for (const SatCondition& cond : q_.excluding) {
       if (Index(cond.var) < 0) {
         return Status::InvalidArgument("excluding clause references unknown '" +
                                        cond.var + "'");
       }
+      out_.excluding.push_back(CompileCondition(cond));
     }
 
     ComputeDominance();
@@ -152,6 +153,7 @@ class Compiler {
       }
       var.abs_path = out_.vars[base].abs_path;
       for (const PathStep& step : path.steps) var.abs_path.steps.push_back(step);
+      var.step_regex = CompileStepRegexes(var.abs_path);
       int idx = AddVar(std::move(var));
       // Derived constraint: base parentOf/ancestorOf this (depending on the
       // first relative axis and path length).
@@ -163,6 +165,7 @@ class Compiler {
       return Status::OK();
     }
     var.abs_path = path;
+    var.step_regex = CompileStepRegexes(var.abs_path);
     AddVar(std::move(var));
     return Status::OK();
   }
@@ -218,6 +221,10 @@ class Compiler {
           el.name = "$" + def.name + "_v" + std::to_string(i);
           el.kind = CompiledVar::Kind::kElastic;
           el.elastic = atom.elastic;
+          if (el.elastic.regex) {
+            auto re = Regex::Compile(*el.elastic.regex);
+            if (re.ok()) el.elastic_regex.emplace(std::move(*re));
+          }
           atom_indices.push_back(AddVar(std::move(el)));
           break;
         }
@@ -261,6 +268,48 @@ class Compiler {
 };
 
 }  // namespace
+
+CompiledCondition CompileCondition(const SatCondition& cond) {
+  CompiledCondition out;
+  out.source = cond;
+  switch (cond.kind) {
+    case SatCondition::Kind::kStrContains:
+    case SatCondition::Kind::kFollowedBy:
+    case SatCondition::Kind::kPrecededBy:
+    case SatCondition::Kind::kNear:
+      out.needle = Tokenizer::Tokenize(cond.text);
+      break;
+    case SatCondition::Kind::kStrMatches: {
+      auto re = Regex::Compile(cond.text);
+      if (re.ok()) out.pattern.emplace(std::move(*re));
+      break;
+    }
+    case SatCondition::Kind::kInDict: {
+      EntityType etype;
+      if (ParseEntityType(cond.text, &etype)) out.dict_type = etype;
+      break;
+    }
+    case SatCondition::Kind::kSimilarTo:
+      out.similar_target = ToLower(cond.text);
+      break;
+    case SatCondition::Kind::kStrMentions:
+    case SatCondition::Kind::kDescriptorRight:
+    case SatCondition::Kind::kDescriptorLeft:
+      break;  // read `source.text` as written
+  }
+  return out;
+}
+
+CompiledClause CompileClause(const SatisfyingClause& clause) {
+  CompiledClause out;
+  out.var = clause.var;
+  out.threshold = clause.threshold;
+  out.conditions.reserve(clause.conditions.size());
+  for (const SatCondition& cond : clause.conditions) {
+    out.conditions.push_back(CompileCondition(cond));
+  }
+  return out;
+}
 
 std::vector<int> CompiledQuery::DominantPathVars() const {
   std::vector<int> result;

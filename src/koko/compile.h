@@ -1,10 +1,12 @@
 #ifndef KOKO_KOKO_COMPILE_H_
 #define KOKO_KOKO_COMPILE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "koko/ast.h"
+#include "regex/regex.h"
 #include "util/status.h"
 
 namespace koko {
@@ -20,6 +22,9 @@ struct CompiledVar {
 
   // kNode:
   PathQuery abs_path;
+  /// CompileStepRegexes(abs_path): each step's compiled `@regex`, null when
+  /// the step has none or its pattern does not compile (and matches nothing).
+  std::vector<std::optional<Regex>> step_regex;
   /// Index of the node variable whose path dominates this one (§4.2.1);
   /// self-index when this variable's path is itself dominant.
   int dominant = -1;
@@ -32,6 +37,9 @@ struct CompiledVar {
 
   // kElastic:
   ElasticSpec elastic;
+  /// `elastic.regex` compiled; null when it is unset or does not compile
+  /// (and then the span binds nothing).
+  std::optional<Regex> elastic_regex;
 
   // kLiteral:
   std::vector<std::string> literal;
@@ -47,6 +55,34 @@ struct CompiledConstraint {
   int b = -1;
 };
 
+/// A satisfying/excluding condition compiled for evaluation (§4.4). Each
+/// field is derived from `source` for the kinds that read it and is empty
+/// otherwise.
+struct CompiledCondition {
+  SatCondition source;
+  /// Tokens of `source.text`: contains, followed/preceded by, near.
+  std::vector<std::string> needle;
+  /// The `matches` pattern; null when it does not compile (matches nothing).
+  std::optional<Regex> pattern;
+  /// The `in dict` entity type; null when the name is no type (matches
+  /// nothing).
+  std::optional<EntityType> dict_type;
+  /// The lowercased `SimilarTo` target.
+  std::string similar_target;
+};
+
+/// A satisfying clause whose conditions are compiled.
+struct CompiledClause {
+  std::string var;
+  double threshold = 0;
+  std::vector<CompiledCondition> conditions;
+};
+
+/// The one way a condition or clause is compiled: CompileQuery and the
+/// Explainer both go through these.
+CompiledCondition CompileCondition(const SatCondition& cond);
+CompiledClause CompileClause(const SatisfyingClause& clause);
+
 /// \brief A normalised, executable query (output of §4.1's Normalize step).
 struct CompiledQuery {
   std::vector<OutputSpec> outputs;
@@ -55,8 +91,8 @@ struct CompiledQuery {
   std::vector<CompiledConstraint> constraints;
   /// Indices of span variables — each is one horizontal condition (§4.3).
   std::vector<int> horizontal;
-  std::vector<SatisfyingClause> satisfying;
-  std::vector<SatCondition> excluding;
+  std::vector<CompiledClause> satisfying;
+  std::vector<CompiledCondition> excluding;
 
   int VarIndex(const std::string& name) const {
     for (size_t i = 0; i < vars.size(); ++i) {
@@ -72,8 +108,9 @@ struct CompiledQuery {
 /// Normalises a parsed query: resolves variable references, expands
 /// relative paths to absolute form, derives parentOf/ancestorOf/leftOf
 /// constraints (Example 4.1), lifts span atoms into variables, materialises
-/// implicitly-defined output variables (typed entities), and computes path
-/// dominance.
+/// implicitly-defined output variables (typed entities), computes path
+/// dominance, and compiles every regex and condition text evaluation reads,
+/// so evaluation compiles nothing.
 Result<CompiledQuery> CompileQuery(const Query& query);
 
 }  // namespace koko

@@ -7,7 +7,6 @@
 
 #include "index/sid_ops.h"
 #include "koko/parser.h"
-#include "regex/regex.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -90,7 +89,7 @@ class RowDedup {
 
 // Aggregate memo key: a (doc, slot) pair and the text of one representative
 // span, compared in place. Slot ci < #satisfying is satisfying clause ci's
-// score; #satisfying + j is excluding condition j's decision.
+// score; #satisfying + j is excluding condition j's confidence.
 struct MemoKey {
   uint32_t doc;
   uint32_t slot;
@@ -120,19 +119,12 @@ class SentenceEvaluator {
   using Emit = std::function<bool(const std::vector<Binding>&)>;
 
   // One evaluator serves every candidate sentence of a query, so its
-  // buffers keep their capacity. `elastic_regex[v]` is elastic variable v's
-  // compiled regex (null when it has none or its pattern does not compile);
-  // `path_regex[v]` holds node variable v's compiled step patterns (see
-  // MatchPathInSentence). `emit` receives every assignment and returns false
-  // to stop the enumeration.
+  // buffers keep their capacity. `emit` receives every assignment and
+  // returns false to stop the enumeration.
   SentenceEvaluator(const CompiledQuery& cq, const EngineOptions& opts,
-                    const std::vector<const Regex*>& elastic_regex,
-                    const std::vector<std::vector<const Regex*>>& path_regex,
                     PhaseStats* phases, const Emit& emit)
       : cq_(cq),
         opts_(opts),
-        elastic_regex_(elastic_regex),
-        path_regex_(path_regex),
         phases_(phases),
         emit_(emit),
         domains_(cq.vars.size()) {}
@@ -159,7 +151,7 @@ class SentenceEvaluator {
       const CompiledVar& v = cq_.vars[i];
       switch (v.kind) {
         case Kind::kNode: {
-          MatchPathInSentence(*s_, v.abs_path, path_regex_[i], &path_scratch_,
+          MatchPathInSentence(*s_, v.abs_path, v.step_regex, &path_scratch_,
                               &path_nodes_);
           for (int t : path_nodes_) domains_[i].push_back(Binding{t, t, t});
           if (domains_[i].empty()) return false;
@@ -206,7 +198,7 @@ class SentenceEvaluator {
   // variables as skipped (derived from their neighbours' bindings) provided
   // neither horizontal neighbour is already skipped.
   void ComputeSkipPlan() {
-    ScopedPhase phase(phases_, "GSP");
+    ScopedPhase phase(phases_, Phase::kGsp);
     skipped_.assign(cq_.vars.size(), 0);
     if (!opts_.use_gsp) return;
     const double t = static_cast<double>(s_->size());
@@ -381,8 +373,8 @@ class SentenceEvaluator {
     }
     if (spec.regex) {
       // A pattern that does not compile binds nothing.
-      const Regex* re = elastic_regex_[var];
-      if (re == nullptr) return false;
+      const std::optional<Regex>& re = cq_.vars[var].elastic_regex;
+      if (!re) return false;
       text_.clear();
       s_->AppendSpanText(b.begin, b.end, &text_);
       if (!re->FullMatch(text_)) return false;
@@ -588,8 +580,6 @@ class SentenceEvaluator {
 
   const CompiledQuery& cq_;
   const EngineOptions& opts_;
-  const std::vector<const Regex*>& elastic_regex_;
-  const std::vector<std::vector<const Regex*>>& path_regex_;
   PhaseStats* phases_;
   const Emit& emit_;
   const Sentence* s_ = nullptr;
@@ -628,14 +618,15 @@ Result<QueryResult> Engine::Execute(const Query& query,
   QueryResult result;
   CompiledQuery cq;
   {
-    ScopedPhase phase(&result.phases, "Normalize");
+    ScopedPhase phase(&result.phases, Phase::kNormalize);
     auto compiled = CompileQuery(query);
     if (!compiled.ok()) return compiled.status();
     cq = std::move(*compiled);
   }
   auto final_result = ExecuteCompiled(cq, options);
   if (!final_result.ok()) return final_result.status();
-  final_result->phases.Add("Normalize", result.phases.Get("Normalize"));
+  final_result->phases.Add(Phase::kNormalize,
+                           result.phases.Get(Phase::kNormalize));
   return final_result;
 }
 
@@ -655,7 +646,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     tracked.push_back(idx);
   };
   for (const auto& clause : cq.satisfying) track(clause.var);
-  for (const auto& cond : cq.excluding) track(cond.var);
+  for (const auto& cond : cq.excluding) track(cond.source.var);
 
   // ---- DPLI: prune to candidate sentences (Algorithm 1) ----
   //
@@ -665,7 +656,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // See the DPLI phase contract in engine.h.
   std::vector<uint32_t> candidates;
   {
-    ScopedPhase phase(&result.phases, "DPLI");
+    ScopedPhase phase(&result.phases, Phase::kDpli);
     // One executor (koko/planner.h) against one (shard) index. The planner
     // orders atoms by estimated selectivity; with use_planner off the same
     // plan runs in compile order and bypasses the plan cache. The candidate
@@ -743,7 +734,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // doc needs skipping.
   std::map<uint32_t, Document> loaded;
   auto load_docs = [&](size_t begin, size_t end) {
-    ScopedPhase phase(&result.phases, "LoadArticle");
+    ScopedPhase phase(&result.phases, Phase::kLoadArticle);
     if (store_ == nullptr) return;
     for (size_t i = begin; i < end; ++i) {
       const uint32_t doc = corpus_->refs[candidates[i]].doc;
@@ -781,51 +772,38 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   };
   std::vector<size_t> satisfying_pos;
   satisfying_pos.reserve(cq.satisfying.size());
-  for (const SatisfyingClause& clause : cq.satisfying) {
+  for (const CompiledClause& clause : cq.satisfying) {
     satisfying_pos.push_back(tracked_pos(clause.var));
   }
   std::vector<size_t> excluding_pos;
   excluding_pos.reserve(cq.excluding.size());
-  for (const SatCondition& cond : cq.excluding) {
-    excluding_pos.push_back(tracked_pos(cond.var));
+  for (const CompiledCondition& cond : cq.excluding) {
+    excluding_pos.push_back(tracked_pos(cond.source.var));
   }
 
   // ---- Aggregate machinery: satisfying / excluding over whole documents.
   // Hoisted above extraction so rows finalise per chunk.
-  Aggregator::Options agg_options;
-  agg_options.use_descriptors = options.use_descriptors;
-  Aggregator aggregator(embeddings_, recognizer_, agg_options);
-  for (const auto& set : ontology_sets_) aggregator.AddOntologySet(set);
+  Aggregator aggregator(embeddings_, recognizer_,
+                        {.use_descriptors = options.use_descriptors},
+                        ontology_sets_);
 
   // Score cache: (doc, clause, value) -> score. A shared cross-query
   // cache (options.score_cache) is consulted first when present; entries
-  // are keyed by clause *content* salted with this engine's scoring
-  // configuration (use_descriptors, ontology sets), so a hit is
-  // guaranteed to equal recomputation and queries with different options
-  // can share one cache. The query-local memo below still fronts the
-  // shared one to avoid re-locking stripes for values repeated within one
-  // query.
+  // are keyed by Aggregator::ClauseKey, which covers the clause's content
+  // and the aggregator's configuration, so a hit is guaranteed to equal
+  // recomputation and queries with different options can share one cache.
+  // The query-local memo below still fronts the shared one to avoid
+  // re-locking stripes for values repeated within one query.
   std::vector<uint64_t> clause_keys;
   if (options.score_cache != nullptr) {
-    uint64_t salt = Mix64(options.use_descriptors ? 1 : 2);
-    for (const auto& set : ontology_sets_) {
-      // Set boundaries matter: {"good","happy"} relates the two phrases,
-      // {"good"} + {"happy"} does not — the flat phrase sequence alone
-      // must not collide across different partitions.
-      salt = HashCombine(salt, Mix64(set.size()));
-      for (const std::string& phrase : set) {
-        salt = HashCombine(salt, Fnv1a64(phrase));
-      }
-    }
     clause_keys.reserve(cq.satisfying.size());
-    for (const SatisfyingClause& clause : cq.satisfying) {
-      clause_keys.push_back(
-          HashCombine(salt, ScoreCache::ClauseFingerprint(clause)));
+    for (const CompiledClause& clause : cq.satisfying) {
+      clause_keys.push_back(aggregator.ClauseKey(clause));
     }
   }
 
   // Query-local aggregate memo: every satisfying score and excluding
-  // decision, keyed by (doc, slot, span text) — see MemoKey. A miss builds
+  // confidence, keyed by (doc, slot, span text) — see MemoKey. A miss builds
   // the value text into `value_text`, which `compute` reads.
   std::unordered_map<MemoKey, double, MemoHash, MemoEqual> memo;
   std::string value_text;
@@ -860,12 +838,11 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   };
   auto excluded = [&](const PendingRow& row, size_t cond_idx) {
     const RowSpan& span = span_of(row, excluding_pos[cond_idx]);
+    // A condition excludes when its confidence is positive.
     return memoized(row, cq.satisfying.size() + cond_idx, span, [&] {
-             return aggregator.Excluded(document(row.doc), value_text,
-                                        cq.excluding[cond_idx])
-                        ? 1.0
-                        : 0.0;
-           }) != 0.0;
+             return aggregator.ConditionScore(document(row.doc), value_text,
+                                              cq.excluding[cond_idx]);
+           }) > 0.0;
   };
 
   // Applies the aggregate filters to one pending row; survivors build
@@ -896,32 +873,6 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   };
 
   // ---- GSP + extract: per-sentence evaluation ----
-
-  // Each distinct regex — elastic-span patterns and path-step @regex
-  // conditions alike — compiles once per query; a pattern that does not
-  // compile stays null and binds or matches nothing.
-  std::map<std::string, std::optional<Regex>> regexes;
-  auto compiled_regex = [&](const std::string& pattern) -> const Regex* {
-    auto [it, fresh] = regexes.try_emplace(pattern);
-    if (fresh) {
-      auto re = Regex::Compile(pattern);
-      if (re.ok()) it->second.emplace(std::move(*re));
-    }
-    return it->second ? &*it->second : nullptr;
-  };
-  std::vector<const Regex*> elastic_regex(cq.vars.size(), nullptr);
-  std::vector<std::vector<const Regex*>> path_regex(cq.vars.size());
-  for (size_t v = 0; v < cq.vars.size(); ++v) {
-    const CompiledVar& var = cq.vars[v];
-    if (var.kind == CompiledVar::Kind::kElastic && var.elastic.regex) {
-      elastic_regex[v] = compiled_regex(*var.elastic.regex);
-    }
-    if (var.kind != CompiledVar::Kind::kNode) continue;
-    for (const PathStep& step : var.abs_path.steps) {
-      const std::optional<std::string>& pattern = step.constraint.regex;
-      path_regex[v].push_back(pattern ? compiled_regex(*pattern) : nullptr);
-    }
-  }
 
   // One evaluator serves every candidate. Its emit callback appends the
   // current sentence's rows, deduplicated by span text, to `pending` until
@@ -961,8 +912,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     pending.push_back({current.doc, current.sid, first, current.sentence});
     return pending.size() < current.budget;
   };
-  SentenceEvaluator evaluator(cq, options, elastic_regex, path_regex,
-                              &result.phases, emit);
+  SentenceEvaluator evaluator(cq, options, &result.phases, emit);
 
   // ---- One extract loop: load / extract / aggregate in candidate-ordered
   // chunks, emitting rows to the sink as each chunk finalises and stopping
@@ -998,7 +948,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     pending.clear();
     row_spans.clear();
     {
-      ScopedPhase phase(&result.phases, "extract");
+      ScopedPhase phase(&result.phases, Phase::kExtract);
       // Rows accumulate directly into the chunk, so the budget check spans
       // sentences and stops the scan exactly there.
       for (size_t i = next; i < chunk_end; ++i) {
@@ -1015,7 +965,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
       }
     }
     {
-      ScopedPhase phase(&result.phases, "satisfying");
+      ScopedPhase phase(&result.phases, Phase::kSatisfying);
       for (const PendingRow& row : pending) finalize_row(row);
     }
     committed += pending.size();
@@ -1031,7 +981,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // Freeing the deserialised articles is part of the store's LoadArticle
   // cost; left to the destructor it would belong to no phase.
   if (store_ != nullptr) {
-    ScopedPhase phase(&result.phases, "LoadArticle");
+    ScopedPhase phase(&result.phases, Phase::kLoadArticle);
     loaded.clear();
   }
   return result;

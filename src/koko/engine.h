@@ -91,10 +91,10 @@ struct EngineOptions {
   /// default — the engine uses a query-local cache, rebuilding warm state
   /// per query. A shared cache persists aggregate scores across queries;
   /// scores are deterministic, so hits are byte-identical to recomputation.
-  /// The engine keys entries by clause content *and* its scoring
-  /// configuration (use_descriptors, ontology sets), so one cache may serve
-  /// heterogeneous option sets against one corpus. Never share a cache
-  /// across different corpora.
+  /// Entries are keyed by Aggregator::ClauseKey — clause content *and*
+  /// scoring configuration (use_descriptors, ontology sets) — so one cache
+  /// may serve heterogeneous option sets against one corpus. Never share a
+  /// cache across different corpora.
   ScoreCache* score_cache = nullptr;
   /// Cost-based clause ordering for the DPLI phase (koko/planner.h): run
   /// the clause intersections in ascending estimated selectivity. `false` runs

@@ -5,27 +5,28 @@
 namespace koko {
 
 std::string SatConditionToString(const SatCondition& cond) {
+  const std::string text = Quote(cond.text);
   switch (cond.kind) {
     case SatCondition::Kind::kStrContains:
-      return "str(" + cond.var + ") contains \"" + cond.text + "\"";
+      return "str(" + cond.var + ") contains " + text;
     case SatCondition::Kind::kStrMentions:
-      return "str(" + cond.var + ") mentions \"" + cond.text + "\"";
+      return "str(" + cond.var + ") mentions " + text;
     case SatCondition::Kind::kStrMatches:
-      return "str(" + cond.var + ") matches \"" + cond.text + "\"";
+      return "str(" + cond.var + ") matches " + text;
     case SatCondition::Kind::kFollowedBy:
-      return cond.var + " \"" + cond.text + "\"";
+      return cond.var + " " + text;
     case SatCondition::Kind::kPrecededBy:
-      return "\"" + cond.text + "\" " + cond.var;
+      return text + " " + cond.var;
     case SatCondition::Kind::kNear:
-      return cond.var + " near \"" + cond.text + "\"";
+      return cond.var + " near " + text;
     case SatCondition::Kind::kDescriptorRight:
-      return cond.var + " [[\"" + cond.text + "\"]]";
+      return cond.var + " [[" + text + "]]";
     case SatCondition::Kind::kDescriptorLeft:
-      return "[[\"" + cond.text + "\"]] " + cond.var;
+      return "[[" + text + "]] " + cond.var;
     case SatCondition::Kind::kSimilarTo:
-      return cond.var + " SimilarTo \"" + cond.text + "\"";
+      return cond.var + " SimilarTo " + text;
     case SatCondition::Kind::kInDict:
-      return "str(" + cond.var + ") in dict(\"" + cond.text + "\")";
+      return "str(" + cond.var + ") in dict(" + text + ")";
   }
   return "?";
 }
@@ -96,23 +97,24 @@ std::string ExplainExecution(const QueryResult& result) {
 }
 
 Explainer::Explainer(const Engine& engine, bool use_descriptors)
-    : aggregator_(engine.embeddings_, engine.recognizer_,
-                  Aggregator::Options{.use_descriptors = use_descriptors}) {
-  for (const auto& set : engine.ontology_sets_) aggregator_.AddOntologySet(set);
-}
+    : engine_(engine), use_descriptors_(use_descriptors) {}
 
 ClauseExplanation Explainer::Explain(const Document& doc,
                                      const std::string& value,
                                      const SatisfyingClause& clause) const {
+  const CompiledClause compiled = CompileClause(clause);
+  Aggregator aggregator(engine_.embeddings_, engine_.recognizer_,
+                        {.use_descriptors = use_descriptors_},
+                        engine_.ontology_sets_);
   ClauseExplanation out;
   out.var = clause.var;
   out.value = value;
   out.threshold = clause.threshold;
-  for (const SatCondition& cond : clause.conditions) {
+  for (const CompiledCondition& cond : compiled.conditions) {
     ConditionExplanation ce;
-    ce.condition = cond;
-    ce.confidence = aggregator_.ConditionScore(doc, value, cond);
-    ce.contribution = cond.weight * ce.confidence;
+    ce.condition = cond.source;
+    ce.confidence = aggregator.ConditionScore(doc, value, cond);
+    ce.contribution = cond.source.weight * ce.confidence;
     out.score += ce.contribution;
     out.conditions.push_back(std::move(ce));
   }

@@ -41,7 +41,8 @@ struct ClauseExplanation {
 /// produced (or blocked) an extraction. It scores as `engine` does: same
 /// model, recognizer and ontology sets, so an explanation's score equals
 /// the engine row's score for the same clause and `use_descriptors`.
-/// Register the engine's ontology sets before building the Explainer.
+/// The clause compiles through CompileClause, as a query's clauses do.
+/// `engine` is borrowed and must outlive the Explainer.
 class Explainer {
  public:
   explicit Explainer(const Engine& engine, bool use_descriptors = true);
@@ -50,11 +51,12 @@ class Explainer {
                             const SatisfyingClause& clause) const;
 
  private:
-  Aggregator aggregator_;
+  const Engine& engine_;
+  bool use_descriptors_;
 };
 
-/// Renders a SatCondition back to (approximately) its query syntax; shared
-/// by the explainer and the query printer.
+/// Renders a SatCondition back to its query syntax, strings quoted so the
+/// parser reads them back; shared by the explainer and the query printer.
 std::string SatConditionToString(const SatCondition& cond);
 
 /// \brief EXPLAIN of a compiled query plan (koko/planner.h).

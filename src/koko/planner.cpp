@@ -239,16 +239,14 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
 }
 
 std::shared_ptr<const QueryPlan> PlanCache::Lookup(uint64_t key) const {
-  {
-    MutexLock lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  MutexLock lock(mu_);
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    ++misses_;
+    return nullptr;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  ++hits_;
+  return it->second;
 }
 
 void PlanCache::Insert(uint64_t key, std::shared_ptr<const QueryPlan> plan) {
@@ -259,8 +257,8 @@ void PlanCache::Insert(uint64_t key, std::shared_ptr<const QueryPlan> plan) {
 void PlanCache::Clear() {
   MutexLock lock(mu_);
   plans_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  hits_ = 0;
+  misses_ = 0;
 }
 
 size_t PlanCache::size() const {
@@ -269,13 +267,11 @@ size_t PlanCache::size() const {
 }
 
 PlanCache::Stats PlanCache::stats() const {
+  MutexLock lock(mu_);
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(mu_);
-    stats.entries = plans_.size();
-  }
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.entries = plans_.size();
   return stats;
 }
 

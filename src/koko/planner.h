@@ -1,7 +1,6 @@
 #ifndef KOKO_KOKO_PLANNER_H_
 #define KOKO_KOKO_PLANNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -149,8 +148,8 @@ class PlanCache {
   mutable Mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<const QueryPlan>> plans_
       KOKO_GUARDED_BY(mu_);
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
+  mutable uint64_t hits_ KOKO_GUARDED_BY(mu_) = 0;
+  mutable uint64_t misses_ KOKO_GUARDED_BY(mu_) = 0;
 };
 
 /// Cache-aware plan fetch: looks up (fingerprint, salt) in

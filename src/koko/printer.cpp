@@ -15,7 +15,7 @@ std::string ElasticToString(const ElasticSpec& spec) {
   if (spec.max_tokens != std::numeric_limits<int>::max()) {
     conds.push_back("max=" + std::to_string(spec.max_tokens));
   }
-  if (spec.regex) conds.push_back("regex=\"" + *spec.regex + "\"");
+  if (spec.regex) conds.push_back("regex=" + Quote(*spec.regex));
   if (spec.any_entity) {
     conds.push_back("etype=\"Entity\"");
   } else if (spec.etype) {
@@ -33,12 +33,8 @@ std::string AtomToString(const SpanAtom& atom) {
       return atom.var + ".subtree";
     case SpanAtom::Kind::kPath:
       return atom.var + atom.path.ToString();
-    case SpanAtom::Kind::kLiteral: {
-      std::string out = "\"";
-      out += Join(atom.tokens, " ");
-      out += '"';
-      return out;
-    }
+    case SpanAtom::Kind::kLiteral:
+      return Quote(Join(atom.tokens, " "));
     case SpanAtom::Kind::kElastic:
       return ElasticToString(atom.elastic);
   }
@@ -73,7 +69,7 @@ std::string QueryToString(const Query& query) {
     outputs.push_back(spec.var + ":" + spec.type_name);
   }
   out += Join(outputs, ", ");
-  out += " from \"" + query.source + "\" if (";
+  out += " from " + Quote(query.source) + " if (";
   if (!query.defs.empty()) {
     out += "\n  /ROOT:{\n";
     std::vector<std::string> defs;

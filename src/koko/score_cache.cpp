@@ -21,21 +21,6 @@ ScoreCache::ScoreCache(const Options& options) {
   shard_mask_ = n - 1;
 }
 
-uint64_t ScoreCache::ClauseFingerprint(const SatisfyingClause& clause) {
-  uint64_t h = Fnv1a64(clause.var);
-  h = HashCombine(h, clause.conditions.size());
-  for (const SatCondition& cond : clause.conditions) {
-    h = HashCombine(h, static_cast<uint64_t>(cond.kind));
-    h = HashCombine(h, Fnv1a64(cond.var));
-    h = HashCombine(h, Fnv1a64(cond.text));
-    uint64_t weight_bits;
-    static_assert(sizeof(weight_bits) == sizeof(cond.weight));
-    __builtin_memcpy(&weight_bits, &cond.weight, sizeof(weight_bits));
-    h = HashCombine(h, weight_bits);
-  }
-  return Mix64(h);
-}
-
 size_t ScoreCache::KeyHash::operator()(const KeyView& k) const {
   uint64_t h = HashCombine(k.clause_key, Mix64(k.doc));
   return static_cast<size_t>(HashCombine(h, Fnv1a64(k.value)));
@@ -51,10 +36,10 @@ std::optional<double> ScoreCache::Lookup(uint64_t clause_key, uint32_t doc,
   MutexLock lock(shard.mu);
   auto it = shard.map.find(KeyView{clause_key, doc, value});
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.misses;
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.hits;
   return it->second;
 }
 
@@ -69,9 +54,9 @@ void ScoreCache::Clear() {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
     shard->map.clear();
+    shard->hits = 0;
+    shard->misses = 0;
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 size_t ScoreCache::size() const {
@@ -85,9 +70,12 @@ size_t ScoreCache::size() const {
 
 ScoreCache::Stats ScoreCache::stats() const {
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.entries = size();
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    stats.hits += shard->hits;
+    stats.misses += shard->misses;
+    stats.entries += shard->map.size();
+  }
   return stats;
 }
 

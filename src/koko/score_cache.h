@@ -1,7 +1,6 @@
 #ifndef KOKO_KOKO_SCORE_CACHE_H_
 #define KOKO_KOKO_SCORE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -10,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "koko/ast.h"
 #include "util/thread_annotations.h"
 
 namespace koko {
@@ -29,15 +27,17 @@ namespace koko {
 /// The cache is sharded into `num_shards` independently locked stripes
 /// keyed by document id, so concurrent queries scoring different documents
 /// never contend.
+/// Each stripe counts its own hits and misses under its lock, so a probe
+/// touches no state that other stripes' probes share.
 /// Correctness: `Aggregator::Score` is a pure function of (document
-/// content, value, clause, engine scoring configuration), so serving a hit
-/// is byte-identical to recomputing — provided the clause fingerprint keys
-/// capture the scoring configuration. `ClauseFingerprint` covers the clause
-/// itself (conditions, weights — not the threshold, which is applied after
-/// scoring); the engine additionally mixes its descriptor/ontology
-/// configuration into the key (see Engine::ExecuteCompiled), so one cache
-/// must only be shared across engines with identical corpora. Do not reuse
-/// a cache after mutating or reloading the corpus; call Clear() instead.
+/// content, value, clause, scoring configuration), so serving a hit is
+/// byte-identical to recomputing — provided the clause key captures the
+/// scoring configuration. The engine keys clauses by
+/// `Aggregator::ClauseKey`, which covers the clause's content (not its
+/// threshold, which is applied after scoring) and the descriptor/ontology
+/// configuration, so one cache must only be shared across engines with
+/// identical corpora. Do not reuse a cache after mutating or reloading the
+/// corpus; call Clear() instead.
 class ScoreCache {
  public:
   struct Options {
@@ -54,13 +54,6 @@ class ScoreCache {
 
   ScoreCache() : ScoreCache(Options{}) {}
   explicit ScoreCache(const Options& options);
-
-  /// Content fingerprint of a satisfying/excluding clause: every condition's
-  /// kind, variable, text, and weight. Clauses that score identically on any
-  /// document collide only if structurally identical (modulo 64-bit hash
-  /// collisions). The clause threshold is deliberately excluded — it gates
-  /// rows after scoring and does not change the score itself.
-  static uint64_t ClauseFingerprint(const SatisfyingClause& clause);
 
   /// Cached score for (clause_key, doc, value), or nullopt on a miss. The
   /// probe copies no key.
@@ -107,14 +100,14 @@ class ScoreCache {
   struct Shard {
     mutable Mutex mu;
     std::unordered_map<Key, double, KeyHash, KeyEqual> map KOKO_GUARDED_BY(mu);
+    mutable uint64_t hits KOKO_GUARDED_BY(mu) = 0;
+    mutable uint64_t misses KOKO_GUARDED_BY(mu) = 0;
   };
 
   Shard& ShardOf(uint32_t doc) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace koko

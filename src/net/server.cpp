@@ -234,7 +234,8 @@ bool KokoServer::HandleRequest(Conn* conn, const NetRequest& request) {
   };
   if (request.allow_batch) {
     const uint64_t fingerprint =
-        RequestFingerprint(query, request.max_rows, request.use_planner);
+        RequestFingerprint(request.query_text, request.max_rows,
+                           request.use_planner);
     BatchExecutor::Outcome outcome = batcher_.Run(fingerprint, execute);
     shared = std::move(outcome.result);
     follower = outcome.follower;

@@ -34,7 +34,7 @@ namespace net {
 /// threads are reaped on the next accept.
 ///
 /// **Batch admission.** Concurrently-arriving requests whose execution
-/// fingerprints match (canonical query text + row cap + planner toggle —
+/// fingerprints match (query text bytes + row cap + planner toggle —
 /// RequestFingerprint, serve/batcher.h) are grouped behind one execution:
 /// one leader runs DPLI/plan/score once, followers wait and share the
 /// leader's rows. Responses mark `batched` in the kDone frame. A request

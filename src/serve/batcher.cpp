@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "koko/printer.h"
 #include "util/hash.h"
 
 namespace koko {
@@ -61,9 +60,9 @@ BatchExecutor::Stats BatchExecutor::stats() const {
   return stats;
 }
 
-uint64_t RequestFingerprint(const Query& query, uint64_t max_rows,
+uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows,
                             bool use_planner) {
-  uint64_t h = Fnv1a64(QueryToString(query));
+  uint64_t h = Fnv1a64(query_text);
   h = HashCombine(h, Mix64(max_rows + 1));
   h = HashCombine(h, Mix64(use_planner ? 2 : 1));
   return h;

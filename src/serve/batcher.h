@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 
-#include "koko/ast.h"
 #include "koko/engine.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -33,10 +33,12 @@ namespace koko {
 /// batched results are trivially byte-identical to what the leader saw —
 /// the contract therefore hinges on the fingerprint: two requests may only
 /// share a fingerprint when their executions would be byte-identical.
-/// `RequestFingerprint` hashes the canonical query text together with
-/// every execution-relevant option (row cap, planner toggle). The row cap
-/// in particular must be part of the key: a capped run truncates the
-/// *pending* pre-filter row stream, so its rows are not in general a
+/// `RequestFingerprint` hashes the request's query text byte for byte
+/// together with every execution-relevant option (row cap, planner toggle).
+/// It hashes no printed form of the parsed query: a printout may round
+/// numbers, so two texts that execute differently could print alike. The
+/// row cap in particular must be part of the key: a capped run truncates
+/// the *pending* pre-filter row stream, so its rows are not in general a
 /// prefix of the uncapped rows (see docs/WORKLOADS.md) — coalescing a
 /// capped request into an uncapped execution would change its bytes.
 /// tests/net_fuzz_test.cpp asserts the property over randomized concurrent
@@ -86,11 +88,10 @@ class BatchExecutor {
   uint64_t peak_group_ KOKO_GUARDED_BY(mu_) = 0;
 };
 
-/// Execution fingerprint of one wire request: canonical query text (the
-/// parsed AST printed back, so formatting differences coalesce) combined
-/// with every option that can change the result bytes. `max_rows` 0 means
-/// unlimited.
-uint64_t RequestFingerprint(const Query& query, uint64_t max_rows,
+/// Execution fingerprint of one wire request: the bytes of its query text
+/// combined with every option that can change the result bytes. `max_rows`
+/// 0 means unlimited.
+uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows,
                             bool use_planner);
 
 }  // namespace koko

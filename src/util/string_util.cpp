@@ -121,6 +121,16 @@ bool IsCapitalized(std::string_view text) {
   return !text.empty() && IsAsciiUpper(text[0]);
 }
 
+std::string Quote(std::string_view text) {
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '\\' || c == '"') out += '\\';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

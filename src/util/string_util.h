@@ -49,6 +49,10 @@ bool IsAllDigits(std::string_view text);
 /// True when the first character is an ASCII capital letter.
 bool IsCapitalized(std::string_view text);
 
+/// `text` in double quotes with `\` and `"` escaped by a backslash, as the
+/// KOKO query lexer reads a string literal back.
+std::string Quote(std::string_view text);
+
 /// Formats a double with `digits` decimal places (e.g. for report tables).
 std::string FormatDouble(double value, int digits);
 

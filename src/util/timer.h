@@ -1,9 +1,10 @@
 #ifndef KOKO_UTIL_TIMER_H_
 #define KOKO_UTIL_TIMER_H_
 
+#include <array>
 #include <chrono>
-#include <map>
-#include <string>
+#include <cstddef>
+#include <string_view>
 
 namespace koko {
 
@@ -24,67 +25,62 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// \brief Accumulates wall time per named phase.
-///
-/// The KOKO engine reports a Table-2-style breakdown (Normalize, DPLI,
-/// LoadArticle, GSP, extract, satisfying); each phase charges its elapsed
-/// time here via ScopedPhase. A ScopedPhase opened while another one of
-/// the same stats is still open charges a sub-phase (GSP inside extract):
-/// its time is reported by Get() but already lies inside its parent's, so
-/// Total() leaves it out.
+/// The phases of one query — the Table 2 breakdown. GSP is a sub-phase:
+/// skip plans are generated per sentence inside the extract scan, so its
+/// time already lies inside extract's.
+enum class Phase { kNormalize, kDpli, kLoadArticle, kGsp, kExtract, kSatisfying };
+
+inline constexpr size_t kNumPhases = static_cast<size_t>(Phase::kSatisfying) + 1;
+
+/// The phase's report name: "Normalize", "DPLI", "LoadArticle", "GSP",
+/// "extract" or "satisfying".
+constexpr std::string_view PhaseName(Phase phase) {
+  constexpr std::array<std::string_view, kNumPhases> kNames = {
+      "Normalize", "DPLI", "LoadArticle", "GSP", "extract", "satisfying"};
+  return kNames[static_cast<size_t>(phase)];
+}
+
+/// \brief Accumulates wall time per phase; each phase charges its elapsed
+/// time here via ScopedPhase.
 class PhaseStats {
  public:
-  /// Charges `seconds` to a top-level phase.
-  void Add(const std::string& phase, double seconds) {
-    seconds_[phase] += seconds;
-    top_level_seconds_ += seconds;
+  void Add(Phase phase, double seconds) {
+    seconds_[static_cast<size_t>(phase)] += seconds;
   }
-  double Get(const std::string& phase) const {
-    auto it = seconds_.find(phase);
-    return it == seconds_.end() ? 0.0 : it->second;
-  }
-  const std::map<std::string, double>& all() const { return seconds_; }
-  void Clear() {
-    seconds_.clear();
-    top_level_seconds_ = 0;
+  double Get(Phase phase) const { return seconds_[static_cast<size_t>(phase)]; }
+  /// The phase named `name` (see PhaseName); 0 for an unknown name.
+  double Get(std::string_view name) const {
+    for (size_t i = 0; i < kNumPhases; ++i) {
+      if (PhaseName(static_cast<Phase>(i)) == name) return seconds_[i];
+    }
+    return 0.0;
   }
 
-  /// Sum of the top-level phases; sub-phases are not counted twice.
-  double Total() const { return top_level_seconds_; }
+  /// Sum of the top-level phases: GSP is not counted twice.
+  double Total() const {
+    double total = 0;
+    for (size_t i = 0; i < kNumPhases; ++i) {
+      if (static_cast<Phase>(i) != Phase::kGsp) total += seconds_[i];
+    }
+    return total;
+  }
 
  private:
-  friend class ScopedPhase;
-
-  std::map<std::string, double> seconds_;
-  double top_level_seconds_ = 0;
-  int open_phases_ = 0;  // ScopedPhases of this stats currently open
+  std::array<double, kNumPhases> seconds_{};
 };
 
-/// Charges the lifetime of the object to one phase of a PhaseStats — a
-/// sub-phase when another ScopedPhase of the same stats encloses it.
+/// Charges the lifetime of the object to one phase of a PhaseStats.
 class ScopedPhase {
  public:
-  ScopedPhase(PhaseStats* stats, std::string phase)
-      : stats_(stats),
-        phase_(std::move(phase)),
-        nested_(stats->open_phases_++ > 0) {}
-  ~ScopedPhase() {
-    --stats_->open_phases_;
-    const double seconds = timer_.ElapsedSeconds();
-    if (nested_) {
-      stats_->seconds_[phase_] += seconds;
-    } else {
-      stats_->Add(phase_, seconds);
-    }
-  }
+  ScopedPhase(PhaseStats* stats, Phase phase) : stats_(stats), phase_(phase) {}
+  ~ScopedPhase() { stats_->Add(phase_, timer_.ElapsedSeconds()); }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   PhaseStats* stats_;
-  std::string phase_;
-  bool nested_;
+  Phase phase_;
   WallTimer timer_;
 };
 

@@ -9,7 +9,10 @@ namespace {
 
 class AggregateTest : public ::testing::Test {
  protected:
-  AggregateTest() : aggregator_(&embeddings_, pipeline_.recognizer(), {}) {}
+  // An Aggregator serves one query, so each scoring builds its own.
+  Aggregator MakeAggregator(Aggregator::Options options = {}) {
+    return Aggregator(&embeddings_, pipeline_.recognizer(), options);
+  }
 
   Document Doc(std::initializer_list<const char*> sentences) {
     std::string text;
@@ -26,12 +29,11 @@ class AggregateTest : public ::testing::Test {
     cond.kind = kind;
     cond.var = "x";
     cond.text = text;
-    return aggregator_.ConditionScore(doc, value, cond);
+    return MakeAggregator().ConditionScore(doc, value, CompileCondition(cond));
   }
 
   Pipeline pipeline_;
   EmbeddingModel embeddings_;
-  Aggregator aggregator_;
 };
 
 TEST_F(AggregateTest, ContainsIsTokenLevel) {
@@ -113,8 +115,10 @@ TEST_F(AggregateTest, DescriptorAggregatesOverSentences) {
   SatCondition cond;
   cond.kind = SatCondition::Kind::kDescriptorRight;
   cond.text = "serves coffee";
-  double s1 = aggregator_.ConditionScore(one, "Brim House", cond);
-  double s2 = aggregator_.ConditionScore(two, "Brim House", cond);
+  const CompiledCondition compiled = CompileCondition(cond);
+  Aggregator aggregator = MakeAggregator();
+  double s1 = aggregator.ConditionScore(one, "Brim House", compiled);
+  double s2 = aggregator.ConditionScore(two, "Brim House", compiled);
   EXPECT_GT(s2, s1);  // evidence accumulates across sentences
 }
 
@@ -133,7 +137,7 @@ TEST_F(AggregateTest, WeightedSumAndThreshold) {
   weak.text = "serves coffee";
   weak.weight = 0.5;
   clause.conditions = {strong, weak};
-  double score = aggregator_.Score(doc, "Brim House", clause);
+  double score = MakeAggregator().Score(doc, "Brim House", CompileClause(clause));
   EXPECT_GT(score, 1.0);  // 1.0 + 0.5 * conf
   EXPECT_LT(score, 1.6);
 }
@@ -141,13 +145,14 @@ TEST_F(AggregateTest, WeightedSumAndThreshold) {
 TEST_F(AggregateTest, DescriptorsDisabledAblation) {
   Aggregator::Options options;
   options.use_descriptors = false;
-  Aggregator no_desc(&embeddings_, pipeline_.recognizer(), options);
+  Aggregator no_desc = MakeAggregator(options);
   Document doc = Doc({"Brim House sells espresso."});
   SatCondition cond;
   cond.kind = SatCondition::Kind::kDescriptorRight;
   cond.var = "x";
   cond.text = "serves coffee";
-  EXPECT_EQ(no_desc.ConditionScore(doc, "Brim House", cond), 0.0);
+  EXPECT_EQ(no_desc.ConditionScore(doc, "Brim House", CompileCondition(cond)),
+            0.0);
 }
 
 TEST_F(AggregateTest, InDictUsesGazetteer) {
@@ -165,6 +170,71 @@ TEST_F(AggregateTest, SimilarToUsesEmbeddings) {
   EXPECT_GT(tokyo, 0.3);
   EXPECT_LT(japan, 0.3);
   EXPECT_EQ(Cond(doc, "city", SatCondition::Kind::kSimilarTo, "city"), 1.0);
+}
+
+TEST_F(AggregateTest, UncompilableConditionsMatchNothing) {
+  Document doc = Doc({"Anything."});
+  SatCondition bad_regex;
+  bad_regex.kind = SatCondition::Kind::kStrMatches;
+  bad_regex.text = "([unclosed";
+  const CompiledCondition compiled = CompileCondition(bad_regex);
+  EXPECT_FALSE(compiled.pattern.has_value());
+  EXPECT_EQ(MakeAggregator().ConditionScore(doc, "([unclosed", compiled), 0.0);
+  EXPECT_EQ(Cond(doc, "Portland", SatCondition::Kind::kInDict, "NoSuchType"),
+            0.0);
+}
+
+// A clause's ScoreCache key covers what its score depends on: the clause's
+// content and the aggregator's configuration, never its threshold.
+TEST_F(AggregateTest, ClauseKeySeparatesClausesAndConfigurations) {
+  SatisfyingClause clause;
+  clause.var = "x";
+  clause.threshold = 0.5;
+  SatCondition cond;
+  cond.kind = SatCondition::Kind::kStrContains;
+  cond.var = "x";
+  cond.text = "Cafe";
+  cond.weight = 1.0;
+  clause.conditions.push_back(cond);
+  Aggregator aggregator = MakeAggregator();
+  auto key = [&](const SatisfyingClause& c) {
+    return aggregator.ClauseKey(CompileClause(c));
+  };
+
+  const uint64_t base = key(clause);
+  EXPECT_EQ(key(clause), base);  // deterministic
+
+  // The threshold gates rows after scoring; it must NOT change the key
+  // (same clause content -> shared warm scores).
+  SatisfyingClause other_threshold = clause;
+  other_threshold.threshold = 0.9;
+  EXPECT_EQ(key(other_threshold), base);
+
+  // Anything that changes the score must change the key.
+  SatisfyingClause other_text = clause;
+  other_text.conditions[0].text = "Coffee";
+  EXPECT_NE(key(other_text), base);
+  SatisfyingClause other_weight = clause;
+  other_weight.conditions[0].weight = 0.25;
+  EXPECT_NE(key(other_weight), base);
+  SatisfyingClause other_kind = clause;
+  other_kind.conditions[0].kind = SatCondition::Kind::kStrMentions;
+  EXPECT_NE(key(other_kind), base);
+  SatisfyingClause more_conditions = clause;
+  more_conditions.conditions.push_back(cond);
+  EXPECT_NE(key(more_conditions), base);
+
+  // So must the configuration: descriptors off, and ontology sets, whose
+  // boundaries count ({"good", "happy"} is not {"good"} + {"happy"}).
+  const CompiledClause compiled = CompileClause(clause);
+  EXPECT_NE(MakeAggregator({.use_descriptors = false}).ClauseKey(compiled),
+            base);
+  const Aggregator joined(&embeddings_, pipeline_.recognizer(), {},
+                          {{"good", "happy"}});
+  const Aggregator split(&embeddings_, pipeline_.recognizer(), {},
+                         {{"good"}, {"happy"}});
+  EXPECT_NE(joined.ClauseKey(compiled), base);
+  EXPECT_NE(joined.ClauseKey(compiled), split.ClauseKey(compiled));
 }
 
 TEST_F(AggregateTest, TokenOccurrencesHelper) {

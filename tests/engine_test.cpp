@@ -238,11 +238,11 @@ TEST(EngineTest, PhaseStatsPopulated) {
   auto result = w.engine->ExecuteText(R"(
       extract b:Str from "t" if ( /ROOT:{ a = //verb, b = a/dobj }))");
   ASSERT_TRUE(result.ok());
-  const auto& phases = result->phases.all();
-  EXPECT_TRUE(phases.count("Normalize"));
-  EXPECT_TRUE(phases.count("DPLI"));
-  EXPECT_TRUE(phases.count("LoadArticle"));
-  EXPECT_TRUE(phases.count("extract"));
+  const PhaseStats& phases = result->phases;
+  EXPECT_GT(phases.Get(Phase::kNormalize), 0.0);
+  EXPECT_GT(phases.Get(Phase::kDpli), 0.0);
+  EXPECT_GT(phases.Get(Phase::kLoadArticle), 0.0);
+  EXPECT_GT(phases.Get(Phase::kExtract), 0.0);
 }
 
 // GSP runs inside the extract scan, so it is a sub-phase: a query's total

@@ -31,6 +31,7 @@
 
 #include "corpus/generators.h"
 #include "index/sharded_index.h"
+#include "koko/parser.h"
 #include "net/frame.h"
 #include "replay/fuzz.h"
 #include "replay/workloads.h"
@@ -229,7 +230,8 @@ TEST(NetFuzzTest, BatchedExecutionIsByteIdenticalToUnbatched) {
         const Task& task = tasks[t];
         const Query& query = world->queries[task.qi].query;
         const uint64_t cap = caps[task.ci];
-        const uint64_t fp = RequestFingerprint(query, cap, true);
+        const uint64_t fp =
+            RequestFingerprint(world->queries[task.qi].text, cap, true);
         BatchExecutor::Outcome outcome = batcher.Run(fp, [&]() {
           return world->service->Run(query, OverridesForCap(cap), RowSink());
         });
@@ -256,6 +258,31 @@ TEST(NetFuzzTest, BatchedExecutionIsByteIdenticalToUnbatched) {
   // Every run was either a leader or a follower; coalescing never loses
   // or invents a request.
   EXPECT_EQ(stats.leaders + stats.followers, total_runs);
+}
+
+// Requests whose texts execute differently never share a fingerprint, even
+// when the query printer would render them alike: it rounds weights and
+// thresholds to 3 decimals, and a word holding `"/"` once printed like two
+// path steps.
+TEST(NetFuzzTest, FingerprintSeparatesRequestsThatPrintAlike) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {R"(extract x:Entity from "t" if ()
+          satisfying x (str(x) contains "a" {1}) with threshold 0.9)",
+       R"(extract x:Entity from "t" if ()
+          satisfying x (str(x) contains "a" {1}) with threshold 0.9004)"},
+      {R"(extract x:Entity from "t" if ()
+          satisfying x (str(x) contains "a" {0.5}) with threshold 0.1)",
+       R"(extract x:Entity from "t" if ()
+          satisfying x (str(x) contains "a" {0.5004}) with threshold 0.1)"},
+      {R"(extract b:Str from "t" if ( /ROOT:{ b = //"ate\"/\"pie" }))",
+       R"(extract b:Str from "t" if ( /ROOT:{ b = //"ate"/"pie" }))"},
+  };
+  for (const auto& [a, b] : pairs) {
+    ASSERT_TRUE(ParseQuery(a).ok()) << a;
+    ASSERT_TRUE(ParseQuery(b).ok()) << b;
+    EXPECT_NE(RequestFingerprint(a, 0, true), RequestFingerprint(b, 0, true))
+        << a << "\nvs\n" << b;
+  }
 }
 
 // ---- 3. Deterministic coalescing -------------------------------------------

@@ -3,6 +3,7 @@
 #include "koko/compile.h"
 #include "koko/lexer.h"
 #include "koko/parser.h"
+#include "koko/printer.h"
 
 namespace koko {
 namespace {
@@ -160,6 +161,38 @@ TEST(QueryParserTest, MalformedQueriesRejected) {
       ParseQuery("extract x:Entity from t if () satisfying x (x near) with "
                  "threshold 1")
           .ok());
+}
+
+// Strings holding `"` or `\` print escaped, so print -> parse -> print is a
+// fixpoint and every string field survives it.
+TEST(PrinterTest, QuotesAndBackslashesRoundTrip) {
+  const std::string text = R"(
+      extract x:Str from "t\"s\\" if (
+        /ROOT:{ a = //"say\"/\"hi", r = //verb[@regex="[\"a]+\\d"],
+                x = a + ^[regex="q\"\\w+"] + r })
+      satisfying x (str(x) contains "a \"b\" \\ c" {1}) with threshold 0.5
+      excluding (str(x) matches "\\d\""))";
+  auto expect_fields = [](const Query& q) {
+    EXPECT_EQ(q.source, "t\"s\\");
+    ASSERT_EQ(q.defs.size(), 3u);
+    ASSERT_EQ(q.defs[0].path.steps.size(), 1u);
+    EXPECT_EQ(*q.defs[0].path.steps[0].constraint.word, "say\"/\"hi");
+    EXPECT_EQ(*q.defs[1].path.steps[0].constraint.regex, "[\"a]+\\d");
+    ASSERT_EQ(q.defs[2].atoms.size(), 3u);
+    EXPECT_EQ(*q.defs[2].atoms[1].elastic.regex, "q\"\\w+");
+    ASSERT_EQ(q.satisfying.size(), 1u);
+    EXPECT_EQ(q.satisfying[0].conditions[0].text, "a \"b\" \\ c");
+    ASSERT_EQ(q.excluding.size(), 1u);
+    EXPECT_EQ(q.excluding[0].text, "\\d\"");
+  };
+  auto parsed = ParseQuery(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  expect_fields(*parsed);
+  const std::string printed = QueryToString(*parsed);
+  auto reparsed = ParseQuery(printed);
+  ASSERT_TRUE(reparsed.ok()) << printed << "\n" << reparsed.status().ToString();
+  expect_fields(*reparsed);
+  EXPECT_EQ(QueryToString(*reparsed), printed);
 }
 
 TEST(CompileTest, ExampleFourOneNormalization) {

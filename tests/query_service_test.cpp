@@ -29,6 +29,10 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
+// The ontology set every ServeWorld engine registers, so MixedWorkload's
+// descriptors expand through one.
+const std::vector<std::string> kOntologySet = {"cake", "cheesecake", "pie"};
+
 // A corpus plus a serial one-shard reference engine and a K-shard engine
 // for the service under test.
 struct ServeWorld {
@@ -52,11 +56,15 @@ struct ServeWorld {
                                    &recognizer);
     sharded = std::make_unique<Engine>(&corpus, sharded_index.get(),
                                        &embeddings, &recognizer);
+    one->AddOntologySet(kOntologySet);
+    sharded->AddOntologySet(kOntologySet);
   }
 };
 
-// A mixed workload: path extraction, span alignment, entity + satisfying
-// clause (exercises the score cache), and a literal.
+// A mixed workload: path extraction, span alignment, a literal, and every
+// satisfying and excluding condition kind (exercises the score cache), so
+// concurrent clients compile and score each kind cold at the same time. One
+// `matches` pattern does not compile and so excludes nothing.
 std::vector<std::string> MixedWorkload() {
   return {
       R"(extract b:Str from "t" if ( /ROOT:{ a = //verb, b = a/dobj }))",
@@ -66,6 +74,18 @@ std::vector<std::string> MixedWorkload() {
       R"(extract e:Entity from "t" if ()
          satisfying e (e near "happy" {1}) with threshold 0.1)",
       R"(extract b:Str from "t" if ( /ROOT:{ a = //"happy", b = (a.subtree) }))",
+      R"(extract e:Entity from "t" if ()
+         satisfying e (e [["ate cake"]] {1}) with threshold 0.1)",
+      R"(extract e:Entity from "t" if ()
+         satisfying e ([["ate"]] e {1}) with threshold 0.1)",
+      R"(extract v:Str from "t" if ( /ROOT:{ v = //verb })
+         satisfying v (v SimilarTo "ate" {1}) with threshold 0.5)",
+      R"(extract e:Entity from "t" if ()
+         satisfying e (e "and" {0.5}) or ("with" e {0.5}) with threshold 0.4)",
+      R"(extract e:Entity from "t" if ()
+         satisfying e (str(e) mentions "a" {1}) with threshold 0.5
+         excluding (str(e) matches "[A-J].*") or (str(e) matches "([bad")
+                   or (str(e) in dict("GPE")))",
   };
 }
 
@@ -182,6 +202,7 @@ TEST(QueryServiceTest, ConcurrentClientsOverMappedIndexMatchSerial) {
   const EntityRecognizer& recognizer =
       const_cast<const Pipeline&>(world.pipeline).recognizer();
   Engine engine(&world.corpus, mapped->get(), &world.embeddings, &recognizer);
+  engine.AddOntologySet(kOntologySet);
 
   const std::vector<std::string> workload = MixedWorkload();
   std::vector<QueryResult> expected;
@@ -329,41 +350,6 @@ TEST(ScoreCacheTest, LookupInsertAndStats) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ScoreCacheTest, ClauseFingerprintSeparatesClauses) {
-  SatisfyingClause clause;
-  clause.var = "x";
-  clause.threshold = 0.5;
-  SatCondition cond;
-  cond.kind = SatCondition::Kind::kStrContains;
-  cond.var = "x";
-  cond.text = "Cafe";
-  cond.weight = 1.0;
-  clause.conditions.push_back(cond);
-
-  const uint64_t base = ScoreCache::ClauseFingerprint(clause);
-  EXPECT_EQ(ScoreCache::ClauseFingerprint(clause), base);  // deterministic
-
-  // The threshold gates rows after scoring; it must NOT change the key
-  // (same clause content -> shared warm scores).
-  SatisfyingClause other_threshold = clause;
-  other_threshold.threshold = 0.9;
-  EXPECT_EQ(ScoreCache::ClauseFingerprint(other_threshold), base);
-
-  // Anything that changes the score must change the key.
-  SatisfyingClause other_text = clause;
-  other_text.conditions[0].text = "Coffee";
-  EXPECT_NE(ScoreCache::ClauseFingerprint(other_text), base);
-  SatisfyingClause other_weight = clause;
-  other_weight.conditions[0].weight = 0.25;
-  EXPECT_NE(ScoreCache::ClauseFingerprint(other_weight), base);
-  SatisfyingClause other_kind = clause;
-  other_kind.conditions[0].kind = SatCondition::Kind::kStrMentions;
-  EXPECT_NE(ScoreCache::ClauseFingerprint(other_kind), base);
-  SatisfyingClause more_conditions = clause;
-  more_conditions.conditions.push_back(cond);
-  EXPECT_NE(ScoreCache::ClauseFingerprint(more_conditions), base);
 }
 
 TEST(ScoreCacheTest, ConcurrentInsertLookupIsSafe) {

@@ -164,36 +164,53 @@ TEST(RngTest, FromStringDiffers) {
 
 TEST(TimerTest, PhaseStatsAccumulate) {
   PhaseStats stats;
-  stats.Add("a", 1.5);
-  stats.Add("a", 0.5);
-  stats.Add("b", 1.0);
-  EXPECT_DOUBLE_EQ(stats.Get("a"), 2.0);
+  stats.Add(Phase::kDpli, 1.5);
+  stats.Add(Phase::kDpli, 0.5);
+  stats.Add(Phase::kExtract, 1.0);
+  EXPECT_DOUBLE_EQ(stats.Get(Phase::kDpli), 2.0);
+  EXPECT_DOUBLE_EQ(stats.Get("DPLI"), 2.0);
   EXPECT_DOUBLE_EQ(stats.Total(), 3.0);
+  EXPECT_DOUBLE_EQ(stats.Get(Phase::kNormalize), 0.0);
   EXPECT_DOUBLE_EQ(stats.Get("missing"), 0.0);
+}
+
+TEST(TimerTest, PhaseNamesRoundTrip) {
+  PhaseStats stats;
+  for (size_t i = 0; i < kNumPhases; ++i) {
+    stats.Add(static_cast<Phase>(i), static_cast<double>(i + 1));
+  }
+  for (size_t i = 0; i < kNumPhases; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    EXPECT_DOUBLE_EQ(stats.Get(PhaseName(phase)), static_cast<double>(i + 1))
+        << PhaseName(phase);
+  }
+  EXPECT_DOUBLE_EQ(stats.Total(), 1 + 2 + 3 + 5 + 6);  // all but GSP's 4
 }
 
 TEST(TimerTest, ScopedPhaseCharges) {
   PhaseStats stats;
   {
-    ScopedPhase phase(&stats, "x");
+    ScopedPhase phase(&stats, Phase::kExtract);
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   }
-  EXPECT_GT(stats.Get("x"), 0.0);
+  EXPECT_GT(stats.Get(Phase::kExtract), 0.0);
 }
 
-TEST(TimerTest, NestedScopedPhaseIsNotCountedTwice) {
+// GSP is a sub-phase of extract: its time lies inside extract's, so the
+// total leaves it out.
+TEST(TimerTest, GspIsNotCountedTwice) {
   PhaseStats stats;
   {
-    ScopedPhase outer(&stats, "outer");
-    ScopedPhase inner(&stats, "inner");
+    ScopedPhase outer(&stats, Phase::kExtract);
+    ScopedPhase inner(&stats, Phase::kGsp);
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   }
-  stats.Add("added", 1.0);
-  EXPECT_GT(stats.Get("inner"), 0.0);
-  EXPECT_LE(stats.Get("inner"), stats.Get("outer"));
-  EXPECT_DOUBLE_EQ(stats.Total(), stats.Get("outer") + 1.0);
+  stats.Add(Phase::kSatisfying, 1.0);
+  EXPECT_GT(stats.Get(Phase::kGsp), 0.0);
+  EXPECT_LE(stats.Get(Phase::kGsp), stats.Get(Phase::kExtract));
+  EXPECT_DOUBLE_EQ(stats.Total(), stats.Get(Phase::kExtract) + 1.0);
 }
 
 TEST(TimerTest, WallTimerMonotone) {
