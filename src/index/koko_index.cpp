@@ -615,12 +615,6 @@ size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
 
 // ---- Persistence ------------------------------------------------------------
 
-Status KokoIndex::Save(BinaryWriter* writer) const {
-  writer->WriteBytes(image_span_.data(), image_span_.size());
-  if (!writer->ok()) return Status::IoError("index write failure");
-  return Status::OK();
-}
-
 Status KokoIndex::Dictionary::Read(SpanReader* reader, size_t num_rows,
                                    const char* what) {
   KOKO_ASSIGN_OR_RETURN(key_offsets, reader->ReadU32Array());

@@ -198,10 +198,10 @@ class KokoIndex {
   /// reported next to SidCacheMemoryUsage.
   size_t SidCacheDecodedEquivalentBytes() const;
 
-  /// Writes the index's image (format v5, docs/INDEX_FORMAT.md) verbatim
-  /// to a stream — one shard's section of a ShardedKokoIndex file — so a
+  /// The index's image (format v5, docs/INDEX_FORMAT.md): one shard's
+  /// section of a ShardedKokoIndex file, which Save writes verbatim, so a
   /// loaded index re-saves byte-identically.
-  Status Save(BinaryWriter* writer) const;
+  MemorySpan image() const { return image_span_; }
 
   /// Loads the image occupying `span` inside `file` (one shard's extent of
   /// a ShardedKokoIndex file): validates every section, then aliases it in

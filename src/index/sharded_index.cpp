@@ -148,39 +148,30 @@ bool ShardedKokoIndex::mapped() const {
 }
 
 Status ShardedKokoIndex::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  BinaryWriter writer(&out);
+  // The manifest (ranges + byte extents) precedes all images so Load can
+  // fan out without a second pass over the file. Each extent is its
+  // shard's image size, known before writing, so the images then go to
+  // disk verbatim, never copied in memory.
+  std::vector<uint8_t> manifest;
+  ByteWriter writer(&manifest);
   writer.WriteU32(kShardedMagic);
   writer.WriteU32(kShardedVersion);
   writer.WriteU32(static_cast<uint32_t>(shards_.size()));
-  // The manifest (ranges + byte extents) precedes all images so Load can
-  // fan out without a second pass over the file. Extents are written as
-  // placeholders, the images streamed straight to disk (never buffered in
-  // memory), then backpatched from the recorded stream positions.
-  std::vector<std::streampos> extent_at(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     writer.WriteU32(ranges_[i].begin);
     writer.WriteU32(ranges_[i].end);
-    extent_at[i] = out.tellp();
-    writer.WriteU64(0);
+    writer.WriteU64(shards_[i]->image().size());
   }
-  std::vector<uint64_t> extents(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::streampos begin = out.tellp();
-    KOKO_RETURN_IF_ERROR(shards_[i]->Save(&writer));
-    const std::streampos end = out.tellp();
-    if (begin == std::streampos(-1) || end == std::streampos(-1)) {
-      return Status::IoError("cannot track shard extents on " + path);
-    }
-    extents[i] = static_cast<uint64_t>(end - begin);
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    out.seekp(extent_at[i]);
-    writer.WriteU64(extents[i]);
-  }
-  out.seekp(0, std::ios::end);
-  if (!writer.ok()) return Status::IoError("write failure on " + path);
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  auto write = [&out](MemorySpan bytes) {
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  write(MemorySpan(manifest.data(), manifest.size()));
+  for (const auto& shard : shards_) write(shard->image());
+  out.close();
+  if (!out) return Status::IoError("write failure on " + path);
   return Status::OK();
 }
 
@@ -227,6 +218,9 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
     }
     spans[i] = *image->span().Slice(cursor, static_cast<size_t>(extents[i]));
     cursor += static_cast<size_t>(extents[i]);
+  }
+  if (cursor != image->size()) {
+    return Status::ParseError("bytes after the last shard image");
   }
   index->shards_.resize(k);
 

@@ -1,5 +1,7 @@
 #include "koko/printer.h"
 
+#include <array>
+#include <charconv>
 #include <limits>
 
 #include "koko/explain.h"
@@ -8,6 +10,15 @@
 namespace koko {
 
 namespace {
+
+// The shortest fixed-point form that parses back to exactly `value` (the
+// query lexer reads no exponent): 0.9004 prints as "0.9004", 1 as "1".
+std::string FormatNumber(double value) {
+  std::array<char, 512> buf;  // fits every finite double in fixed form
+  const auto result = std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                                    std::chars_format::fixed);
+  return std::string(buf.data(), result.ptr);
+}
 
 std::string ElasticToString(const ElasticSpec& spec) {
   std::vector<std::string> conds;
@@ -90,10 +101,10 @@ std::string QueryToString(const Query& query) {
     std::vector<std::string> conds;
     for (const SatCondition& cond : clause.conditions) {
       conds.push_back("  (" + SatConditionToString(cond) + " {" +
-                      FormatDouble(cond.weight, 3) + "})");
+                      FormatNumber(cond.weight) + "})");
     }
     out += Join(conds, " or\n");
-    out += "\nwith threshold " + FormatDouble(clause.threshold, 3);
+    out += "\nwith threshold " + FormatNumber(clause.threshold);
   }
   if (!query.excluding.empty()) {
     out += "\nexcluding\n";

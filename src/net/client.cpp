@@ -17,15 +17,11 @@ Status KokoClient::SendRaw(const std::vector<uint8_t>& bytes) {
 }
 
 Result<std::pair<FrameHeader, std::vector<uint8_t>>> KokoClient::ReadFrame() {
-  std::vector<uint8_t> header(kFrameHeaderSize);
-  KOKO_RETURN_IF_ERROR(socket_.ReadFully(header.data(), header.size()));
-  KOKO_ASSIGN_OR_RETURN(FrameHeader frame,
-                        DecodeFrameHeader(header.data(), header.size()));
-  std::vector<uint8_t> payload(frame.payload_len);
-  if (frame.payload_len > 0) {
-    KOKO_RETURN_IF_ERROR(socket_.ReadFully(payload.data(), payload.size()));
-  }
-  return std::make_pair(frame, std::move(payload));
+  std::vector<uint8_t> payload;
+  KOKO_ASSIGN_OR_RETURN(
+      FrameHeader header,
+      net::ReadFrame(&socket_, FrameReader::kClient, &payload));
+  return std::make_pair(header, std::move(payload));
 }
 
 Result<WireResult> KokoClient::Query(const NetRequest& request) {
@@ -81,8 +77,8 @@ Result<WireResult> KokoClient::Query(const NetRequest& request) {
         result.status = Status(error.code, error.message);
         return result;
       }
-      case FrameType::kRequest:
-        return Status::ParseError("server sent a request frame");
+      case FrameType::kRequest:  // ReadFrame rejects it
+        return Status::Internal("request frame read by a client");
     }
   }
 }

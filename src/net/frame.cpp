@@ -1,118 +1,24 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include <bit>
+#include <utility>
+
+#include "net/socket.h"
+#include "storage/serde.h"
 
 namespace koko {
 namespace net {
 
 namespace {
 
-// ---- Little-endian append helpers ------------------------------------------
-
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
-
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v & 0xff));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// Moves a read's value into `out`; false when the read ran past the
+// payload, which each decoder reports as a truncated payload.
+template <typename T>
+bool Take(Result<T> read, T* out) {
+  if (!read.ok()) return false;
+  *out = std::move(*read);
+  return true;
 }
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<uint8_t>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<uint8_t>((v >> shift) & 0xff));
-  }
-}
-
-void PutString(const std::string& s, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void PutDoubleBits(double v, std::vector<uint8_t>* out) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-// ---- Bounds-checked reader -------------------------------------------------
-
-/// Sequential reader over one payload. Every Read* returns false instead of
-/// reading past `size`; decoders translate that into ParseError. No method
-/// ever reads a byte it was not handed.
-class PayloadReader {
- public:
-  PayloadReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
-
-  bool ReadU8(uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-
-  bool ReadU16(uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    if (remaining() < 8) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  /// Length-prefixed string; the prefix is validated against the bytes
-  /// actually remaining, so a hostile length cannot trigger a huge
-  /// allocation or an out-of-bounds read.
-  bool ReadString(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (len > remaining()) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  bool ReadDoubleBits(double* v) {
-    uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 Status Truncated(const char* what) {
   return Status::ParseError(std::string("truncated ") + what + " payload");
@@ -133,20 +39,21 @@ bool ValidStatusCode(uint8_t code) {
 
 void AppendFrameHeader(FrameType type, uint32_t payload_len,
                        std::vector<uint8_t>* out) {
-  PutU16(kWireMagic, out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(type), out);
-  PutU32(payload_len, out);
+  ByteWriter writer(out);
+  writer.WriteU16(kWireMagic);
+  writer.WriteU8(kWireVersion);
+  writer.WriteU8(static_cast<uint8_t>(type));
+  writer.WriteU32(payload_len);
 }
 
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   uint16_t magic = 0;
   uint8_t version = 0;
   uint8_t type = 0;
   uint32_t payload_len = 0;
-  if (!reader.ReadU16(&magic) || !reader.ReadU8(&version) ||
-      !reader.ReadU8(&type) || !reader.ReadU32(&payload_len)) {
+  if (!Take(reader.ReadU16(), &magic) || !Take(reader.ReadU8(), &version) ||
+      !Take(reader.ReadU8(), &type) || !Take(reader.ReadU32(), &payload_len)) {
     return Truncated("frame header");
   }
   if (magic != kWireMagic) {
@@ -171,59 +78,84 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size) {
   return header;
 }
 
+Result<FrameHeader> ReadFrame(Socket* socket, FrameReader reader,
+                              std::vector<uint8_t>* payload) {
+  uint8_t bytes[kFrameHeaderSize];
+  KOKO_RETURN_IF_ERROR(socket->ReadFully(bytes, sizeof(bytes)));
+  KOKO_ASSIGN_OR_RETURN(FrameHeader header,
+                        DecodeFrameHeader(bytes, sizeof(bytes)));
+  if ((header.type == FrameType::kRequest) !=
+      (reader == FrameReader::kServer)) {
+    return Status::ParseError(reader == FrameReader::kServer
+                                  ? "unexpected frame type (want request)"
+                                  : "server sent a request frame");
+  }
+  payload->resize(header.payload_len);
+  if (header.payload_len > 0) {
+    KOKO_RETURN_IF_ERROR(socket->ReadFully(payload->data(), payload->size()));
+  }
+  return header;
+}
+
 // ---- Encoders --------------------------------------------------------------
 
 std::vector<uint8_t> EncodeRequest(const NetRequest& request) {
   std::vector<uint8_t> out;
-  PutString(request.query_text, &out);
-  PutU64(request.max_rows, &out);
+  ByteWriter writer(&out);
+  writer.WriteString(request.query_text);
+  writer.WriteU64(request.max_rows);
   uint8_t flags = 0;
   if (request.streaming) flags |= kReqFlagStreaming;
-  if (!request.use_planner) flags |= kReqFlagPlannerOff;
   if (!request.allow_batch) flags |= kReqFlagNoBatch;
-  PutU8(flags, &out);
+  writer.WriteU8(flags);
   return out;
 }
 
 std::vector<uint8_t> EncodeHeaderPayload(
     const std::vector<std::string>& output_names) {
   std::vector<uint8_t> out;
-  PutU32(static_cast<uint32_t>(output_names.size()), &out);
-  for (const std::string& name : output_names) PutString(name, &out);
+  ByteWriter writer(&out);
+  writer.WriteU32(static_cast<uint32_t>(output_names.size()));
+  for (const std::string& name : output_names) writer.WriteString(name);
   return out;
 }
 
 std::vector<uint8_t> EncodeRowsPayload(const std::vector<ResultRow>& rows,
                                        size_t begin, size_t count) {
   std::vector<uint8_t> out;
-  PutU32(static_cast<uint32_t>(count), &out);
+  ByteWriter writer(&out);
+  writer.WriteU32(static_cast<uint32_t>(count));
   for (size_t i = begin; i < begin + count; ++i) {
     const ResultRow& row = rows[i];
-    PutU32(row.doc, &out);
-    PutU32(row.sid, &out);
-    PutU16(static_cast<uint16_t>(row.values.size()), &out);
-    PutU16(static_cast<uint16_t>(row.scores.size()), &out);
-    for (const std::string& value : row.values) PutString(value, &out);
-    for (double score : row.scores) PutDoubleBits(score, &out);
+    writer.WriteU32(row.doc);
+    writer.WriteU32(row.sid);
+    writer.WriteU16(static_cast<uint16_t>(row.values.size()));
+    writer.WriteU16(static_cast<uint16_t>(row.scores.size()));
+    for (const std::string& value : row.values) writer.WriteString(value);
+    for (double score : row.scores) {
+      writer.WriteU64(std::bit_cast<uint64_t>(score));
+    }
   }
   return out;
 }
 
 std::vector<uint8_t> EncodeDonePayload(const NetDone& done) {
   std::vector<uint8_t> out;
-  PutU64(done.rows, &out);
-  PutU64(done.candidate_sentences, &out);
-  PutU64(done.scanned_candidates, &out);
-  PutU8(done.early_terminated ? 1 : 0, &out);
-  PutU8(done.batched ? 1 : 0, &out);
+  ByteWriter writer(&out);
+  writer.WriteU64(done.rows);
+  writer.WriteU64(done.candidate_sentences);
+  writer.WriteU64(done.scanned_candidates);
+  writer.WriteU8(done.early_terminated ? 1 : 0);
+  writer.WriteU8(done.batched ? 1 : 0);
   return out;
 }
 
 std::vector<uint8_t> EncodeErrorPayload(StatusCode code,
                                         const std::string& message) {
   std::vector<uint8_t> out;
-  PutU8(static_cast<uint8_t>(code), &out);
-  PutString(message, &out);
+  ByteWriter writer(&out);
+  writer.WriteU8(static_cast<uint8_t>(code));
+  writer.WriteString(message);
   return out;
 }
 
@@ -239,101 +171,94 @@ std::vector<uint8_t> EncodeFrame(FrameType type,
 // ---- Decoders --------------------------------------------------------------
 
 Result<NetRequest> DecodeRequest(const uint8_t* data, size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   NetRequest request;
-  if (!reader.ReadString(&request.query_text)) return Truncated("request");
   uint8_t flags = 0;
-  if (!reader.ReadU64(&request.max_rows) || !reader.ReadU8(&flags)) {
+  if (!Take(reader.ReadString(), &request.query_text) ||
+      !Take(reader.ReadU64(), &request.max_rows) ||
+      !Take(reader.ReadU8(), &flags)) {
     return Truncated("request");
   }
-  if (!reader.exhausted()) return Trailing("request");
-  if ((flags & ~(kReqFlagStreaming | kReqFlagPlannerOff | kReqFlagNoBatch)) !=
-      0) {
+  if (reader.remaining() != 0) return Trailing("request");
+  if ((flags & ~(kReqFlagStreaming | kReqFlagNoBatch)) != 0) {
     return Status::ParseError("request carries unknown flag bits");
   }
   if (request.query_text.empty()) {
     return Status::ParseError("request query text is empty");
   }
   request.streaming = (flags & kReqFlagStreaming) != 0;
-  request.use_planner = (flags & kReqFlagPlannerOff) == 0;
   request.allow_batch = (flags & kReqFlagNoBatch) == 0;
   return request;
 }
 
 Result<std::vector<std::string>> DecodeHeaderPayload(const uint8_t* data,
                                                      size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   uint32_t count = 0;
-  if (!reader.ReadU32(&count)) return Truncated("header");
+  if (!Take(reader.ReadU32(), &count)) return Truncated("header");
   // Each name costs at least its 4-byte length prefix; a count the payload
   // cannot back is rejected before any allocation.
   if (count > reader.remaining() / 4) {
     return Status::ParseError("header column count exceeds payload capacity");
   }
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    if (!reader.ReadString(&name)) return Truncated("header");
-    names.push_back(std::move(name));
+  std::vector<std::string> names(count);
+  for (std::string& name : names) {
+    if (!Take(reader.ReadString(), &name)) return Truncated("header");
   }
-  if (!reader.exhausted()) return Trailing("header");
+  if (reader.remaining() != 0) return Trailing("header");
   return names;
 }
 
 Result<std::vector<ResultRow>> DecodeRowsPayload(const uint8_t* data,
                                                  size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   uint32_t count = 0;
-  if (!reader.ReadU32(&count)) return Truncated("rows");
+  if (!Take(reader.ReadU32(), &count)) return Truncated("rows");
   // A row costs at least doc + sid + the two element counts (12 bytes).
   if (count > reader.remaining() / 12) {
     return Status::ParseError("rows count exceeds payload capacity");
   }
-  std::vector<ResultRow> rows;
-  rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ResultRow row;
+  std::vector<ResultRow> rows(count);
+  for (ResultRow& row : rows) {
     uint16_t num_values = 0;
     uint16_t num_scores = 0;
-    if (!reader.ReadU32(&row.doc) || !reader.ReadU32(&row.sid) ||
-        !reader.ReadU16(&num_values) || !reader.ReadU16(&num_scores)) {
+    if (!Take(reader.ReadU32(), &row.doc) ||
+        !Take(reader.ReadU32(), &row.sid) ||
+        !Take(reader.ReadU16(), &num_values) ||
+        !Take(reader.ReadU16(), &num_scores)) {
       return Truncated("rows");
     }
     if (num_values > reader.remaining() / 4 ||
         num_scores > reader.remaining() / 8) {
       return Status::ParseError("row element count exceeds payload capacity");
     }
-    row.values.reserve(num_values);
-    for (uint16_t v = 0; v < num_values; ++v) {
-      std::string value;
-      if (!reader.ReadString(&value)) return Truncated("rows");
-      row.values.push_back(std::move(value));
+    row.values.resize(num_values);
+    for (std::string& value : row.values) {
+      if (!Take(reader.ReadString(), &value)) return Truncated("rows");
     }
-    row.scores.reserve(num_scores);
-    for (uint16_t s = 0; s < num_scores; ++s) {
-      double score = 0;
-      if (!reader.ReadDoubleBits(&score)) return Truncated("rows");
-      row.scores.push_back(score);
+    row.scores.resize(num_scores);
+    for (double& score : row.scores) {
+      uint64_t bits = 0;
+      if (!Take(reader.ReadU64(), &bits)) return Truncated("rows");
+      score = std::bit_cast<double>(bits);
     }
-    rows.push_back(std::move(row));
   }
-  if (!reader.exhausted()) return Trailing("rows");
+  if (reader.remaining() != 0) return Trailing("rows");
   return rows;
 }
 
 Result<NetDone> DecodeDonePayload(const uint8_t* data, size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   NetDone done;
   uint8_t early = 0;
   uint8_t batched = 0;
-  if (!reader.ReadU64(&done.rows) ||
-      !reader.ReadU64(&done.candidate_sentences) ||
-      !reader.ReadU64(&done.scanned_candidates) || !reader.ReadU8(&early) ||
-      !reader.ReadU8(&batched)) {
+  if (!Take(reader.ReadU64(), &done.rows) ||
+      !Take(reader.ReadU64(), &done.candidate_sentences) ||
+      !Take(reader.ReadU64(), &done.scanned_candidates) ||
+      !Take(reader.ReadU8(), &early) || !Take(reader.ReadU8(), &batched)) {
     return Truncated("done");
   }
-  if (!reader.exhausted()) return Trailing("done");
+  if (reader.remaining() != 0) return Trailing("done");
   if (early > 1 || batched > 1) {
     return Status::ParseError("done payload has non-boolean flag byte");
   }
@@ -343,13 +268,14 @@ Result<NetDone> DecodeDonePayload(const uint8_t* data, size_t size) {
 }
 
 Result<NetError> DecodeErrorPayload(const uint8_t* data, size_t size) {
-  PayloadReader reader(data, size);
+  SpanReader reader(MemorySpan(data, size));
   uint8_t code = 0;
   NetError error;
-  if (!reader.ReadU8(&code) || !reader.ReadString(&error.message)) {
+  if (!Take(reader.ReadU8(), &code) ||
+      !Take(reader.ReadString(), &error.message)) {
     return Truncated("error");
   }
-  if (!reader.exhausted()) return Trailing("error");
+  if (reader.remaining() != 0) return Trailing("error");
   if (!ValidStatusCode(code) || code == static_cast<uint8_t>(StatusCode::kOk)) {
     return Status::ParseError("error payload carries invalid status code " +
                               std::to_string(code));

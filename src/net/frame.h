@@ -11,6 +11,8 @@
 namespace koko {
 namespace net {
 
+class Socket;
+
 /// \file The KOKO wire protocol: a length-prefixed binary framing over one
 /// byte stream (docs/WIRE_PROTOCOL.md is the normative description).
 ///
@@ -23,9 +25,11 @@ namespace net {
 ///     4       4     payload_len  little-endian u32, <= kMaxFramePayload
 ///
 /// All integers are little-endian; doubles travel as the raw IEEE-754 bit
-/// pattern in a u64. The codec is pure (bytes in, values out) so the
-/// adversarial suites (tests/net_protocol_test.cpp, net_fuzz_test.cpp) can
-/// hammer it without sockets: every decoder bounds-checks each read against
+/// pattern in a u64. Bytes are written and read through storage/serde.h's
+/// ByteWriter and SpanReader. The codec is pure (bytes in, values out;
+/// ReadFrame alone touches a socket) so the adversarial suites
+/// (tests/net_protocol_test.cpp, net_fuzz_test.cpp) can hammer it without
+/// sockets: every decoder bounds-checks each read against
 /// the payload it was handed, rejects trailing garbage, and caps every
 /// element count by the bytes that could possibly back it, so no input —
 /// truncated, oversized, or random — reads out of bounds or allocates
@@ -65,9 +69,9 @@ struct FrameHeader {
 
 inline constexpr size_t kFrameHeaderSize = 8;
 
-/// Request flag bits (NetRequest::flags on the wire).
+/// Request flag bits (NetRequest::flags on the wire). Bit 1 is reserved:
+/// a request that sets it is rejected like any other unknown bit.
 inline constexpr uint8_t kReqFlagStreaming = 1u << 0;  ///< chunk rows early
-inline constexpr uint8_t kReqFlagPlannerOff = 1u << 1;
 inline constexpr uint8_t kReqFlagNoBatch = 1u << 2;    ///< opt out of coalescing
 
 /// One query request as it travels the wire.
@@ -77,7 +81,6 @@ struct NetRequest {
   /// max_rows with streaming early termination).
   uint64_t max_rows = 0;
   bool streaming = false;
-  bool use_planner = true;
   /// When false the server must not coalesce this request into a batch
   /// group (it still executes normally).
   bool allow_batch = true;
@@ -113,6 +116,18 @@ void AppendFrameHeader(FrameType type, uint32_t payload_len,
 /// payload_len <= kMaxFramePayload. `data` must hold at least
 /// kFrameHeaderSize bytes.
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size);
+
+/// The end of a connection that reads a frame: a server receives only
+/// kRequest frames, a client every type but kRequest.
+enum class FrameReader : uint8_t { kServer, kClient };
+
+/// Reads one frame from `socket`: the header, validated by
+/// DecodeFrameHeader and checked against `reader`, then its payload into
+/// `payload`. A bad header or a frame `reader` does not receive fails with
+/// ParseError before any payload byte is read (the stream cannot be
+/// resynchronized); a closed or broken socket returns ReadFully's error.
+Result<FrameHeader> ReadFrame(Socket* socket, FrameReader reader,
+                              std::vector<uint8_t>* payload);
 
 // ---- Payload encoders ------------------------------------------------------
 

@@ -18,7 +18,6 @@ QueryService::RunOverrides OverridesFor(const NetRequest& request) {
   if (request.max_rows > 0) {
     overrides.max_rows = static_cast<size_t>(request.max_rows);
   }
-  overrides.use_planner = request.use_planner;
   return overrides;
 }
 
@@ -131,42 +130,30 @@ bool KokoServer::SendError(Socket* socket, StatusCode code,
 }
 
 void KokoServer::ServeConnection(Conn* conn) {
-  std::vector<uint8_t> header(kFrameHeaderSize);
   std::vector<uint8_t> payload;
   while (true) {
     {
       MutexLock lock(mu_);
       if (stopping_) break;
     }
-    const Status read = conn->socket.ReadFully(header.data(), header.size());
-    if (!read.ok()) break;  // clean EOF, peer reset, or Stop()'s Unblock
-    auto frame = DecodeFrameHeader(header.data(), header.size());
-    if (!frame.ok() || frame->type != FrameType::kRequest) {
-      // The stream cannot be resynchronized after a bad or unexpected
-      // header; answer with one error frame and close.
-      {
-        MutexLock lock(mu_);
-        ++protocol_errors_;
-      }
-      SendError(&conn->socket, StatusCode::kParseError,
-                frame.ok() ? "unexpected frame type (want request)"
-                           : frame.status().message());
-      break;
-    }
-    payload.resize(frame->payload_len);
-    if (frame->payload_len > 0 &&
-        !conn->socket.ReadFully(payload.data(), payload.size()).ok()) {
-      break;
-    }
-    auto request = DecodeRequest(payload.data(), payload.size());
+    auto frame = ReadFrame(&conn->socket, FrameReader::kServer, &payload);
+    Result<NetRequest> request =
+        frame.ok() ? DecodeRequest(payload.data(), payload.size())
+                   : Result<NetRequest>(frame.status());
     if (!request.ok()) {
-      {
-        MutexLock lock(mu_);
-        ++protocol_errors_;
+      // Clean EOF, peer reset and Stop()'s Unblock just end the
+      // connection. A bad header cannot be resynchronized, and a request
+      // that does not decode means the peer speaks garbage: answer either
+      // with one error frame and close.
+      if (request.status().code() == StatusCode::kParseError) {
+        {
+          MutexLock lock(mu_);
+          ++protocol_errors_;
+        }
+        SendError(&conn->socket, StatusCode::kParseError,
+                  request.status().message());
       }
-      SendError(&conn->socket, StatusCode::kParseError,
-                request.status().message());
-      break;  // framing intact but the peer speaks garbage: close
+      break;
     }
     if (!HandleRequest(conn, *request)) break;
   }
@@ -234,8 +221,7 @@ bool KokoServer::HandleRequest(Conn* conn, const NetRequest& request) {
   };
   if (request.allow_batch) {
     const uint64_t fingerprint =
-        RequestFingerprint(request.query_text, request.max_rows,
-                           request.use_planner);
+        RequestFingerprint(request.query_text, request.max_rows);
     BatchExecutor::Outcome outcome = batcher_.Run(fingerprint, execute);
     shared = std::move(outcome.result);
     follower = outcome.follower;

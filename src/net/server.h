@@ -34,8 +34,8 @@ namespace net {
 /// threads are reaped on the next accept.
 ///
 /// **Batch admission.** Concurrently-arriving requests whose execution
-/// fingerprints match (query text bytes + row cap + planner toggle —
-/// RequestFingerprint, serve/batcher.h) are grouped behind one execution:
+/// fingerprints match (query text bytes + row cap — RequestFingerprint,
+/// serve/batcher.h) are grouped behind one execution:
 /// one leader runs DPLI/plan/score once, followers wait and share the
 /// leader's rows. Responses mark `batched` in the kDone frame. A request
 /// opts out with kReqFlagNoBatch (NetRequest::allow_batch = false).

@@ -60,12 +60,8 @@ BatchExecutor::Stats BatchExecutor::stats() const {
   return stats;
 }
 
-uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows,
-                            bool use_planner) {
-  uint64_t h = Fnv1a64(query_text);
-  h = HashCombine(h, Mix64(max_rows + 1));
-  h = HashCombine(h, Mix64(use_planner ? 2 : 1));
-  return h;
+uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows) {
+  return HashCombine(Fnv1a64(query_text), Mix64(max_rows + 1));
 }
 
 }  // namespace koko

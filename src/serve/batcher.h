@@ -34,7 +34,7 @@ namespace koko {
 /// the contract therefore hinges on the fingerprint: two requests may only
 /// share a fingerprint when their executions would be byte-identical.
 /// `RequestFingerprint` hashes the request's query text byte for byte
-/// together with every execution-relevant option (row cap, planner toggle).
+/// together with every execution-relevant option (the row cap).
 /// It hashes no printed form of the parsed query: a printout may round
 /// numbers, so two texts that execute differently could print alike. The
 /// row cap in particular must be part of the key: a capped run truncates
@@ -91,8 +91,7 @@ class BatchExecutor {
 /// Execution fingerprint of one wire request: the bytes of its query text
 /// combined with every option that can change the result bytes. `max_rows`
 /// 0 means unlimited.
-uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows,
-                            bool use_planner);
+uint64_t RequestFingerprint(std::string_view query_text, uint64_t max_rows);
 
 }  // namespace koko
 

@@ -2,7 +2,7 @@
 
 #include <fstream>
 #include <memory>
-#include <sstream>
+#include <string_view>
 
 #include "storage/serde.h"
 #include "util/mmap_file.h"
@@ -10,9 +10,15 @@
 
 namespace koko {
 
+namespace {
+
+constexpr uint32_t kStoreMagic = 0x4b444f43;  // "CODK"
+
+}  // namespace
+
 std::string DocumentStore::SerializeDocument(const Document& doc) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  std::string out;
+  ByteWriter w(&out);
   w.WriteU32(doc.id);
   w.WriteString(doc.title);
   w.WriteU32(static_cast<uint32_t>(doc.sentences.size()));
@@ -33,7 +39,7 @@ std::string DocumentStore::SerializeDocument(const Document& doc) {
       w.WriteU8(static_cast<uint8_t>(e.type));
     }
   }
-  return out.str();
+  return out;
 }
 
 namespace {
@@ -137,6 +143,9 @@ Result<Document> DocumentStore::DeserializeDocument(const std::string& blob) {
     }
     KOKO_RETURN_IF_ERROR(CheckTree(&s));
   }
+  if (r.remaining() != 0) {
+    return Corrupt("trailing bytes after the last sentence");
+  }
   return doc;
 }
 
@@ -165,11 +174,24 @@ size_t DocumentStore::TotalBytes() const {
 Status DocumentStore::SaveToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  BinaryWriter w(&out);
-  w.WriteU32(0x4b444f43);  // "CODK"
+  auto write = [&out](std::string_view bytes) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  // Each blob's length prefix goes through `prefix`, the blob itself
+  // straight to the file.
+  std::string prefix;
+  ByteWriter w(&prefix);
+  w.WriteU32(kStoreMagic);
   w.WriteU32(static_cast<uint32_t>(blobs_.size()));
-  for (const auto& blob : blobs_) w.WriteString(blob);
-  if (!w.ok()) return Status::IoError("write failure on " + path);
+  write(prefix);
+  for (const auto& blob : blobs_) {
+    prefix.clear();
+    w.WriteU32(static_cast<uint32_t>(blob.size()));
+    write(prefix);
+    write(blob);
+  }
+  out.close();
+  if (!out) return Status::IoError("write failure on " + path);
   return Status::OK();
 }
 
@@ -178,7 +200,7 @@ Status DocumentStore::LoadFromFile(const std::string& path) {
                         MappedFile::Read(path));
   SpanReader r(file->span());
   const Result<uint32_t> magic = r.ReadU32();
-  if (!magic.ok() || *magic != 0x4b444f43) {
+  if (!magic.ok() || *magic != kStoreMagic) {
     return Status::ParseError("bad doc-store magic");
   }
   // Every blob takes at least its u32 length prefix.

@@ -38,8 +38,8 @@ class DocumentStore {
 
   /// Standalone (de)serialisation helpers, also used in tests.
   /// DeserializeDocument fails with ParseError on a count beyond the
-  /// blob, an out-of-range enum, head, entity span or entity id, or heads
-  /// that do not form one tree.
+  /// blob, an out-of-range enum, head, entity span or entity id, heads
+  /// that do not form one tree, or bytes after the last sentence.
   static std::string SerializeDocument(const Document& doc);
   static Result<Document> DeserializeDocument(const std::string& blob);
 

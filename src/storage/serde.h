@@ -1,55 +1,65 @@
 #ifndef KOKO_STORAGE_SERDE_H_
 #define KOKO_STORAGE_SERDE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace koko {
 
-/// \brief Little-endian binary writer over an std::ostream.
+// Every fixed-width integer below is copied in host byte order; the wire
+// frames, document blobs and index files are little-endian by definition.
+static_assert(std::endian::native == std::endian::little,
+              "serde.h writes and reads little-endian integers");
+
+/// \brief Appends little-endian fixed-width integers and length-prefixed
+/// strings to a byte buffer (`std::string` or `std::vector<uint8_t>`).
 ///
-/// The persistence format of the document store and the sharded index
-/// manifest: fixed-width integers, length-prefixed strings. Deliberately
+/// The one encoder of the wire frames (net/frame.h), the document blobs and
+/// the sharded index manifest; SpanReader reads all three back. Deliberately
 /// simple — the paper persists its indices in PostgreSQL; here a flat
 /// binary image plays that role.
-class BinaryWriter {
+template <typename Bytes>
+class ByteWriter {
  public:
-  explicit BinaryWriter(std::ostream* out) : out_(out) {}
+  explicit ByteWriter(Bytes* out) : out_(out) {}
 
-  void WriteU8(uint8_t v) { out_->write(reinterpret_cast<const char*>(&v), 1); }
-  void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteI64(int64_t v) { WriteRaw(&v, sizeof(v)); }
+  void WriteU8(uint8_t v) { out_->push_back(static_cast<Char>(v)); }
+  void WriteU16(uint16_t v) { WriteBytes(&v, sizeof(v)); }
+  void WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
+  void WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }
+  void WriteI64(int64_t v) { WriteBytes(&v, sizeof(v)); }
 
-  void WriteString(const std::string& s) {
+  /// u32 length, then the bytes.
+  void WriteString(std::string_view s) {
     WriteU32(static_cast<uint32_t>(s.size()));
-    out_->write(s.data(), static_cast<std::streamsize>(s.size()));
+    WriteBytes(s.data(), s.size());
   }
 
-  /// Raw bytes, no length prefix (an index image written verbatim).
+  /// Raw bytes, no length prefix.
   void WriteBytes(const void* data, size_t size) {
-    if (size > 0) WriteRaw(data, size);
+    if (size == 0) return;
+    const size_t at = out_->size();
+    out_->resize(at + size);
+    std::memcpy(out_->data() + at, data, size);
   }
-
-  bool ok() const { return out_->good(); }
 
  private:
-  void WriteRaw(const void* data, size_t size) {
-    out_->write(reinterpret_cast<const char*>(data),
-                static_cast<std::streamsize>(size));
-  }
-  std::ostream* out_;
+  using Char = typename Bytes::value_type;
+  static_assert(sizeof(Char) == 1);
+
+  Bytes* out_;
 };
 
 /// \brief Bounds-checked reader over a MemorySpan that can hand out *views*
 /// instead of copies.
 ///
-/// Reads BinaryWriter's format and the index image's: scalar reads and
+/// Reads ByteWriter's format and the index image's: scalar reads and
 /// strings copy as usual, but arrays and byte blobs come back as
 /// `U32View`/`MemorySpan` aliases into the underlying span (the caller owns
 /// the backing memory — typically a MappedFile — and must keep it alive).
@@ -68,21 +78,9 @@ class SpanReader {
     return span_.data()[pos_++];
   }
 
-  Result<uint32_t> ReadU32() {
-    if (remaining() < sizeof(uint32_t)) return Eof();
-    uint32_t v;
-    std::memcpy(&v, span_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
-
-  Result<uint64_t> ReadU64() {
-    if (remaining() < sizeof(uint64_t)) return Eof();
-    uint64_t v;
-    std::memcpy(&v, span_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
+  Result<uint16_t> ReadU16() { return ReadFixed<uint16_t>(); }
+  Result<uint32_t> ReadU32() { return ReadFixed<uint32_t>(); }
+  Result<uint64_t> ReadU64() { return ReadFixed<uint64_t>(); }
 
   Result<std::string> ReadString() {
     KOKO_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
@@ -121,6 +119,15 @@ class SpanReader {
   }
 
  private:
+  template <typename T>
+  Result<T> ReadFixed() {
+    if (remaining() < sizeof(T)) return Eof();
+    T v;
+    std::memcpy(&v, span_.data() + pos_, sizeof(v));
+    pos_ += sizeof(v);
+    return v;
+  }
+
   Status Eof() const { return Status::IoError("unexpected end of data"); }
 
   MemorySpan span_;

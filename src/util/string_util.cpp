@@ -51,24 +51,12 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
-std::string Capitalize(std::string_view text) {
-  std::string out(text);
-  if (!out.empty() && out[0] >= 'a' && out[0] <= 'z') {
-    out[0] = static_cast<char>(out[0] - 'a' + 'A');
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
   while (begin < end && IsAsciiSpace(text[begin])) ++begin;
   while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
 bool EndsWith(std::string_view text, std::string_view suffix) {
@@ -78,20 +66,6 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 
 bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
-}
-
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  if (needle.size() > haystack.size()) return false;
-  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
-    size_t j = 0;
-    while (j < needle.size() &&
-           ToLowerChar(haystack[i + j]) == ToLowerChar(needle[j])) {
-      ++j;
-    }
-    if (j == needle.size()) return true;
-  }
-  return false;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

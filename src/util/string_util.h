@@ -20,20 +20,13 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string ToLower(std::string_view text);
 char ToLowerChar(char c);
 
-/// ASCII upper-casing of the first character only ("cafe" -> "Cafe").
-std::string Capitalize(std::string_view text);
-
 /// Strips leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
-bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// True when `needle` occurs in `haystack` (case sensitive).
 bool Contains(std::string_view haystack, std::string_view needle);
-
-/// True when `needle` occurs in `haystack` ignoring ASCII case.
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 

@@ -1,12 +1,15 @@
-// Seeded randomized suites for the serving front end (KOKO_FUZZ_SEED=<n>
-// replays a specific seed, default 7 — the repo-wide fuzz convention):
+// Seeded randomized suites for the serving front end and the bytes it
+// reads from disk (KOKO_FUZZ_SEED=<n> replays a specific seed, default 7 —
+// the repo-wide fuzz convention):
 //
-//  1. Byte-level fuzz of the wire request decoder: random garbage and
-//     random mutations/truncations of valid encodings must decode to a
-//     clean error or to a value whose re-encoding is byte-identical to the
-//     input (the codec is canonical — accepting a non-canonical byte
-//     string would let two wire forms of one request diverge later).
-//     Sanitizer jobs turn any OOB into a failure here.
+//  1. Byte-level fuzz of every decoder on the shared SpanReader: the wire
+//     request, header, rows, done and error payloads, the document blob
+//     and the shard manifest. Random garbage and seeded flips,
+//     truncations and extensions of valid encodings must decode to a clean
+//     error or to a value whose re-encoding is byte-identical to the input
+//     (the codecs are canonical — accepting a non-canonical byte string
+//     would let two encodings of one value diverge later). Sanitizer jobs
+//     turn any OOB into a failure here.
 //  2. Batch-admission property: under randomized concurrent schedules with
 //     duplicated fingerprints, every response served through the
 //     BatchExecutor — leader or follower, coalesced or not — must be
@@ -21,7 +24,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <random>
@@ -37,6 +43,7 @@
 #include "replay/workloads.h"
 #include "serve/batcher.h"
 #include "serve/query_service.h"
+#include "storage/doc_store.h"
 
 namespace koko {
 namespace {
@@ -49,7 +56,29 @@ uint64_t FuzzSeed() {
   return 7;
 }
 
-// ---- 1. Request decoder fuzz -----------------------------------------------
+// ---- 1. Decoder fuzz -------------------------------------------------------
+
+// One seeded mutation of a valid encoding: flip 1-4 bytes, truncate, or
+// append 1-8 garbage bytes.
+template <typename Bytes>
+void Mutate(std::mt19937_64& rng, Bytes* bytes) {
+  using Byte = typename Bytes::value_type;
+  switch (bytes->empty() ? 2 : rng() % 3) {
+    case 0:  // flip 1-4 bytes
+      for (uint64_t flips = 1 + rng() % 4; flips > 0; --flips) {
+        (*bytes)[rng() % bytes->size()] ^= static_cast<Byte>(1 + rng() % 255);
+      }
+      break;
+    case 1:  // truncate
+      bytes->resize(rng() % bytes->size());
+      break;
+    case 2:  // append trailing garbage
+      for (uint64_t extra = 1 + rng() % 8; extra > 0; --extra) {
+        bytes->push_back(static_cast<Byte>(rng()));
+      }
+      break;
+  }
+}
 
 TEST(NetFuzzTest, RequestDecoderSurvivesGarbageAndStaysCanonical) {
   const uint64_t seed = FuzzSeed();
@@ -73,24 +102,9 @@ TEST(NetFuzzTest, RequestDecoderSurvivesGarbageAndStaysCanonical) {
       }
       request.max_rows = rng() % 3 == 0 ? 0 : rng();
       request.streaming = rng() % 2 == 0;
-      request.use_planner = rng() % 2 == 0;
       request.allow_batch = rng() % 2 == 0;
       bytes = EncodeRequest(request);
-      switch (rng() % 3) {
-        case 0:  // flip 1-4 bytes
-          for (uint64_t flips = 1 + rng() % 4; flips > 0; --flips) {
-            bytes[rng() % bytes.size()] ^= static_cast<uint8_t>(1 + rng());
-          }
-          break;
-        case 1:  // truncate
-          bytes.resize(rng() % bytes.size());
-          break;
-        case 2:  // append trailing garbage
-          for (uint64_t extra = 1 + rng() % 8; extra > 0; --extra) {
-            bytes.push_back(static_cast<uint8_t>(rng()));
-          }
-          break;
-      }
+      Mutate(rng, &bytes);
     }
     auto decoded = net::DecodeRequest(bytes.data(), bytes.size());
     if (decoded.ok()) {
@@ -123,10 +137,7 @@ TEST(NetFuzzTest, AllDecodersSurviveMutatedFrames) {
   };
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<uint8_t> bytes = corpus[iter % corpus.size()];
-    for (uint64_t flips = rng() % 5; flips > 0; --flips) {
-      bytes[rng() % bytes.size()] ^= static_cast<uint8_t>(1 + rng());
-    }
-    if (rng() % 4 == 0) bytes.resize(rng() % (bytes.size() + 1));
+    Mutate(rng, &bytes);
     // Decoded-or-rejected, never a crash; canonical when accepted.
     auto header = net::DecodeHeaderPayload(bytes.data(), bytes.size());
     if (header.ok()) {
@@ -146,6 +157,83 @@ TEST(NetFuzzTest, AllDecodersSurviveMutatedFrames) {
       EXPECT_EQ(net::EncodeErrorPayload(error->code, error->message), bytes);
     }
   }
+}
+
+AnnotatedCorpus SmallCorpus(uint64_t seed) {
+  Pipeline pipeline;
+  return pipeline.AnnotateCorpus(
+      GenerateHappyMoments({.num_moments = 12, .seed = seed}));
+}
+
+TEST(NetFuzzTest, DocumentDecoderSurvivesMutatedBlobs) {
+  const uint64_t seed = FuzzSeed();
+  std::mt19937_64 rng(seed ^ 0x0dd5eed5ull);
+  const AnnotatedCorpus corpus = SmallCorpus(seed);
+  size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string blob = DocumentStore::SerializeDocument(
+        corpus.docs[static_cast<size_t>(iter) % corpus.docs.size()]);
+    Mutate(rng, &blob);
+    // A value or an error, never a crash; canonical when accepted.
+    auto doc = DocumentStore::DeserializeDocument(blob);
+    if (!doc.ok()) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_EQ(DocumentStore::SerializeDocument(*doc), blob)
+        << "seed=" << seed << " iter=" << iter;
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(NetFuzzTest, ShardManifestSurvivesMutation) {
+  // Mutates only the manifest (magic | version | count | per shard
+  // begin, end, u64 extent) of a saved 3-shard file; the shard images
+  // follow it unchanged, so a truncated or extended manifest shifts them.
+  const uint64_t seed = FuzzSeed();
+  std::mt19937_64 rng(seed ^ 0x3a41f357ull);
+  const AnnotatedCorpus corpus = SmallCorpus(seed);
+  const std::string path = ::testing::TempDir() + "/net_fuzz_manifest.idx";
+  const std::string resaved = path + ".resaved";
+  ASSERT_TRUE(ShardedKokoIndex::Build(corpus, 3)->Save(path).ok());
+  auto read_file = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string saved = read_file(path);
+  const size_t manifest_bytes = 12 + 16 * 3;
+  ASSERT_GT(saved.size(), manifest_bytes);
+  size_t rejected = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string manifest = saved.substr(0, manifest_bytes);
+    Mutate(rng, &manifest);
+    const std::string bytes = manifest + saved.substr(manifest_bytes);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      ShardedKokoIndex::LoadOptions options;
+      options.mode = mode;
+      options.num_threads = 1;
+      auto loaded = ShardedKokoIndex::Load(path, options);
+      if (!loaded.ok()) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+            << "seed=" << seed << " iter=" << iter << ": "
+            << loaded.status().ToString();
+        ++rejected;
+        continue;
+      }
+      // Re-saving reads every byte of every image the load aliased.
+      ASSERT_TRUE((*loaded)->Save(resaved).ok());
+      EXPECT_EQ(read_file(resaved), bytes)
+          << "seed=" << seed << " iter=" << iter;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // ---- 2. Batch-admission property -------------------------------------------
@@ -180,7 +268,6 @@ std::unique_ptr<BatchWorld> MakeBatchWorld(uint64_t seed) {
 QueryService::RunOverrides OverridesForCap(uint64_t cap) {
   QueryService::RunOverrides overrides;
   if (cap > 0) overrides.max_rows = static_cast<size_t>(cap);
-  overrides.use_planner = true;
   return overrides;
 }
 
@@ -231,7 +318,7 @@ TEST(NetFuzzTest, BatchedExecutionIsByteIdenticalToUnbatched) {
         const Query& query = world->queries[task.qi].query;
         const uint64_t cap = caps[task.ci];
         const uint64_t fp =
-            RequestFingerprint(world->queries[task.qi].text, cap, true);
+            RequestFingerprint(world->queries[task.qi].text, cap);
         BatchExecutor::Outcome outcome = batcher.Run(fp, [&]() {
           return world->service->Run(query, OverridesForCap(cap), RowSink());
         });
@@ -261,9 +348,8 @@ TEST(NetFuzzTest, BatchedExecutionIsByteIdenticalToUnbatched) {
 }
 
 // Requests whose texts execute differently never share a fingerprint, even
-// when the query printer would render them alike: it rounds weights and
-// thresholds to 3 decimals, and a word holding `"/"` once printed like two
-// path steps.
+// when they differ only past a weight's or threshold's third decimal, or
+// in a word holding `"/"` that reads like two path steps.
 TEST(NetFuzzTest, FingerprintSeparatesRequestsThatPrintAlike) {
   const std::vector<std::pair<std::string, std::string>> pairs = {
       {R"(extract x:Entity from "t" if ()
@@ -280,7 +366,7 @@ TEST(NetFuzzTest, FingerprintSeparatesRequestsThatPrintAlike) {
   for (const auto& [a, b] : pairs) {
     ASSERT_TRUE(ParseQuery(a).ok()) << a;
     ASSERT_TRUE(ParseQuery(b).ok()) << b;
-    EXPECT_NE(RequestFingerprint(a, 0, true), RequestFingerprint(b, 0, true))
+    EXPECT_NE(RequestFingerprint(a, 0), RequestFingerprint(b, 0))
         << a << "\nvs\n" << b;
   }
 }

@@ -37,25 +37,21 @@ TEST(FrameHeaderTest, RoundTripsEveryType) {
 
 TEST(RequestCodecTest, RoundTripsAllFieldCombinations) {
   for (bool streaming : {false, true}) {
-    for (bool use_planner : {false, true}) {
-      for (bool allow_batch : {false, true}) {
-        for (uint64_t max_rows : {uint64_t{0}, uint64_t{7},
-                                  uint64_t{1} << 40}) {
-          NetRequest request;
-          request.query_text = "extract e:Entity from docs return e:Str";
-          request.max_rows = max_rows;
-          request.streaming = streaming;
-          request.use_planner = use_planner;
-          request.allow_batch = allow_batch;
-          const std::vector<uint8_t> bytes = EncodeRequest(request);
-          auto decoded = DecodeRequest(bytes.data(), bytes.size());
-          ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-          EXPECT_EQ(decoded->query_text, request.query_text);
-          EXPECT_EQ(decoded->max_rows, max_rows);
-          EXPECT_EQ(decoded->streaming, streaming);
-          EXPECT_EQ(decoded->use_planner, use_planner);
-          EXPECT_EQ(decoded->allow_batch, allow_batch);
-        }
+    for (bool allow_batch : {false, true}) {
+      for (uint64_t max_rows : {uint64_t{0}, uint64_t{7},
+                                uint64_t{1} << 40}) {
+        NetRequest request;
+        request.query_text = "extract e:Entity from docs return e:Str";
+        request.max_rows = max_rows;
+        request.streaming = streaming;
+        request.allow_batch = allow_batch;
+        const std::vector<uint8_t> bytes = EncodeRequest(request);
+        auto decoded = DecodeRequest(bytes.data(), bytes.size());
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        EXPECT_EQ(decoded->query_text, request.query_text);
+        EXPECT_EQ(decoded->max_rows, max_rows);
+        EXPECT_EQ(decoded->streaming, streaming);
+        EXPECT_EQ(decoded->allow_batch, allow_batch);
       }
     }
   }
@@ -168,6 +164,81 @@ TEST(EncodeFrameTest, ProducesHeaderPlusPayload) {
   EXPECT_EQ(header->payload_len, payload.size());
 }
 
+// ---- Byte goldens ----------------------------------------------------------
+//
+// The round trips above still pass if encoder and decoder change the layout
+// together; these pin the exact bytes docs/WIRE_PROTOCOL.md specifies, one
+// frame of each type.
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(WireGoldenTest, RequestFrameBytes) {
+  NetRequest request;
+  request.query_text = "a b";
+  request.max_rows = 0x102;
+  request.streaming = true;
+  request.allow_batch = false;
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kRequest, EncodeRequest(request))),
+            "4f4b010110000000"    // magic, version 1, kRequest, 16 bytes
+            "03000000" "612062"   // query text
+            "0201000000000000"    // max_rows
+            "05");                // flags: streaming | no-batch
+}
+
+TEST(WireGoldenTest, HeaderFrameBytes) {
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kHeader,
+                            EncodeHeaderPayload({"x", "yz"}))),
+            "4f4b01020f000000"
+            "02000000"            // column count
+            "01000000" "78"       // "x"
+            "02000000" "797a");   // "yz"
+}
+
+TEST(WireGoldenTest, RowsFrameBytes) {
+  std::vector<ResultRow> rows(1);
+  rows[0].doc = 1;
+  rows[0].sid = 0x203;
+  rows[0].values = {"v"};
+  rows[0].scores = {0.5};
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kRows,
+                            EncodeRowsPayload(rows, 0, rows.size()))),
+            "4f4b01031d000000"
+            "01000000"            // row count
+            "01000000" "03020000" // doc, sid
+            "0100" "0100"         // value count, score count
+            "01000000" "76"       // "v"
+            "000000000000e03f");  // 0.5 as IEEE-754 bits
+}
+
+TEST(WireGoldenTest, DoneFrameBytes) {
+  NetDone done;
+  done.rows = 1;
+  done.candidate_sentences = 2;
+  done.scanned_candidates = 3;
+  done.early_terminated = true;
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kDone, EncodeDonePayload(done))),
+            "4f4b01041a000000"
+            "0100000000000000" "0200000000000000" "0300000000000000"
+            "01" "00");           // early_terminated, batched
+}
+
+TEST(WireGoldenTest, ErrorFrameBytes) {
+  EXPECT_EQ(Hex(EncodeFrame(FrameType::kError,
+                            EncodeErrorPayload(StatusCode::kUnavailable,
+                                               "busy"))),
+            "4f4b010509000000"
+            "09"                  // kUnavailable
+            "04000000" "62757379");
+}
+
 // ---- Adversarial headers ---------------------------------------------------
 
 TEST(FrameHeaderTest, RejectsBadMagic) {
@@ -272,11 +343,16 @@ TEST(RequestCodecTest, RejectsTrailingBytes) {
 }
 
 TEST(RequestCodecTest, RejectsUnknownFlags) {
+  // Bit 1 (once "planner off") is reserved and rejected like the rest.
   NetRequest request;
   request.query_text = "extract e:Entity from docs return e:Str";
-  std::vector<uint8_t> bytes = EncodeRequest(request);
-  bytes.back() |= 1u << 7;
-  EXPECT_FALSE(DecodeRequest(bytes.data(), bytes.size()).ok());
+  for (int bit : {1, 3, 7}) {
+    std::vector<uint8_t> bytes = EncodeRequest(request);
+    bytes.back() |= static_cast<uint8_t>(1u << bit);
+    auto decoded = DecodeRequest(bytes.data(), bytes.size());
+    ASSERT_FALSE(decoded.ok()) << "bit " << bit;
+    EXPECT_EQ(decoded.status().message(), "request carries unknown flag bits");
+  }
 }
 
 TEST(RequestCodecTest, RejectsEmptyQueryText) {

@@ -163,14 +163,16 @@ TEST(QueryParserTest, MalformedQueriesRejected) {
           .ok());
 }
 
-// Strings holding `"` or `\` print escaped, so print -> parse -> print is a
-// fixpoint and every string field survives it.
+// Strings holding `"` or `\` print escaped and numbers print in full, so
+// print -> parse -> print is a fixpoint and every string field, weight and
+// threshold survives it.
 TEST(PrinterTest, QuotesAndBackslashesRoundTrip) {
   const std::string text = R"(
       extract x:Str from "t\"s\\" if (
         /ROOT:{ a = //"say\"/\"hi", r = //verb[@regex="[\"a]+\\d"],
                 x = a + ^[regex="q\"\\w+"] + r })
-      satisfying x (str(x) contains "a \"b\" \\ c" {1}) with threshold 0.5
+      satisfying x (str(x) contains "a \"b\" \\ c" {0.5004}) or
+                   (str(x) contains "d" {1}) with threshold 0.9004
       excluding (str(x) matches "\\d\""))";
   auto expect_fields = [](const Query& q) {
     EXPECT_EQ(q.source, "t\"s\\");
@@ -182,6 +184,10 @@ TEST(PrinterTest, QuotesAndBackslashesRoundTrip) {
     EXPECT_EQ(*q.defs[2].atoms[1].elastic.regex, "q\"\\w+");
     ASSERT_EQ(q.satisfying.size(), 1u);
     EXPECT_EQ(q.satisfying[0].conditions[0].text, "a \"b\" \\ c");
+    ASSERT_EQ(q.satisfying[0].conditions.size(), 2u);
+    EXPECT_EQ(q.satisfying[0].conditions[0].weight, 0.5004);
+    EXPECT_EQ(q.satisfying[0].conditions[1].weight, 1.0);
+    EXPECT_EQ(q.satisfying[0].threshold, 0.9004);
     ASSERT_EQ(q.excluding.size(), 1u);
     EXPECT_EQ(q.excluding[0].text, "\\d\"");
   };

@@ -539,6 +539,26 @@ TEST(ShardedKokoIndexTest, CorruptManifestExtentFailsLoadCleanly) {
   std::remove(path.c_str());
 }
 
+TEST(ShardedKokoIndexTest, BytesAfterTheLastImageFailLoad) {
+  // The manifest's extents account for every byte of the file, so a saved
+  // file has exactly one form: anything appended is corruption.
+  AnnotatedCorpus corpus = MomentsCorpus(30, 77);
+  auto built = ShardedKokoIndex::Build(corpus, 2);
+  std::string path = ::testing::TempDir() + "/sharded_index_trailing_test.bin";
+  ASSERT_TRUE(built->Save(path).ok());
+  std::vector<char> bytes = ReadImage(path);
+  bytes.insert(bytes.end(), {0, 0, 0, 0});
+  WriteImage(path, bytes);
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+    ShardedKokoIndex::LoadOptions options;
+    options.mode = mode;
+    auto loaded = ShardedKokoIndex::Load(path, options);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ShardedKokoIndexTest, ManifestRangesMustStartAtZeroAndHoldTheirLists) {
   AnnotatedCorpus corpus = MomentsCorpus(40, 79);
   auto built = ShardedKokoIndex::Build(corpus, 2);

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <sstream>
 
 #include "nlp/pipeline.h"
 #include "storage/btree.h"
@@ -164,19 +163,18 @@ TEST(TableTest, KeyEncodingPreservesIntOrder) {
 }
 
 TEST(SerdeTest, PrimitivesRoundTrip) {
-  std::ostringstream out;
-  BinaryWriter w(&out);
+  std::vector<uint8_t> bytes;
+  ByteWriter w(&bytes);
   w.WriteU8(7);
+  w.WriteU16(0xbeef);
   w.WriteU32(1234567);
   w.WriteU64(0xdeadbeefcafeULL);
   w.WriteI64(-42);
   w.WriteString("koko");
-  ASSERT_TRUE(w.ok());
 
-  const std::string bytes = out.str();
-  SpanReader r(MemorySpan(reinterpret_cast<const uint8_t*>(bytes.data()),
-                          bytes.size()));
+  SpanReader r(MemorySpan(bytes.data(), bytes.size()));
   EXPECT_EQ(*r.ReadU8(), 7);
+  EXPECT_EQ(*r.ReadU16(), 0xbeef);
   EXPECT_EQ(*r.ReadU32(), 1234567u);
   EXPECT_EQ(*r.ReadU64(), 0xdeadbeefcafeULL);
   EXPECT_EQ(static_cast<int64_t>(*r.ReadU64()), -42);
@@ -214,6 +212,36 @@ TEST(DocStoreTest, DocumentRoundTrip) {
     EXPECT_EQ(a.subtree_left, b.subtree_left);   // recomputed on load
     EXPECT_EQ(a.depth, b.depth);
   }
+}
+
+TEST(DocStoreTest, BlobBytesArePinned) {
+  // The round trip above still passes if both sides change the layout
+  // together; this pins the blob's exact bytes.
+  Document doc;
+  doc.id = 7;
+  doc.title = "t";
+  Sentence& s = doc.sentences.emplace_back();
+  s.tokens = {{"Ann", PosTag::kPropn, DepLabel::kNsubj, 1, EntityType::kPerson, 0},
+              {"ran", PosTag::kVerb, DepLabel::kRoot, -1, EntityType::kNone, -1}};
+  s.entities = {{0, 0, EntityType::kPerson}};
+  const std::string blob = DocumentStore::SerializeDocument(doc);
+  std::string hex;
+  for (char c : blob) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  EXPECT_EQ(hex,
+            "07000000" "01000000" "74"  // id, title
+            "01000000" "02000000"       // sentence count, token count
+            // text, pos, label, head, etype, entity id
+            "03000000" "416e6e" "01" "01" "0100000000000000" "02"
+            "0000000000000000"
+            "03000000" "72616e" "02" "00" "ffffffffffffffff" "00"
+            "ffffffffffffffff"
+            "01000000"                  // entity count
+            "0000000000000000" "0000000000000000" "02");  // begin, end, type
+  EXPECT_TRUE(DocumentStore::DeserializeDocument(blob).ok());
 }
 
 TEST(DocStoreTest, CorpusStoreAndFileRoundTrip) {

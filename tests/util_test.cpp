@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "storage/serde.h"
@@ -82,7 +81,6 @@ TEST(StringUtilTest, JoinRoundTrip) {
 
 TEST(StringUtilTest, CaseConversion) {
   EXPECT_EQ(ToLower("HeLLo"), "hello");
-  EXPECT_EQ(Capitalize("cafe"), "Cafe");
   EXPECT_TRUE(EqualsIgnoreCase("CAFE", "cafe"));
   EXPECT_FALSE(EqualsIgnoreCase("cafe", "caff"));
 }
@@ -95,14 +93,11 @@ TEST(StringUtilTest, Trim) {
 TEST(StringUtilTest, ContainsVariants) {
   EXPECT_TRUE(Contains("chocolate ice cream", "ice"));
   EXPECT_FALSE(Contains("chocolate", "Choc"));
-  EXPECT_TRUE(ContainsIgnoreCase("chocolate", "Choc"));
-  EXPECT_TRUE(ContainsIgnoreCase("abc", ""));
 }
 
 TEST(StringUtilTest, PrefixSuffix) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_TRUE(EndsWith("foobar", "bar"));
-  EXPECT_FALSE(StartsWith("fo", "foo"));
+  EXPECT_FALSE(EndsWith("ar", "bar"));
 }
 
 TEST(StringUtilTest, DigitHelpers) {
@@ -337,8 +332,8 @@ TEST(MappedFileTest, ReadCopiesIntoAnOwnedBuffer) {
 TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
   // Build a little stream, then parse it back with SpanReader and check
   // the array and blob reads alias instead of copying.
-  std::ostringstream out(std::ios::binary);
-  BinaryWriter writer(&out);
+  std::string image;
+  ByteWriter writer(&image);
   writer.WriteU32(42);
   writer.WriteString("word");
   const std::vector<uint32_t> u32s = {1, 2, 3};
@@ -349,7 +344,6 @@ TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
   writer.WriteBytes(raw.data(), raw.size());
   writer.WriteBytes("\0\0", 2);  // zero pad to a 4-byte multiple
   writer.WriteU64(7);
-  const std::string image = out.str();
   const MemorySpan span(reinterpret_cast<const uint8_t*>(image.data()),
                         image.size());
 
@@ -379,10 +373,9 @@ TEST(SpanReaderTest, ReadsScalarsStringsAndViews) {
 TEST(SpanReaderTest, CorruptLengthPrefixesRejected) {
   // A length prefix larger than the remaining bytes must fail, not read
   // (or allocate) past the span.
-  std::ostringstream out(std::ios::binary);
-  BinaryWriter writer(&out);
+  std::string image;
+  ByteWriter writer(&image);
   writer.WriteU32(1000000);  // claims 1M entries, stream ends right after
-  const std::string image = out.str();
   const MemorySpan span(reinterpret_cast<const uint8_t*>(image.data()),
                         image.size());
   EXPECT_FALSE(SpanReader(span).ReadU32Array().ok());

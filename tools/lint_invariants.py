@@ -48,6 +48,11 @@ Rules:
                    compile_commands.json). A committed build tree (the PR 9
                    regression) bloats every clone and pins one machine's
                    absolute paths into history. Skipped when git is absent.
+  R9 one-codec     functions named (Put|Write|Read)U(8|16|32|64) are
+                   defined only in src/storage/serde.h — its ByteWriter
+                   and bounds-checked SpanReader are the one codec of wire
+                   frames, document blobs and the index manifest, so a
+                   second private copy cannot drift from it.
 
 A line may opt out of R1/R2/R6 with a trailing justification comment:
     // lint:allow(<rule>): <reason>
@@ -316,6 +321,32 @@ def check_tracked_artifacts():
     return errors
 
 
+def check_one_codec():
+    """R9: fixed-width integer codec helpers live only in serde.h."""
+    errors = []
+    # A definition or declaration: a type (or `class::`-qualified name)
+    # right before the helper's name. Calls follow `.`, `->`, `(`, `=` or
+    # a keyword such as `return`.
+    definition = re.compile(
+        r"(?:^|[\s(,;{])([\w:]+(?:<[^;()]*>)?[&*]?)\s+[&*]?"
+        r"(?:\w+::)*((?:Put|Write|Read)U(?:8|16|32|64))\s*\("
+    )
+    keywords = {"return", "co_return", "else", "case", "throw", "new"}
+    for path in src_files():
+        if rel(path) == "src/storage/serde.h":
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            for m in definition.finditer(strip_line_comment(line)):
+                if m.group(1) in keywords:
+                    continue
+                errors.append(
+                    f"{rel(path)}:{n}: [one-codec] `{m.group(2)}` defined "
+                    "outside src/storage/serde.h — encode with ByteWriter "
+                    "and decode with SpanReader"
+                )
+    return errors
+
+
 def check_bare_allows():
     """A lint:allow without rule+reason is itself a violation."""
     errors = []
@@ -338,6 +369,7 @@ CHECKS = [
     check_memcpy_fixed,
     check_bench_smokes,
     check_tracked_artifacts,
+    check_one_codec,
     check_bare_allows,
 ]
 
