@@ -556,10 +556,4 @@ bool RegexFullMatch(std::string_view text, std::string_view pattern) {
   return re->FullMatch(text);
 }
 
-bool RegexPartialMatch(std::string_view text, std::string_view pattern) {
-  auto re = Regex::Compile(pattern);
-  KOKO_CHECK(re.ok());
-  return re->PartialMatch(text);
-}
-
 }  // namespace koko

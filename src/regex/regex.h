@@ -67,10 +67,9 @@ class Regex {
   friend class RegexCompiler;
 };
 
-/// Convenience: compile-and-match helpers (abort on invalid pattern; meant
-/// for trusted, literal patterns in tests and generators).
+/// Convenience: compile-and-match helper (aborts on an invalid pattern;
+/// meant for trusted, literal patterns in tests and generators).
 bool RegexFullMatch(std::string_view text, std::string_view pattern);
-bool RegexPartialMatch(std::string_view text, std::string_view pattern);
 
 }  // namespace koko
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <thread>
 
+#include "net/client.h"
+#include "net/server.h"
 #include "util/rng.h"
 
 namespace koko {
@@ -19,7 +21,7 @@ using Clock = std::chrono::steady_clock;
 struct Slot {
   size_t target = 0;
   size_t query = 0;
-  /// Scheduled arrival offset from phase start (0 in closed-loop mode).
+  /// Scheduled arrival offset from phase start (closed loop ignores it).
   double arrival_seconds = 0;
 };
 
@@ -50,41 +52,62 @@ std::vector<Slot> BuildSchedule(const std::vector<ReplayTarget>& targets,
     const Workload& workload = *targets[slot.target].workload;
     if (workload.queries.empty()) continue;
     slot.query = rng.Uniform(workload.queries.size());
-    if (options.arrival == ArrivalProcess::kOpen) {
-      // Exponential inter-arrival gap (Poisson process). Clamp the uniform
-      // away from 0 so the log stays finite.
-      double u = rng.UniformDouble();
-      if (u < 1e-12) u = 1e-12;
-      arrival += -std::log(u) / options.open_rate_qps;
-      slot.arrival_seconds = arrival;
-    }
+    // Exponential inter-arrival gap (Poisson process), drawn in both modes
+    // so closed and open loop replay the same slots. Clamp the uniform
+    // away from 0 so the log stays finite.
+    double u = rng.UniformDouble();
+    if (u < 1e-12) u = 1e-12;
+    arrival += -std::log(u) / options.open_rate_qps;
+    slot.arrival_seconds = arrival;
     schedule.push_back(slot);
   }
   return schedule;
 }
 
+/// Runs one slot in process, or over `client` when the target is served.
+/// An unconnected client (its Connect failed) fails every slot it gets.
 void RunSlot(const ReplayTarget& target, size_t query_index,
-             SlotRecord* record) {
+             net::KokoClient* client, SlotRecord* record) {
   const WorkloadQuery& query = target.workload->queries[query_index];
-  auto result = target.service->Run(query.query);
-  if (!result.ok()) {
-    record->error = true;
-    return;
-  }
-  record->rows = result->rows.size();
-  record->early_terminated = result->early_terminated;
-  record->scanned_candidates = result->scanned_candidates;
-  record->candidate_sentences = result->candidate_sentences;
-  if (result->plan != nullptr) {
-    record->planned = true;
-    const std::vector<PlannedAtom>& atoms = result->plan->atoms;
-    for (size_t i = 1; i < result->plan_actuals.size(); ++i) {
-      if (atoms[i].kind == PlannedAtom::Kind::kPath) ++record->filtered_paths;
+  uint64_t digest = 0;
+  if (target.server != nullptr) {
+    if (!client->valid()) {
+      record->error = true;
+      return;
     }
+    net::NetRequest request;
+    request.query_text = query.text;
+    auto wire = client->Query(request);
+    if (!wire.ok() || !wire->status.ok()) {
+      record->error = true;
+      return;
+    }
+    record->rows = wire->rows.size();
+    record->early_terminated = wire->done.early_terminated;
+    record->scanned_candidates = wire->done.scanned_candidates;
+    record->candidate_sentences = wire->done.candidate_sentences;
+    digest = RowDigest(wire->rows);
+  } else {
+    auto result = target.service->Run(query.query);
+    if (!result.ok()) {
+      record->error = true;
+      return;
+    }
+    record->rows = result->rows.size();
+    record->early_terminated = result->early_terminated;
+    record->scanned_candidates = result->scanned_candidates;
+    record->candidate_sentences = result->candidate_sentences;
+    if (result->plan != nullptr) {
+      record->planned = true;
+      const std::vector<PlannedAtom>& atoms = result->plan->atoms;
+      for (size_t i = 1; i < result->plan_actuals.size(); ++i) {
+        if (atoms[i].kind == PlannedAtom::Kind::kPath) ++record->filtered_paths;
+      }
+    }
+    digest = RowDigest(*result);
   }
   if (!target.expected_digests.empty()) {
-    record->digest_mismatch =
-        RowDigest(*result) != target.expected_digests[query_index];
+    record->digest_mismatch = digest != target.expected_digests[query_index];
   }
 }
 
@@ -122,6 +145,13 @@ PhaseReport RunPhase(const std::string& phase_name,
   const bool open_loop = options.arrival == ArrivalProcess::kOpen;
 
   auto worker = [&]() {
+    // One persistent connection per served target, as a real client holds.
+    std::vector<net::KokoClient> clients(targets.size());
+    for (size_t t = 0; t < targets.size(); ++t) {
+      if (targets[t].server == nullptr) continue;
+      auto client = net::KokoClient::Connect(targets[t].server->port());
+      if (client.ok()) clients[t] = std::move(*client);
+    }
     for (;;) {
       const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= schedule.size()) return;
@@ -139,7 +169,8 @@ PhaseReport RunPhase(const std::string& phase_name,
       } else {
         issue = Clock::now();
       }
-      RunSlot(targets[slot.target], slot.query, &records[i]);
+      RunSlot(targets[slot.target], slot.query, &clients[slot.target],
+              &records[i]);
       records[i].latency_ms =
           std::chrono::duration<double, std::milli>(Clock::now() - issue)
               .count();

@@ -9,6 +9,10 @@
 #include "serve/query_service.h"
 
 namespace koko {
+namespace net {
+class KokoServer;
+}  // namespace net
+
 namespace replay {
 
 /// One workload class wired to the service that will execute its queries.
@@ -18,6 +22,10 @@ namespace replay {
 struct ReplayTarget {
   const Workload* workload = nullptr;
   QueryService* service = nullptr;
+  /// A running server over `service`. Set, the target is replayed over the
+  /// wire: each worker holds one KokoClient connection to it and sends the
+  /// query text. Null, each query calls `service->Run` in process.
+  const net::KokoServer* server = nullptr;
   /// Per-query expected row digests (index-aligned with workload->queries).
   /// Empty disables parity checking; otherwise every replayed query's rows
   /// are digested and mismatches are counted per class — the in-flight form
@@ -47,7 +55,9 @@ struct TrafficOptions {
   /// kOpen only: mean arrival rate of the Poisson process.
   double open_rate_qps = 200.0;
   /// Schedule seed: which class/query each slot draws and the arrival
-  /// gaps. One seed -> one schedule, replayed identically in both phases.
+  /// gaps. One seed -> one schedule, replayed identically in both phases;
+  /// the arrival process and the transport change only how the slots are
+  /// issued, never which slots there are.
   uint64_t seed = 1;
 };
 
@@ -72,8 +82,9 @@ struct ClassReport {
   uint64_t candidate_sentences = 0;
   /// Queries that surfaced a plan, and their path atoms that ran with an
   /// accumulator as filter (every executed path atom after the first),
-  /// summed over shard 0's plan per query; zero when the planner was off
-  /// or a query bypassed the index.
+  /// summed over shard 0's plan per query; zero when the planner was off,
+  /// a query bypassed the index, or the target was replayed over the wire
+  /// (a response carries no plan).
   size_t planned_queries = 0;
   uint64_t filtered_paths = 0;
   /// Service cache deltas over this phase (end minus start counters).
@@ -107,8 +118,9 @@ struct ReplayReport {
 /// \brief Replays one deterministic mixed-class schedule twice.
 ///
 /// A schedule of `options.queries` slots is drawn from `options.seed`
-/// (target and query per slot; arrival gaps in open-loop mode) and executed
-/// twice against the same services: the first pass ("cold") starts from
+/// (target, query and arrival gap per slot; closed loop ignores the gaps)
+/// and executed twice against the same services, in process or over the
+/// wire as each target says: the first pass ("cold") starts from
 /// whatever cache state the services were constructed with, the second
 /// ("warm") repeats the identical schedule against the caches the first
 /// pass populated — the difference isolates what the score/plan caches buy

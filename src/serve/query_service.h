@@ -26,10 +26,10 @@ namespace koko {
 /// so the admission semantics are unit-testable without timing-dependent
 /// query execution.
 ///
-/// Every counter is KOKO_GUARDED_BY(mu_); use `counters()` for a coherent
-/// snapshot — reading the individual accessors in sequence can tear across
-/// concurrent admissions (e.g. observe a peak_inflight newer than the
-/// admitted count it came from).
+/// Every counter is KOKO_GUARDED_BY(mu_) and read through `counters()`, one
+/// coherent snapshot: reading them one lock acquisition at a time could
+/// tear across concurrent admissions (e.g. observe a peak_inflight newer
+/// than the admitted count it came from).
 class AdmissionQueue {
  public:
   /// Coherent counter snapshot, taken under one lock acquisition.
@@ -102,7 +102,8 @@ class AdmissionQueue {
 
   /// Rejects every current waiter and every future Enter(). Idempotent;
   /// safe to call concurrently with Enter/Exit from any thread. Admitted
-  /// callers are unaffected — wait for inflight() to reach zero to drain.
+  /// callers are unaffected — wait for counters().inflight to reach zero to
+  /// drain.
   void Shutdown() KOKO_EXCLUDES(mu_) {
     {
       MutexLock lock(mu_);
@@ -127,12 +128,6 @@ class AdmissionQueue {
     c.peak_waiting = peak_waiting_;
     return c;
   }
-
-  size_t inflight() const { return counters().inflight; }
-  size_t waiting() const { return counters().waiting; }
-  uint64_t admitted() const { return counters().admitted; }
-  uint64_t rejected() const { return counters().rejected; }
-  uint64_t peak_inflight() const { return counters().peak_inflight; }
 
  private:
   const size_t max_inflight_;

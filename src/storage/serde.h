@@ -128,7 +128,7 @@ class SpanReader {
     return v;
   }
 
-  Status Eof() const { return Status::IoError("unexpected end of data"); }
+  Status Eof() const { return Status::ParseError("unexpected end of data"); }
 
   MemorySpan span_;
   size_t pos_ = 0;

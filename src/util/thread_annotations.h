@@ -58,8 +58,6 @@
   KOKO_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define KOKO_RELEASE(...) \
   KOKO_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define KOKO_TRY_ACQUIRE(...) \
-  KOKO_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 /// Functions: must be called *without* the listed capabilities held
 /// (deadlock prevention for self-locking public APIs).
@@ -87,7 +85,6 @@ class KOKO_CAPABILITY("mutex") Mutex {
 
   void Lock() KOKO_ACQUIRE() { mu_.lock(); }
   void Unlock() KOKO_RELEASE() { mu_.unlock(); }
-  bool TryLock() KOKO_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -133,7 +130,6 @@ class CondVar {
     lock.release();  // the caller's MutexLock keeps ownership
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

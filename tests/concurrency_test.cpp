@@ -33,11 +33,12 @@ TEST(AdmissionShutdownTest, ShutdownRejectsSubsequentEnters) {
   admission.Shutdown();
   EXPECT_TRUE(admission.is_shutdown());
   EXPECT_FALSE(admission.Enter());
-  EXPECT_EQ(admission.rejected(), 1u);
+  EXPECT_EQ(admission.counters().rejected, 1u);
   // The already-admitted caller drains normally.
   admission.Exit();
-  EXPECT_EQ(admission.inflight(), 0u);
-  EXPECT_EQ(admission.admitted(), 1u);
+  const AdmissionQueue::Counters counters = admission.counters();
+  EXPECT_EQ(counters.inflight, 0u);
+  EXPECT_EQ(counters.admitted, 1u);
 }
 
 TEST(AdmissionShutdownTest, ShutdownIsIdempotent) {
@@ -46,7 +47,7 @@ TEST(AdmissionShutdownTest, ShutdownIsIdempotent) {
   admission.Shutdown();
   EXPECT_FALSE(admission.Enter());
   EXPECT_FALSE(admission.Enter());
-  EXPECT_EQ(admission.rejected(), 2u);
+  EXPECT_EQ(admission.counters().rejected, 2u);
 }
 
 TEST(AdmissionShutdownTest, ShutdownWakesEveryBlockedWaiter) {
@@ -73,9 +74,9 @@ TEST(AdmissionShutdownTest, ShutdownWakesEveryBlockedWaiter) {
       }
     });
   }
-  // Wait until every waiter is blocked inside Enter() (waiting() counts
+  // Wait until every waiter is blocked inside Enter() (`waiting` counts
   // exactly the callers parked on the condition variable).
-  while (admission.waiting() < static_cast<size_t>(kWaiters)) {
+  while (admission.counters().waiting < static_cast<size_t>(kWaiters)) {
     std::this_thread::yield();
   }
 
@@ -115,7 +116,9 @@ TEST(AdmissionShutdownTest, ShutdownRacesEnterExitWithoutLossOrDeadlock) {
   }
   std::thread killer([&] {
     // Let some traffic through first so both phases are exercised.
-    while (admission.admitted() < kClients) std::this_thread::yield();
+    while (admission.counters().admitted < kClients) {
+      std::this_thread::yield();
+    }
     admission.Shutdown();
   });
   for (std::thread& t : clients) t.join();

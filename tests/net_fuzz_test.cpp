@@ -174,9 +174,13 @@ TEST(NetFuzzTest, DocumentDecoderSurvivesMutatedBlobs) {
     std::string blob = DocumentStore::SerializeDocument(
         corpus.docs[static_cast<size_t>(iter) % corpus.docs.size()]);
     Mutate(rng, &blob);
-    // A value or an error, never a crash; canonical when accepted.
+    // A value or a ParseError (truncations included), never a crash;
+    // canonical when accepted.
     auto doc = DocumentStore::DeserializeDocument(blob);
     if (!doc.ok()) {
+      EXPECT_EQ(doc.status().code(), StatusCode::kParseError)
+          << "seed=" << seed << " iter=" << iter << ": "
+          << doc.status().ToString();
       ++rejected;
       continue;
     }

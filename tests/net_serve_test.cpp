@@ -4,8 +4,8 @@
 // byte for byte — the serving front end may add framing, batching, and
 // admission control, but never a row's worth of semantics. Covered arms:
 // batching on/off, max_rows-capped, streaming, parse errors and malformed
-// frames over the wire, admission rejection over the wire, and shutdown
-// while clients are mid-stream.
+// frames over the wire, admission rejection over the wire, shutdown
+// while clients are mid-stream, and the traffic replayer's two transports.
 //
 // The in-process counterpart of this contract is
 // tests/workloads_test.cpp; the golden file is shared (regenerate it
@@ -28,6 +28,7 @@
 #include "index/sharded_index.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "replay/traffic.h"
 #include "replay/workloads.h"
 #include "serve/query_service.h"
 
@@ -417,6 +418,60 @@ TEST(NetServeTest, ShutdownWhileStreamingIsClean) {
   if (late.ok()) {
     auto wire = late->Query(RequestFor(served.workload.queries.front()));
     EXPECT_TRUE(!wire.ok() || !wire->status.ok());
+  }
+}
+
+// One replayer, two transports: the same closed-loop schedule replayed in
+// process and then over the wire must match the full-scan reference on
+// both, and draw the same queries and rows per class.
+TEST(NetServeTest, ReplayInProcessAndOverTheWireAgree) {
+  const World& world = GetWorld();
+  EngineOptions reference;
+  reference.use_index = false;
+  std::vector<std::vector<uint64_t>> digests(world.served.size());
+  for (size_t c = 0; c < world.served.size(); ++c) {
+    const ServedWorkload& served = *world.served[c];
+    for (const replay::WorkloadQuery& query : served.workload.queries) {
+      auto result = served.engine->Execute(query.query, reference);
+      ASSERT_TRUE(result.ok()) << query.name;
+      digests[c].push_back(replay::RowDigest(*result));
+    }
+  }
+  replay::TrafficOptions traffic;
+  traffic.arrival = replay::ArrivalProcess::kClosed;
+  traffic.clients = 2;
+  traffic.queries = 24;
+  replay::ReplayReport reports[2];
+  uint64_t wire_requests = 0;
+  for (bool wire : {false, true}) {
+    std::vector<std::unique_ptr<Harness>> harnesses;
+    std::vector<replay::ReplayTarget> targets;
+    for (size_t c = 0; c < world.served.size(); ++c) {
+      harnesses.push_back(std::make_unique<Harness>(*world.served[c]));
+      targets.push_back({&world.served[c]->workload,
+                         harnesses.back()->service.get(),
+                         wire ? harnesses.back()->server.get() : nullptr,
+                         digests[c]});
+    }
+    reports[wire] = replay::ReplayTraffic(targets, traffic);
+    for (const std::unique_ptr<Harness>& harness : harnesses) {
+      wire_requests += harness->server->stats().requests;
+    }
+  }
+  EXPECT_EQ(reports[0].TotalErrors(), 0u);
+  EXPECT_EQ(reports[1].TotalErrors(), 0u);
+  // Every wire slot crossed a socket, and no in-process slot did.
+  EXPECT_EQ(wire_requests, 2 * traffic.queries);
+  for (const auto& [in_process, over_wire] :
+       {std::pair{&reports[0].cold, &reports[1].cold},
+        std::pair{&reports[0].warm, &reports[1].warm}}) {
+    ASSERT_EQ(in_process->classes.size(), over_wire->classes.size());
+    for (size_t c = 0; c < in_process->classes.size(); ++c) {
+      EXPECT_EQ(in_process->classes[c].queries, over_wire->classes[c].queries)
+          << in_process->phase << " " << in_process->classes[c].name;
+      EXPECT_EQ(in_process->classes[c].rows, over_wire->classes[c].rows)
+          << in_process->phase << " " << in_process->classes[c].name;
+    }
   }
 }
 

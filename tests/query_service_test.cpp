@@ -382,12 +382,12 @@ TEST(AdmissionQueueTest, RejectsWhenQueueFull) {
   AdmissionQueue admission(1, 0);
   ASSERT_TRUE(admission.Enter());
   EXPECT_FALSE(admission.Enter());
-  EXPECT_EQ(admission.rejected(), 1u);
+  EXPECT_EQ(admission.counters().rejected, 1u);
   admission.Exit();
   // Slot free again: immediate admission works with a zero-length queue.
   EXPECT_TRUE(admission.Enter());
   admission.Exit();
-  EXPECT_EQ(admission.admitted(), 2u);
+  EXPECT_EQ(admission.counters().admitted, 2u);
 }
 
 TEST(AdmissionQueueTest, BoundsInflightUnderContention) {
@@ -415,9 +415,10 @@ TEST(AdmissionQueueTest, BoundsInflightUnderContention) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(enter_failures.load(), 0);
   EXPECT_LE(max_seen.load(), 2);
-  EXPECT_EQ(admission.admitted(), 400u);
-  EXPECT_LE(admission.peak_inflight(), 2u);
-  EXPECT_EQ(admission.inflight(), 0u);
+  const AdmissionQueue::Counters counters = admission.counters();
+  EXPECT_EQ(counters.admitted, 400u);
+  EXPECT_LE(counters.peak_inflight, 2u);
+  EXPECT_EQ(counters.inflight, 0u);
 }
 
 TEST(QueryServiceTest, RejectionSurfacesAsUnavailable) {

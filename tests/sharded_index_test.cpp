@@ -665,6 +665,27 @@ TEST(ShardedKokoIndexTest, CorruptImageFailsLoadCleanly) {
       EXPECT_FALSE(load_both("K=" + std::to_string(k) + " truncated to " +
                              std::to_string(keep)));
     }
+    // The last shard's image cut short, its manifest extent shrunk to
+    // match: the manifest checks pass, the shard's own reads run out of
+    // bytes, and that is a ParseError like any other corrupt image.
+    {
+      const size_t extent_at = kManifestHeader + (k - 1) * kManifestEntry + 8;
+      uint64_t extent = 0;
+      std::memcpy(&extent, image.data() + extent_at, sizeof(extent));
+      const uint64_t cut = extent / 2 & ~uint64_t{3};
+      std::vector<char> truncated(
+          image.begin(), image.end() - static_cast<long>(extent - cut));
+      std::memcpy(truncated.data() + extent_at, &cut, sizeof(cut));
+      WriteImage(path, truncated);
+      for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+        ShardedKokoIndex::LoadOptions options;
+        options.mode = mode;
+        auto loaded = ShardedKokoIndex::Load(path, options);
+        ASSERT_FALSE(loaded.ok()) << "K=" << k;
+        EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+            << "K=" << k << ": " << loaded.status().ToString();
+      }
+    }
     const size_t first_flip = k == 1 ? first_shard : 0;
     for (size_t at = first_flip; at < image.size(); at += flip_stride) {
       std::vector<char> corrupt = image;
