@@ -54,8 +54,8 @@ void RunDataset(const char* name, bool long_articles, int articles) {
 
   // KOKO across thresholds.
   for (double threshold : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-    auto values =
-        RunKokoExtraction(engine, EngineOptions(), CafeQuery(threshold));
+    auto values = RunKokoExtraction(engine, EngineOptions(),
+                                    replay::CafeQueryText(threshold));
     PRF prf = ScoreExtractionLists(split.test_gold, values);
     PrintPrfRow("KOKO", threshold, prf);
   }

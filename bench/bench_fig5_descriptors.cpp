@@ -30,10 +30,9 @@ void RunDataset(const char* name, bool long_articles, int articles) {
     with_descriptors.use_descriptors = true;
     EngineOptions without_descriptors;
     without_descriptors.use_descriptors = false;
-    auto with =
-        RunKokoExtraction(engine, with_descriptors, CafeQuery(threshold));
-    auto without =
-        RunKokoExtraction(engine, without_descriptors, CafeQuery(threshold));
+    const std::string query = replay::CafeQueryText(threshold);
+    auto with = RunKokoExtraction(engine, with_descriptors, query);
+    auto without = RunKokoExtraction(engine, without_descriptors, query);
     PRF with_prf = ScoreExtractionLists(blogs.gold, with);
     PRF without_prf = ScoreExtractionLists(blogs.gold, without);
     std::printf("  t=%.1f  with descriptors F1=%.3f   without F1=%.3f   delta=%+.3f\n",

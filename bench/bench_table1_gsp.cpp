@@ -2,14 +2,14 @@
 // sentence) for span variables with 1, 3 and 5 atoms — KOKO&GSP vs
 // KOKO&NOGSP, on HappyDB-like and Wikipedia-like corpora (Synthetic Span
 // benchmark). Each (query, arm) runs once untimed, then is timed as the
-// median of kTimedRuns runs; the NOGSP/GSP ratios come from those medians.
+// median of bench::kTimedRuns runs (bench::MedianOfWarmRuns); the
+// NOGSP/GSP ratios come from those medians.
 //
 // Paper shape: with 1 atom NOGSP is slightly faster (plan generation
 // overhead buys nothing); with 3 atoms GSP wins clearly; with 5 atoms GSP
 // is about three orders of magnitude faster.
 #include "bench_util.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <map>
@@ -20,26 +20,18 @@ using namespace koko;
 
 namespace {
 
-// Timed runs per (query, arm), after one untimed warm-up; the reported
-// time is their median, so one noisy sample cannot move a ratio.
-constexpr int kTimedRuns = 5;
-
-// Median extract time per candidate sentence, in ms, over kTimedRuns runs
-// of `query`; a negative value when the query fails or has no candidates.
+// Median extract time per candidate sentence, in ms, over
+// bench::kTimedRuns warm runs of `query`; a negative value when the query
+// fails or has no candidates.
 double MedianMsPerSentence(const Engine& engine, const Query& query,
                            const EngineOptions& options) {
-  if (!engine.Execute(query, options).ok()) return -1;  // warm-up
-  std::array<double, kTimedRuns> samples;
-  for (double& sample : samples) {
+  return bench::MedianOfWarmRuns([&] {
     auto result = engine.Execute(query, options);
-    if (!result.ok() || result->candidate_sentences == 0) return -1;
+    if (!result.ok() || result->candidate_sentences == 0) return -1.0;
     // GSP runs inside the extract scan, so extract already holds it.
-    sample = 1e3 * result->phases.Get(Phase::kExtract) /
-             static_cast<double>(result->candidate_sentences);
-  }
-  std::nth_element(samples.begin(), samples.begin() + kTimedRuns / 2,
-                   samples.end());
-  return samples[kTimedRuns / 2];
+    return 1e3 * result->phases.Get(Phase::kExtract) /
+           static_cast<double>(result->candidate_sentences);
+  });
 }
 
 void RunCorpus(const char* name, const AnnotatedCorpus& corpus,

@@ -59,26 +59,6 @@ class BPlusTree {
 
   bool Contains(const Key& key) const { return Find(key) != nullptr; }
 
-  /// Visits every (key, values) with lo <= key <= hi in key order. The
-  /// callback returns false to stop early.
-  void Scan(const Key& lo, const Key& hi,
-            const std::function<bool(const Key&, const std::vector<Value>&)>& fn) const {
-    const Node* node = root_.get();
-    while (!node->leaf) {
-      size_t i = UpperBound(node->keys, lo);
-      node = node->children[i].get();
-    }
-    size_t i = LowerBound(node->keys, lo);
-    while (node != nullptr) {
-      for (; i < node->keys.size(); ++i) {
-        if (hi < node->keys[i]) return;
-        if (!fn(node->keys[i], node->values[i])) return;
-      }
-      node = node->next;
-      i = 0;
-    }
-  }
-
   /// Visits all entries in key order.
   void ScanAll(
       const std::function<bool(const Key&, const std::vector<Value>&)>& fn) const {

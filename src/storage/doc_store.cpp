@@ -165,12 +165,6 @@ Document DocumentStore::LoadDocument(uint32_t doc_id) const {
   return std::move(*doc);
 }
 
-size_t DocumentStore::TotalBytes() const {
-  size_t total = 0;
-  for (const auto& blob : blobs_) total += blob.size();
-  return total;
-}
-
 Status DocumentStore::SaveToFile(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");

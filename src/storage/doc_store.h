@@ -26,9 +26,6 @@ class DocumentStore {
 
   size_t NumDocs() const { return blobs_.size(); }
 
-  /// Total serialized size (what "the parsed text corpus on disk" costs).
-  size_t TotalBytes() const;
-
   Status SaveToFile(const std::string& path) const;
   /// Replaces the store with a saved one. Every blob is parsed and
   /// range-checked here; a truncated or corrupt file fails with

@@ -113,23 +113,6 @@ Result<std::vector<uint32_t>> Table::IndexLookup(
   return rows == nullptr ? std::vector<uint32_t>{} : *rows;
 }
 
-Result<std::vector<uint32_t>> Table::IndexPrefixLookup(
-    const std::string& index_name, const std::vector<Cell>& prefix_cells) const {
-  auto it = indexes_.find(index_name);
-  if (it == indexes_.end()) return Status::NotFound("index " + index_name);
-  std::string lo = EncodeKey(prefix_cells);
-  std::string hi = lo;
-  hi.push_back('\xff');  // all keys extending lo sort within (lo, lo+0xff...)
-  std::vector<uint32_t> out;
-  it->second->tree.Scan(lo, hi,
-                        [&](const std::string& key, const std::vector<uint32_t>& rows) {
-                          if (key.compare(0, lo.size(), lo) != 0) return true;
-                          out.insert(out.end(), rows.begin(), rows.end());
-                          return true;
-                        });
-  return out;
-}
-
 size_t Table::MemoryUsage() const {
   size_t bytes = sizeof(Table);
   for (const auto& col : int_cols_) bytes += col.capacity() * sizeof(int64_t);

@@ -56,10 +56,6 @@ class Table {
   Result<std::vector<uint32_t>> IndexLookup(const std::string& index_name,
                                             const std::vector<Cell>& key_cells) const;
 
-  /// Row ids whose composite key starts with `prefix_cells` (prefix scan).
-  Result<std::vector<uint32_t>> IndexPrefixLookup(
-      const std::string& index_name, const std::vector<Cell>& prefix_cells) const;
-
   /// Heap footprint of data plus all indexes, in bytes.
   size_t MemoryUsage() const;
 

@@ -145,9 +145,7 @@ bool Sentence::IsAncestor(int ancestor, int node) const {
 
 void AnnotatedCorpus::RebuildRefs() {
   refs.clear();
-  doc_first_sid.clear();
   for (uint32_t d = 0; d < docs.size(); ++d) {
-    doc_first_sid.push_back(static_cast<uint32_t>(refs.size()));
     for (uint32_t s = 0; s < docs[d].sentences.size(); ++s) {
       refs.push_back(SentenceRef{d, s});
     }

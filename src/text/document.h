@@ -100,15 +100,8 @@ struct AnnotatedCorpus {
     const SentenceRef& ref = refs[sid];
     return docs[ref.doc].sentences[ref.sent];
   }
-  const Document& doc_of(uint32_t sid) const { return docs[refs[sid].doc]; }
 
-  /// Global sid of the first sentence of document `doc`; sentences of a
-  /// document are contiguous in the global numbering.
-  uint32_t FirstSidOfDoc(uint32_t doc) const { return doc_first_sid[doc]; }
-
-  std::vector<uint32_t> doc_first_sid;
-
-  /// Rebuilds refs/doc_first_sid after docs changed.
+  /// Rebuilds refs after docs changed.
   void RebuildRefs();
 
   /// Total number of tokens (for stats and size accounting).

@@ -2,7 +2,8 @@
 // stay parseable by the CI consumers no matter what names or values a bench
 // emits — quotes/backslashes/control characters in names are escaped, and
 // NaN/inf values (a zero-duration phase ratio, a failed measurement) emit
-// as null instead of invalid tokens.
+// as null instead of invalid tokens. Also pins bench::MedianOfWarmRuns,
+// the paper-shaped benches' one timing rule.
 #include "bench_util.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace koko {
 namespace {
@@ -71,7 +73,7 @@ TEST(JsonEmitterTest, StringValuedFieldsEmitQuotedAndEscaped) {
   // The load benches tag entries with load_mode: "copy" | "map"; string
   // fields must emit as quoted JSON strings (escaped like names) next to
   // the numeric fields.
-  bench::JsonEmitter emitter("shard_scaleup");
+  bench::JsonEmitter emitter("table2_scaleup");
   emitter.AddEntry("load/K=2",
                    {{"load_mode", "map"}, {"odd \"label\"", "a\\b"}},
                    {{"shards", 2}, {"load_s", 0.5}});
@@ -83,6 +85,25 @@ TEST(JsonEmitterTest, StringValuedFieldsEmitQuotedAndEscaped) {
   EXPECT_NE(json.find("\"load_s\": 0.5"), std::string::npos);
   // String fields precede numeric ones with a comma between.
   EXPECT_LT(json.find("\"load_mode\""), json.find("\"shards\""));
+}
+
+TEST(MedianOfWarmRunsTest, OneUntimedCallThenMedianOfTimedCalls) {
+  static_assert(bench::kTimedRuns == 5, "samples below hold 1 + 5 values");
+  // The first call is the untimed warm-up: it returns the largest value,
+  // so it would move the median if it were counted.
+  const std::vector<double> samples = {100, 4, 1, 5, 2, 3};
+  size_t calls = 0;
+  const double median =
+      bench::MedianOfWarmRuns([&] { return samples[calls++]; });
+  EXPECT_EQ(calls, 1u + bench::kTimedRuns);
+  EXPECT_EQ(median, 3);
+}
+
+TEST(MedianOfWarmRunsTest, FailedRunIsReturnedAtOnce) {
+  size_t calls = 0;
+  EXPECT_EQ(bench::MedianOfWarmRuns([&] { return ++calls == 3 ? -1.0 : 1.0; }),
+            -1);
+  EXPECT_EQ(calls, 3u);
 }
 
 TEST(JsonEmitterTest, ControlCharsBelowSpaceUseUnicodeEscapes) {

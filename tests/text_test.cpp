@@ -268,7 +268,6 @@ TEST(DocumentTest, CorpusRefs) {
   EXPECT_EQ(corpus.NumSentences(), 5u);
   EXPECT_EQ(corpus.refs[3].doc, 1u);
   EXPECT_EQ(corpus.refs[3].sent, 0u);
-  EXPECT_EQ(corpus.FirstSidOfDoc(1), 3u);
 }
 
 }  // namespace

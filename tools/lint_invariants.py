@@ -35,7 +35,7 @@ Rules:
   R6 memcpy-fixed  no `memcpy` whose destination is a fixed-size stack
                    array outside src/util/ — sized-buffer copies belong
                    behind the bounds-checked span/serde helpers.
-  R7 bench-smoke   every paper-workload bench (the fig3-fig8/table1,
+  R7 bench-smoke   every paper-workload bench (the fig3-fig8/table1/table2,
                    Odin, NELL and SimilarTo reproductions and the
                    traffic-replay harness) is registered in CMakeLists.txt via
                    koko_add_bench_smoke(<name> LABELS ... ARGS ...) with
@@ -256,6 +256,7 @@ def check_bench_smokes():
         "bench_odin",
         "bench_similarto",
         "bench_table1_gsp",
+        "bench_table2_scaleup",
         "bench_workloads",
     }
     cmake = (REPO_ROOT / "CMakeLists.txt").read_text()
