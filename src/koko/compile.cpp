@@ -91,6 +91,10 @@ class Compiler {
                                        clause.var + "'");
       }
       out_.satisfying.push_back(CompileClause(clause));
+      if (out_.satisfying.back().value_only) {
+        out_.value_filters.push_back(
+            {Index(clause.var), out_.satisfying.size() - 1});
+      }
     }
     for (const SatCondition& cond : q_.excluding) {
       if (Index(cond.var) < 0) {
@@ -98,6 +102,11 @@ class Compiler {
                                        cond.var + "'");
       }
       out_.excluding.push_back(CompileCondition(cond));
+      if (out_.excluding.back().value_only) {
+        out_.value_filters.push_back(
+            {Index(cond.var),
+             out_.satisfying.size() + out_.excluding.size() - 1});
+      }
     }
 
     ComputeDominance();
@@ -267,11 +276,31 @@ class Compiler {
   std::map<std::string, int> index_;
 };
 
+// True for the condition kinds whose score reads only the value's text.
+bool ReadsValueOnly(SatCondition::Kind kind) {
+  switch (kind) {
+    case SatCondition::Kind::kStrContains:
+    case SatCondition::Kind::kStrMentions:
+    case SatCondition::Kind::kStrMatches:
+    case SatCondition::Kind::kInDict:
+    case SatCondition::Kind::kSimilarTo:
+      return true;
+    case SatCondition::Kind::kFollowedBy:
+    case SatCondition::Kind::kPrecededBy:
+    case SatCondition::Kind::kNear:
+    case SatCondition::Kind::kDescriptorRight:
+    case SatCondition::Kind::kDescriptorLeft:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace
 
 CompiledCondition CompileCondition(const SatCondition& cond) {
   CompiledCondition out;
   out.source = cond;
+  out.value_only = ReadsValueOnly(cond.kind);
   switch (cond.kind) {
     case SatCondition::Kind::kStrContains:
     case SatCondition::Kind::kFollowedBy:
@@ -305,8 +334,10 @@ CompiledClause CompileClause(const SatisfyingClause& clause) {
   out.var = clause.var;
   out.threshold = clause.threshold;
   out.conditions.reserve(clause.conditions.size());
+  out.value_only = true;
   for (const SatCondition& cond : clause.conditions) {
     out.conditions.push_back(CompileCondition(cond));
+    out.value_only = out.value_only && out.conditions.back().value_only;
   }
   return out;
 }

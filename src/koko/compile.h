@@ -69,6 +69,10 @@ struct CompiledCondition {
   std::optional<EntityType> dict_type;
   /// The lowercased `SimilarTo` target.
   std::string similar_target;
+  /// True for the kinds that read only the value's text — `str(x)
+  /// contains`, `mentions`, `matches`, `in dict` and `SimilarTo` — so the
+  /// condition scores a value equally in every document.
+  bool value_only = false;
 };
 
 /// A satisfying clause whose conditions are compiled.
@@ -76,6 +80,20 @@ struct CompiledClause {
   std::string var;
   double threshold = 0;
   std::vector<CompiledCondition> conditions;
+  /// True when every condition is value_only, so the clause's score and
+  /// verdict depend on the value's text alone.
+  bool value_only = false;
+};
+
+/// A value-only satisfying clause or excluding condition applied to its
+/// variable's bindings: a binding whose text the clause scores below its
+/// threshold, or the condition scores positive, binds no row. `slot`
+/// names the clause or condition as the engine's aggregate memo does:
+/// `slot < satisfying.size()` is satisfying clause `slot`, otherwise it is
+/// excluding condition `slot - satisfying.size()`.
+struct ValueFilter {
+  int var = -1;
+  size_t slot = 0;
 };
 
 /// The one way a condition or clause is compiled: CompileQuery and the
@@ -93,6 +111,9 @@ struct CompiledQuery {
   std::vector<int> horizontal;
   std::vector<CompiledClause> satisfying;
   std::vector<CompiledCondition> excluding;
+  /// One filter per value_only satisfying clause, then one per value_only
+  /// excluding condition, in clause order.
+  std::vector<ValueFilter> value_filters;
 
   int VarIndex(const std::string& name) const {
     for (size_t i = 0; i < vars.size(); ++i) {
@@ -110,7 +131,8 @@ struct CompiledQuery {
 /// constraints (Example 4.1), lifts span atoms into variables, materialises
 /// implicitly-defined output variables (typed entities), computes path
 /// dominance, and compiles every regex and condition text evaluation reads,
-/// so evaluation compiles nothing.
+/// so evaluation compiles nothing. Value-only clauses and excluding
+/// conditions also become `value_filters`.
 Result<CompiledQuery> CompileQuery(const Query& query);
 
 }  // namespace koko

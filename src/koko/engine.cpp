@@ -112,6 +112,77 @@ struct MemoEqual {
   }
 };
 
+// The query's value-only filters (CompiledQuery::value_filters). A
+// value-only clause or condition scores a value alike in every document,
+// so a variable's filters are decided once per distinct value text: the
+// first binding with that text runs them in order, stopping at the first
+// rejection, and the verdict is kept by (variable, span text). A passing
+// value's value-only clause scores are kept by (clause, span text) for the
+// row's `scores`. Both memos key MemoKey with doc 0 and compare text in
+// place. Nothing here reaches the doc-keyed ScoreCache.
+class ValueFilters {
+ public:
+  ValueFilters(const CompiledQuery& cq, Aggregator* aggregator)
+      : cq_(cq), aggregator_(aggregator), slots_of_(cq.vars.size()) {
+    for (const ValueFilter& f : cq.value_filters) {
+      slots_of_[static_cast<size_t>(f.var)].push_back(f.slot);
+    }
+  }
+
+  bool Filters(size_t var) const { return !slots_of_[var].empty(); }
+
+  // True when every filter of `var` passes the text of tokens [begin, end].
+  bool Passes(size_t var, const Sentence& s, int begin, int end) {
+    const std::vector<size_t>& slots = slots_of_[var];
+    if (slots.empty()) return true;
+    const RowSpan span{begin, end, s.SpanTextHash(begin, end)};
+    const MemoKey key{0, static_cast<uint32_t>(var), &s, span};
+    auto it = verdicts_.find(key);
+    if (it != verdicts_.end()) return it->second;
+    text_.clear();
+    s.AppendSpanText(begin, end, &text_);
+    bool pass = true;
+    for (size_t slot : slots) {
+      if (slot < cq_.satisfying.size()) {
+        const CompiledClause& clause = cq_.satisfying[slot];
+        const double score = aggregator_->Score(no_document_, text_, clause);
+        scores_.emplace(MemoKey{0, static_cast<uint32_t>(slot), &s, span},
+                        score);
+        pass = score >= clause.threshold;
+      } else {
+        // A positive confidence excludes.
+        pass = !(aggregator_->ConditionScore(
+                     no_document_, text_,
+                     cq_.excluding[slot - cq_.satisfying.size()]) > 0.0);
+      }
+      if (!pass) break;
+    }
+    rejected_ += pass ? 0 : 1;
+    verdicts_.emplace(key, pass);
+    return pass;
+  }
+
+  // Value-only clause `clause`'s score of a span whose variable passed.
+  double Score(size_t clause, const Sentence& s, const RowSpan& span) const {
+    return scores_.at(MemoKey{0, static_cast<uint32_t>(clause), &s, span});
+  }
+
+  size_t decided() const { return verdicts_.size(); }
+  size_t rejected() const { return rejected_; }
+
+ private:
+  const CompiledQuery& cq_;
+  Aggregator* aggregator_;
+  std::vector<std::vector<size_t>> slots_of_;  // filter slots per variable
+  // MemoKey's slot holds the variable in `verdicts_`, the clause in
+  // `scores_`.
+  std::unordered_map<MemoKey, bool, MemoHash, MemoEqual> verdicts_;
+  std::unordered_map<MemoKey, double, MemoHash, MemoEqual> scores_;
+  size_t rejected_ = 0;
+  std::string text_;
+  const Document no_document_;  // value-only conditions read no document
+};
+
 // ---- Per-sentence evaluation ------------------------------------------------
 
 class SentenceEvaluator {
@@ -119,15 +190,23 @@ class SentenceEvaluator {
   using Emit = std::function<bool(const std::vector<Binding>&)>;
 
   // One evaluator serves every candidate sentence of a query, so its
-  // buffers keep their capacity. `emit` receives every assignment and
-  // returns false to stop the enumeration.
+  // buffers keep their capacity. `emit` receives every assignment whose
+  // bindings pass `filters` and returns false to stop the enumeration.
   SentenceEvaluator(const CompiledQuery& cq, const EngineOptions& opts,
-                    PhaseStats* phases, const Emit& emit)
+                    PhaseStats* phases, ValueFilters* filters, const Emit& emit)
       : cq_(cq),
         opts_(opts),
         phases_(phases),
+        filters_(filters),
         emit_(emit),
-        domains_(cq.vars.size()) {}
+        domains_(cq.vars.size()),
+        unfiltered_size_(cq.vars.size()) {
+    for (size_t i = 0; i < cq.vars.size(); ++i) {
+      if (filters->Filters(i) && IsDerived(cq.vars[i].kind)) {
+        filtered_derived_.push_back(i);
+      }
+    }
+  }
 
   // Enumerates all assignments over `s`. Returns false when `emit` stopped
   // the enumeration.
@@ -144,42 +223,53 @@ class SentenceEvaluator {
  private:
   using Kind = CompiledVar::Kind;
 
-  // Fills domains for enumerable variables; false when any is empty.
+  // Variables bound from their neighbours' bindings rather than from a
+  // domain of their own.
+  static bool IsDerived(Kind kind) {
+    return kind == Kind::kElastic || kind == Kind::kSubtree ||
+           kind == Kind::kSpan;
+  }
+
+  // Fills domains for enumerable variables and drops the bindings their
+  // value filters reject; false when any domain ends up empty.
   bool ComputeDomains() {
     for (std::vector<Binding>& domain : domains_) domain.clear();
     for (size_t i = 0; i < cq_.vars.size(); ++i) {
       const CompiledVar& v = cq_.vars[i];
+      std::vector<Binding>& domain = domains_[i];
       switch (v.kind) {
-        case Kind::kNode: {
+        case Kind::kNode:
           MatchPathInSentence(*s_, v.abs_path, v.step_regex, &path_scratch_,
                               &path_nodes_);
-          for (int t : path_nodes_) domains_[i].push_back(Binding{t, t, t});
-          if (domains_[i].empty()) return false;
+          for (int t : path_nodes_) domain.push_back(Binding{t, t, t});
           break;
-        }
-        case Kind::kEntity: {
+        case Kind::kEntity:
           for (const Entity& e : s_->entities) {
             if (v.etype && e.type != *v.etype) continue;
-            domains_[i].push_back(Binding{e.begin, e.end, -1});
+            domain.push_back(Binding{e.begin, e.end, -1});
           }
-          if (domains_[i].empty()) return false;
           break;
-        }
         case Kind::kLiteral: {
           const int m = static_cast<int>(v.literal.size());
           for (int pos = 0; pos + m <= s_->size(); ++pos) {
             if (LiteralAt(v.literal, pos)) {
-              domains_[i].push_back(Binding{pos, pos + m - 1, -1});
+              domain.push_back(Binding{pos, pos + m - 1, -1});
             }
           }
-          if (domains_[i].empty()) return false;
           break;
         }
         case Kind::kElastic:
         case Kind::kSubtree:
         case Kind::kSpan:
-          break;  // derived
+          continue;  // derived
       }
+      unfiltered_size_[i] = domain.size();
+      if (filters_->Filters(i)) {
+        std::erase_if(domain, [&](const Binding& b) {
+          return !filters_->Passes(i, *s_, b.begin, b.end);
+        });
+      }
+      if (domain.empty()) return false;
     }
     return true;
   }
@@ -196,7 +286,9 @@ class SentenceEvaluator {
 
   // Algorithm 2: per horizontal condition, greedily mark the costliest
   // variables as skipped (derived from their neighbours' bindings) provided
-  // neither horizontal neighbour is already skipped.
+  // neither horizontal neighbour is already skipped. Costs read the domain
+  // sizes before value filters, so filters never change a plan and a
+  // sentence's surviving assignments keep their enumeration order.
   void ComputeSkipPlan() {
     ScopedPhase phase(phases_, Phase::kGsp);
     skipped_.assign(cq_.vars.size(), 0);
@@ -214,13 +306,14 @@ class SentenceEvaluator {
             break;
           case Kind::kSubtree:
             c = static_cast<double>(
-                domains_[static_cast<size_t>(v.base)].size());
+                unfiltered_size_[static_cast<size_t>(v.base)]);
             break;
           case Kind::kSpan:
             c = 1;
             break;
           default:
-            c = static_cast<double>(domains_[static_cast<size_t>(atoms[pos])].size());
+            c = static_cast<double>(
+                unfiltered_size_[static_cast<size_t>(atoms[pos])]);
             break;
         }
         cost_.push_back({c, static_cast<int>(pos)});
@@ -289,9 +382,16 @@ class SentenceEvaluator {
   }
   void Unassign(size_t var) { assigned_[var] = 0; }
 
-  // Recursive enumeration over variables in index order.
+  // Recursive enumeration over variables in index order. Derived
+  // variables' value filters run on the complete assignment.
   bool Step(size_t var) {
-    if (var == cq_.vars.size()) return emit_(assign_);
+    if (var == cq_.vars.size()) {
+      for (size_t d : filtered_derived_) {
+        const Binding& b = assign_[d];
+        if (!filters_->Passes(d, *s_, b.begin, b.end)) return true;
+      }
+      return emit_(assign_);
+    }
     const CompiledVar& v = cq_.vars[var];
     switch (v.kind) {
       case Kind::kNode:
@@ -581,10 +681,13 @@ class SentenceEvaluator {
   const CompiledQuery& cq_;
   const EngineOptions& opts_;
   PhaseStats* phases_;
+  ValueFilters* filters_;
   const Emit& emit_;
+  std::vector<size_t> filtered_derived_;  // derived variables with filters
   const Sentence* s_ = nullptr;
   // Per-sentence state; Run() resets it and keeps the capacity.
   std::vector<std::vector<Binding>> domains_;
+  std::vector<size_t> unfiltered_size_;  // domain sizes before value filters
   std::vector<Binding> assign_;
   std::vector<char> assigned_;
   std::vector<char> skipped_;
@@ -782,10 +885,13 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   }
 
   // ---- Aggregate machinery: satisfying / excluding over whole documents.
-  // Hoisted above extraction so rows finalise per chunk.
+  // Hoisted above extraction so rows finalise per chunk. Value-only
+  // clauses and excluding conditions are `filters`, which extraction
+  // applies to bindings; the rest score rows against their documents.
   Aggregator aggregator(embeddings_, recognizer_,
                         {.use_descriptors = options.use_descriptors},
                         ontology_sets_);
+  ValueFilters filters(cq, &aggregator);
 
   // Score cache: (doc, clause, value) -> score. A shared cross-query
   // cache (options.score_cache) is consulted first when present; entries
@@ -848,16 +954,22 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // Applies the aggregate filters to one pending row; survivors build
   // their output strings, append to result.rows and stream to the sink
   // immediately. Rows arrive here in ascending-sid order, so sink delivery
-  // order always equals result.rows order.
+  // order always equals result.rows order. A pending row already passed
+  // every value filter, so a value-only clause only reads its score.
   std::vector<double> scores;
   auto finalize_row = [&](const PendingRow& row) {
     scores.clear();
     for (size_t ci = 0; ci < cq.satisfying.size(); ++ci) {
+      if (cq.satisfying[ci].value_only) {
+        scores.push_back(
+            filters.Score(ci, *row.sentence, span_of(row, satisfying_pos[ci])));
+        continue;
+      }
       scores.push_back(score_of(row, ci));
       if (scores.back() < cq.satisfying[ci].threshold) return;
     }
     for (size_t j = 0; j < cq.excluding.size(); ++j) {
-      if (excluded(row, j)) return;
+      if (!cq.excluding[j].value_only && excluded(row, j)) return;
     }
     ResultRow out;
     out.doc = row.doc;
@@ -912,7 +1024,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     pending.push_back({current.doc, current.sid, first, current.sentence});
     return pending.size() < current.budget;
   };
-  SentenceEvaluator evaluator(cq, options, &result.phases, emit);
+  SentenceEvaluator evaluator(cq, options, &result.phases, &filters, emit);
 
   // ---- One extract loop: load / extract / aggregate in candidate-ordered
   // chunks, emitting rows to the sink as each chunk finalises and stopping
@@ -978,6 +1090,8 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     result.scanned_candidates = scanned;
     result.early_terminated = scanned < candidates.size();
   }
+  result.filter_values_decided = filters.decided();
+  result.filter_values_rejected = filters.rejected();
   // Freeing the deserialised articles is part of the store's LoadArticle
   // cost; left to the destructor it would belong to no phase.
   if (store_ != nullptr) {

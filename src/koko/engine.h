@@ -44,7 +44,9 @@ struct QueryResult {
   /// Wall time per phase: Normalize, DPLI, LoadArticle, GSP, extract,
   /// satisfying — the Table 2 breakdown. GSP is a sub-phase of extract
   /// (skip plans are generated per sentence inside the extract scan), so
-  /// `phases.Total()` sums only the other five. LoadArticle is near zero
+  /// `phases.Total()` sums only the other five. Value-only filters decide
+  /// bindings inside extract; satisfying times the document-reading
+  /// clauses and conditions that remain. LoadArticle is near zero
   /// over a resident corpus, whose documents are borrowed in place; with a
   /// document store it is the per-article deserialisation the paper's
   /// DBMS-backed engine pays.
@@ -67,6 +69,10 @@ struct QueryResult {
   /// order (PlannedCandidates::atom_sizes of the same shard); shorter than
   /// `plan->atoms` when an empty accumulator short-circuited the rest.
   std::vector<uint64_t> plan_actuals;
+  /// Distinct (variable, value text) pairs the query's value-only filters
+  /// decided (CompiledQuery::value_filters), and how many they rejected.
+  size_t filter_values_decided = 0;
+  size_t filter_values_rejected = 0;
 };
 
 struct EngineOptions {
@@ -80,14 +86,17 @@ struct EngineOptions {
   /// Expand descriptors (§4.4.1(a)). When false descriptor conditions
   /// score zero — the Figure 5 ablation.
   bool use_descriptors = true;
-  /// Safety valve for adversarial queries.
+  /// Safety valve for adversarial queries. Caps pending rows: rows that
+  /// passed the value filters, before the document-reading satisfying and
+  /// excluding conditions drop any (docs/WORKLOADS.md).
   size_t max_rows = std::numeric_limits<size_t>::max();
   /// Inert: every query runs on its caller's thread, whatever this holds.
   /// Kept only so existing callers that set it still compile; concurrency
   /// comes from running many queries at once (serve/query_service.h).
   size_t num_threads = 1;
   /// Cross-query (doc, clause, value) score cache for the aggregate phase
-  /// (borrowed, thread-safe; must outlive the call). When null — the
+  /// (borrowed, thread-safe; must outlive the call). Only clauses that read
+  /// the document use it; value filters never do. When null — the
   /// default — the engine uses a query-local cache, rebuilding warm state
   /// per query. A shared cache persists aggregate scores across queries;
   /// scores are deterministic, so hits are byte-identical to recomputation.
@@ -131,6 +140,16 @@ struct EngineOptions {
 /// Paths & Lookup Indices (Algorithm 1), Generate Skip Plan + extract
 /// (Algorithm 2 per relevant sentence), and Aggregate (satisfying /
 /// excluding clauses over whole documents).
+///
+/// **Value filters.** A satisfying clause whose conditions all read only
+/// the value (`str(x) contains`, `mentions`, `matches`, `in dict`,
+/// `SimilarTo`) and each such excluding condition are decided once per
+/// distinct value text per query, with no document in the key, and drop
+/// the bindings they reject before enumeration (derived span, subtree and
+/// elastic variables when their row is emitted). A rejected binding never
+/// becomes a pending row, so it neither reaches Aggregate nor counts
+/// against `max_rows`; a surviving row takes that clause's score from the
+/// same memo. This holds on every path, `use_index = false` included.
 ///
 /// **DPLI phase contract.** Candidate pruning is columnar: every prunable
 /// atom of the compiled query — each dominant node-variable path, each

@@ -93,6 +93,9 @@ std::string ExplainExecution(const QueryResult& result) {
            " never evaluated)";
   }
   out += ", " + std::to_string(result.rows.size()) + " row(s)\n";
+  out += "value filters: " + std::to_string(result.filter_values_decided) +
+         " distinct value(s) decided, " +
+         std::to_string(result.filter_values_rejected) + " rejected\n";
   return out;
 }
 

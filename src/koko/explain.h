@@ -71,8 +71,9 @@ std::string ExplainPlan(const QueryPlan& plan);
 /// intersect (`actual=skipped` for atoms an empty accumulator
 /// short-circuited), plus the execution's pruning and early-termination
 /// figures — candidates after DPLI, candidates actually scanned, and
-/// whether/where streaming top-k cut the scan short. When sharded, the
-/// plan and actuals are shard 0's.
+/// whether/where streaming top-k cut the scan short — and how many
+/// distinct values the value-only filters decided and rejected. When
+/// sharded, the plan and actuals are shard 0's.
 std::string ExplainExecution(const QueryResult& result);
 
 }  // namespace koko

@@ -23,6 +23,9 @@ namespace koko {
 /// hand one to `EngineOptions::score_cache` (QueryService does this for
 /// every admitted query) and repeated workloads hit warm aggregate scores
 /// instead of re-running descriptor matching over whole documents.
+/// Value-only clauses and excluding conditions (CompiledQuery::
+/// value_filters) never reach it: they read no document, so the engine
+/// decides each distinct value once per query in a memo of its own.
 ///
 /// The cache is sharded into `num_shards` independently locked stripes
 /// keyed by document id, so concurrent queries scoring different documents

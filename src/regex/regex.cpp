@@ -441,6 +441,25 @@ class RegexCompiler {
   }
 };
 
+namespace {
+
+// Thread list, epsilon-closure marks and stack of one match. A thread runs
+// one match at a time, so it reuses its own buffers and a match allocates
+// only while they grow.
+struct MatchBuffers {
+  std::vector<uint32_t> current, next, marks, stack;
+};
+
+MatchBuffers& ThreadMatchBuffers(size_t program_size) {
+  thread_local MatchBuffers buffers;
+  buffers.current.clear();
+  buffers.next.clear();
+  buffers.marks.assign(program_size, 0);
+  return buffers;
+}
+
+}  // namespace
+
 Result<Regex> Regex::Compile(std::string_view pattern) {
   PatternParser parser(pattern);
   auto tree = parser.Parse();
@@ -452,9 +471,10 @@ Result<Regex> Regex::Compile(std::string_view pattern) {
 }
 
 void Regex::AddThread(std::vector<uint32_t>& list, std::vector<uint32_t>& marks,
-                      uint32_t generation, uint32_t pc, size_t pos, size_t len) const {
-  // Iterative epsilon-closure with an explicit stack.
-  std::vector<uint32_t> stack = {pc};
+                      std::vector<uint32_t>& stack, uint32_t generation,
+                      uint32_t pc, size_t pos, size_t len) const {
+  // Iterative epsilon-closure over the caller's stack buffer.
+  stack.assign(1, pc);
   while (!stack.empty()) {
     uint32_t p = stack.back();
     stack.pop_back();
@@ -484,11 +504,14 @@ void Regex::AddThread(std::vector<uint32_t>& list, std::vector<uint32_t>& marks,
 
 bool Regex::Run(std::string_view text, bool anchored_start) const {
   const size_t len = text.size();
-  std::vector<uint32_t> current, next;
-  std::vector<uint32_t> marks(program_.size(), 0);
+  MatchBuffers& buffers = ThreadMatchBuffers(program_.size());
+  std::vector<uint32_t>& current = buffers.current;
+  std::vector<uint32_t>& next = buffers.next;
+  std::vector<uint32_t>& marks = buffers.marks;
+  std::vector<uint32_t>& stack = buffers.stack;
   uint32_t generation = 1;
 
-  AddThread(current, marks, generation, 0, 0, len);
+  AddThread(current, marks, stack, generation, 0, 0, len);
 
   for (size_t pos = 0; pos <= len; ++pos) {
     // Check for an accepting thread.
@@ -502,12 +525,12 @@ bool Regex::Run(std::string_view text, bool anchored_start) const {
     for (uint32_t pc : current) {
       const Inst& inst = program_[pc];
       if (inst.op == Inst::Op::kChar && inst.klass.test(c)) {
-        AddThread(next, marks, generation, inst.next, pos + 1, len);
+        AddThread(next, marks, stack, generation, inst.next, pos + 1, len);
       }
     }
     if (!anchored_start) {
       // Unanchored search: also start a fresh attempt at pos+1.
-      AddThread(next, marks, generation, 0, pos + 1, len);
+      AddThread(next, marks, stack, generation, 0, pos + 1, len);
     }
     current.swap(next);
     if (current.empty() && anchored_start) return false;
@@ -525,10 +548,13 @@ bool Regex::FullMatch(std::string_view text) const {
   // pos == len at accept time. Reuse Run with a wrapper: accept early only
   // if remaining input can be consumed — instead we do a dedicated loop.
   const size_t len = text.size();
-  std::vector<uint32_t> current, next;
-  std::vector<uint32_t> marks(program_.size(), 0);
+  MatchBuffers& buffers = ThreadMatchBuffers(program_.size());
+  std::vector<uint32_t>& current = buffers.current;
+  std::vector<uint32_t>& next = buffers.next;
+  std::vector<uint32_t>& marks = buffers.marks;
+  std::vector<uint32_t>& stack = buffers.stack;
   uint32_t generation = 1;
-  AddThread(current, marks, generation, 0, 0, len);
+  AddThread(current, marks, stack, generation, 0, 0, len);
   for (size_t pos = 0; pos < len; ++pos) {
     unsigned char c = static_cast<unsigned char>(text[pos]);
     next.clear();
@@ -536,7 +562,7 @@ bool Regex::FullMatch(std::string_view text) const {
     for (uint32_t pc : current) {
       const Inst& inst = program_[pc];
       if (inst.op == Inst::Op::kChar && inst.klass.test(c)) {
-        AddThread(next, marks, generation, inst.next, pos + 1, len);
+        AddThread(next, marks, stack, generation, inst.next, pos + 1, len);
       }
     }
     current.swap(next);

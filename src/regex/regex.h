@@ -58,7 +58,8 @@ class Regex {
 
   bool Run(std::string_view text, bool anchored_start) const;
   void AddThread(std::vector<uint32_t>& list, std::vector<uint32_t>& marks,
-                 uint32_t generation, uint32_t pc, size_t pos, size_t len) const;
+                 std::vector<uint32_t>& stack, uint32_t generation, uint32_t pc,
+                 size_t pos, size_t len) const;
 
   std::string pattern_;
   std::vector<Inst> program_;

@@ -608,23 +608,105 @@ TEST(EngineTest, SpansOfEqualJoinedTextDedup) {
 
 TEST(EngineTest, EqualValueTextScoresPerDocument) {
   // "China" in two documents: the aggregate scores it against each
-  // document on its own (near: 1 / (1 + tokens between)).
+  // document on its own (near: 1 / (1 + tokens between)). A clause with a
+  // value-only part next to the document part is no value filter: its
+  // scores stay per document and go through the shared cache.
   World w({{"d1", "China is a large country."}, {"d2", "China is a country."}});
+  const std::pair<const char*, double> clauses[] = {
+      {R"((a near "country" {1.0}))", 0.0},
+      {R"((a near "country" {1}) or (str(a) mentions "Chin" {1}))", 1.0},
+  };
+  for (const auto& [clause, value_part] : clauses) {
+    SCOPED_TRACE(clause);
+    const std::string query = std::string(R"(
+        extract a:GPE from "t" if ()
+        satisfying a )") + clause + " with threshold 0.1";
+    ScoreCache cache;
+    EngineOptions shared;
+    shared.score_cache = &cache;
+    for (const EngineOptions& options : {EngineOptions(), shared, shared}) {
+      auto result = w.engine->ExecuteText(query, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->rows.size(), 2u);
+      EXPECT_EQ(result->rows[0].values[0], "China");
+      EXPECT_EQ(result->rows[1].values[0], "China");
+      EXPECT_NE(result->rows[0].doc, result->rows[1].doc);
+      EXPECT_DOUBLE_EQ(result->rows[0].scores[0], 1.0 / 4 + value_part);
+      EXPECT_DOUBLE_EQ(result->rows[1].scores[0], 1.0 / 3 + value_part);
+      EXPECT_EQ(result->filter_values_decided, 0u);
+    }
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 2u);
+  }
+}
+
+TEST(EngineTest, UnreachedSimilarToTargetRejectsEveryVerb) {
+  // DateOfBirth's shape with a SimilarTo target no verb comes near: the
+  // value filter rejects every verb text once, so no sentence binds a row
+  // and the shared score cache is never probed.
+  Pipeline pipeline;
+  auto docs = GenerateWikiArticles({.num_articles = 40, .seed = 35});
+  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
+  auto index = ShardedKokoIndex::Build(corpus, 1);
+  EmbeddingModel embeddings;
+  Engine engine(&corpus, index.get(), &embeddings,
+                &const_cast<const Pipeline&>(pipeline).recognizer());
+  const std::string shape = R"(
+      extract a:Person, b:Date from "wiki" if ( /ROOT:{ v = verb })
+      satisfying v (v SimilarTo "%s" {1}) with threshold 0.9)";
+  auto with_target = [&](const std::string& target) {
+    std::string text = shape;
+    text.replace(text.find("%s"), 2, target);
+    return text;
+  };
+  for (bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "use_index" : "full scan");
+    ScoreCache cache;
+    EngineOptions options;
+    options.use_index = use_index;
+    options.score_cache = &cache;
+    auto none = engine.ExecuteText(with_target("xylophone"), options);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->rows.empty());
+    EXPECT_GT(none->filter_values_decided, 0u);
+    EXPECT_EQ(none->filter_values_rejected, none->filter_values_decided);
+    // "born" passes its own verb, whose rows carry the filter's score.
+    auto born = engine.ExecuteText(with_target("born"), options);
+    ASSERT_TRUE(born.ok()) << born.status().ToString();
+    ASSERT_FALSE(born->rows.empty());
+    for (const ResultRow& row : born->rows) {
+      EXPECT_EQ(row.scores, std::vector<double>{1.0});
+    }
+    EXPECT_LT(born->filter_values_rejected, born->filter_values_decided);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+  }
+}
+
+TEST(EngineTest, ValueFilterRunsBeforeTheRowCap) {
+  // max_rows caps pending rows, and a value-only excluding condition
+  // rejects bindings before they become pending: the cap fills with
+  // surviving rows. Charged before the filter, the two "ate" rows would
+  // have taken the cap and left one row.
+  World w({{"d", "Anna ate a pie. Bob baked bread. Carl ate cake. Dana "
+                 "cooked soup. Eve baked a tart."}});
   const char* query = R"(
-      extract a:GPE from "t" if ()
-      satisfying a (a near "country" {1.0}) with threshold 0.1)";
-  ScoreCache cache;
-  EngineOptions shared;
-  shared.score_cache = &cache;
-  for (const EngineOptions& options : {EngineOptions(), shared, shared}) {
-    auto result = w.engine->ExecuteText(query, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->rows.size(), 2u);
-    EXPECT_EQ(result->rows[0].values[0], "China");
-    EXPECT_EQ(result->rows[1].values[0], "China");
-    EXPECT_NE(result->rows[0].doc, result->rows[1].doc);
-    EXPECT_DOUBLE_EQ(result->rows[0].scores[0], 1.0 / 4);
-    EXPECT_DOUBLE_EQ(result->rows[1].scores[0], 1.0 / 3);
+      extract v:Str from "t" if ( /ROOT:{ v = //verb })
+      excluding (str(v) mentions "ate"))";
+  for (bool early_terminate : {true, false}) {
+    for (bool use_index : {true, false}) {
+      EngineOptions options;
+      options.max_rows = 2;
+      options.early_terminate = early_terminate;
+      options.use_index = use_index;
+      auto result = w.engine->ExecuteText(query, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<std::string> values;
+      for (const ResultRow& row : result->rows) values.push_back(row.values[0]);
+      EXPECT_EQ(values, (std::vector<std::string>{"baked", "cooked"}))
+          << "early_terminate=" << early_terminate
+          << " use_index=" << use_index;
+    }
   }
 }
 

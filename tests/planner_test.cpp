@@ -581,6 +581,26 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   EXPECT_EQ(empty->plan_actuals[0], 0u);
   EXPECT_NE(ExplainExecution(*empty).find("actual=skipped"),
             std::string::npos);
+
+  // Value-only filters: a query without one decides nothing; a SimilarTo
+  // clause on the verb decides each distinct verb once.
+  EXPECT_NE(exec_text.find("value filters: 0 distinct value(s) decided, 0 "
+                           "rejected"),
+            std::string::npos);
+  auto filtered = engine.ExecuteText(R"(
+      extract b:Str from "t" if ( /ROOT:{ a = //verb, b = a/dobj })
+      satisfying a (a SimilarTo "ate" {1}) with threshold 0.9)");
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_GT(filtered->filter_values_decided, 0u);
+  EXPECT_GT(filtered->filter_values_rejected, 0u);
+  EXPECT_LT(filtered->filter_values_rejected, filtered->filter_values_decided);
+  EXPECT_NE(ExplainExecution(*filtered)
+                .find("value filters: " +
+                      std::to_string(filtered->filter_values_decided) +
+                      " distinct value(s) decided, " +
+                      std::to_string(filtered->filter_values_rejected) +
+                      " rejected"),
+            std::string::npos);
 }
 
 // ---- QueryService integration -----------------------------------------------

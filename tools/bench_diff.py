@@ -10,10 +10,12 @@ in the order they were taken, parent and change alternating:
         --change c1.txt c2.txt ... [--claim wiki_extract:latency_p50_ms]
 
 Runs pair up per workload in order (the i-th parent run of a workload with
-its i-th change run). For every workload and every end-to-end metric of
-BENCHMARK.json the tool prints the parent and change medians with their
-quartiles, the relative change, and the pairs the change won. The verdict
-fails when
+its i-th change run). For every workload it prints each side's median
+`attempted` (requests completed in a run), against which a move in a
+request-count-driven metric such as peak_rss_mb can be read; it bears on
+no verdict. For every end-to-end metric of BENCHMARK.json it prints the
+parent and change medians with their quartiles, the relative change, and
+the pairs the change won. The verdict fails when
 
   * a median is worse than the parent's by more than the metric's bound,
   * the change fails a larger share of requests than the parent, or
@@ -28,6 +30,7 @@ status: 0 pass, 1 fail, 2 bad input.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -95,6 +98,14 @@ def failed_share(results):
     return failed / attempted if attempted else 0.0
 
 
+def attempted_line(parents, changes):
+    """Each side's median request count, for reading peak_rss_mb against."""
+    p = statistics.median(r["attempted"] for r in parents)
+    c = statistics.median(r["attempted"] for r in changes)
+    delta = (c - p) / p if p else 0.0
+    return f"  {'attempted (median)':<26} {p:>11.0f} -> {c:>11.0f} {delta:+7.1%}"
+
+
 def compare(parent_runs, change_runs, bounds, claims):
     """Prints the comparison; returns (passed, medians per workload)."""
     passed = True
@@ -108,6 +119,7 @@ def compare(parent_runs, change_runs, bounds, claims):
             continue
         pairs = min(len(parents), len(changes))
         print(f"{workload}: {len(parents)} parent, {len(changes)} change runs")
+        print(attempted_line(parents, changes))
         medians[workload] = {"parent": {}, "change": {}}
         for name, metric in bounds.items():
             p = [r["metrics"][name]["value"] for r in parents]
@@ -199,6 +211,19 @@ def self_test(bounds):
                     sys.stdout = stdout
             print(f"self-test: {name}: {'ok' if got == want else 'WRONG'}")
             ok = ok and got == want
+        # The attempted line shows each side's median request count and
+        # leaves the verdict alone.
+        c = runs(directory, "c", "wiki_extract", {p50: parent}, attempted=150)
+        buffer = io.StringIO()
+        stdout, sys.stdout = sys.stdout, buffer
+        try:
+            got, _ = compare(group(p), group(c), bounds, set())
+        finally:
+            sys.stdout = stdout
+        shown = "100 ->         150  +50.0%" in buffer.getvalue()
+        name = "the attempted line shows both medians and no verdict"
+        print(f"self-test: {name}: {'ok' if shown and got else 'WRONG'}")
+        ok = ok and shown and got
     return ok
 
 
