@@ -16,7 +16,8 @@
 // time, a bench::MedianOfWarmRuns median like every point's build (shards
 // build in parallel on transient threads, so the speedup should approach
 // min(K, cores); the bar is > 1.5x at K=4 on the 4000-article corpus on
-// multi-core hardware), the load sweep (serial
+// multi-core hardware) with that build's process CPU time, the load
+// sweep (serial
 // copy, shard-parallel copy, shard-parallel mmap) and the same query
 // measurements over K shards (a query runs on one thread, DPLI visiting
 // its K shards in order).
@@ -27,6 +28,8 @@
 // failed save, load (a kMap load that did not map included), query or
 // JSON write. Emits BENCH_table2_scaleup.json.
 #include "bench_util.h"
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -267,18 +270,38 @@ void EmitLoadSummary(const Point& point,
                     static_cast<double>(map.posting_bytes)}}));
 }
 
+// User plus system CPU time this process has used, all threads together.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 // Builds `corpus` under bench::MedianOfWarmRuns, so every point's build
-// time follows the queries' timing rule: returns the last build, and its
-// median build_seconds in `*build_s`.
+// time follows the queries' timing rule: returns the last build, its
+// median build_seconds in `*build_s`, and the process CPU time of that
+// median build in `*build_cpu_s` (CPU / wall near K says the K build
+// threads ran side by side).
 std::unique_ptr<ShardedKokoIndex> TimedBuild(
     const AnnotatedCorpus& corpus, const ShardedKokoIndex::Options& options,
-    double* build_s) {
+    double* build_s, double* build_cpu_s) {
   std::unique_ptr<ShardedKokoIndex> index;
+  std::vector<std::pair<double, double>> builds;  // (wall, CPU) per build
   *build_s = bench::MedianOfWarmRuns([&] {
     index.reset();
+    const double cpu_before = ProcessCpuSeconds();
     index = ShardedKokoIndex::Build(corpus, options);
-    return index->stats().build_seconds;
+    builds.emplace_back(index->stats().build_seconds,
+                        ProcessCpuSeconds() - cpu_before);
+    return builds.back().first;
   });
+  // The first build is the untimed warm-up.
+  for (size_t i = 1; i < builds.size(); ++i) {
+    if (builds[i].first == *build_s) *build_cpu_s = builds[i].second;
+  }
   return index;
 }
 
@@ -307,7 +330,9 @@ int main(int argc, char** argv) {
   }
   sweep.push_back(max_articles);
   bool ok = true;
-  double base_build_s = 0;  // K=1 over the largest corpus: the last point
+  // K=1 over the largest corpus: the last point.
+  double base_build_s = 0;
+  double base_build_cpu_s = 0;
   const DocumentStore full_store = DocumentStore::FromCorpus(full);
   for (size_t articles : sweep) {
     // Every point but the last runs on a prefix of the full corpus.
@@ -321,7 +346,7 @@ int main(int argc, char** argv) {
     }
     const AnnotatedCorpus& corpus = prefix_store ? prefix : full;
     const DocumentStore& store = prefix_store ? *prefix_store : full_store;
-    auto index = TimedBuild(corpus, {}, &base_build_s);
+    auto index = TimedBuild(corpus, {}, &base_build_s, &base_build_cpu_s);
     // Resident posting-list footprint: the block-compressed sid caches vs
     // what the same sets cost fully decoded (4 bytes/sid, the pre-block
     // representation's floor — vector slack pushed it higher). The block
@@ -353,25 +378,28 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Shard sweep: %zu articles, %u hardware threads; K=1 is the "
-              "point above (median build=%.3fs)\n\n",
-              max_articles, cores, base_build_s);
+              "point above (median build=%.3fs, cpu=%.3fs)\n\n",
+              max_articles, cores, base_build_s, base_build_cpu_s);
   emitter.AddEntry("build/K=1", {{"shards", 1},
                                  {"build_s", base_build_s},
+                                 {"build_cpu_s", base_build_cpu_s},
                                  {"speedup_vs_1", 1}});
   for (size_t k : {2u, 4u, 8u}) {
     ShardedKokoIndex::Options build_options;
     build_options.num_shards = k;
     build_options.build_threads = k;
     double build_s = 0;
-    auto index = TimedBuild(full, build_options, &build_s);
+    double build_cpu_s = 0;
+    auto index = TimedBuild(full, build_options, &build_s, &build_cpu_s);
     const double speedup = build_s > 0 ? base_build_s / build_s : 0;
-    std::printf("-- K=%zu: build=%.3fs (speedup %.2fx vs K=1)%s --\n", k,
-                build_s, speedup,
+    std::printf("-- K=%zu: build=%.3fs cpu=%.3fs (speedup %.2fx vs K=1)%s --\n",
+                k, build_s, build_cpu_s, speedup,
                 k == 4 && speedup > 1.5 ? "  [>1.5x target met]" : "");
     const Point point{"K=" + std::to_string(k), "shards",
                       static_cast<double>(k)};
     emitter.AddEntry("build/" + point.label,
                      Lead(point, {{"build_s", build_s},
+                                  {"build_cpu_s", build_cpu_s},
                                   {"speedup_vs_1", speedup}}));
     if (auto loads = TimeLoads(*index, point, kShardLoads, &emitter)) {
       EmitLoadSummary(point, *loads, &emitter);

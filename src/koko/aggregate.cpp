@@ -71,18 +71,51 @@ Aggregator::Aggregator(const EmbeddingModel* model,
   }
 }
 
+namespace {
+
+uint64_t DoubleBits(double x) {
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(x));
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Mixes a condition's kind, text and weight into `h`.
+uint64_t HashCondition(uint64_t h, const SatCondition& cond) {
+  h = HashCombine(h, static_cast<uint64_t>(cond.kind));
+  h = HashCombine(h, Fnv1a64(cond.text));
+  return HashCombine(h, DoubleBits(cond.weight));
+}
+
+}  // namespace
+
 uint64_t Aggregator::ClauseKey(const CompiledClause& clause) const {
   uint64_t h = Fnv1a64(clause.var);
   h = HashCombine(h, clause.conditions.size());
   for (const CompiledCondition& compiled : clause.conditions) {
-    const SatCondition& cond = compiled.source;
-    h = HashCombine(h, static_cast<uint64_t>(cond.kind));
-    h = HashCombine(h, Fnv1a64(cond.var));
-    h = HashCombine(h, Fnv1a64(cond.text));
-    uint64_t weight_bits;
-    static_assert(sizeof(weight_bits) == sizeof(cond.weight));
-    std::memcpy(&weight_bits, &cond.weight, sizeof(weight_bits));
-    h = HashCombine(h, weight_bits);
+    h = HashCombine(h, Fnv1a64(compiled.source.var));
+    h = HashCondition(h, compiled.source);
+  }
+  return HashCombine(config_salt_, Mix64(h));
+}
+
+uint64_t Aggregator::FilterSetKey(const CompiledQuery& cq,
+                                  const std::vector<size_t>& slots) const {
+  uint64_t h = Mix64(slots.size());
+  for (size_t slot : slots) {
+    if (slot < cq.satisfying.size()) {
+      const CompiledClause& clause = cq.satisfying[slot];
+      h = HashCombine(h, DoubleBits(clause.threshold));
+      h = HashCombine(h, clause.conditions.size());
+      for (const CompiledCondition& cond : clause.conditions) {
+        h = HashCondition(h, cond.source);
+      }
+    } else {
+      // A marker where a clause mixes its threshold and condition count,
+      // so a condition never keys like a one-condition clause.
+      h = HashCombine(h, Mix64(~uint64_t{0}));
+      h = HashCondition(h, cq.excluding[slot - cq.satisfying.size()].source);
+    }
   }
   return HashCombine(config_salt_, Mix64(h));
 }

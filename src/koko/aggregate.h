@@ -64,6 +64,15 @@ class Aggregator {
   /// configurations over one corpus.
   uint64_t ClauseKey(const CompiledClause& clause) const;
 
+  /// ScoreCache verdict-table key of one variable's value filters `slots`
+  /// (numbered as ValueFilter::slot): each slot's clause threshold or
+  /// excluding mark, and every condition's kind, text and weight, salted
+  /// like ClauseKey. Variable names are left out, since a value-only
+  /// condition reads only the value's text, so queries that filter
+  /// different variables alike share one table.
+  uint64_t FilterSetKey(const CompiledQuery& cq,
+                        const std::vector<size_t>& slots) const;
+
  private:
   struct Expansion {
     double score;

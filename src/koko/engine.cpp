@@ -14,47 +14,69 @@ namespace koko {
 
 namespace {
 
+// The id of a value no id was interned for: the bindings of span, elastic,
+// subtree and literal variables.
+constexpr uint32_t kNoId = UINT32_MAX;
+
 // A variable binding within one sentence: the token span [begin, end]
-// (end < begin encodes an empty span) plus the tree node for node variables.
+// (end < begin encodes an empty span) plus the tree node for node variables
+// and the value id (Engine's value ids) of entity and node bindings.
 struct Binding {
   int begin = 0;
   int end = -1;
   int node = -1;
+  uint32_t id = kNoId;
 
   bool empty_span() const { return end < begin; }
   int length() const { return end - begin + 1; }
 };
 
-// One tracked value of a pending row: a token span of the row's sentence
-// and the hash of its text (Sentence::SpanTextHash).
+// One tracked value of a pending row: a token span of the row's sentence,
+// its binding's value id and a hash of its value — of the id when there is
+// one, else of the text (Sentence::SpanTextHash).
 struct RowSpan {
   int begin;
   int end;
   uint64_t hash;
+  uint32_t id;
 };
 
-// Per-sentence row dedup: an open-addressing table of pending rows keyed by
-// the hash of their span texts. Reset() empties it for the next sentence
-// and keeps its capacity.
-class RowDedup {
+RowSpan SpanOf(const Sentence& s, const Binding& b) {
+  return {b.begin, b.end,
+          b.id != kNoId ? Mix64(b.id) : s.SpanTextHash(b.begin, b.end), b.id};
+}
+
+// True when two spans of one variable hold equal text: equal ids, or for a
+// variable without ids, equal text compared in place.
+bool SameValue(const Sentence& a, const RowSpan& x, const Sentence& b,
+               const RowSpan& y) {
+  if (x.id != kNoId || y.id != kNoId) return x.id == y.id;
+  return x.hash == y.hash &&
+         a.SpanTextEquals(x.begin, x.end, b, y.begin, y.end);
+}
+
+// An open-addressing set of indices into a caller's table, keyed by a hash
+// of the entry they name: the per-sentence pending-row dedup and the
+// engine's value interning. Reset() empties it and keeps its capacity.
+class IndexSet {
  public:
   void Reset() {
     for (size_t i : used_) slots_[i].row = kEmpty;
     used_.clear();
   }
 
-  // Adds `row` unless a present row with the same hash satisfies
-  // `equal(present_row)`; returns whether it was added.
+  // The present index with the same hash that satisfies `equal(present)`;
+  // else adds `row` and returns it.
   template <typename Equal>
-  bool Insert(uint64_t hash, size_t row, const Equal& equal) {
+  size_t FindOrInsert(uint64_t hash, size_t row, const Equal& equal) {
     if (2 * (used_.size() + 1) > slots_.size()) Grow();
     for (size_t i = SlotOf(hash);; i = (i + 1) & (slots_.size() - 1)) {
       if (slots_[i].row == kEmpty) {
         slots_[i] = {hash, row};
         used_.push_back(i);
-        return true;
+        return row;
       }
-      if (slots_[i].hash == hash && equal(slots_[i].row)) return false;
+      if (slots_[i].hash == hash && equal(slots_[i].row)) return slots_[i].row;
     }
   }
 
@@ -87,9 +109,10 @@ class RowDedup {
   std::vector<size_t> used_;
 };
 
-// Aggregate memo key: a (doc, slot) pair and the text of one representative
-// span, compared in place. Slot ci < #satisfying is satisfying clause ci's
-// score; #satisfying + j is excluding condition j's confidence.
+// Aggregate memo key: a (doc, slot) pair and the value of one
+// representative span, compared by id or in place (SameValue). Slot
+// ci < #satisfying is satisfying clause ci's score; #satisfying + j is
+// excluding condition j's confidence.
 struct MemoKey {
   uint32_t doc;
   uint32_t slot;
@@ -106,49 +129,116 @@ struct MemoHash {
 
 struct MemoEqual {
   bool operator()(const MemoKey& a, const MemoKey& b) const {
-    return a.doc == b.doc && a.slot == b.slot && a.span.hash == b.span.hash &&
-           a.sentence->SpanTextEquals(a.span.begin, a.span.end, *b.sentence,
-                                      b.span.begin, b.span.end);
+    return a.doc == b.doc && a.slot == b.slot &&
+           SameValue(*a.sentence, a.span, *b.sentence, b.span);
   }
 };
 
 // The query's value-only filters (CompiledQuery::value_filters). A
 // value-only clause or condition scores a value alike in every document,
-// so a variable's filters are decided once per distinct value text: the
-// first binding with that text runs them in order, stopping at the first
-// rejection, and the verdict is kept by (variable, span text). A passing
-// value's value-only clause scores are kept by (clause, span text) for the
-// row's `scores`. Both memos key MemoKey with doc 0 and compare text in
-// place. Nothing here reaches the doc-keyed ScoreCache.
+// so a variable's filters are decided once per distinct value: the first
+// binding with that value runs them in order, stopping at the first
+// rejection. An entity or node variable keeps the verdict, and a passing
+// value's value-only clause scores, in a VerdictTable indexed by value id
+// and keyed by its filter set — the ScoreCache's when there is one, so the
+// verdicts outlive the query, else a table of this query's own. Any other
+// variable keeps them for this query by span text, in MemoKeys with doc 0
+// whose slot is the variable (verdicts) or the clause (scores).
 class ValueFilters {
  public:
-  ValueFilters(const CompiledQuery& cq, Aggregator* aggregator)
-      : cq_(cq), aggregator_(aggregator), slots_of_(cq.vars.size()) {
+  ValueFilters(const CompiledQuery& cq, Aggregator* aggregator,
+               ScoreCache* cache, size_t num_ids)
+      : cq_(cq),
+        aggregator_(aggregator),
+        vars_(cq.vars.size()),
+        score_of_(cq.satisfying.size()) {
+    // Clause slots come first, so a clause's score index within its
+    // variable's table is its position among the variable's slots.
     for (const ValueFilter& f : cq.value_filters) {
-      slots_of_[static_cast<size_t>(f.var)].push_back(f.slot);
+      VarFilters& vf = vars_[static_cast<size_t>(f.var)];
+      if (f.slot < cq.satisfying.size()) {
+        score_of_[f.slot] = {static_cast<size_t>(f.var), vf.slots.size()};
+        ++vf.num_scores;
+      }
+      vf.slots.push_back(f.slot);
+    }
+    for (size_t i = 0; i < vars_.size(); ++i) {
+      VarFilters& vf = vars_[i];
+      const CompiledVar::Kind kind = cq.vars[i].kind;
+      if (vf.slots.empty() || (kind != CompiledVar::Kind::kEntity &&
+                               kind != CompiledVar::Kind::kNode)) {
+        continue;
+      }
+      vf.table = cache != nullptr
+                     ? cache->Verdicts(aggregator->FilterSetKey(cq, vf.slots),
+                                       num_ids, vf.num_scores)
+                     : std::make_shared<VerdictTable>(num_ids, vf.num_scores);
     }
   }
 
-  bool Filters(size_t var) const { return !slots_of_[var].empty(); }
+  bool Filters(size_t var) const { return !vars_[var].slots.empty(); }
 
-  // True when every filter of `var` passes the text of tokens [begin, end].
-  bool Passes(size_t var, const Sentence& s, int begin, int end) {
-    const std::vector<size_t>& slots = slots_of_[var];
-    if (slots.empty()) return true;
-    const RowSpan span{begin, end, s.SpanTextHash(begin, end)};
+  // True when every filter of `var` passes binding `b`'s text.
+  bool Passes(size_t var, const Sentence& s, const Binding& b) {
+    const VarFilters& vf = vars_[var];
+    if (vf.slots.empty()) return true;
+    if (vf.table != nullptr) {
+      switch (vf.table->verdict(b.id)) {
+        case VerdictTable::Verdict::kPass:
+          return true;
+        case VerdictTable::Verdict::kReject:
+          return false;
+        case VerdictTable::Verdict::kUndecided:
+          break;
+      }
+      const bool pass = Decide(vf.slots, s, b);
+      vf.table->Store(b.id, pass, scores_);
+      return pass;
+    }
+    const RowSpan span = SpanOf(s, b);
     const MemoKey key{0, static_cast<uint32_t>(var), &s, span};
     auto it = verdicts_.find(key);
     if (it != verdicts_.end()) return it->second;
+    const bool pass = Decide(vf.slots, s, b);
+    for (size_t k = 0; k < scores_.size(); ++k) {
+      text_scores_.emplace(
+          MemoKey{0, static_cast<uint32_t>(vf.slots[k]), &s, span}, scores_[k]);
+    }
+    verdicts_.emplace(key, pass);
+    return pass;
+  }
+
+  // Value-only clause `clause`'s score of a span whose variable passed.
+  double Score(size_t clause, const Sentence& s, const RowSpan& span) const {
+    const auto [var, k] = score_of_[clause];
+    const VerdictTable* table = vars_[var].table.get();
+    if (table != nullptr) return table->score(span.id, k);
+    return text_scores_.at(MemoKey{0, static_cast<uint32_t>(clause), &s, span});
+  }
+
+  size_t decided() const { return decided_; }
+  size_t rejected() const { return rejected_; }
+
+ private:
+  struct VarFilters {
+    std::vector<size_t> slots;  // filter slots, clauses first
+    size_t num_scores = 0;      // clause slots
+    std::shared_ptr<VerdictTable> table;
+  };
+
+  // Runs `slots` on the text of `b` in order up to the first rejection,
+  // leaving the clause scores it computed in `scores_`.
+  bool Decide(const std::vector<size_t>& slots, const Sentence& s,
+              const Binding& b) {
     text_.clear();
-    s.AppendSpanText(begin, end, &text_);
+    s.AppendSpanText(b.begin, b.end, &text_);
+    scores_.clear();
     bool pass = true;
     for (size_t slot : slots) {
       if (slot < cq_.satisfying.size()) {
         const CompiledClause& clause = cq_.satisfying[slot];
-        const double score = aggregator_->Score(no_document_, text_, clause);
-        scores_.emplace(MemoKey{0, static_cast<uint32_t>(slot), &s, span},
-                        score);
-        pass = score >= clause.threshold;
+        scores_.push_back(aggregator_->Score(no_document_, text_, clause));
+        pass = scores_.back() >= clause.threshold;
       } else {
         // A positive confidence excludes.
         pass = !(aggregator_->ConditionScore(
@@ -157,29 +247,22 @@ class ValueFilters {
       }
       if (!pass) break;
     }
+    ++decided_;
     rejected_ += pass ? 0 : 1;
-    verdicts_.emplace(key, pass);
     return pass;
   }
 
-  // Value-only clause `clause`'s score of a span whose variable passed.
-  double Score(size_t clause, const Sentence& s, const RowSpan& span) const {
-    return scores_.at(MemoKey{0, static_cast<uint32_t>(clause), &s, span});
-  }
-
-  size_t decided() const { return verdicts_.size(); }
-  size_t rejected() const { return rejected_; }
-
- private:
   const CompiledQuery& cq_;
   Aggregator* aggregator_;
-  std::vector<std::vector<size_t>> slots_of_;  // filter slots per variable
-  // MemoKey's slot holds the variable in `verdicts_`, the clause in
-  // `scores_`.
+  std::vector<VarFilters> vars_;
+  // (variable, score index) of each value-only satisfying clause.
+  std::vector<std::pair<size_t, size_t>> score_of_;
   std::unordered_map<MemoKey, bool, MemoHash, MemoEqual> verdicts_;
-  std::unordered_map<MemoKey, double, MemoHash, MemoEqual> scores_;
+  std::unordered_map<MemoKey, double, MemoHash, MemoEqual> text_scores_;
+  size_t decided_ = 0;
   size_t rejected_ = 0;
   std::string text_;
+  std::vector<double> scores_;
   const Document no_document_;  // value-only conditions read no document
 };
 
@@ -208,10 +291,12 @@ class SentenceEvaluator {
     }
   }
 
-  // Enumerates all assignments over `s`. Returns false when `emit` stopped
+  // Enumerates all assignments over `s`, whose tokens' and then entity
+  // mentions' value ids start at `ids`. Returns false when `emit` stopped
   // the enumeration.
-  bool Run(const Sentence& s) {
+  bool Run(const Sentence& s, const uint32_t* ids) {
     s_ = &s;
+    ids_ = ids;
     const size_t n = cq_.vars.size();
     assign_.assign(n, Binding{});
     assigned_.assign(n, 0);
@@ -241,14 +326,19 @@ class SentenceEvaluator {
         case Kind::kNode:
           MatchPathInSentence(*s_, v.abs_path, v.step_regex, &path_scratch_,
                               &path_nodes_);
-          for (int t : path_nodes_) domain.push_back(Binding{t, t, t});
-          break;
-        case Kind::kEntity:
-          for (const Entity& e : s_->entities) {
-            if (v.etype && e.type != *v.etype) continue;
-            domain.push_back(Binding{e.begin, e.end, -1});
+          for (int t : path_nodes_) {
+            domain.push_back(Binding{t, t, t, ids_[t]});
           }
           break;
+        case Kind::kEntity: {
+          const uint32_t* entity_ids = ids_ + s_->size();
+          for (size_t j = 0; j < s_->entities.size(); ++j) {
+            const Entity& e = s_->entities[j];
+            if (v.etype && e.type != *v.etype) continue;
+            domain.push_back(Binding{e.begin, e.end, -1, entity_ids[j]});
+          }
+          break;
+        }
         case Kind::kLiteral: {
           const int m = static_cast<int>(v.literal.size());
           for (int pos = 0; pos + m <= s_->size(); ++pos) {
@@ -266,7 +356,7 @@ class SentenceEvaluator {
       unfiltered_size_[i] = domain.size();
       if (filters_->Filters(i)) {
         std::erase_if(domain, [&](const Binding& b) {
-          return !filters_->Passes(i, *s_, b.begin, b.end);
+          return !filters_->Passes(i, *s_, b);
         });
       }
       if (domain.empty()) return false;
@@ -387,8 +477,7 @@ class SentenceEvaluator {
   bool Step(size_t var) {
     if (var == cq_.vars.size()) {
       for (size_t d : filtered_derived_) {
-        const Binding& b = assign_[d];
-        if (!filters_->Passes(d, *s_, b.begin, b.end)) return true;
+        if (!filters_->Passes(d, *s_, assign_[d])) return true;
       }
       return emit_(assign_);
     }
@@ -685,6 +774,7 @@ class SentenceEvaluator {
   const Emit& emit_;
   std::vector<size_t> filtered_derived_;  // derived variables with filters
   const Sentence* s_ = nullptr;
+  const uint32_t* ids_ = nullptr;
   // Per-sentence state; Run() resets it and keeps the capacity.
   std::vector<std::vector<Binding>> domains_;
   std::vector<size_t> unfiltered_size_;  // domain sizes before value filters
@@ -707,7 +797,42 @@ Engine::Engine(const AnnotatedCorpus* corpus, const ShardedKokoIndex* index,
     : corpus_(corpus),
       index_(index),
       embeddings_(embeddings),
-      recognizer_(recognizer) {}
+      recognizer_(recognizer) {
+  size_t num_values = 0;
+  for (const Document& doc : corpus->docs) {
+    for (const Sentence& s : doc.sentences) {
+      num_values += s.tokens.size() + s.entities.size();
+    }
+  }
+  value_ids_.reserve(num_values);
+  value_base_.reserve(corpus->NumSentences() + 1);
+  // Each id keeps the first span that had its text, which later spans
+  // compare against in place, so no text is copied.
+  struct FirstSpan {
+    const Sentence* sentence;
+    int begin;
+    int end;
+  };
+  std::vector<FirstSpan> first;
+  IndexSet ids;
+  for (uint32_t sid = 0; sid < corpus->NumSentences(); ++sid) {
+    const Sentence& s = corpus->sentence(sid);
+    auto intern = [&](int begin, int end) {
+      const size_t id = ids.FindOrInsert(
+          s.SpanTextHash(begin, end), first.size(), [&](size_t other) {
+            const FirstSpan& f = first[other];
+            return s.SpanTextEquals(begin, end, *f.sentence, f.begin, f.end);
+          });
+      if (id == first.size()) first.push_back({&s, begin, end});
+      value_ids_.push_back(static_cast<uint32_t>(id));
+    };
+    value_base_.push_back(static_cast<uint32_t>(value_ids_.size()));
+    for (int t = 0; t < s.size(); ++t) intern(t, t);
+    for (const Entity& e : s.entities) intern(e.begin, e.end);
+  }
+  value_base_.push_back(static_cast<uint32_t>(value_ids_.size()));
+  num_value_ids_ = first.size();
+}
 
 Result<QueryResult> Engine::ExecuteText(std::string_view query_text,
                                         const EngineOptions& options) const {
@@ -735,6 +860,12 @@ Result<QueryResult> Engine::Execute(const Query& query,
 
 Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
                                             const EngineOptions& options) const {
+  if (value_base_.size() != corpus_->NumSentences() + 1) {
+    return Status::InvalidArgument(
+        "the corpus has " + std::to_string(corpus_->NumSentences()) +
+        " sentences but had " + std::to_string(value_base_.size() - 1) +
+        " when the engine interned its values");
+  }
   QueryResult result;
   for (const OutputSpec& spec : cq.outputs) result.output_names.push_back(spec.var);
 
@@ -891,7 +1022,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   Aggregator aggregator(embeddings_, recognizer_,
                         {.use_descriptors = options.use_descriptors},
                         ontology_sets_);
-  ValueFilters filters(cq, &aggregator);
+  ValueFilters filters(cq, &aggregator, options.score_cache, num_value_ids_);
 
   // Score cache: (doc, clause, value) -> score. A shared cross-query
   // cache (options.score_cache) is consulted first when present; entries
@@ -909,7 +1040,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   }
 
   // Query-local aggregate memo: every satisfying score and excluding
-  // confidence, keyed by (doc, slot, span text) — see MemoKey. A miss builds
+  // confidence, keyed by (doc, slot, value) — see MemoKey. A miss builds
   // the value text into `value_text`, which `compute` reads.
   std::unordered_map<MemoKey, double, MemoHash, MemoEqual> memo;
   std::string value_text;
@@ -987,7 +1118,7 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
   // ---- GSP + extract: per-sentence evaluation ----
 
   // One evaluator serves every candidate. Its emit callback appends the
-  // current sentence's rows, deduplicated by span text, to `pending` until
+  // current sentence's rows, deduplicated by value, to `pending` until
   // it holds `budget` rows, and then stops the evaluation.
   struct Current {
     uint32_t doc = 0;
@@ -995,28 +1126,23 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
     const Sentence* sentence = nullptr;
     size_t budget = 0;
   } current;
-  RowDedup dedup;
+  IndexSet dedup;
   const SentenceEvaluator::Emit emit = [&](const std::vector<Binding>& assignment) {
     const Sentence& s = *current.sentence;
     const size_t first = row_spans.size();
     uint64_t row_hash = 0;
     for (int var : tracked) {
-      const Binding& b = assignment[static_cast<size_t>(var)];
-      const uint64_t h = s.SpanTextHash(b.begin, b.end);
-      row_spans.push_back({b.begin, b.end, h});
-      row_hash = HashCombine(row_hash, h);
+      row_spans.push_back(SpanOf(s, assignment[static_cast<size_t>(var)]));
+      row_hash = HashCombine(row_hash, row_spans.back().hash);
     }
-    const bool fresh = dedup.Insert(row_hash, first, [&](size_t other) {
+    const bool fresh = dedup.FindOrInsert(row_hash, first, [&](size_t other) {
       for (size_t k = 0; k < tracked.size(); ++k) {
-        const RowSpan& x = row_spans[first + k];
-        const RowSpan& y = row_spans[other + k];
-        if (x.hash != y.hash ||
-            !s.SpanTextEquals(x.begin, x.end, s, y.begin, y.end)) {
+        if (!SameValue(s, row_spans[first + k], s, row_spans[other + k])) {
           return false;
         }
       }
       return true;
-    });
+    }) == first;
     if (!fresh) {
       row_spans.resize(first);
       return true;
@@ -1070,7 +1196,8 @@ Result<QueryResult> Engine::ExecuteCompiled(const CompiledQuery& cq,
         current.sid = candidates[i];
         current.sentence = &document(ref.doc).sentences[ref.sent];
         dedup.Reset();
-        if (!evaluator.Run(*current.sentence)) {
+        if (!evaluator.Run(*current.sentence,
+                           value_ids_.data() + value_base_[candidates[i]])) {
           full = true;
           break;
         }

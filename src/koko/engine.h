@@ -69,8 +69,12 @@ struct QueryResult {
   /// order (PlannedCandidates::atom_sizes of the same shard); shorter than
   /// `plan->atoms` when an empty accumulator short-circuited the rest.
   std::vector<uint64_t> plan_actuals;
-  /// Distinct (variable, value text) pairs the query's value-only filters
-  /// decided (CompiledQuery::value_filters), and how many they rejected.
+  /// Values the query's value-only filters (CompiledQuery::value_filters)
+  /// decided, and how many of those they rejected. An entity or node
+  /// variable counts each value id whose verdict no earlier query sharing
+  /// its verdict table had stored, so a warm query through one ScoreCache
+  /// reads 0; any other variable counts each distinct (variable, value
+  /// text) pair.
   size_t filter_values_decided = 0;
   size_t filter_values_rejected = 0;
 };
@@ -95,11 +99,13 @@ struct EngineOptions {
   /// comes from running many queries at once (serve/query_service.h).
   size_t num_threads = 1;
   /// Cross-query (doc, clause, value) score cache for the aggregate phase
-  /// (borrowed, thread-safe; must outlive the call). Only clauses that read
-  /// the document use it; value filters never do. When null — the
-  /// default — the engine uses a query-local cache, rebuilding warm state
-  /// per query. A shared cache persists aggregate scores across queries;
-  /// scores are deterministic, so hits are byte-identical to recomputation.
+  /// (borrowed, thread-safe; must outlive the call). Clauses that read the
+  /// document keep their scores in it; value filters on entity and node
+  /// variables keep their verdicts in its tables (ScoreCache::Verdicts).
+  /// When null — the default — the engine uses query-local ones,
+  /// rebuilding warm state per query. A shared cache persists aggregate
+  /// scores across queries; scores are deterministic, so hits are
+  /// byte-identical to recomputation.
   /// Entries are keyed by Aggregator::ClauseKey — clause content *and*
   /// scoring configuration (use_descriptors, ontology sets) — so one cache
   /// may serve heterogeneous option sets against one corpus. Never share a
@@ -141,15 +147,27 @@ struct EngineOptions {
 /// (Algorithm 2 per relevant sentence), and Aggregate (satisfying /
 /// excluding clauses over whole documents).
 ///
+/// **Value ids.** The constructor interns the exact text (what
+/// `Sentence::AppendSpanText` gives) of every token and entity mention of
+/// the corpus into one dense id space — equal text, equal id — and keeps
+/// each sentence's ids. Entity and node bindings carry their id, and
+/// pending rows hash and dedup those variables by id instead of by text.
+/// The corpus must not change after construction: a query against a corpus
+/// with another sentence count fails with InvalidArgument.
+///
 /// **Value filters.** A satisfying clause whose conditions all read only
 /// the value (`str(x) contains`, `mentions`, `matches`, `in dict`,
 /// `SimilarTo`) and each such excluding condition are decided once per
-/// distinct value text per query, with no document in the key, and drop
-/// the bindings they reject before enumeration (derived span, subtree and
-/// elastic variables when their row is emitted). A rejected binding never
-/// becomes a pending row, so it neither reaches Aggregate nor counts
-/// against `max_rows`; a surviving row takes that clause's score from the
-/// same memo. This holds on every path, `use_index = false` included.
+/// distinct value, with no document in the key, and drop the bindings they
+/// reject before enumeration (derived span, subtree and elastic variables
+/// when their row is emitted). An entity or node variable's verdicts live
+/// in a `VerdictTable` indexed by value id and keyed by its filter set:
+/// the `score_cache`'s, which outlives the query, or a query-local one
+/// without a cache. Other variables keep a per-query memo by value text.
+/// A rejected binding never becomes a pending row, so it neither reaches
+/// Aggregate nor counts against `max_rows`; a surviving row takes that
+/// clause's score from the same table or memo. This holds on every path,
+/// `use_index = false` included.
 ///
 /// **DPLI phase contract.** Candidate pruning is columnar: every prunable
 /// atom of the compiled query — each dominant node-variable path, each
@@ -214,6 +232,11 @@ class Engine {
   const EntityRecognizer* recognizer_;
   const DocumentStore* store_ = nullptr;
   std::vector<std::vector<std::string>> ontology_sets_;
+  // Value ids: sentence sid's token ids sit at value_ids_[value_base_[sid]]
+  // onward, followed by its entity mentions' ids in `entities` order.
+  size_t num_value_ids_ = 0;
+  std::vector<uint32_t> value_base_;
+  std::vector<uint32_t> value_ids_;
 };
 
 }  // namespace koko

@@ -72,7 +72,9 @@ std::string ExplainPlan(const QueryPlan& plan);
 /// short-circuited), plus the execution's pruning and early-termination
 /// figures — candidates after DPLI, candidates actually scanned, and
 /// whether/where streaming top-k cut the scan short — and how many
-/// distinct values the value-only filters decided and rejected. When
+/// distinct values the value-only filters decided and rejected in this
+/// query (verdicts an earlier query left in a shared ScoreCache's tables
+/// are read, not counted). When
 /// sharded, the plan and actuals are shard 0's.
 std::string ExplainExecution(const QueryResult& result);
 

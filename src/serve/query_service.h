@@ -162,8 +162,9 @@ class AdmissionQueue {
 ///    into cache shards) survives across queries via
 ///    `EngineOptions::score_cache`, so repeated workloads hit warm
 ///    aggregate scores instead of re-scoring (doc, clause, value) triples.
-///    Value-only clauses and conditions never reach it: each query decides
-///    them once per distinct value.
+///    It also keeps the verdict tables of value-only clauses and
+///    conditions on entity and node variables, so a value is decided once
+///    per service, not once per query.
 ///  * **Persistent plan cache.** One `PlanCache` survives across queries
 ///    via `EngineOptions::plan_cache`, so repeated query shapes reuse the
 ///    compiled clause plan (atom order + per-clause representations) per

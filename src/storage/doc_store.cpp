@@ -1,20 +1,11 @@
 #include "storage/doc_store.h"
 
-#include <fstream>
-#include <memory>
 #include <string_view>
 
 #include "storage/serde.h"
-#include "util/mmap_file.h"
 #include "util/logging.h"
 
 namespace koko {
-
-namespace {
-
-constexpr uint32_t kStoreMagic = 0x4b444f43;  // "CODK"
-
-}  // namespace
 
 std::string DocumentStore::SerializeDocument(const Document& doc) {
   std::string out;
@@ -163,63 +154,6 @@ Document DocumentStore::LoadDocument(uint32_t doc_id) const {
   auto doc = DeserializeDocument(blobs_[doc_id]);
   KOKO_CHECK(doc.ok());
   return std::move(*doc);
-}
-
-Status DocumentStore::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  auto write = [&out](std::string_view bytes) {
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
-  // Each blob's length prefix goes through `prefix`, the blob itself
-  // straight to the file.
-  std::string prefix;
-  ByteWriter w(&prefix);
-  w.WriteU32(kStoreMagic);
-  w.WriteU32(static_cast<uint32_t>(blobs_.size()));
-  write(prefix);
-  for (const auto& blob : blobs_) {
-    prefix.clear();
-    w.WriteU32(static_cast<uint32_t>(blob.size()));
-    write(prefix);
-    write(blob);
-  }
-  out.close();
-  if (!out) return Status::IoError("write failure on " + path);
-  return Status::OK();
-}
-
-Status DocumentStore::LoadFromFile(const std::string& path) {
-  KOKO_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
-                        MappedFile::Read(path));
-  SpanReader r(file->span());
-  const Result<uint32_t> magic = r.ReadU32();
-  if (!magic.ok() || *magic != kStoreMagic) {
-    return Status::ParseError("bad doc-store magic");
-  }
-  // Every blob takes at least its u32 length prefix.
-  const Result<uint32_t> count = r.ReadU32();
-  if (!count.ok() || *count > r.remaining() / sizeof(uint32_t)) {
-    return Status::ParseError("doc-store count exceeds the file");
-  }
-  std::vector<std::string> blobs;
-  blobs.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto blob = r.ReadString();
-    if (!blob.ok()) {
-      return Status::ParseError("doc-store blob " + std::to_string(i) +
-                                " truncated");
-    }
-    // Parse each blob once here, so LoadDocument never meets a bad one.
-    const Result<Document> doc = DeserializeDocument(*blob);
-    if (!doc.ok()) {
-      return Status::ParseError("doc-store blob " + std::to_string(i) + ": " +
-                                doc.status().message());
-    }
-    blobs.push_back(std::move(*blob));
-  }
-  blobs_ = std::move(blobs);
-  return Status::OK();
 }
 
 }  // namespace koko

@@ -21,17 +21,10 @@ class DocumentStore {
   static DocumentStore FromCorpus(const AnnotatedCorpus& corpus);
 
   /// Deserialises document `doc_id`. Every blob was produced by
-  /// FromCorpus or parsed once by LoadFromFile, so this cannot fail.
+  /// FromCorpus, so this cannot fail.
   Document LoadDocument(uint32_t doc_id) const;
 
   size_t NumDocs() const { return blobs_.size(); }
-
-  Status SaveToFile(const std::string& path) const;
-  /// Replaces the store with a saved one. Every blob is parsed and
-  /// range-checked here; a truncated or corrupt file fails with
-  /// ParseError (IoError when it cannot be read) and leaves the store as
-  /// it was.
-  Status LoadFromFile(const std::string& path);
 
   /// Standalone (de)serialisation helpers, also used in tests.
   /// DeserializeDocument fails with ParseError on a count beyond the

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "koko/parser.h"
 #include "nlp/pipeline.h"
 
 namespace koko {
@@ -235,6 +236,60 @@ TEST_F(AggregateTest, ClauseKeySeparatesClausesAndConfigurations) {
                          {{"good"}, {"happy"}});
   EXPECT_NE(joined.ClauseKey(compiled), base);
   EXPECT_NE(joined.ClauseKey(compiled), split.ClauseKey(compiled));
+}
+
+// A variable's verdict-table key covers what its value filters decide
+// with, threshold included, and no variable name.
+TEST_F(AggregateTest, FilterSetKeySeparatesFilterSets) {
+  auto compile = [](const std::string& text) {
+    auto query = ParseQuery(text);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (!query.ok()) return CompiledQuery();
+    auto compiled = CompileQuery(*query);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    return compiled.ok() ? std::move(*compiled) : CompiledQuery();
+  };
+  Aggregator aggregator = MakeAggregator();
+  auto key = [&](const std::string& text) {
+    const CompiledQuery cq = compile(text);
+    std::vector<size_t> slots;
+    for (const ValueFilter& f : cq.value_filters) slots.push_back(f.slot);
+    return aggregator.FilterSetKey(cq, slots);
+  };
+  const std::string head = R"(extract x:Entity from "t" if () )";
+  const uint64_t base = key(head + R"(
+      satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5
+      excluding (str(x) matches "[a-z]+"))");
+  EXPECT_EQ(key(head + R"(
+      satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5
+      excluding (str(x) matches "[a-z]+"))"),
+            base);
+  EXPECT_EQ(key(R"(extract y:Entity from "t" if ()
+      satisfying y (str(y) contains "Cafe" {1}) with threshold 0.5
+      excluding (str(y) matches "[a-z]+"))"),
+            base);
+  for (const char* other : {
+           R"(satisfying x (str(x) contains "Cafe" {1}) with threshold 0.6
+              excluding (str(x) matches "[a-z]+"))",
+           R"(satisfying x (str(x) contains "Cafe" {0.5}) with threshold 0.5
+              excluding (str(x) matches "[a-z]+"))",
+           R"(satisfying x (str(x) mentions "Cafe" {1}) with threshold 0.5
+              excluding (str(x) matches "[a-z]+"))",
+           R"(satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5
+              excluding (str(x) matches "[a-z0-9]+"))",
+           R"(satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5)",
+           R"(excluding (str(x) matches "[a-z]+"))",
+       }) {
+    EXPECT_NE(key(head + other), base) << other;
+  }
+  // A lone excluding condition is no one-condition clause.
+  EXPECT_NE(key(head + R"(excluding (str(x) contains "Cafe"))"),
+            key(head + R"(satisfying x (str(x) contains "Cafe" {1})
+                           with threshold 0)"));
+  const CompiledQuery cq = compile(head + R"(
+      excluding (str(x) matches "[a-z]+"))");
+  EXPECT_NE(MakeAggregator({.use_descriptors = false}).FilterSetKey(cq, {0}),
+            aggregator.FilterSetKey(cq, {0}));
 }
 
 TEST_F(AggregateTest, TokenOccurrencesHelper) {

@@ -6,8 +6,10 @@
 // shutdown/reject races and ScoreCache::Clear vs concurrent hit paths —
 // plus a regression test for the torn stats-snapshot bug the annotation
 // pass surfaced (QueryService::stats() used to read each admission counter
-// under its own lock acquisition), and a regression test for the
-// EmbeddingModel cache that concurrent queries fill through a const Embed.
+// under its own lock acquisition), a regression test for the
+// EmbeddingModel cache that concurrent queries fill through a const Embed,
+// and concurrent queries sharing the ScoreCache's value-filter verdict
+// tables.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/generators.h"
 #include "embed/embedding.h"
+#include "index/sharded_index.h"
 #include "koko/score_cache.h"
+#include "nlp/pipeline.h"
+#include "replay/workloads.h"
 #include "serve/query_service.h"
 #include "util/thread_annotations.h"
 
@@ -281,6 +287,62 @@ TEST(EmbeddingCacheRaceTest, ConcurrentPhraseSimilarityOnUnseenWords) {
   }
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected) << t;
+}
+
+// ---- Shared verdict tables ---------------------------------------------------
+
+TEST(VerdictTableRaceTest, ConcurrentFilteredQueriesMatchSerial) {
+  // Threads run the cafe shape (an entity variable under value-only
+  // excluding conditions) and DateOfBirth's shape (a node variable under a
+  // value-only SimilarTo clause) through one service at once, so they
+  // decide, store and read the same verdict-table entries concurrently.
+  // Every digest must equal the uncached serial run's.
+  Pipeline pipeline;
+  const AnnotatedCorpus corpus = pipeline.AnnotateCorpus(
+      GenerateWikiArticles({.num_articles = 24, .seed = 35}));
+  auto index = ShardedKokoIndex::Build(corpus, 2);
+  EmbeddingModel embeddings;
+  const Engine engine(&corpus, index.get(), &embeddings,
+                      &const_cast<const Pipeline&>(pipeline).recognizer());
+  const std::vector<std::string> queries = {
+      replay::CafeQueryText(0.0),
+      R"(extract a:Person, b:Date from "wiki" if ( /ROOT:{ v = verb })
+         satisfying v (v SimilarTo "born" {1}) with threshold 0.9)",
+  };
+  std::vector<uint64_t> want;
+  for (const std::string& query : queries) {
+    auto result = engine.ExecuteText(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->rows.empty());
+    want.push_back(replay::RowDigest(*result));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  QueryService::Options options;
+  options.max_inflight = kThreads;
+  QueryService service(&engine, options);
+  std::atomic<int> ready{0};
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + static_cast<size_t>(t)) % queries.size();
+          auto result = service.Run(queries[q]);
+          if (!result.ok() || replay::RowDigest(*result) != want[q]) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(service.stats().score_cache.verdict_tables, queries.size());
 }
 
 }  // namespace

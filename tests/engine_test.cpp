@@ -739,6 +739,124 @@ TEST(EngineTest, ExcludingRowsIndependentOfScoreCache) {
   }
 }
 
+// DateOfBirth's shape (a node variable under a value-only SimilarTo
+// clause) and the cafe shape (an entity variable under nine value-only
+// excluding conditions) over one wiki corpus.
+struct FilteredWiki {
+  Pipeline pipeline;
+  AnnotatedCorpus corpus;
+  std::unique_ptr<ShardedKokoIndex> index;
+  EmbeddingModel embeddings;
+  std::unique_ptr<Engine> engine;
+
+  FilteredWiki() {
+    corpus = pipeline.AnnotateCorpus(
+        GenerateWikiArticles({.num_articles = 40, .seed = 35}));
+    index = ShardedKokoIndex::Build(corpus, 2);
+    engine = std::make_unique<Engine>(
+        &corpus, index.get(), &embeddings,
+        &const_cast<const Pipeline&>(pipeline).recognizer());
+  }
+
+  static std::string DateOfBirth(const char* target, double threshold) {
+    return std::string(R"(
+        extract a:Person, b:Date from "wiki" if ( /ROOT:{ v = verb })
+        satisfying v (v SimilarTo ")") +
+           target + "\" {1}) with threshold " + std::to_string(threshold);
+  }
+};
+
+TEST(EngineTest, FilterVariantsShareOneScoreCache) {
+  // Queries that differ only in a threshold, a condition's text or
+  // use_descriptors key different verdict tables in one cache, and each
+  // keeps the rows of its own uncached full scan. The second round decides
+  // no value again.
+  FilteredWiki w;
+  struct Variant {
+    std::string query;
+    bool use_descriptors;
+  };
+  const std::vector<Variant> variants = {
+      {FilteredWiki::DateOfBirth("born", 0.9), true},
+      {FilteredWiki::DateOfBirth("born", 1.5), true},
+      {FilteredWiki::DateOfBirth("married", 0.9), true},
+      {FilteredWiki::DateOfBirth("born", 0.9), false},
+      {replay::CafeQueryText(0.0), true},
+      {replay::CafeQueryText(0.1), true},
+      {R"(extract x:Entity from "wiki" if ()
+          excluding (str(x) matches "[A-Z][a-z]+"))",
+       true},
+      {R"(extract x:Entity from "wiki" if ()
+          excluding (str(x) matches "[A-Z][a-z]+ [A-Z][a-z]+"))",
+       true},
+  };
+  std::vector<QueryResult> want;
+  for (const Variant& v : variants) {
+    EngineOptions full;
+    full.use_index = false;
+    full.use_descriptors = v.use_descriptors;
+    auto result = w.engine->ExecuteText(v.query, full);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    want.push_back(std::move(*result));
+  }
+  // Each pair of variants differs in its rows, so a shared verdict would
+  // show.
+  for (auto [a, b] : {std::pair{0, 1}, {0, 2}, {4, 5}, {6, 7}}) {
+    EXPECT_NE(want[a].rows.size(), want[b].rows.size()) << a << " " << b;
+  }
+  ScoreCache cache;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < variants.size(); ++i) {
+      const std::string context =
+          "variant " + std::to_string(i) + " round " + std::to_string(round);
+      EngineOptions options;
+      options.use_descriptors = variants[i].use_descriptors;
+      options.score_cache = &cache;
+      auto got = w.engine->ExecuteText(variants[i].query, options);
+      ASSERT_TRUE(got.ok()) << context;
+      ExpectSameRows(want[i], *got, context);
+      // Both cafe thresholds gate the clause that reads the document, so
+      // they share the excluding conditions' table.
+      if (round == 1 || i == 5) {
+        EXPECT_EQ(got->filter_values_decided, 0u) << context;
+      } else {
+        EXPECT_GT(got->filter_values_decided, 0u) << context;
+      }
+    }
+  }
+  EXPECT_EQ(cache.stats().verdict_tables, variants.size() - 1);
+}
+
+TEST(EngineTest, StoredEngineSharesVerdictsWithResident) {
+  // Value ids come from the resident corpus, and an engine over a document
+  // store binds the same ids from its deserialised copies: through one
+  // cache either engine reads the verdicts the other stored.
+  FilteredWiki w;
+  const DocumentStore store = DocumentStore::FromCorpus(w.corpus);
+  Engine stored(&w.corpus, w.index.get(), &w.embeddings,
+                &const_cast<const Pipeline&>(w.pipeline).recognizer());
+  stored.set_document_store(&store);
+  for (const std::string& query :
+       {FilteredWiki::DateOfBirth("born", 0.9), replay::CafeQueryText(0.0)}) {
+    auto want = w.engine->ExecuteText(query);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_FALSE(want->rows.empty());
+    auto alone = stored.ExecuteText(query);
+    ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+    ExpectIdenticalResults(*want, *alone, "stored, no cache");
+    ScoreCache cache;
+    EngineOptions shared;
+    shared.score_cache = &cache;
+    const Engine* order[] = {&stored, w.engine.get(), &stored};
+    for (size_t i = 0; i < 3; ++i) {
+      auto got = order[i]->ExecuteText(query, shared);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectIdenticalResults(*want, *got, "shared cache, run " + std::to_string(i));
+      EXPECT_EQ(got->filter_values_decided == 0, i > 0) << i;
+    }
+  }
+}
+
 TEST(EngineTest, PathRegexStepMatchesFullScan) {
   Pipeline pipeline;
   auto docs = GenerateWikiArticles({.num_articles = 40, .seed = 35});

@@ -339,5 +339,37 @@ TEST(WorkloadParityTest, ConcurrentServiceClientsMatchReference) {
   }
 }
 
+// A value filter's verdicts outlive the query in the service's ScoreCache:
+// the second run of every query decides no value again and still returns
+// the rows of the unpruned evaluator.
+TEST(WorkloadParityTest, SecondServiceRunDecidesNoValue) {
+  const World& world = GetWorld();
+  size_t first_decided = 0;
+  for (size_t wi = 0; wi < world.workloads.size(); ++wi) {
+    const replay::Workload& workload = world.workloads[wi];
+    Engine engine(&workload.corpus, world.variants[wi].sharded_map.get(),
+                  &world.embeddings, world.recognizer());
+    QueryService service(&engine, QueryService::Options(), kIndexShards);
+    for (const replay::WorkloadQuery& query : workload.queries) {
+      auto result = service.Run(query.query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      first_decided += result->filter_values_decided;
+    }
+    EngineOptions full;
+    full.use_index = false;
+    for (const replay::WorkloadQuery& query : workload.queries) {
+      const std::string key = workload.name + "/" + query.name;
+      auto want = engine.Execute(query.query, full);
+      auto got = service.Run(query.query);
+      ASSERT_TRUE(want.ok()) << key;
+      ASSERT_TRUE(got.ok()) << key;
+      EXPECT_EQ(got->filter_values_decided, 0u) << key;
+      EXPECT_EQ(replay::RowDigest(*got), replay::RowDigest(*want)) << key;
+    }
+  }
+  // The filtered classes decided values on their first runs.
+  EXPECT_GT(first_decided, 0u);
+}
+
 }  // namespace
 }  // namespace koko

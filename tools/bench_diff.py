@@ -25,8 +25,21 @@ the pairs the change won. The verdict fails when
 
 --entry "<summary>" also prints the `change` and `workloads` fields of a
 BENCH_perfbench.json entry (see docs/BENCH_SCHEMA.md). BENCHMARK.json is
-only read. --self-test checks the tool on synthetic runs; CI runs it. Exit
-status: 0 pass, 1 fail, 2 bad input.
+only read.
+
+The paired mode reads the paper benches' JSON instead, N alternating runs
+per side of BENCH_workloads.json and BENCH_table2_scaleup.json (any mix):
+
+    python3 tools/bench_diff.py --json-parent p1/BENCH_workloads.json ... \
+        --json-change c1/BENCH_workloads.json ...
+
+It matches entries by name and prints, for every warm key (warm_wall_s,
+warm_resident_wall_s and the phase keys of a table2 query entry, p50_ms of
+a warm bench_workloads entry), each side's median and min..max. It is
+display only: it gives no verdict and exits 0 on readable input.
+
+--self-test checks the tool on synthetic runs; CI runs it. Exit status:
+0 pass, 1 fail, 2 bad input.
 """
 
 import argparse
@@ -41,6 +54,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PREFIX = "perfbench-report "
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 WIN_SHARE = 0.9  # share of pairs a claimed metric must win
+# Warm keys of a bench_table2_scaleup query entry, in print order.
+TABLE2_WARM_KEYS = ("warm_wall_s", "warm_resident_wall_s", "normalize_s",
+                    "dpli_s", "load_article_s", "gsp_s", "extract_s",
+                    "satisfying_s")
 
 
 class InputError(Exception):
@@ -155,6 +172,60 @@ def compare(parent_runs, change_runs, bounds, claims):
     return passed, medians
 
 
+def load_bench(path):
+    """Returns (bench name, {entry name: values}) of one BENCH_*.json."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        entries = {e["name"]: e["values"] for e in doc["entries"]}
+        return doc["bench"], entries
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise InputError(f"{path}: not a bench JSON file ({e})") from e
+
+
+def warm_keys(values):
+    """The warm keys of one bench entry, in print order."""
+    if values.get("phase") == "warm" and "p50_ms" in values:
+        return ["p50_ms"]
+    return [k for k in TABLE2_WARM_KEYS if k in values]
+
+
+def span_line(label, p, c):
+    """One paired-mode line: each side's median [min..max] and the change."""
+    p_med, c_med = statistics.median(p), statistics.median(c)
+    delta = (c_med - p_med) / p_med if p_med else 0.0
+    return (f"  {label:<52} {p_med:>9.4f} [{min(p):.4f}..{max(p):.4f}] ->"
+            f" {c_med:>9.4f} [{min(c):.4f}..{max(c):.4f}] {delta:+7.1%}")
+
+
+def paired(parent_paths, change_paths):
+    """Prints each side's median and min..max of every warm key, in ms."""
+    sides = ({}, {})
+    for runs, paths in zip(sides, (parent_paths, change_paths)):
+        for path in paths:
+            bench, entries = load_bench(path)
+            runs.setdefault(bench, []).append(entries)
+    parent_runs, change_runs = sides
+    for bench in sorted(set(parent_runs) | set(change_runs)):
+        parents = parent_runs.get(bench, [])
+        changes = change_runs.get(bench, [])
+        if not parents or not changes:
+            print(f"{bench}: runs on one side only")
+            continue
+        print(f"{bench}: {len(parents)} parent, {len(changes)} change runs "
+              "(ms, median [min..max], display only)")
+        for name, values in parents[0].items():
+            for key in warm_keys(values):
+                # Seconds keys print in milliseconds, like p50_ms.
+                scale = 1000.0 if key.endswith("_s") else 1.0
+                p = [run[name][key] * scale for run in parents
+                     if key in run.get(name, {})]
+                c = [run[name][key] * scale for run in changes
+                     if key in run.get(name, {})]
+                if c:
+                    print(span_line(f"{name} {key}", p, c))
+
+
 def parse_claims(specs, bounds):
     claims = set()
     for spec in specs:
@@ -174,6 +245,59 @@ def fake_run(directory, label, workload, metrics, attempted=100, failed=0):
         f.write(REPORT_PREFIX + json.dumps({"workload": workload}) + "\n")
         f.write(json.dumps(result) + "\n")
     return path
+
+
+def fake_bench(directory, label, bench, entries):
+    path = os.path.join(directory, f"{label}.json")
+    doc = {"bench": bench, "meta": {},
+           "entries": [{"name": n, "values": v} for n, v in entries.items()]}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    return path
+
+
+def paired_self_test(directory):
+    """Checks the paired mode's lines on synthetic bench JSON."""
+    def workloads(p50):
+        return {"inprocess/closed/cold/fig3_cafe": {"phase": "cold", "p50_ms": 9.0},
+                "inprocess/closed/warm/fig3_cafe": {"phase": "warm", "p50_ms": p50}}
+
+    def table2(wall):
+        return {"build/K=2": {"shards": 2, "build_s": 1.0},
+                "DateOfBirth/4000": {"warm_wall_s": wall, "dpli_s": 0.5}}
+
+    parents = [fake_bench(directory, f"pw{i}", "workloads", workloads(v))
+               for i, v in enumerate([1.0, 2.0, 3.0])]
+    parents += [fake_bench(directory, f"pt{i}", "table2_scaleup", table2(v))
+                for i, v in enumerate([2.0, 1.0, 3.0])]
+    changes = [fake_bench(directory, f"cw{i}", "workloads", workloads(v))
+               for i, v in enumerate([0.5, 1.0, 4.0])]
+    changes += [fake_bench(directory, f"ct{i}", "table2_scaleup", table2(v))
+                for i, v in enumerate([1.0, 1.5, 0.5])]
+    buffer = io.StringIO()
+    stdout, sys.stdout = sys.stdout, buffer
+    try:
+        paired(parents, changes)
+    finally:
+        sys.stdout = stdout
+    out = buffer.getvalue()
+    checks = [
+        ("a warm p50 shows both medians and ranges",
+         span_line("inprocess/closed/warm/fig3_cafe p50_ms", [1, 2, 3],
+                   [0.5, 1, 4]) in out),
+        ("a table2 warm key and phase key show in ms, a build key does not",
+         span_line("DateOfBirth/4000 warm_wall_s", [2000, 1000, 3000],
+                   [1000, 1500, 500]) in out
+         and "DateOfBirth/4000 dpli_s" in out and "build_s" not in out),
+        ("cold entries and verdicts stay out",
+         "cold/fig3_cafe" not in out and "verdict" not in out.lower()
+         and "PASS" not in out and "FAIL" not in out),
+    ]
+    ok = True
+    for name, held in checks:
+        print(f"self-test: paired: {name}: {'ok' if held else 'WRONG'}")
+        ok = ok and held
+    return ok
 
 
 def self_test(bounds):
@@ -224,6 +348,7 @@ def self_test(bounds):
         name = "the attempted line shows both medians and no verdict"
         print(f"self-test: {name}: {'ok' if shown and got else 'WRONG'}")
         ok = ok and shown and got
+        ok = paired_self_test(directory) and ok
     return ok
 
 
@@ -235,12 +360,26 @@ def main(argv):
                         help="workload:metric the change claims to improve")
     parser.add_argument("--entry", help="print the change and workloads "
                         "fields of a BENCH_perfbench.json entry")
+    parser.add_argument("--json-parent", nargs="+", default=[],
+                        help="parent runs' BENCH_workloads.json / "
+                        "BENCH_table2_scaleup.json (paired mode)")
+    parser.add_argument("--json-change", nargs="+", default=[],
+                        help="change runs' bench JSON (paired mode)")
     parser.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
     bounds = load_bounds(args.benchmark)
     if args.self_test:
         return 0 if self_test(bounds) else 1
+    if args.json_parent or args.json_change:
+        if not args.json_parent or not args.json_change:
+            parser.error("--json-parent and --json-change runs are required")
+        try:
+            paired(args.json_parent, args.json_change)
+        except InputError as e:
+            print(f"bench_diff: {e}", file=sys.stderr)
+            return 2
+        return 0
     if not args.parent or not args.change:
         parser.error("--parent and --change runs are required")
     try:
